@@ -1,9 +1,11 @@
 """Batch front-end: config-driven experiments with structured reports.
 
 Exit codes: 0 = the subcommand's numerical contract PASSed, 1 = numerical
-FAIL, 2 = configuration or usage error.  Every run writes a manifest
-(config echo + versions + results, byte-reproducible for a fixed config and
-seed) and a separate timings file (wall times, excluded from the
+FAIL (an error raised by the computation is recorded under "error" in the
+manifest), 2 = configuration or usage error, reported on one stderr line.
+Every run writes a manifest (config echo + versions + the subcommand's
+report under "result", byte-reproducible for a fixed config, seed and BLAS
+thread count) and a separate timings file (wall times, excluded from the
 reproducibility claim) into the output directory.
 """
 
@@ -15,6 +17,8 @@ import math
 import os
 import sys
 import time
+
+from .errors import DomainError, LpkdvError
 
 SUBCOMMANDS = (
     "selftest", "coeffs", "dispersion", "simulate", "ansatz-residual",
@@ -81,28 +85,51 @@ def load_config(path) -> dict:
     return _merge(DEFAULT_CONFIG, doc)
 
 
+# the keys an envelope type needs beyond the defaults, with sample values
+_ENVELOPE_TYPE_KEYS = {"gaussian": {}, "plane": {"k": 0}, "file": {"path": ""}}
+
+
+def _fits(value, default) -> bool:
+    """A whole number for an integer default, a number for a float default,
+    a number or null for a null default, a list of what fits the default's
+    first entry for a list, else the default's JSON type."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, int):
+        return number and (isinstance(value, int) or value.is_integer())
+    if isinstance(default, float) or default is None:
+        return number or (default is None and value is None)
+    return isinstance(value, type(default))
+
+
+def _check_schema(doc: dict, schema: dict, where: str = "") -> None:
+    for key, value in doc.items():
+        if key not in schema:
+            raise ConfigError(f"unknown config key {where + key!r}")
+        if isinstance(schema[key], dict) and isinstance(value, dict):
+            _check_schema(value, schema[key], where + key + ".")
+        elif isinstance(schema[key], dict) or not _fits(value, schema[key]):
+            raise ConfigError(f"{where + key} = {value!r} does not fit {schema[key]!r}")
+
+
 def validate_config(cfg: dict) -> None:
-    p, q, kappa = cfg["p"], cfg["q"], cfg["kappa"]
-    if p == q:
-        raise ConfigError("invalid parameters: p == q (mu = p - q must be nonzero)")
-    if p == -q:
-        raise ConfigError("invalid parameters: p == -q (zeta = p + q must be nonzero)")
-    if not (0.0 < kappa < math.pi):
-        raise ConfigError(f"kappa = {kappa} outside (0, pi)")
-    if cfg["r"] <= 0:
-        raise ConfigError("r must be positive")
-    if cfg["M2_tilde"] <= 0:
-        raise ConfigError("M2_tilde must be positive")
-    if cfg["branch"] not in (None, 1, -1):
-        raise ConfigError("branch must be null, 1 or -1")
-    n_list = cfg["N_list"]
-    if sorted(n_list) != list(n_list) or len(n_list) < 1:
-        raise ConfigError("N_list must be ascending and non-empty")
     env = cfg["envelope"]
-    if env.get("type") not in ("gaussian", "plane", "file"):
-        raise ConfigError(f"unknown envelope type {env.get('type')!r}")
+    extra = _ENVELOPE_TYPE_KEYS.get(env.get("type")) if isinstance(env, dict) else None
+    if extra is None or not set(extra) <= set(env):
+        raise ConfigError("envelope needs a type of gaussian, plane or file, plus k for "
+                          f"plane and path for file; got {env!r}")
+    _check_schema(cfg, dict(DEFAULT_CONFIG,
+                            envelope=dict(DEFAULT_CONFIG["envelope"], **extra)))
+    n_list = cfg["N_list"]
+    if not n_list or min(n_list) < 1 or sorted(n_list) != n_list:
+        raise ConfigError("N_list must be ascending, non-empty positive integers")
     if len(cfg["window"]) != 2 or min(cfg["window"]) < 2:
         raise ConfigError("window must be two integers >= 2")
+    try:  # p, q, kappa, r, M2_tilde, branch: the domain the library enforces
+        _build_coeffs(cfg)
+    except DomainError as exc:
+        raise ConfigError(f"invalid parameters: {exc}") from exc
 
 
 def _json_bytes(doc) -> bytes:
@@ -486,11 +513,16 @@ def run(subcommand: str, config_path=None, out_dir=None, quiet=False) -> int:
     out_dir = out_dir or f"lpkdv-run-{subcommand}"
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
+    error = None
     try:
-        passed, _report = COMMANDS[subcommand](cfg, out_dir, quiet)
-    except ConfigError as exc:
+        passed, report = COMMANDS[subcommand](cfg, out_dir, quiet)
+    except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except LpkdvError as exc:
+        passed, report = False, None
+        error = {"type": type(exc).__name__, "message": str(exc), **vars(exc)}
+        print(f"error: {error['type']}: {exc}", file=sys.stderr)
     wall = time.time() - t0
     from . import __version__
     import numpy
@@ -500,6 +532,8 @@ def run(subcommand: str, config_path=None, out_dir=None, quiet=False) -> int:
         "subcommand": subcommand,
         "config": cfg,
         "passed": bool(passed),
+        "result": report,
+        "error": error,
         "versions": {"lpkdv": __version__, "numpy": numpy.__version__,
                      "scipy": scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},

@@ -21,6 +21,7 @@ and a finite-difference vector-field commutator test for them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,19 +120,22 @@ def _rhs_values(values: np.ndarray, dxi: float, c: NlsCoefficients) -> np.ndarra
     return -1j * (c.rho1 * d2 + c.rho2 * values * np.abs(values) ** 2)
 
 
+def _stiffness(env: Envelope, c: NlsCoefficients) -> float:
+    """|rho1| k_max^2 + |rho2| max|u|^2, the RK4 step bound's denominator."""
+    kmax = math.pi / env.dxi
+    return abs(c.rho1) * kmax ** 2 + abs(c.rho2) * float(np.max(np.abs(env.values)) ** 2)
+
+
 def stable_dtau(env: Envelope, c: NlsCoefficients, safety: float = 0.9) -> float:
     """Largest RK4-stable step for this grid and amplitude."""
-    kmax = math.pi / env.dxi
-    rot = abs(c.rho1) * kmax ** 2 + abs(c.rho2) * float(np.max(np.abs(env.values)) ** 2)
-    return safety * RK4_IMAG_STABILITY / rot
+    return safety * RK4_IMAG_STABILITY / _stiffness(env, c)
 
 
 def _check_stability(env: Envelope, c: NlsCoefficients, dtau: float) -> None:
-    kmax = math.pi / env.dxi
-    rot = abs(c.rho1) * kmax ** 2 + abs(c.rho2) * float(np.max(np.abs(env.values)) ** 2)
-    if dtau * rot > RK4_IMAG_STABILITY:
+    rot = _stiffness(env, c)
+    if not 0.0 < dtau * rot <= RK4_IMAG_STABILITY:
         raise DomainError(
-            f"dtau = {dtau:.3e} violates the RK4 stability bound "
+            f"dtau = {dtau:.3e} is not positive within the RK4 stability bound "
             f"dtau*(|rho1|*kmax^2 + |rho2|*max|u|^2) <= {RK4_IMAG_STABILITY} "
             f"(bound here: {RK4_IMAG_STABILITY / rot:.3e})"
         )
@@ -153,26 +157,8 @@ def nls_evolve(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float)
     1e-8 relative per unit tau (RK4 is slightly dissipative inside its
     stability region, never amplifying).
     """
-    if tau_final < env.tau:
-        raise DomainError("tau_final must be >= current tau")
-    if tau_final == env.tau:
-        return env
-    _check_stability(env, c, dtau)
-    span = tau_final - env.tau
-    n_steps = max(1, int(math.ceil(span / dtau - 1e-12)))
-    dt = span / n_steps
-    vals = env.values.copy()
-    for step in range(n_steps):
-        vals = _rk4_step(vals, env.dxi, c, dt)
-        if step % 25 == 0 and not np.all(np.isfinite(vals)):
-            raise NumericalError(
-                "NLS evolution diverged",
-                diagnostics={"step": step, "tau": env.tau + (step + 1) * dt,
-                             "max_abs": float(np.nanmax(np.abs(vals)))},
-            )
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("NLS evolution diverged", diagnostics={"step": n_steps})
-    return Envelope(env.xi0, env.dxi, vals, tau_final)
+    evolution = nls_evolve_dense(env, c, tau_final, dtau, store_every=sys.maxsize)
+    return Envelope(env.xi0, env.dxi, evolution.snapshots[-1], tau_final)
 
 
 @dataclass(frozen=True)
@@ -227,9 +213,6 @@ class EnvelopeEvolution:
             out += w * self.snapshots[lo + a]
         return out
 
-    def envelope_at(self, tau: float) -> Envelope:
-        return Envelope(self.xi0, self.dxi, self.value_at(tau), tau)
-
 
 def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
                      dtau: float, store_every: int = 1) -> EnvelopeEvolution:
@@ -248,9 +231,12 @@ def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
     vals = env.values.copy()
     for step in range(1, n_steps + 1):
         vals = _rk4_step(vals, env.dxi, c, dt)
-        if step % 25 == 0 and not np.all(np.isfinite(vals)):
-            raise NumericalError("NLS evolution diverged",
-                                 diagnostics={"step": step})
+        if (step % 25 == 0 or step == n_steps) and not np.all(np.isfinite(vals)):
+            raise NumericalError(
+                "NLS evolution diverged",
+                diagnostics={"step": step, "tau": env.tau + step * dt,
+                             "max_abs": float(np.nanmax(np.abs(vals)))},
+            )
         if step % store_every == 0 or step == n_steps:
             taus.append(env.tau + step * dt)
             snaps.append(vals.copy())
@@ -285,17 +271,18 @@ def symmetry_rhs(env: Envelope, c: NlsCoefficients, which: str) -> np.ndarray:
     raise DomainError(f"unknown flow id {which!r}; expected one of {FLOW_IDS}")
 
 
-def _check_resolved(env: Envelope) -> None:
-    power = np.abs(np.fft.fft(env.values)) ** 2
-    total = float(np.sum(power))
-    if total == 0.0:
-        return
-    k = np.abs(np.fft.fftfreq(env.L))
-    top_third = float(np.sum(power[k > 1.0 / 3.0]))
-    if top_third > 1e-10 * total:
+def _check_resolved(values: np.ndarray) -> None:
+    """Refuse periodic grid data (along axis 0, one profile per column) whose
+    top third of wavenumbers carries more than 1e-10 of a profile's energy."""
+    power = np.abs(np.fft.fft(values, axis=0)) ** 2
+    total = np.sum(power, axis=0)
+    k = np.abs(np.fft.fftfreq(len(values)))
+    top_third = np.sum(power[k > 1.0 / 3.0], axis=0)
+    fraction = float(np.max(top_third / np.where(total > 0.0, total, 1.0)))
+    if fraction > 1e-10:
         raise PreconditionError(
             f"envelope not spectrally resolved: top-third energy fraction "
-            f"{top_third / total:.3e} > 1e-10"
+            f"{fraction:.3e} > 1e-10"
         )
 
 
@@ -308,7 +295,7 @@ def commutator_test(c: NlsCoefficients, env: Envelope, flow_a: str, flow_b: str,
     a real scalar step is exactly the real-linear directional derivative).
     Vanishes to O(eps^2) plus the discretization floor for true symmetries.
     """
-    _check_resolved(env)
+    _check_resolved(env.values)
 
     def rhs(vals: np.ndarray, which: str) -> np.ndarray:
         return symmetry_rhs(Envelope(env.xi0, env.dxi, vals, env.tau), c, which)

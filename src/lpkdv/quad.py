@@ -81,9 +81,6 @@ class LatticeField:
             return NotImplemented
         return self.kind == other.kind and np.array_equal(self.values, other.values)
 
-    def copy(self) -> "LatticeField":
-        return LatticeField(self.values.copy())
-
 
 def quad_residual(field: LatticeField, params: LpkdvParams, n: int, m: int):
     """Pointwise lpKdV residual at the plaquette with lower-left corner (n, m)."""

@@ -18,7 +18,9 @@ what enforces it).  The assembled lattice ansatz keeps the harmonics
     u = (1/N) [ u1_0(xi) + 2 Re(u1_1(xi,tau) e^{i theta}) ]
         + (1/N^2) 2 Re(tau2 u1_1^2 e^{2 i theta}),   theta = kappa*n - omega*m,
 
-with u1_0 the real antiderivative of Re(tau1)|u1_1|^2.  With all these
+with u1_0 the real antiderivative of Re(tau1)|u1_1|^2, zero at xi0.  The
+envelope enters as its Fourier series in xi (values at lattice points and
+the antiderivative), so it must be spectrally resolved.  With all these
 relations enforced and the envelope solving the NLS, the lpKdV residual of
 the assembled field is O(1/N^3); dropping the zeroth or second harmonic (or
 the characteristic) degrades it to O(1/N^2), which is what the scaling test
@@ -29,16 +31,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, InternalConsistencyError, PreconditionError
-from .nls import Envelope, EnvelopeEvolution, NlsCoefficients
+from .errors import DomainError, InternalConsistencyError
+from .nls import Envelope, EnvelopeEvolution, NlsCoefficients, _check_resolved, _wavenumbers
 from .quad import CarrierWave, LatticeField, LpkdvParams, dispersion, max_residual
 
 REALNESS_RTOL = 1e-10
+_BLOCK_ROWS = 32  # lattice rows summed at once; bounds the assembly working set
 
 
 @dataclass(frozen=True)
@@ -227,67 +229,65 @@ class SlowCoordinates:
         return self.M2_tilde * np.asarray(m) / self.N ** 2
 
 
-class ZerothHarmonic:
-    """u1_0(xi) = Re(tau1) * cumulative integral of |u1_1|^2, on the whole line.
-
-    Within one envelope period the antiderivative comes from integrating the
-    cubic spline of |u|^2 (a composite 4th-order quadrature); outside, the
-    function continues with one full-period rise per wrap, which keeps
-    d(u1_0)/dxi = Re(tau1)|u1_1|^2 valid across seams because the envelope
-    decays at both ends of its cell.
-    """
-
-    def __init__(self, envelope_values: np.ndarray, xi0: float, dxi: float,
-                 tau1: complex, boundary_tol: float = 1e-6):
-        amp2 = np.abs(np.asarray(envelope_values)) ** 2
-        if math.sqrt(float(amp2[0])) >= boundary_tol:
-            raise PreconditionError(
-                f"envelope must decay at the left grid edge: |u| = "
-                f"{math.sqrt(float(amp2[0])):.3e} >= {boundary_tol:.0e}"
-            )
-        L = len(amp2)
-        self.xi0 = xi0
-        self.period = L * dxi
-        grid = xi0 + dxi * np.arange(L + 1)
-        closed = np.concatenate([amp2, amp2[:1]])  # periodic closure
-        self._antideriv = CubicSpline(grid, closed).antiderivative()
-        self.total_integral = float(self._antideriv(grid[-1]))
-        self.re_tau1 = tau1.real
-        self.imag_diagnostic = tau1.imag * self.total_integral
-        self.rise_per_period = self.re_tau1 * self.total_integral
-
-    def value(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        wraps = np.floor((xi - self.xi0) / self.period)
-        frac = xi - wraps * self.period
-        return self.re_tau1 * self._antideriv(frac) + wraps * self.rise_per_period
-
-
-def build_zeroth_harmonic(envelope: Envelope, coeffs: ReductionCoefficients) -> ZerothHarmonic:
-    return ZerothHarmonic(envelope.values, envelope.xi0, envelope.dxi, coeffs.tau1)
-
-
 def build_second_harmonic(envelope: Envelope, coeffs: ReductionCoefficients) -> np.ndarray:
     """u2_2 = tau2 * u1_1^2, pointwise on the envelope grid."""
     return coeffs.tau2 * envelope.values ** 2
 
 
-class _PeriodicInterpolant:
-    """Cubic-spline interpolation of a complex periodic grid function."""
+@dataclass(frozen=True)
+class _FourierSeries:
+    """Periodic grid data xi0 + dxi*j as a Fourier series, one column per
+    lattice row, evaluated at any xi (Trefethen, Spectral Methods in MATLAB,
+    SIAM 2000): column c is sum_k coef[k, c] e^{i k (xi - xi0)} + ramp[c] (xi - xi0).
+    """
 
-    def __init__(self, values: np.ndarray, xi0: float, dxi: float):
-        L = len(values)
-        self.xi0 = xi0
-        self.period = L * dxi
-        grid = xi0 + dxi * np.arange(L + 1)
-        closed = np.concatenate([values, values[:1]])
-        self._re = CubicSpline(grid, closed.real, bc_type="periodic")
-        self._im = CubicSpline(grid, closed.imag, bc_type="periodic")
+    xi0: float
+    k: np.ndarray     # kept wavenumbers; k[0] = 0
+    coef: np.ndarray  # (modes, columns)
+    ramp: np.ndarray  # (columns,); nonzero only for an antiderivative
 
-    def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        frac = self.xi0 + np.mod(xi - self.xi0, self.period)
-        return self._re(frac) + 1j * self._im(frac)
+    @classmethod
+    def fit(cls, values: np.ndarray, xi0: float, dxi: float) -> "_FourierSeries":
+        """Series of values (grid along axis 0), without the modes at round-off
+        level (<= eps times the column's largest) in every column but k = 0."""
+        values = np.asarray(values).reshape(len(values), -1)
+        _check_resolved(values)
+        coef = np.fft.fft(values, axis=0) / len(values)
+        mag = np.abs(coef)
+        keep = np.any(mag > np.finfo(float).eps * mag.max(axis=0), axis=1)
+        keep[0] = True
+        return cls(xi0, _wavenumbers(len(values), dxi)[keep], coef[keep],
+                   np.zeros(values.shape[1]))
+
+    def antiderivative(self) -> "_FourierSeries":
+        """Periodic part plus mean*(xi - xi0), zero at xi0 in every column: the
+        lpKdV is invariant under a global shift u -> u + c, not a per-row one."""
+        coef = np.empty_like(self.coef)
+        coef[1:] = self.coef[1:] / (1j * self.k[1:, None])
+        coef[0] = -coef[1:].sum(axis=0)
+        return replace(self, coef=coef, ramp=self.coef[0])
+
+    def __call__(self, x, offsets=(0.0,)) -> np.ndarray:
+        """Column c at x[i] + offsets[c], shape (len(x), columns): one product
+        E @ (coef * shift), E[i, k] = e^{i k (x[i] - xi0)}, shift[k, c] = e^{i k offsets[c]}."""
+        x = np.atleast_1d(x) - self.xi0
+        shift = np.exp(1j * np.outer(self.k, offsets))
+        return (np.exp(1j * np.outer(x, self.k)) @ (self.coef * shift)
+                + np.add.outer(x, offsets) * self.ramp)
+
+
+def _envelope_block(evolution: EnvelopeEvolution, slow: SlowCoordinates, x, ms):
+    """Envelope grid values at the slow times of rows ms (one column per row)
+    and u1_1 at the lattice points xi = x + xi(0, m)."""
+    taus = slow.tau(0, ms)
+    bad = np.flatnonzero((taus < evolution.tau_min - 1e-12) | (taus > evolution.tau_max + 1e-12))
+    if len(bad):
+        raise DomainError(
+            f"slow time tau = {taus[bad[0]]} at lattice row m = {ms[bad[0]]} outside the "
+            f"envelope evolution range [{evolution.tau_min}, {evolution.tau_max}]"
+        )
+    values = np.stack([evolution.value_at(float(t)) for t in taus], axis=1)
+    return values, _FourierSeries.fit(values, evolution.xi0, evolution.dxi)(x, slow.xi(0, ms))
 
 
 @dataclass
@@ -303,15 +303,11 @@ class AnsatzField:
     slow: SlowCoordinates
 
     def envelope_values(self, n, m) -> np.ndarray:
-        """u1_1 sampled at the slow coordinates of lattice points (vectorized,
-        but all m must share one row)."""
-        m_arr = np.asarray(m)
-        if m_arr.ndim == 0:
-            tau = float(self.slow.tau(0, m_arr))
-            env = self.evolution.value_at(tau)
-            interp = _PeriodicInterpolant(env, self.evolution.xi0, self.evolution.dxi)
-            return interp(self.slow.xi(n, m))
-        raise DomainError("envelope_values expects a scalar m (one row at a time)")
+        """u1_1 at the slow coordinates of the lattice points (n[i], m[j]),
+        shape (len(n), len(m)); a scalar m gives the 1-D array over n."""
+        ms = np.atleast_1d(np.asarray(m, dtype=float))
+        _, u1 = _envelope_block(self.evolution, self.slow, self.slow.xi(np.atleast_1d(n), 0), ms)
+        return u1[:, 0] if np.ndim(m) == 0 else u1
 
 
 def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
@@ -321,7 +317,7 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
 
     window = (n_size, m_size).  Slow coordinates must stay inside the stored
     tau range of the evolution (xi wraps periodically); violations raise with
-    the offending (n, m).
+    the offending (n, m).  The envelope must be spectrally resolved.
     """
     n_size, m_size = window
     if n_size < 2 or m_size < 2:
@@ -329,27 +325,19 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     slow = SlowCoordinates.from_coefficients(coeffs, N)
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
     ns = np.arange(n_size)
+    x = slow.xi(ns, 0)
     out = np.empty((n_size, m_size), dtype=np.float64)
-    tau2 = coeffs.tau2
-    for m in range(m_size):
-        tau_m = float(slow.tau(0, m))
-        if not (evolution.tau_min - 1e-12 <= tau_m <= evolution.tau_max + 1e-12):
-            raise DomainError(
-                f"slow time tau = {tau_m} at lattice row m = {m} outside the "
-                f"envelope evolution range [{evolution.tau_min}, {evolution.tau_max}]"
-            )
-        env_vals = evolution.value_at(tau_m)
-        interp = _PeriodicInterpolant(env_vals, evolution.xi0, evolution.dxi)
-        xi_row = slow.xi(ns, m)
-        u1 = interp(xi_row)
-        phase = np.exp(1j * (kappa * ns - omega * m))
-        row = 2.0 * np.real(u1 * phase) / N
+    for start in range(0, m_size, _BLOCK_ROWS):
+        ms = np.arange(start, min(start + _BLOCK_ROWS, m_size))
+        values, u1 = _envelope_block(evolution, slow, x, ms)
+        phase = np.exp(1j * (kappa * ns[:, None] - omega * ms[None, :]))
+        block = 2.0 * np.real(u1 * phase) / N
         if include_zeroth:
-            zeroth = ZerothHarmonic(env_vals, evolution.xi0, evolution.dxi, coeffs.tau1)
-            row = row + zeroth.value(xi_row) / N
+            amp2 = _FourierSeries.fit(np.abs(values) ** 2, evolution.xi0, evolution.dxi)
+            block += coeffs.tau1.real * amp2.antiderivative()(x, slow.xi(0, ms)).real / N
         if include_second:
-            row = row + 2.0 * np.real(tau2 * u1 ** 2 * phase ** 2) / N ** 2
-        out[:, m] = row
+            block += 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2
+        out[:, start:start + len(ms)] = block
     return AnsatzField(N=N, coeffs=coeffs, evolution=evolution,
                        field=LatticeField(out), include_zeroth=include_zeroth,
                        include_second=include_second, slow=slow)

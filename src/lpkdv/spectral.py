@@ -111,11 +111,6 @@ def build_spectral_problem(lattice: LatticeField, params: LpkdvParams, m: int,
     return SpectralProblem(coefficient_row(row, params, variant), boundary, n_min=1)
 
 
-@dataclass(frozen=True)
-class SpectralEigenvalue:
-    value: complex
-
-
 def _operator_matrix(sp: SpectralProblem) -> np.ndarray:
     L = sp.size
     M = np.zeros((L, L), dtype=complex if np.iscomplexobj(sp.a) else float)

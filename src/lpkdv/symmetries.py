@@ -174,10 +174,7 @@ def _first_harmonic_blocks(ansatz: AnsatzField, which: str):
     blocks = _block_reduce(demod, P)
     centers_n = n0 + (np.arange(blocks.shape[0]) + 0.5) * P - 0.5
     centers_m = (np.arange(blocks.shape[1]) + 0.5) * P - 0.5
-    env = np.empty(blocks.shape, dtype=np.complex128)
-    for j, mc in enumerate(centers_m):
-        env[:, j] = ansatz.envelope_values(centers_n, float(mc))
-    return blocks, env
+    return blocks, ansatz.envelope_values(centers_n, centers_m)
 
 
 def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
@@ -197,11 +194,9 @@ def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
     keep = np.abs(env) >= envelope_floor
     if not np.any(keep):
         return {"flow": which, "n_points": 0, "note": "envelope below floor everywhere"}
-    theory = (1j * math.sin(kappa) / (2 * params.p ** 2)) * env / ansatz.N
-    ratios = blocks[keep] / theory[keep]
-    w = np.abs(env[keep]) ** 2
-    coeff_est = np.sum(blocks[keep] * np.conj(env[keep])) / np.sum(np.abs(env[keep]) ** 2)
     coeff_theory = 1j * math.sin(kappa) / (2 * params.p ** 2) / ansatz.N
+    ratios = blocks[keep] / (coeff_theory * env[keep])
+    coeff_est = np.sum(blocks[keep] * np.conj(env[keep])) / np.sum(np.abs(env[keep]) ** 2)
     report = {
         "flow": which,
         "N": ansatz.N,

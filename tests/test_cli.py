@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +103,7 @@ class TestRun:
         assert doc["passed"] is True
         assert "numpy" in doc["versions"] and "lpkdv" in doc["versions"]
         assert doc["config"]["p"] == 1.5
+        assert doc["result"] == read(out / "coefficients.json")
         timings = read(out / "timings.json")
         assert "wall_seconds" in timings
 
@@ -146,3 +150,51 @@ class TestEnvelopeConfigs:
 def test_main_entry(tmp_path, capsys):
     code = main(["coeffs", "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 0
+
+
+@pytest.mark.parametrize("p, q, kappa", [(2.0, 1.0, 1.0), (3.0, 0.7, 0.6),
+                                         (1.5, 0.5, 1.2)])
+def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": p, "q": q, "kappa": kappa}))
+    out = tmp_path / "o"
+    assert run("ansatz-residual", str(cfg), str(out), quiet=True) == 0
+    assert read(out / "ansatz_residual.json")["exponent"] >= 2.7
+
+
+@pytest.mark.parametrize("subcommand, doc, code", [
+    ("ansatz-residual", {"N_list": [16, 32]}, 2),
+    ("nls-evolve", {"envelope": {"type": "file"}}, 2),
+    ("coeffs", {"kappa": "x"}, 2),
+    ("ansatz-residual", {"N_list": [0, 1, 2]}, 2),
+    ("simulate", {"boundary": {"p": 1.0, "q": 1.0}}, 2),
+    ("coeffs", {"Nlist": [16, 32, 64]}, 2),
+    ("nls-evolve", {"nls": {"dtau": -1.0}}, 2),
+    ("commutators", {"commutators": {"width": 0.1}}, 1),
+])
+def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
+    """Config mistakes exit 2 with one 'config error:' line; an error raised
+    by the computation exits 1 and is recorded in the manifest."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run(subcommand, str(cfg), str(out), quiet=True) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if code == 2:
+        assert err.startswith("config error:")
+    else:
+        manifest = read(out / "manifest.json")
+        assert manifest["passed"] is False and manifest["result"] is None
+        assert manifest["error"]["type"] == "PreconditionError"
+        assert "resolved" in manifest["error"]["message"]
+
+
+def test_cli_import_defers_numpy():
+    """--threads can only act if numpy is not loaded before main() runs."""
+    import lpkdv
+
+    code = ("import sys, lpkdv.cli; assert 'numpy' not in sys.modules; "
+            "from lpkdv import LatticeField; assert 'numpy' in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

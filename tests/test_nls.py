@@ -114,6 +114,11 @@ class TestEvolve:
         with pytest.raises(DomainError, match="stability"):
             nls_evolve(env, C_REF, 1.0, 1.0)
 
+    @pytest.mark.parametrize("dtau", [0.0, -1e-3])
+    def test_non_positive_step_rejected(self, dtau):
+        with pytest.raises(DomainError, match="positive"):
+            nls_evolve(make_env(), C_REF, 1.0, dtau)
+
 
 class TestDenseOutput:
     def test_interpolation_accuracy(self):

@@ -8,9 +8,9 @@ from lpkdv.nls import Envelope, frozen_evolution, gaussian_envelope
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import (
     SlowCoordinates,
+    _FourierSeries,
     assemble_ansatz,
     build_second_harmonic,
-    build_zeroth_harmonic,
     compute_coefficients,
     fit_scaling_exponent,
     group_velocity,
@@ -147,47 +147,61 @@ class TestSlowCoordinates:
         assert abs(slope - group_velocity(ref_params, math.pi / 2)) < 1e-8
 
 
+def zeroth_harmonic(env, coeffs):
+    """u1_0(xi) = Re(tau1) * (antiderivative of |u|^2, zero at xi0)."""
+    series = _FourierSeries.fit(np.abs(env.values) ** 2, env.xi0, env.dxi).antiderivative()
+    return lambda xi: coeffs.tau1.real * series(xi)[:, 0].real
+
+
 class TestZerothHarmonic:
     def test_zero_envelope(self, ref_coeffs):
         env = Envelope(0.0, 0.1, np.zeros(64, dtype=complex))
-        z = build_zeroth_harmonic(env, ref_coeffs)
-        assert np.allclose(z.value(np.linspace(0, 6.4, 20)), 0.0)
+        z = zeroth_harmonic(env, ref_coeffs)
+        assert np.allclose(z(np.linspace(0, 6.4, 20)), 0.0)
 
     def test_constant_section_slope(self, ref_coeffs):
         # constant |u| = c on an interior plateau: slope there is Re(tau1) c^2
         L, dxi = 512, 40.0 / 512
         xi = dxi * np.arange(L)
-        vals = np.zeros(L, dtype=complex)
-        plateau = (xi > 15) & (xi < 25)
-        vals[plateau] = 0.8
-        env = Envelope(0.0, dxi, vals)
-        z = build_zeroth_harmonic(env, ref_coeffs)
-        slope = (z.value(22.0) - z.value(18.0)) / 4.0
+        vals = 0.4 * (np.tanh((xi - 15) / 0.3) - np.tanh((xi - 25) / 0.3))
+        env = Envelope(0.0, dxi, vals.astype(complex))
+        z = zeroth_harmonic(env, ref_coeffs)
+        slope = (z(22.0) - z(18.0))[0] / 4.0
         assert np.isclose(slope, ref_coeffs.tau1.real * 0.64, rtol=1e-6)
 
+    def test_unresolved_plateau_rejected(self, ref_coeffs):
+        # a step plateau puts 1.5e-3 of its energy in the top third of the
+        # wavenumbers; its Fourier sum would ring, so it is refused
+        L, dxi = 512, 40.0 / 512
+        xi = dxi * np.arange(L)
+        vals = np.where((xi > 15) & (xi < 25), 0.8, 0.0).astype(complex)
+        with pytest.raises(PreconditionError, match="resolved"):
+            zeroth_harmonic(Envelope(0.0, dxi, vals), ref_coeffs)
+
+    def test_anchored_at_grid_start(self, ref_coeffs, ref_envelope):
+        shifted = Envelope(-7.3, ref_envelope.dxi, ref_envelope.values)
+        for env in (ref_envelope, shifted):
+            assert abs(zeroth_harmonic(env, ref_coeffs)(env.xi0)[0]) < 1e-15
+
     def test_total_rise_matches_quadrature(self, ref_coeffs, ref_envelope):
-        z = build_zeroth_harmonic(ref_envelope, ref_coeffs)
+        z = zeroth_harmonic(ref_envelope, ref_coeffs)
+        rise = (z(ref_envelope.xi0 + ref_envelope.period) - z(ref_envelope.xi0))[0]
         # independent oracle: trapezoid integral of |u|^2 on a periodic grid
         amp2 = np.abs(ref_envelope.values) ** 2
         total = float(np.sum(amp2)) * ref_envelope.dxi
-        assert np.isclose(z.rise_per_period, ref_coeffs.tau1.real * total, rtol=1e-8)
+        assert np.isclose(rise, ref_coeffs.tau1.real * total, rtol=1e-8)
 
     def test_monotone_ramp(self, ref_coeffs, ref_envelope):
-        z = build_zeroth_harmonic(ref_envelope, ref_coeffs)
+        z = zeroth_harmonic(ref_envelope, ref_coeffs)
         xs = np.linspace(0.0, 40.0, 200)
-        diffs = np.diff(z.value(xs))
+        diffs = np.diff(z(xs))
         assert np.all(diffs <= 1e-12)  # tau1 < 0 here: monotone decreasing
 
     def test_wrap_continuity(self, ref_coeffs, ref_envelope):
-        z = build_zeroth_harmonic(ref_envelope, ref_coeffs)
-        left = z.value(40.0 - 1e-9)
-        right = z.value(40.0 + 1e-9)
-        assert abs(left - right) < 1e-6
-
-    def test_boundary_precondition(self, ref_coeffs):
-        env = Envelope(0.0, 0.1, np.full(64, 0.5, dtype=complex))
-        with pytest.raises(PreconditionError, match="decay"):
-            build_zeroth_harmonic(env, ref_coeffs)
+        z = zeroth_harmonic(ref_envelope, ref_coeffs)
+        left = z(40.0 - 1e-9)
+        right = z(40.0 + 1e-9)
+        assert abs(left - right)[0] < 1e-6
 
 
 class TestSecondHarmonic:
@@ -237,6 +251,33 @@ class TestAssemble:
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (64, 8))
         vals = ans.envelope_values(np.arange(10.0), 3)
         assert vals.shape == (10,) and np.all(np.isfinite(vals))
+
+    def test_envelope_values_match_closed_form(self, ref_coeffs, ref_envelope):
+        # the Fourier sum reproduces the resolved Gaussian between grid
+        # points to round-off, on several rows m in one call
+        evo = frozen_evolution(ref_envelope, ref_coeffs.nls_coefficients())
+        ans = assemble_ansatz(evo, ref_coeffs, 16, (8, 8))
+        n = np.arange(0.0, 300.0, 0.7)
+        m = np.array([0.0, 5.5, 40.0, 77.25])
+        got = ans.envelope_values(n, m)
+        xi = np.mod(ans.slow.xi(n[:, None], m[None, :]), 40.0)
+        exact = np.exp(-((xi - 12.0) ** 2) / (2.0 * 1.25 ** 2))
+        assert got.shape == (len(n), len(m))
+        assert np.max(np.abs(got - exact)) < 1e-12
+
+    def test_grid_start_offset(self, ref_coeffs):
+        # the same periodic envelope sampled from xi0 = 0 and xi0 = -7.3
+        # assembles the same field (48 rows: two row blocks) up to the global
+        # constant of the zeroth-harmonic anchor, under which lpKdV is invariant
+        c = ref_coeffs.nls_coefficients()
+        fields = []
+        for xi0 in (0.0, -7.3):
+            env = gaussian_envelope(512, xi0, 40.0, 1.0, 1.25, 12.0)
+            fields.append(assemble_ansatz(frozen_evolution(env, c), ref_coeffs,
+                                          16, (64, 48)).field.values)
+        diff = fields[1] - fields[0]
+        assert np.max(np.abs(fields[0])) > 0.05
+        assert np.max(np.abs(diff - diff.mean())) < 1e-12
 
 
 class TestResidualScaling:
