@@ -85,6 +85,7 @@ def load_config(path) -> dict:
     return _merge(DEFAULT_CONFIG, doc)
 
 
+_BOUNDARY_KINDS = ("bump", "random")
 # the keys an envelope type needs beyond the defaults, with sample values
 _ENVELOPE_TYPE_KEYS = {"gaussian": {}, "plane": {"k": 0}, "file": {"path": ""}}
 
@@ -126,6 +127,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("N_list must be ascending, non-empty positive integers")
     if len(cfg["window"]) != 2 or min(cfg["window"]) < 2:
         raise ConfigError("window must be two integers >= 2")
+    if cfg["boundary"]["kind"] not in _BOUNDARY_KINDS:
+        raise ConfigError(f"boundary.kind must be one of {', '.join(_BOUNDARY_KINDS)}; "
+                          f"got {cfg['boundary']['kind']!r}")
     try:  # p, q, kappa, r, M2_tilde, branch: the domain the library enforces
         _build_coeffs(cfg)
     except DomainError as exc:
@@ -200,13 +204,11 @@ def _bump_solution(cfg):
         center = b["center"] if b["center"] is not None else n_size // 2
         row0 = b["amplitude"] * np.exp(-((n - center) / b["width"]) ** 2)
         col0 = np.full(m_size, row0[0])
-    elif b["kind"] == "random":
+    else:  # "random"; validate_config admits no other kind
         rng = np.random.default_rng(cfg["seed"])
         row0 = b["amplitude"] * rng.standard_normal(n_size)
         col0 = b["amplitude"] * rng.standard_normal(m_size)
         col0[0] = row0[0]
-    else:
-        raise ConfigError(f"unknown boundary kind {b['kind']!r}")
     return evolve_ivp(row0, col0, params), params
 
 

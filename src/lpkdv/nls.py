@@ -367,5 +367,7 @@ def envelope_to_json(env: Envelope) -> dict:
 
 
 def envelope_from_json(doc: dict) -> Envelope:
+    if not isinstance(doc, dict) or not {"re", "im", "xi0", "dxi"} <= set(doc):
+        raise DomainError("an envelope JSON document needs re, im, xi0 and dxi")
     vals = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
     return Envelope(doc["xi0"], doc["dxi"], vals, doc.get("tau", 0.0))

@@ -23,7 +23,8 @@ of the reduced Zakharov-Shabat-type system
 s = xi / M1.  zs_eigenvalues discretizes that coupled system for (phi,
 conj(phi)) with the mixed boundary condition Re(phi) = 0 at both ends (the
 image of lattice Dirichlet walls), one-sided second-order derivative rows at
-the ends, fourth-order central stencils inside, and keeps only eigenvalues
+the ends, fourth-order central stencils inside, as a sparse matrix; it
+finds the eigenvalues in a disc by ARPACK shift-invert and keeps only those
 that survive 2x and 3x grid refinements.
 """
 
@@ -34,8 +35,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eig, eigh_tridiagonal
+from scipy.sparse.linalg import eigs
 
 from .errors import DomainError, NumericalError, PreconditionError, SingularPotentialError
 from .quad import LatticeField, LpkdvParams
@@ -44,6 +47,11 @@ from .reduction import ReductionCoefficients, assemble_ansatz
 BAND_EDGE_TOL = 1e-8          # |eigen_mu| > 2 + this counts as discrete spectrum
 DENOMINATOR_RTOL = 1e-10
 ZS_STABILITY_TOL = 1e-3       # refinement-movement threshold for kept eigenvalues
+ZS_SHIFT = 0.1j               # shift-invert centre of the reduced eigen-solves
+ZS_START_K = 40               # eigenvalues first asked for on the base grid
+# an eigenvalue nearer the shift than this times the disc radius means the
+# shift hit it: shift-invert then loses about radius/distance x round-off
+ZS_SHIFT_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,7 @@ def eigenvalues(sp: SpectralProblem, dense: bool = False) -> np.ndarray:
     real_positive = (not np.iscomplexobj(sp.a)) and bool(np.all(sp.a > 0))
     try:
         if sp.boundary == "dirichlet" and real_positive and not dense:
-            w = eigh_tridiagonal(np.zeros(sp.size), np.sqrt(sp.a[:-1]))[0]
+            w = eigh_tridiagonal(np.zeros(sp.size), np.sqrt(sp.a[:-1]), eigvals_only=True)
             return np.sort(w.astype(complex))
         w = eig(_operator_matrix(sp), right=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -267,74 +275,110 @@ class ZsProblem:
             )
 
 
-def _derivative_matrix(L: int, h: float) -> np.ndarray:
+def _derivative_matrix(L: int, h: float) -> sparse.coo_matrix:
     """d/ds with one-sided 2nd-order end rows, 2nd-order next to them, and
     4th-order central stencils in the interior."""
-    D = np.zeros((L, L))
-    D[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
-    D[1, :3] = np.array([-1.0, 0.0, 1.0]) / (2 * h)
-    for j in range(2, L - 2):
-        D[j, j - 2:j + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
-    D[L - 2, L - 3:] = np.array([-1.0, 0.0, 1.0]) / (2 * h)
-    D[L - 1, L - 3:] = np.array([1.0, -4.0, 3.0]) / (2 * h)
-    return D
+    j = np.arange(2, L - 2)
+    rows = [np.array([0, 0, 0, 1, 1, L - 2, L - 2, L - 1, L - 1, L - 1]),
+            j, j, j, j]
+    cols = [np.array([0, 1, 2, 0, 2, L - 3, L - 1, L - 3, L - 2, L - 1]),
+            j - 2, j - 1, j + 1, j + 2]
+    vals = [np.array([-3.0, 4.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -4.0, 3.0]) / (2 * h)]
+    vals += [np.full(len(j), c / (12 * h)) for c in (1.0, -8.0, 8.0, -1.0)]
+    return sparse.coo_matrix((np.concatenate(vals),
+                              (np.concatenate(rows), np.concatenate(cols))), shape=(L, L))
 
 
-def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> np.ndarray:
+def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.csc_matrix:
     """Eigenproblem matrix for mu1 with the mixed walls Re(phi)=0 eliminated.
 
-    Unknowns: psi1 at all L nodes, psi2 at interior nodes (psi2 = conj(phi));
-    the wall condition psi2 = -psi1 at both ends is substituted into the
-    stencils.
+    Unknowns: psi1 at all L nodes, psi2 at interior nodes (psi2 = conj(phi),
+    stored at index L-1+j); the wall condition psi2 = -psi1 at both ends is
+    substituted into the stencils.
     """
     L = len(x)
     h = float(x[1] - x[0])
     lam = 1.0 / (2.0 * math.sin(kappa / 2.0))
     q = (2.0 * u / p) * math.cos(kappa / 2.0) ** 2
-    D = _derivative_matrix(L, h)
-    size = 2 * L - 2
-    M = np.zeros((size, size), dtype=complex)
     c1 = 1j / lam
-    # psi1 rows (all nodes): mu1 psi1 = c1 (D psi1 + q psi2)
-    M[:L, :L] = c1 * D
-    for j in range(L):
-        if j == 0 or j == L - 1:
-            M[j, j] += -c1 * q[j]          # psi2 at wall = -psi1
-        else:
-            M[j, L - 1 + j] = c1 * q[j]    # psi2[j] stored at column L-1+j
+    D = _derivative_matrix(L, h)
+    walls, inner = np.array([0, L - 1]), np.arange(1, L - 1)
     # psi2 rows (interior nodes): mu1 psi2 = -c1 (D psi2 + conj(q) psi1)
-    for j in range(1, L - 1):
-        r = L - 1 + j
-        for k in range(L):
-            djk = D[j, k]
-            if djk == 0.0:
-                continue
-            if k == 0 or k == L - 1:
-                M[r, k] += c1 * djk        # psi2[wall] = -psi1[wall]
-            else:
-                M[r, L - 1 + k] += -c1 * djk
-        M[r, j] += -c1 * np.conj(q[j])
-    return M
+    sel = (D.row >= 1) & (D.row <= L - 2)
+    r2, k2, d2 = D.row[sel], D.col[sel], D.data[sel]
+    at_wall = (k2 == 0) | (k2 == L - 1)
+    rows = [D.row, walls, inner, L - 1 + r2, L - 1 + inner]
+    cols = [D.col, walls, L - 1 + inner, np.where(at_wall, k2, L - 1 + k2), inner]
+    vals = [c1 * D.data,                           # psi1 rows: mu1 psi1 = c1 (D psi1 + q psi2)
+            -c1 * q[walls],                        # psi2 at wall = -psi1
+            c1 * q[inner],
+            np.where(at_wall, c1 * d2, -c1 * d2),  # psi2[wall] = -psi1[wall]
+            -c1 * np.conj(q[inner])]
+    size = 2 * L - 2
+    return sparse.csc_matrix((np.concatenate(vals),
+                              (np.concatenate(rows), np.concatenate(cols))), shape=(size, size))
 
 
-def _zs_raw_eigenvalues(x, u, kappa, p) -> np.ndarray:
-    return eig(_zs_matrix(np.asarray(x, float), np.asarray(u, complex), kappa, p),
-               right=False)
+def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, k: int) -> np.ndarray:
+    """Eigenvalues of the ZS matrix nearest ZS_SHIFT, among them every one
+    with |mu1| <= radius.
+
+    ARPACK shift-invert starts with k values and doubles k until the
+    farthest one returned lies outside |mu1 - shift| <= radius + |shift|, a
+    disc that contains |mu1| <= radius.  Once 2k reaches the matrix size the
+    whole spectrum is wanted and is taken from a dense solve.
+    """
+    M = _zs_matrix(np.asarray(x, float), np.asarray(u, complex), kappa, p)
+    n = M.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    reach = radius + abs(ZS_SHIFT)
+    while 2 * k < n:
+        try:
+            w = eigs(M, k=k, sigma=ZS_SHIFT, v0=v0, return_eigenvectors=False)
+        except RuntimeError as exc:  # ARPACK non-convergence, or a singular LU
+            raise NumericalError(f"shift-invert solve of the {n}x{n} ZS matrix failed: "
+                                 f"{exc}", diagnostics={"size": n, "k": k}) from exc
+        dist = np.abs(w - ZS_SHIFT)
+        if dist.min() < ZS_SHIFT_GAP * reach:
+            raise NumericalError(f"shift {ZS_SHIFT} hits an eigenvalue of the {n}x{n} ZS "
+                                 f"matrix (distance {dist.min():.1e})",
+                                 diagnostics={"size": n, "gap": float(dist.min())})
+        if dist.max() > reach:
+            return w
+        k *= 2
+    return eig(M.toarray(), right=False)
 
 
-def zs_eigenvalues(zs: ZsProblem, stability_tol: float = ZS_STABILITY_TOL) -> np.ndarray:
-    """Refinement-stable eigenvalues mu1 of the reduced spectral problem.
+def zs_eigenvalues(zs: ZsProblem, radius: float = 10.0,
+                   stability_tol: float = ZS_STABILITY_TOL) -> np.ndarray:
+    """Refinement-stable eigenvalues mu1 with |mu1| <= radius of the reduced
+    spectral problem.
 
     The problem is solved on the given grid and on 2x- and 3x-refined grids
     (cubic spline of the potential); eigenvalues are kept iff they move less
-    than stability_tol under both refinements.  Pure-junk spectra (e.g. zero
-    potential, whose decoupled first-derivative blocks have no well-posed
-    spectrum) are filtered away entirely, giving an empty result.
+    than stability_tol under both refinements.  Each solve is sparse ARPACK
+    shift-invert about ZS_SHIFT (see _zs_disc_eigenvalues), which lies off
+    the real axis: mu1 = 0 is an exact eigenvalue of the ZS matrix, so a
+    zero shift would factor a singular matrix.  A shift that hits an
+    eigenvalue raises NumericalError, as does ARPACK non-convergence.  The
+    start vector is fixed (normal draws from seed 0), so results repeat
+    bit for bit.  The base grid is solved on the disc |mu1| <= radius, the
+    refined ones only on |mu1| <= max|kept| + stability_tol, starting from
+    as many eigenvalues as are still kept.
+
+    A potential that vanishes identically gives an empty result: the two
+    components decouple into first-derivative operators (the psi1 one with
+    no boundary condition at all), which have no well-posed spectrum.  Their
+    eigenvalue 0 is 4-fold defective; its round-off cluster has |mu1| below
+    stability_tol, so whether it survives the refinements would depend on
+    round-off, not on the problem.
     """
     zs.check_decay()
     x, u = zs.xi_grid, zs.potential
-    kept = _zs_raw_eigenvalues(x, u, zs.kappa, zs.p)
-    kept = kept[np.isfinite(kept)]
+    if not np.any(u):
+        return np.zeros(0, dtype=complex)
+    kept = _zs_disc_eigenvalues(x, u, zs.kappa, zs.p, radius, ZS_START_K)
+    kept = kept[np.abs(kept) <= radius]
     spl_re = CubicSpline(x, u.real)
     spl_im = CubicSpline(x, u.imag)
     for factor in (2, 3):
@@ -342,9 +386,11 @@ def zs_eigenvalues(zs: ZsProblem, stability_tol: float = ZS_STABILITY_TOL) -> np
             break
         x_fine = np.linspace(x[0], x[-1], factor * (len(x) - 1) + 1)
         u_fine = spl_re(x_fine) + 1j * spl_im(x_fine)
-        fine = _zs_raw_eigenvalues(x_fine, u_fine, zs.kappa, zs.p)
-        kept = np.asarray([z for z in kept if np.min(np.abs(fine - z)) < stability_tol])
-    return np.sort_complex(np.asarray(kept, dtype=complex))
+        fine = _zs_disc_eigenvalues(x_fine, u_fine, zs.kappa, zs.p,
+                                    float(np.max(np.abs(kept))) + stability_tol, len(kept))
+        moved = np.min(np.abs(fine[None, :] - kept[:, None]), axis=1)
+        kept = kept[moved < stability_tol]
+    return np.sort_complex(kept)
 
 
 def band_edge_estimates(lattice: LatticeField, params: LpkdvParams, m: int,
@@ -382,8 +428,7 @@ def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list,
     stride = max(1, evolution.L // 256)
     xs = (evolution.xi0 + evolution.dxi * np.arange(evolution.L))[::stride]
     zs = ZsProblem(xs / coeffs.M1, env0[::stride], kappa, coeffs.params.p)
-    zs_vals = zs_eigenvalues(zs)
-    zs_window = zs_vals[np.abs(zs_vals) <= bracket] if len(zs_vals) else zs_vals
+    zs_window = zs_eigenvalues(zs, bracket)
 
     out = {"N": N_list, "estimates": [], "discrepancy": [], "notes": [],
            "zs_eigenvalues": [[z.real, z.imag] for z in zs_window]}

@@ -74,11 +74,13 @@ class TestRun:
         assert run("coeffs", str(cfg), str(tmp_path / "o"), quiet=True) == 2
 
     def test_reproducible_reports(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run("spectrum", None, str(out1), quiet=True) == 0
-        assert run("spectrum", None, str(out2), quiet=True) == 0
-        for name in ("manifest.json", "spectrum_report.json", "spectrum.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        for sub, names in (("spectrum", ("spectrum_report.json", "spectrum.csv")),
+                           ("zs-limit", ("zs_limit_report.json",))):
+            out1, out2 = tmp_path / sub / "a", tmp_path / sub / "b"
+            assert run(sub, None, str(out1), quiet=True) == 0
+            assert run(sub, None, str(out2), quiet=True) == 0
+            for name in ("manifest.json",) + names:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_simulate_artifacts_round_trip(self, tmp_path):
         from lpkdv.fieldio import load_field_binary, load_field_csv
@@ -171,12 +173,17 @@ def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
     ("coeffs", {"Nlist": [16, 32, 64]}, 2),
     ("nls-evolve", {"nls": {"dtau": -1.0}}, 2),
     ("commutators", {"commutators": {"width": 0.1}}, 1),
+    ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/empty.json"}}, 2),
+    ("nls-evolve", {"boundary": {"kind": "nope"}}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
-    by the computation exits 1 and is recorded in the manifest."""
+    by the computation exits 1 and is recorded in the manifest.  "$TMP" in a
+    config stands for the test's directory, which holds an empty JSON
+    object as empty.json."""
+    (tmp_path / "empty.json").write_text("{}")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(doc).replace("$TMP", str(tmp_path)))
     out = tmp_path / "o"
     assert run(subcommand, str(cfg), str(out), quiet=True) == code
     err = capsys.readouterr().err
@@ -188,6 +195,26 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
         assert manifest["passed"] is False and manifest["result"] is None
         assert manifest["error"]["type"] == "PreconditionError"
         assert "resolved" in manifest["error"]["message"]
+
+
+def test_zs_limit_solver_failure_exit_1(tmp_path, capsys, monkeypatch):
+    """ARPACK non-convergence in the reduced eigen-solve is a numerical
+    failure: exit 1 with a NumericalError record in the manifest."""
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from lpkdv import spectral
+
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(spectral, "eigs", fail)
+    out = tmp_path / "o"
+    assert run("zs-limit", None, str(out), quiet=True) == 1
+    assert capsys.readouterr().err.startswith("error: NumericalError")
+    manifest = read(out / "manifest.json")
+    assert manifest["passed"] is False and manifest["result"] is None
+    assert manifest["error"]["type"] == "NumericalError"
+    assert manifest["error"]["diagnostics"]["size"] == 510
 
 
 def test_cli_import_defers_numpy():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eig
 
-from lpkdv.errors import DomainError, PreconditionError, SingularPotentialError
+from lpkdv import spectral
+from lpkdv.errors import (DomainError, NumericalError, PreconditionError,
+                          SingularPotentialError)
 from lpkdv.nls import gaussian_envelope
 from lpkdv.quad import LatticeField, LpkdvParams
 from lpkdv.spectral import (
@@ -201,13 +204,13 @@ class TestZsEigenvalues:
         assert len(zs_eigenvalues(zs)) == 0
 
     def test_gaussian_ladder(self, zs_gaussian):
-        vals = zs_eigenvalues(zs_gaussian)
+        vals = zs_eigenvalues(zs_gaussian, radius=10.0)
         assert len(vals) > 10
         assert np.max(np.abs(vals.imag)) < 1e-2
 
     def test_conjugation_symmetry(self, zs_gaussian):
         # spectrum closed under mu1 -> -conj(mu1)
-        vals = zs_eigenvalues(zs_gaussian)
+        vals = zs_eigenvalues(zs_gaussian, radius=10.0)
         win = vals[np.abs(vals) < 5]
         defect = max(np.min(np.abs(win - (-np.conj(v)))) for v in win)
         assert defect < 1e-8
@@ -220,8 +223,8 @@ class TestZsEigenvalues:
         # the mode count
         flipped = ZsProblem(zs_gaussian.xi_grid, -zs_gaussian.potential,
                             ref_coeffs.carrier.kappa, 1.5)
-        a = zs_eigenvalues(zs_gaussian)
-        b = zs_eigenvalues(flipped)
+        a = zs_eigenvalues(zs_gaussian, radius=10.0)
+        b = zs_eigenvalues(flipped, radius=10.0)
         a, b = a[np.abs(a) < 3], b[np.abs(b) < 3]
         assert len(a) == len(b) and len(a) > 10
         defect = max(np.min(np.abs(b - (-np.conj(v)))) for v in b)
@@ -239,6 +242,98 @@ class TestZsEigenvalues:
         with pytest.raises(DomainError, match="uniform"):
             ZsProblem(x, np.zeros(40, dtype=complex),
                       ref_coeffs.carrier.kappa, 1.5)
+
+
+def _loop_zs_matrix(x, u, kappa, p):
+    """The ZS matrix built entry by entry on dense arrays: the reference for
+    the vectorized sparse build."""
+    L = len(x)
+    h = float(x[1] - x[0])
+    D = np.zeros((L, L))
+    D[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
+    D[1, :3] = np.array([-1.0, 0.0, 1.0]) / (2 * h)
+    for j in range(2, L - 2):
+        D[j, j - 2:j + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
+    D[L - 2, L - 3:] = np.array([-1.0, 0.0, 1.0]) / (2 * h)
+    D[L - 1, L - 3:] = np.array([1.0, -4.0, 3.0]) / (2 * h)
+    lam = 1.0 / (2.0 * math.sin(kappa / 2.0))
+    q = (2.0 * u / p) * math.cos(kappa / 2.0) ** 2
+    c1 = 1j / lam
+    M = np.zeros((2 * L - 2, 2 * L - 2), dtype=complex)
+    M[:L, :L] = c1 * D
+    for j in range(L):
+        if j == 0 or j == L - 1:
+            M[j, j] += -c1 * q[j]
+        else:
+            M[j, L - 1 + j] = c1 * q[j]
+    for j in range(1, L - 1):
+        r = L - 1 + j
+        for k in range(L):
+            djk = D[j, k]
+            if djk == 0.0:
+                continue
+            if k == 0 or k == L - 1:
+                M[r, k] += c1 * djk
+            else:
+                M[r, L - 1 + k] += -c1 * djk
+        M[r, j] += -c1 * np.conj(q[j])
+    return D, M
+
+
+def _dense_kept(zs, monkeypatch):
+    """Kept set with every grid solved by dense eig of the same matrices."""
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "_zs_disc_eigenvalues",
+                   lambda x, u, kappa, p, radius, k:
+                   eig(spectral._zs_matrix(x, u, kappa, p).toarray(), right=False))
+        return zs_eigenvalues(zs, radius=10.0)
+
+
+class TestSparseZs:
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    def test_matrix_matches_loop_build(self, zs_gaussian, phase):
+        x = zs_gaussian.xi_grid
+        u = zs_gaussian.potential * np.exp(1j * phase * x)
+        D, M = _loop_zs_matrix(x, u, zs_gaussian.kappa, zs_gaussian.p)
+        h = float(x[1] - x[0])
+        assert np.array_equal(spectral._derivative_matrix(len(x), h).toarray(), D)
+        assert np.array_equal(
+            spectral._zs_matrix(x, u, zs_gaussian.kappa, zs_gaussian.p).toarray(), M)
+
+    @pytest.mark.parametrize("amplitude", [1e-2, -1e-2, 1e-4, -1e-4])
+    def test_dense_oracle_gaussian(self, zs_gaussian, amplitude, monkeypatch):
+        zs = ZsProblem(zs_gaussian.xi_grid, amplitude * zs_gaussian.potential,
+                       zs_gaussian.kappa, zs_gaussian.p)
+        sparse_kept = zs_eigenvalues(zs, radius=10.0)
+        dense_kept = _dense_kept(zs, monkeypatch)
+        assert len(sparse_kept) == len(dense_kept) > 0
+        assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
+
+    def test_dense_oracle_evolved_envelope(self, ref_evolution, ref_coeffs, monkeypatch):
+        # the tau_min snapshot as spectral_limit_check poses it
+        evo = ref_evolution
+        stride = evo.L // 256
+        xs = (evo.xi0 + evo.dxi * np.arange(evo.L))[::stride]
+        zs = ZsProblem(xs / ref_coeffs.M1, evo.value_at(evo.tau_min)[::stride],
+                       ref_coeffs.carrier.kappa, ref_coeffs.params.p)
+        sparse_kept = zs_eigenvalues(zs, radius=10.0)
+        dense_kept = _dense_kept(zs, monkeypatch)
+        assert len(sparse_kept) == len(dense_kept) > 10
+        assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
+
+    def test_radius_bounds_result(self, zs_gaussian):
+        wide = zs_eigenvalues(zs_gaussian, radius=10.0)
+        narrow = zs_eigenvalues(zs_gaussian, radius=2.0)
+        inside = wide[np.abs(wide) <= 2.0]
+        assert np.max(np.abs(narrow)) <= 2.0
+        assert len(narrow) == len(inside) > 0
+        assert np.max(np.abs(narrow - inside)) <= 1e-12
+
+    def test_shift_on_eigenvalue_rejected(self, zs_gaussian, monkeypatch):
+        # mu1 = 0 is an exact eigenvalue of the ZS matrix
+        monkeypatch.setattr(spectral, "ZS_SHIFT", 0.0)
+        with pytest.raises(NumericalError, match="hits an eigenvalue"):
+            zs_eigenvalues(zs_gaussian, radius=10.0)
 
 
 class TestSpectralLimit:
