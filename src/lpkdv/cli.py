@@ -20,12 +20,6 @@ import time
 
 from .errors import DomainError, LpkdvError
 
-SUBCOMMANDS = (
-    "selftest", "coeffs", "dispersion", "simulate", "ansatz-residual",
-    "nls-evolve", "commutators", "spectrum", "isospectral", "zs-limit",
-    "flow-check", "flow-project",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -55,7 +49,6 @@ DEFAULT_CONFIG = {
         "linear_residual": 1e-12,
         "ansatz_exponent": 2.7,
         "mass_drift": 1e-8,
-        "flow_exponent": 4.0,
         "projection_error_factor": 3.0,
         "flow_ratio_std": 0.05,
         "drift_shrink": 2.0,
@@ -181,12 +174,15 @@ def _build_envelope(cfg):
         return envelope_from_json(json.load(fh))
 
 
-def _evolve_dense(cfg, coeffs, tau_final):
+def _evolve_dense(cfg, coeffs, rows, n_min):
+    """The envelope evolved far enough for lattice rows 0..rows-1 at N = n_min
+    (tau = M2_tilde * m / N^2), with a 1% margin."""
     from .nls import nls_evolve_dense, stable_dtau
 
     env = _build_envelope(cfg)
     c = coeffs.nls_coefficients()
     dtau = cfg["nls"]["dtau"] or stable_dtau(env, c)
+    tau_final = coeffs.M2_tilde * (rows - 1) / n_min ** 2 * 1.01
     return nls_evolve_dense(env, c, tau_final, dtau, store_every=4)
 
 
@@ -220,38 +216,42 @@ def cmd_selftest(cfg, out_dir, quiet):
 
     from . import difference_calculus as dc
 
+    def poly(coeffs, x):
+        return sum(c * Fraction(x) ** k for k, c in enumerate(coeffs))
+
     failures = []
-    degrees = range(6)
+    tables = dc.stirling_tables(6)
+    if any(tables.first(i, i) != 1 or tables.second(i, i) != 1 for i in range(1, 7)):
+        failures.append("Stirling table diagonals")
     ratios = [dc.ScaleRatio(1, 1), dc.ScaleRatio(1, 2), dc.ScaleRatio(1, 3),
               dc.ScaleRatio(2, 5)]
-    tables = dc.stirling_tables(6)
-    for i in range(1, 7):
-        assert tables.first(i, i) == 1 and tables.second(i, i) == 1
     for h in ratios:
-        for deg in degrees:
+        for deg in range(6):
             if not dc.verify_shift_decomposition(deg, h):
                 failures.append(f"shift decomposition degree {deg}, h={h.M}/{h.N}")
+            coeffs = [Fraction(k + 1, 2 * k + 1) for k in range(deg + 1)]
+            seq = dc.sequence_from_function(lambda n: poly(coeffs, n), 0, deg + 9)
             for j in (1, 2, 3):
-                seq = dc.sequence_from_function(lambda n: Fraction(n) ** deg, 0, deg + j + 6)
                 got = dc.cross_lattice_difference(seq, h, j, deg)
-                hv = h.value
-                for idx, n1 in enumerate(range(got.n_min, got.n_min + len(got))):
-                    direct = sum(
-                        (-1) ** (j - t) * math.comb(j, t) * (n1 + t * hv) ** deg
-                        for t in range(j + 1)
-                    )
-                    if got.values[idx] != direct:
-                        failures.append(
-                            f"cross-lattice d^{j} on n1^{deg}, h={h.M}/{h.N}")
-                        break
-    for deg in range(5):
-        seq = dc.sequence_from_function(lambda n: Fraction(n) ** deg, 0, deg + 6)
+                direct = tuple(
+                    sum((-1) ** (j - t) * math.comb(j, t) * poly(coeffs, n1 + t * h.value)
+                        for t in range(j + 1))
+                    for n1 in range(got.n_min, got.n_min + len(got)))
+                if got.values != direct:
+                    failures.append(f"cross-lattice d^{j} on degree {deg}, h={h.M}/{h.N}")
+                if h.value == 1:  # the cross-lattice difference at h=1 is the forward one
+                    fd = dc.forward_difference(seq, j)
+                    k = min(len(got), len(fd))
+                    if got.values[:k] != fd.values[:k]:
+                        failures.append(f"forward difference d^{j} on degree {deg}")
+    for deg in range(6):
+        coeffs = [Fraction((-1) ** k, k + 2) for k in range(deg + 1)]
+        seq = dc.sequence_from_function(lambda n: poly(coeffs, n), -3, deg + 8)
         der = dc.formal_derivative(seq, deg)
-        for idx, n in enumerate(range(der.n_min, der.n_min + len(der))):
-            exact = deg * Fraction(n) ** (deg - 1) if deg > 0 else Fraction(0)
-            if der.values[idx] != exact:
-                failures.append(f"formal derivative on n^{deg}")
-                break
+        dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+        exact = tuple(poly(dcoeffs, n) for n in range(der.n_min, der.n_min + len(der)))
+        if der.values != exact:
+            failures.append(f"formal derivative on degree {deg}")
     report = {"failures": failures, "checks": "exact operator calculus"}
     write_json(os.path.join(out_dir, "selftest_report.json"), report)
     return len(failures) == 0, report
@@ -312,8 +312,7 @@ def cmd_ansatz_residual(cfg, out_dir, quiet):
     coeffs = _build_coeffs(cfg)
     window = tuple(cfg["window"])
     n_list = list(cfg["N_list"])
-    tau_needed = coeffs.M2_tilde * (window[1] - 1) / min(n_list) ** 2 * 1.01
-    evolution = _evolve_dense(cfg, coeffs, tau_needed)
+    evolution = _evolve_dense(cfg, coeffs, window[1], min(n_list))
     report = residual_scaling(evolution, coeffs, n_list, window)
     write_json(os.path.join(out_dir, "ansatz_residual.json"), report)
     write_scaling_csv(os.path.join(out_dir, "ansatz_residual.csv"),
@@ -414,8 +413,9 @@ def cmd_zs_limit(cfg, out_dir, quiet):
     from .spectral import spectral_limit_check
 
     coeffs = _build_coeffs(cfg)
-    evolution = _evolve_dense(cfg, coeffs, 0.01)
     n_list = list(cfg["N_list"])
+    # the check assembles rows m = 0 and 1 of the ansatz at every N
+    evolution = _evolve_dense(cfg, coeffs, 2, min(n_list))
     report = spectral_limit_check(evolution, coeffs, n_list)
     write_json(os.path.join(out_dir, "zs_limit_report.json"), report)
     disc = [d for d in report["discrepancy"] if d is not None]
@@ -440,7 +440,6 @@ def cmd_flow_check(cfg, out_dir, quiet):
 
     solution, params = _bump_solution(cfg)
     lambdas = [0.125, 0.25, 0.5]
-    tol = cfg["tolerances"]["flow_exponent"]
     report = {}
     ok = True
     for which in ("flow1", "flow2"):
@@ -464,8 +463,7 @@ def cmd_flow_project(cfg, out_dir, quiet):
     n_list = cfg["N_list"]
     N = int(n_list[-1])
     window = (384, 384)
-    tau_needed = coeffs.M2_tilde * (window[1] - 1) / (N // 2) ** 2 * 1.01
-    evolution = _evolve_dense(cfg, coeffs, tau_needed)
+    evolution = _evolve_dense(cfg, coeffs, window[1], N // 2)
     report = {}
     errs = {}
     for n in (N // 2, N):
@@ -499,6 +497,7 @@ COMMANDS = {
     "flow-check": cmd_flow_check,
     "flow-project": cmd_flow_project,
 }
+SUBCOMMANDS = tuple(COMMANDS)
 
 
 def run(subcommand: str, config_path=None, out_dir=None, quiet=False) -> int:

@@ -175,6 +175,7 @@ def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
     ("commutators", {"commutators": {"width": 0.1}}, 1),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/empty.json"}}, 2),
     ("nls-evolve", {"boundary": {"kind": "nope"}}, 2),
+    ("flow-check", {"tolerances": {"flow_exponent": 4.0}}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
@@ -195,6 +196,33 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
         assert manifest["passed"] is False and manifest["result"] is None
         assert manifest["error"]["type"] == "PreconditionError"
         assert "resolved" in manifest["error"]["message"]
+
+
+# per tolerance key: the subcommand whose pass rule reads it, and a value no
+# run can meet
+IMPOSSIBLE_TOLERANCES = {
+    "linear_residual": ("dispersion", -1.0),
+    "ansatz_exponent": ("ansatz-residual", 100.0),
+    "mass_drift": ("nls-evolve", -1.0),
+    "projection_error_factor": ("flow-project", -1.0),
+    "flow_ratio_std": ("flow-project", -1.0),
+    "drift_shrink": ("isospectral", 1e9),
+    "cauchy_band": ("zs-limit", -1.0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(IMPOSSIBLE_TOLERANCES))
+def test_tolerance_is_read(tmp_path, key):
+    """Every tolerance decides its subcommand's exit code: an impossible
+    value makes the run exit 1 with its report still in the manifest."""
+    assert set(IMPOSSIBLE_TOLERANCES) == set(DEFAULT_CONFIG["tolerances"])
+    subcommand, value = IMPOSSIBLE_TOLERANCES[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {key: value}}))
+    out = tmp_path / "o"
+    assert run(subcommand, str(cfg), str(out), quiet=True) == 1
+    manifest = read(out / "manifest.json")
+    assert manifest["passed"] is False and manifest["result"] is not None
 
 
 def test_zs_limit_solver_failure_exit_1(tmp_path, capsys, monkeypatch):
