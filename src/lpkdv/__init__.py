@@ -12,7 +12,7 @@ _MODULE_OF = {name: module for module, names in (
     ("quad", "LatticeField LpkdvParams CarrierWave corner_solve dispersion evolve_ivp "
              "quad_residual"),
     ("reduction", "ReductionCoefficients compute_coefficients group_velocity"),
-    ("nls", "Envelope NlsCoefficients nls_evolve nls_rhs"),
+    ("nls", "Envelope NlsCoefficients nls_evolve"),
 ) for name in names.split()}
 
 __all__ = [*_MODULE_OF, "__version__"]

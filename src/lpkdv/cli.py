@@ -108,6 +108,8 @@ def _check_schema(doc: dict, schema: dict, where: str = "") -> None:
 
 
 def validate_config(cfg: dict) -> None:
+    from .nls import MIN_GRID
+
     env = cfg["envelope"]
     extra = _ENVELOPE_TYPE_KEYS.get(env.get("type")) if isinstance(env, dict) else None
     if extra is None or not set(extra) <= set(env):
@@ -116,10 +118,19 @@ def validate_config(cfg: dict) -> None:
     _check_schema(cfg, dict(DEFAULT_CONFIG,
                             envelope=dict(DEFAULT_CONFIG["envelope"], **extra)))
     n_list = cfg["N_list"]
-    if not n_list or min(n_list) < 1 or sorted(n_list) != n_list:
-        raise ConfigError("N_list must be ascending, non-empty positive integers")
+    if not n_list or min(n_list) < 1 or sorted(n_list) != n_list or n_list[-1] < 2:
+        raise ConfigError("N_list must be ascending positive integers, the last >= 2")
     if len(cfg["window"]) != 2 or min(cfg["window"]) < 2:
         raise ConfigError("window must be two integers >= 2")
+    if min(cfg["nls"]["L"], cfg["commutators"]["L"]) < MIN_GRID:
+        raise ConfigError(f"nls.L and commutators.L must be >= {MIN_GRID}")
+    if min(cfg[k]["width"] for k in ("envelope", "commutators", "boundary")) <= 0:
+        raise ConfigError("envelope, commutators and boundary widths must be positive")
+    eps = cfg["commutators"]["eps"]
+    if len(eps) < 2 or min(eps) <= 0:
+        raise ConfigError("commutators.eps needs at least 2 positive entries")
+    if cfg["boundary"].get("p", cfg["p"]) == 0:
+        raise ConfigError("boundary.p must be nonzero: the lattice flows divide by p")
     if cfg["boundary"]["kind"] not in _BOUNDARY_KINDS:
         raise ConfigError(f"boundary.kind must be one of {', '.join(_BOUNDARY_KINDS)}; "
                           f"got {cfg['boundary']['kind']!r}")
@@ -410,7 +421,7 @@ def cmd_isospectral(cfg, out_dir, quiet):
 
 
 def cmd_zs_limit(cfg, out_dir, quiet):
-    from .spectral import spectral_limit_check
+    from .spectral import nearest_partners, spectral_limit_check
 
     coeffs = _build_coeffs(cfg)
     n_list = list(cfg["N_list"])
@@ -422,16 +433,10 @@ def cmd_zs_limit(cfg, out_dir, quiet):
     ok = len(disc) == len(n_list) and disc[-1] <= disc[0]
     band = cfg["tolerances"]["cauchy_band"]
     if ok and len(n_list) >= 3:
-        import numpy as np
-
-        e_mid = sorted(report["estimates"][-2], key=abs)
-        e_last = np.asarray(report["estimates"][-1])
-        for v in e_mid[1:4]:  # skip the near-zero rung; match by nearest value
-            if v == 0 or len(e_last) == 0:
-                continue
-            partner = e_last[np.argmin(np.abs(e_last - v))]
-            if not (1 - band <= partner / v <= 1 + band):
-                ok = False
+        e_mid = sorted(report["estimates"][-2], key=abs)[1:4]  # skip the near-zero rung
+        partners = nearest_partners(report["estimates"][-1], e_mid)
+        ok = all(1 - band <= partner / v <= 1 + band
+                 for v, partner in zip(e_mid, partners) if v != 0)
     return ok, report
 
 

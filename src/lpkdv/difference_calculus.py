@@ -25,6 +25,8 @@ from math import comb, factorial
 
 from .errors import DomainError
 
+SHIFT_CHECK_POINTS = 5  # points n = 0..4 at which verify_shift_decomposition compares
+
 
 def _rat(x) -> Fraction:
     if isinstance(x, float):
@@ -97,6 +99,17 @@ class ScaleRatio:
         return Fraction(self.M, self.N)
 
 
+def _differences(values, lo: int, hi: int):
+    """(i, D^i values) for i = lo..hi, with D^0 = values; each application of
+    D makes the list one entry shorter."""
+    vals = list(values)
+    for i in range(hi + 1):
+        if i > 0:
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        if i >= lo:
+            yield i, vals
+
+
 def forward_difference(seq: Sequence1D, j: int) -> Sequence1D:
     """Apply the forward difference D^j; the window shrinks by j on the right."""
     if j < 0:
@@ -105,9 +118,7 @@ def forward_difference(seq: Sequence1D, j: int) -> Sequence1D:
         raise DomainError(
             f"window length {len(seq)} too short for D^{j}; need at least {j + 1}"
         )
-    vals = list(seq.values)
-    for _ in range(j):
-        vals = [b - a for a, b in zip(vals, vals[1:])]
+    [(_, vals)] = _differences(seq.values, j, j)
     return Sequence1D(tuple(vals), seq.n_min)
 
 
@@ -117,11 +128,9 @@ def slowness_order(seq: Sequence1D, max_test: int) -> SlownessOrder:
         raise DomainError(
             f"max_test {max_test} needs window length > {max_test + 1}, got {len(seq)}"
         )
-    vals = list(seq.values)
-    for ell in range(max_test + 1):
-        vals = [b - a for a, b in zip(vals, vals[1:])]
+    for i, vals in _differences(seq.values, 1, max_test + 1):
         if all(v == 0 for v in vals):
-            return SlownessOrder(ell)
+            return SlownessOrder(i - 1)
     return SlownessOrder(None, max_tested=max_test)
 
 
@@ -141,9 +150,7 @@ def formal_derivative(seq: Sequence1D, ell) -> Sequence1D:
         raise DomainError(f"window length {len(seq)} too short for truncation order {ell}")
     out_len = len(seq) - ell
     acc = [Fraction(0)] * out_len
-    vals = list(seq.values)
-    for i in range(1, ell + 1):
-        vals = [b - a for a, b in zip(vals, vals[1:])]  # vals == D^i seq
+    for i, vals in _differences(seq.values, 1, ell):
         c = Fraction((-1) ** (i - 1), i)
         for k in range(out_len):
             acc[k] += c * vals[k]
@@ -236,11 +243,7 @@ def cross_lattice_difference(u_slow: Sequence1D, h: ScaleRatio, j: int, ell: int
     acc = [Fraction(0)] * out_len
     if ell >= j:
         tables = stirling_tables(ell)
-        vals = list(u_slow.values)
-        for i in range(1, ell + 1):
-            vals = [b - a for a, b in zip(vals, vals[1:])]
-            if i < j:
-                continue
+        for i, vals in _differences(u_slow.values, j, ell):
             c = Fraction(factorial(j), factorial(i)) * p_coefficient(i, j, h, tables)
             for k in range(out_len):
                 acc[k] += c * vals[k]
@@ -308,13 +311,13 @@ def _poly2_partial_shift_x1(poly: dict, h: Fraction) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def verify_shift_decomposition(poly_degree: int, h: ScaleRatio, n_points: int = 5) -> bool:
+def verify_shift_decomposition(poly_degree: int, h: ScaleRatio) -> bool:
     """Check T_n u = (partial n-shift)(truncated partial n1-shift) u exactly.
 
     The check runs over every monomial n^a x1^b with a+b <= poly_degree
     (linearity then covers all polynomials of that degree), evaluated at the
-    physical points (n, x1 = n*h) for n = 0..n_points-1.  Returns True iff
-    both sides agree exactly everywhere.
+    physical points (n, x1 = n*h) for n = 0..SHIFT_CHECK_POINTS-1.  Returns
+    True iff both sides agree exactly everywhere.
     """
     if poly_degree < 0:
         raise DomainError("poly_degree must be non-negative")
@@ -325,7 +328,7 @@ def verify_shift_decomposition(poly_degree: int, h: ScaleRatio, n_points: int = 
         poly = {(a, b): Fraction(1)}
         total = _poly2_shift(_poly2_shift(poly, 0, 1), 1, hv)  # u(n+1, x1+h)
         composed = _poly2_shift(_poly2_partial_shift_x1(poly, hv), 0, 1)
-        for n in range(n_points):
+        for n in range(SHIFT_CHECK_POINTS):
             x1 = hv * n
             if poly2_eval(total, n, x1) != poly2_eval(composed, n, x1):
                 return False

@@ -29,7 +29,12 @@ import numpy as np
 from .errors import DomainError, NumericalError, PreconditionError
 
 RK4_IMAG_STABILITY = 2.82
+STEP_SAFETY = 0.9             # stable_dtau's fraction of the RK4 stability bound
+MIN_GRID = 16                 # fewest grid points the reduced flows accept
 FLOW_IDS = ("nls", "h1", "h2", "h3", "h4")
+# flow pairs of commutator_sweep: every pair of nls, h1, h2, h4 (h3 is the nls)
+COMMUTATOR_PAIRS = (("nls", "h1"), ("nls", "h2"), ("nls", "h4"),
+                    ("h1", "h2"), ("h1", "h4"), ("h2", "h4"))
 
 
 @dataclass(frozen=True)
@@ -76,20 +81,20 @@ class Envelope:
 
 
 def gaussian_envelope(L: int, xi0: float, period: float, amplitude: float,
-                      width: float, center: float, tau: float = 0.0) -> Envelope:
+                      width: float, center: float) -> Envelope:
     dxi = period / L
     xi = xi0 + dxi * np.arange(L)
     vals = amplitude * np.exp(-((xi - center) ** 2) / (2.0 * width ** 2))
-    return Envelope(xi0, dxi, vals.astype(np.complex128), tau)
+    return Envelope(xi0, dxi, vals.astype(np.complex128))
 
 
 def plane_envelope(L: int, xi0: float, period: float, amplitude: complex,
-                   k_index: int, tau: float = 0.0) -> Envelope:
+                   k_index: int) -> Envelope:
     """amplitude * exp(i k xi) with k = 2*pi*k_index/period (periodic-compatible)."""
     dxi = period / L
     xi = xi0 + dxi * np.arange(L)
     k = 2.0 * math.pi * k_index / period
-    return Envelope(xi0, dxi, amplitude * np.exp(1j * k * xi), tau)
+    return Envelope(xi0, dxi, amplitude * np.exp(1j * k * xi))
 
 
 def _wavenumbers(L: int, dxi: float) -> np.ndarray:
@@ -108,14 +113,8 @@ def _spectral_derivative(values: np.ndarray, dxi: float, order: int) -> np.ndarr
     return np.fft.ifft(np.fft.fft(values) * sym)
 
 
-def nls_rhs(env: Envelope, c: NlsCoefficients) -> np.ndarray:
-    """du/dtau = -i (rho1 u_xixi + rho2 u |u|^2) on the periodic grid."""
-    if env.L < 16:
-        raise DomainError(f"grid too coarse: L = {env.L} < 16")
-    return _rhs_values(env.values, env.dxi, c)
-
-
 def _rhs_values(values: np.ndarray, dxi: float, c: NlsCoefficients) -> np.ndarray:
+    """du/dtau = -i (rho1 u_xixi + rho2 u |u|^2) on the periodic grid."""
     d2 = _spectral_derivative(values, dxi, 2)
     return -1j * (c.rho1 * d2 + c.rho2 * values * np.abs(values) ** 2)
 
@@ -126,9 +125,9 @@ def _stiffness(env: Envelope, c: NlsCoefficients) -> float:
     return abs(c.rho1) * kmax ** 2 + abs(c.rho2) * float(np.max(np.abs(env.values)) ** 2)
 
 
-def stable_dtau(env: Envelope, c: NlsCoefficients, safety: float = 0.9) -> float:
-    """Largest RK4-stable step for this grid and amplitude."""
-    return safety * RK4_IMAG_STABILITY / _stiffness(env, c)
+def stable_dtau(env: Envelope, c: NlsCoefficients) -> float:
+    """STEP_SAFETY times the largest RK4-stable step for this grid and amplitude."""
+    return STEP_SAFETY * RK4_IMAG_STABILITY / _stiffness(env, c)
 
 
 def _check_stability(env: Envelope, c: NlsCoefficients, dtau: float) -> None:
@@ -256,8 +255,8 @@ def frozen_evolution(env: Envelope, c: NlsCoefficients) -> EnvelopeEvolution:
 
 def symmetry_rhs(env: Envelope, c: NlsCoefficients, which: str) -> np.ndarray:
     """Right-hand side of one of the reduced flows h1..h4 (or the NLS itself)."""
-    if env.L < 16:
-        raise DomainError(f"grid too coarse: L = {env.L} < 16")
+    if env.L < MIN_GRID:
+        raise DomainError(f"grid too coarse: L = {env.L} < {MIN_GRID}")
     if which == "h1":
         return 1j * env.values
     if which == "h2":
@@ -322,18 +321,16 @@ def commutator_floor(env: Envelope, c: NlsCoefficients, eps: float) -> float:
 
 
 def commutator_sweep(c: NlsCoefficients, env: Envelope,
-                     pairs=None, eps_list=(1e-4, 5e-5, 2.5e-5)) -> dict:
-    """Run commutator_test over flow pairs and an eps sweep; JSON-friendly report.
+                     eps_list=(1e-4, 5e-5, 2.5e-5)) -> dict:
+    """Run commutator_test over COMMUTATOR_PAIRS and an eps sweep;
+    JSON-friendly report.
 
     A pair passes when every eps halving either shrinks the residual by the
     Richardson factor >= 3.5 or has already reached the round-off floor.
     """
-    if pairs is None:
-        flows = ("nls", "h1", "h2", "h4")
-        pairs = [(a, b) for i, a in enumerate(flows) for b in flows[i + 1:]]
     table = []
     all_ok = True
-    for a, b in pairs:
+    for a, b in COMMUTATOR_PAIRS:
         norms = [commutator_test(c, env, a, b, eps) for eps in eps_list]
         floors = [commutator_floor(env, c, eps) for eps in eps_list]
         ok = all(

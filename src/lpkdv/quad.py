@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, SingularCornerError
 
 CORNER_SINGULARITY_RTOL = 1e-12
+DENOMINATOR_RTOL = 1e-10      # spectral brackets and flow denominators, relative to |p|
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,21 @@ def evolve_ivp(row0, col0, params: LpkdvParams) -> LatticeField:
     return LatticeField(u)
 
 
+def check_denominators(p: float, arrays, error, what: str, origin: int, **fields):
+    """Raise `error` at the first entry of any of `arrays` with modulus
+    <= DENOMINATOR_RTOL*|p|, located by its lattice index (n, or (n, m) for
+    a 2-D array; n = origin + the index along axis 0)."""
+    thresh = DENOMINATOR_RTOL * abs(p)
+    for arr in arrays:
+        bad = np.abs(arr) <= thresh
+        if np.any(bad):
+            loc = [int(v) for v in np.argwhere(bad)[0]]
+            loc[0] += origin
+            where = ", ".join(f"{k} = {v}" for k, v in zip("nm", loc))
+            raise error(f"{what} below {thresh:.1e} at {where}",
+                        location=loc[0] if len(loc) == 1 else tuple(loc), **fields)
+
+
 def dispersion(params: LpkdvParams, kappa: float) -> float:
     """Dispersion relation omega(kappa) of the linearized lpKdV.
 
@@ -211,10 +227,10 @@ def plane_wave_field(kappa: float, omega: float, n_size: int, m_size: int,
     return LatticeField(amplitude * np.exp(1j * (kappa * n - omega * m)))
 
 
-def linear_residual_max(params: LpkdvParams, kappa: float,
-                        n_size: int = 8, m_size: int = 8) -> float:
-    """Max modulus of the linear lpKdV part applied to the exact plane wave."""
-    f = plane_wave_field(kappa, dispersion(params, kappa), n_size, m_size)
+def linear_residual_max(params: LpkdvParams, kappa: float) -> float:
+    """Max modulus of the linear lpKdV part applied to the exact plane wave
+    on an 8x8 window."""
+    f = plane_wave_field(kappa, dispersion(params, kappa), 8, 8)
     u = f.values
     lin = params.mu * (u[1:, 1:] - u[:-1, :-1]) + params.zeta * (u[1:, :-1] - u[:-1, 1:])
     return float(np.max(np.abs(lin)))

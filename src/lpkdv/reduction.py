@@ -40,6 +40,8 @@ from .nls import Envelope, EnvelopeEvolution, NlsCoefficients, _check_resolved, 
 from .quad import CarrierWave, LatticeField, LpkdvParams, dispersion, max_residual
 
 REALNESS_RTOL = 1e-10
+MAX_DENOMINATOR = 64  # of the rational approximations in integer_scale_report
+RESIDUAL_MARGIN = 5   # plaquettes at each window edge left out of the residual
 _BLOCK_ROWS = 32  # lattice rows summed at once; bounds the assembly working set
 
 
@@ -185,15 +187,15 @@ def group_velocity(params: LpkdvParams, kappa: float) -> float:
     return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
-def integer_scale_report(coeffs: ReductionCoefficients, max_den: int = 64) -> dict:
+def integer_scale_report(coeffs: ReductionCoefficients) -> dict:
     """Nearest rational approximations to M1, M1_tilde and whether one r makes
     both integers (the exact-sublattice condition; diagnostic only)."""
     from fractions import Fraction
 
-    f1 = Fraction(coeffs.M1).limit_denominator(max_den)
-    f2 = Fraction(coeffs.M1_tilde).limit_denominator(max_den)
+    f1 = Fraction(coeffs.M1).limit_denominator(MAX_DENOMINATOR)
+    f2 = Fraction(coeffs.M1_tilde).limit_denominator(MAX_DENOMINATOR)
     ratio = coeffs.M1_tilde / coeffs.M1  # r-independent
-    fr = Fraction(ratio).limit_denominator(max_den)
+    fr = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
     exact_ratio = abs(float(fr) - ratio) < 1e-9 * max(1.0, abs(ratio))
     return {
         "M1_nearest": [f1.numerator, f1.denominator],
@@ -248,10 +250,17 @@ class _FourierSeries:
 
     @classmethod
     def fit(cls, values: np.ndarray, xi0: float, dxi: float) -> "_FourierSeries":
+        """The interpolant of envelope data that must be spectrally resolved
+        (PreconditionError otherwise): the ansatz needs it to round-off."""
+        values = np.asarray(values).reshape(len(values), -1)
+        _check_resolved(values)
+        return cls.interpolant(values, xi0, dxi)
+
+    @classmethod
+    def interpolant(cls, values: np.ndarray, xi0: float, dxi: float) -> "_FourierSeries":
         """Series of values (grid along axis 0), without the modes at round-off
         level (<= eps times the column's largest) in every column but k = 0."""
         values = np.asarray(values).reshape(len(values), -1)
-        _check_resolved(values)
         coef = np.fft.fft(values, axis=0) / len(values)
         mag = np.abs(coef)
         keep = np.any(mag > np.finfo(float).eps * mag.max(axis=0), axis=1)
@@ -344,12 +353,14 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
 
 
 def fit_scaling_exponent(n_list, residuals) -> tuple:
-    """Least-squares exponent of R ~ (1/N)^e; returns (exponent, r_squared)."""
+    """Least-squares exponent of R ~ (1/N)^e over the positive residuals;
+    returns (exponent, r_squared).  The one log-log fit of the package: a
+    step size h enters as N = 1/h."""
     n_arr = np.asarray(n_list, dtype=float)
     r_arr = np.asarray(residuals, dtype=float)
     keep = r_arr > 0
-    if int(np.sum(keep)) < 3:
-        raise DomainError("scaling fit needs at least 3 positive residuals")
+    if int(np.sum(keep)) < 2:
+        raise DomainError("scaling fit needs at least 2 positive residuals")
     x = np.log(1.0 / n_arr[keep])
     y = np.log(r_arr[keep])
     slope, intercept = np.polyfit(x, y, 1)
@@ -361,13 +372,14 @@ def fit_scaling_exponent(n_list, residuals) -> tuple:
 
 
 def residual_scaling(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
-                     N_list, window: tuple, margin: int = 5,
+                     N_list, window: tuple,
                      include_zeroth: bool = True, include_second: bool = True) -> dict:
     """lpKdV residual of the assembled ansatz versus N, with a log-log fit.
 
-    Residual norm: max over interior plaquettes excluding `margin` near the
-    window edges (boundary points lack full ansatz accuracy).  Report matches
-    the documented JSON schema {"N", "residual", "exponent", "fit_r2"}.
+    Residual norm: max over interior plaquettes excluding RESIDUAL_MARGIN
+    near the window edges (boundary points lack full ansatz accuracy).
+    Report matches the documented JSON schema {"N", "residual", "exponent",
+    "fit_r2"}.
     """
     N_list = list(N_list)
     if len(N_list) < 3 or sorted(N_list) != N_list:
@@ -377,7 +389,7 @@ def residual_scaling(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients
         ans = assemble_ansatz(evolution, coeffs, N, window,
                               include_zeroth=include_zeroth,
                               include_second=include_second)
-        residuals.append(max_residual(ans.field, coeffs.params, margin=margin))
+        residuals.append(max_residual(ans.field, coeffs.params, margin=RESIDUAL_MARGIN))
     if all(r == 0.0 for r in residuals):
         return {"N": N_list, "residual": residuals, "exponent": "exact", "fit_r2": 1.0}
     exponent, r2 = fit_scaling_exponent(N_list, residuals)

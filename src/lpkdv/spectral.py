@@ -25,27 +25,29 @@ conj(phi)) with the mixed boundary condition Re(phi) = 0 at both ends (the
 image of lattice Dirichlet walls), one-sided second-order derivative rows at
 the ends, fourth-order central stencils inside, as a sparse matrix; it
 finds the eigenvalues in a disc by ARPACK shift-invert and keeps only those
-that survive 2x and 3x grid refinements.
+that survive 2x and 3x grid refinements of the potential's Fourier series.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eig, eigh_tridiagonal
 from scipy.sparse.linalg import eigs
 
 from .errors import DomainError, NumericalError, PreconditionError, SingularPotentialError
-from .quad import LatticeField, LpkdvParams
-from .reduction import ReductionCoefficients, assemble_ansatz
+from .quad import LatticeField, LpkdvParams, check_denominators
+from .reduction import ReductionCoefficients, _FourierSeries, assemble_ansatz
 
 BAND_EDGE_TOL = 1e-8          # |eigen_mu| > 2 + this counts as discrete spectrum
-DENOMINATOR_RTOL = 1e-10
+ISOSPECTRAL_RESIDUAL_TOL = 1e-9  # a field must solve the lpKdV this well for drift runs
+EDGE_TOL = 1e-6               # potential deviation allowed within 5 columns of an edge
+LIMIT_BRACKET = 10.0          # |N (eigen_mu - 2cos(kappa/2))| and |mu1| compared
+ZS_DECAY_TOL = 1e-6           # |potential| allowed at both ends of a ZS interval
 ZS_STABILITY_TOL = 1e-3       # refinement-movement threshold for kept eigenvalues
 ZS_SHIFT = 0.1j               # shift-invert centre of the reduced eigen-solves
 ZS_START_K = 40               # eigenvalues first asked for on the base grid
@@ -95,28 +97,20 @@ def coefficient_row(u_row: np.ndarray, params: LpkdvParams,
         second = 2 * p - (u[2:-1] + u[:-3])
     else:
         raise DomainError(f"unknown variant {variant!r}")
-    thresh = DENOMINATOR_RTOL * abs(p)
-    for name, arr in (("first", first), ("second", second)):
-        bad = np.abs(arr) <= thresh
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise SingularPotentialError(
-                f"vanishing {name} bracket at n = {k + 1}", location=k + 1
-            )
+    check_denominators(p, (first, second), SingularPotentialError, "a_n bracket", 1)
     return 4 * p ** 2 / (first * second)
 
 
 def build_spectral_problem(lattice: LatticeField, params: LpkdvParams, m: int,
-                           boundary: str = "dirichlet",
                            variant: str = "corrected") -> SpectralProblem:
-    """a_n from row m of the field; the stencil eats one column on the left
-    and two on the right."""
+    """a_n from row m of the field between Dirichlet walls; the stencil eats
+    one column on the left and two on the right."""
     if not (0 <= m < lattice.m_size):
         raise DomainError(f"row m = {m} outside window")
     row = lattice.values[:, m]
     if np.iscomplexobj(row) and np.max(np.abs(row.imag)) == 0.0:
         row = row.real
-    return SpectralProblem(coefficient_row(row, params, variant), boundary, n_min=1)
+    return SpectralProblem(coefficient_row(row, params, variant), "dirichlet", n_min=1)
 
 
 def _operator_matrix(sp: SpectralProblem) -> np.ndarray:
@@ -159,75 +153,56 @@ def bound_states(sp: SpectralProblem) -> np.ndarray:
     return w[np.abs(w) > 2.0 + BAND_EDGE_TOL]
 
 
-def _matched_drift(reference: np.ndarray, other: np.ndarray) -> float:
-    """Max distance from each reference eigenvalue to its nearest partner."""
-    if len(reference) == 0:
-        return 0.0
-    if len(other) == 0:
-        return math.inf
-    return float(max(np.min(np.abs(other - z)) for z in reference))
+def nearest_partners(pool, values) -> np.ndarray:
+    """For each of `values` the nearest element of `pool` (the first one on a
+    tie); inf for every value if the pool is empty."""
+    pool, values = np.asarray(pool), np.asarray(values)
+    if len(pool) == 0:
+        return np.full(len(values), np.inf)
+    return pool[np.argmin(np.abs(pool[None, :] - values[:, None]), axis=1)]
 
 
 def isospectral_drift(lattice: LatticeField, params: LpkdvParams, m_list,
-                      residual_tol: float = 1e-9, edge_tol: float = 1e-6,
-                      variant: str = "corrected", track: str = "bound",
-                      kappa: float | None = None, N: int | None = None,
-                      bracket: float = 10.0) -> dict:
-    """Eigenvalue drift across rows of an lpKdV solution.
+                      variant: str = "corrected") -> dict:
+    """Drift of the discrete spectrum (the eigenvalues outside [-2, 2]) across
+    rows of an lpKdV solution: per row, the largest distance from a row-0
+    eigenvalue to its nearest partner.
 
-    With track="bound" (default) the discrete spectrum outside [-2, 2] is
-    followed; track="near_band" instead follows the eigenvalues within
-    bracket/N of the carrier band reference 2 cos(kappa/2), which is the
-    relevant window for weak multiscale fields (those carry no discrete
-    spectrum at all).
-
-    Preconditions: the field solves the equation to residual_tol, and each
-    row's potential deviation from its edge values stays below edge_tol
-    within 5 columns of either edge (otherwise the window truncation, not the
-    evolution, dominates the drift).
+    Preconditions: the field solves the equation to ISOSPECTRAL_RESIDUAL_TOL,
+    and each row's potential deviation from its edge values stays below
+    EDGE_TOL within 5 columns of either edge (otherwise the window
+    truncation, not the evolution, dominates the drift).
     """
     from .quad import max_residual
 
     m_list = list(m_list)
     if len(m_list) < 2:
         raise DomainError("m_list needs at least 2 rows")
-    if track not in ("bound", "near_band"):
-        raise DomainError(f"unknown tracking mode {track!r}")
-    if track == "near_band" and (kappa is None or N is None):
-        raise DomainError("near_band tracking needs kappa and N")
     res = max_residual(lattice, params)
-    if res > residual_tol:
-        raise PreconditionError(
-            f"field residual {res:.3e} exceeds {residual_tol:.0e}; not a solution"
-        )
+    if res > ISOSPECTRAL_RESIDUAL_TOL:
+        raise PreconditionError(f"field residual {res:.3e} exceeds "
+                                f"{ISOSPECTRAL_RESIDUAL_TOL:.0e}; not a solution")
     vals = lattice.values
     for m in m_list:
         row = np.abs(vals[:, m] - vals[0, m]), np.abs(vals[:, m] - vals[-1, m])
         left = float(np.max(row[0][:5]))
         right = float(np.max(row[1][-5:]))
-        if max(left, right) > edge_tol:
+        if max(left, right) > EDGE_TOL:
             raise PreconditionError(
                 f"row {m}: potential not confined to interior "
-                f"(edge deviation {max(left, right):.3e} > {edge_tol:.0e})"
+                f"(edge deviation {max(left, right):.3e} > {EDGE_TOL:.0e})"
             )
-    spectra = []
-    ref = 2.0 * math.cos(kappa / 2.0) if kappa is not None else None
-    for m in m_list:
-        sp = build_spectral_problem(lattice, params, m, "dirichlet", variant)
-        if track == "bound":
-            spectra.append(np.sort_complex(bound_states(sp)))
-        else:
-            w = eigenvalues(sp).real
-            spectra.append(np.sort(w[np.abs(w - ref) <= bracket / N]).astype(complex))
+    spectra = [np.sort_complex(bound_states(build_spectral_problem(lattice, params, m, variant)))
+               for m in m_list]
     base = spectra[0]
-    drifts = [_matched_drift(base, s) for s in spectra[1:]]
+    drifts = [float(np.max(np.abs(nearest_partners(s, base) - base), initial=0.0))
+              for s in spectra[1:]]
     report = {
         "m": m_list,
-        "track": track,
         "bound_count": [len(s) for s in spectra],
         "reference_states": [[z.real, z.imag] for z in base],
         "drift": drifts,
-        "max_drift": max(drifts) if drifts else 0.0,
+        "max_drift": max(drifts),
     }
     if len(base) == 0:
         report["note"] = "no discrete spectrum"
@@ -246,15 +221,14 @@ def third_harmonic(phi1: complex, u1: complex, kappa: float) -> complex:
 class ZsProblem:
     """Reduced (Zakharov-Shabat-type) problem on a finite open interval.
 
-    xi_grid must be uniform; the potential has to decay at both ends for
-    eigenvalue runs.
+    xi_grid must be uniform; the potential has to decay below ZS_DECAY_TOL
+    at both ends for eigenvalue runs.
     """
 
     xi_grid: np.ndarray
     potential: np.ndarray
     kappa: float
     p: float
-    decay_tol: float = field(default=1e-6)
 
     def __post_init__(self):
         x = np.asarray(self.xi_grid, dtype=float)
@@ -269,7 +243,7 @@ class ZsProblem:
 
     def check_decay(self):
         edge = max(abs(self.potential[0]), abs(self.potential[-1]))
-        if edge >= self.decay_tol:
+        if edge >= ZS_DECAY_TOL:
             raise PreconditionError(
                 f"potential must decay at both ends: |u| = {edge:.3e}"
             )
@@ -349,28 +323,33 @@ def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, k: int) -> np.ndarray:
     return eig(M.toarray(), right=False)
 
 
-def zs_eigenvalues(zs: ZsProblem, radius: float = 10.0,
-                   stability_tol: float = ZS_STABILITY_TOL) -> np.ndarray:
+def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET) -> np.ndarray:
     """Refinement-stable eigenvalues mu1 with |mu1| <= radius of the reduced
     spectral problem.
 
-    The problem is solved on the given grid and on 2x- and 3x-refined grids
-    (cubic spline of the potential); eigenvalues are kept iff they move less
-    than stability_tol under both refinements.  Each solve is sparse ARPACK
-    shift-invert about ZS_SHIFT (see _zs_disc_eigenvalues), which lies off
-    the real axis: mu1 = 0 is an exact eigenvalue of the ZS matrix, so a
-    zero shift would factor a singular matrix.  A shift that hits an
-    eigenvalue raises NumericalError, as does ARPACK non-convergence.  The
-    start vector is fixed (normal draws from seed 0), so results repeat
-    bit for bit.  The base grid is solved on the disc |mu1| <= radius, the
-    refined ones only on |mu1| <= max|kept| + stability_tol, starting from
-    as many eigenvalues as are still kept.
+    The problem is solved on the given grid and on 2x- and 3x-refined grids;
+    eigenvalues are kept iff they move less than ZS_STABILITY_TOL under both
+    refinements.  The refined potential is the Fourier series of the given
+    one, taken as periodic over the grid: it decays below ZS_DECAY_TOL at
+    both ends, so the periodic extension is smooth to that level and the
+    interpolation is spectrally accurate.  A potential the grid resolves
+    only coarsely is not refused: an eigenvalue its interpolation error
+    moves by ZS_STABILITY_TOL or more fails the refinement test.
+
+    Each solve is sparse ARPACK shift-invert about ZS_SHIFT (see
+    _zs_disc_eigenvalues), which lies off the real axis: mu1 = 0 is an exact
+    eigenvalue of the ZS matrix, so a zero shift would factor a singular
+    matrix.  A shift that hits an eigenvalue raises NumericalError, as does
+    ARPACK non-convergence.  The start vector is fixed (normal draws from
+    seed 0), so results repeat bit for bit.  The base grid is solved on the
+    disc |mu1| <= radius, the refined ones only on |mu1| <= max|kept| +
+    ZS_STABILITY_TOL, starting from as many eigenvalues as are still kept.
 
     A potential that vanishes identically gives an empty result: the two
     components decouple into first-derivative operators (the psi1 one with
     no boundary condition at all), which have no well-posed spectrum.  Their
     eigenvalue 0 is 4-fold defective; its round-off cluster has |mu1| below
-    stability_tol, so whether it survives the refinements would depend on
+    ZS_STABILITY_TOL, so whether it survives the refinements would depend on
     round-off, not on the problem.
     """
     zs.check_decay()
@@ -379,34 +358,29 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = 10.0,
         return np.zeros(0, dtype=complex)
     kept = _zs_disc_eigenvalues(x, u, zs.kappa, zs.p, radius, ZS_START_K)
     kept = kept[np.abs(kept) <= radius]
-    spl_re = CubicSpline(x, u.real)
-    spl_im = CubicSpline(x, u.imag)
+    series = _FourierSeries.interpolant(u, x[0], x[1] - x[0])
     for factor in (2, 3):
         if len(kept) == 0:
             break
         x_fine = np.linspace(x[0], x[-1], factor * (len(x) - 1) + 1)
-        u_fine = spl_re(x_fine) + 1j * spl_im(x_fine)
-        fine = _zs_disc_eigenvalues(x_fine, u_fine, zs.kappa, zs.p,
-                                    float(np.max(np.abs(kept))) + stability_tol, len(kept))
-        moved = np.min(np.abs(fine[None, :] - kept[:, None]), axis=1)
-        kept = kept[moved < stability_tol]
+        fine = _zs_disc_eigenvalues(x_fine, series(x_fine)[:, 0], zs.kappa, zs.p,
+                                    float(np.max(np.abs(kept))) + ZS_STABILITY_TOL, len(kept))
+        kept = kept[np.abs(nearest_partners(fine, kept) - kept) < ZS_STABILITY_TOL]
     return np.sort_complex(kept)
 
 
 def band_edge_estimates(lattice: LatticeField, params: LpkdvParams, m: int,
-                        kappa: float, N: int, bracket: float = 10.0,
-                        variant: str = "corrected") -> np.ndarray:
+                        kappa: float, N: int, bracket: float = LIMIT_BRACKET) -> np.ndarray:
     """Rescaled deviations N*(eigen_mu - 2cos(kappa/2)) of eigenvalues within
     bracket/N of the band reference."""
-    sp = build_spectral_problem(lattice, params, m, "dirichlet", variant)
+    sp = build_spectral_problem(lattice, params, m)
     w = eigenvalues(sp).real
     ref = 2.0 * math.cos(kappa / 2.0)
     sel = np.abs(w - ref) <= bracket / N
     return np.sort(N * (w[sel] - ref))
 
 
-def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list,
-                         bracket: float = 10.0) -> dict:
+def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list) -> dict:
     """Compare rescaled lattice band-reference deviations with the reduced
     problem's spectrum, per N.
 
@@ -428,7 +402,7 @@ def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list,
     stride = max(1, evolution.L // 256)
     xs = (evolution.xi0 + evolution.dxi * np.arange(evolution.L))[::stride]
     zs = ZsProblem(xs / coeffs.M1, env0[::stride], kappa, coeffs.params.p)
-    zs_window = zs_eigenvalues(zs, bracket)
+    zs_window = zs_eigenvalues(zs)
 
     out = {"N": N_list, "estimates": [], "discrepancy": [], "notes": [],
            "zs_eigenvalues": [[z.real, z.imag] for z in zs_window]}
@@ -438,7 +412,7 @@ def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list,
         size = int(round(period * N / coeffs.M1))
         size -= (size - 3) % 4
         ans = assemble_ansatz(evolution, coeffs, N, (size + 3, 2))
-        est = band_edge_estimates(ans.field, coeffs.params, 0, kappa, N, bracket)
+        est = band_edge_estimates(ans.field, coeffs.params, 0, kappa, N)
         out["estimates"].append([float(v) for v in est])
         if len(est) == 0:
             out["discrepancy"].append(None)
@@ -454,7 +428,7 @@ def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list,
             out["discrepancy"].append(None)
             out["notes"].append("no estimate inside the resolved range")
             continue
-        d = [float(np.min(np.abs(zs_window - v))) for v in resolved]
+        d = np.abs(nearest_partners(zs_window, resolved) - resolved)
         out["discrepancy"].append(float(np.mean(d)))
         out["notes"].append("")
     return out

@@ -27,11 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SingularFlowError
-from .quad import LatticeField, LpkdvParams, max_residual, residual_field
-from .reduction import AnsatzField, ReductionCoefficients
+from .quad import LatticeField, LpkdvParams, check_denominators, max_residual, residual_field
+from .reduction import AnsatzField, ReductionCoefficients, fit_scaling_exponent
 
 FLOW_STENCIL = {"flow1": 1, "flow2": 2, "broken": 2}
-DENOMINATOR_RTOL = 1e-10
+SOLUTION_TOL = 1e-11          # max residual of a field taken as an exact solution
+RESIDUAL_FLOOR_RTOL = 1e-13   # residuals below this x (1 + max|u|) are round-off
+EXTRA_MARGIN = 2              # columns excluded beyond the RK4 stencil erosion
+ENVELOPE_FLOOR = 1e-8         # blocks with a smaller envelope are not projected
 
 
 @dataclass(frozen=True)
@@ -44,35 +47,24 @@ class FlowState:
     invalid_margin: int = 0
 
 
-def _check_denominators(params, *arrays, stage=None):
-    thresh = DENOMINATOR_RTOL * abs(params.p)
-    for arr in arrays:
-        bad = np.abs(arr) <= thresh
-        if np.any(bad):
-            loc = np.argwhere(bad)[0]
-            raise SingularFlowError(
-                f"flow denominator below {thresh:.1e} at offset {tuple(loc)}",
-                location=tuple(int(v) for v in loc), stage=stage,
-            )
-
-
 def _flow_values(u: np.ndarray, params: LpkdvParams, which: str, stage=None) -> np.ndarray:
     """RHS on the maximal valid interior; the margin columns are NaN."""
     p = params.p
     out = np.full_like(u, np.nan)
+    fail = {"error": SingularFlowError, "what": "flow denominator", "stage": stage}
     if which == "flow1":
         A = 2 * p + u[:-2, :] - u[2:, :]
-        _check_denominators(params, A, stage=stage)
+        check_denominators(p, (A,), origin=1, **fail)
         out[1:-1, :] = 1.0 / A - 1.0 / (2 * p)
     elif which == "flow2":
         A = 2 * p + u[1:-3, :] - u[3:-1, :]
         B = 2 * p + u[2:-2, :] - u[4:, :]
         C = 2 * p + u[:-4, :] - u[2:-2, :]
-        _check_denominators(params, A, B, C, stage=stage)
+        check_denominators(p, (A, B, C), origin=2, **fail)
         out[2:-2, :] = (1.0 / A ** 2) * (1.0 / B + 1.0 / C) - 1.0 / (4 * p ** 3)
     elif which == "broken":
         A = 2 * p + u[1:-1, :] - u[2:, :]
-        _check_denominators(params, A, stage=stage)
+        check_denominators(p, (A,), origin=0, **fail)
         out[:-2, :] = 1.0 / A - 1.0 / (2 * p)
     else:
         raise DomainError(f"unknown flow {which!r}")
@@ -108,9 +100,7 @@ def flow_step(state: FlowState, params: LpkdvParams, which: str,
 
 
 def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
-                              which: str, lambda_list, extra_margin: int = 2,
-                              solution_tol: float = 1e-11,
-                              floor: float | None = None) -> dict:
+                              which: str, lambda_list) -> dict:
     """Quad-equation residual after ONE RK4 step of each lambda, with the
     log-log exponent fit.
 
@@ -122,14 +112,12 @@ def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
     if len(lambda_list) < 3 or sorted(lambda_list) != lambda_list:
         raise DomainError("lambda_list must be ascending with at least 3 values")
     base = max_residual(solution, params)
-    if base > solution_tol:
+    if base > SOLUTION_TOL:
         raise PreconditionError(
-            f"input residual {base:.3e} exceeds {solution_tol:.0e}; not a solution"
+            f"input residual {base:.3e} exceeds {SOLUTION_TOL:.0e}; not a solution"
         )
-    scale = 1.0 + float(np.max(np.abs(solution.values)))
-    if floor is None:
-        floor = 1e-13 * scale
-    margin = 4 * FLOW_STENCIL[which] + extra_margin
+    floor = RESIDUAL_FLOOR_RTOL * (1.0 + float(np.max(np.abs(solution.values))))
+    margin = 4 * FLOW_STENCIL[which] + EXTRA_MARGIN
     if 2 * margin >= solution.n_size - 1:
         raise DomainError(f"window too narrow for flow margin {margin}")
     residuals = []
@@ -144,9 +132,8 @@ def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
         report["note"] = "below measurement floor"
         report["passed"] = True
         return report
-    xs = np.log([a[0] for a in above])
-    ys = np.log([a[1] for a in above])
-    exponent = float(np.polyfit(xs, ys, 1)[0])
+    lams, res = zip(*above)
+    exponent = fit_scaling_exponent(1.0 / np.asarray(lams), res)[0]  # lam plays 1/N
     report["exponent"] = exponent
     report["passed"] = bool(exponent >= 4.0)
     return report
@@ -178,7 +165,7 @@ def _first_harmonic_blocks(ansatz: AnsatzField, which: str):
 
 
 def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
-                        which: str, envelope_floor: float = 1e-8) -> dict:
+                        which: str) -> dict:
     """Project a flow's RHS onto the first carrier harmonic and compare with
     the reduced flow.
 
@@ -191,7 +178,7 @@ def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
     params = coeffs.params
     kappa = coeffs.carrier.kappa
     blocks, env = _first_harmonic_blocks(ansatz, which)
-    keep = np.abs(env) >= envelope_floor
+    keep = np.abs(env) >= ENVELOPE_FLOOR
     if not np.any(keep):
         return {"flow": which, "n_points": 0, "note": "envelope below floor everywhere"}
     coeff_theory = 1j * math.sin(kappa) / (2 * params.p ** 2) / ansatz.N
@@ -212,7 +199,7 @@ def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
         mb = min(blocks.shape[1], blocks1.shape[1])
         b2, b1 = blocks[:nb, :mb], blocks1[:nb, :mb]
         e = env[:nb, :mb]
-        keep2 = (np.abs(e) >= envelope_floor) & (np.abs(b1) > 0)
+        keep2 = (np.abs(e) >= ENVELOPE_FLOOR) & (np.abs(b1) > 0)
         ratio21 = b2[keep2] / b1[keep2]
         w2 = np.abs(e[keep2]) ** 2
         mean21 = np.sum(w2 * ratio21) / np.sum(w2)

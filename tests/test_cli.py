@@ -176,6 +176,12 @@ def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/empty.json"}}, 2),
     ("nls-evolve", {"boundary": {"kind": "nope"}}, 2),
     ("flow-check", {"tolerances": {"flow_exponent": 4.0}}, 2),
+    ("nls-evolve", {"nls": {"L": 0}}, 2),
+    ("flow-project", {"N_list": [1]}, 2),
+    ("commutators", {"commutators": {"eps": []}}, 2),
+    ("nls-evolve", {"envelope": {"width": 0.0}}, 2),
+    ("simulate", {"boundary": {"width": 0.0}}, 2),
+    ("flow-check", {"boundary": {"p": 0.0, "q": 0.5, "kind": "random", "amplitude": 0.01}}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
@@ -251,5 +257,24 @@ def test_cli_import_defers_numpy():
 
     code = ("import sys, lpkdv.cli; assert 'numpy' not in sys.modules; "
             "from lpkdv import LatticeField; assert 'numpy' in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_public_names_resolve():
+    """Every name in lpkdv.__all__ loads, so `from lpkdv import *` works."""
+    import lpkdv
+
+    for name in lpkdv.__all__:
+        getattr(lpkdv, name)
+
+
+def test_spectral_import_skips_interpolate():
+    """The reduced eigen-solve refines its potential by Fourier series, not
+    by a spline: importing the spectral module loads no scipy.interpolate."""
+    import lpkdv
+
+    code = ("import sys, lpkdv.spectral; "
+            "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate loaded'")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

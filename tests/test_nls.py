@@ -17,7 +17,6 @@ from lpkdv.nls import (
     gaussian_envelope,
     nls_evolve,
     nls_evolve_dense,
-    nls_rhs,
     plane_envelope,
     save_envelope_csv,
     stable_dtau,
@@ -34,12 +33,12 @@ def make_env(L=256, period=40.0, amplitude=0.7, width=2.5, center=20.0):
 class TestRhs:
     def test_zero(self):
         env = Envelope(0.0, 0.15625, np.zeros(256, dtype=complex))
-        assert np.all(nls_rhs(env, C_REF) == 0.0)
+        assert np.all(symmetry_rhs(env, C_REF, "nls") == 0.0)
 
     def test_constant(self):
         A = 0.8 - 0.3j
         env = Envelope(0.0, 0.1, np.full(64, A))
-        got = nls_rhs(env, C_REF)
+        got = symmetry_rhs(env, C_REF, "nls")
         assert np.allclose(got, -1j * C_REF.rho2 * abs(A) ** 2 * A, atol=1e-12)
 
     def test_plane_wave(self):
@@ -47,12 +46,12 @@ class TestRhs:
         env = plane_envelope(256, 0.0, 40.0, A, kidx)
         k = 2 * math.pi * kidx / 40.0
         expect = -1j * (-C_REF.rho1 * k ** 2 + C_REF.rho2 * A ** 2) * env.values
-        assert np.allclose(nls_rhs(env, C_REF), expect, atol=1e-10)
+        assert np.allclose(symmetry_rhs(env, C_REF, "nls"), expect, atol=1e-10)
 
     def test_grid_too_coarse(self):
         env = Envelope(0.0, 1.0, np.zeros(8, dtype=complex))
         with pytest.raises(DomainError, match="L = 8"):
-            nls_rhs(env, C_REF)
+            symmetry_rhs(env, C_REF, "nls")
 
     def test_rho1_nonzero_required(self):
         with pytest.raises(DomainError):
@@ -160,7 +159,7 @@ class TestSymmetryRhs:
     def test_h3_is_nls_rhs(self):
         env = make_env(L=128)
         assert np.array_equal(symmetry_rhs(env, C_REF, "h3"),
-                              nls_rhs(env, C_REF))
+                              symmetry_rhs(env, C_REF, "nls"))
 
     def test_unknown_flow(self):
         env = make_env(L=64, width=4.0)

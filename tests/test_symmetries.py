@@ -55,8 +55,11 @@ class TestFlowRhs:
     def test_singular_flow(self):
         u = np.zeros((9, 3))
         u[2, 0], u[4, 0] = -P.p, P.p  # u[n-1] - u[n+1] = -2p at n = 3
-        with pytest.raises(SingularFlowError):
+        with pytest.raises(SingularFlowError) as info:
             flow_rhs(LatticeField(u), P, "flow1")
+        assert str(info.value) == "flow denominator below 1.5e-10 at n = 3, m = 0"
+        assert info.value.location == (3, 0)
+        assert all(type(v) is int for v in info.value.location)
 
     def test_unknown_flow(self):
         with pytest.raises(DomainError):
@@ -134,6 +137,17 @@ class TestResidualScaling:
         f = LatticeField(0.05 * rng.standard_normal((40, 8)))
         with pytest.raises(PreconditionError, match="not a solution"):
             symmetry_residual_scaling(f, P, "flow1", [0.1, 0.2, 0.4])
+
+    @pytest.mark.parametrize("which", ["flow1", "flow2"])
+    def test_all_below_floor(self, which):
+        # both flows vanish exactly on a constant solution, so no residual
+        # rises above the round-off floor and there is nothing to fit
+        f = LatticeField(np.full((40, 6), 0.3))
+        rep = symmetry_residual_scaling(f, P, which, [0.125, 0.25, 0.5])
+        assert max(rep["residual"]) <= rep["floor"]
+        assert rep["exponent"] is None
+        assert rep["note"] == "below measurement floor"
+        assert rep["passed"] is True
 
     def test_lambda_list_validation(self, bump_solution):
         field, params = bump_solution
