@@ -187,14 +187,22 @@ def _build_envelope(cfg):
 
 def _evolve_dense(cfg, coeffs, rows, n_min):
     """The envelope evolved far enough for lattice rows 0..rows-1 at N = n_min
-    (tau = M2_tilde * m / N^2), with a 1% margin."""
+    (tau = M2_tilde * m / N^2), with a 1% margin, and a snapshot at every step:
+    sparser snapshots cost interpolation accuracy (see EnvelopeEvolution)."""
     from .nls import nls_evolve_dense, stable_dtau
 
     env = _build_envelope(cfg)
     c = coeffs.nls_coefficients()
     dtau = cfg["nls"]["dtau"] or stable_dtau(env, c)
     tau_final = coeffs.M2_tilde * (rows - 1) / n_min ** 2 * 1.01
-    return nls_evolve_dense(env, c, tau_final, dtau, store_every=4)
+    return nls_evolve_dense(env, c, tau_final, dtau)
+
+
+def _nls_block(evolution) -> dict:
+    """The NLS run behind a report: steps, the step size taken and the
+    number of stored snapshots."""
+    return {"steps": evolution.steps, "dtau": evolution.dtau,
+            "snapshots": len(evolution.taus)}
 
 
 def _bump_solution(cfg):
@@ -324,7 +332,8 @@ def cmd_ansatz_residual(cfg, out_dir, quiet):
     window = tuple(cfg["window"])
     n_list = list(cfg["N_list"])
     evolution = _evolve_dense(cfg, coeffs, window[1], min(n_list))
-    report = residual_scaling(evolution, coeffs, n_list, window)
+    report = dict(residual_scaling(evolution, coeffs, n_list, window),
+                  nls=_nls_block(evolution))
     write_json(os.path.join(out_dir, "ansatz_residual.json"), report)
     write_scaling_csv(os.path.join(out_dir, "ansatz_residual.csv"),
                       report["N"], report["residual"], "N", "residual")
@@ -334,7 +343,7 @@ def cmd_ansatz_residual(cfg, out_dir, quiet):
 
 
 def cmd_nls_evolve(cfg, out_dir, quiet):
-    from .nls import nls_evolve, save_envelope_csv, envelope_to_json, stable_dtau
+    from .nls import nls_evolve, save_envelope_csv, envelope_to_json, stable_dtau, step_plan
 
     coeffs = _build_coeffs(cfg)
     env = _build_envelope(cfg)
@@ -346,8 +355,9 @@ def cmd_nls_evolve(cfg, out_dir, quiet):
     save_envelope_csv(out, os.path.join(out_dir, "envelope.csv"))
     write_json(os.path.join(out_dir, "envelope.json"), envelope_to_json(out))
     tol = cfg["tolerances"]["mass_drift"] * max(1.0, tau_final)
-    report = {"tau_final": tau_final, "dtau": dtau, "mass_drift": drift,
-              "tolerance": tol}
+    steps, dtau_taken = step_plan(tau_final - env.tau, dtau)
+    report = {"tau_final": tau_final, "dtau": dtau_taken, "steps": steps,
+              "mass_drift": drift, "tolerance": tol}
     write_json(os.path.join(out_dir, "nls_report.json"), report)
     return drift <= tol, report
 
@@ -427,7 +437,8 @@ def cmd_zs_limit(cfg, out_dir, quiet):
     n_list = list(cfg["N_list"])
     # the check assembles rows m = 0 and 1 of the ansatz at every N
     evolution = _evolve_dense(cfg, coeffs, 2, min(n_list))
-    report = spectral_limit_check(evolution, coeffs, n_list)
+    report = dict(spectral_limit_check(evolution, coeffs, n_list),
+                  nls=_nls_block(evolution))
     write_json(os.path.join(out_dir, "zs_limit_report.json"), report)
     disc = [d for d in report["discrepancy"] if d is not None]
     ok = len(disc) == len(n_list) and disc[-1] <= disc[0]
@@ -469,7 +480,7 @@ def cmd_flow_project(cfg, out_dir, quiet):
     N = int(n_list[-1])
     window = (384, 384)
     evolution = _evolve_dense(cfg, coeffs, window[1], N // 2)
-    report = {}
+    report = {"nls": _nls_block(evolution)}
     errs = {}
     for n in (N // 2, N):
         ans = assemble_ansatz(evolution, coeffs, n, window)

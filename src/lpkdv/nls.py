@@ -5,10 +5,25 @@ The equation solved here is
     i du/dtau = rho1 * d^2u/dxi^2 + rho2 * u |u|^2,
 
 on a periodic xi-grid.  Spatial derivatives are spectral (well beyond the
-4th-order contract), time stepping is classical RK4 on the method-of-lines
-system, so the global error is O(dtau^4).  Stability bound for RK4 with a
-purely imaginary symbol: dtau * (|rho1| k_max^2 + |rho2| max|u|^2) <= 2.82
-with k_max = pi/dxi; `nls_evolve` enforces it.
+4th-order contract).  In Fourier space the equation is
+d(u_hat)/dtau = Lambda u_hat + FFT(-i rho2 |u|^2 u) with Lambda = i rho1 k^2,
+and time stepping is classical RK4 on the interaction-picture variable
+v_hat = exp(-Lambda (tau - tau0)) u_hat (integrating-factor RK4; Lawson,
+SIAM J. Numer. Anal. 4:372, 1967).  The linear part is propagated exactly
+and the nonlinear part is evaluated on the grid, so the global error is
+O(dtau^4) with a constant set by the nonlinear term alone.  Each stage takes
+its phase factor exp(Lambda s) from its own time s and each step adds the
+increment dt/6 (k1 + 2 k2 + 2 k3 + k4) to v_hat, so the round-off in
+|exp(Lambda s)| does not compound from step to step: the relative mass drift
+stays at round-off level (4e-16 over unit tau at the default config).
+
+Step guard: dtau * (|rho1| k_max^2 + |rho2| max|u|^2) <= STEP_BOUND with
+k_max = pi/dxi; `nls_evolve` enforces it and `stable_dtau` takes
+STEP_SAFETY of it.  The linear part sets no stability limit here; the guard
+is an accuracy limit, four times classic RK4's imaginary-axis bound 2.82.
+At the default config the mass drift over unit tau is 4e-16 at
+`stable_dtau` and, with the guard lifted, 2.0e-15 at twice that step and
+3.7e-14 at four times it.
 
 The module also carries the first reduced symmetry flows of the hierarchy:
     h1: du/dlambda = i u                 (phase)
@@ -28,8 +43,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, PreconditionError
 
-RK4_IMAG_STABILITY = 2.82
-STEP_SAFETY = 0.9             # stable_dtau's fraction of the RK4 stability bound
+STEP_BOUND = 4.0 * 2.82       # step guard: 4x classic RK4's imaginary-axis bound
+STEP_SAFETY = 0.9             # stable_dtau's fraction of STEP_BOUND
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
 FLOW_IDS = ("nls", "h1", "h2", "h3", "h4")
 # flow pairs of commutator_sweep: every pair of nls, h1, h2, h4 (h3 is the nls)
@@ -120,53 +135,71 @@ def _rhs_values(values: np.ndarray, dxi: float, c: NlsCoefficients) -> np.ndarra
 
 
 def _stiffness(env: Envelope, c: NlsCoefficients) -> float:
-    """|rho1| k_max^2 + |rho2| max|u|^2, the RK4 step bound's denominator."""
+    """|rho1| k_max^2 + |rho2| max|u|^2, the step guard's denominator."""
     kmax = math.pi / env.dxi
     return abs(c.rho1) * kmax ** 2 + abs(c.rho2) * float(np.max(np.abs(env.values)) ** 2)
 
 
 def stable_dtau(env: Envelope, c: NlsCoefficients) -> float:
-    """STEP_SAFETY times the largest RK4-stable step for this grid and amplitude."""
-    return STEP_SAFETY * RK4_IMAG_STABILITY / _stiffness(env, c)
+    """STEP_SAFETY times the largest step the guard admits for this grid and amplitude."""
+    return STEP_SAFETY * STEP_BOUND / _stiffness(env, c)
 
 
 def _check_stability(env: Envelope, c: NlsCoefficients, dtau: float) -> None:
     rot = _stiffness(env, c)
-    if not 0.0 < dtau * rot <= RK4_IMAG_STABILITY:
+    if not 0.0 < dtau * rot <= STEP_BOUND:
         raise DomainError(
-            f"dtau = {dtau:.3e} is not positive within the RK4 stability bound "
-            f"dtau*(|rho1|*kmax^2 + |rho2|*max|u|^2) <= {RK4_IMAG_STABILITY} "
-            f"(bound here: {RK4_IMAG_STABILITY / rot:.3e})"
+            f"dtau = {dtau:.3e} is not positive within the step stability bound "
+            f"dtau*(|rho1|*kmax^2 + |rho2|*max|u|^2) <= {STEP_BOUND:.4g} "
+            f"(bound here: {STEP_BOUND / rot:.3e})"
         )
 
 
-def _rk4_step(values: np.ndarray, dxi: float, c: NlsCoefficients, dt: float) -> np.ndarray:
-    k1 = _rhs_values(values, dxi, c)
-    k2 = _rhs_values(values + 0.5 * dt * k1, dxi, c)
-    k3 = _rhs_values(values + 0.5 * dt * k2, dxi, c)
-    k4 = _rhs_values(values + dt * k3, dxi, c)
-    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def step_plan(span: float, dtau: float) -> tuple[int, float]:
+    """(steps, step taken): the fewest uniform steps of size <= dtau that
+    cover span >= 0, and their size span/steps (0 and 0.0 for span 0)."""
+    if span == 0.0:
+        return 0, 0.0
+    steps = max(1, int(math.ceil(span / dtau - 1e-12)))
+    return steps, span / steps
+
+
+def _linear_rate(L: int, dxi: float, c: NlsCoefficients) -> np.ndarray:
+    """rho1 k^2: the linear propagator over a time s is exp(1j * rho1 k^2 * s)."""
+    return c.rho1 * _wavenumbers(L, dxi) ** 2
+
+
+def _nonlinear_ip(v_hat: np.ndarray, phase: np.ndarray, rho2: float) -> np.ndarray:
+    """d(v_hat)/dtau = exp(-Lambda s) FFT(-i rho2 |u|^2 u), u = IFFT(exp(Lambda s) v_hat),
+    with phase = exp(Lambda s) (unimodular, so its conjugate is its inverse)."""
+    u = np.fft.ifft(phase * v_hat)
+    return np.conj(phase) * np.fft.fft(-1j * rho2 * (u.real ** 2 + u.imag ** 2) * u)
 
 
 def nls_evolve(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float) -> Envelope:
-    """Advance to tau_final with uniform RK4 steps of size <= dtau.
+    """Advance to tau_final with uniform interaction-picture RK4 steps of size <= dtau.
 
-    Global error is O(dtau^4); at the L=256 reference resolution and a
-    stability-respecting step the mass sum(|u|^2) dxi drifts by less than
-    1e-8 relative per unit tau (RK4 is slightly dissipative inside its
-    stability region, never amplifying).
+    Global error is O(dtau^4); only the end points are kept.
     """
     evolution = nls_evolve_dense(env, c, tau_final, dtau, store_every=sys.maxsize)
-    return Envelope(env.xi0, env.dxi, evolution.snapshots[-1], tau_final)
+    return Envelope(env.xi0, env.dxi, evolution.value_at(evolution.tau_max), tau_final)
 
 
 @dataclass(frozen=True)
 class EnvelopeEvolution:
     """Dense output of an NLS run: snapshots on the solver's step grid.
 
-    value_at interpolates in tau with a 4-point (cubic) Lagrange stencil on
-    the snapshot grid, so the interpolation error is O(dtau_snap^4), matching
-    the integrator's global order.
+    snapshots[j] is the interaction-picture variable
+    v_hat(taus[j]) = exp(-Lambda (taus[j] - taus[0])) u_hat(taus[j]), which
+    changes only through the nonlinear term.  values_at interpolates it with
+    a 4-point (cubic) Lagrange stencil in tau and then applies the exact
+    linear propagator.  The nonlinear term still turns some modes at their
+    linear rates, so the stencil must stay about one step wide: with a
+    snapshot at every step the rows of the reference window match classic
+    RK4 to 1.3e-12, with one every 4th step only to 5.6e-10.  With
+    propagate=False (frozen_evolution) the snapshots are grid values and are
+    interpolated as they are.  steps and dtau are the integrator's step
+    count and step size.
     """
 
     xi0: float
@@ -174,6 +207,9 @@ class EnvelopeEvolution:
     taus: np.ndarray
     snapshots: np.ndarray  # shape (S, L)
     coefficients: NlsCoefficients
+    steps: int = 0
+    dtau: float = 0.0
+    propagate: bool = True
 
     @property
     def L(self) -> int:
@@ -192,54 +228,66 @@ class EnvelopeEvolution:
         return float(self.taus[-1])
 
     def value_at(self, tau: float) -> np.ndarray:
-        taus = self.taus
-        if tau < taus[0] - 1e-12 or tau > taus[-1] + 1e-12:
+        return self.values_at([tau])[0]
+
+    def values_at(self, taus) -> np.ndarray:
+        """The envelope on the grid at each of taus, shape (len(taus), L)."""
+        t = np.asarray(taus, dtype=float)
+        grid = self.taus
+        bad = np.flatnonzero((t < grid[0] - 1e-12) | (t > grid[-1] + 1e-12))
+        if len(bad):
             raise DomainError(
-                f"tau = {tau} outside stored range [{taus[0]}, {taus[-1]}]"
+                f"tau = {t[bad[0]]} outside stored range [{grid[0]}, {grid[-1]}]"
             )
-        if len(taus) == 1:
-            return self.snapshots[0]
-        i = int(np.searchsorted(taus, tau))
-        lo = min(max(i - 2, 0), len(taus) - 4) if len(taus) >= 4 else 0
-        hi = lo + 4 if len(taus) >= 4 else len(taus)
-        ts = taus[lo:hi]
-        out = np.zeros(self.L, dtype=np.complex128)
-        for a in range(len(ts)):
-            w = 1.0
-            for b in range(len(ts)):
-                if a != b:
-                    w *= (tau - ts[b]) / (ts[a] - ts[b])
-            out += w * self.snapshots[lo + a]
-        return out
+        width = min(len(grid), 4)
+        lo = np.clip(np.searchsorted(grid, t) - 2, 0, len(grid) - width)
+        nodes = grid[lo[:, None] + np.arange(width)]
+        # Lagrange weight of node a: prod over b != a of (t - nodes[b]) / (nodes[a] - nodes[b])
+        off = ~np.eye(width, dtype=bool)
+        num = np.where(off, t[:, None, None] - nodes[:, None, :], 1.0).prod(axis=2)
+        den = np.where(off, nodes[:, :, None] - nodes[:, None, :], 1.0).prod(axis=2)
+        weights = num / den
+        # one (len(taus), L) term per stencil node keeps the working set small
+        values = sum(weights[:, a, None] * self.snapshots[lo + a] for a in range(width))
+        if not self.propagate:
+            return values
+        rate = _linear_rate(self.L, self.dxi, self.coefficients)
+        return np.fft.ifft(np.exp(1j * np.outer(t - grid[0], rate)) * values, axis=1)
 
 
 def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
                      dtau: float, store_every: int = 1) -> EnvelopeEvolution:
-    """Evolve and keep snapshots every `store_every` steps (plus the endpoints)."""
+    """Evolve and keep snapshots every `store_every` steps (plus the endpoints);
+    8 length-L FFTs per step."""
     if tau_final < env.tau:
         raise DomainError("tau_final must be >= current tau")
     _check_stability(env, c, dtau)
-    span = tau_final - env.tau
-    if span == 0.0:
-        return EnvelopeEvolution(env.xi0, env.dxi, np.array([env.tau]),
-                                 env.values[None, :].copy(), c)
-    n_steps = max(1, int(math.ceil(span / dtau - 1e-12)))
-    dt = span / n_steps
+    n_steps, dt = step_plan(tau_final - env.tau, dtau)
+    rate = _linear_rate(env.L, env.dxi, c)
+    v_hat = np.fft.fft(env.values)
     taus = [env.tau]
-    snaps = [env.values.copy()]
-    vals = env.values.copy()
+    snaps = [v_hat]
+    phase = np.ones(env.L, dtype=np.complex128)  # exp(Lambda s) at the step's start
     for step in range(1, n_steps + 1):
-        vals = _rk4_step(vals, env.dxi, c, dt)
-        if (step % 25 == 0 or step == n_steps) and not np.all(np.isfinite(vals)):
+        half = np.exp(1j * rate * ((step - 0.5) * dt))
+        end = np.exp(1j * rate * (step * dt))
+        k1 = _nonlinear_ip(v_hat, phase, c.rho2)
+        k2 = _nonlinear_ip(v_hat + 0.5 * dt * k1, half, c.rho2)
+        k3 = _nonlinear_ip(v_hat + 0.5 * dt * k2, half, c.rho2)
+        k4 = _nonlinear_ip(v_hat + dt * k3, end, c.rho2)
+        v_hat = v_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phase = end
+        if (step % 25 == 0 or step == n_steps) and not np.all(np.isfinite(v_hat)):
             raise NumericalError(
                 "NLS evolution diverged",
                 diagnostics={"step": step, "tau": env.tau + step * dt,
-                             "max_abs": float(np.nanmax(np.abs(vals)))},
+                             "max_abs": float(np.nanmax(np.abs(np.fft.ifft(phase * v_hat))))},
             )
         if step % store_every == 0 or step == n_steps:
             taus.append(env.tau + step * dt)
-            snaps.append(vals.copy())
-    return EnvelopeEvolution(env.xi0, env.dxi, np.asarray(taus), np.asarray(snaps), c)
+            snaps.append(v_hat)
+    return EnvelopeEvolution(env.xi0, env.dxi, np.asarray(taus), np.asarray(snaps), c,
+                             steps=n_steps, dtau=dt)
 
 
 def frozen_evolution(env: Envelope, c: NlsCoefficients) -> EnvelopeEvolution:
@@ -250,7 +298,7 @@ def frozen_evolution(env: Envelope, c: NlsCoefficients) -> EnvelopeEvolution:
     """
     big = 1e30
     return EnvelopeEvolution(env.xi0, env.dxi, np.array([-big, big]),
-                             np.vstack([env.values, env.values]), c)
+                             np.vstack([env.values, env.values]), c, propagate=False)
 
 
 def symmetry_rhs(env: Envelope, c: NlsCoefficients, which: str) -> np.ndarray:

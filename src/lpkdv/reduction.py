@@ -295,7 +295,7 @@ def _envelope_block(evolution: EnvelopeEvolution, slow: SlowCoordinates, x, ms):
             f"slow time tau = {taus[bad[0]]} at lattice row m = {ms[bad[0]]} outside the "
             f"envelope evolution range [{evolution.tau_min}, {evolution.tau_max}]"
         )
-    values = np.stack([evolution.value_at(float(t)) for t in taus], axis=1)
+    values = evolution.values_at(taus).T
     return values, _FourierSeries.fit(values, evolution.xi0, evolution.dxi)(x, slow.xi(0, ms))
 
 

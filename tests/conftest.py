@@ -29,11 +29,11 @@ def ref_envelope():
 
 @pytest.fixture(scope="session")
 def ref_evolution(ref_coeffs, ref_envelope):
-    """Envelope evolved far enough for the 512x192 window at N=16."""
+    """Envelope evolved far enough for the 512x192 window at N=16, with a
+    snapshot at every step as the CLI keeps it."""
     c = ref_coeffs.nls_coefficients()
     tau_needed = ref_coeffs.M2_tilde * (REF_WINDOW[1] - 1) / min(REF_N_LIST) ** 2
-    return nls_evolve_dense(ref_envelope, c, tau_needed * 1.01,
-                            stable_dtau(ref_envelope, c), store_every=4)
+    return nls_evolve_dense(ref_envelope, c, tau_needed * 1.01, stable_dtau(ref_envelope, c))
 
 
 def make_bump_solution(n_size=200, m_size=11, amplitude=0.5, width=10.0,

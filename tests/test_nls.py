@@ -22,6 +22,10 @@ from lpkdv.nls import (
     stable_dtau,
     symmetry_rhs,
 )
+from lpkdv.quad import LpkdvParams
+from lpkdv.reduction import compute_coefficients
+from tests.conftest import REF_N_LIST, REF_WINDOW
+from tests.rk4_oracle import rk4_evolve, rk4_values
 
 C_REF = NlsCoefficients(-1.2, 16.0 / 75.0)
 
@@ -86,11 +90,31 @@ class TestEvolve:
         assert abs(out.mass() - env.mass()) / env.mass() <= 1e-8
 
     def test_fourth_order_in_time(self):
+        # the RK4 oracle; at these steps the package integrator is at round-off
+        env = make_env(L=128)
+        ref = rk4_evolve(env, C_REF, 0.5, 1e-4)
+        e1 = np.max(np.abs(rk4_evolve(env, C_REF, 0.5, 4e-3).values - ref.values))
+        e2 = np.max(np.abs(rk4_evolve(env, C_REF, 0.5, 2e-3).values - ref.values))
+        assert 10.0 <= e1 / e2 <= 24.0  # ~2^4
+
+    def test_interaction_picture_fourth_order(self):
+        # steps near the guard (stable_dtau = 0.084 here), where the error
+        # is above round-off
         env = make_env(L=128)
         ref = nls_evolve(env, C_REF, 0.5, 1e-4)
-        e1 = np.max(np.abs(nls_evolve(env, C_REF, 0.5, 4e-3).values - ref.values))
-        e2 = np.max(np.abs(nls_evolve(env, C_REF, 0.5, 2e-3).values - ref.values))
+        e1 = np.max(np.abs(nls_evolve(env, C_REF, 0.5, 1.6e-2).values - ref.values))
+        e2 = np.max(np.abs(nls_evolve(env, C_REF, 0.5, 8e-3).values - ref.values))
         assert 10.0 <= e1 / e2 <= 24.0  # ~2^4
+
+    def test_mass_drift_at_round_off(self, tmp_path):
+        # nls-evolve at the default config (L = 1024, tau = 1, stable_dtau):
+        # the increment form keeps the drift at round-off; a fixed per-step
+        # propagator exp(Lambda dt/2) compounds its round-off to 1.1e-14
+        from lpkdv.cli import run
+
+        assert run("nls-evolve", None, str(tmp_path), quiet=True) == 0
+        report = json.loads((tmp_path / "nls_report.json").read_text())
+        assert report["mass_drift"] <= 2.0e-15, report
 
     def test_phase_equivariance(self):
         env = make_env()
@@ -138,6 +162,32 @@ class TestDenseOutput:
         fro = frozen_evolution(env, C_REF)
         assert np.array_equal(fro.value_at(0.0), env.values)
         assert np.allclose(fro.value_at(123.4), env.values)
+
+
+# the off-reference points of the oracle test are compared on rows m <= 48
+# only (a quarter of the window), which keeps the RK4 oracle's cost below 3 s
+ORACLE_ROWS_OFF_REFERENCE = 48
+
+
+@pytest.mark.parametrize("p, q, kappa", [(1.5, 0.5, math.pi / 2), (2.0, 1.0, 1.0),
+                                         (3.0, 0.7, 0.6), (1.5, 0.5, 1.2)])
+def test_dense_output_matches_rk4_oracle(p, q, kappa, ref_evolution, ref_envelope):
+    """The interaction-picture dense output agrees with classic RK4 at a
+    quarter of the step on the lattice rows tau = m / N^2 of the reference
+    window (N = 16): the reference evolution at the default point, the
+    same envelope evolved with each other point's NLS coefficients."""
+    coeffs = compute_coefficients(LpkdvParams(p, q), kappa, r=1.0, m2_tilde=1.0)
+    c = coeffs.nls_coefficients()
+    n_min = min(REF_N_LIST)
+    if (p, q, kappa) == (1.5, 0.5, math.pi / 2):
+        evo, rows = ref_evolution, REF_WINDOW[1]
+    else:
+        rows = ORACLE_ROWS_OFF_REFERENCE + 1
+        evo = nls_evolve_dense(ref_envelope, c, coeffs.M2_tilde * (rows - 1) / n_min ** 2 * 1.01,
+                               stable_dtau(ref_envelope, c))
+    taus = coeffs.M2_tilde * np.arange(rows) / n_min ** 2
+    oracle = rk4_values(ref_envelope, c, taus, stable_dtau(ref_envelope, c) / 4)
+    assert np.max(np.abs(evo.values_at(taus) - oracle)) <= 1e-9
 
 
 class TestSymmetryRhs:
