@@ -473,22 +473,25 @@ def cmd_flow_check(cfg, out_dir, quiet):
 
 def cmd_flow_project(cfg, out_dir, quiet):
     from .reduction import assemble_ansatz
-    from .symmetries import harmonic_projection
+    from .symmetries import first_harmonic_blocks, harmonic_projection
 
     coeffs = _build_coeffs(cfg)
     n_list = cfg["N_list"]
     N = int(n_list[-1])
     window = (384, 384)
     evolution = _evolve_dense(cfg, coeffs, window[1], N // 2)
-    report = {"nls": _nls_block(evolution)}
+    report = {"nls": _nls_block(evolution), "assembly": {"modes": [], "modes_zeroth": []}}
     errs = {}
     for n in (N // 2, N):
         ans = assemble_ansatz(evolution, coeffs, n, window)
-        rep1 = harmonic_projection(ans, coeffs, "flow1")
+        report["assembly"]["modes"].append(ans.modes)
+        report["assembly"]["modes_zeroth"].append(ans.modes_zeroth)
+        flow1 = first_harmonic_blocks(ans, "flow1")
+        rep1 = harmonic_projection(ans, coeffs, "flow1", flow1)
         errs[n] = rep1["weighted_rel_error"]
         report[f"flow1_N{n}"] = rep1
         if n == N:
-            report[f"flow2_N{n}"] = harmonic_projection(ans, coeffs, "flow2")
+            report[f"flow2_N{n}"] = harmonic_projection(ans, coeffs, "flow2", flow1)
     factor = cfg["tolerances"]["projection_error_factor"]
     halving = errs[N] / errs[N // 2] if errs[N // 2] > 0 else 0.0
     report["error_halving_factor"] = halving

@@ -46,6 +46,7 @@ from .errors import DomainError, NumericalError, PreconditionError
 STEP_BOUND = 4.0 * 2.82       # step guard: 4x classic RK4's imaginary-axis bound
 STEP_SAFETY = 0.9             # stable_dtau's fraction of STEP_BOUND
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
+_BAND_CHUNK = 64              # snapshots per step of EnvelopeEvolution.bandwidth's scan
 FLOW_IDS = ("nls", "h1", "h2", "h3", "h4")
 # flow pairs of commutator_sweep: every pair of nls, h1, h2, h4 (h3 is the nls)
 COMMUTATOR_PAIRS = (("nls", "h1"), ("nls", "h2"), ("nls", "h4"),
@@ -169,6 +170,16 @@ def _linear_rate(L: int, dxi: float, c: NlsCoefficients) -> np.ndarray:
     return c.rho1 * _wavenumbers(L, dxi) ** 2
 
 
+def _linear_phase(rate: np.ndarray, s) -> np.ndarray:
+    """exp(1j * outer(s, rate)), shape (L,) for a scalar s, with one exp per
+    |k|: rate = rho1 k^2 is exactly even in fftfreq order (the wavenumber at
+    L - j is minus the one at j), so the upper half of every row is the
+    lower half mirrored, bit for bit."""
+    L = rate.shape[-1]
+    half = np.exp(1j * np.multiply.outer(s, rate[:L // 2 + 1]))
+    return np.concatenate([half, half[..., (L - 1) // 2:0:-1]], axis=-1)
+
+
 def _nonlinear_ip(v_hat: np.ndarray, phase: np.ndarray, rho2: float) -> np.ndarray:
     """d(v_hat)/dtau = exp(-Lambda s) FFT(-i rho2 |u|^2 u), u = IFFT(exp(Lambda s) v_hat),
     with phase = exp(Lambda s) (unimodular, so its conjugate is its inverse)."""
@@ -191,15 +202,18 @@ class EnvelopeEvolution:
 
     snapshots[j] is the interaction-picture variable
     v_hat(taus[j]) = exp(-Lambda (taus[j] - taus[0])) u_hat(taus[j]), which
-    changes only through the nonlinear term.  values_at interpolates it with
+    changes only through the nonlinear term.  spectra_at interpolates it with
     a 4-point (cubic) Lagrange stencil in tau and then applies the exact
-    linear propagator.  The nonlinear term still turns some modes at their
-    linear rates, so the stencil must stay about one step wide: with a
+    linear propagator, giving u_hat = fft(u) itself; values_at is its
+    inverse FFT.  The Fourier series of u in xi has the coefficients
+    u_hat / L, so the ansatz is evaluated from spectra_at without a round
+    trip through the grid.  The nonlinear term still turns some modes at
+    their linear rates, so the stencil must stay about one step wide: with a
     snapshot at every step the rows of the reference window match classic
     RK4 to 1.3e-12, with one every 4th step only to 5.6e-10.  With
-    propagate=False (frozen_evolution) the snapshots are grid values and are
-    interpolated as they are.  steps and dtau are the integrator's step
-    count and step size.
+    propagate=False (frozen_evolution) the snapshots are grid values:
+    values_at interpolates them as they are and spectra_at takes their FFT.
+    steps and dtau are the integrator's step count and step size.
     """
 
     xi0: float
@@ -227,11 +241,9 @@ class EnvelopeEvolution:
     def tau_max(self) -> float:
         return float(self.taus[-1])
 
-    def value_at(self, tau: float) -> np.ndarray:
-        return self.values_at([tau])[0]
-
-    def values_at(self, taus) -> np.ndarray:
-        """The envelope on the grid at each of taus, shape (len(taus), L)."""
+    def _stencil(self, taus) -> tuple:
+        """(t, lo, width): taus checked against the stored range, and the
+        first snapshot and the width of each one's Lagrange stencil."""
         t = np.asarray(taus, dtype=float)
         grid = self.taus
         bad = np.flatnonzero((t < grid[0] - 1e-12) | (t > grid[-1] + 1e-12))
@@ -240,19 +252,58 @@ class EnvelopeEvolution:
                 f"tau = {t[bad[0]]} outside stored range [{grid[0]}, {grid[-1]}]"
             )
         width = min(len(grid), 4)
-        lo = np.clip(np.searchsorted(grid, t) - 2, 0, len(grid) - width)
-        nodes = grid[lo[:, None] + np.arange(width)]
+        return t, np.clip(np.searchsorted(grid, t) - 2, 0, len(grid) - width), width
+
+    def _interpolate(self, taus) -> tuple:
+        """(t, snapshots interpolated to each of taus), shape (len(taus), L)."""
+        t, lo, width = self._stencil(taus)
+        nodes = self.taus[lo[:, None] + np.arange(width)]
         # Lagrange weight of node a: prod over b != a of (t - nodes[b]) / (nodes[a] - nodes[b])
         off = ~np.eye(width, dtype=bool)
         num = np.where(off, t[:, None, None] - nodes[:, None, :], 1.0).prod(axis=2)
         den = np.where(off, nodes[:, :, None] - nodes[:, None, :], 1.0).prod(axis=2)
         weights = num / den
         # one (len(taus), L) term per stencil node keeps the working set small
-        values = sum(weights[:, a, None] * self.snapshots[lo + a] for a in range(width))
+        return t, sum(weights[:, a, None] * self.snapshots[lo + a] for a in range(width))
+
+    def value_at(self, tau: float) -> np.ndarray:
+        return self.values_at([tau])[0]
+
+    def values_at(self, taus) -> np.ndarray:
+        """The envelope on the grid at each of taus, shape (len(taus), L)."""
         if not self.propagate:
-            return values
+            return self._interpolate(taus)[1]
+        return np.fft.ifft(self.spectra_at(taus), axis=1)
+
+    def spectra_at(self, taus) -> np.ndarray:
+        """fft of the envelope at each of taus, shape (len(taus), L)."""
+        t, mixed = self._interpolate(taus)
+        if not self.propagate:
+            return np.fft.fft(mixed, axis=1)
         rate = _linear_rate(self.L, self.dxi, self.coefficients)
-        return np.fft.ifft(np.exp(1j * np.outer(t - grid[0], rate)) * values, axis=1)
+        return _linear_phase(rate, t - self.taus[0]) * mixed
+
+    def bandwidth(self, taus) -> int:
+        """The highest |j| whose mode (wavenumber 2 pi j / period) exceeds
+        eps times the largest |u_hat| of its snapshot in any snapshot the
+        stencils of taus read; 0 for a zero envelope.  The propagator leaves
+        |u_hat| unchanged, so spectra_at at any of taus carries nothing above
+        round-off outside |j| <= bandwidth.  The scan takes _BAND_CHUNK
+        snapshots at a time, so it makes no temporary of the snapshots' size."""
+        _, lo, width = self._stencil(np.atleast_1d(taus))
+        j = np.arange(self.L)
+        j = np.minimum(j, self.L - j)  # |j| in fftfreq order
+        top = 0
+        first, stop = int(lo.min()), int(lo.max()) + width
+        for a in range(first, stop, _BAND_CHUNK):
+            chunk = self.snapshots[a:min(a + _BAND_CHUNK, stop)]
+            if not self.propagate:
+                chunk = np.fft.fft(chunk, axis=1)
+            mag = np.abs(chunk)
+            above = np.any(mag > np.finfo(float).eps * mag.max(axis=1, keepdims=True), axis=0)
+            if np.any(above):
+                top = max(top, int(j[above].max()))
+        return top
 
 
 def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
@@ -269,8 +320,8 @@ def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
     snaps = [v_hat]
     phase = np.ones(env.L, dtype=np.complex128)  # exp(Lambda s) at the step's start
     for step in range(1, n_steps + 1):
-        half = np.exp(1j * rate * ((step - 0.5) * dt))
-        end = np.exp(1j * rate * (step * dt))
+        half = _linear_phase(rate, (step - 0.5) * dt)
+        end = _linear_phase(rate, step * dt)
         k1 = _nonlinear_ip(v_hat, phase, c.rho2)
         k2 = _nonlinear_ip(v_hat + 0.5 * dt * k1, half, c.rho2)
         k3 = _nonlinear_ip(v_hat + 0.5 * dt * k2, half, c.rho2)
@@ -319,12 +370,19 @@ def symmetry_rhs(env: Envelope, c: NlsCoefficients, which: str) -> np.ndarray:
 
 
 def _check_resolved(values: np.ndarray) -> None:
-    """Refuse periodic grid data (along axis 0, one profile per column) whose
-    top third of wavenumbers carries more than 1e-10 of a profile's energy."""
-    power = np.abs(np.fft.fft(values, axis=0)) ** 2
-    total = np.sum(power, axis=0)
-    k = np.abs(np.fft.fftfreq(len(values)))
-    top_third = np.sum(power[k > 1.0 / 3.0], axis=0)
+    """Refuse periodic grid data (along axis 0, one profile per column) that
+    is not spectrally resolved (see _check_spectra_resolved)."""
+    _check_spectra_resolved(np.fft.fft(values, axis=0).T)
+
+
+def _check_spectra_resolved(spectra: np.ndarray) -> None:
+    """Refuse spectra (fft order along the last axis, one profile per row)
+    whose top third of wavenumbers carries more than 1e-10 of a profile's
+    energy."""
+    power = np.abs(np.atleast_2d(spectra)) ** 2
+    total = np.sum(power, axis=1)
+    k = np.abs(np.fft.fftfreq(power.shape[1]))
+    top_third = np.sum(power[:, k > 1.0 / 3.0], axis=1)
     fraction = float(np.max(top_third / np.where(total > 0.0, total, 1.0)))
     if fraction > 1e-10:
         raise PreconditionError(

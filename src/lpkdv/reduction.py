@@ -19,8 +19,9 @@ what enforces it).  The assembled lattice ansatz keeps the harmonics
         + (1/N^2) 2 Re(tau2 u1_1^2 e^{2 i theta}),   theta = kappa*n - omega*m,
 
 with u1_0 the real antiderivative of Re(tau1)|u1_1|^2, zero at xi0.  The
-envelope enters as its Fourier series in xi (values at lattice points and
-the antiderivative), so it must be spectrally resolved.  With all these
+envelope enters as its Fourier series in xi, with the spectrum of the NLS
+dense output as coefficients (values at lattice points and the
+antiderivative), so it must be spectrally resolved.  With all these
 relations enforced and the envelope solving the NLS, the lpKdV residual of
 the assembled field is O(1/N^3); dropping the zeroth or second harmonic (or
 the characteristic) degrades it to O(1/N^2), which is what the scaling test
@@ -36,7 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .nls import Envelope, EnvelopeEvolution, NlsCoefficients, _check_resolved, _wavenumbers
+from .nls import (Envelope, EnvelopeEvolution, NlsCoefficients, _check_resolved,
+                  _check_spectra_resolved, _wavenumbers)
 from .quad import CarrierWave, LatticeField, LpkdvParams, dispersion, max_residual
 
 REALNESS_RTOL = 1e-10
@@ -244,7 +246,7 @@ class _FourierSeries:
     """
 
     xi0: float
-    k: np.ndarray     # kept wavenumbers; k[0] = 0
+    k: np.ndarray     # kept wavenumbers; k[0] = 0 for an antiderivative
     coef: np.ndarray  # (modes, columns)
     ramp: np.ndarray  # (columns,); nonzero only for an antiderivative
 
@@ -268,6 +270,22 @@ class _FourierSeries:
         return cls(xi0, _wavenumbers(len(values), dxi)[keep], coef[keep],
                    np.zeros(values.shape[1]))
 
+    @classmethod
+    def from_spectra(cls, spectra: np.ndarray, j: np.ndarray, xi0: float, dxi: float,
+                     real: bool = False) -> "_FourierSeries":
+        """Series of grid data given by its fft (one row per column of the
+        series) over the integer wavenumbers j (k = 2 pi j / period).  With
+        real, the data are real and j = 0, 1, ...: every mode but j = 0 and
+        the Nyquist mode j = L/2 also stands for its conjugate partner -j, so
+        the real part of the series is the data's series."""
+        L = spectra.shape[1]
+        coef = spectra[:, j % L].T / L
+        if real:
+            coef[1:] *= 2.0
+            if 2 * j[-1] == L:
+                coef[-1] /= 2.0
+        return cls(xi0, _wavenumber(j, L, dxi), coef, np.zeros(len(spectra)))
+
     def antiderivative(self) -> "_FourierSeries":
         """Periodic part plus mean*(xi - xi0), zero at xi0 in every column: the
         lpKdV is invariant under a global shift u -> u + c, not a per-row one."""
@@ -276,18 +294,39 @@ class _FourierSeries:
         coef[0] = -coef[1:].sum(axis=0)
         return replace(self, coef=coef, ramp=self.coef[0])
 
-    def __call__(self, x, offsets=(0.0,)) -> np.ndarray:
+    def __call__(self, x, offsets=(0.0,), matrix=None) -> np.ndarray:
         """Column c at x[i] + offsets[c], shape (len(x), columns): one product
-        E @ (coef * shift), E[i, k] = e^{i k (x[i] - xi0)}, shift[k, c] = e^{i k offsets[c]}."""
+        E @ (coef * shift), E[i, k] = e^{i k (x[i] - xi0)}, shift[k, c] = e^{i k offsets[c]}.
+        matrix, if given, is E (from _lattice_matrix for these x and k)."""
         x = np.atleast_1d(x) - self.xi0
+        if matrix is None:
+            matrix = np.exp(1j * np.outer(x, self.k))
         shift = np.exp(1j * np.outer(self.k, offsets))
-        return (np.exp(1j * np.outer(x, self.k)) @ (self.coef * shift)
-                + np.add.outer(x, offsets) * self.ramp)
+        return matrix @ (self.coef * shift) + np.add.outer(x, offsets) * self.ramp
 
 
-def _envelope_block(evolution: EnvelopeEvolution, slow: SlowCoordinates, x, ms):
-    """Envelope grid values at the slow times of rows ms (one column per row)
-    and u1_1 at the lattice points xi = x + xi(0, m)."""
+def _wavenumber(j, L: int, dxi: float) -> np.ndarray:
+    """2 pi j / period for integers j, rounded as the fft's _wavenumbers."""
+    return 2.0 * math.pi * (np.asarray(j) * (1.0 / (L * dxi)))
+
+
+def _band(J: int, L: int) -> tuple:
+    """(lo, hi): the integer wavenumbers j = -lo..hi with |j| <= J, or all L
+    of the grid's (the fft's j = -L//2..(L-1)//2) once 2J + 1 >= L."""
+    return min(J, L // 2), min(J, (L - 1) // 2)
+
+
+def _lattice_matrix(x, xi0: float, lo: int, hi: int, L: int, dxi: float) -> np.ndarray:
+    """The lattice-point Fourier matrix E[i, c] = e^{i k_c (x[i] - xi0)} for
+    k_c = 2 pi j_c / period, j_c = -lo..hi: one exp per |j|, the column of
+    j < 0 being the conjugate of that of -j."""
+    arg = np.outer(np.atleast_1d(x) - xi0, _wavenumber(np.arange(max(lo, hi) + 1), L, dxi))
+    pos = np.exp(1j * arg)
+    return np.concatenate([np.conj(pos[:, lo:0:-1]), pos[:, :hi + 1]], axis=1)
+
+
+def _row_taus(evolution: EnvelopeEvolution, slow: SlowCoordinates, ms) -> np.ndarray:
+    """Slow times of lattice rows ms, which must lie in the evolution's range."""
     taus = slow.tau(0, ms)
     bad = np.flatnonzero((taus < evolution.tau_min - 1e-12) | (taus > evolution.tau_max + 1e-12))
     if len(bad):
@@ -295,13 +334,15 @@ def _envelope_block(evolution: EnvelopeEvolution, slow: SlowCoordinates, x, ms):
             f"slow time tau = {taus[bad[0]]} at lattice row m = {ms[bad[0]]} outside the "
             f"envelope evolution range [{evolution.tau_min}, {evolution.tau_max}]"
         )
-    values = evolution.values_at(taus).T
-    return values, _FourierSeries.fit(values, evolution.xi0, evolution.dxi)(x, slow.xi(0, ms))
+    return taus
 
 
 @dataclass
 class AnsatzField:
-    """Assembled multiscale ansatz on a lattice window, with its provenance."""
+    """Assembled multiscale ansatz on a lattice window, with its provenance.
+    modes and modes_zeroth are the widths of the lattice-point Fourier
+    matrices the assembly evaluated u1_1 and the zeroth harmonic with (0
+    when the zeroth harmonic is left out)."""
 
     N: int
     coeffs: ReductionCoefficients
@@ -310,12 +351,23 @@ class AnsatzField:
     include_zeroth: bool
     include_second: bool
     slow: SlowCoordinates
+    modes: int
+    modes_zeroth: int
 
     def envelope_values(self, n, m) -> np.ndarray:
         """u1_1 at the slow coordinates of the lattice points (n[i], m[j]),
         shape (len(n), len(m)); a scalar m gives the 1-D array over n."""
         ms = np.atleast_1d(np.asarray(m, dtype=float))
-        _, u1 = _envelope_block(self.evolution, self.slow, self.slow.xi(np.atleast_1d(n), 0), ms)
+        evolution = self.evolution
+        taus = _row_taus(evolution, self.slow, ms)
+        spectra = evolution.spectra_at(taus)
+        _check_spectra_resolved(spectra)
+        lo, hi = _band(evolution.bandwidth(taus), evolution.L)
+        x = self.slow.xi(np.atleast_1d(n), 0)
+        series = _FourierSeries.from_spectra(spectra, np.arange(-lo, hi + 1),
+                                             evolution.xi0, evolution.dxi)
+        basis = _lattice_matrix(x, evolution.xi0, lo, hi, evolution.L, evolution.dxi)
+        u1 = series(x, self.slow.xi(0, ms), basis)
         return u1[:, 0] if np.ndim(m) == 0 else u1
 
 
@@ -326,30 +378,58 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
 
     window = (n_size, m_size).  Slow coordinates must stay inside the stored
     tau range of the evolution (xi wraps periodically); violations raise with
-    the offending (n, m).  The envelope must be spectrally resolved.
+    the offending (n, m).  The envelope and |u1_1|^2 must be spectrally
+    resolved (PreconditionError otherwise).
+
+    u1_1 is evaluated as the Fourier series whose coefficients are the
+    envelope's spectrum (EnvelopeEvolution.spectra_at), and |u1_1|^2 from
+    the FFT of its grid values, as a real series over j >= 0.  Every row
+    shares one lattice-point matrix e^{i k (xi(n, 0) - xi0)},
+    k = 2 pi j / period, over j = -J..2J: J bounds the modes the snapshots
+    carry above round-off (EnvelopeEvolution.bandwidth), u1_1 takes its
+    columns |j| <= J and |u1_1|^2, whose band is twice as wide, its columns
+    j = 0..2J.  A row's xi offset enters as the factor e^{i k xi(0, m)} on
+    the coefficients, so a block of rows is one matrix product per series.
     """
     n_size, m_size = window
     if n_size < 2 or m_size < 2:
         raise DomainError("window must be at least 2x2")
     slow = SlowCoordinates.from_coefficients(coeffs, N)
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
+    xi0, dxi, L = evolution.xi0, evolution.dxi, evolution.L
     ns = np.arange(n_size)
+    ms = np.arange(m_size)
     x = slow.xi(ns, 0)
+    taus = _row_taus(evolution, slow, ms)
+    J = evolution.bandwidth(taus)
+    lo, hi = _band(J, L)                                  # u1_1: j = -lo..hi
+    top = min(2 * J, L // 2) if include_zeroth else -1    # |u1_1|^2: j = 0..top
+    basis = _lattice_matrix(x, xi0, lo, max(hi, top), L, dxi)
+    basis1, basis0 = basis[:, :lo + hi + 1], basis[:, lo:lo + top + 1]
+    j1, j0 = np.arange(-lo, hi + 1), np.arange(top + 1)
+    carrier_n = np.exp(1j * kappa * ns)
+    carrier_m = np.exp(-1j * omega * ms)
     out = np.empty((n_size, m_size), dtype=np.float64)
     for start in range(0, m_size, _BLOCK_ROWS):
-        ms = np.arange(start, min(start + _BLOCK_ROWS, m_size))
-        values, u1 = _envelope_block(evolution, slow, x, ms)
-        phase = np.exp(1j * (kappa * ns[:, None] - omega * ms[None, :]))
+        rows = slice(start, min(start + _BLOCK_ROWS, m_size))
+        spectra = evolution.spectra_at(taus[rows])
+        _check_spectra_resolved(spectra)
+        offsets = slow.xi(0, ms[rows])
+        u1 = _FourierSeries.from_spectra(spectra, j1, xi0, dxi)(x, offsets, basis1)
+        phase = np.outer(carrier_n, carrier_m[rows])
         block = 2.0 * np.real(u1 * phase) / N
         if include_zeroth:
-            amp2 = _FourierSeries.fit(np.abs(values) ** 2, evolution.xi0, evolution.dxi)
-            block += coeffs.tau1.real * amp2.antiderivative()(x, slow.xi(0, ms)).real / N
+            amp2 = np.fft.fft(np.abs(np.fft.ifft(spectra, axis=1)) ** 2, axis=1)
+            _check_spectra_resolved(amp2)
+            series = _FourierSeries.from_spectra(amp2, j0, xi0, dxi, real=True)
+            block += coeffs.tau1.real * series.antiderivative()(x, offsets, basis0).real / N
         if include_second:
             block += 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2
-        out[:, start:start + len(ms)] = block
+        out[:, rows] = block
     return AnsatzField(N=N, coeffs=coeffs, evolution=evolution,
                        field=LatticeField(out), include_zeroth=include_zeroth,
-                       include_second=include_second, slow=slow)
+                       include_second=include_second, slow=slow,
+                       modes=len(j1), modes_zeroth=len(j0))
 
 
 def fit_scaling_exponent(n_list, residuals) -> tuple:
@@ -379,18 +459,24 @@ def residual_scaling(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients
     Residual norm: max over interior plaquettes excluding RESIDUAL_MARGIN
     near the window edges (boundary points lack full ansatz accuracy).
     Report matches the documented JSON schema {"N", "residual", "exponent",
-    "fit_r2"}.
+    "fit_r2", "assembly"}; assembly holds the per-N lattice-point matrix
+    widths {"modes", "modes_zeroth"} of AnsatzField.
     """
     N_list = list(N_list)
     if len(N_list) < 3 or sorted(N_list) != N_list:
         raise DomainError("N_list must be ascending with at least 3 entries")
     residuals = []
+    assembly = {"modes": [], "modes_zeroth": []}
     for N in N_list:
         ans = assemble_ansatz(evolution, coeffs, N, window,
                               include_zeroth=include_zeroth,
                               include_second=include_second)
         residuals.append(max_residual(ans.field, coeffs.params, margin=RESIDUAL_MARGIN))
+        assembly["modes"].append(ans.modes)
+        assembly["modes_zeroth"].append(ans.modes_zeroth)
     if all(r == 0.0 for r in residuals):
-        return {"N": N_list, "residual": residuals, "exponent": "exact", "fit_r2": 1.0}
-    exponent, r2 = fit_scaling_exponent(N_list, residuals)
-    return {"N": N_list, "residual": residuals, "exponent": exponent, "fit_r2": r2}
+        exponent, r2 = "exact", 1.0
+    else:
+        exponent, r2 = fit_scaling_exponent(N_list, residuals)
+    return {"N": N_list, "residual": residuals, "exponent": exponent, "fit_r2": r2,
+            "assembly": assembly}

@@ -144,28 +144,29 @@ def _block_reduce(arr: np.ndarray, P: int) -> np.ndarray:
     return arr[:nb * P, :mb * P].reshape(nb, P, mb, P).mean(axis=(1, 3))
 
 
-def _first_harmonic_blocks(ansatz: AnsatzField, which: str):
-    """Demodulated flow RHS averaged over carrier-period blocks, plus the
-    envelope sampled at the block centers."""
+def first_harmonic_blocks(ansatz: AnsatzField, which: str) -> np.ndarray:
+    """Demodulated flow RHS averaged over carrier-period blocks."""
     coeffs = ansatz.coeffs
-    params = coeffs.params
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
-    P = math.ceil(2 * math.pi / kappa)
-    rhs = flow_rhs(ansatz.field, params, which).values
+    rhs = flow_rhs(ansatz.field, coeffs.params, which).values
     s = FLOW_STENCIL[which]
     inner = rhs[s:-s, :]
-    n0 = s
-    n_idx = n0 + np.arange(inner.shape[0])
+    n_idx = s + np.arange(inner.shape[0])
     m_idx = np.arange(inner.shape[1])
     demod = inner * np.exp(-1j * (kappa * n_idx[:, None] - omega * m_idx[None, :]))
-    blocks = _block_reduce(demod, P)
-    centers_n = n0 + (np.arange(blocks.shape[0]) + 0.5) * P - 0.5
-    centers_m = (np.arange(blocks.shape[1]) + 0.5) * P - 0.5
-    return blocks, ansatz.envelope_values(centers_n, centers_m)
+    return _block_reduce(demod, math.ceil(2 * math.pi / kappa))
+
+
+def _block_envelope(ansatz: AnsatzField, which: str, shape: tuple) -> np.ndarray:
+    """The envelope sampled at the centers of first_harmonic_blocks' blocks."""
+    P = math.ceil(2 * math.pi / ansatz.coeffs.carrier.kappa)
+    centers_n = FLOW_STENCIL[which] + (np.arange(shape[0]) + 0.5) * P - 0.5
+    centers_m = (np.arange(shape[1]) + 0.5) * P - 0.5
+    return ansatz.envelope_values(centers_n, centers_m)
 
 
 def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
-                        which: str) -> dict:
+                        which: str, flow1: np.ndarray | None = None) -> dict:
     """Project a flow's RHS onto the first carrier harmonic and compare with
     the reduced flow.
 
@@ -173,11 +174,17 @@ def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
     to (i sin(kappa)/(2 p^2)) u1 / N, and, for flow2, (b) the pointwise ratio
     to flow1's projection, whose constancy across points realizes the
     statement that both lattice flows reduce to the same symmetry up to a
-    reparametrization of the group parameter.
+    reparametrization of the group parameter.  flow1, if given, is
+    first_harmonic_blocks(ansatz, "flow1"), computed once by a caller that
+    projects both flows on the same ansatz.
     """
     params = coeffs.params
     kappa = coeffs.carrier.kappa
-    blocks, env = _first_harmonic_blocks(ansatz, which)
+    if which == "flow1" and flow1 is not None:
+        blocks = flow1
+    else:
+        blocks = first_harmonic_blocks(ansatz, which)
+    env = _block_envelope(ansatz, which, blocks.shape)
     keep = np.abs(env) >= ENVELOPE_FLOOR
     if not np.any(keep):
         return {"flow": which, "n_points": 0, "note": "envelope below floor everywhere"}
@@ -193,7 +200,7 @@ def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
         "mean_ratio": [float(np.mean(ratios).real), float(np.mean(ratios).imag)],
     }
     if which == "flow2":
-        blocks1, env1 = _first_harmonic_blocks(ansatz, "flow1")
+        blocks1 = first_harmonic_blocks(ansatz, "flow1") if flow1 is None else flow1
         # flow2's margin is wider; align the two block grids
         nb = min(blocks.shape[0], blocks1.shape[0])
         mb = min(blocks.shape[1], blocks1.shape[1])

@@ -82,6 +82,17 @@ class TestRun:
             for name in ("manifest.json",) + names:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_assembly_counters(self, tmp_path):
+        # one (modes, modes_zeroth) pair per assembled N, in the order assembled
+        for sub, name, n_count in (("ansatz-residual", "ansatz_residual.json", 3),
+                                   ("flow-project", "flow_projection.json", 2)):
+            assert run(sub, None, str(tmp_path / sub), quiet=True) == 0
+            block = read(tmp_path / sub / name)["assembly"]
+            assert set(block) == {"modes", "modes_zeroth"}
+            assert len(block["modes"]) == len(block["modes_zeroth"]) == n_count
+            assert all(m % 2 == 1 and z % 2 == 1 for m, z in
+                       zip(block["modes"], block["modes_zeroth"]))
+
     def test_simulate_artifacts_round_trip(self, tmp_path):
         from lpkdv.fieldio import load_field_binary, load_field_csv
 
@@ -276,5 +287,16 @@ def test_spectral_import_skips_interpolate():
 
     code = ("import sys, lpkdv.spectral; "
             "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate loaded'")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_import_skips_scipy_fft():
+    """numpy.fft is the package's FFT: at these lengths scipy.fft saves a few
+    microseconds per transform but costs about 0.1 s to import."""
+    import lpkdv
+
+    code = ("import sys, lpkdv.cli, lpkdv.nls, lpkdv.reduction, lpkdv.spectral, "
+            "lpkdv.symmetries; assert 'scipy.fft' not in sys.modules, 'scipy.fft loaded'")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

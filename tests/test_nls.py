@@ -8,6 +8,8 @@ from lpkdv.errors import DomainError, PreconditionError
 from lpkdv.nls import (
     Envelope,
     NlsCoefficients,
+    _linear_phase,
+    _linear_rate,
     commutator_floor,
     commutator_sweep,
     commutator_test,
@@ -162,6 +164,16 @@ class TestDenseOutput:
         fro = frozen_evolution(env, C_REF)
         assert np.array_equal(fro.value_at(0.0), env.values)
         assert np.allclose(fro.value_at(123.4), env.values)
+
+
+@pytest.mark.parametrize("L", [64, 65])
+def test_linear_phase_bit_identical(L):
+    """One exp per |k| gives exp(1j * outer(s, rate)) bit for bit, for even
+    and odd grids, and the step loop's 1-D form for a scalar s."""
+    rate = _linear_rate(L, 40.0 / L, C_REF)
+    s = np.linspace(0.0, 0.37, 9)
+    assert np.array_equal(_linear_phase(rate, s), np.exp(1j * np.outer(s, rate)))
+    assert np.array_equal(_linear_phase(rate, 0.0123), np.exp(1j * rate * 0.0123))
 
 
 # the off-reference points of the oracle test are compared on rows m <= 48

@@ -17,6 +17,7 @@ from lpkdv.reduction import (
     integer_scale_report,
     residual_scaling,
 )
+from tests.conftest import REF_N_LIST, REF_WINDOW
 
 SQRT5 = math.sqrt(5.0)
 
@@ -278,6 +279,75 @@ class TestAssemble:
         diff = fields[1] - fields[0]
         assert np.max(np.abs(fields[0])) > 0.05
         assert np.max(np.abs(diff - diff.mean())) < 1e-12
+
+
+def _grid_assemble(evolution, coeffs, N, window, include_zeroth=True, include_second=True):
+    """The field assembled through grid values, 32 rows at a time: values_at,
+    then _FourierSeries.fit (resolution check and interpolant) and its call
+    at the lattice points, the zeroth harmonic likewise from |values|^2, and
+    one exp per lattice point for the carrier phase.  The reference for the
+    spectral evaluation in assemble_ansatz."""
+    n_size, m_size = window
+    slow = SlowCoordinates.from_coefficients(coeffs, N)
+    kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
+    ns = np.arange(n_size)
+    x = slow.xi(ns, 0)
+    out = np.empty((n_size, m_size))
+    for start in range(0, m_size, 32):
+        ms = np.arange(start, min(start + 32, m_size))
+        values = evolution.values_at(slow.tau(0, ms)).T
+        u1 = _FourierSeries.fit(values, evolution.xi0, evolution.dxi)(x, slow.xi(0, ms))
+        phase = np.exp(1j * (kappa * ns[:, None] - omega * ms[None, :]))
+        block = 2.0 * np.real(u1 * phase) / N
+        if include_zeroth:
+            amp2 = _FourierSeries.fit(np.abs(values) ** 2, evolution.xi0, evolution.dxi)
+            block += coeffs.tau1.real * amp2.antiderivative()(x, slow.xi(0, ms)).real / N
+        if include_second:
+            block += 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2
+        out[:, start:start + len(ms)] = block
+    return out
+
+
+class TestSpectralAssembly:
+    @pytest.mark.parametrize("N", REF_N_LIST)
+    @pytest.mark.parametrize("zeroth, second", [(True, True), (True, False),
+                                                (False, True), (False, False)])
+    def test_matches_grid_reference(self, ref_evolution, ref_coeffs, N, zeroth, second):
+        ans = assemble_ansatz(ref_evolution, ref_coeffs, N, REF_WINDOW, zeroth, second)
+        ref = _grid_assemble(ref_evolution, ref_coeffs, N, REF_WINDOW, zeroth, second)
+        assert np.max(np.abs(ans.field.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matrix_widths(self, ref_evolution, ref_coeffs):
+        # u1_1 takes j = -J..J; |u1_1|^2, real with twice the band, j = 0..2J
+        J = ref_evolution.bandwidth(np.arange(40) / 16 ** 2)
+        assert 0 < 4 * J < ref_evolution.L
+        ans = assemble_ansatz(ref_evolution, ref_coeffs, 16, (64, 40))
+        assert (ans.modes, ans.modes_zeroth) == (2 * J + 1, 2 * J + 1)
+        assert assemble_ansatz(ref_evolution, ref_coeffs, 16, (64, 40),
+                               include_zeroth=False).modes_zeroth == 0
+
+
+class TestResolutionGuard:
+    """assemble_ansatz refuses an envelope, or an envelope whose square, has
+    more than 1e-10 of its energy in the top third of the wavenumbers."""
+
+    @staticmethod
+    def _assemble(values, coeffs):
+        env = Envelope(0.0, 40.0 / len(values), values.astype(complex))
+        return assemble_ansatz(frozen_evolution(env, coeffs.nls_coefficients()),
+                               coeffs, 16, (32, 16))
+
+    def test_unresolved_envelope(self, ref_coeffs):
+        j = np.arange(64)
+        with pytest.raises(PreconditionError, match="resolved"):
+            self._assemble(np.exp(2j * np.pi * 28 * j / 64), ref_coeffs)
+
+    def test_unresolved_square(self, ref_coeffs):
+        # modes +-20 of 64 are resolved; |u|^2 puts a third of its energy in
+        # modes +-40, which alias to -+24, beyond a third of the band
+        j = np.arange(64)
+        with pytest.raises(PreconditionError, match="resolved"):
+            self._assemble(np.cos(2 * np.pi * 20 * j / 64), ref_coeffs)
 
 
 class TestResidualScaling:

@@ -7,6 +7,7 @@ from lpkdv.quad import LatticeField, LpkdvParams
 from lpkdv.reduction import assemble_ansatz
 from lpkdv.symmetries import (
     FlowState,
+    first_harmonic_blocks,
     flow_rhs,
     flow_step,
     harmonic_projection,
@@ -177,3 +178,11 @@ class TestHarmonicProjection:
         p = ref_coeffs.params.p
         expect = (1.0 + np.cos(ref_coeffs.carrier.kappa) / 2.0) / p ** 2
         assert abs(complex(*f21["weighted_mean"]) - expect) < 0.05 * expect
+
+    def test_precomputed_flow1_blocks(self, ref_evolution, ref_coeffs):
+        # flow1's blocks computed once give both reports exactly as computed inside
+        ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
+        flow1 = first_harmonic_blocks(ans, "flow1")
+        for which in ("flow1", "flow2"):
+            assert (harmonic_projection(ans, ref_coeffs, which, flow1)
+                    == harmonic_projection(ans, ref_coeffs, which))
