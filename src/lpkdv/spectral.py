@@ -50,7 +50,7 @@ LIMIT_BRACKET = 10.0          # |N (eigen_mu - 2cos(kappa/2))| and |mu1| compare
 ZS_DECAY_TOL = 1e-6           # |potential| allowed at both ends of a ZS interval
 ZS_STABILITY_TOL = 1e-3       # refinement-movement threshold for kept eigenvalues
 ZS_SHIFT = 0.1j               # shift-invert centre of the reduced eigen-solves
-ZS_START_K = 40               # eigenvalues first asked for on the base grid
+ZS_START_K = 40               # k of the first probe on the base grid
 # an eigenvalue nearer the shift than this times the disc radius means the
 # shift hit it: shift-invert then loses about radius/distance x round-off
 ZS_SHIFT_GAP = 1e-6
@@ -293,20 +293,28 @@ def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.c
                               (np.concatenate(rows), np.concatenate(cols))), shape=(size, size))
 
 
-def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, k: int) -> np.ndarray:
+def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, ks: list) -> np.ndarray:
     """Eigenvalues of the ZS matrix nearest ZS_SHIFT, among them every one
     with |mu1| <= radius.
 
-    ARPACK shift-invert starts with k values and doubles k until the
-    farthest one returned lies outside |mu1 - shift| <= radius + |shift|, a
-    disc that contains |mu1| <= radius.  Once 2k reaches the matrix size the
-    whole spectrum is wanted and is taken from a dense solve.
+    ks holds one entry, the k of the first ARPACK shift-invert call; on
+    return it lists the k of every call made, in order, then "dense" if the
+    dense solve ran.
+    A call is enough once the farthest value returned lies outside
+    |mu1 - shift| <= radius + |shift|, a disc that contains |mu1| <= radius.
+    Otherwise k is sized from that call: the box-mode ladder is nearly
+    uniform, so the count inside a disc grows like its radius, and
+    k * reach / (farthest distance) + 2 values reach the disc's edge.  Once
+    2k reaches the matrix size the whole spectrum is wanted and is taken
+    from a dense solve.
     """
     M = _zs_matrix(np.asarray(x, float), np.asarray(u, complex), kappa, p)
     n = M.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
     reach = radius + abs(ZS_SHIFT)
+    k = ks.pop()
     while 2 * k < n:
+        ks.append(k)
         try:
             w = eigs(M, k=k, sigma=ZS_SHIFT, v0=v0, return_eigenvectors=False)
         except RuntimeError as exc:  # ARPACK non-convergence, or a singular LU
@@ -319,11 +327,13 @@ def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, k: int) -> np.ndarray:
                                  diagnostics={"size": n, "gap": float(dist.min())})
         if dist.max() > reach:
             return w
-        k *= 2
+        k = max(k + 1, math.ceil(k * reach / dist.max()) + 2)
+    ks.append("dense")
     return eig(M.toarray(), right=False)
 
 
-def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET) -> np.ndarray:
+def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
+                   eigensolve: list | None = None) -> np.ndarray:
     """Refinement-stable eigenvalues mu1 with |mu1| <= radius of the reduced
     spectral problem.
 
@@ -342,8 +352,15 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET) -> np.ndarray:
     matrix.  A shift that hits an eigenvalue raises NumericalError, as does
     ARPACK non-convergence.  The start vector is fixed (normal draws from
     seed 0), so results repeat bit for bit.  The base grid is solved on the
-    disc |mu1| <= radius, the refined ones only on |mu1| <= max|kept| +
-    ZS_STABILITY_TOL, starting from as many eigenvalues as are still kept.
+    disc |mu1| <= radius with a first probe of ZS_START_K values, the
+    refined ones only on |mu1| <= max|kept| + ZS_STABILITY_TOL, each asking
+    first for 2 more values than the previous grid returned inside that
+    disc: refinement moves the ladder only slightly, so one call usually
+    suffices.
+
+    eigensolve, if given, gets one {size, k, kept} per grid solved: the ZS
+    matrix size, the k of each ARPACK call (then "dense" if the dense solve
+    ran) and the number of eigenvalues still kept after that grid.
 
     A potential that vanishes identically gives an empty result: the two
     components decouple into first-derivative operators (the psi1 one with
@@ -356,16 +373,21 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET) -> np.ndarray:
     x, u = zs.xi_grid, zs.potential
     if not np.any(u):
         return np.zeros(0, dtype=complex)
-    kept = _zs_disc_eigenvalues(x, u, zs.kappa, zs.p, radius, ZS_START_K)
-    kept = kept[np.abs(kept) <= radius]
+    eigensolve = [] if eigensolve is None else eigensolve
+    ks = [ZS_START_K]
+    w = _zs_disc_eigenvalues(x, u, zs.kappa, zs.p, radius, ks)
+    kept = w[np.abs(w) <= radius]
+    eigensolve.append({"size": 2 * len(x) - 2, "k": ks, "kept": len(kept)})
     series = _FourierSeries.interpolant(u, x[0], x[1] - x[0])
     for factor in (2, 3):
         if len(kept) == 0:
             break
         x_fine = np.linspace(x[0], x[-1], factor * (len(x) - 1) + 1)
-        fine = _zs_disc_eigenvalues(x_fine, series(x_fine)[:, 0], zs.kappa, zs.p,
-                                    float(np.max(np.abs(kept))) + ZS_STABILITY_TOL, len(kept))
-        kept = kept[np.abs(nearest_partners(fine, kept) - kept) < ZS_STABILITY_TOL]
+        r = float(np.max(np.abs(kept))) + ZS_STABILITY_TOL
+        ks = [int(np.sum(np.abs(w - ZS_SHIFT) <= r + abs(ZS_SHIFT))) + 2]
+        w = _zs_disc_eigenvalues(x_fine, series(x_fine)[:, 0], zs.kappa, zs.p, r, ks)
+        kept = kept[np.abs(nearest_partners(w, kept) - kept) < ZS_STABILITY_TOL]
+        eigensolve.append({"size": 2 * len(x_fine) - 2, "k": ks, "kept": len(kept)})
     return np.sort_complex(kept)
 
 
@@ -402,10 +424,12 @@ def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list) -> di
     stride = max(1, evolution.L // 256)
     xs = (evolution.xi0 + evolution.dxi * np.arange(evolution.L))[::stride]
     zs = ZsProblem(xs / coeffs.M1, env0[::stride], kappa, coeffs.params.p)
-    zs_window = zs_eigenvalues(zs)
+    eigensolve = []
+    zs_window = zs_eigenvalues(zs, eigensolve=eigensolve)
 
     out = {"N": N_list, "estimates": [], "discrepancy": [], "notes": [],
-           "zs_eigenvalues": [[z.real, z.imag] for z in zs_window]}
+           "zs_eigenvalues": [[z.real, z.imag] for z in zs_window],
+           "eigensolve": eigensolve}
     for N in N_list:
         # eigenproblem size (= row length - 3, the a_n stencil cost) chosen
         # = 3 mod 4 so both Dirichlet walls impose the same reduced condition

@@ -93,6 +93,18 @@ class TestRun:
             assert all(m % 2 == 1 and z % 2 == 1 for m, z in
                        zip(block["modes"], block["modes_zeroth"]))
 
+    def test_zs_limit_eigensolve_counters(self, tmp_path):
+        # k is sized from one probe on the base grid and from the previous
+        # grid on each refinement, never doubled
+        assert run("zs-limit", None, str(tmp_path), quiet=True) == 0
+        rep = read(tmp_path / "zs_limit_report.json")
+        block = rep["eigensolve"]
+        assert [g["size"] for g in block] == [510, 1020, 1530]
+        assert all(isinstance(k, int) for g in block for k in g["k"])
+        assert len(block[0]["k"]) <= 2
+        assert [len(g["k"]) for g in block[1:]] == [1, 1]
+        assert block[-1]["kept"] == len(rep["zs_eigenvalues"])
+
     def test_simulate_artifacts_round_trip(self, tmp_path):
         from lpkdv.fieldio import load_field_binary, load_field_csv
 

@@ -304,6 +304,20 @@ def _dense_kept(zs, monkeypatch):
         return zs_eigenvalues(zs, radius=10.0)
 
 
+@pytest.fixture(scope="module")
+def zs_small(ref_coeffs):
+    # 80 points on a 20-unit interval: the disc |mu1| <= 10 holds 70 of the
+    # 158 base-grid eigenvalues, so a probe below 79 = 158/2 runs ARPACK
+    x = np.linspace(0.0, 20.0, 80)
+    u = np.exp(-((x - 10.0) / 1.25) ** 2 / 2).astype(complex)
+    return ZsProblem(x / ref_coeffs.M1, u, ref_coeffs.carrier.kappa, 1.5)
+
+
+@pytest.fixture(scope="module")
+def zs_small_dense(zs_small):
+    return _dense_kept(zs_small, pytest.MonkeyPatch())
+
+
 class TestSparseZs:
     @pytest.mark.parametrize("phase", [0.0, 0.7])
     def test_matrix_matches_loop_build(self, zs_gaussian, phase):
@@ -335,6 +349,20 @@ class TestSparseZs:
         dense_kept = _dense_kept(zs, monkeypatch)
         assert len(sparse_kept) == len(dense_kept) > 10
         assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
+
+    @pytest.mark.parametrize("start_k", [1, 8, 40, 79])
+    def test_kept_set_independent_of_probe(self, zs_small, zs_small_dense, start_k,
+                                           monkeypatch):
+        # 1 and 8 undershoot, so k is sized from the probe; 40 is the default
+        # probe; 79 is half the base matrix size and takes the dense solve
+        monkeypatch.setattr(spectral, "ZS_START_K", start_k)
+        record = []
+        kept = zs_eigenvalues(zs_small, radius=10.0, eigensolve=record)
+        base = record[0]
+        assert base["size"] == 158
+        assert base["k"][0] == ("dense" if start_k == 79 else start_k)
+        assert len(kept) == len(zs_small_dense) > 0
+        assert np.max(np.abs(kept - zs_small_dense)) <= 1e-9
 
     def test_radius_bounds_result(self, zs_gaussian):
         wide = zs_eigenvalues(zs_gaussian, radius=10.0)
