@@ -177,9 +177,8 @@ def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
     symmetry up to a reparametrization of the group parameter.  The pointwise
     ratio to the reduced flow is not reported: at blocks whose envelope
     sample is near ENVELOPE_FLOOR it divides two round-off-sized numbers.
-    flow1, if given, is
-    first_harmonic_blocks(ansatz, "flow1"), computed once by a caller that
-    projects both flows on the same ansatz.
+    flow1, if given, is first_harmonic_blocks(ansatz, "flow1"), computed
+    once by a caller that projects both flows on the same ansatz.
     """
     params = coeffs.params
     kappa = coeffs.carrier.kappa
