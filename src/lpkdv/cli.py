@@ -185,17 +185,25 @@ def _build_envelope(cfg):
         return envelope_from_json(json.load(fh))
 
 
+def _dtau(cfg, env, c) -> float:
+    """nls.dtau, or the stable step for env when it is null; any number,
+    0 included, is taken as given (the NLS solver refuses one <= 0)."""
+    from .nls import stable_dtau
+
+    dtau = cfg["nls"]["dtau"]
+    return stable_dtau(env, c) if dtau is None else dtau
+
+
 def _evolve_dense(cfg, coeffs, rows, n_min):
     """The envelope evolved far enough for lattice rows 0..rows-1 at N = n_min
     (tau = M2_tilde * m / N^2), with a 1% margin, and a snapshot at every step:
     sparser snapshots cost interpolation accuracy (see EnvelopeEvolution)."""
-    from .nls import nls_evolve_dense, stable_dtau
+    from .nls import nls_evolve_dense
 
     env = _build_envelope(cfg)
     c = coeffs.nls_coefficients()
-    dtau = cfg["nls"]["dtau"] or stable_dtau(env, c)
     tau_final = coeffs.M2_tilde * (rows - 1) / n_min ** 2 * 1.01
-    return nls_evolve_dense(env, c, tau_final, dtau)
+    return nls_evolve_dense(env, c, tau_final, _dtau(cfg, env, c))
 
 
 def _nls_block(evolution) -> dict:
@@ -343,13 +351,13 @@ def cmd_ansatz_residual(cfg, out_dir, quiet):
 
 
 def cmd_nls_evolve(cfg, out_dir, quiet):
-    from .nls import nls_evolve, save_envelope_csv, envelope_to_json, stable_dtau, step_plan
+    from .nls import nls_evolve, save_envelope_csv, envelope_to_json, step_plan
 
     coeffs = _build_coeffs(cfg)
     env = _build_envelope(cfg)
     c = coeffs.nls_coefficients()
-    dtau = cfg["nls"]["dtau"] or stable_dtau(env, c)
-    tau_final = cfg["nls"]["tau_final"] or 1.0
+    dtau = _dtau(cfg, env, c)
+    tau_final = 1.0 if cfg["nls"]["tau_final"] is None else cfg["nls"]["tau_final"]
     out = nls_evolve(env, c, tau_final, dtau)
     drift = abs(out.mass() - env.mass()) / env.mass() if env.mass() > 0 else 0.0
     save_envelope_csv(out, os.path.join(out_dir, "envelope.csv"))

@@ -113,12 +113,19 @@ def plane_envelope(L: int, xi0: float, period: float, amplitude: complex,
     return Envelope(xi0, dxi, amplitude * np.exp(1j * k * xi))
 
 
-def _wavenumbers(L: int, dxi: float) -> np.ndarray:
-    return 2.0 * math.pi * np.fft.fftfreq(L, d=dxi)
+def wavenumbers(j, L: int, dxi: float) -> np.ndarray:
+    """2 pi j / period for the integer wavenumbers j of an L-point grid of
+    spacing dxi, rounded as np.fft.fftfreq rounds j / (L dxi)."""
+    return 2.0 * math.pi * (np.asarray(j) * (1.0 / (L * dxi)))
+
+
+def _fft_wavenumbers(L: int, dxi: float) -> np.ndarray:
+    """The wavenumbers of the fft's modes, in its order j = 0..(L-1)//2, -L//2..-1."""
+    return wavenumbers((np.arange(L) + L // 2) % L - L // 2, L, dxi)
 
 
 def _spectral_derivative(values: np.ndarray, dxi: float, order: int) -> np.ndarray:
-    k = _wavenumbers(len(values), dxi)
+    k = _fft_wavenumbers(len(values), dxi)
     if order % 2 == 1:
         # zero the Nyquist mode for odd derivatives (it has no well-defined sign)
         sym = (1j * k) ** order
@@ -167,7 +174,7 @@ def step_plan(span: float, dtau: float) -> tuple[int, float]:
 
 def _linear_rate(L: int, dxi: float, c: NlsCoefficients) -> np.ndarray:
     """rho1 k^2: the linear propagator over a time s is exp(1j * rho1 k^2 * s)."""
-    return c.rho1 * _wavenumbers(L, dxi) ** 2
+    return c.rho1 * _fft_wavenumbers(L, dxi) ** 2
 
 
 def _linear_phase(rate: np.ndarray, s) -> np.ndarray:
@@ -469,8 +476,22 @@ def envelope_to_json(env: Envelope) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def envelope_from_json(doc: dict) -> Envelope:
+    """The envelope of an envelope_to_json document; DomainError for one that
+    lacks a key, has re or im other than equally long lists of numbers, or
+    xi0, dxi or tau other than a number."""
     if not isinstance(doc, dict) or not {"re", "im", "xi0", "dxi"} <= set(doc):
         raise DomainError("an envelope JSON document needs re, im, xi0 and dxi")
-    vals = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+    re, im = doc["re"], doc["im"]
+    if not (isinstance(re, list) and isinstance(im, list) and len(re) == len(im)
+            and all(map(_is_number, re + im))):
+        raise DomainError("an envelope JSON document needs re and im as lists of "
+                          "numbers of equal length")
+    if not all(_is_number(doc.get(key, 0.0)) for key in ("xi0", "dxi", "tau")):
+        raise DomainError("an envelope JSON document needs numbers for xi0, dxi and tau")
+    vals = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     return Envelope(doc["xi0"], doc["dxi"], vals, doc.get("tau", 0.0))

@@ -32,17 +32,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .nls import (Envelope, EnvelopeEvolution, NlsCoefficients, _check_resolved,
-                  _check_spectra_resolved, _wavenumbers)
+from .nls import EnvelopeEvolution, NlsCoefficients, _check_spectra_resolved, wavenumbers
 from .quad import CarrierWave, LatticeField, LpkdvParams, dispersion, max_residual
 
 REALNESS_RTOL = 1e-10
-MAX_DENOMINATOR = 64  # of the rational approximations in integer_scale_report
 RESIDUAL_MARGIN = 5   # plaquettes at each window edge left out of the residual
 _BLOCK_ROWS = 32  # lattice rows summed at once; bounds the assembly working set
 
@@ -189,26 +187,6 @@ def group_velocity(params: LpkdvParams, kappa: float) -> float:
     return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
-def integer_scale_report(coeffs: ReductionCoefficients) -> dict:
-    """Nearest rational approximations to M1, M1_tilde and whether one r makes
-    both integers (the exact-sublattice condition; diagnostic only)."""
-    from fractions import Fraction
-
-    f1 = Fraction(coeffs.M1).limit_denominator(MAX_DENOMINATOR)
-    f2 = Fraction(coeffs.M1_tilde).limit_denominator(MAX_DENOMINATOR)
-    ratio = coeffs.M1_tilde / coeffs.M1  # r-independent
-    fr = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
-    exact_ratio = abs(float(fr) - ratio) < 1e-9 * max(1.0, abs(ratio))
-    return {
-        "M1_nearest": [f1.numerator, f1.denominator],
-        "M1_tilde_nearest": [f2.numerator, f2.denominator],
-        "ratio_nearest": [fr.numerator, fr.denominator],
-        "integer_pair_possible": exact_ratio,
-        "r_for_integer_M1": fr.denominator / coeffs.M1 * coeffs.r * fr.numerator
-        if exact_ratio else None,
-    }
-
-
 @dataclass(frozen=True)
 class SlowCoordinates:
     """Map from lattice indices to the slow variables (xi, tau)."""
@@ -233,83 +211,6 @@ class SlowCoordinates:
         return self.M2_tilde * np.asarray(m) / self.N ** 2
 
 
-def build_second_harmonic(envelope: Envelope, coeffs: ReductionCoefficients) -> np.ndarray:
-    """u2_2 = tau2 * u1_1^2, pointwise on the envelope grid."""
-    return coeffs.tau2 * envelope.values ** 2
-
-
-@dataclass(frozen=True)
-class _FourierSeries:
-    """Periodic grid data xi0 + dxi*j as a Fourier series, one column per
-    lattice row, evaluated at any xi (Trefethen, Spectral Methods in MATLAB,
-    SIAM 2000): column c is sum_k coef[k, c] e^{i k (xi - xi0)} + ramp[c] (xi - xi0).
-    """
-
-    xi0: float
-    k: np.ndarray     # kept wavenumbers; k[0] = 0 for an antiderivative
-    coef: np.ndarray  # (modes, columns)
-    ramp: np.ndarray  # (columns,); nonzero only for an antiderivative
-
-    @classmethod
-    def fit(cls, values: np.ndarray, xi0: float, dxi: float) -> "_FourierSeries":
-        """The interpolant of envelope data that must be spectrally resolved
-        (PreconditionError otherwise): the ansatz needs it to round-off."""
-        values = np.asarray(values).reshape(len(values), -1)
-        _check_resolved(values)
-        return cls.interpolant(values, xi0, dxi)
-
-    @classmethod
-    def interpolant(cls, values: np.ndarray, xi0: float, dxi: float) -> "_FourierSeries":
-        """Series of values (grid along axis 0), without the modes at round-off
-        level (<= eps times the column's largest) in every column but k = 0."""
-        values = np.asarray(values).reshape(len(values), -1)
-        coef = np.fft.fft(values, axis=0) / len(values)
-        mag = np.abs(coef)
-        keep = np.any(mag > np.finfo(float).eps * mag.max(axis=0), axis=1)
-        keep[0] = True
-        return cls(xi0, _wavenumbers(len(values), dxi)[keep], coef[keep],
-                   np.zeros(values.shape[1]))
-
-    @classmethod
-    def from_spectra(cls, spectra: np.ndarray, j: np.ndarray, xi0: float, dxi: float,
-                     real: bool = False) -> "_FourierSeries":
-        """Series of grid data given by its fft (one row per column of the
-        series) over the integer wavenumbers j (k = 2 pi j / period).  With
-        real, the data are real and j = 0, 1, ...: every mode but j = 0 and
-        the Nyquist mode j = L/2 also stands for its conjugate partner -j, so
-        the real part of the series is the data's series."""
-        L = spectra.shape[1]
-        coef = spectra[:, j % L].T / L
-        if real:
-            coef[1:] *= 2.0
-            if 2 * j[-1] == L:
-                coef[-1] /= 2.0
-        return cls(xi0, _wavenumber(j, L, dxi), coef, np.zeros(len(spectra)))
-
-    def antiderivative(self) -> "_FourierSeries":
-        """Periodic part plus mean*(xi - xi0), zero at xi0 in every column: the
-        lpKdV is invariant under a global shift u -> u + c, not a per-row one."""
-        coef = np.empty_like(self.coef)
-        coef[1:] = self.coef[1:] / (1j * self.k[1:, None])
-        coef[0] = -coef[1:].sum(axis=0)
-        return replace(self, coef=coef, ramp=self.coef[0])
-
-    def __call__(self, x, offsets=(0.0,), matrix=None) -> np.ndarray:
-        """Column c at x[i] + offsets[c], shape (len(x), columns): one product
-        E @ (coef * shift), E[i, k] = e^{i k (x[i] - xi0)}, shift[k, c] = e^{i k offsets[c]}.
-        matrix, if given, is E (from _lattice_matrix for these x and k)."""
-        x = np.atleast_1d(x) - self.xi0
-        if matrix is None:
-            matrix = np.exp(1j * np.outer(x, self.k))
-        shift = np.exp(1j * np.outer(self.k, offsets))
-        return matrix @ (self.coef * shift) + np.add.outer(x, offsets) * self.ramp
-
-
-def _wavenumber(j, L: int, dxi: float) -> np.ndarray:
-    """2 pi j / period for integers j, rounded as the fft's _wavenumbers."""
-    return 2.0 * math.pi * (np.asarray(j) * (1.0 / (L * dxi)))
-
-
 def _band(J: int, L: int) -> tuple:
     """(lo, hi): the integer wavenumbers j = -lo..hi with |j| <= J, or all L
     of the grid's (the fft's j = -L//2..(L-1)//2) once 2J + 1 >= L."""
@@ -320,9 +221,56 @@ def _lattice_matrix(x, xi0: float, lo: int, hi: int, L: int, dxi: float) -> np.n
     """The lattice-point Fourier matrix E[i, c] = e^{i k_c (x[i] - xi0)} for
     k_c = 2 pi j_c / period, j_c = -lo..hi: one exp per |j|, the column of
     j < 0 being the conjugate of that of -j."""
-    arg = np.outer(np.atleast_1d(x) - xi0, _wavenumber(np.arange(max(lo, hi) + 1), L, dxi))
+    arg = np.outer(np.atleast_1d(x) - xi0, wavenumbers(np.arange(max(lo, hi) + 1), L, dxi))
     pos = np.exp(1j * arg)
     return np.concatenate([np.conj(pos[:, lo:0:-1]), pos[:, :hi + 1]], axis=1)
+
+
+def _series_values(spectra: np.ndarray, j: np.ndarray, basis: np.ndarray, offsets,
+                   dxi: float) -> np.ndarray:
+    """Grid data given by their ffts (one profile per row, fft order along
+    the row) as Fourier series over the integer wavenumbers j = -lo..hi,
+    profile c evaluated at x[i] + offsets[c], shape (len(x), profiles):
+    basis is _lattice_matrix(x, xi0, lo, hi, L, dxi), and a profile's offset
+    enters as the factor e^{i k offsets[c]} on its coefficients, so all of
+    them are one matrix product (Trefethen, Spectral Methods in MATLAB,
+    SIAM 2000)."""
+    L = spectra.shape[1]
+    shift = np.exp(1j * np.outer(wavenumbers(j, L, dxi), offsets))
+    return basis @ (spectra[:, j % L].T / L * shift)
+
+
+def _zeroth_values(amp2: np.ndarray, j: np.ndarray, basis: np.ndarray, x, offsets,
+                   xi0: float, dxi: float) -> np.ndarray:
+    """The antiderivative, zero at xi0, of real grid data given by their ffts
+    amp2, at the points of _series_values for j = 0..top: every mode but
+    j = 0 and the Nyquist mode j = L/2 also stands for its conjugate partner
+    -j, so the real part of the series over j >= 0 is the data's series.
+    The antiderivative is the periodic part plus mean*(xi - xi0), zero at
+    xi0 in every column: the lpKdV is invariant under a global shift
+    u -> u + c, not a per-row one."""
+    L = amp2.shape[1]
+    k = wavenumbers(j, L, dxi)
+    coef = amp2[:, j % L].T / L
+    coef[1:] *= 2.0
+    if 2 * j[-1] == L:
+        coef[-1] /= 2.0
+    anti = np.empty_like(coef)
+    anti[1:] = coef[1:] / (1j * k[1:, None])
+    anti[0] = -anti[1:].sum(axis=0)
+    periodic = basis @ (anti * np.exp(1j * np.outer(k, offsets)))
+    return (periodic + np.add.outer(np.atleast_1d(x) - xi0, offsets) * coef[0]).real
+
+
+def fourier_resample(values: np.ndarray, xi0: float, dxi: float, x) -> np.ndarray:
+    """Periodic grid data values (at xi0 + dxi*i) at the points x, through
+    their Fourier series over all the grid's modes j = -L//2..(L-1)//2 (an
+    even grid's Nyquist mode at -L/2, where the fft places it)."""
+    L = len(values)
+    lo, hi = _band(L, L)
+    basis = _lattice_matrix(x, xi0, lo, hi, L, dxi)
+    return _series_values(np.fft.fft(values)[None], np.arange(-lo, hi + 1), basis,
+                          [0.0], dxi)[:, 0]
 
 
 def _row_taus(evolution: EnvelopeEvolution, slow: SlowCoordinates, ms) -> np.ndarray:
@@ -364,10 +312,9 @@ class AnsatzField:
         _check_spectra_resolved(spectra)
         lo, hi = _band(evolution.bandwidth(taus), evolution.L)
         x = self.slow.xi(np.atleast_1d(n), 0)
-        series = _FourierSeries.from_spectra(spectra, np.arange(-lo, hi + 1),
-                                             evolution.xi0, evolution.dxi)
         basis = _lattice_matrix(x, evolution.xi0, lo, hi, evolution.L, evolution.dxi)
-        u1 = series(x, self.slow.xi(0, ms), basis)
+        u1 = _series_values(spectra, np.arange(-lo, hi + 1), basis, self.slow.xi(0, ms),
+                            evolution.dxi)
         return u1[:, 0] if np.ndim(m) == 0 else u1
 
 
@@ -415,14 +362,14 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         spectra = evolution.spectra_at(taus[rows])
         _check_spectra_resolved(spectra)
         offsets = slow.xi(0, ms[rows])
-        u1 = _FourierSeries.from_spectra(spectra, j1, xi0, dxi)(x, offsets, basis1)
+        u1 = _series_values(spectra, j1, basis1, offsets, dxi)
         phase = np.outer(carrier_n, carrier_m[rows])
         block = 2.0 * np.real(u1 * phase) / N
         if include_zeroth:
             amp2 = np.fft.fft(np.abs(np.fft.ifft(spectra, axis=1)) ** 2, axis=1)
             _check_spectra_resolved(amp2)
-            series = _FourierSeries.from_spectra(amp2, j0, xi0, dxi, real=True)
-            block += coeffs.tau1.real * series.antiderivative()(x, offsets, basis0).real / N
+            block += coeffs.tau1.real * _zeroth_values(amp2, j0, basis0, x, offsets,
+                                                       xi0, dxi) / N
         if include_second:
             block += 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2
         out[:, rows] = block

@@ -41,7 +41,7 @@ from scipy.sparse.linalg import eigs
 
 from .errors import DomainError, NumericalError, PreconditionError, SingularPotentialError
 from .quad import LatticeField, LpkdvParams, check_denominators
-from .reduction import ReductionCoefficients, _FourierSeries, assemble_ansatz
+from .reduction import ReductionCoefficients, assemble_ansatz, fourier_resample
 
 BAND_EDGE_TOL = 1e-8          # |eigen_mu| > 2 + this counts as discrete spectrum
 ISOSPECTRAL_RESIDUAL_TOL = 1e-9  # a field must solve the lpKdV this well for drift runs
@@ -378,27 +378,27 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
     w = _zs_disc_eigenvalues(x, u, zs.kappa, zs.p, radius, ks)
     kept = w[np.abs(w) <= radius]
     eigensolve.append({"size": 2 * len(x) - 2, "k": ks, "kept": len(kept)})
-    series = _FourierSeries.interpolant(u, x[0], x[1] - x[0])
     for factor in (2, 3):
         if len(kept) == 0:
             break
         x_fine = np.linspace(x[0], x[-1], factor * (len(x) - 1) + 1)
         r = float(np.max(np.abs(kept))) + ZS_STABILITY_TOL
         ks = [int(np.sum(np.abs(w - ZS_SHIFT) <= r + abs(ZS_SHIFT))) + 2]
-        w = _zs_disc_eigenvalues(x_fine, series(x_fine)[:, 0], zs.kappa, zs.p, r, ks)
+        u_fine = fourier_resample(u, x[0], x[1] - x[0], x_fine)
+        w = _zs_disc_eigenvalues(x_fine, u_fine, zs.kappa, zs.p, r, ks)
         kept = kept[np.abs(nearest_partners(w, kept) - kept) < ZS_STABILITY_TOL]
         eigensolve.append({"size": 2 * len(x_fine) - 2, "k": ks, "kept": len(kept)})
     return np.sort_complex(kept)
 
 
 def band_edge_estimates(lattice: LatticeField, params: LpkdvParams, m: int,
-                        kappa: float, N: int, bracket: float = LIMIT_BRACKET) -> np.ndarray:
+                        kappa: float, N: int) -> np.ndarray:
     """Rescaled deviations N*(eigen_mu - 2cos(kappa/2)) of eigenvalues within
-    bracket/N of the band reference."""
+    LIMIT_BRACKET/N of the band reference."""
     sp = build_spectral_problem(lattice, params, m)
     w = eigenvalues(sp).real
     ref = 2.0 * math.cos(kappa / 2.0)
-    sel = np.abs(w - ref) <= bracket / N
+    sel = np.abs(w - ref) <= LIMIT_BRACKET / N
     return np.sort(N * (w[sel] - ref))
 
 

@@ -158,6 +158,15 @@ class TestEnvelopeConfigs:
         }))
         assert run("nls-evolve", str(cfg), str(tmp_path / "o"), quiet=True) == 0
 
+    def test_zero_tau_final_takes_no_step(self, tmp_path):
+        # a null tau_final means the default 1.0; 0 is taken as given
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nls": {"L": 128, "period": 40.0, "tau_final": 0.0}}))
+        out = tmp_path / "o"
+        assert run("nls-evolve", str(cfg), str(out), quiet=True) == 0
+        rep = read(out / "nls_report.json")
+        assert rep["steps"] == 0 and rep["tau_final"] == 0.0
+
     def test_random_boundary_simulate(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -205,13 +214,24 @@ def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
     ("nls-evolve", {"envelope": {"width": 0.0}}, 2),
     ("simulate", {"boundary": {"width": 0.0}}, 2),
     ("flow-check", {"boundary": {"p": 0.0, "q": 0.5, "kind": "random", "amplitude": 0.01}}, 2),
+    ("nls-evolve", {"nls": {"dtau": 0.0}}, 2),
+    ("ansatz-residual", {"nls": {"dtau": 0.0}}, 2),
+    ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/ragged.json"}}, 2),
+    ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/text_dxi.json"}}, 2),
+    ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/text_re.json"}}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
     by the computation exits 1 and is recorded in the manifest.  "$TMP" in a
     config stands for the test's directory, which holds an empty JSON
-    object as empty.json."""
+    object as empty.json and malformed envelope documents: re and im of
+    unequal length (ragged.json), a text dxi (text_dxi.json) and a text re
+    (text_re.json)."""
     (tmp_path / "empty.json").write_text("{}")
+    envelope = {"re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0], "xi0": 0.0, "dxi": 0.5}
+    for name, change in [("ragged", {"im": [0.0, 0.0]}), ("text_dxi", {"dxi": "a"}),
+                         ("text_re", {"re": "abc"})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(envelope, **change)))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc).replace("$TMP", str(tmp_path)))
     out = tmp_path / "o"

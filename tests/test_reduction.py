@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from lpkdv.errors import DomainError, PreconditionError
-from lpkdv.nls import Envelope, frozen_evolution, gaussian_envelope
+from lpkdv.nls import Envelope, _check_resolved, frozen_evolution, gaussian_envelope
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import (
     SlowCoordinates,
-    _FourierSeries,
     assemble_ansatz,
-    build_second_harmonic,
     compute_coefficients,
     fit_scaling_exponent,
     group_velocity,
-    integer_scale_report,
     residual_scaling,
 )
 from tests.conftest import REF_N_LIST, REF_WINDOW
@@ -148,10 +145,32 @@ class TestSlowCoordinates:
         assert abs(slope - group_velocity(ref_params, math.pi / 2)) < 1e-8
 
 
+def _grid_series(values, xi0, dxi, x, offsets, antiderivative):
+    """Reference evaluation of periodic grid data xi0 + dxi*i (grid along
+    axis 0, one profile per column), which must be spectrally resolved:
+    column c at x[i] + offsets[c] as the sum over all the fft's modes of
+    coef_k e^{i k (x - xi0)}, k from np.fft.fftfreq.  With antiderivative,
+    the antiderivative zero at xi0: the series of coef_k / (i k) less its
+    value at xi0, plus coef_0 (x - xi0)."""
+    values = np.asarray(values).reshape(len(values), -1)
+    _check_resolved(values)
+    coef = np.fft.fft(values, axis=0) / len(values)
+    k = 2.0 * np.pi * np.fft.fftfreq(len(values), dxi)
+    x = np.atleast_1d(x) - xi0
+    ramp = 0.0
+    if antiderivative:
+        ramp = np.add.outer(x, offsets) * coef[0]
+        periodic = coef[1:] / (1j * k[1:, None])
+        coef = np.concatenate([-periodic.sum(axis=0, keepdims=True), periodic])
+    return np.exp(1j * np.outer(x, k)) @ (coef * np.exp(1j * np.outer(k, offsets))) + ramp
+
+
 def zeroth_harmonic(env, coeffs):
     """u1_0(xi) = Re(tau1) * (antiderivative of |u|^2, zero at xi0)."""
-    series = _FourierSeries.fit(np.abs(env.values) ** 2, env.xi0, env.dxi).antiderivative()
-    return lambda xi: coeffs.tau1.real * series(xi)[:, 0].real
+    amp2 = np.abs(env.values) ** 2
+    _check_resolved(amp2)
+    return lambda xi: coeffs.tau1.real * _grid_series(amp2, env.xi0, env.dxi, xi, [0.0],
+                                                      True)[:, 0].real
 
 
 class TestZerothHarmonic:
@@ -203,24 +222,6 @@ class TestZerothHarmonic:
         left = z(40.0 - 1e-9)
         right = z(40.0 + 1e-9)
         assert abs(left - right)[0] < 1e-6
-
-
-class TestSecondHarmonic:
-    def test_zero(self, ref_coeffs):
-        env = Envelope(0.0, 0.1, np.zeros(32, dtype=complex))
-        assert np.all(build_second_harmonic(env, ref_coeffs) == 0.0)
-
-    def test_unit_value(self, ref_coeffs):
-        env = Envelope(0.0, 0.1, np.ones(32, dtype=complex))
-        got = build_second_harmonic(env, ref_coeffs)
-        assert np.allclose(got, 1j / 3.0)
-
-    def test_modulus_identity(self, ref_coeffs):
-        rng = np.random.default_rng(9)
-        vals = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        env = Envelope(0.0, 0.1, vals)
-        got = build_second_harmonic(env, ref_coeffs)
-        assert np.allclose(np.abs(got), abs(ref_coeffs.tau2) * np.abs(vals) ** 2)
 
 
 class TestAssemble:
@@ -283,10 +284,10 @@ class TestAssemble:
 
 def _grid_assemble(evolution, coeffs, N, window, include_zeroth=True, include_second=True):
     """The field assembled through grid values, 32 rows at a time: values_at,
-    then _FourierSeries.fit (resolution check and interpolant) and its call
-    at the lattice points, the zeroth harmonic likewise from |values|^2, and
-    one exp per lattice point for the carrier phase.  The reference for the
-    spectral evaluation in assemble_ansatz."""
+    then _grid_series (resolution check and sum over all the fft's modes) at
+    the lattice points, the zeroth harmonic likewise from |values|^2, and one
+    exp per lattice point for the carrier phase.  The reference for the
+    spectral evaluation in assemble_ansatz, sharing none of its code."""
     n_size, m_size = window
     slow = SlowCoordinates.from_coefficients(coeffs, N)
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
@@ -296,12 +297,13 @@ def _grid_assemble(evolution, coeffs, N, window, include_zeroth=True, include_se
     for start in range(0, m_size, 32):
         ms = np.arange(start, min(start + 32, m_size))
         values = evolution.values_at(slow.tau(0, ms)).T
-        u1 = _FourierSeries.fit(values, evolution.xi0, evolution.dxi)(x, slow.xi(0, ms))
+        u1 = _grid_series(values, evolution.xi0, evolution.dxi, x, slow.xi(0, ms), False)
         phase = np.exp(1j * (kappa * ns[:, None] - omega * ms[None, :]))
         block = 2.0 * np.real(u1 * phase) / N
         if include_zeroth:
-            amp2 = _FourierSeries.fit(np.abs(values) ** 2, evolution.xi0, evolution.dxi)
-            block += coeffs.tau1.real * amp2.antiderivative()(x, slow.xi(0, ms)).real / N
+            u0 = _grid_series(np.abs(values) ** 2, evolution.xi0, evolution.dxi, x,
+                              slow.xi(0, ms), True)
+            block += coeffs.tau1.real * u0.real / N
         if include_second:
             block += 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2
         out[:, start:start + len(ms)] = block
@@ -429,8 +431,3 @@ def test_fit_scaling_exponent_recovers_slope():
     r = 5.0 * (1.0 / n) ** 2.5
     expo, r2 = fit_scaling_exponent(n, r)
     assert abs(expo - 2.5) < 1e-12 and r2 > 0.999999
-
-
-def test_integer_scale_report_smoke(ref_coeffs):
-    rep = integer_scale_report(ref_coeffs)
-    assert "M1_nearest" in rep and "integer_pair_possible" in rep

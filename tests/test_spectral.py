@@ -9,6 +9,7 @@ from lpkdv.errors import (DomainError, NumericalError, PreconditionError,
                           SingularPotentialError)
 from lpkdv.nls import _check_resolved, gaussian_envelope
 from lpkdv.quad import LatticeField, LpkdvParams
+from lpkdv.reduction import fourier_resample
 from lpkdv.spectral import (
     SpectralProblem,
     ZsProblem,
@@ -198,6 +199,22 @@ def zs_gaussian(ref_coeffs):
 
 
 class TestZsEigenvalues:
+    @pytest.mark.parametrize("L", [256, 255])
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_refined_potential_matches_closed_form(self, L, factor):
+        # the 2x/3x-refined potential of zs_eigenvalues, for a resolved
+        # Gaussian times a plane wave on a periodic grid whose length is even
+        # (Nyquist mode at j = -L/2) or odd (no Nyquist mode)
+        xi0, dxi = -3.0, 40.0 / L
+        x = xi0 + dxi * np.arange(L)
+        x_fine = np.linspace(x[0], x[-1], factor * (L - 1) + 1)
+
+        def closed_form(s):
+            return np.exp(-((s - 12.0) / 1.25) ** 2 / 2 + 3j * s)
+
+        got = fourier_resample(closed_form(x), xi0, dxi, x_fine)
+        assert np.max(np.abs(got - closed_form(x_fine))) <= 1e-12
+
     def test_zero_potential_empty(self, ref_coeffs):
         x = np.linspace(0.0, 40.0, 128) / ref_coeffs.M1
         zs = ZsProblem(x, np.zeros(128, dtype=complex),
@@ -385,7 +402,7 @@ class TestSpectralLimit:
         # a rung pinned at zero when the problem size is 3 mod 4
         N, size = 32, 571
         f = LatticeField(np.zeros((size + 3, 2)))
-        est = band_edge_estimates(f, P15, 0, math.pi / 2, N, 3.0)
+        est = band_edge_estimates(f, P15, 0, math.pi / 2, N)
         assert np.min(np.abs(est)) < 1e-9
 
     def test_zero_envelope(self, ref_coeffs):
