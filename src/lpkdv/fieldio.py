@@ -1,7 +1,12 @@
 """Lattice-field import/export: CSV (n,m,re,im) and JSON-header + binary float64.
 
-Both formats round-trip exactly at float64 precision: CSV uses repr (shortest
-round-tripping decimal), the binary format stores raw little-endian pairs.
+Both formats round-trip exactly at float64 precision, signed zeros and
+non-finite parts included.  The CSV file has the header `n,m,re,im` and one
+row per lattice point in row-major order, `\\r\\n` line ends, and `repr` of
+each part (the shortest decimal that reads back to the same double); the
+reader places rows by their (n, m) columns, so any row order loads.  A CSV
+field whose imaginary parts all compare equal to 0 loads as real.  The binary
+format stores raw little-endian (re, im) pairs after a one-line JSON header.
 """
 
 from __future__ import annotations
@@ -15,35 +20,44 @@ from .errors import DomainError
 from .quad import LatticeField
 
 _MAGIC = "lpkdv-field-v1"
+_CSV_HEADER = ["n", "m", "re", "im"]
+_CSV_BLOCK_POINTS = 1 << 14   # points formatted per write, which bounds the text held
+_CSV_ROW = np.dtype([("n", np.int64), ("m", np.int64), ("re", np.float64), ("im", np.float64)])
 
 
 def save_field_csv(field: LatticeField, path) -> None:
+    vals = np.asarray(field.values, dtype=np.complex128)
+    rows_per_block = max(1, _CSV_BLOCK_POINTS // field.m_size)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "m", "re", "im"])
-        vals = np.asarray(field.values, dtype=np.complex128)
-        for n in range(field.n_size):
-            for m in range(field.m_size):
-                z = vals[n, m]
-                writer.writerow([n, m, repr(float(z.real)), repr(float(z.imag))])
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        for start in range(0, field.n_size, rows_per_block):
+            block = vals[start:start + rows_per_block]
+            fh.write("".join(
+                f"{n},{m},{re!r},{im!r}\r\n"
+                for n, re_row, im_row in zip(range(start, field.n_size),
+                                             block.real.tolist(), block.imag.tolist())
+                for m, (re, im) in enumerate(zip(re_row, im_row))))
 
 
 def load_field_csv(path) -> LatticeField:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["n", "m", "re", "im"]:
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        if header != _CSV_HEADER:
             raise DomainError(f"unexpected CSV header {header}")
-        for n, m, re, im in reader:
-            rows.append((int(n), int(m), float(re), float(im)))
-    if not rows:
-        raise DomainError("empty field CSV")
-    n_size = max(r[0] for r in rows) + 1
-    m_size = max(r[1] for r in rows) + 1
-    vals = np.zeros((n_size, m_size), dtype=np.complex128)
-    for n, m, re, im in rows:
-        vals[n, m] = re + 1j * im
+        body = fh.tell()
+        if not fh.readline().strip():
+            raise DomainError("empty field CSV")
+        fh.seek(body)
+        try:
+            rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise DomainError(f"malformed field CSV row: {exc}") from None
+    n, m = rows["n"], rows["m"]
+    if n.min() < 0 or m.min() < 0:
+        raise DomainError("negative lattice index in field CSV")
+    vals = np.zeros((n.max() + 1, m.max() + 1), dtype=np.complex128)
+    vals.real[n, m] = rows["re"]
+    vals.imag[n, m] = rows["im"]
     if np.all(vals.imag == 0.0):
         return LatticeField(vals.real)
     return LatticeField(vals)
@@ -74,8 +88,7 @@ def load_field_binary(path) -> LatticeField:
     if header.get("magic") != _MAGIC:
         raise DomainError("not an lpkdv binary field file")
     n_size, m_size = header["n_size"], header["m_size"]
-    pairs = np.frombuffer(raw, dtype="<f8").reshape(n_size, m_size, 2)
-    vals = pairs[..., 0] + 1j * pairs[..., 1]
+    vals = np.frombuffer(raw, dtype="<c16").reshape(n_size, m_size)
     if header["kind"] == "real":
         return LatticeField(vals.real)
     return LatticeField(vals)

@@ -76,8 +76,10 @@ class Envelope:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim != 1 or len(vals) < 2:
             raise DomainError("Envelope needs a 1D grid with at least 2 points")
-        if self.dxi <= 0:
-            raise DomainError("grid spacing must be positive")
+        if not (math.isfinite(self.dxi) and self.dxi > 0):
+            raise DomainError(f"grid spacing dxi = {self.dxi} must be positive and finite")
+        if not math.isfinite(self.xi0):
+            raise DomainError(f"grid origin xi0 = {self.xi0} must be finite")
         object.__setattr__(self, "values", vals)
 
     @property

@@ -6,8 +6,13 @@ Q(u; n, m) = mu*(u[n+1,m+1] - u[n,m]) + zeta*(u[n+1,m] - u[n,m+1])
 with mu = p - q, zeta = p + q.  The equation is solvable for any corner of a
 plaquette given the other three; the initial-value solver fills a rectangular
 window from data on the first row and first column, sweeping anti-diagonals
-(points on one anti-diagonal are independent, so the sweep is vectorized and
-its result does not depend on intra-diagonal order).
+n + m = d.  Points on one anti-diagonal are independent, so each is one
+vectorized step, and the window is stored skewed, s[d, m] = u[d - m, m], so
+that an anti-diagonal is one contiguous row slice.  The singular-corner and
+non-finite checks run once over the filled window, after the sweep, with
+floating-point warnings off during it; they report the first fault in sweep
+order (smallest n + m, then smallest n), the fault the sweep would meet first
+were it checked diagonal by diagonal.
 """
 
 from __future__ import annotations
@@ -133,6 +138,9 @@ def evolve_ivp(row0, col0, params: LpkdvParams) -> LatticeField:
 
     The sweep is over anti-diagonals n + m = const; every interior point is a
     corner solve.  Deterministic: identical inputs give bit-identical fields.
+    Raises SingularCornerError or NumericalError at the first singular
+    corner or non-finite value in sweep order (smallest n + m, then smallest
+    n), a singular corner first where both fall on one anti-diagonal.
     """
     row0 = np.asarray(row0)
     col0 = np.asarray(col0)
@@ -145,34 +153,45 @@ def evolve_ivp(row0, col0, params: LpkdvParams) -> LatticeField:
     complex_data = np.iscomplexobj(row0) or np.iscomplexobj(col0)
     dtype = np.complex128 if complex_data else np.float64
     nn, mm = len(row0), len(col0)
-    u = np.zeros((nn, mm), dtype=dtype)
-    u[:, 0] = row0
-    u[0, :] = col0
+    # skewed storage s[d, j] = u[d - j, j]: anti-diagonal d is row d, j ascending
+    s = np.zeros((nn + mm - 1, mm), dtype=dtype)
+    s[:nn, 0] = row0
+    s[np.arange(mm), np.arange(mm)] = col0
     mu, zeta = params.mu, params.zeta
-    thresh = CORNER_SINGULARITY_RTOL * (1.0 + abs(mu))
-    for d in range(2, nn + mm - 1):
-        i_lo = max(1, d - mm + 1)
-        i_hi = min(nn - 1, d - 1)
-        if i_lo > i_hi:
-            continue
-        i = np.arange(i_lo, i_hi + 1)
-        j = d - i
-        w = u[i, j - 1] - u[i - 1, j]
-        bad = np.abs(w - mu) < thresh
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise SingularCornerError(
-                f"singular corner at (n,m) = ({i[k]},{j[k]})",
-                location=(int(i[k]), int(j[k])),
-            )
-        u[i, j] = u[i - 1, j - 1] + zeta * w / (w - mu)
-        if not np.all(np.isfinite(u[i, j])):
-            k = int(np.argmax(~np.isfinite(u[i, j])))
-            raise NumericalError(
-                f"non-finite value at (n,m) = ({i[k]},{j[k]})",
-                diagnostics={"location": (int(i[k]), int(j[k]))},
-            )
+    with np.errstate(all="ignore"):
+        for d in range(2, nn + mm - 1):
+            lo, hi = max(1, d - nn + 1), min(mm - 1, d - 1) + 1
+            w = s[d - 1, lo - 1:hi - 1] - s[d - 1, lo:hi]
+            s[d, lo:hi] = s[d - 2, lo - 1:hi - 1] + zeta * w / (w - mu)
+        u = np.lib.stride_tricks.as_strided(
+            s, shape=(nn, mm), strides=(s.strides[0], s.strides[0] + s.strides[1])).copy()
+        _check_sweep(u, mu)
     return LatticeField(u)
+
+
+def _first_in_sweep(mask):
+    """(n, m) of the first True interior point of `mask` (over u[1:, 1:]) in
+    sweep order, or None."""
+    n, m = np.nonzero(mask)
+    if n.size == 0:
+        return None
+    k = int(np.argmin((n + m) * mask.shape[0] + n))
+    return int(n[k]) + 1, int(m[k]) + 1
+
+
+def _check_sweep(u, mu):
+    """Raise at the first singular corner or non-finite value of the filled
+    window u, in sweep order.  Points past the first fault hold whatever the
+    sweep computed from it; only the earliest fault is reported."""
+    thresh = CORNER_SINGULARITY_RTOL * (1.0 + abs(mu))
+    singular = _first_in_sweep(np.abs(u[1:, :-1] - u[:-1, 1:] - mu) < thresh)
+    non_finite = _first_in_sweep(~np.isfinite(u[1:, 1:]))
+    if singular and (not non_finite or sum(singular) <= sum(non_finite)):
+        raise SingularCornerError(f"singular corner at (n,m) = ({singular[0]},{singular[1]})",
+                                  location=singular)
+    if non_finite:
+        raise NumericalError(f"non-finite value at (n,m) = ({non_finite[0]},{non_finite[1]})",
+                             diagnostics={"location": non_finite})
 
 
 def check_denominators(p: float, arrays, error, what: str, origin: int, **fields):

@@ -196,6 +196,13 @@ def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
     assert read(out / "ansatz_residual.json")["exponent"] >= 2.7
 
 
+# malformed envelope documents, each a valid one with one change
+ENVELOPE = {"re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0], "xi0": 0.0, "dxi": 0.5}
+ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
+                  "text_re": {"re": "abc"}, "nan_dxi": {"dxi": math.nan},
+                  "inf_xi0": {"xi0": math.inf}}
+
+
 @pytest.mark.parametrize("subcommand, doc, code", [
     ("ansatz-residual", {"N_list": [16, 32]}, 2),
     ("nls-evolve", {"envelope": {"type": "file"}}, 2),
@@ -219,19 +226,20 @@ def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/ragged.json"}}, 2),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/text_dxi.json"}}, 2),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/text_re.json"}}, 2),
+    ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/nan_dxi.json"}}, 2),
+    ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/inf_xi0.json"}}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
     by the computation exits 1 and is recorded in the manifest.  "$TMP" in a
     config stands for the test's directory, which holds an empty JSON
     object as empty.json and malformed envelope documents: re and im of
-    unequal length (ragged.json), a text dxi (text_dxi.json) and a text re
-    (text_re.json)."""
+    unequal length (ragged.json), a text dxi (text_dxi.json), a text re
+    (text_re.json), a NaN dxi (nan_dxi.json) and an infinite xi0
+    (inf_xi0.json)."""
     (tmp_path / "empty.json").write_text("{}")
-    envelope = {"re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0], "xi0": 0.0, "dxi": 0.5}
-    for name, change in [("ragged", {"im": [0.0, 0.0]}), ("text_dxi", {"dxi": "a"}),
-                         ("text_re", {"re": "abc"})]:
-        (tmp_path / f"{name}.json").write_text(json.dumps(dict(envelope, **change)))
+    for name, change in ENVELOPE_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(ENVELOPE, **change)))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc).replace("$TMP", str(tmp_path)))
     out = tmp_path / "o"
@@ -245,6 +253,18 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
         assert manifest["passed"] is False and manifest["result"] is None
         assert manifest["error"]["type"] == "PreconditionError"
         assert "resolved" in manifest["error"]["message"]
+
+
+@pytest.mark.parametrize("name, words", [("nan_dxi", "grid spacing dxi = nan"),
+                                         ("inf_xi0", "grid origin xi0 = inf")])
+def test_non_finite_envelope_grid_named(tmp_path, capsys, name, words):
+    """A NaN or infinite grid in a file envelope is refused when the envelope
+    is built, by a message naming the grid, not later by the step guard."""
+    (tmp_path / "env.json").write_text(json.dumps(dict(ENVELOPE, **ENVELOPE_FILES[name])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"type": "file", "path": str(tmp_path / "env.json")}}))
+    assert run("nls-evolve", str(cfg), str(tmp_path / "o"), quiet=True) == 2
+    assert words in capsys.readouterr().err
 
 
 # per tolerance key: the subcommand whose pass rule reads it, and a value no

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpkdv.errors import DomainError, SingularCornerError
+from lpkdv.errors import DomainError, NumericalError, SingularCornerError
 from lpkdv.fieldio import (
     load_field_binary,
     load_field_csv,
@@ -23,6 +23,7 @@ from lpkdv.quad import (
     quad_residual,
     residual_field,
 )
+from tests.lattice_oracle import evolve_ivp_diagonals, save_field_csv_rows
 
 P15 = LpkdvParams(1.5, 0.5)  # mu = 1, zeta = 2
 
@@ -132,6 +133,101 @@ class TestEvolveIvp:
         assert np.max(np.abs(r)) <= 10 * a ** 2
 
 
+PSTABLE = LpkdvParams(1.5, -0.5)  # |zeta| < |mu|: the recursion does not amplify
+
+
+def _boundary(shape, kind, seed=0):
+    """A bump on the first row times a carrier (complex kind), and a small
+    random first column sharing its corner."""
+    nn, mm = shape
+    rng = np.random.default_rng(seed)
+    n = np.arange(nn)
+    row0 = 0.5 * np.exp(-((n - nn // 3) / max(2.0, nn / 8)) ** 2)
+    if kind == "complex":
+        row0 = row0 * np.exp(0.3j * n)
+    col0 = row0[0] + 0.01 * rng.standard_normal(mm)
+    col0[0] = row0[0]
+    return row0, col0
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (SingularCornerError, NumericalError) as exc:
+        return (type(exc), str(exc), getattr(exc, "location", None),
+                getattr(exc, "diagnostics", None))
+    return None
+
+
+class TestEvolveIvpOracle:
+    """The sweep against the per-diagonal oracle in tests/lattice_oracle.py."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 17), (40, 5), (4000, 24)])
+    def test_bit_identical(self, shape, kind):
+        row0, col0 = _boundary(shape, kind)
+        got = evolve_ivp(row0, col0, PSTABLE)
+        ref = evolve_ivp_diagonals(row0, col0, PSTABLE)
+        assert got.kind == ref.kind == kind
+        assert np.all(np.isfinite(ref.values))
+        assert got.values.tobytes() == ref.values.tobytes()
+
+    def test_first_of_two_singular_corners(self):
+        # u[1,1] = 0, so on the diagonal n + m = 3 both w(1,2) = 0 - col0[2]
+        # and w(2,1) = row0[2] - 0 equal mu = 1
+        row0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        col0 = np.array([0.0, 0.0, -1.0, 0.0])
+        for fn in (evolve_ivp, evolve_ivp_diagonals):
+            with pytest.raises(SingularCornerError) as info:
+                fn(row0, col0, P15)
+            assert info.value.location == (1, 2)
+            assert str(info.value) == "singular corner at (n,m) = (1,2)"
+
+    def test_non_finite_from_inf_in_row0(self):
+        row0, col0 = _boundary((12, 6), "real")
+        row0[5] = np.inf
+        for fn in (evolve_ivp, evolve_ivp_diagonals):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as info:
+                fn(row0, col0, PSTABLE)
+            assert info.value.diagnostics == {"location": (5, 1)}
+            assert str(info.value) == "non-finite value at (n,m) = (5,1)"
+
+    def test_checks_raise_without_floating_point_warnings(self):
+        row0, col0 = _boundary((12, 6), "real")
+        row0[5] = np.inf
+        with pytest.raises(NumericalError):
+            evolve_ivp(row0, col0, PSTABLE)  # RuntimeWarnings are errors here
+        with pytest.raises(SingularCornerError):
+            evolve_ivp([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], P15)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_first_error_matches_oracle(self, kind):
+        """Boundaries seeded with singular corners (a first-row or first-column
+        entry set so that w = mu at its neighbour) and non-finite values: the
+        same exception, message and location as the oracle's, or none."""
+        rng = np.random.default_rng(17)
+        outcomes = []
+        for trial in range(80):
+            shape = (int(rng.integers(3, 12)), int(rng.integers(3, 12)))
+            row0, col0 = _boundary(shape, kind, seed=trial)
+            u = evolve_ivp_diagonals(row0, col0, PSTABLE).values
+            for _ in range(int(rng.integers(1, 4))):
+                k = int(rng.integers(2, min(shape)))
+                choice = rng.integers(4)
+                if choice == 0:
+                    col0[k] = u[1, k - 1] - PSTABLE.mu     # singular at (1, k)
+                elif choice == 1:
+                    row0[k] = u[k - 1, 1] + PSTABLE.mu     # singular at (k, 1)
+                else:
+                    (row0, col0)[choice - 2][k] = (np.inf, -np.inf, np.nan)[trial % 3]
+            with np.errstate(all="ignore"):
+                got = _raised(evolve_ivp, row0, col0, PSTABLE)
+                ref = _raised(evolve_ivp_diagonals, row0, col0, PSTABLE)
+            assert got == ref
+            outcomes.append(None if ref is None else ref[0])
+        assert {SingularCornerError, NumericalError} <= set(outcomes)
+
+
 class TestDispersion:
     def test_small_kappa(self):
         assert abs(dispersion(P15, 1e-8)) < 1e-6
@@ -209,5 +305,62 @@ class TestFieldIO:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
+        with pytest.raises(DomainError):
+            load_field_csv(path)
+
+    @pytest.fixture
+    def special_values(self):
+        """Values whose decimal form and sign a round trip must keep."""
+        return np.array([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 0.1,
+                         np.nan, np.inf, -np.inf, 1.0 / 3.0])
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_csv_bytes_match_oracle(self, tmp_path, special_values, kind):
+        vals = np.resize(special_values, (5, 7))
+        if kind == "complex":
+            vals = vals.astype(np.complex128)
+            vals.imag = np.resize(np.roll(special_values, 3), (5, 7))
+        field = LatticeField(vals)
+        save_field_csv(field, tmp_path / "new.csv")
+        save_field_csv_rows(field, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_csv_bytes_match_oracle_over_many_blocks(self, tmp_path):
+        rng = np.random.default_rng(4)
+        field = LatticeField(rng.standard_normal((1700, 13))
+                             + 1j * rng.standard_normal((1700, 13)))
+        save_field_csv(field, tmp_path / "new.csv")
+        save_field_csv_rows(field, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("save, load", [(save_field_csv, load_field_csv),
+                                            (save_field_binary, load_field_binary)])
+    def test_round_trip_bit_exact(self, tmp_path, special_values, save, load):
+        vals = np.resize(special_values, (4, 6))
+        both = np.empty(vals.shape, dtype=np.complex128)
+        both.real, both.imag = vals, np.roll(vals, 1, axis=1)
+        for field in (LatticeField(vals), LatticeField(both),
+                      LatticeField(np.array([[complex(1.0, np.inf), complex(-0.0, 2.0)]]))):
+            save(field, tmp_path / "f")
+            back = load(tmp_path / "f")
+            assert back.kind == field.kind
+            assert back.values.tobytes() == field.values.tobytes()
+
+    def test_csv_rows_in_any_order(self, tmp_path, complex_field):
+        path = tmp_path / "f.csv"
+        save_field_csv(complex_field, path)
+        header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+        order = np.random.default_rng(8).permutation(len(rows))
+        path.write_bytes(b"\r\n".join([header] + [rows[k] for k in order]) + b"\r\n")
+        assert load_field_csv(path).values.tobytes() == complex_field.values.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "", "n,m,re,im\r\n", "n,m,re,im\r\n\r\n", "n,m,re,im\r\n0,0,1.0,0.0\r\n0,1,x,0.0\r\n",
+        "n,m,re,im\r\n0,0,1.0\r\n", "n,m,re,im\r\n0,0.5,1.0,0.0\r\n",
+        "n,m,re,im\r\n0,-1,1.0,0.0\r\n",
+    ])
+    def test_csv_malformed_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
         with pytest.raises(DomainError):
             load_field_csv(path)
