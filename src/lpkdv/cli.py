@@ -45,17 +45,28 @@ DEFAULT_CONFIG = {
     # below the eps^2 signal, making the Richardson decrease visible
     "commutators": {"L": 96, "period": 60.0, "amplitude": 6.0, "width": 3.0,
                     "center": 30.0, "eps": [1e-4, 5e-5, 2.5e-5]},
-    "tolerances": {
-        "linear_residual": 1e-12,
-        "ansatz_exponent": 2.7,
-        "mass_drift": 1e-8,
-        "projection_error_factor": 3.0,
-        "flow_ratio_std": 0.05,
-        "drift_shrink": 2.0,
-        "cauchy_band": 0.25,
-    },
     "seed": 1234,
 }
+
+# Every bound a subcommand's pass rule applies, read by that rule alone and
+# pinned by test_default_tolerances_pinned; no config can move one.
+BOUNDS = {
+    "linear_residual": 1e-12,          # dispersion: worst plane-wave residual
+    "lattice_residual": 1e-10,         # simulate: worst residual / (1 + max|u|)
+    "ansatz_exponent": 2.7,            # ansatz-residual: least fitted exponent
+    "mass_drift": 1e-8,                # nls-evolve: mass drift / max(1, tau_final)
+    "spectrum_error": 1e-10,           # spectrum: closed-form and gauge errors
+    "drift_shrink": 2.0,               # isospectral: least drift shrink factor
+    "cauchy_band": 0.25,               # zs-limit: partner ratio within 1 -+ band
+    "control_exponent": 2.0,           # flow-check: the broken flow stays below
+    "projection_error_factor": 3.0,    # flow-project: weighted error <= factor / N
+    "halving_band": (0.2, 0.8),        # flow-project: error ratio from N/2 to N
+    "flow_ratio_std": 0.05,            # flow-project: flow2/flow1 std over mean
+}
+
+# the most snapshot memory a dense NLS run may hold, one complex128 spectrum
+# of L points per step; a larger run is refused before it starts
+MAX_SNAPSHOT_BYTES = 1 << 30
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -84,14 +95,14 @@ _ENVELOPE_TYPE_KEYS = {"gaussian": {}, "plane": {"k": 0}, "file": {"path": ""}}
 
 
 def _fits(value, default) -> bool:
-    """A whole number for an integer default, a number for a float default,
+    """A JSON integer for an integer default, a number for a float default,
     a number or null for a null default, a list of what fits the default's
     first entry for a list, else the default's JSON type."""
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, int):
-        return number and (isinstance(value, int) or value.is_integer())
+        return number and isinstance(value, int)
     if isinstance(default, float) or default is None:
         return number or (default is None and value is None)
     return isinstance(value, type(default))
@@ -117,6 +128,8 @@ def validate_config(cfg: dict) -> None:
                           f"plane and path for file; got {env!r}")
     _check_schema(cfg, dict(DEFAULT_CONFIG,
                             envelope=dict(DEFAULT_CONFIG["envelope"], **extra)))
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0; got {cfg['seed']}")
     n_list = cfg["N_list"]
     if not n_list or min(n_list) < 1 or sorted(n_list) != n_list or n_list[-1] < 2:
         raise ConfigError("N_list must be ascending positive integers, the last >= 2")
@@ -173,14 +186,14 @@ def _build_envelope(cfg):
     from .nls import envelope_from_json, gaussian_envelope, plane_envelope
 
     env_cfg = cfg["envelope"]
-    L = int(cfg["nls"]["L"])
+    L = cfg["nls"]["L"]
     period = float(cfg["nls"]["period"])
     kind = env_cfg["type"]
     if kind == "gaussian":
         return gaussian_envelope(L, 0.0, period, env_cfg["amplitude"],
                                  env_cfg["width"], env_cfg["center"])
     if kind == "plane":
-        return plane_envelope(L, 0.0, period, env_cfg["amplitude"], int(env_cfg["k"]))
+        return plane_envelope(L, 0.0, period, env_cfg["amplitude"], env_cfg["k"])
     with open(env_cfg["path"]) as fh:
         return envelope_from_json(json.load(fh))
 
@@ -197,13 +210,22 @@ def _dtau(cfg, env, c) -> float:
 def _evolve_dense(cfg, coeffs, rows, n_min):
     """The envelope evolved far enough for lattice rows 0..rows-1 at N = n_min
     (tau = M2_tilde * m / N^2), with a 1% margin, and a snapshot at every step:
-    sparser snapshots cost interpolation accuracy (see EnvelopeEvolution)."""
-    from .nls import nls_evolve_dense
+    sparser snapshots cost interpolation accuracy (see EnvelopeEvolution).
+    A run whose snapshots would pass MAX_SNAPSHOT_BYTES is a ConfigError."""
+    from .nls import nls_evolve_dense, step_plan
 
     env = _build_envelope(cfg)
     c = coeffs.nls_coefficients()
     tau_final = coeffs.M2_tilde * (rows - 1) / n_min ** 2 * 1.01
-    return nls_evolve_dense(env, c, tau_final, _dtau(cfg, env, c))
+    dtau = _dtau(cfg, env, c)
+    if dtau > 0:  # nls_evolve_dense refuses any other step
+        steps, _ = step_plan(tau_final - env.tau, dtau)
+        size = (steps + 1) * env.L * 16
+        if size > MAX_SNAPSHOT_BYTES:
+            raise ConfigError(f"the dense NLS run for N = {n_min} (tau = {tau_final:.4g}) "
+                              f"needs {steps} steps and {size} bytes of snapshots, "
+                              f"over the {MAX_SNAPSHOT_BYTES} allowed")
+    return nls_evolve_dense(env, c, tau_final, dtau)
 
 
 def _nls_block(evolution) -> dict:
@@ -221,7 +243,7 @@ def _bump_solution(cfg):
 
     b = cfg["boundary"]
     params = LpkdvParams(b.get("p", cfg["p"]), b.get("q", cfg["q"]))
-    n_size, m_size = int(b["n_size"]), int(b["m_size"])
+    n_size, m_size = b["n_size"], b["m_size"]
     n = np.arange(n_size)
     if b["kind"] == "bump":
         center = b["center"] if b["center"] is not None else n_size // 2
@@ -298,7 +320,7 @@ def cmd_dispersion(cfg, out_dir, quiet):
 
     from .quad import LpkdvParams, dispersion, linear_residual_max
 
-    tol = cfg["tolerances"]["linear_residual"]
+    tol = BOUNDS["linear_residual"]
     rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
     draws = []
@@ -324,7 +346,7 @@ def cmd_simulate(cfg, out_dir, quiet):
 
     field, params = _bump_solution(cfg)
     res = max_residual(field, params)
-    bound = 1e-10 * (1.0 + float(np.max(np.abs(field.values))))
+    bound = BOUNDS["lattice_residual"] * (1.0 + float(np.max(np.abs(field.values))))
     save_field_csv(field, os.path.join(out_dir, "field.csv"))
     save_field_binary(field, os.path.join(out_dir, "field.bin"))
     report = {"max_residual": res, "bound": bound,
@@ -346,7 +368,7 @@ def cmd_ansatz_residual(cfg, out_dir, quiet):
     write_scaling_csv(os.path.join(out_dir, "ansatz_residual.csv"),
                       report["N"], report["residual"], "N", "residual")
     ok = report["exponent"] == "exact" or \
-        report["exponent"] >= cfg["tolerances"]["ansatz_exponent"]
+        report["exponent"] >= BOUNDS["ansatz_exponent"]
     return ok, report
 
 
@@ -362,7 +384,7 @@ def cmd_nls_evolve(cfg, out_dir, quiet):
     drift = abs(out.mass() - env.mass()) / env.mass() if env.mass() > 0 else 0.0
     save_envelope_csv(out, os.path.join(out_dir, "envelope.csv"))
     write_json(os.path.join(out_dir, "envelope.json"), envelope_to_json(out))
-    tol = cfg["tolerances"]["mass_drift"] * max(1.0, tau_final)
+    tol = BOUNDS["mass_drift"] * max(1.0, tau_final)
     steps, dtau_taken = step_plan(tau_final - env.tau, dtau)
     report = {"tau_final": tau_final, "dtau": dtau_taken, "steps": steps,
               "mass_drift": drift, "tolerance": tol}
@@ -375,7 +397,7 @@ def cmd_commutators(cfg, out_dir, quiet):
 
     coeffs = _build_coeffs(cfg)
     cc = cfg["commutators"]
-    env = gaussian_envelope(int(cc["L"]), 0.0, cc["period"], cc["amplitude"],
+    env = gaussian_envelope(cc["L"], 0.0, cc["period"], cc["amplitude"],
                             cc["width"], cc["center"])
     report = commutator_sweep(coeffs.nls_coefficients(), env,
                               eps_list=tuple(cc["eps"]))
@@ -404,24 +426,25 @@ def cmd_spectrum(cfg, out_dir, quiet):
     w_sym = np.sort(eigenvalues(prob).real)
     w_dense = np.sort(eigenvalues(prob, dense=True).real)
     err_gauge = float(np.max(np.abs(w_sym - w_dense)))
+    tol = BOUNDS["spectrum_error"]
     report = {"periodic_error": err_per, "dirichlet_error": err_dir,
-              "gauge_error": err_gauge, "tolerance": 1e-10}
+              "gauge_error": err_gauge, "tolerance": tol}
     write_json(os.path.join(out_dir, "spectrum_report.json"), report)
     with open(os.path.join(out_dir, "spectrum.csv"), "w") as fh:
         fh.write("index,re,im\n")
         for i, z in enumerate(w_dir):
             fh.write(f"{i},{z!r},0.0\n")
-    return max(err_per, err_dir, err_gauge) <= 1e-10, report
+    return max(err_per, err_dir, err_gauge) <= tol, report
 
 
 def cmd_isospectral(cfg, out_dir, quiet):
     from .spectral import isospectral_drift
 
     b = dict(cfg["boundary"])
-    m_list = list(range(int(b["m_size"])))
+    m_list = list(range(b["m_size"]))
     field_small, params = _bump_solution(cfg)
     cfg_big = dict(cfg)
-    cfg_big["boundary"] = dict(b, n_size=2 * int(b["n_size"]),
+    cfg_big["boundary"] = dict(b, n_size=2 * b["n_size"],
                                center=(b["center"] if b["center"] is not None
                                        else b["n_size"] // 2))
     field_big, _ = _bump_solution(cfg_big)
@@ -434,7 +457,7 @@ def cmd_isospectral(cfg, out_dir, quiet):
               "shrink_factor": shrink}
     write_json(os.path.join(out_dir, "isospectral_report.json"), report)
     ok = (rep_small["bound_count"][0] > 0 and shrink is not None
-          and shrink >= cfg["tolerances"]["drift_shrink"])
+          and shrink >= BOUNDS["drift_shrink"])
     return ok, report
 
 
@@ -450,7 +473,7 @@ def cmd_zs_limit(cfg, out_dir, quiet):
     write_json(os.path.join(out_dir, "zs_limit_report.json"), report)
     disc = [d for d in report["discrepancy"] if d is not None]
     ok = len(disc) == len(n_list) and disc[-1] <= disc[0]
-    band = cfg["tolerances"]["cauchy_band"]
+    band = BOUNDS["cauchy_band"]
     if ok and len(n_list) >= 3:
         e_mid = sorted(report["estimates"][-2], key=abs)[1:4]  # skip the near-zero rung
         partners = nearest_partners(report["estimates"][-1], e_mid)
@@ -474,7 +497,7 @@ def cmd_flow_check(cfg, out_dir, quiet):
                           rep["lambda"], rep["residual"], "lambda", "residual")
     neg = symmetry_residual_scaling(solution, params, "broken", lambdas)
     report["negative_control"] = neg
-    ok = ok and neg["exponent"] is not None and neg["exponent"] < 2.0
+    ok = ok and neg["exponent"] is not None and neg["exponent"] < BOUNDS["control_exponent"]
     write_json(os.path.join(out_dir, "flow_check.json"), report)
     return ok, report
 
@@ -485,7 +508,7 @@ def cmd_flow_project(cfg, out_dir, quiet):
 
     coeffs = _build_coeffs(cfg)
     n_list = cfg["N_list"]
-    N = int(n_list[-1])
+    N = n_list[-1]
     window = (384, 384)
     evolution = _evolve_dense(cfg, coeffs, window[1], N // 2)
     report = {"nls": _nls_block(evolution), "assembly": {"modes": [], "modes_zeroth": []}}
@@ -495,17 +518,17 @@ def cmd_flow_project(cfg, out_dir, quiet):
         report["assembly"]["modes"].append(ans.modes)
         report["assembly"]["modes_zeroth"].append(ans.modes_zeroth)
         flow1 = first_harmonic_blocks(ans, "flow1")
-        rep1 = harmonic_projection(ans, coeffs, "flow1", flow1)
+        rep1 = harmonic_projection(ans, "flow1", flow1)
         errs[n] = rep1["weighted_rel_error"]
         report[f"flow1_N{n}"] = rep1
         if n == N:
-            report[f"flow2_N{n}"] = harmonic_projection(ans, coeffs, "flow2", flow1)
-    factor = cfg["tolerances"]["projection_error_factor"]
+            report[f"flow2_N{n}"] = harmonic_projection(ans, "flow2", flow1)
     halving = errs[N] / errs[N // 2] if errs[N // 2] > 0 else 0.0
     report["error_halving_factor"] = halving
-    ok = (errs[N] <= factor / N and 0.2 <= halving <= 0.8
+    low, high = BOUNDS["halving_band"]
+    ok = (errs[N] <= BOUNDS["projection_error_factor"] / N and low <= halving <= high
           and report[f"flow2_N{N}"]["flow2_over_flow1"]["std_over_mean"]
-          <= cfg["tolerances"]["flow_ratio_std"])
+          <= BOUNDS["flow_ratio_std"])
     write_json(os.path.join(out_dir, "flow_projection.json"), report)
     return ok, report
 

@@ -62,7 +62,6 @@ class SpectralProblem:
 
     a: np.ndarray
     boundary: str  # "dirichlet" | "periodic"
-    n_min: int = 0
 
     def __post_init__(self):
         a = np.asarray(self.a)
@@ -110,7 +109,7 @@ def build_spectral_problem(lattice: LatticeField, params: LpkdvParams, m: int,
     row = lattice.values[:, m]
     if np.iscomplexobj(row) and np.max(np.abs(row.imag)) == 0.0:
         row = row.real
-    return SpectralProblem(coefficient_row(row, params, variant), "dirichlet", n_min=1)
+    return SpectralProblem(coefficient_row(row, params, variant), "dirichlet")
 
 
 def _operator_matrix(sp: SpectralProblem) -> np.ndarray:

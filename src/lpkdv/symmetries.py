@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, SingularFlowError
 from .quad import LatticeField, LpkdvParams, check_denominators, max_residual, residual_field
-from .reduction import AnsatzField, ReductionCoefficients, fit_scaling_exponent
+from .reduction import AnsatzField, fit_scaling_exponent
 
 FLOW_STENCIL = {"flow1": 1, "flow2": 2, "broken": 2}
 SOLUTION_TOL = 1e-11          # max residual of a field taken as an exact solution
@@ -165,8 +165,8 @@ def _block_envelope(ansatz: AnsatzField, which: str, shape: tuple) -> np.ndarray
     return ansatz.envelope_values(centers_n, centers_m)
 
 
-def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
-                        which: str, flow1: np.ndarray | None = None) -> dict:
+def harmonic_projection(ansatz: AnsatzField, which: str,
+                        flow1: np.ndarray | None = None) -> dict:
     """Project a flow's RHS onto the first carrier harmonic and compare with
     the reduced flow.
 
@@ -180,8 +180,8 @@ def harmonic_projection(ansatz: AnsatzField, coeffs: ReductionCoefficients,
     flow1, if given, is first_harmonic_blocks(ansatz, "flow1"), computed
     once by a caller that projects both flows on the same ansatz.
     """
-    params = coeffs.params
-    kappa = coeffs.carrier.kappa
+    params = ansatz.coeffs.params
+    kappa = ansatz.coeffs.carrier.kappa
     if which == "flow1" and flow1 is not None:
         blocks = flow1
     else:

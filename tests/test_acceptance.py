@@ -2,9 +2,10 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 A criterion with a CLI contract runs the subcommand, so the CLI's pass rule
-decides, and asserts exit 0 plus its literal bounds on the reported result;
-the CLI tolerances are pinned by `test_default_tolerances_pinned`.  Runtime
-bounds are asserted against the wall clock of the criterion body.
+decides, and asserts exit 0 plus its literal bounds on the reported result.
+The pass rules read their bounds from the fixed table `lpkdv.cli.BOUNDS`,
+which no config can change and `test_default_tolerances_pinned` pins.
+Runtime bounds are asserted against the wall clock of the criterion body.
 """
 
 import json
@@ -13,7 +14,7 @@ import time
 
 import numpy as np
 
-from lpkdv.cli import DEFAULT_CONFIG, run
+from lpkdv.cli import BOUNDS, DEFAULT_CONFIG, run
 from lpkdv.nls import Envelope, gaussian_envelope, nls_evolve, plane_envelope
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import compute_coefficients, group_velocity, residual_scaling
@@ -44,16 +45,22 @@ def run_cli(tmp_path, subcommand, overrides=None):
 
 
 def test_default_tolerances_pinned():
-    """A loosened CLI tolerance fails here (cauchy_band: partner ratio in [0.75, 1.25])."""
-    assert DEFAULT_CONFIG["tolerances"] == {
+    """A loosened pass-rule bound fails here (cauchy_band: partner ratio in
+    [0.75, 1.25]), and the config has no key that could move one."""
+    assert BOUNDS == {
         "linear_residual": 1e-12,
+        "lattice_residual": 1e-10,
         "ansatz_exponent": 2.7,
         "mass_drift": 1e-8,
-        "projection_error_factor": 3.0,
-        "flow_ratio_std": 0.05,
+        "spectrum_error": 1e-10,
         "drift_shrink": 2.0,
         "cauchy_band": 0.25,
+        "control_exponent": 2.0,
+        "projection_error_factor": 3.0,
+        "halving_band": (0.2, 0.8),
+        "flow_ratio_std": 0.05,
     }
+    assert "tolerances" not in DEFAULT_CONFIG
 
 
 def test_criterion_1_exact_operator_calculus(tmp_path):

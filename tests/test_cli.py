@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from lpkdv import cli
 from lpkdv.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -228,6 +229,13 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/text_re.json"}}, 2),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/nan_dxi.json"}}, 2),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/inf_xi0.json"}}, 2),
+    ("dispersion", {"tolerances": {"linear_residual": 1.0}}, 2),
+    ("dispersion", {"seed": 2.0}, 2),
+    ("spectrum", {"seed": 1e30}, 2),
+    ("dispersion", {"seed": -1}, 2),
+    ("ansatz-residual", {"window": [512.0, 192.0]}, 2),
+    ("ansatz-residual", {"N_list": [1, 2, 3]}, 2),
+    ("flow-project", {"N_list": [2]}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
@@ -267,29 +275,32 @@ def test_non_finite_envelope_grid_named(tmp_path, capsys, name, words):
     assert words in capsys.readouterr().err
 
 
-# per tolerance key: the subcommand whose pass rule reads it, and a value no
-# run can meet
-IMPOSSIBLE_TOLERANCES = {
+# per entry of cli.BOUNDS: the subcommand whose pass rule reads it, and a
+# value no run can meet
+IMPOSSIBLE_BOUNDS = {
     "linear_residual": ("dispersion", -1.0),
+    "lattice_residual": ("simulate", -1.0),
     "ansatz_exponent": ("ansatz-residual", 100.0),
     "mass_drift": ("nls-evolve", -1.0),
-    "projection_error_factor": ("flow-project", -1.0),
-    "flow_ratio_std": ("flow-project", -1.0),
+    "spectrum_error": ("spectrum", -1.0),
     "drift_shrink": ("isospectral", 1e9),
     "cauchy_band": ("zs-limit", -1.0),
+    "control_exponent": ("flow-check", -1e9),
+    "projection_error_factor": ("flow-project", -1.0),
+    "halving_band": ("flow-project", (1.0, 0.0)),
+    "flow_ratio_std": ("flow-project", -1.0),
 }
 
 
-@pytest.mark.parametrize("key", sorted(IMPOSSIBLE_TOLERANCES))
-def test_tolerance_is_read(tmp_path, key):
-    """Every tolerance decides its subcommand's exit code: an impossible
-    value makes the run exit 1 with its report still in the manifest."""
-    assert set(IMPOSSIBLE_TOLERANCES) == set(DEFAULT_CONFIG["tolerances"])
-    subcommand, value = IMPOSSIBLE_TOLERANCES[key]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {key: value}}))
+@pytest.mark.parametrize("key", sorted(IMPOSSIBLE_BOUNDS))
+def test_tolerance_is_read(tmp_path, monkeypatch, key):
+    """Every bound decides its subcommand's exit code: an impossible value
+    makes the run exit 1 with its report still in the manifest."""
+    assert set(IMPOSSIBLE_BOUNDS) == set(cli.BOUNDS)
+    subcommand, value = IMPOSSIBLE_BOUNDS[key]
+    monkeypatch.setitem(cli.BOUNDS, key, value)
     out = tmp_path / "o"
-    assert run(subcommand, str(cfg), str(out), quiet=True) == 1
+    assert run(subcommand, None, str(out), quiet=True) == 1
     manifest = read(out / "manifest.json")
     assert manifest["passed"] is False and manifest["result"] is not None
 

@@ -102,7 +102,7 @@ class TestEigenvalues:
         field, params = bump_solution
         sp = build_spectral_problem(field, params, 0)
         assert sp.size == field.n_size - 3
-        assert sp.n_min == 1
+        assert np.array_equal(sp.a, coefficient_row(field.values[:, 0], params))
 
 
 class TestIsospectral:

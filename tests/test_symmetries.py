@@ -161,17 +161,17 @@ class TestHarmonicProjection:
         env = gaussian_envelope(128, 0.0, 40.0, 0.0, 1.0, 20.0)
         evo = frozen_evolution(env, ref_coeffs.nls_coefficients())
         ans = assemble_ansatz(evo, ref_coeffs, 16, (64, 16))
-        rep = harmonic_projection(ans, ref_coeffs, "flow1")
+        rep = harmonic_projection(ans, "flow1")
         assert rep["n_points"] == 0
 
     def test_flow1_matches_reduced_coefficient(self, ref_evolution, ref_coeffs):
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
-        rep = harmonic_projection(ans, ref_coeffs, "flow1")
+        rep = harmonic_projection(ans, "flow1")
         assert rep["weighted_rel_error"] <= 3.0 / 32
 
     def test_flow2_constant_multiple(self, ref_evolution, ref_coeffs):
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
-        rep = harmonic_projection(ans, ref_coeffs, "flow2")
+        rep = harmonic_projection(ans, "flow2")
         f21 = rep["flow2_over_flow1"]
         assert f21["std_over_mean"] <= 0.05
         # reparametrization constant: (1 + cos(kappa)/2)/p^2, real
@@ -184,5 +184,5 @@ class TestHarmonicProjection:
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
         flow1 = first_harmonic_blocks(ans, "flow1")
         for which in ("flow1", "flow2"):
-            assert (harmonic_projection(ans, ref_coeffs, which, flow1)
-                    == harmonic_projection(ans, ref_coeffs, which))
+            assert (harmonic_projection(ans, which, flow1)
+                    == harmonic_projection(ans, which))
