@@ -64,8 +64,9 @@ BOUNDS = {
     "flow_ratio_std": 0.05,            # flow-project: flow2/flow1 std over mean
 }
 
-# the most snapshot memory a dense NLS run may hold, one complex128 spectrum
-# of L points per step; a larger run is refused before it starts
+# the most snapshot memory a dense NLS run may hold, two complex128 spectra
+# of L points (u_hat and N_hat) per step end; a larger run is refused before
+# it starts
 MAX_SNAPSHOT_BYTES = 1 << 30
 
 
@@ -135,6 +136,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("N_list must be ascending positive integers, the last >= 2")
     if len(cfg["window"]) != 2 or min(cfg["window"]) < 2:
         raise ConfigError("window must be two integers >= 2")
+    if min(cfg["boundary"]["n_size"], cfg["boundary"]["m_size"]) < 2:
+        raise ConfigError("boundary.n_size and boundary.m_size must be integers >= 2")
     if min(cfg["nls"]["L"], cfg["commutators"]["L"]) < MIN_GRID:
         raise ConfigError(f"nls.L and commutators.L must be >= {MIN_GRID}")
     if min(cfg[k]["width"] for k in ("envelope", "commutators", "boundary")) <= 0:
@@ -198,29 +201,32 @@ def _build_envelope(cfg):
         return envelope_from_json(json.load(fh))
 
 
-def _dtau(cfg, env, c) -> float:
-    """nls.dtau, or the stable step for env when it is null; any number,
-    0 included, is taken as given (the NLS solver refuses one <= 0)."""
+def _dtau(cfg, env, c, multiple: int = 1) -> float:
+    """nls.dtau, or multiple times the stable step for env when it is null;
+    any number, 0 included, is taken as given (the NLS solver refuses one
+    <= 0)."""
     from .nls import stable_dtau
 
     dtau = cfg["nls"]["dtau"]
-    return stable_dtau(env, c) if dtau is None else dtau
+    return multiple * stable_dtau(env, c) if dtau is None else dtau
 
 
 def _evolve_dense(cfg, coeffs, rows, n_min):
     """The envelope evolved far enough for lattice rows 0..rows-1 at N = n_min
-    (tau = M2_tilde * m / N^2), with a 1% margin, and a snapshot at every step:
-    sparser snapshots cost interpolation accuracy (see EnvelopeEvolution).
-    A run whose snapshots would pass MAX_SNAPSHOT_BYTES is a ConfigError."""
-    from .nls import nls_evolve_dense, step_plan
+    (tau = M2_tilde * m / N^2), with a 1% margin, at DENSE_STEP_MULTIPLE
+    times stable_dtau unless nls.dtau is set: the exponential dense output
+    (see EnvelopeEvolution) holds the rows to classic RK4 at that step.
+    Every step end stores u_hat and N_hat; a run whose stored spectra would
+    pass MAX_SNAPSHOT_BYTES is a ConfigError."""
+    from .nls import DENSE_STEP_MULTIPLE, nls_evolve_dense, step_plan
 
     env = _build_envelope(cfg)
     c = coeffs.nls_coefficients()
     tau_final = coeffs.M2_tilde * (rows - 1) / n_min ** 2 * 1.01
-    dtau = _dtau(cfg, env, c)
+    dtau = _dtau(cfg, env, c, DENSE_STEP_MULTIPLE)
     if dtau > 0:  # nls_evolve_dense refuses any other step
         steps, _ = step_plan(tau_final - env.tau, dtau)
-        size = (steps + 1) * env.L * 16
+        size = 2 * (steps + 1) * env.L * 16
         if size > MAX_SNAPSHOT_BYTES:
             raise ConfigError(f"the dense NLS run for N = {n_min} (tau = {tau_final:.4g}) "
                               f"needs {steps} steps and {size} bytes of snapshots, "
@@ -230,7 +236,7 @@ def _evolve_dense(cfg, coeffs, rows, n_min):
 
 def _nls_block(evolution) -> dict:
     """The NLS run behind a report: steps, the step size taken and the
-    number of stored snapshots."""
+    number of stored step ends."""
     return {"steps": evolution.steps, "dtau": evolution.dtau,
             "snapshots": len(evolution.taus)}
 

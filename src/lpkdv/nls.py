@@ -17,13 +17,20 @@ increment dt/6 (k1 + 2 k2 + 2 k3 + k4) to v_hat, so the round-off in
 |exp(Lambda s)| does not compound from step to step: the relative mass drift
 stays at round-off level (4e-16 over unit tau at the default config).
 
-Step guard: dtau * (|rho1| k_max^2 + |rho2| max|u|^2) <= STEP_BOUND with
-k_max = pi/dxi; `nls_evolve` enforces it and `stable_dtau` takes
-STEP_SAFETY of it.  The linear part sets no stability limit here; the guard
-is an accuracy limit, four times classic RK4's imaginary-axis bound 2.82.
-At the default config the mass drift over unit tau is 4e-16 at
-`stable_dtau` and, with the guard lifted, 2.0e-15 at twice that step and
-3.7e-14 at four times it.
+Steps are measured by the stiffness |rho1| k_max^2 + |rho2| max|u|^2
+(k_max = pi/dxi).  `stable_dtau` takes STEP_SAFETY of STEP_BOUND = 4 * 2.82
+(four times classic RK4's imaginary-axis bound) over it; that is the step of
+`nls-evolve`.  The dense runs behind the multiscale checks take
+DENSE_STEP_MULTIPLE = 4 times it (see EnvelopeEvolution), and the step guard
+that `nls_evolve` and `nls_evolve_dense` enforce, dtau * stiffness <=
+GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND, admits that step and
+little more.  The linear part sets no stability limit here; the guard is an
+accuracy limit.  At its edge (4/0.9 times stable_dtau) the dense output
+matches classic RK4 on the lattice rows of the oracle test to 5.5e-11 at
+worst over its four parameter points, while at 8 times stable_dtau one of
+them, (p, q, kappa) = (1.5, 0.5, 1.2), is off by 1.0e-9.  At the default
+config the mass drift over unit tau is 4e-16 at `stable_dtau`, 2.0e-15 at
+twice that step and 3.7e-14 at four times it.
 
 The module also carries the first reduced symmetry flows of the hierarchy:
     h1: du/dlambda = i u                 (phase)
@@ -36,17 +43,23 @@ and a finite-difference vector-field commutator test for them.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, PreconditionError
 
-STEP_BOUND = 4.0 * 2.82       # step guard: 4x classic RK4's imaginary-axis bound
+STEP_BOUND = 4.0 * 2.82       # stable_dtau's bound: 4x classic RK4's imaginary-axis bound
 STEP_SAFETY = 0.9             # stable_dtau's fraction of STEP_BOUND
+DENSE_STEP_MULTIPLE = 4       # the dense runs' default step, in units of stable_dtau
+GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND  # step guard: the largest dtau * stiffness
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
-_BAND_CHUNK = 64              # snapshots per step of EnvelopeEvolution.bandwidth's scan
+_BAND_CHUNK = 64              # step ends per step of EnvelopeEvolution.bandwidth's scan
+# taus per block of EnvelopeEvolution.spectra_at: its largest temporary, the
+# (12, 5, L/2 + 1) stack of phi_0..phi_4, stays below the (32, L) array of
+# one assembly block (reduction._BLOCK_ROWS)
+_EVAL_ROWS = 12
+_PHI_TERMS = 14               # series terms of _phi below |z| = 0.5 (tail < 1e-17)
 FLOW_IDS = ("nls", "h1", "h2", "h3", "h4")
 # flow pairs of commutator_sweep: every pair of nls, h1, h2, h4 (h3 is the nls)
 COMMUTATOR_PAIRS = (("nls", "h1"), ("nls", "h2"), ("nls", "h4"),
@@ -157,11 +170,11 @@ def stable_dtau(env: Envelope, c: NlsCoefficients) -> float:
 
 def _check_stability(env: Envelope, c: NlsCoefficients, dtau: float) -> None:
     rot = _stiffness(env, c)
-    if not 0.0 < dtau * rot <= STEP_BOUND:
+    if not 0.0 < dtau * rot <= GUARD_BOUND:
         raise DomainError(
             f"dtau = {dtau:.3e} is not positive within the step stability bound "
-            f"dtau*(|rho1|*kmax^2 + |rho2|*max|u|^2) <= {STEP_BOUND:.4g} "
-            f"(bound here: {STEP_BOUND / rot:.3e})"
+            f"dtau*(|rho1|*kmax^2 + |rho2|*max|u|^2) <= {GUARD_BOUND:.4g} "
+            f"(bound here: {GUARD_BOUND / rot:.3e})"
         )
 
 
@@ -185,44 +198,128 @@ def _linear_phase(rate: np.ndarray, s) -> np.ndarray:
     L - j is minus the one at j), so the upper half of every row is the
     lower half mirrored, bit for bit."""
     L = rate.shape[-1]
-    half = np.exp(1j * np.multiply.outer(s, rate[:L // 2 + 1]))
+    return _mirror(np.exp(1j * np.multiply.outer(s, rate[:L // 2 + 1])), L)
+
+
+def _mirror(half: np.ndarray, L: int) -> np.ndarray:
+    """The full fftfreq-order rows of a function of k^2 given on the modes
+    j = 0..L//2 (the wavenumber at L - j is minus the one at j)."""
     return np.concatenate([half, half[..., (L - 1) // 2:0:-1]], axis=-1)
+
+
+def _nonlinear(u_hat: np.ndarray, rho2: float) -> np.ndarray:
+    """FFT(-i rho2 |u|^2 u) for u = IFFT(u_hat)."""
+    u = np.fft.ifft(u_hat)
+    return np.fft.fft(-1j * rho2 * (u.real ** 2 + u.imag ** 2) * u)
 
 
 def _nonlinear_ip(v_hat: np.ndarray, phase: np.ndarray, rho2: float) -> np.ndarray:
     """d(v_hat)/dtau = exp(-Lambda s) FFT(-i rho2 |u|^2 u), u = IFFT(exp(Lambda s) v_hat),
     with phase = exp(Lambda s) (unimodular, so its conjugate is its inverse)."""
-    u = np.fft.ifft(phase * v_hat)
-    return np.conj(phase) * np.fft.fft(-1j * rho2 * (u.real ** 2 + u.imag ** 2) * u)
+    return np.conj(phase) * _nonlinear(phase * v_hat, rho2)
+
+
+def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
+               dense: bool) -> tuple:
+    """(steps, step size, spectra, nonlinear): uniform interaction-picture RK4
+    steps of size <= dtau from env.tau to tau_final.  With dense, spectra and
+    nonlinear hold u_hat = fft(u) and N_hat = FFT(-i rho2 |u|^2 u) at every
+    step end, shape (steps + 1, L), the initial one first; otherwise spectra
+    holds the final u_hat alone and nonlinear is None.  A step's k1 is
+    exp(-Lambda s) N_hat of its start, so only the last N_hat costs FFTs of
+    its own; 8 length-L FFTs per step."""
+    if tau_final < env.tau:
+        raise DomainError("tau_final must be >= current tau")
+    _check_stability(env, c, dtau)
+    n_steps, dt = step_plan(tau_final - env.tau, dtau)
+    rate = _linear_rate(env.L, env.dxi, c)
+    spectra = np.empty((n_steps + 1 if dense else 1, env.L), dtype=np.complex128)
+    nonlinear = np.empty_like(spectra) if dense else None
+    v_hat = np.fft.fft(env.values)
+    phase = np.ones(env.L, dtype=np.complex128)  # exp(Lambda s) at the step's start
+    for step in range(1, n_steps + 1):
+        half = _linear_phase(rate, (step - 0.5) * dt)
+        end = _linear_phase(rate, step * dt)
+        u_hat = phase * v_hat
+        n_hat = _nonlinear(u_hat, c.rho2)
+        if dense:
+            spectra[step - 1], nonlinear[step - 1] = u_hat, n_hat
+        k1 = np.conj(phase) * n_hat
+        k2 = _nonlinear_ip(v_hat + 0.5 * dt * k1, half, c.rho2)
+        k3 = _nonlinear_ip(v_hat + 0.5 * dt * k2, half, c.rho2)
+        k4 = _nonlinear_ip(v_hat + dt * k3, end, c.rho2)
+        v_hat = v_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phase = end
+        if (step % 25 == 0 or step == n_steps) and not np.all(np.isfinite(v_hat)):
+            raise NumericalError(
+                "NLS evolution diverged",
+                diagnostics={"step": step, "tau": env.tau + step * dt,
+                             "max_abs": float(np.nanmax(np.abs(np.fft.ifft(phase * v_hat))))},
+            )
+    spectra[-1] = phase * v_hat
+    if dense:
+        nonlinear[-1] = _nonlinear(spectra[-1], c.rho2)
+    return n_steps, dt, spectra, nonlinear
 
 
 def nls_evolve(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float) -> Envelope:
     """Advance to tau_final with uniform interaction-picture RK4 steps of size <= dtau.
 
-    Global error is O(dtau^4); only the end points are kept.
+    Global error is O(dtau^4); only the end point is kept.
     """
-    evolution = nls_evolve_dense(env, c, tau_final, dtau, store_every=sys.maxsize)
-    return Envelope(env.xi0, env.dxi, evolution.value_at(evolution.tau_max), tau_final)
+    spectra = _integrate(env, c, tau_final, dtau, dense=False)[2]
+    return Envelope(env.xi0, env.dxi, np.fft.ifft(spectra[-1]), tau_final)
+
+
+def _phi(z: np.ndarray, count: int) -> np.ndarray:
+    """phi_0(z), ..., phi_count(z) for z of shape (..., M), as shape
+    (..., count + 1, M): the exponential-integrator functions
+    phi_k(z) = sum_m z^m / (m + k)! (Hochbruck & Ostermann, Acta Numerica
+    19:209, 2010), phi_0 = exp.  Where |z| >= 0.5 by the recurrence
+    phi_(k+1) = (phi_k - 1/k!) / z; below that, where the recurrence cancels,
+    phi_count by _PHI_TERMS terms of its series and the others by
+    phi_k = z phi_(k+1) + 1/k!."""
+    small = np.abs(z) < 0.5
+    inverse = 1.0 / np.where(small, 1.0, z)
+    phis = np.empty(z.shape[:-1] + (count + 1,) + z.shape[-1:], dtype=np.complex128)
+    phis[..., 0, :] = np.exp(z)
+    for k in range(count):
+        np.multiply(phis[..., k, :] - 1.0 / math.factorial(k), inverse,
+                    out=phis[..., k + 1, :])
+    if np.any(small):
+        zs = z[small]
+        acc = np.full(zs.shape, 1.0 / math.factorial(_PHI_TERMS - 1 + count), dtype=complex)
+        for m in range(_PHI_TERMS - 2, -1, -1):
+            acc = acc * zs + 1.0 / math.factorial(m + count)
+        for k in range(count, 0, -1):
+            phis[..., k, :][small] = acc
+            acc = zs * acc + 1.0 / math.factorial(k - 1)
+    return phis
 
 
 @dataclass(frozen=True)
 class EnvelopeEvolution:
-    """Dense output of an NLS run: snapshots on the solver's step grid.
+    """Dense output of an NLS run: spectra on the solver's step grid.
 
-    snapshots[j] is the interaction-picture variable
-    v_hat(taus[j]) = exp(-Lambda (taus[j] - taus[0])) u_hat(taus[j]), which
-    changes only through the nonlinear term.  spectra_at interpolates it with
-    a 4-point (cubic) Lagrange stencil in tau and then applies the exact
-    linear propagator, giving u_hat = fft(u) itself; values_at is its
-    inverse FFT.  The Fourier series of u in xi has the coefficients
-    u_hat / L, so the ansatz is evaluated from spectra_at without a round
-    trip through the grid.  The nonlinear term still turns some modes at
-    their linear rates, so the stencil must stay about one step wide: with a
-    snapshot at every step the rows of the reference window match classic
-    RK4 to 1.3e-12, with one every 4th step only to 5.6e-10.  With
-    propagate=False (frozen_evolution) the snapshots are grid values:
-    values_at interpolates them as they are and spectra_at takes their FFT.
-    steps and dtau are the integrator's step count and step size.
+    snapshots[j] is u_hat = fft(u) at taus[j] and nonlinear[j] the
+    nonlinear term N_hat = FFT(-i rho2 |u|^2 u) there, so that
+    d(u_hat)/dtau = Lambda u_hat + N_hat with Lambda = i rho1 k^2.  Inside the
+    step from taus[n], spectra_at integrates that equation exactly with N_hat
+    replaced by the cubic P through the stored N_hat at taus[n-1..n+2]
+    (shifted inward at the ends of the range): with s = tau - taus[n], h the
+    step and P(taus[n] + sigma) = sum_j a_j (sigma / h)^j,
+        u_hat(tau) = exp(Lambda s) u_hat_n
+                     + sum_j a_j j! s^(j+1) h^(-j) phi_(j+1)(Lambda s)
+    (exponential dense output; see _phi).  The linear rotation is exact, so
+    the cubic carries only the slowly varying nonlinear term: at
+    DENSE_STEP_MULTIPLE times stable_dtau the rows of the reference window
+    match classic RK4 to 9.1e-12, and the oracle test's other points to
+    3.3e-11 at worst.  The Fourier series of u in xi has the
+    coefficients u_hat / L, so the ansatz is evaluated from spectra_at
+    without a round trip through the grid; values_at is its inverse FFT.
+    With propagate=False (frozen_evolution) snapshots[0] holds grid values,
+    returned at every tau.  steps and dtau are the integrator's step count
+    and step size.
     """
 
     xi0: float
@@ -230,6 +327,7 @@ class EnvelopeEvolution:
     taus: np.ndarray
     snapshots: np.ndarray  # shape (S, L)
     coefficients: NlsCoefficients
+    nonlinear: np.ndarray | None = None  # shape (S, L) when propagate
     steps: int = 0
     dtau: float = 0.0
     propagate: bool = True
@@ -250,9 +348,9 @@ class EnvelopeEvolution:
     def tau_max(self) -> float:
         return float(self.taus[-1])
 
-    def _stencil(self, taus) -> tuple:
-        """(t, lo, width): taus checked against the stored range, and the
-        first snapshot and the width of each one's Lagrange stencil."""
+    def _locate(self, taus) -> tuple:
+        """(t, n, lo): taus checked against the stored range, the snapshot
+        each one's step starts from and the first node of its cubic."""
         t = np.asarray(taus, dtype=float)
         grid = self.taus
         bad = np.flatnonzero((t < grid[0] - 1e-12) | (t > grid[-1] + 1e-12))
@@ -260,20 +358,13 @@ class EnvelopeEvolution:
             raise DomainError(
                 f"tau = {t[bad[0]]} outside stored range [{grid[0]}, {grid[-1]}]"
             )
-        width = min(len(grid), 4)
-        return t, np.clip(np.searchsorted(grid, t) - 2, 0, len(grid) - width), width
+        n = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 1)
+        return t, n, np.clip(n - 1, 0, len(grid) - self._width)
 
-    def _interpolate(self, taus) -> tuple:
-        """(t, snapshots interpolated to each of taus), shape (len(taus), L)."""
-        t, lo, width = self._stencil(taus)
-        nodes = self.taus[lo[:, None] + np.arange(width)]
-        # Lagrange weight of node a: prod over b != a of (t - nodes[b]) / (nodes[a] - nodes[b])
-        off = ~np.eye(width, dtype=bool)
-        num = np.where(off, t[:, None, None] - nodes[:, None, :], 1.0).prod(axis=2)
-        den = np.where(off, nodes[:, :, None] - nodes[:, None, :], 1.0).prod(axis=2)
-        weights = num / den
-        # one (len(taus), L) term per stencil node keeps the working set small
-        return t, sum(weights[:, a, None] * self.snapshots[lo + a] for a in range(width))
+    @property
+    def _width(self) -> int:
+        """Nodes of the cubic through N_hat (fewer when fewer are stored)."""
+        return min(len(self.taus), 4)
 
     def value_at(self, tau: float) -> np.ndarray:
         return self.values_at([tau])[0]
@@ -281,72 +372,70 @@ class EnvelopeEvolution:
     def values_at(self, taus) -> np.ndarray:
         """The envelope on the grid at each of taus, shape (len(taus), L)."""
         if not self.propagate:
-            return self._interpolate(taus)[1]
+            return np.tile(self.snapshots[0], (len(self._locate(taus)[0]), 1))
         return np.fft.ifft(self.spectra_at(taus), axis=1)
 
     def spectra_at(self, taus) -> np.ndarray:
-        """fft of the envelope at each of taus, shape (len(taus), L)."""
-        t, mixed = self._interpolate(taus)
+        """fft of the envelope at each of taus, shape (len(taus), L), built
+        _EVAL_ROWS taus at a time."""
+        t, n, lo = self._locate(taus)
         if not self.propagate:
-            return np.fft.fft(mixed, axis=1)
-        rate = _linear_rate(self.L, self.dxi, self.coefficients)
-        return _linear_phase(rate, t - self.taus[0]) * mixed
+            return np.tile(np.fft.fft(self.snapshots[0]), (len(t), 1))
+        L, width, h = self.L, self._width, self.dtau
+        rate = _linear_rate(L, self.dxi, self.coefficients)[:L // 2 + 1]
+        j = np.arange(width)
+        factorial = np.cumprod(np.maximum(j, 1))
+        # the cubic's a_j is sum_i inv[n - lo, i, j] N_hat at node i, the
+        # nodes counted in steps from taus[n]; its term integrates to
+        # j! s^(j+1) h^(-j) phi_(j+1), so node i's weight is mix[:, i] @ phi
+        inv = np.linalg.inv((j - j[:, None])[:, :, None] ** j).transpose(0, 2, 1)
+        out = np.empty((len(t), L), dtype=np.complex128)
+        for a in range(0, len(t), _EVAL_ROWS):
+            rows = slice(a, a + _EVAL_ROWS)
+            s = t[rows] - self.taus[n[rows]]
+            scale = factorial * s[:, None] ** (j + 1) / h ** j
+            mix = inv[n[rows] - lo[rows]] * scale[:, None, :]
+            phis = _phi(1j * np.multiply.outer(s, rate), width)
+            weights = (mix @ phis[:, 1:].view(float)).view(complex)
+            block = _mirror(phis[:, 0], L) * self.snapshots[n[rows]]
+            for i in range(width):
+                block += _mirror(weights[:, i], L) * self.nonlinear[lo[rows] + i]
+            out[rows] = block
+        return out
 
     def bandwidth(self, taus) -> int:
-        """The highest |j| whose mode (wavenumber 2 pi j / period) exceeds
-        eps times the largest |u_hat| of its snapshot in any snapshot the
-        stencils of taus read; 0 for a zero envelope.  The propagator leaves
-        |u_hat| unchanged, so spectra_at at any of taus carries nothing above
-        round-off outside |j| <= bandwidth.  The scan takes _BAND_CHUNK
-        snapshots at a time, so it makes no temporary of the snapshots' size."""
-        _, lo, width = self._stencil(np.atleast_1d(taus))
+        """The highest |j| at which, in a step end that spectra_at at any of
+        taus reads, |u_hat| or dtau |N_hat| exceeds eps times that step
+        end's largest |u_hat|; 0 for a zero envelope.  The propagator leaves
+        |u_hat| unchanged and the nonlinear part adds dtau-weighted N_hat,
+        so spectra_at at any of taus carries nothing above round-off
+        outside |j| <= bandwidth.  The scan takes _BAND_CHUNK step ends at
+        a time, so it makes no temporary of the snapshots' size."""
+        lo = self._locate(np.atleast_1d(taus))[2]
         j = np.arange(self.L)
         j = np.minimum(j, self.L - j)  # |j| in fftfreq order
         top = 0
-        first, stop = int(lo.min()), int(lo.max()) + width
+        first, stop = int(lo.min()), int(lo.max()) + self._width
         for a in range(first, stop, _BAND_CHUNK):
-            chunk = self.snapshots[a:min(a + _BAND_CHUNK, stop)]
-            if not self.propagate:
-                chunk = np.fft.fft(chunk, axis=1)
-            mag = np.abs(chunk)
-            above = np.any(mag > np.finfo(float).eps * mag.max(axis=1, keepdims=True), axis=0)
+            chunk = slice(a, min(a + _BAND_CHUNK, stop))
+            mag = np.abs(self.snapshots[chunk] if self.propagate
+                         else np.fft.fft(self.snapshots[chunk], axis=1))
+            floor = np.finfo(float).eps * mag.max(axis=1, keepdims=True)
+            above = np.any(mag > floor, axis=0)
+            if self.nonlinear is not None:
+                above |= np.any(self.dtau * np.abs(self.nonlinear[chunk]) > floor, axis=0)
             if np.any(above):
                 top = max(top, int(j[above].max()))
         return top
 
 
 def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
-                     dtau: float, store_every: int = 1) -> EnvelopeEvolution:
-    """Evolve and keep snapshots every `store_every` steps (plus the endpoints);
-    8 length-L FFTs per step."""
-    if tau_final < env.tau:
-        raise DomainError("tau_final must be >= current tau")
-    _check_stability(env, c, dtau)
-    n_steps, dt = step_plan(tau_final - env.tau, dtau)
-    rate = _linear_rate(env.L, env.dxi, c)
-    v_hat = np.fft.fft(env.values)
-    taus = [env.tau]
-    snaps = [v_hat]
-    phase = np.ones(env.L, dtype=np.complex128)  # exp(Lambda s) at the step's start
-    for step in range(1, n_steps + 1):
-        half = _linear_phase(rate, (step - 0.5) * dt)
-        end = _linear_phase(rate, step * dt)
-        k1 = _nonlinear_ip(v_hat, phase, c.rho2)
-        k2 = _nonlinear_ip(v_hat + 0.5 * dt * k1, half, c.rho2)
-        k3 = _nonlinear_ip(v_hat + 0.5 * dt * k2, half, c.rho2)
-        k4 = _nonlinear_ip(v_hat + dt * k3, end, c.rho2)
-        v_hat = v_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        phase = end
-        if (step % 25 == 0 or step == n_steps) and not np.all(np.isfinite(v_hat)):
-            raise NumericalError(
-                "NLS evolution diverged",
-                diagnostics={"step": step, "tau": env.tau + step * dt,
-                             "max_abs": float(np.nanmax(np.abs(np.fft.ifft(phase * v_hat))))},
-            )
-        if step % store_every == 0 or step == n_steps:
-            taus.append(env.tau + step * dt)
-            snaps.append(v_hat)
-    return EnvelopeEvolution(env.xi0, env.dxi, np.asarray(taus), np.asarray(snaps), c,
+                     dtau: float) -> EnvelopeEvolution:
+    """Evolve with steps of size <= dtau and keep u_hat and N_hat at every
+    step end (see EnvelopeEvolution); 8 length-L FFTs per step."""
+    n_steps, dt, spectra, nonlinear = _integrate(env, c, tau_final, dtau, dense=True)
+    taus = env.tau + np.arange(n_steps + 1) * dt
+    return EnvelopeEvolution(env.xi0, env.dxi, taus, spectra, c, nonlinear=nonlinear,
                              steps=n_steps, dtau=dt)
 
 

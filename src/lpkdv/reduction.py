@@ -332,8 +332,8 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     envelope's spectrum (EnvelopeEvolution.spectra_at), and |u1_1|^2 from
     the FFT of its grid values, as a real series over j >= 0.  Every row
     shares one lattice-point matrix e^{i k (xi(n, 0) - xi0)},
-    k = 2 pi j / period, over j = -J..2J: J bounds the modes the snapshots
-    carry above round-off (EnvelopeEvolution.bandwidth), u1_1 takes its
+    k = 2 pi j / period, over j = -J..2J: J bounds the modes the stored step
+    ends carry above round-off (EnvelopeEvolution.bandwidth), u1_1 takes its
     columns |j| <= J and |u1_1|^2, whose band is twice as wide, its columns
     j = 0..2J.  A row's xi offset enters as the factor e^{i k xi(0, m)} on
     the coefficients, so a block of rows is one matrix product per series.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpkdv.nls import gaussian_envelope, nls_evolve_dense, stable_dtau
+from lpkdv.nls import DENSE_STEP_MULTIPLE, gaussian_envelope, nls_evolve_dense, stable_dtau
 from lpkdv.quad import LpkdvParams, evolve_ivp
 from lpkdv.reduction import compute_coefficients
 
@@ -29,11 +29,12 @@ def ref_envelope():
 
 @pytest.fixture(scope="session")
 def ref_evolution(ref_coeffs, ref_envelope):
-    """Envelope evolved far enough for the 512x192 window at N=16, with a
-    snapshot at every step as the CLI keeps it."""
+    """Envelope evolved far enough for the 512x192 window at N=16, at the
+    CLI's dense step (DENSE_STEP_MULTIPLE times stable_dtau)."""
     c = ref_coeffs.nls_coefficients()
     tau_needed = ref_coeffs.M2_tilde * (REF_WINDOW[1] - 1) / min(REF_N_LIST) ** 2
-    return nls_evolve_dense(ref_envelope, c, tau_needed * 1.01, stable_dtau(ref_envelope, c))
+    return nls_evolve_dense(ref_envelope, c, tau_needed * 1.01,
+                            DENSE_STEP_MULTIPLE * stable_dtau(ref_envelope, c))
 
 
 def make_bump_solution(n_size=200, m_size=11, amplitude=0.5, width=10.0,

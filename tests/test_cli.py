@@ -236,6 +236,13 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     ("ansatz-residual", {"window": [512.0, 192.0]}, 2),
     ("ansatz-residual", {"N_list": [1, 2, 3]}, 2),
     ("flow-project", {"N_list": [2]}, 2),
+    ("simulate", {"boundary": {"n_size": 0}}, 2),
+    ("simulate", {"boundary": {"n_size": -5}}, 2),
+    ("simulate", {"boundary": {"n_size": 1}}, 2),
+    ("flow-check", {"boundary": {"n_size": 0}}, 2),
+    ("flow-check", {"boundary": {"n_size": -5, "kind": "random"}}, 2),
+    ("isospectral", {"boundary": {"n_size": 0}}, 2),
+    ("isospectral", {"boundary": {"n_size": -5}}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
@@ -303,6 +310,30 @@ def test_tolerance_is_read(tmp_path, monkeypatch, key):
     assert run(subcommand, None, str(out), quiet=True) == 1
     manifest = read(out / "manifest.json")
     assert manifest["passed"] is False and manifest["result"] is not None
+
+
+@pytest.mark.parametrize("subcommand, name", [("ansatz-residual", "ansatz_residual.json"),
+                                               ("flow-project", "flow_projection.json"),
+                                               ("zs-limit", "zs_limit_report.json")])
+def test_dense_steps_follow_the_step_passed(tmp_path, monkeypatch, subcommand, name):
+    """A dense subcommand's nls block is step_plan(span, dtau) of the dtau it
+    passes to nls_evolve_dense, positionally, with one snapshot per step
+    end: the benchmark's tracer computes nls.steps from those arguments."""
+    from lpkdv import nls
+
+    calls = []
+    evolve = nls.nls_evolve_dense
+
+    def spy(env, c, tau_final, dtau):
+        calls.append((tau_final - env.tau, dtau))
+        return evolve(env, c, tau_final, dtau)
+
+    monkeypatch.setattr(nls, "nls_evolve_dense", spy)
+    assert run(subcommand, None, str(tmp_path), quiet=True) == 0
+    block = read(tmp_path / name)["nls"]
+    (span, dtau), = calls
+    assert (block["steps"], block["dtau"]) == nls.step_plan(span, dtau)
+    assert block["snapshots"] == block["steps"] + 1
 
 
 def test_zs_limit_solver_failure_exit_1(tmp_path, capsys, monkeypatch):

@@ -6,10 +6,13 @@ import pytest
 
 from lpkdv.errors import DomainError, PreconditionError
 from lpkdv.nls import (
+    DENSE_STEP_MULTIPLE,
+    GUARD_BOUND,
     Envelope,
     NlsCoefficients,
     _linear_phase,
     _linear_rate,
+    _phi,
     commutator_floor,
     commutator_sweep,
     commutator_test,
@@ -148,7 +151,7 @@ class TestEvolve:
 class TestDenseOutput:
     def test_interpolation_accuracy(self):
         env = make_env(L=128)
-        evo = nls_evolve_dense(env, C_REF, 0.4, 1e-3, store_every=4)
+        evo = nls_evolve_dense(env, C_REF, 0.4, DENSE_STEP_MULTIPLE * 1e-3)
         mid = 0.2137
         direct = nls_evolve(env, C_REF, mid, 1e-3)
         assert np.max(np.abs(evo.value_at(mid) - direct.values)) < 1e-9
@@ -164,6 +167,60 @@ class TestDenseOutput:
         fro = frozen_evolution(env, C_REF)
         assert np.array_equal(fro.value_at(0.0), env.values)
         assert np.allclose(fro.value_at(123.4), env.values)
+
+    def test_step_ends_return_stored_spectra(self, ref_evolution):
+        """At s = 0 the dense output is the stored u_hat bit for bit, at the
+        first, an inner and the last step end."""
+        evo = ref_evolution
+        ends = [0, 1, evo.steps // 2, evo.steps - 1, evo.steps]
+        got = evo.spectra_at(evo.taus[ends])
+        assert got.view(np.uint64).tobytes() == evo.snapshots[ends].view(np.uint64).tobytes()
+
+    def test_stores_spectrum_and_nonlinear_term(self):
+        """snapshots hold fft(u) and nonlinear FFT(-i rho2 |u|^2 u) at each
+        step end; the last step end matches nls_evolve to the end time."""
+        env = make_env(L=128)
+        evo = nls_evolve_dense(env, C_REF, 0.3, 0.02)
+        assert evo.snapshots.shape == evo.nonlinear.shape == (evo.steps + 1, env.L)
+        assert np.array_equal(evo.snapshots[0], np.fft.fft(env.values))
+        u = np.fft.ifft(evo.snapshots[-1])
+        assert np.allclose(evo.nonlinear[-1], np.fft.fft(-1j * C_REF.rho2 * np.abs(u) ** 2 * u),
+                           rtol=0, atol=1e-13)
+        assert np.array_equal(u, nls_evolve(env, C_REF, 0.3, 0.02).values)
+
+    @pytest.mark.parametrize("steps, bound", [(0, 0.0), (1, 1e-8), (2, 1e-12), (3, 1e-12)])
+    def test_few_steps(self, steps, bound):
+        """With fewer than four step ends the polynomial through N_hat takes
+        the ones there are (one step: a line, O(dtau^2) at mid-step); no
+        step at all returns the initial profile."""
+        env = make_env(L=128)
+        evo = nls_evolve_dense(env, C_REF, 0.01 * steps, 0.01)
+        direct = nls_evolve(env, C_REF, 0.005 * steps, 1e-3)
+        assert evo.steps == steps
+        assert np.max(np.abs(evo.value_at(0.005 * steps) - direct.values)) <= bound
+
+
+# z on both sides of _phi's switch at |z| = 0.5; the evaluation's z = Lambda s
+# is imaginary with |z| <= |rho1| k_max^2 dtau <= GUARD_BOUND; general complex z
+PHI_POINTS = [0.0, 1e-9j, 0.1j, -0.3j, 0.4999j, 0.5j, -0.5001j, 0.7j, 2.0j, -9.0j,
+               25.0j, -GUARD_BOUND * 1j, 0.3 - 0.2j, -0.45 + 0.1j, 1.5 + 2.0j, -3.0 - 0.4j]
+
+
+@pytest.mark.parametrize("z", PHI_POINTS)
+def test_phi_matches_augmented_expm(z):
+    """phi_k(z) is the top-right entry of exp of the (k+1)x(k+1) matrix with z
+    in the corner and ones on the superdiagonal (Sidje, ACM TOMS 24:130,
+    1998).  Just above the switch the recurrence divides by |z| = 0.5 four
+    times, which costs phi_4 about 100 ulp (1.9e-14 relative)."""
+    from scipy.linalg import expm
+
+    got = _phi(np.array([z]), 4)[:, 0]
+    assert got[0] == np.exp(z)
+    for k in range(1, 5):
+        aug = np.diag(np.ones(k, dtype=complex), 1)
+        aug[0, 0] = z
+        want = expm(aug)[0, k]
+        assert abs(got[k] - want) <= 1e-13 * abs(want), (k, got[k], want)
 
 
 @pytest.mark.parametrize("L", [64, 65])
@@ -184,10 +241,11 @@ ORACLE_ROWS_OFF_REFERENCE = 48
 @pytest.mark.parametrize("p, q, kappa", [(1.5, 0.5, math.pi / 2), (2.0, 1.0, 1.0),
                                          (3.0, 0.7, 0.6), (1.5, 0.5, 1.2)])
 def test_dense_output_matches_rk4_oracle(p, q, kappa, ref_evolution, ref_envelope):
-    """The interaction-picture dense output agrees with classic RK4 at a
-    quarter of the step on the lattice rows tau = m / N^2 of the reference
-    window (N = 16): the reference evolution at the default point, the
-    same envelope evolved with each other point's NLS coefficients."""
+    """The exponential dense output at the CLI's dense step agrees with
+    classic RK4 at a quarter of stable_dtau on the lattice rows tau = m / N^2
+    of the reference window (N = 16): the reference evolution at the default
+    point, the same envelope evolved with each other point's NLS
+    coefficients."""
     coeffs = compute_coefficients(LpkdvParams(p, q), kappa, r=1.0, m2_tilde=1.0)
     c = coeffs.nls_coefficients()
     n_min = min(REF_N_LIST)
@@ -196,7 +254,7 @@ def test_dense_output_matches_rk4_oracle(p, q, kappa, ref_evolution, ref_envelop
     else:
         rows = ORACLE_ROWS_OFF_REFERENCE + 1
         evo = nls_evolve_dense(ref_envelope, c, coeffs.M2_tilde * (rows - 1) / n_min ** 2 * 1.01,
-                               stable_dtau(ref_envelope, c))
+                               DENSE_STEP_MULTIPLE * stable_dtau(ref_envelope, c))
     taus = coeffs.M2_tilde * np.arange(rows) / n_min ** 2
     oracle = rk4_values(ref_envelope, c, taus, stable_dtau(ref_envelope, c) / 4)
     assert np.max(np.abs(evo.values_at(taus) - oracle)) <= 1e-9

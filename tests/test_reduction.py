@@ -383,7 +383,7 @@ def test_nls_coefficients_kill_first_harmonic_secularity(ref_coeffs, ref_envelop
     term the NLS is meant to cancel: evolving the envelope with perturbed
     (rho1, rho2) revives it in proportion to the perturbation, pinning the
     coefficient values independently of their closed forms."""
-    from lpkdv.nls import NlsCoefficients, nls_evolve_dense, stable_dtau
+    from lpkdv.nls import DENSE_STEP_MULTIPLE, NlsCoefficients, nls_evolve_dense, stable_dtau
     from lpkdv.quad import residual_field
 
     co = ref_coeffs
@@ -393,8 +393,8 @@ def test_nls_coefficients_kill_first_harmonic_secularity(ref_coeffs, ref_envelop
     kappa, omega = co.carrier.kappa, co.carrier.omega
 
     def first_harmonic_residual(c):
-        evo = nls_evolve_dense(ref_envelope, c, tau_needed, stable_dtau(ref_envelope, c),
-                               store_every=4)
+        evo = nls_evolve_dense(ref_envelope, c, tau_needed,
+                               DENSE_STEP_MULTIPLE * stable_dtau(ref_envelope, c))
         ans = assemble_ansatz(evo, co, N, window)
         r = residual_field(ans.field, params)[8:-8, 8:-8]
         ns = np.arange(8, 8 + r.shape[0])
@@ -414,14 +414,14 @@ def test_nls_coefficients_kill_first_harmonic_secularity(ref_coeffs, ref_envelop
 def test_plus_branch_residual_scaling():
     """The 1/N^3 residual order holds on the other branch too (pq < 0,
     branch = +1): validates the correlated sign wiring end to end."""
-    from lpkdv.nls import gaussian_envelope, nls_evolve_dense, stable_dtau
+    from lpkdv.nls import DENSE_STEP_MULTIPLE, gaussian_envelope, nls_evolve_dense, stable_dtau
 
     co = compute_coefficients(LpkdvParams(1.5, -0.5), math.pi / 2)
     env = gaussian_envelope(1024, 0.0, 40.0, 1.0, 1.25, 12.0)
     c = co.nls_coefficients()
     window = (320, 96)
     tau_needed = co.M2_tilde * (window[1] - 1) / 16 ** 2 * 1.01
-    evo = nls_evolve_dense(env, c, tau_needed, stable_dtau(env, c), store_every=4)
+    evo = nls_evolve_dense(env, c, tau_needed, DENSE_STEP_MULTIPLE * stable_dtau(env, c))
     rep = residual_scaling(evo, co, [16, 32, 64], window)
     assert rep["exponent"] >= 2.7, rep
 
