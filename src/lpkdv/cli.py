@@ -29,13 +29,10 @@ DEFAULT_CONFIG = {
     "p": 1.5,
     "q": 0.5,
     "kappa": math.pi / 2,
-    "r": 1.0,
-    "M2_tilde": 1.0,
-    "branch": None,
     "N_list": [16, 32, 64],
     "window": [512, 192],
     "envelope": {"type": "gaussian", "amplitude": 1.0, "width": 1.25, "center": 12.0},
-    "nls": {"L": 1024, "period": 40.0, "dtau": None, "tau_final": None},
+    "nls": {"L": 1024, "period": 40.0, "tau_final": None},
     # lattice-solution experiments (simulate / isospectral / flow-check) run on
     # their own parameter point: |zeta| < |mu| keeps the zero background stable
     # under the corner recursion, so bump data stay confined and bounded
@@ -96,12 +93,13 @@ _ENVELOPE_TYPE_KEYS = {"gaussian": {}, "plane": {"k": 0}, "file": {"path": ""}}
 
 
 def _fits(value, default) -> bool:
-    """A JSON integer for an integer default, a number for a float default,
-    a number or null for a null default, a list of what fits the default's
-    first entry for a list, else the default's JSON type."""
+    """A JSON integer for an integer default, a finite number for a float
+    default, a finite number or null for a null default, a list of what fits
+    the default's first entry for a list, else the default's JSON type."""
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
     if isinstance(default, int):
         return number and isinstance(value, int)
     if isinstance(default, float) or default is None:
@@ -150,7 +148,7 @@ def validate_config(cfg: dict) -> None:
     if cfg["boundary"]["kind"] not in _BOUNDARY_KINDS:
         raise ConfigError(f"boundary.kind must be one of {', '.join(_BOUNDARY_KINDS)}; "
                           f"got {cfg['boundary']['kind']!r}")
-    try:  # p, q, kappa, r, M2_tilde, branch: the domain the library enforces
+    try:  # p, q, kappa: the domain the library enforces
         _build_coeffs(cfg)
     except DomainError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
@@ -181,8 +179,7 @@ def _build_params(cfg):
 def _build_coeffs(cfg):
     from .reduction import compute_coefficients
 
-    return compute_coefficients(_build_params(cfg), cfg["kappa"], r=cfg["r"],
-                                m2_tilde=cfg["M2_tilde"], branch=cfg["branch"])
+    return compute_coefficients(_build_params(cfg), cfg["kappa"])
 
 
 def _build_envelope(cfg):
@@ -201,31 +198,26 @@ def _build_envelope(cfg):
         return envelope_from_json(json.load(fh))
 
 
-def _dtau(cfg, env, c, multiple: int = 1) -> float:
-    """nls.dtau, or multiple times the stable step for env when it is null;
-    any number, 0 included, is taken as given (the NLS solver refuses one
-    <= 0)."""
-    from .nls import stable_dtau
-
-    dtau = cfg["nls"]["dtau"]
-    return multiple * stable_dtau(env, c) if dtau is None else dtau
-
-
 def _evolve_dense(cfg, coeffs, rows, n_min):
     """The envelope evolved far enough for lattice rows 0..rows-1 at N = n_min
-    (tau = M2_tilde * m / N^2), with a 1% margin, at DENSE_STEP_MULTIPLE
-    times stable_dtau unless nls.dtau is set: the exponential dense output
-    (see EnvelopeEvolution) holds the rows to classic RK4 at that step.
-    Every step end stores u_hat and N_hat; a run whose stored spectra would
-    pass MAX_SNAPSHOT_BYTES is a ConfigError."""
-    from .nls import DENSE_STEP_MULTIPLE, nls_evolve_dense, step_plan
+    (tau = m / N^2), with a 1% margin, at DENSE_STEP_MULTIPLE times
+    stable_dtau but in at least DENSE_MIN_STEPS steps: the exponential dense
+    output (see EnvelopeEvolution) holds the rows to classic RK4 at that
+    step, with the cubic through N_hat that needs 4 step ends.  Every step
+    end stores u_hat and N_hat; a run whose stored spectra would pass
+    MAX_SNAPSHOT_BYTES is a ConfigError."""
+    from .nls import (DENSE_MIN_STEPS, DENSE_STEP_MULTIPLE, nls_evolve_dense, stable_dtau,
+                      step_plan)
 
     env = _build_envelope(cfg)
     c = coeffs.nls_coefficients()
-    tau_final = coeffs.M2_tilde * (rows - 1) / n_min ** 2 * 1.01
-    dtau = _dtau(cfg, env, c, DENSE_STEP_MULTIPLE)
+    tau_final = (rows - 1) / n_min ** 2 * 1.01
+    span = tau_final - env.tau
+    dtau = DENSE_STEP_MULTIPLE * stable_dtau(env, c)
+    if span > 0:  # a negative span is the solver's to refuse
+        dtau = min(dtau, span / DENSE_MIN_STEPS)
     if dtau > 0:  # nls_evolve_dense refuses any other step
-        steps, _ = step_plan(tau_final - env.tau, dtau)
+        steps, _ = step_plan(span, dtau)
         size = 2 * (steps + 1) * env.L * 16
         if size > MAX_SNAPSHOT_BYTES:
             raise ConfigError(f"the dense NLS run for N = {n_min} (tau = {tau_final:.4g}) "
@@ -379,12 +371,12 @@ def cmd_ansatz_residual(cfg, out_dir, quiet):
 
 
 def cmd_nls_evolve(cfg, out_dir, quiet):
-    from .nls import nls_evolve, save_envelope_csv, envelope_to_json, step_plan
+    from .nls import envelope_to_json, nls_evolve, save_envelope_csv, stable_dtau, step_plan
 
     coeffs = _build_coeffs(cfg)
     env = _build_envelope(cfg)
     c = coeffs.nls_coefficients()
-    dtau = _dtau(cfg, env, c)
+    dtau = stable_dtau(env, c)
     tau_final = 1.0 if cfg["nls"]["tau_final"] is None else cfg["nls"]["tau_final"]
     out = nls_evolve(env, c, tau_final, dtau)
     drift = abs(out.mass() - env.mass()) / env.mass() if env.mass() > 0 else 0.0

@@ -51,7 +51,8 @@ from .errors import DomainError, NumericalError, PreconditionError
 
 STEP_BOUND = 4.0 * 2.82       # stable_dtau's bound: 4x classic RK4's imaginary-axis bound
 STEP_SAFETY = 0.9             # stable_dtau's fraction of STEP_BOUND
-DENSE_STEP_MULTIPLE = 4       # the dense runs' default step, in units of stable_dtau
+DENSE_STEP_MULTIPLE = 4       # the dense runs' step, in units of stable_dtau
+DENSE_MIN_STEPS = 3           # fewest steps of a dense run: 4 step ends carry N_hat's cubic
 GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND  # step guard: the largest dtau * stiffness
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
 _BAND_CHUNK = 64              # step ends per step of EnvelopeEvolution.bandwidth's scan
@@ -160,7 +161,9 @@ def _rhs_values(values: np.ndarray, dxi: float, c: NlsCoefficients) -> np.ndarra
 def _stiffness(env: Envelope, c: NlsCoefficients) -> float:
     """|rho1| k_max^2 + |rho2| max|u|^2, the step guard's denominator."""
     kmax = math.pi / env.dxi
-    return abs(c.rho1) * kmax ** 2 + abs(c.rho2) * float(np.max(np.abs(env.values)) ** 2)
+    with np.errstate(over="ignore"):  # an overflowing amplitude is infinitely stiff
+        peak = float(np.max(np.abs(env.values)) ** 2)
+    return abs(c.rho1) * kmax ** 2 + abs(c.rho2) * peak
 
 
 def stable_dtau(env: Envelope, c: NlsCoefficients) -> float:

@@ -4,16 +4,20 @@ Carries the full reduction data of the expansion around a carrier wave
 exp(i(kappa*n - omega*m)):
 
   * the scale factors M1, M1_tilde fixing the slow characteristic
-    xi = (M1*n - sgn*M1_tilde*m)/N and the slow time tau = M2_tilde*m/N^2,
+    xi = (M1*n - branch*M1_tilde*m)/N and the slow time tau = m/N^2,
   * the harmonic-reconstruction coefficients tau1 (zeroth harmonic source),
-    tau2 (second harmonic), tau3/tau4 (stored only; their orders are not
+    tau2 (second harmonic) and tau3 (stored only; its order is not
     reconstructed here),
   * the NLS coefficients rho1, rho2 of i u_tau = rho1 u_xixi + rho2 u|u|^2.
 
-The complex closed forms are evaluated verbatim; realness of M1 and M1_tilde
-is asserted rather than assumed (the phase theta of S = r*exp(i*theta) is
-what enforces it).  The assembled lattice ansatz keeps the harmonics
-(k, alpha) in {(1,0), (1,+-1), (2,+-2)}:
+The reduction fixes the slow variables only up to two scales and one sign:
+S = r*exp(i*theta) scales xi (M1, M1_tilde ~ r, rho1 ~ r^2, tau1 ~ 1/r) and
+tau = M2_tilde*m/N^2 scales tau (rho1, rho2 ~ 1/M2_tilde), both duplicating
+the envelope's own width and time span, while M1 > 0 forces the sign.  The
+gauge r = M2_tilde = 1 is the one kept.  The complex closed forms are
+evaluated verbatim; realness of M1 and M1_tilde is asserted rather than
+assumed (the phase theta of S is what enforces it).  The assembled lattice
+ansatz keeps the harmonics (k, alpha) in {(1,0), (1,+-1), (2,+-2)}:
 
     u = (1/N) [ u1_0(xi) + 2 Re(u1_1(xi,tau) e^{i theta}) ]
         + (1/N^2) 2 Re(tau2 u1_1^2 e^{2 i theta}),   theta = kappa*n - omega*m,
@@ -47,45 +51,45 @@ _BLOCK_ROWS = 32  # lattice rows summed at once; bounds the assembly working set
 
 @dataclass(frozen=True)
 class ReductionCoefficients:
-    """Everything the reduction produces for one (p, q, kappa, r, M2_tilde, branch)."""
+    """Everything the reduction produces for one (p, q, kappa)."""
 
     params: LpkdvParams
     carrier: CarrierWave
     branch: int
-    r: float
     theta: float
     S: complex
     M1: float
     M1_tilde: float
-    M2_tilde: float
     tau1: complex
     tau2: complex
     tau3: complex
-    tau4: complex | None
     rho1: float
     rho2: float
 
-    @property
-    def sgn(self) -> int:
-        """Sign in the slow characteristic xi = (M1*n - sgn*M1_tilde*m)/N."""
-        return self.branch
+    def xi(self, n, m, N):
+        """The slow characteristic xi = (M1*n - branch*M1_tilde*m)/N."""
+        return (self.M1 * np.asarray(n) - self.branch * self.M1_tilde * np.asarray(m)) / N
+
+    @staticmethod
+    def tau(m, N):
+        """The slow time tau = m/N^2."""
+        return np.asarray(m) / N ** 2
 
     def nls_coefficients(self) -> NlsCoefficients:
         return NlsCoefficients(self.rho1, self.rho2)
 
     def to_json(self) -> dict:
         def cplx(z):
-            return None if z is None else {"re": z.real, "im": z.imag}
+            return {"re": z.real, "im": z.imag}
 
         return {
             "p": self.params.p, "q": self.params.q,
             "mu": self.params.mu, "zeta": self.params.zeta,
             "kappa": self.carrier.kappa, "omega": self.carrier.omega,
-            "branch": self.branch, "r": self.r, "theta": self.theta,
+            "branch": self.branch, "theta": self.theta,
             "S": cplx(self.S),
-            "M1": self.M1, "M1_tilde": self.M1_tilde, "M2_tilde": self.M2_tilde,
-            "tau1": cplx(self.tau1), "tau2": cplx(self.tau2),
-            "tau3": cplx(self.tau3), "tau4": cplx(self.tau4),
+            "M1": self.M1, "M1_tilde": self.M1_tilde,
+            "tau1": cplx(self.tau1), "tau2": cplx(self.tau2), "tau3": cplx(self.tau3),
             "rho1": self.rho1, "rho2": self.rho2,
             "defocusing": bool(self.rho1 * self.rho2 < 0),
         }
@@ -101,27 +105,17 @@ def _assert_real(z: complex, name: str) -> float:
     return z.real
 
 
-def compute_coefficients(params: LpkdvParams, kappa: float, r: float = 1.0,
-                         m2_tilde: float = 1.0, branch: int | None = None,
-                         interpret_tau4: bool = False) -> ReductionCoefficients:
+def compute_coefficients(params: LpkdvParams, kappa: float) -> ReductionCoefficients:
     """Evaluate the full set of reduction coefficients at one parameter point.
 
     branch is the correlated sign pair of the reduction (the choice between
-    the two slow characteristics); None auto-selects the one with M1 > 0.
-    The phase theta starts from the principal arctan and is shifted by pi if
-    needed so that M1_tilde > 0; realness of M1 and M1_tilde is asserted to
-    REALNESS_RTOL relative.  tau4 involves two symbols with no definition in
-    the source material; it is evaluated (with the lattice-parameter reading)
-    only when interpret_tau4 is set, otherwise stored as None.
+    the two slow characteristics), the one with M1 > 0.  The phase theta
+    starts from the principal arctan and is shifted by pi if needed so that
+    M1_tilde > 0; realness of M1 and M1_tilde is asserted to REALNESS_RTOL
+    relative.
     """
     if not (0.0 < kappa < math.pi):
         raise DomainError(f"kappa must lie in (0, pi), got {kappa}")
-    if r <= 0:
-        raise DomainError("r must be positive")
-    if m2_tilde <= 0:
-        raise DomainError("M2_tilde must be positive")
-    if branch not in (None, 1, -1):
-        raise DomainError("branch must be +1, -1, or None for auto")
     mu, zeta = params.mu, params.zeta
     carrier = CarrierWave.for_params(params, kappa)
     E = cmath.exp(1j * kappa)
@@ -134,7 +128,7 @@ def compute_coefficients(params: LpkdvParams, kappa: float, r: float = 1.0,
     theta = -math.atan(zeta * math.sin(kappa) / theta_denom)
 
     def m_values(th):
-        S = r * cmath.exp(1j * th)
+        S = cmath.exp(1j * th)
         m1_signless = S * (mu - zeta * E)          # M1 = -branch * this
         m1t = S * E * (zeta ** 2 - mu ** 2) / (mu * E - zeta)
         return S, m1_signless, m1t
@@ -147,31 +141,26 @@ def compute_coefficients(params: LpkdvParams, kappa: float, r: float = 1.0,
     m1_signless_re = _assert_real(m1_signless, "M1 (signless complex form)")
     m1_tilde = _assert_real(m1t_c, "M1_tilde")
 
-    if branch is None:
-        branch = -1 if m1_signless_re > 0 else 1
+    branch = -1 if m1_signless_re > 0 else 1
     m1 = -branch * m1_signless_re
-    if m1 <= 0 or m1_tilde <= 0:
+    if not (m1 > 0 and m1_tilde > 0):
         raise DomainError(
-            f"M1 = {m1:.6g}, M1_tilde = {m1_tilde:.6g} not both positive; "
-            f"try branch = {-branch}"
+            f"degenerate reduction: M1 = {m1:.6g} and M1_tilde = {m1_tilde:.6g} "
+            f"must both be positive"
         )
 
     tau1 = branch * 2.0 * (1 + E) ** 2 / (S * E * (mu + zeta) * (mu - zeta * E))
     tau2 = (1 + E) / ((1 - E) * (mu + zeta))
     tau3 = 2j * math.sin(kappa) / (mu + zeta)
-    tau4 = None
-    if interpret_tau4:
-        tau4 = branch * 2.0 * S * E * (zeta + mu * E) / ((E - 1) ** 2 * (mu + zeta))
 
     band = zeta ** 2 + mu ** 2 - 2.0 * zeta * mu * math.cos(kappa)
-    rho1 = -mu * zeta * r ** 2 * (zeta ** 2 - mu ** 2) * math.sin(kappa) / (m2_tilde * band)
+    rho1 = -mu * zeta * (zeta ** 2 - mu ** 2) * math.sin(kappa) / band
     rho2 = (8.0 * zeta * mu * (zeta - mu) * (1 + math.cos(kappa)) ** 2 * math.sin(kappa)
-            / (m2_tilde * (mu + zeta) * band ** 2))
+            / ((mu + zeta) * band ** 2))
 
     return ReductionCoefficients(
-        params=params, carrier=carrier, branch=branch, r=r, theta=theta, S=S,
-        M1=m1, M1_tilde=m1_tilde, M2_tilde=m2_tilde,
-        tau1=tau1, tau2=tau2, tau3=tau3, tau4=tau4, rho1=rho1, rho2=rho2,
+        params=params, carrier=carrier, branch=branch, theta=theta, S=S,
+        M1=m1, M1_tilde=m1_tilde, tau1=tau1, tau2=tau2, tau3=tau3, rho1=rho1, rho2=rho2,
     )
 
 
@@ -185,30 +174,6 @@ def group_velocity(params: LpkdvParams, kappa: float) -> float:
         return (dispersion(params, kappa + hh) - dispersion(params, kappa - hh)) / (2 * hh)
 
     return (4.0 * central(h / 2) - central(h)) / 3.0
-
-
-@dataclass(frozen=True)
-class SlowCoordinates:
-    """Map from lattice indices to the slow variables (xi, tau)."""
-
-    N: int
-    M1: float
-    M1_tilde: float
-    M2_tilde: float
-    sgn: int
-
-    @classmethod
-    def from_coefficients(cls, coeffs: ReductionCoefficients, N: int) -> "SlowCoordinates":
-        if N < 1:
-            raise DomainError("N must be a positive integer")
-        return cls(N=N, M1=coeffs.M1, M1_tilde=coeffs.M1_tilde,
-                   M2_tilde=coeffs.M2_tilde, sgn=coeffs.sgn)
-
-    def xi(self, n, m):
-        return (self.M1 * np.asarray(n) - self.sgn * self.M1_tilde * np.asarray(m)) / self.N
-
-    def tau(self, n, m):
-        return self.M2_tilde * np.asarray(m) / self.N ** 2
 
 
 def _band(J: int, L: int) -> tuple:
@@ -273,9 +238,9 @@ def fourier_resample(values: np.ndarray, xi0: float, dxi: float, x) -> np.ndarra
                           [0.0], dxi)[:, 0]
 
 
-def _row_taus(evolution: EnvelopeEvolution, slow: SlowCoordinates, ms) -> np.ndarray:
+def _row_taus(evolution: EnvelopeEvolution, ms, N: int) -> np.ndarray:
     """Slow times of lattice rows ms, which must lie in the evolution's range."""
-    taus = slow.tau(0, ms)
+    taus = ReductionCoefficients.tau(ms, N)
     bad = np.flatnonzero((taus < evolution.tau_min - 1e-12) | (taus > evolution.tau_max + 1e-12))
     if len(bad):
         raise DomainError(
@@ -298,7 +263,6 @@ class AnsatzField:
     field: LatticeField
     include_zeroth: bool
     include_second: bool
-    slow: SlowCoordinates
     modes: int
     modes_zeroth: int
 
@@ -307,14 +271,14 @@ class AnsatzField:
         shape (len(n), len(m)); a scalar m gives the 1-D array over n."""
         ms = np.atleast_1d(np.asarray(m, dtype=float))
         evolution = self.evolution
-        taus = _row_taus(evolution, self.slow, ms)
+        taus = _row_taus(evolution, ms, self.N)
         spectra = evolution.spectra_at(taus)
         _check_spectra_resolved(spectra)
         lo, hi = _band(evolution.bandwidth(taus), evolution.L)
-        x = self.slow.xi(np.atleast_1d(n), 0)
+        x = self.coeffs.xi(np.atleast_1d(n), 0, self.N)
         basis = _lattice_matrix(x, evolution.xi0, lo, hi, evolution.L, evolution.dxi)
-        u1 = _series_values(spectra, np.arange(-lo, hi + 1), basis, self.slow.xi(0, ms),
-                            evolution.dxi)
+        u1 = _series_values(spectra, np.arange(-lo, hi + 1), basis,
+                            self.coeffs.xi(0, ms, self.N), evolution.dxi)
         return u1[:, 0] if np.ndim(m) == 0 else u1
 
 
@@ -341,13 +305,14 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     n_size, m_size = window
     if n_size < 2 or m_size < 2:
         raise DomainError("window must be at least 2x2")
-    slow = SlowCoordinates.from_coefficients(coeffs, N)
+    if N < 1:
+        raise DomainError("N must be a positive integer")
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
     xi0, dxi, L = evolution.xi0, evolution.dxi, evolution.L
     ns = np.arange(n_size)
     ms = np.arange(m_size)
-    x = slow.xi(ns, 0)
-    taus = _row_taus(evolution, slow, ms)
+    x = coeffs.xi(ns, 0, N)
+    taus = _row_taus(evolution, ms, N)
     J = evolution.bandwidth(taus)
     lo, hi = _band(J, L)                                  # u1_1: j = -lo..hi
     top = min(2 * J, L // 2) if include_zeroth else -1    # |u1_1|^2: j = 0..top
@@ -361,7 +326,7 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         rows = slice(start, min(start + _BLOCK_ROWS, m_size))
         spectra = evolution.spectra_at(taus[rows])
         _check_spectra_resolved(spectra)
-        offsets = slow.xi(0, ms[rows])
+        offsets = coeffs.xi(0, ms[rows], N)
         u1 = _series_values(spectra, j1, basis1, offsets, dxi)
         phase = np.outer(carrier_n, carrier_m[rows])
         block = 2.0 * np.real(u1 * phase) / N
@@ -375,8 +340,7 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         out[:, rows] = block
     return AnsatzField(N=N, coeffs=coeffs, evolution=evolution,
                        field=LatticeField(out), include_zeroth=include_zeroth,
-                       include_second=include_second, slow=slow,
-                       modes=len(j1), modes_zeroth=len(j0))
+                       include_second=include_second, modes=len(j1), modes_zeroth=len(j0))
 
 
 def fit_scaling_exponent(n_list, residuals) -> tuple:

@@ -177,6 +177,7 @@ def harmonic_projection(ansatz: AnsatzField, which: str,
     symmetry up to a reparametrization of the group parameter.  The pointwise
     ratio to the reduced flow is not reported: at blocks whose envelope
     sample is near ENVELOPE_FLOOR it divides two round-off-sized numbers.
+    An envelope below ENVELOPE_FLOOR at every block is a PreconditionError.
     flow1, if given, is first_harmonic_blocks(ansatz, "flow1"), computed
     once by a caller that projects both flows on the same ansatz.
     """
@@ -189,7 +190,10 @@ def harmonic_projection(ansatz: AnsatzField, which: str,
     env = _block_envelope(ansatz, which, blocks.shape)
     keep = np.abs(env) >= ENVELOPE_FLOOR
     if not np.any(keep):
-        return {"flow": which, "n_points": 0, "note": "envelope below floor everywhere"}
+        raise PreconditionError(
+            f"envelope below ENVELOPE_FLOOR = {ENVELOPE_FLOOR:.0e} at every block of "
+            f"{which}: nothing to project"
+        )
     coeff_theory = 1j * math.sin(kappa) / (2 * params.p ** 2) / ansatz.N
     coeff_est = np.sum(blocks[keep] * np.conj(env[keep])) / np.sum(np.abs(env[keep]) ** 2)
     report = {

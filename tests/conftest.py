@@ -7,7 +7,7 @@ from lpkdv.nls import DENSE_STEP_MULTIPLE, gaussian_envelope, nls_evolve_dense, 
 from lpkdv.quad import LpkdvParams, evolve_ivp
 from lpkdv.reduction import compute_coefficients
 
-# reference parameter point used throughout: p=1.5, q=0.5, kappa=pi/2, r=1
+# reference parameter point used throughout: p=1.5, q=0.5, kappa=pi/2
 REF_WINDOW = (512, 192)
 REF_N_LIST = [16, 32, 64]
 
@@ -19,7 +19,7 @@ def ref_params():
 
 @pytest.fixture(scope="session")
 def ref_coeffs(ref_params):
-    return compute_coefficients(ref_params, math.pi / 2, r=1.0, m2_tilde=1.0)
+    return compute_coefficients(ref_params, math.pi / 2)
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +32,7 @@ def ref_evolution(ref_coeffs, ref_envelope):
     """Envelope evolved far enough for the 512x192 window at N=16, at the
     CLI's dense step (DENSE_STEP_MULTIPLE times stable_dtau)."""
     c = ref_coeffs.nls_coefficients()
-    tau_needed = ref_coeffs.M2_tilde * (REF_WINDOW[1] - 1) / min(REF_N_LIST) ** 2
+    tau_needed = (REF_WINDOW[1] - 1) / min(REF_N_LIST) ** 2
     return nls_evolve_dense(ref_envelope, c, tau_needed * 1.01,
                             DENSE_STEP_MULTIPLE * stable_dtau(ref_envelope, c))
 

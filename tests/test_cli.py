@@ -120,7 +120,7 @@ class TestRun:
         assert run("flow-check", None, str(out), quiet=True) == 0
         rep = read(out / "flow_check.json")
         assert rep["flow1"]["passed"] and rep["flow2"]["passed"]
-        assert rep["negative_control"]["exponent"] < 2.0
+        assert rep["negative_control"]["exponent"] < cli.BOUNDS["control_exponent"]
 
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "m"
@@ -194,8 +194,17 @@ def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
     cfg.write_text(json.dumps({"p": p, "q": q, "kappa": kappa}))
     out = tmp_path / "o"
     assert run("ansatz-residual", str(cfg), str(out), quiet=True) == 0
-    assert read(out / "ansatz_residual.json")["exponent"] >= 2.7
+    assert read(out / "ansatz_residual.json")["exponent"] >= cli.BOUNDS["ansatz_exponent"]
 
+
+# non-finite numbers, which Python's json reads: (subcommand, config, key named)
+NON_FINITE = [
+    ("nls-evolve", {"nls": {"tau_final": math.nan}}, "nls.tau_final"),
+    ("nls-evolve", {"nls": {"tau_final": math.inf}}, "nls.tau_final"),
+    ("coeffs", {"p": math.inf}, "p"),
+    ("nls-evolve", {"envelope": {"center": math.nan}}, "envelope.center"),
+    ("commutators", {"commutators": {"eps": [1e-4, math.inf]}}, "commutators.eps"),
+]
 
 # malformed envelope documents, each a valid one with one change
 ENVELOPE = {"re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0], "xi0": 0.0, "dxi": 0.5}
@@ -211,7 +220,7 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     ("ansatz-residual", {"N_list": [0, 1, 2]}, 2),
     ("simulate", {"boundary": {"p": 1.0, "q": 1.0}}, 2),
     ("coeffs", {"Nlist": [16, 32, 64]}, 2),
-    ("nls-evolve", {"nls": {"dtau": -1.0}}, 2),
+    ("nls-evolve", {"nls": {"dtau": 0.01}}, 2),
     ("commutators", {"commutators": {"width": 0.1}}, 1),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/empty.json"}}, 2),
     ("nls-evolve", {"boundary": {"kind": "nope"}}, 2),
@@ -222,8 +231,8 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     ("nls-evolve", {"envelope": {"width": 0.0}}, 2),
     ("simulate", {"boundary": {"width": 0.0}}, 2),
     ("flow-check", {"boundary": {"p": 0.0, "q": 0.5, "kind": "random", "amplitude": 0.01}}, 2),
-    ("nls-evolve", {"nls": {"dtau": 0.0}}, 2),
-    ("ansatz-residual", {"nls": {"dtau": 0.0}}, 2),
+    ("nls-evolve", {"M2_tilde": 1e-300}, 2),
+    ("ansatz-residual", {"branch": 1}, 2),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/ragged.json"}}, 2),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/text_dxi.json"}}, 2),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/text_re.json"}}, 2),
@@ -243,10 +252,17 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     ("flow-check", {"boundary": {"n_size": -5, "kind": "random"}}, 2),
     ("isospectral", {"boundary": {"n_size": 0}}, 2),
     ("isospectral", {"boundary": {"n_size": -5}}, 2),
+    ("coeffs", {"r": 1e200}, 2),
+    *[(subcommand, doc, 2) for subcommand, doc, _ in NON_FINITE],
+    ("nls-evolve", {"envelope": {"amplitude": 1e200}}, 2),
+    ("ansatz-residual", {"envelope": {"amplitude": 1e200}}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
-    by the computation exits 1 and is recorded in the manifest.  "$TMP" in a
+    by the computation exits 1 and is recorded in the manifest.  The retired
+    keys r, M2_tilde, branch and nls.dtau are unknown keys; an amplitude
+    whose square overflows has a stable step of 0, which the step guard
+    refuses.  "$TMP" in a
     config stands for the test's directory, which holds an empty JSON
     object as empty.json and malformed envelope documents: re and im of
     unequal length (ragged.json), a text dxi (text_dxi.json), a text re
@@ -268,6 +284,64 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
         assert manifest["passed"] is False and manifest["result"] is None
         assert manifest["error"]["type"] == "PreconditionError"
         assert "resolved" in manifest["error"]["message"]
+
+
+@pytest.mark.parametrize("subcommand, doc, key", NON_FINITE)
+def test_non_finite_config_number_named(tmp_path, capsys, subcommand, doc, key):
+    """A NaN or infinite config number is refused by the schema check, on one
+    line that names its key, before any computation sees it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(subcommand, str(cfg), str(tmp_path / "o"), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} = ") and err.count("\n") == 1
+
+
+def test_config_leaves_pinned():
+    """The config surface is fixed: a new knob needs a deliberate edit here,
+    as a new bound does in test_default_tolerances_pinned."""
+    def leaves(doc, where=""):
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                yield from leaves(value, where + key + ".")
+            else:
+                yield where + key
+
+    assert sorted(leaves(DEFAULT_CONFIG)) == sorted([
+        "p", "q", "kappa", "N_list", "window", "seed",
+        "envelope.type", "envelope.amplitude", "envelope.width", "envelope.center",
+        "nls.L", "nls.period", "nls.tau_final",
+        "boundary.kind", "boundary.amplitude", "boundary.width", "boundary.center",
+        "boundary.n_size", "boundary.m_size", "boundary.p", "boundary.q",
+        "commutators.L", "commutators.period", "commutators.amplitude",
+        "commutators.width", "commutators.center", "commutators.eps",
+    ])
+
+
+def test_dense_run_keeps_the_cubic():
+    """zs-limit's dense run (rows 0 and 1 at N = 16) spans less than one
+    dense step, yet takes DENSE_MIN_STEPS = 3 steps, so that the cubic
+    through N_hat has its 4 step ends; ansatz-residual's run (192 rows)
+    keeps its 145 steps of DENSE_STEP_MULTIPLE times stable_dtau."""
+    cfg = load_config(None)
+    coeffs = cli._build_coeffs(cfg)
+    evolution = cli._evolve_dense(cfg, coeffs, 2, 16)
+    assert evolution.steps >= 3 and len(evolution.taus) == evolution.steps + 1
+    assert cli._evolve_dense(cfg, coeffs, 192, 16).steps == 145
+
+
+def test_flow_project_zero_envelope_exit_1(tmp_path, capsys):
+    """An envelope below ENVELOPE_FLOOR everywhere leaves nothing to project:
+    exit 1 with a PreconditionError record, not a KeyError traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"amplitude": 0.0}}))
+    out = tmp_path / "o"
+    assert run("flow-project", str(cfg), str(out), quiet=True) == 1
+    assert capsys.readouterr().err.startswith("error: PreconditionError")
+    manifest = read(out / "manifest.json")
+    assert manifest["passed"] is False and manifest["result"] is None
+    assert manifest["error"]["type"] == "PreconditionError"
+    assert "ENVELOPE_FLOOR" in manifest["error"]["message"]
 
 
 @pytest.mark.parametrize("name, words", [("nan_dxi", "grid spacing dxi = nan"),

@@ -246,16 +246,16 @@ def test_dense_output_matches_rk4_oracle(p, q, kappa, ref_evolution, ref_envelop
     of the reference window (N = 16): the reference evolution at the default
     point, the same envelope evolved with each other point's NLS
     coefficients."""
-    coeffs = compute_coefficients(LpkdvParams(p, q), kappa, r=1.0, m2_tilde=1.0)
+    coeffs = compute_coefficients(LpkdvParams(p, q), kappa)
     c = coeffs.nls_coefficients()
     n_min = min(REF_N_LIST)
     if (p, q, kappa) == (1.5, 0.5, math.pi / 2):
         evo, rows = ref_evolution, REF_WINDOW[1]
     else:
         rows = ORACLE_ROWS_OFF_REFERENCE + 1
-        evo = nls_evolve_dense(ref_envelope, c, coeffs.M2_tilde * (rows - 1) / n_min ** 2 * 1.01,
+        evo = nls_evolve_dense(ref_envelope, c, (rows - 1) / n_min ** 2 * 1.01,
                                DENSE_STEP_MULTIPLE * stable_dtau(ref_envelope, c))
-    taus = coeffs.M2_tilde * np.arange(rows) / n_min ** 2
+    taus = coeffs.tau(np.arange(rows), n_min)
     oracle = rk4_values(ref_envelope, c, taus, stable_dtau(ref_envelope, c) / 4)
     assert np.max(np.abs(evo.values_at(taus) - oracle)) <= 1e-9
 

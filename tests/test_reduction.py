@@ -7,7 +7,6 @@ from lpkdv.errors import DomainError, PreconditionError
 from lpkdv.nls import Envelope, _check_resolved, frozen_evolution, gaussian_envelope
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import (
-    SlowCoordinates,
     assemble_ansatz,
     compute_coefficients,
     fit_scaling_exponent,
@@ -20,7 +19,7 @@ SQRT5 = math.sqrt(5.0)
 
 
 class TestCoefficientValues:
-    """Reference point p=1.5, q=0.5, kappa=pi/2, r=1, M2_tilde=1."""
+    """Reference point p=1.5, q=0.5, kappa=pi/2."""
 
     def test_m1(self, ref_coeffs):
         assert abs(ref_coeffs.M1 - SQRT5) < 1e-9
@@ -52,14 +51,6 @@ class TestCoefficientValues:
     def test_defocusing_sign(self, ref_coeffs):
         assert ref_coeffs.rho1 * ref_coeffs.rho2 < 0
 
-    def test_tau4_unavailable_by_default(self, ref_coeffs):
-        assert ref_coeffs.tau4 is None
-
-    def test_tau4_with_interpretation_flag(self, ref_params):
-        co = compute_coefficients(ref_params, math.pi / 2, interpret_tau4=True)
-        assert co.tau4 is not None
-        assert abs(co.tau4 - 1j * SQRT5 / 3.0) < 1e-9
-
     def test_plus_branch_point(self):
         # pq < 0 selects the other correlated sign pair; the magnitudes at
         # this mu <-> zeta mirrored point coincide with the reference ones
@@ -70,10 +61,6 @@ class TestCoefficientValues:
         assert abs(co.rho1 - 1.2) < 1e-9
         assert abs(co.rho2 - (-16.0 / 75.0)) < 1e-9
         assert co.rho1 * co.rho2 < 0
-
-    def test_wrong_branch_rejected(self, ref_params):
-        with pytest.raises(DomainError, match="branch"):
-            compute_coefficients(ref_params, math.pi / 2, branch=1)
 
     def test_theta_singularity(self):
         # zeta cos(kappa) = mu at kappa = pi/3 for mu=1, zeta=2
@@ -127,21 +114,21 @@ class TestGroupVelocity:
 
 class TestSlowCoordinates:
     def test_xi_constant_along_characteristic(self, ref_coeffs):
-        slow = SlowCoordinates.from_coefficients(ref_coeffs, 32)
+        co = ref_coeffs
         rng = np.random.default_rng(4)
         for _ in range(10):
             n0, m0, s = rng.uniform(0, 50, 3)
-            a = slow.xi(n0, m0)
-            b = slow.xi(n0 + slow.M1_tilde * s, m0 + slow.sgn * slow.M1 * s)
+            a = co.xi(n0, m0, 32)
+            b = co.xi(n0 + co.M1_tilde * s, m0 + co.branch * co.M1 * s, 32)
             assert abs(a - b) < 1e-10
 
     def test_tau(self, ref_coeffs):
-        slow = SlowCoordinates.from_coefficients(ref_coeffs, 16)
-        assert np.isclose(slow.tau(3, 8), ref_coeffs.M2_tilde * 8 / 256.0)
+        assert ref_coeffs.tau(8, 16) == 8 / 256.0
+        assert np.array_equal(ref_coeffs.tau(np.arange(3), 4), np.arange(3) / 16.0)
 
     def test_characteristic_matches_group_velocity(self, ref_params, ref_coeffs):
-        # moving along constant xi means dn/dm = sgn*M1_tilde/M1 = v_group
-        slope = ref_coeffs.sgn * ref_coeffs.M1_tilde / ref_coeffs.M1
+        # moving along constant xi means dn/dm = branch*M1_tilde/M1 = v_group
+        slope = ref_coeffs.branch * ref_coeffs.M1_tilde / ref_coeffs.M1
         assert abs(slope - group_velocity(ref_params, math.pi / 2)) < 1e-8
 
 
@@ -262,7 +249,7 @@ class TestAssemble:
         n = np.arange(0.0, 300.0, 0.7)
         m = np.array([0.0, 5.5, 40.0, 77.25])
         got = ans.envelope_values(n, m)
-        xi = np.mod(ans.slow.xi(n[:, None], m[None, :]), 40.0)
+        xi = np.mod(ans.coeffs.xi(n[:, None], m[None, :], ans.N), 40.0)
         exact = np.exp(-((xi - 12.0) ** 2) / (2.0 * 1.25 ** 2))
         assert got.shape == (len(n), len(m))
         assert np.max(np.abs(got - exact)) < 1e-12
@@ -286,23 +273,24 @@ def _grid_assemble(evolution, coeffs, N, window, include_zeroth=True, include_se
     """The field assembled through grid values, 32 rows at a time: values_at,
     then _grid_series (resolution check and sum over all the fft's modes) at
     the lattice points, the zeroth harmonic likewise from |values|^2, and one
-    exp per lattice point for the carrier phase.  The reference for the
+    exp per lattice point for the carrier phase, at xi = (M1 n - branch
+    M1_tilde m)/N and tau = m/N^2 written out.  The reference for the
     spectral evaluation in assemble_ansatz, sharing none of its code."""
     n_size, m_size = window
-    slow = SlowCoordinates.from_coefficients(coeffs, N)
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
     ns = np.arange(n_size)
-    x = slow.xi(ns, 0)
+    x = (coeffs.M1 * ns) / N
     out = np.empty((n_size, m_size))
     for start in range(0, m_size, 32):
         ms = np.arange(start, min(start + 32, m_size))
-        values = evolution.values_at(slow.tau(0, ms)).T
-        u1 = _grid_series(values, evolution.xi0, evolution.dxi, x, slow.xi(0, ms), False)
+        offsets = -coeffs.branch * coeffs.M1_tilde * ms / N
+        values = evolution.values_at(ms / N ** 2).T
+        u1 = _grid_series(values, evolution.xi0, evolution.dxi, x, offsets, False)
         phase = np.exp(1j * (kappa * ns[:, None] - omega * ms[None, :]))
         block = 2.0 * np.real(u1 * phase) / N
         if include_zeroth:
             u0 = _grid_series(np.abs(values) ** 2, evolution.xi0, evolution.dxi, x,
-                              slow.xi(0, ms), True)
+                              offsets, True)
             block += coeffs.tau1.real * u0.real / N
         if include_second:
             block += 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2
@@ -420,7 +408,7 @@ def test_plus_branch_residual_scaling():
     env = gaussian_envelope(1024, 0.0, 40.0, 1.0, 1.25, 12.0)
     c = co.nls_coefficients()
     window = (320, 96)
-    tau_needed = co.M2_tilde * (window[1] - 1) / 16 ** 2 * 1.01
+    tau_needed = (window[1] - 1) / 16 ** 2 * 1.01
     evo = nls_evolve_dense(env, c, tau_needed, DENSE_STEP_MULTIPLE * stable_dtau(env, c))
     rep = residual_scaling(evo, co, [16, 32, 64], window)
     assert rep["exponent"] >= 2.7, rep

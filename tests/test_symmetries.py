@@ -161,8 +161,8 @@ class TestHarmonicProjection:
         env = gaussian_envelope(128, 0.0, 40.0, 0.0, 1.0, 20.0)
         evo = frozen_evolution(env, ref_coeffs.nls_coefficients())
         ans = assemble_ansatz(evo, ref_coeffs, 16, (64, 16))
-        rep = harmonic_projection(ans, "flow1")
-        assert rep["n_points"] == 0
+        with pytest.raises(PreconditionError, match="ENVELOPE_FLOOR"):
+            harmonic_projection(ans, "flow1")
 
     def test_flow1_matches_reduced_coefficient(self, ref_evolution, ref_coeffs):
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
