@@ -262,12 +262,11 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     by the computation exits 1 and is recorded in the manifest.  The retired
     keys r, M2_tilde, branch and nls.dtau are unknown keys; an amplitude
     whose square overflows has a stable step of 0, which the step guard
-    refuses.  "$TMP" in a
-    config stands for the test's directory, which holds an empty JSON
-    object as empty.json and malformed envelope documents: re and im of
-    unequal length (ragged.json), a text dxi (text_dxi.json), a text re
-    (text_re.json), a NaN dxi (nan_dxi.json) and an infinite xi0
-    (inf_xi0.json)."""
+    refuses.  "$TMP" in a config stands for the test's directory, which
+    holds an empty JSON object as empty.json and malformed envelope
+    documents: re and im of unequal length (ragged.json), a text dxi
+    (text_dxi.json), a text re (text_re.json), a NaN dxi (nan_dxi.json) and
+    an infinite xi0 (inf_xi0.json)."""
     (tmp_path / "empty.json").write_text("{}")
     for name, change in ENVELOPE_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(ENVELOPE, **change)))
