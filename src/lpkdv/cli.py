@@ -553,14 +553,14 @@ def run(subcommand: str, config_path=None, out_dir=None, quiet=False) -> int:
     if subcommand not in COMMANDS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
+    out_dir = out_dir or f"lpkdv-run-{subcommand}"
     try:
         cfg = load_config(config_path)
         validate_config(cfg)
+        os.makedirs(out_dir, exist_ok=True)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = out_dir or f"lpkdv-run-{subcommand}"
-    os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     error = None
     try:

@@ -14,18 +14,18 @@ Conventions:
     The cross-lattice coefficient P[i,j] = sum_k h^k s(i,k) S(k,j) connects
     fine-lattice differences to coarse-lattice ones; the signed convention is
     pinned by a regression test (P[2,1] must equal h^2 - h).
+  * partial shift       T_n1 = exp(h d) on the coarse variable; the lattice
+    shift factors as (partial n-shift) x exp(h d), which
+    verify_shift_decomposition checks with the same formal derivative.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import DomainError
-
-SHIFT_CHECK_POINTS = 5  # points n = 0..4 at which verify_shift_decomposition compares
 
 
 def _rat(x) -> Fraction:
@@ -250,86 +250,28 @@ def cross_lattice_difference(u_slow: Sequence1D, h: ScaleRatio, j: int, ell: int
     return Sequence1D(tuple(acc), u_slow.n_min)
 
 
-# -- two-variable exact polynomials for the shift-decomposition check ---------
-#
-# A Poly2 maps (a, b) -> coefficient of n^a * x1^b.  Only what the
-# verification needs: evaluation, the total shift, and the two partial shifts.
-
-
-def poly2_eval(poly: dict, n: Fraction, x1: Fraction) -> Fraction:
-    n, x1 = _rat(n), _rat(x1)
-    return sum(c * n ** a * x1 ** b for (a, b), c in poly.items())
-
-
-def _poly2_shift(poly: dict, axis: int, step: Fraction) -> dict:
-    """Substitute (n -> n+step) or (x1 -> x1+step) exactly."""
-    step = _rat(step)
-    out: dict = {}
-    for (a, b), c in poly.items():
-        deg = a if axis == 0 else b
-        for t in range(deg + 1):
-            coeff = c * comb(deg, t) * step ** (deg - t)
-            key = (t, b) if axis == 0 else (a, t)
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly2_delta_x1(poly: dict) -> dict:
-    shifted = _poly2_shift(poly, 1, 1)
-    out = dict(shifted)
-    for k, c in poly.items():
-        out[k] = out.get(k, Fraction(0)) - c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly2_x1_degree(poly: dict) -> int:
-    return max((b for (_, b) in poly), default=0)
-
-
-def _poly2_formal_derivative_x1(poly: dict) -> dict:
-    """ln(1 + D_x1) truncated at the x1-degree of poly (exact on polynomials)."""
-    out: dict = {}
-    term = dict(poly)
-    for i in range(1, _poly2_x1_degree(poly) + 1):
-        term = _poly2_delta_x1(term)
-        c = Fraction((-1) ** (i - 1), i)
-        for k, v in term.items():
-            out[k] = out.get(k, Fraction(0)) + c * v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly2_partial_shift_x1(poly: dict, h: Fraction) -> dict:
-    """Truncated exponential series exp(h * d_x1) applied to poly."""
-    h = _rat(h)
-    out = dict(poly)
-    term = dict(poly)
-    for i in range(1, _poly2_x1_degree(poly) + 1):
-        term = _poly2_formal_derivative_x1(term)
-        c = h ** i / factorial(i)
-        for k, v in term.items():
-            out[k] = out.get(k, Fraction(0)) + c * v
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def verify_shift_decomposition(poly_degree: int, h: ScaleRatio) -> bool:
     """Check T_n u = (partial n-shift)(truncated partial n1-shift) u exactly.
 
-    The check runs over every monomial n^a x1^b with a+b <= poly_degree
-    (linearity then covers all polynomials of that degree), evaluated at the
-    physical points (n, x1 = n*h) for n = 0..SHIFT_CHECK_POINTS-1.  Returns
-    True iff both sides agree exactly everywhere.
+    On a monomial n^a x1^b both sides carry the same partial n-shift
+    (n+1)^a, so over all polynomials of degree <= poly_degree the
+    decomposition reduces to exp(h d) x1^b == (x1 + h)^b for b <= poly_degree,
+    with d = formal_derivative truncated at b and the exponential series at
+    its b-th term.  x1^b is sampled on x1 = 0..b^2+b, each application of d
+    shortens the window by b, and both sides are compared at the b+1 points
+    x1 = 0..b that remain, which fix a polynomial of degree b.  Returns True
+    iff every comparison holds.
     """
     if poly_degree < 0:
         raise DomainError("poly_degree must be non-negative")
     hv = h.value
-    for a, b in itertools.product(range(poly_degree + 1), repeat=2):
-        if a + b > poly_degree:
-            continue
-        poly = {(a, b): Fraction(1)}
-        total = _poly2_shift(_poly2_shift(poly, 0, 1), 1, hv)  # u(n+1, x1+h)
-        composed = _poly2_shift(_poly2_partial_shift_x1(poly, hv), 0, 1)
-        for n in range(SHIFT_CHECK_POINTS):
-            x1 = hv * n
-            if poly2_eval(total, n, x1) != poly2_eval(composed, n, x1):
-                return False
+    for b in range(poly_degree + 1):
+        term = sequence_from_function(lambda x: x ** b, 0, b * b + b)
+        shifted = list(term.values[:b + 1])
+        for i in range(1, b + 1):
+            term = formal_derivative(term, b)
+            c = hv ** i / factorial(i)
+            shifted = [s + c * v for s, v in zip(shifted, term.values)]
+        if shifted != [(x + hv) ** b for x in range(b + 1)]:
+            return False
     return True

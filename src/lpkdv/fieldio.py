@@ -84,11 +84,21 @@ def load_field_binary(path) -> LatticeField:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         raw = fh.read()
-    header = json.loads(header_line)
-    if header.get("magic") != _MAGIC:
+    try:
+        header = json.loads(header_line)
+    except ValueError:
+        raise DomainError("binary field header is not JSON") from None
+    if not isinstance(header, dict) or header.get("magic") != _MAGIC:
         raise DomainError("not an lpkdv binary field file")
-    n_size, m_size = header["n_size"], header["m_size"]
+    n_size, m_size, kind = (header.get(k) for k in ("n_size", "m_size", "kind"))
+    if not all(type(s) is int and s >= 0 for s in (n_size, m_size)):
+        raise DomainError(f"binary field sizes must be integers >= 0, got {n_size}, {m_size}")
+    if kind not in ("real", "complex"):
+        raise DomainError(f"binary field kind must be real or complex, got {kind!r}")
+    if len(raw) != 16 * n_size * m_size:
+        raise DomainError(f"binary field body has {len(raw)} bytes, "
+                          f"{n_size} x {m_size} complex values need {16 * n_size * m_size}")
     vals = np.frombuffer(raw, dtype="<c16").reshape(n_size, m_size)
-    if header["kind"] == "real":
+    if kind == "real":
         return LatticeField(vals.real)
     return LatticeField(vals)

@@ -22,7 +22,6 @@ onto the same reduced flow up to a constant reparametrization factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +34,6 @@ SOLUTION_TOL = 1e-11          # max residual of a field taken as an exact soluti
 RESIDUAL_FLOOR_RTOL = 1e-13   # residuals below this x (1 + max|u|) are round-off
 EXTRA_MARGIN = 2              # columns excluded beyond the RK4 stencil erosion
 ENVELOPE_FLOOR = 1e-8         # blocks with a smaller envelope are not projected
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Field being transported along a flow; invalid_margin counts the columns
-    on each n-side that stencil erosion has invalidated."""
-
-    field: LatticeField
-    lam: float = 0.0
-    invalid_margin: int = 0
 
 
 def _flow_values(u: np.ndarray, params: LpkdvParams, which: str, stage=None) -> np.ndarray:
@@ -81,22 +70,19 @@ def flow_rhs(field: LatticeField, params: LpkdvParams, which: str) -> LatticeFie
     return LatticeField(_flow_values(field.values, params, which))
 
 
-def flow_step(state: FlowState, params: LpkdvParams, which: str,
-              dlambda: float) -> FlowState:
-    """One classical RK4 step; the valid interior loses 4 stencil-widths of
-    columns per side (one per stage)."""
-    s = FLOW_STENCIL[which]
-    u = state.field.values.astype(np.complex128 if state.field.kind == "complex"
-                                  else np.float64)
+def flow_step(field: LatticeField, params: LpkdvParams, which: str,
+              dlambda: float) -> LatticeField:
+    """One classical RK4 step.  Each stage invalidates one more stencil width
+    FLOW_STENCIL[which] of rows on each n-side, so 4 widths per side come out
+    as 0."""
+    u = field.values.astype(np.complex128 if field.kind == "complex" else np.float64)
     with np.errstate(invalid="ignore"):
         k1 = _flow_values(u, params, which, stage=1)
         k2 = _flow_values(u + 0.5 * dlambda * k1, params, which, stage=2)
         k3 = _flow_values(u + 0.5 * dlambda * k2, params, which, stage=3)
         k4 = _flow_values(u + dlambda * k3, params, which, stage=4)
     new = u + (dlambda / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return FlowState(field=LatticeField(np.nan_to_num(new, nan=0.0)),
-                     lam=state.lam + dlambda,
-                     invalid_margin=state.invalid_margin + 4 * s)
+    return LatticeField(np.nan_to_num(new, nan=0.0))
 
 
 def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
@@ -122,8 +108,7 @@ def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
         raise DomainError(f"window too narrow for flow margin {margin}")
     residuals = []
     for lam in lambda_list:
-        stepped = flow_step(FlowState(solution), params, which, lam)
-        r = residual_field(stepped.field, params)
+        r = residual_field(flow_step(solution, params, which, lam), params)
         residuals.append(float(np.max(np.abs(r[margin:-margin, :]))))
     above = [(lam, r) for lam, r in zip(lambda_list, residuals) if r > floor]
     report = {"lambda": lambda_list, "residual": residuals, "floor": floor}

@@ -187,6 +187,16 @@ def test_main_entry(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unusable_out_dir_exit_2(tmp_path, capsys, out):
+    """An --out that is an existing file, or lies under one, is a config
+    mistake: exit 2 with one 'config error:' line and no traceback."""
+    (tmp_path / "file").write_text("")
+    assert main(["coeffs", "--out", str(tmp_path / out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("p, q, kappa", [(2.0, 1.0, 1.0), (3.0, 0.7, 0.6),
                                          (1.5, 0.5, 1.2)])
 def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):

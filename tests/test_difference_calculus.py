@@ -4,6 +4,7 @@ Everything here must hold with exact rational equality; any drift means the
 operator algebra is wrong, not that a tolerance is too tight.
 """
 
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpkdv import difference_calculus
+from lpkdv.cli import run
 from lpkdv.difference_calculus import (
     ScaleRatio,
     Sequence1D,
@@ -25,7 +28,8 @@ from lpkdv.difference_calculus import (
 )
 from lpkdv.errors import DomainError
 
-H_SET = [ScaleRatio(1, 1), ScaleRatio(1, 2), ScaleRatio(1, 3), ScaleRatio(2, 5)]
+H_SET = [ScaleRatio(1, 1), ScaleRatio(1, 2), ScaleRatio(1, 3), ScaleRatio(2, 5),
+         ScaleRatio(3, 7), ScaleRatio(5, 6)]
 
 
 def seq(values, n_min=0):
@@ -249,3 +253,36 @@ class TestShiftDecomposition:
     @pytest.mark.parametrize("deg", range(6))
     def test_all_degrees(self, h, deg):
         assert verify_shift_decomposition(deg, h)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(DomainError):
+            verify_shift_decomposition(-1, ScaleRatio(1, 2))
+
+
+@pytest.fixture
+def scaled_formal_derivative(monkeypatch):
+    """formal_derivative off by a factor 11/10: a wrong ln(1+D)."""
+    exact = difference_calculus.formal_derivative
+
+    def scaled(seq, ell):
+        out = exact(seq, ell)
+        return Sequence1D(tuple(Fraction(11, 10) * v for v in out.values), out.n_min)
+
+    monkeypatch.setattr(difference_calculus, "formal_derivative", scaled)
+
+
+class TestShiftDecompositionCanFail:
+    """The decomposition check is built on formal_derivative, so a wrong
+    formal derivative must make it fail at every degree that uses one."""
+
+    @pytest.mark.parametrize("h", H_SET)
+    @pytest.mark.parametrize("deg", range(1, 6))
+    def test_scaled_derivative_fails(self, scaled_formal_derivative, h, deg):
+        assert not verify_shift_decomposition(deg, h)
+
+    def test_selftest_reports_both(self, scaled_formal_derivative, tmp_path):
+        out = tmp_path / "o"
+        assert run("selftest", None, str(out), quiet=True) == 1
+        failures = json.loads((out / "selftest_report.json").read_text())["failures"]
+        assert any(f.startswith("formal derivative") for f in failures)
+        assert any(f.startswith("shift decomposition") for f in failures)

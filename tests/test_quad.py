@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,15 @@ from lpkdv.quad import (
 from tests.lattice_oracle import evolve_ivp_diagonals, save_field_csv_rows
 
 P15 = LpkdvParams(1.5, 0.5)  # mu = 1, zeta = 2
+
+BINARY_HEADER = {"magic": "lpkdv-field-v1", "n_size": 2, "m_size": 3, "kind": "real"}
+
+
+def binary_file(body_values=6, **change):
+    """A binary field file: BINARY_HEADER with `change` applied (a value of
+    None drops the key), then body_values complex zeros."""
+    header = {k: v for k, v in {**BINARY_HEADER, **change}.items() if v is not None}
+    return json.dumps(header).encode() + b"\n" + bytes(16 * body_values)
 
 
 class TestParams:
@@ -364,3 +374,33 @@ class TestFieldIO:
         path.write_bytes(text.encode())
         with pytest.raises(DomainError):
             load_field_csv(path)
+
+    def test_binary_minimal_file_loads(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(binary_file())
+        back = load_field_binary(path)
+        assert back.kind == "real" and back.values.tobytes() == bytes(8 * 6)
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"not json\n" + bytes(96),
+        b"[1, 2]\n" + bytes(96),
+        binary_file(magic="other"),
+        binary_file(n_size=None),
+        binary_file(m_size=None),
+        binary_file(kind=None),
+        binary_file(kind="weird"),
+        binary_file(n_size=2.0),
+        binary_file(n_size="2"),
+        binary_file(n_size=True),
+        binary_file(body_values=6, n_size=-2, m_size=-3),
+        binary_file(body_values=5),
+        binary_file(body_values=7),
+    ], ids=["empty", "not-json", "not-object", "magic", "no-n_size", "no-m_size",
+            "no-kind", "weird-kind", "float-size", "text-size", "bool-size",
+            "negative-sizes", "short-body", "long-body"])
+    def test_binary_malformed_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        with pytest.raises(DomainError):
+            load_field_binary(path)

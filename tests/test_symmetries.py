@@ -6,7 +6,7 @@ from lpkdv.nls import frozen_evolution, gaussian_envelope
 from lpkdv.quad import LatticeField, LpkdvParams
 from lpkdv.reduction import assemble_ansatz
 from lpkdv.symmetries import (
-    FlowState,
+    FLOW_STENCIL,
     first_harmonic_blocks,
     flow_rhs,
     flow_step,
@@ -70,28 +70,29 @@ class TestFlowRhs:
 class TestFlowStep:
     def test_constant_unchanged(self):
         f = LatticeField(np.full((16, 4), 1.1))
-        out = flow_step(FlowState(f), P, "flow1", 0.2)
-        core = out.field.values[4:-4, :]
+        out = flow_step(f, P, "flow1", 0.2)
+        core = out.values[4:-4, :]
         assert np.max(np.abs(core - 1.1)) < 1e-15
 
     def test_margin_accounting(self):
-        f = LatticeField(np.zeros((24, 4)))
-        out = flow_step(FlowState(f), P, "flow2", 0.1)
-        assert out.invalid_margin == 8  # 4 stages x stencil width 2
-        assert out.lam == 0.1
+        # 4 stages x stencil width rows on each n-side are invalid and come out 0
+        margin = 4 * FLOW_STENCIL["flow2"]
+        out = flow_step(LatticeField(np.full((24, 4), 1.1)), P, "flow2", 0.1).values
+        assert np.all(out[:margin] == 0.0) and np.all(out[-margin:] == 0.0)
+        assert np.max(np.abs(out[margin:-margin] - 1.1)) < 1e-15
 
     def test_step_back_reversibility(self, bump_solution):
         field, params = bump_solution
         dl = 0.25
-        fwd = flow_step(FlowState(field), params, "flow1", dl)
+        fwd = flow_step(field, params, "flow1", dl)
         back = flow_step(fwd, params, "flow1", -dl)
-        m = back.invalid_margin + 2
-        defect = np.max(np.abs(back.field.values[m:-m, :]
+        m = 2 * 4 * FLOW_STENCIL["flow1"] + 2  # two steps of erosion, plus 2
+        defect = np.max(np.abs(back.values[m:-m, :]
                                - field.values[m:-m, :]))
         # O(dl^5) round trip; reference scale from the halved-step run
-        fwd_h = flow_step(FlowState(field), params, "flow1", dl / 2)
+        fwd_h = flow_step(field, params, "flow1", dl / 2)
         back_h = flow_step(fwd_h, params, "flow1", -dl / 2)
-        defect_h = np.max(np.abs(back_h.field.values[m:-m, :]
+        defect_h = np.max(np.abs(back_h.values[m:-m, :]
                                  - field.values[m:-m, :]))
         assert defect < 1e-6
         assert defect / max(defect_h, 1e-300) > 16  # ~2^5 per halving
@@ -103,12 +104,12 @@ class TestFlowStep:
         m = 18
 
         def one_step_defect(dl):
-            single = flow_step(FlowState(field), params, "flow1", dl)
-            state = FlowState(field)
+            single = flow_step(field, params, "flow1", dl)
+            state = field
             for _ in range(8):
                 state = flow_step(state, params, "flow1", dl / 8)
-            return np.max(np.abs(single.field.values[m:-m, :]
-                                 - state.field.values[m:-m, :]))
+            return np.max(np.abs(single.values[m:-m, :]
+                                 - state.values[m:-m, :]))
 
         e1, e2 = one_step_defect(0.4), one_step_defect(0.2)
         assert 24 <= e1 / e2 <= 40  # ~2^5
