@@ -30,7 +30,6 @@ DEFAULT_CONFIG = {
     "q": 0.5,
     "kappa": math.pi / 2,
     "N_list": [16, 32, 64],
-    "window": [512, 192],
     "envelope": {"type": "gaussian", "amplitude": 1.0, "width": 1.25, "center": 12.0},
     "nls": {"L": 1024, "period": 40.0, "tau_final": None},
     # lattice-solution experiments (simulate / isospectral / flow-check) run on
@@ -38,10 +37,6 @@ DEFAULT_CONFIG = {
     # under the corner recursion, so bump data stay confined and bounded
     "boundary": {"kind": "bump", "amplitude": 0.5, "width": 10.0, "center": None,
                  "n_size": 200, "m_size": 11, "p": 1.5, "q": -0.5},
-    # coarse grid + wide decayed envelope keeps the Frechet round-off floor
-    # below the eps^2 signal, making the Richardson decrease visible
-    "commutators": {"L": 96, "period": 60.0, "amplitude": 6.0, "width": 3.0,
-                    "center": 30.0, "eps": [1e-4, 5e-5, 2.5e-5]},
     "seed": 1234,
 }
 
@@ -132,18 +127,13 @@ def validate_config(cfg: dict) -> None:
     n_list = cfg["N_list"]
     if not n_list or min(n_list) < 1 or sorted(n_list) != n_list or n_list[-1] < 2:
         raise ConfigError("N_list must be ascending positive integers, the last >= 2")
-    if len(cfg["window"]) != 2 or min(cfg["window"]) < 2:
-        raise ConfigError("window must be two integers >= 2")
     if min(cfg["boundary"]["n_size"], cfg["boundary"]["m_size"]) < 2:
         raise ConfigError("boundary.n_size and boundary.m_size must be integers >= 2")
-    if min(cfg["nls"]["L"], cfg["commutators"]["L"]) < MIN_GRID:
-        raise ConfigError(f"nls.L and commutators.L must be >= {MIN_GRID}")
-    if min(cfg[k]["width"] for k in ("envelope", "commutators", "boundary")) <= 0:
-        raise ConfigError("envelope, commutators and boundary widths must be positive")
-    eps = cfg["commutators"]["eps"]
-    if len(eps) < 2 or min(eps) <= 0:
-        raise ConfigError("commutators.eps needs at least 2 positive entries")
-    if cfg["boundary"].get("p", cfg["p"]) == 0:
+    if cfg["nls"]["L"] < MIN_GRID:
+        raise ConfigError(f"nls.L must be >= {MIN_GRID}")
+    if min(cfg[k]["width"] for k in ("envelope", "boundary")) <= 0:
+        raise ConfigError("envelope and boundary widths must be positive")
+    if cfg["boundary"]["p"] == 0:
         raise ConfigError("boundary.p must be nonzero: the lattice flows divide by p")
     if cfg["boundary"]["kind"] not in _BOUNDARY_KINDS:
         raise ConfigError(f"boundary.kind must be one of {', '.join(_BOUNDARY_KINDS)}; "
@@ -240,7 +230,7 @@ def _bump_solution(cfg):
     from .quad import LpkdvParams, evolve_ivp
 
     b = cfg["boundary"]
-    params = LpkdvParams(b.get("p", cfg["p"]), b.get("q", cfg["q"]))
+    params = LpkdvParams(b["p"], b["q"])
     n_size, m_size = b["n_size"], b["m_size"]
     n = np.arange(n_size)
     if b["kind"] == "bump":
@@ -357,7 +347,7 @@ def cmd_ansatz_residual(cfg, out_dir, quiet):
     from .reduction import residual_scaling
 
     coeffs = _build_coeffs(cfg)
-    window = tuple(cfg["window"])
+    window = (512, 192)
     n_list = list(cfg["N_list"])
     evolution = _evolve_dense(cfg, coeffs, window[1], min(n_list))
     report = dict(residual_scaling(evolution, coeffs, n_list, window),
@@ -391,14 +381,9 @@ def cmd_nls_evolve(cfg, out_dir, quiet):
 
 
 def cmd_commutators(cfg, out_dir, quiet):
-    from .nls import commutator_sweep, gaussian_envelope
+    from .nls import commutator_sweep
 
-    coeffs = _build_coeffs(cfg)
-    cc = cfg["commutators"]
-    env = gaussian_envelope(cc["L"], 0.0, cc["period"], cc["amplitude"],
-                            cc["width"], cc["center"])
-    report = commutator_sweep(coeffs.nls_coefficients(), env,
-                              eps_list=tuple(cc["eps"]))
+    report = commutator_sweep(_build_coeffs(cfg).nls_coefficients(), _build_envelope(cfg))
     write_json(os.path.join(out_dir, "commutators.json"), report)
     return report["passed"], report
 

@@ -13,14 +13,21 @@ import math
 
 import numpy as np
 
-from lpkdv.nls import Envelope, NlsCoefficients, _rhs_values
+from lpkdv.nls import Envelope, NlsCoefficients, _spectral_derivative
+
+
+def rhs_values(values: np.ndarray, dxi: float, c: NlsCoefficients) -> np.ndarray:
+    """du/dtau = -i (rho1 u_xixi + rho2 u |u|^2) on the periodic grid, written
+    out apart from the package's interaction-picture field."""
+    d2 = _spectral_derivative(values, dxi, 2)
+    return -1j * (c.rho1 * d2 + c.rho2 * values * np.abs(values) ** 2)
 
 
 def rk4_step(values: np.ndarray, dxi: float, c: NlsCoefficients, dt: float) -> np.ndarray:
-    k1 = _rhs_values(values, dxi, c)
-    k2 = _rhs_values(values + 0.5 * dt * k1, dxi, c)
-    k3 = _rhs_values(values + 0.5 * dt * k2, dxi, c)
-    k4 = _rhs_values(values + dt * k3, dxi, c)
+    k1 = rhs_values(values, dxi, c)
+    k2 = rhs_values(values + 0.5 * dt * k1, dxi, c)
+    k3 = rhs_values(values + 0.5 * dt * k2, dxi, c)
+    k4 = rhs_values(values + dt * k3, dxi, c)
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

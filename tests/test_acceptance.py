@@ -153,7 +153,9 @@ def test_criterion_6_nls_symmetry_commutators(tmp_path):
     crit = Criterion(6, "NLS symmetry commutators", 60.0)
     rep = run_cli(tmp_path, "commutators")
     for row in rep["sweep"]:
-        assert row["passed"], row
+        assert row["passed"] and row["residual"] <= row["floor"], row
+    control = rep["negative_control"]
+    assert control["residual"] > control["floor"], control
     assert rep["passed"]
     crit.finish()
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lpkdv import cli
@@ -207,6 +208,56 @@ def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
     assert read(out / "ansatz_residual.json")["exponent"] >= cli.BOUNDS["ansatz_exponent"]
 
 
+@pytest.mark.parametrize("p, q, kappa", [(2.0, 1.0, 1.0), (3.0, 0.7, 0.6), (1.5, 0.5, 1.2),
+                                         (1.5, 0.5, 2.5), (0.8, 0.3, 2.0)])
+def test_commutators_across_domain(tmp_path, p, q, kappa):
+    """Every pair of reduced flows commutes to its round-off floor on the NLS
+    envelope, and the wrong-cubic control stays above its floor, away from
+    the default point too (rho2 = 0.0019 at (1.5, 0.5, 2.5))."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": p, "q": q, "kappa": kappa}))
+    out = tmp_path / "o"
+    assert run("commutators", str(cfg), str(out), quiet=True) == 0
+    rep = read(out / "commutators.json")
+    assert all(row["residual"] <= row["floor"] for row in rep["sweep"])
+    assert rep["negative_control"]["residual"] > rep["negative_control"]["floor"]
+
+
+def test_commutators_wrong_h4_cubic_exit_1(tmp_path, monkeypatch):
+    """An h4 whose cubic carries 2.9 rho2 in place of 3 rho2 fails its
+    commutator with the NLS: exit 1 with the report in the manifest."""
+    from lpkdv import nls
+
+    rhs = nls.symmetry_rhs
+
+    def wrong_h4(env, c, which):
+        if which != "h4":
+            return rhs(env, c, which)
+        d1 = nls._spectral_derivative(env.values, env.dxi, 1)
+        d3 = nls._spectral_derivative(env.values, env.dxi, 3)
+        return c.rho1 * d3 + 2.9 * c.rho2 * np.abs(env.values) ** 2 * d1
+
+    monkeypatch.setattr(nls, "symmetry_rhs", wrong_h4)
+    out = tmp_path / "o"
+    assert run("commutators", None, str(out), quiet=True) == 1
+    rows = {tuple(row["pair"]): row for row in read(out / "manifest.json")["result"]["sweep"]}
+    assert not rows[("nls", "h4")]["passed"] and rows[("nls", "h1")]["passed"]
+
+
+def test_commutators_commuting_control_exit_1(tmp_path, monkeypatch):
+    """A control that commutes shows nothing: with its h4 built from the true
+    rho2 the run exits 1, although every pair passes."""
+    from lpkdv import nls
+
+    true = nls.NlsCoefficients
+    monkeypatch.setattr(nls, "NlsCoefficients", lambda rho1, rho2: true(rho1, rho2 / 2.0))
+    out = tmp_path / "o"
+    assert run("commutators", None, str(out), quiet=True) == 1
+    rep = read(out / "manifest.json")["result"]
+    assert all(row["passed"] for row in rep["sweep"])
+    assert rep["negative_control"]["residual"] <= rep["negative_control"]["floor"]
+
+
 # non-finite numbers, which Python's json reads: (subcommand, config, key named)
 NON_FINITE = [
     ("nls-evolve", {"nls": {"tau_final": math.nan}}, "nls.tau_final"),
@@ -231,13 +282,13 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     ("simulate", {"boundary": {"p": 1.0, "q": 1.0}}, 2),
     ("coeffs", {"Nlist": [16, 32, 64]}, 2),
     ("nls-evolve", {"nls": {"dtau": 0.01}}, 2),
-    ("commutators", {"commutators": {"width": 0.1}}, 1),
+    ("commutators", {"envelope": {"width": 0.05}}, 1),
     ("nls-evolve", {"envelope": {"type": "file", "path": "$TMP/empty.json"}}, 2),
     ("nls-evolve", {"boundary": {"kind": "nope"}}, 2),
     ("flow-check", {"tolerances": {"flow_exponent": 4.0}}, 2),
     ("nls-evolve", {"nls": {"L": 0}}, 2),
     ("flow-project", {"N_list": [1]}, 2),
-    ("commutators", {"commutators": {"eps": []}}, 2),
+    ("commutators", {"commutators": {"L": 96}}, 2),
     ("nls-evolve", {"envelope": {"width": 0.0}}, 2),
     ("simulate", {"boundary": {"width": 0.0}}, 2),
     ("flow-check", {"boundary": {"p": 0.0, "q": 0.5, "kind": "random", "amplitude": 0.01}}, 2),
@@ -252,7 +303,7 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     ("dispersion", {"seed": 2.0}, 2),
     ("spectrum", {"seed": 1e30}, 2),
     ("dispersion", {"seed": -1}, 2),
-    ("ansatz-residual", {"window": [512.0, 192.0]}, 2),
+    ("ansatz-residual", {"window": [512, 192]}, 2),
     ("ansatz-residual", {"N_list": [1, 2, 3]}, 2),
     ("flow-project", {"N_list": [2]}, 2),
     ("simulate", {"boundary": {"n_size": 0}}, 2),
@@ -270,7 +321,9 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
     by the computation exits 1 and is recorded in the manifest.  The retired
-    keys r, M2_tilde, branch and nls.dtau are unknown keys; an amplitude
+    keys r, M2_tilde, branch, nls.dtau, window and the commutators block are
+    unknown keys; an envelope of width 0.05 on the default grid is refused as
+    unresolved (top-third energy 1.5e-4); an amplitude
     whose square overflows has a stable step of 0, which the step guard
     refuses.  "$TMP" in a config stands for the test's directory, which
     holds an empty JSON object as empty.json and malformed envelope
@@ -298,12 +351,15 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
 @pytest.mark.parametrize("subcommand, doc, key", NON_FINITE)
 def test_non_finite_config_number_named(tmp_path, capsys, subcommand, doc, key):
     """A NaN or infinite config number is refused by the schema check, on one
-    line that names its key, before any computation sees it."""
+    line that names its key, before any computation sees it; under a retired
+    block (commutators) the line names the block as unknown."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert run(subcommand, str(cfg), str(tmp_path / "o"), quiet=True) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key} = ") and err.count("\n") == 1
+    block = key.split(".")[0]
+    named = f"{key} = " if block in DEFAULT_CONFIG else f"unknown config key {block!r}"
+    assert err.startswith(f"config error: {named}") and err.count("\n") == 1
 
 
 def test_config_leaves_pinned():
@@ -317,13 +373,11 @@ def test_config_leaves_pinned():
                 yield where + key
 
     assert sorted(leaves(DEFAULT_CONFIG)) == sorted([
-        "p", "q", "kappa", "N_list", "window", "seed",
+        "p", "q", "kappa", "N_list", "seed",
         "envelope.type", "envelope.amplitude", "envelope.width", "envelope.center",
         "nls.L", "nls.period", "nls.tau_final",
         "boundary.kind", "boundary.amplitude", "boundary.width", "boundary.center",
         "boundary.n_size", "boundary.m_size", "boundary.p", "boundary.q",
-        "commutators.L", "commutators.period", "commutators.amplitude",
-        "commutators.width", "commutators.center", "commutators.eps",
     ])
 
 

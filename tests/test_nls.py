@@ -6,13 +6,16 @@ import pytest
 
 from lpkdv.errors import DomainError, PreconditionError
 from lpkdv.nls import (
+    COMMUTATOR_STEP,
     DENSE_STEP_MULTIPLE,
     GUARD_BOUND,
     Envelope,
     NlsCoefficients,
+    _derivative,
     _linear_phase,
     _linear_rate,
     _phi,
+    _spectral_derivative,
     commutator_floor,
     commutator_sweep,
     commutator_test,
@@ -30,7 +33,7 @@ from lpkdv.nls import (
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import compute_coefficients
 from tests.conftest import REF_N_LIST, REF_WINDOW
-from tests.rk4_oracle import rk4_evolve, rk4_values
+from tests.rk4_oracle import rhs_values, rk4_evolve, rk4_values
 
 C_REF = NlsCoefficients(-1.2, 16.0 / 75.0)
 
@@ -56,6 +59,14 @@ class TestRhs:
         k = 2 * math.pi * kidx / 40.0
         expect = -1j * (-C_REF.rho1 * k ** 2 + C_REF.rho2 * A ** 2) * env.values
         assert np.allclose(symmetry_rhs(env, C_REF, "nls"), expect, atol=1e-10)
+
+    def test_matches_oracle_field(self):
+        """The field the commutators check is the one the integrator steps,
+        Lambda u_hat + N_hat; it equals the oracle's -i (rho1 u_xixi + rho2
+        |u|^2 u), written out apart from it."""
+        env = make_env()
+        got = symmetry_rhs(env, C_REF, "nls")
+        assert np.max(np.abs(got - rhs_values(env.values, env.dxi, C_REF))) <= 1e-14
 
     def test_grid_too_coarse(self):
         env = Envelope(0.0, 1.0, np.zeros(8, dtype=complex))
@@ -290,48 +301,59 @@ class TestSymmetryRhs:
 class TestCommutators:
     def test_linear_pair_at_round_off(self):
         env = make_env()
-        assert commutator_test(C_REF, env, "h1", "h2", 1e-4) <= 1e-8
+        assert commutator_test(C_REF, env, "h1", "h2") <= 1e-8
 
     def test_gauge_invariance_pair(self):
         env = make_env()
-        assert commutator_test(C_REF, env, "nls", "h1", 1e-4) <= 1e-8
+        assert commutator_test(C_REF, env, "nls", "h1") <= 1e-8
 
     def test_unresolved_envelope_rejected(self):
         rng = np.random.default_rng(0)
         env = Envelope(0.0, 0.2, rng.standard_normal(64) + 0j)
         with pytest.raises(PreconditionError, match="resolved"):
-            commutator_test(C_REF, env, "h1", "h2", 1e-4)
+            commutator_test(C_REF, env, "h1", "h2")
 
-    def test_h4_richardson_decrease(self):
-        # coarse grid + wide decayed envelope: the eps^2 term dominates the
-        # round-off floor and the halving factor approaches 4
-        env = gaussian_envelope(96, 0.0, 60.0, 6.0, 3.0, 30.0)
-        r1 = commutator_test(C_REF, env, "nls", "h4", 1e-4)
-        r2 = commutator_test(C_REF, env, "nls", "h4", 5e-5)
-        assert r1 / r2 >= 3.5
+    def test_derivative_is_exact(self):
+        """The Frechet derivative of the NLS field, K'[v] = -i rho1 v_xixi
+        - i rho2 (2 |u|^2 v + u^2 conj(v)), is met to round-off, where the
+        central difference alone is off by COMMUTATOR_STEP^2 / 6 K'''[v, v, v]."""
+        env = make_env()
+        u = env.values
+        v = (1.0 + 2.0j) * u + symmetry_rhs(env, C_REF, "h4")
+
+        def field(vals):
+            return symmetry_rhs(Envelope(env.xi0, env.dxi, vals), C_REF, "nls")
+
+        exact = (-1j * C_REF.rho1 * _spectral_derivative(v, env.dxi, 2)
+                 - 1j * C_REF.rho2 * (2.0 * np.abs(u) ** 2 * v + u ** 2 * np.conj(v)))
+        e = COMMUTATOR_STEP
+        central = (field(u + e * v) - field(u - e * v)) / (2.0 * e)
+        assert np.max(np.abs(_derivative(field, u, v) - exact)) <= 1e-11
+        assert np.max(np.abs(central - exact)) >= 1e-6
 
     def test_sweep_all_pairs_pass(self):
         env = gaussian_envelope(96, 0.0, 60.0, 6.0, 3.0, 30.0)
         report = commutator_sweep(C_REF, env)
         assert report["passed"]
         assert len(report["sweep"]) == 6
+        assert all(row["residual"] <= row["floor"] for row in report["sweep"])
+        control = report["negative_control"]
+        assert control["h4_rho2"] == 2.0 * C_REF.rho2
+        assert control["residual"] > 1e3 * control["floor"]
 
     def test_floor_estimate_bounds_linear_pair(self):
         env = make_env()
-        floor = commutator_floor(env, C_REF, 2.5e-5)
-        got = commutator_test(C_REF, env, "h1", "h2", 2.5e-5)
+        floor = commutator_floor(env, C_REF)
+        got = commutator_test(C_REF, env, "h1", "h2")
         assert got <= floor
 
     def test_wrong_h4_coefficient_detected(self):
-        # negative control: with 2*rho2 instead of 3*rho2 in h4 the
+        # negative control: with 2*rho2 instead of 3*rho2 in h4 the exact
         # commutator with the NLS flow is O(1), orders above the floor
-        from lpkdv.nls import _rhs_values, _spectral_derivative
-
         env = gaussian_envelope(96, 0.0, 60.0, 6.0, 3.0, 30.0)
-        eps = 1e-4
 
         def k_nls(v):
-            return _rhs_values(v, env.dxi, C_REF)
+            return symmetry_rhs(Envelope(env.xi0, env.dxi, v), C_REF, "nls")
 
         def k_bad(v):
             d1 = _spectral_derivative(v, env.dxi, 1)
@@ -339,12 +361,13 @@ class TestCommutators:
             return C_REF.rho1 * d3 + 2.0 * C_REF.rho2 * np.abs(v) ** 2 * d1
 
         u = env.values
-        ka, kb = k_nls(u), k_bad(u)
-        da_kb = (k_nls(u + eps * kb) - k_nls(u - eps * kb)) / (2 * eps)
-        db_ka = (k_bad(u + eps * ka) - k_bad(u - eps * ka)) / (2 * eps)
-        bad = float(np.max(np.abs(da_kb - db_ka)))
-        good = commutator_test(C_REF, env, "nls", "h4", eps)
-        assert bad > 1e3 * good
+        bad = float(np.max(np.abs(_derivative(k_nls, u, k_bad(u))
+                                  - _derivative(k_bad, u, k_nls(u)))))
+        floor = commutator_floor(env, C_REF)
+        assert commutator_test(C_REF, env, "nls", "h4") <= floor
+        assert bad > 1e3 * floor
+        wrong = NlsCoefficients(C_REF.rho1, 2.0 / 3.0 * C_REF.rho2)
+        assert commutator_test(C_REF, env, "nls", "h4", wrong) == pytest.approx(bad, rel=1e-9)
 
 
 class TestEnvelopeIO:
