@@ -6,7 +6,8 @@ manifest), 2 = configuration or usage error, reported on one stderr line.
 Every run writes a manifest (config echo + versions + the subcommand's
 report under "result", byte-reproducible for a fixed config, seed and BLAS
 thread count) and a separate timings file (wall times, excluded from the
-reproducibility claim) into the output directory.
+reproducibility claim) into the output directory.  The subcommands'
+contracts do no I/O; `run` alone writes what they return.
 """
 
 from __future__ import annotations
@@ -153,23 +154,19 @@ def write_json(path, doc) -> None:
         fh.write(_json_bytes(doc))
 
 
-def write_scaling_csv(path, xs, ys, x_name, y_name) -> None:
+def write_scaling_csv(path, header, rows) -> None:
+    """CSV with the column names `header`, then one line per row of reprs."""
     with open(path, "w") as fh:
-        fh.write(f"{x_name},{y_name}\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{x},{y!r}\n")
-
-
-def _build_params(cfg):
-    from .quad import LpkdvParams
-
-    return LpkdvParams(cfg["p"], cfg["q"])
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _build_coeffs(cfg):
+    from .quad import LpkdvParams
     from .reduction import compute_coefficients
 
-    return compute_coefficients(_build_params(cfg), cfg["kappa"])
+    return compute_coefficients(LpkdvParams(cfg["p"], cfg["q"]), cfg["kappa"])
 
 
 def _build_envelope(cfg):
@@ -246,15 +243,19 @@ def _bump_solution(cfg):
 
 
 # --- subcommands -------------------------------------------------------------
+# Each contract cmd_<name>(cfg) takes a merged, validated config, does no I/O
+# and returns (passed, report, files): `files` maps each output file name to
+# its content, which run() alone writes (see run for the formats).
 
 
-def cmd_selftest(cfg, out_dir, quiet):
+def cmd_selftest(cfg):
     from fractions import Fraction
+    from functools import reduce
 
     from . import difference_calculus as dc
 
-    def poly(coeffs, x):
-        return sum(c * Fraction(x) ** k for k, c in enumerate(coeffs))
+    def poly(coeffs, x):  # Horner's rule, exact over Fractions
+        return reduce(lambda acc, c: acc * x + c, reversed(coeffs), Fraction(0))
 
     failures = []
     tables = dc.stirling_tables(6)
@@ -290,20 +291,15 @@ def cmd_selftest(cfg, out_dir, quiet):
         if der.values != exact:
             failures.append(f"formal derivative on degree {deg}")
     report = {"failures": failures, "checks": "exact operator calculus"}
-    write_json(os.path.join(out_dir, "selftest_report.json"), report)
-    return len(failures) == 0, report
+    return len(failures) == 0, report, {"selftest_report.json": report}
 
 
-def cmd_coeffs(cfg, out_dir, quiet):
-    coeffs = _build_coeffs(cfg)
-    doc = coeffs.to_json()
-    write_json(os.path.join(out_dir, "coefficients.json"), doc)
-    if not quiet:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    return True, doc
+def cmd_coeffs(cfg):
+    doc = _build_coeffs(cfg).to_json()
+    return True, doc, {"coefficients.json": doc}
 
 
-def cmd_dispersion(cfg, out_dir, quiet):
+def cmd_dispersion(cfg):
     import numpy as np
 
     from .quad import LpkdvParams, dispersion, linear_residual_max
@@ -322,28 +318,24 @@ def cmd_dispersion(cfg, out_dir, quiet):
         draws.append({"p": p, "q": q, "kappa": kappa,
                       "omega": dispersion(params, kappa), "residual": r})
     report = {"max_linear_residual": worst, "tolerance": tol, "draws": draws[:5]}
-    write_json(os.path.join(out_dir, "dispersion_report.json"), report)
-    return worst <= tol, report
+    return worst <= tol, report, {"dispersion_report.json": report}
 
 
-def cmd_simulate(cfg, out_dir, quiet):
+def cmd_simulate(cfg):
     import numpy as np
 
-    from .fieldio import save_field_binary, save_field_csv
     from .quad import max_residual
 
     field, params = _bump_solution(cfg)
     res = max_residual(field, params)
     bound = BOUNDS["lattice_residual"] * (1.0 + float(np.max(np.abs(field.values))))
-    save_field_csv(field, os.path.join(out_dir, "field.csv"))
-    save_field_binary(field, os.path.join(out_dir, "field.bin"))
     report = {"max_residual": res, "bound": bound,
               "shape": list(field.shape), "kind": field.kind}
-    write_json(os.path.join(out_dir, "simulate_report.json"), report)
-    return res <= bound, report
+    return res <= bound, report, {"field.csv": field, "field.bin": field,
+                                  "simulate_report.json": report}
 
 
-def cmd_ansatz_residual(cfg, out_dir, quiet):
+def cmd_ansatz_residual(cfg):
     from .reduction import residual_scaling
 
     coeffs = _build_coeffs(cfg)
@@ -352,16 +344,14 @@ def cmd_ansatz_residual(cfg, out_dir, quiet):
     evolution = _evolve_dense(cfg, coeffs, window[1], min(n_list))
     report = dict(residual_scaling(evolution, coeffs, n_list, window),
                   nls=_nls_block(evolution))
-    write_json(os.path.join(out_dir, "ansatz_residual.json"), report)
-    write_scaling_csv(os.path.join(out_dir, "ansatz_residual.csv"),
-                      report["N"], report["residual"], "N", "residual")
     ok = report["exponent"] == "exact" or \
         report["exponent"] >= BOUNDS["ansatz_exponent"]
-    return ok, report
+    scaling = (("N", "residual"), list(zip(report["N"], report["residual"])))
+    return ok, report, {"ansatz_residual.json": report, "ansatz_residual.csv": scaling}
 
 
-def cmd_nls_evolve(cfg, out_dir, quiet):
-    from .nls import envelope_to_json, nls_evolve, save_envelope_csv, stable_dtau, step_plan
+def cmd_nls_evolve(cfg):
+    from .nls import envelope_to_json, nls_evolve, stable_dtau, step_plan
 
     coeffs = _build_coeffs(cfg)
     env = _build_envelope(cfg)
@@ -370,30 +360,26 @@ def cmd_nls_evolve(cfg, out_dir, quiet):
     tau_final = 1.0 if cfg["nls"]["tau_final"] is None else cfg["nls"]["tau_final"]
     out = nls_evolve(env, c, tau_final, dtau)
     drift = abs(out.mass() - env.mass()) / env.mass() if env.mass() > 0 else 0.0
-    save_envelope_csv(out, os.path.join(out_dir, "envelope.csv"))
-    write_json(os.path.join(out_dir, "envelope.json"), envelope_to_json(out))
     tol = BOUNDS["mass_drift"] * max(1.0, tau_final)
     steps, dtau_taken = step_plan(tau_final - env.tau, dtau)
     report = {"tau_final": tau_final, "dtau": dtau_taken, "steps": steps,
               "mass_drift": drift, "tolerance": tol}
-    write_json(os.path.join(out_dir, "nls_report.json"), report)
-    return drift <= tol, report
+    return drift <= tol, report, {"envelope.csv": out, "envelope.json": envelope_to_json(out),
+                                  "nls_report.json": report}
 
 
-def cmd_commutators(cfg, out_dir, quiet):
+def cmd_commutators(cfg):
     from .nls import commutator_sweep
 
     report = commutator_sweep(_build_coeffs(cfg).nls_coefficients(), _build_envelope(cfg))
-    write_json(os.path.join(out_dir, "commutators.json"), report)
-    return report["passed"], report
+    return report["passed"], report, {"commutators.json": report}
 
 
-def cmd_spectrum(cfg, out_dir, quiet):
+def cmd_spectrum(cfg):
     import numpy as np
 
     from .spectral import SpectralProblem, eigenvalues
 
-    params = _build_params(cfg)
     L = 64
     free_p = SpectralProblem(np.ones(L), "periodic")
     w_per = np.sort(eigenvalues(free_p).real)
@@ -412,25 +398,20 @@ def cmd_spectrum(cfg, out_dir, quiet):
     tol = BOUNDS["spectrum_error"]
     report = {"periodic_error": err_per, "dirichlet_error": err_dir,
               "gauge_error": err_gauge, "tolerance": tol}
-    write_json(os.path.join(out_dir, "spectrum_report.json"), report)
-    with open(os.path.join(out_dir, "spectrum.csv"), "w") as fh:
-        fh.write("index,re,im\n")
-        for i, z in enumerate(w_dir):
-            fh.write(f"{i},{z!r},0.0\n")
-    return max(err_per, err_dir, err_gauge) <= tol, report
+    spectrum = (("index", "re", "im"), [(i, float(z), 0.0) for i, z in enumerate(w_dir)])
+    return max(err_per, err_dir, err_gauge) <= tol, report, {
+        "spectrum_report.json": report, "spectrum.csv": spectrum}
 
 
-def cmd_isospectral(cfg, out_dir, quiet):
+def cmd_isospectral(cfg):
     from .spectral import isospectral_drift
 
-    b = dict(cfg["boundary"])
+    b = cfg["boundary"]
     m_list = list(range(b["m_size"]))
     field_small, params = _bump_solution(cfg)
-    cfg_big = dict(cfg)
-    cfg_big["boundary"] = dict(b, n_size=2 * b["n_size"],
-                               center=(b["center"] if b["center"] is not None
-                                       else b["n_size"] // 2))
-    field_big, _ = _bump_solution(cfg_big)
+    center = b["center"] if b["center"] is not None else b["n_size"] // 2
+    field_big, _ = _bump_solution(dict(cfg, boundary=dict(b, n_size=2 * b["n_size"],
+                                                          center=center)))
     rep_small = isospectral_drift(field_small, params, m_list)
     rep_big = isospectral_drift(field_big, params, m_list)
     shrink = None
@@ -438,13 +419,12 @@ def cmd_isospectral(cfg, out_dir, quiet):
         shrink = rep_small["max_drift"] / rep_big["max_drift"]
     report = {"small_window": rep_small, "large_window": rep_big,
               "shrink_factor": shrink}
-    write_json(os.path.join(out_dir, "isospectral_report.json"), report)
     ok = (rep_small["bound_count"][0] > 0 and shrink is not None
           and shrink >= BOUNDS["drift_shrink"])
-    return ok, report
+    return ok, report, {"isospectral_report.json": report}
 
 
-def cmd_zs_limit(cfg, out_dir, quiet):
+def cmd_zs_limit(cfg):
     from .spectral import nearest_partners, spectral_limit_check
 
     coeffs = _build_coeffs(cfg)
@@ -453,7 +433,6 @@ def cmd_zs_limit(cfg, out_dir, quiet):
     evolution = _evolve_dense(cfg, coeffs, 2, min(n_list))
     report = dict(spectral_limit_check(evolution, coeffs, n_list),
                   nls=_nls_block(evolution))
-    write_json(os.path.join(out_dir, "zs_limit_report.json"), report)
     disc = [d for d in report["discrepancy"] if d is not None]
     ok = len(disc) == len(n_list) and disc[-1] <= disc[0]
     band = BOUNDS["cauchy_band"]
@@ -462,30 +441,30 @@ def cmd_zs_limit(cfg, out_dir, quiet):
         partners = nearest_partners(report["estimates"][-1], e_mid)
         ok = all(1 - band <= partner / v <= 1 + band
                  for v, partner in zip(e_mid, partners) if v != 0)
-    return ok, report
+    return ok, report, {"zs_limit_report.json": report}
 
 
-def cmd_flow_check(cfg, out_dir, quiet):
+def cmd_flow_check(cfg):
     from .symmetries import symmetry_residual_scaling
 
     solution, params = _bump_solution(cfg)
     lambdas = [0.125, 0.25, 0.5]
-    report = {}
+    report, files = {}, {}
     ok = True
     for which in ("flow1", "flow2"):
         rep = symmetry_residual_scaling(solution, params, which, lambdas)
         report[which] = rep
         ok = ok and rep["passed"]
-        write_scaling_csv(os.path.join(out_dir, f"{which}_residuals.csv"),
-                          rep["lambda"], rep["residual"], "lambda", "residual")
+        files[f"{which}_residuals.csv"] = (("lambda", "residual"),
+                                           list(zip(rep["lambda"], rep["residual"])))
     neg = symmetry_residual_scaling(solution, params, "broken", lambdas)
     report["negative_control"] = neg
     ok = ok and neg["exponent"] is not None and neg["exponent"] < BOUNDS["control_exponent"]
-    write_json(os.path.join(out_dir, "flow_check.json"), report)
-    return ok, report
+    files["flow_check.json"] = report
+    return ok, report, files
 
 
-def cmd_flow_project(cfg, out_dir, quiet):
+def cmd_flow_project(cfg):
     from .reduction import assemble_ansatz
     from .symmetries import first_harmonic_blocks, harmonic_projection
 
@@ -512,8 +491,7 @@ def cmd_flow_project(cfg, out_dir, quiet):
     ok = (errs[N] <= BOUNDS["projection_error_factor"] / N and low <= halving <= high
           and report[f"flow2_N{N}"]["flow2_over_flow1"]["std_over_mean"]
           <= BOUNDS["flow_ratio_std"])
-    write_json(os.path.join(out_dir, "flow_projection.json"), report)
-    return ok, report
+    return ok, report, {"flow_projection.json": report}
 
 
 COMMANDS = {
@@ -534,7 +512,10 @@ SUBCOMMANDS = tuple(COMMANDS)
 
 
 def run(subcommand: str, config_path=None, out_dir=None, quiet=False) -> int:
-    """Dispatch one subcommand; returns the process exit code."""
+    """Dispatch one subcommand and write its files: a dict as JSON, a (header,
+    rows) pair as CSV, an Envelope or a LatticeField (binary under a .bin
+    name) through its module's saver; then the manifest and the timings, the
+    only files left when the computation raises.  Returns the exit code."""
     if subcommand not in COMMANDS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
@@ -549,7 +530,24 @@ def run(subcommand: str, config_path=None, out_dir=None, quiet=False) -> int:
     t0 = time.time()
     error = None
     try:
-        passed, report = COMMANDS[subcommand](cfg, out_dir, quiet)
+        passed, report, files = COMMANDS[subcommand](cfg)
+        from . import fieldio, nls
+
+        for name in list(files):
+            path, content = os.path.join(out_dir, name), files.pop(name)
+            if isinstance(content, dict):
+                write_json(path, content)
+            elif isinstance(content, tuple):
+                write_scaling_csv(path, *content)
+            elif isinstance(content, nls.Envelope):
+                nls.save_envelope_csv(content, path)
+            elif name.endswith(".bin"):
+                fieldio.save_field_binary(content, path)
+            else:
+                fieldio.save_field_csv(content, path)
+            del content  # hold no artifact past its write
+        if subcommand == "coeffs" and not quiet:
+            print(json.dumps(report, indent=2, sort_keys=True))
     except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -596,8 +594,7 @@ def main(argv=None) -> int:
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
-    code = run(args.subcommand, args.config, args.out, args.quiet)
-    return code
+    return run(args.subcommand, args.config, args.out, args.quiet)
 
 
 if __name__ == "__main__":

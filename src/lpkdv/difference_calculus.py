@@ -65,23 +65,6 @@ def sequence_from_function(f, n_min: int, n_max: int) -> Sequence1D:
 
 
 @dataclass(frozen=True)
-class SlownessOrder:
-    """Order ell of a slow-varying sequence: D^(ell+1) seq == 0; None means infinite."""
-
-    order: int | None
-    max_tested: int | None = None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.order is not None
-
-    def __str__(self):
-        if self.is_finite:
-            return str(self.order)
-        return f"infinite (beyond {self.max_tested})"
-
-
-@dataclass(frozen=True)
 class ScaleRatio:
     """Lattice-spacing ratio h = M/N between the fine and the coarse lattice."""
 
@@ -122,28 +105,12 @@ def forward_difference(seq: Sequence1D, j: int) -> Sequence1D:
     return Sequence1D(tuple(vals), seq.n_min)
 
 
-def slowness_order(seq: Sequence1D, max_test: int) -> SlownessOrder:
-    """Smallest ell <= max_test with D^(ell+1) seq identically zero on the window."""
-    if max_test >= len(seq) - 1:
-        raise DomainError(
-            f"max_test {max_test} needs window length > {max_test + 1}, got {len(seq)}"
-        )
-    for i, vals in _differences(seq.values, 1, max_test + 1):
-        if all(v == 0 for v in vals):
-            return SlownessOrder(i - 1)
-    return SlownessOrder(None, max_tested=max_test)
-
-
-def formal_derivative(seq: Sequence1D, ell) -> Sequence1D:
+def formal_derivative(seq: Sequence1D, ell: int) -> Sequence1D:
     """ln(1+D) applied to seq, truncated at order ell (the slowness order).
 
     On a polynomial sequence of degree ell this reproduces the continuum
     derivative exactly.
     """
-    if isinstance(ell, SlownessOrder):
-        if not ell.is_finite:
-            raise DomainError("truncation order required: sequence has no finite slowness order")
-        ell = ell.order
     if ell < 0:
         raise DomainError("truncation order must be non-negative")
     if len(seq) <= ell:

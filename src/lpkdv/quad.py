@@ -88,19 +88,6 @@ class LatticeField:
         return self.kind == other.kind and np.array_equal(self.values, other.values)
 
 
-def quad_residual(field: LatticeField, params: LpkdvParams, n: int, m: int):
-    """Pointwise lpKdV residual at the plaquette with lower-left corner (n, m)."""
-    u = field.values
-    if not (0 <= n < field.n_size - 1 and 0 <= m < field.m_size - 1):
-        raise IndexError(
-            f"plaquette ({n},{m}) outside window "
-            f"[0,{field.n_size - 1}]x[0,{field.m_size - 1}]"
-        )
-    w = u[n + 1, m] - u[n, m + 1]
-    v = u[n + 1, m + 1] - u[n, m]
-    return params.mu * v + params.zeta * w - w * v
-
-
 def residual_field(field: LatticeField, params: LpkdvParams) -> np.ndarray:
     """Residual on every plaquette; shape (n_size-1, m_size-1)."""
     u = field.values

@@ -1,22 +1,23 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-A criterion with a CLI contract runs the subcommand, so the CLI's pass rule
-decides, and asserts exit 0 plus the rule's bounds on the reported result,
-read from the same fixed table `lpkdv.cli.BOUNDS`, which no config can
-change and `test_default_tolerances_pinned` pins.  Checks that no pass rule
+A criterion with a CLI contract calls that contract in-process on the
+merged, validated config, so the CLI's pass rule decides, and asserts that
+it passed plus the rule's bounds on its report, read from the same fixed
+table `lpkdv.cli.BOUNDS`, which no config can change and
+`test_default_tolerances_pinned` pins.  The suite writes no files.  Checks that no pass rule
 makes (the ablation margins, the flow exponents, the NLS exactness) keep
 their own literals.
 Runtime bounds are asserted against the wall clock of the criterion body.
 """
 
-import json
 import math
 import time
 
 import numpy as np
 
-from lpkdv.cli import BOUNDS, DEFAULT_CONFIG, run
+from lpkdv import cli
+from lpkdv.cli import BOUNDS, DEFAULT_CONFIG
 from lpkdv.nls import Envelope, gaussian_envelope, nls_evolve, plane_envelope
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import compute_coefficients, group_velocity, residual_scaling
@@ -37,13 +38,14 @@ class Criterion:
         assert elapsed < self.limit, f"criterion {self.number} runtime exceeded"
 
 
-def run_cli(tmp_path, subcommand, overrides=None):
-    """Run a subcommand over the default config; assert it passes; its report."""
-    cfg = tmp_path / f"{subcommand}.json"
-    cfg.write_text(json.dumps(overrides or {}))
-    out = tmp_path / subcommand
-    assert run(subcommand, str(cfg), str(out), quiet=True) == 0
-    return json.loads((out / "manifest.json").read_text())["result"]
+def check(subcommand, overrides=None):
+    """A subcommand's contract over the default config merged with
+    `overrides`; asserts that it passes and returns its report."""
+    cfg = cli._merge(DEFAULT_CONFIG, overrides or {})
+    cli.validate_config(cfg)
+    passed, report, _ = cli.COMMANDS[subcommand](cfg)
+    assert passed, report
+    return report
 
 
 def test_default_tolerances_pinned():
@@ -65,15 +67,15 @@ def test_default_tolerances_pinned():
     assert "tolerances" not in DEFAULT_CONFIG
 
 
-def test_criterion_1_exact_operator_calculus(tmp_path):
+def test_criterion_1_exact_operator_calculus():
     crit = Criterion(1, "exact operator calculus", 5.0)
-    assert run_cli(tmp_path, "selftest")["failures"] == []
+    assert check("selftest")["failures"] == []
     crit.finish()
 
 
-def test_criterion_2_dispersion(tmp_path):
+def test_criterion_2_dispersion():
     crit = Criterion(2, "plane-wave dispersion residual", 1.0)
-    rep = run_cli(tmp_path, "dispersion", {"seed": 42})
+    rep = check("dispersion", {"seed": 42})
     assert rep["max_linear_residual"] <= BOUNDS["linear_residual"], rep
     crit.finish()
 
@@ -101,9 +103,9 @@ def test_criterion_3_reduction_coefficients(ref_coeffs):
     crit.finish()
 
 
-def test_criterion_4_multiscale_residual_scaling(tmp_path, ref_evolution, ref_coeffs):
+def test_criterion_4_multiscale_residual_scaling(ref_evolution, ref_coeffs):
     crit = Criterion(4, "multiscale residual scaling", 120.0)
-    full = run_cli(tmp_path, "ansatz-residual")
+    full = check("ansatz-residual")
     assert full["exponent"] >= BOUNDS["ansatz_exponent"], full
     no_second = residual_scaling(ref_evolution, ref_coeffs, REF_N_LIST,
                                  REF_WINDOW, include_second=False)
@@ -114,7 +116,7 @@ def test_criterion_4_multiscale_residual_scaling(tmp_path, ref_evolution, ref_co
     crit.finish()
 
 
-def test_criterion_5_nls_solver(tmp_path):
+def test_criterion_5_nls_solver():
     crit = Criterion(5, "NLS solver exactness and conservation", 30.0)
     c = compute_coefficients(LpkdvParams(1.5, 0.5), math.pi / 2).nls_coefficients()
     L, period = 256, 40.0
@@ -133,8 +135,8 @@ def test_criterion_5_nls_solver(tmp_path):
     assert np.max(np.abs(out.values - exact)) <= 1e-8
     assert np.max(np.abs(np.abs(out.values) - A)) <= 1e-8
     # mass conservation at reference resolution
-    rep = run_cli(tmp_path, "nls-evolve", {"nls": {"L": L, "tau_final": 1.0},
-                  "envelope": {"amplitude": 0.8, "width": 2.5, "center": 20.0}})
+    rep = check("nls-evolve", {"nls": {"L": L, "tau_final": 1.0},
+                               "envelope": {"amplitude": 0.8, "width": 2.5, "center": 20.0}})
     assert rep["mass_drift"] <= BOUNDS["mass_drift"], rep
     # phase and translation equivariance
     env_g = gaussian_envelope(L, 0.0, period, 0.8, 2.5, 20.0)
@@ -149,9 +151,9 @@ def test_criterion_5_nls_solver(tmp_path):
     crit.finish()
 
 
-def test_criterion_6_nls_symmetry_commutators(tmp_path):
+def test_criterion_6_nls_symmetry_commutators():
     crit = Criterion(6, "NLS symmetry commutators", 60.0)
-    rep = run_cli(tmp_path, "commutators")
+    rep = check("commutators")
     for row in rep["sweep"]:
         assert row["passed"] and row["residual"] <= row["floor"], row
     control = rep["negative_control"]
@@ -160,9 +162,9 @@ def test_criterion_6_nls_symmetry_commutators(tmp_path):
     crit.finish()
 
 
-def test_criterion_7_lattice_symmetries(tmp_path):
+def test_criterion_7_lattice_symmetries():
     crit = Criterion(7, "lattice symmetry verification", 60.0)
-    rep = run_cli(tmp_path, "flow-check")
+    rep = check("flow-check")
     for which in ("flow1", "flow2"):
         assert rep[which]["exponent"] is None or rep[which]["exponent"] >= 4.0, rep
         assert rep[which]["passed"]
@@ -171,9 +173,9 @@ def test_criterion_7_lattice_symmetries(tmp_path):
     crit.finish()
 
 
-def test_criterion_8_harmonic_projection(tmp_path):
+def test_criterion_8_harmonic_projection():
     crit = Criterion(8, "harmonic projection of the flows", 120.0)
-    rep = run_cli(tmp_path, "flow-project")
+    rep = check("flow-project")
     low, high = BOUNDS["halving_band"]
     assert rep["flow1_N64"]["weighted_rel_error"] <= BOUNDS["projection_error_factor"] / 64, rep
     assert low <= rep["error_halving_factor"] <= high, rep
@@ -181,17 +183,17 @@ def test_criterion_8_harmonic_projection(tmp_path):
     crit.finish()
 
 
-def test_criterion_9_spectral_checks(tmp_path):
+def test_criterion_9_spectral_checks():
     crit = Criterion(9, "spectral problem checks", 180.0)
     # free-operator closed forms and gauge invariance
-    rep = run_cli(tmp_path, "spectrum", {"seed": 3})
+    rep = check("spectrum", {"seed": 3})
     for key in ("periodic_error", "dirichlet_error", "gauge_error"):
         assert rep[key] <= BOUNDS["spectrum_error"], rep
     # isospectral drift shrinks >= 2x with doubled window
-    rep = run_cli(tmp_path, "isospectral")
+    rep = check("isospectral")
     assert rep["shrink_factor"] >= BOUNDS["drift_shrink"], rep
     # slow-variable limit of the spectral problem
-    rep = run_cli(tmp_path, "zs-limit")
+    rep = check("zs-limit")
     disc = rep["discrepancy"]
     assert all(d is not None for d in disc), rep["notes"]
     assert disc[-1] <= disc[0], disc

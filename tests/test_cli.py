@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -186,6 +187,83 @@ class TestEnvelopeConfigs:
 def test_main_entry(tmp_path, capsys):
     code = main(["coeffs", "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 0
+
+
+def test_coeffs_echo(tmp_path, capsys):
+    """Without --quiet, coeffs prints its coefficients as JSON, then the
+    PASS line."""
+    assert main(["coeffs", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    doc, end = json.JSONDecoder().raw_decode(out)
+    assert doc == read(tmp_path / "coefficients.json")
+    assert out[end:].lstrip().startswith("coeffs: PASS")
+
+
+def test_contracts_do_no_io(monkeypatch):
+    """With every writer raising, the cheap contracts still return
+    (passed, report, files): they write nothing themselves."""
+    from lpkdv import fieldio, nls
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a contract wrote a file")
+
+    for owner, name in ((cli, "write_json"), (cli, "write_scaling_csv"),
+                        (fieldio, "save_field_csv"), (fieldio, "save_field_binary"),
+                        (nls, "save_envelope_csv")):
+        monkeypatch.setattr(owner, name, refuse)
+    cfg = cli._merge(DEFAULT_CONFIG, {"boundary": {"n_size": 40, "m_size": 6}})
+    validate_config(cfg)
+    for subcommand in ("selftest", "coeffs", "dispersion", "spectrum", "commutators",
+                       "simulate"):
+        passed, report, files = cli.COMMANDS[subcommand](cfg)
+        assert passed, subcommand
+        assert isinstance(report, dict) and isinstance(files, dict) and files
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_out_dir_holds_the_contract_files(tmp_path, monkeypatch, subcommand):
+    """run writes exactly the files the contract returns, plus the manifest
+    and the timings."""
+    contract = cli.COMMANDS[subcommand]
+    names = []
+
+    def spy(cfg):
+        passed, report, files = contract(cfg)
+        names.extend(files)
+        return passed, report, files
+
+    monkeypatch.setitem(cli.COMMANDS, subcommand, spy)
+    assert run(subcommand, None, str(tmp_path), quiet=True) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(names + ["manifest.json", "timings.json"])
+
+
+def test_computation_error_leaves_no_artifacts(tmp_path, monkeypatch):
+    """An error raised part way through a computation, here by flow-check's
+    flow2 scaling after flow1's, leaves only the manifest and the timings."""
+    from lpkdv import symmetries
+    from lpkdv.errors import NumericalError
+
+    scaling = symmetries.symmetry_residual_scaling
+
+    def fail_flow2(solution, params, which, lambdas):
+        if which == "flow2":
+            raise NumericalError("flow2 scaling failed")
+        return scaling(solution, params, which, lambdas)
+
+    monkeypatch.setattr(symmetries, "symmetry_residual_scaling", fail_flow2)
+    assert run("flow-check", None, str(tmp_path), quiet=True) == 1
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "timings.json"]
+    assert read(tmp_path / "manifest.json")["error"]["type"] == "NumericalError"
+
+
+def test_spectrum_csv_cells_are_numbers(tmp_path):
+    """spectrum.csv holds index,re,im and plain decimals: every cell parses
+    as a number."""
+    assert run("spectrum", None, str(tmp_path), quiet=True) == 0
+    with open(tmp_path / "spectrum.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["index", "re", "im"] and len(rows) == 64
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])

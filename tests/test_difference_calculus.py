@@ -22,7 +22,6 @@ from lpkdv.difference_calculus import (
     forward_difference,
     p_coefficient,
     sequence_from_function,
-    slowness_order,
     stirling_tables,
     verify_shift_decomposition,
 )
@@ -70,26 +69,6 @@ class TestForwardDifference:
         assert lhs.values == tuple(x + y for x, y in zip(ra.values, rb.values))
 
 
-class TestSlownessOrder:
-    def test_constant(self):
-        assert slowness_order(seq([5, 5, 5, 5]), 2).order == 0
-
-    def test_linear(self):
-        assert slowness_order(seq([0, 1, 2, 3, 4]), 3).order == 1
-
-    def test_exponential_is_infinite(self):
-        s = sequence_from_function(lambda n: Fraction(2) ** n, 0, 8)
-        order = slowness_order(s, 5)
-        assert not order.is_finite
-        assert str(order) == "infinite (beyond 5)"
-
-    @given(st.integers(0, 4))
-    @settings(max_examples=20, deadline=None)
-    def test_polynomial_degree(self, deg):
-        s = sequence_from_function(lambda n: Fraction(n) ** deg + 3, 0, deg + 7)
-        assert slowness_order(s, deg + 1).order == deg
-
-
 class TestFormalDerivative:
     def test_linear_reduces_to_difference(self):
         s = sequence_from_function(lambda n: Fraction(n), 0, 5)
@@ -103,11 +82,6 @@ class TestFormalDerivative:
 
     def test_constant(self):
         assert formal_derivative(seq([7, 7, 7]), 0).values == (0, 0, 0)
-
-    def test_infinite_order_rejected(self):
-        s = sequence_from_function(lambda n: Fraction(2) ** n, 0, 8)
-        with pytest.raises(DomainError, match="truncation order required"):
-            formal_derivative(s, slowness_order(s, 5))
 
     @pytest.mark.parametrize("deg", range(5))
     def test_matches_continuum_derivative(self, deg):

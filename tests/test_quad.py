@@ -21,7 +21,6 @@ from lpkdv.quad import (
     linear_residual_max,
     max_residual,
     plane_wave_field,
-    quad_residual,
     residual_field,
 )
 from tests.lattice_oracle import evolve_ivp_diagonals, save_field_csv_rows
@@ -52,26 +51,26 @@ class TestParams:
 
 
 class TestQuadResidual:
+    """The residual of the plaquette with lower-left corner (n, m) is entry
+    [n, m] of residual_field."""
+
     def test_constant_field(self):
         f = LatticeField(np.full((4, 4), 2.7))
-        assert quad_residual(f, P15, 1, 2) == 0.0
+        assert residual_field(f, P15)[1, 2] == 0.0
 
     def test_exact_corner(self):
         # mu*4 + zeta*2 - 2*4 = 4 + 4 - 8 = 0
         f = LatticeField(np.array([[0.0, 1.0], [3.0, 4.0]]))
-        assert quad_residual(f, P15, 0, 0) == 0.0
+        assert residual_field(f, P15)[0, 0] == 0.0
 
     def test_nonzero_residual(self):
         # u11 = 0: mu*0 + zeta*2 - 2*0 = 4
         f = LatticeField(np.array([[0.0, 1.0], [3.0, 0.0]]))
-        assert quad_residual(f, P15, 0, 0) == 4.0
+        assert residual_field(f, P15)[0, 0] == 4.0
 
     def test_out_of_window(self):
-        f = LatticeField(np.zeros((3, 3)))
-        with pytest.raises(IndexError):
-            quad_residual(f, P15, 2, 0)
-        with pytest.raises(IndexError):
-            quad_residual(f, P15, -1, 0)
+        # a 3x3 window holds the plaquettes (0..1) x (0..1) only
+        assert residual_field(LatticeField(np.zeros((3, 3))), P15).shape == (2, 2)
 
 
 class TestCornerSolve:
