@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in (
     ("quad", "LatticeField LpkdvParams CarrierWave corner_solve dispersion evolve_ivp"),
-    ("reduction", "ReductionCoefficients compute_coefficients group_velocity"),
+    ("reduction", "ReductionCoefficients compute_coefficients"),
     ("nls", "Envelope NlsCoefficients nls_evolve"),
 ) for name in names.split()}
 

@@ -257,25 +257,30 @@ def cmd_selftest(cfg):
     def poly(coeffs, x):  # Horner's rule, exact over Fractions
         return reduce(lambda acc, c: acc * x + c, reversed(coeffs), Fraction(0))
 
+    def fine_differences(coeffs, n1, h):  # [D_h^j at n1 for j = 0..3], from n1 + t h
+        rows = [[poly(coeffs, n1 + t * h) for t in range(4)]]
+        while len(rows[-1]) > 1:
+            rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
+        return [row[0] for row in rows]
+
     failures = []
     tables = dc.stirling_tables(6)
     if any(tables.first(i, i) != 1 or tables.second(i, i) != 1 for i in range(1, 7)):
         failures.append("Stirling table diagonals")
-    ratios = [dc.ScaleRatio(1, 1), dc.ScaleRatio(1, 2), dc.ScaleRatio(1, 3),
-              dc.ScaleRatio(2, 5)]
-    for h in ratios:
-        for deg in range(6):
-            if not dc.verify_shift_decomposition(deg, h):
+    ratios = [dc.ScaleRatio(m, n) for m, n in ((1, 1), (1, 2), (1, 3), (2, 5))]
+    polys = [[Fraction(k + 1, 2 * k + 1) for k in range(deg + 1)] for deg in range(6)]
+    seqs = [dc.sequence_from_function(lambda n: poly(c, n), 0, len(c) + 8) for c in polys]
+    for h, holds in zip(ratios, dc.shift_verdicts(5, ratios)):
+        for deg, (coeffs, seq) in enumerate(zip(polys, seqs)):
+            if not all(holds[:deg + 1]):
                 failures.append(f"shift decomposition degree {deg}, h={h.M}/{h.N}")
-            coeffs = [Fraction(k + 1, 2 * k + 1) for k in range(deg + 1)]
-            seq = dc.sequence_from_function(lambda n: poly(coeffs, n), 0, deg + 9)
+            fine = {}  # anchor n1 -> its fine_differences, computed once for all j
             for j in (1, 2, 3):
                 got = dc.cross_lattice_difference(seq, h, j, deg)
-                direct = tuple(
-                    sum((-1) ** (j - t) * math.comb(j, t) * poly(coeffs, n1 + t * h.value)
-                        for t in range(j + 1))
-                    for n1 in range(got.n_min, got.n_min + len(got)))
-                if got.values != direct:
+                anchors = range(got.n_min, got.n_min + len(got))
+                for n1 in set(anchors) - set(fine):
+                    fine[n1] = fine_differences(coeffs, n1, h.value)
+                if got.values != tuple(fine[n1][j] for n1 in anchors):
                     failures.append(f"cross-lattice d^{j} on degree {deg}, h={h.M}/{h.N}")
                 if h.value == 1:  # the cross-lattice difference at h=1 is the forward one
                     fd = dc.forward_difference(seq, j)

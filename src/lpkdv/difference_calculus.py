@@ -217,28 +217,35 @@ def cross_lattice_difference(u_slow: Sequence1D, h: ScaleRatio, j: int, ell: int
     return Sequence1D(tuple(acc), u_slow.n_min)
 
 
+def shift_verdicts(max_degree: int, ratios) -> list:
+    """[[exp(h d) x^b == (x + h)^b, for b = 0..max_degree] for h in ratios],
+    with d = formal_derivative truncated at b and the exponential series at
+    its b-th term.  x^b is sampled on x = 0..b^2+b, each application of d
+    shortens the window by b, and both sides are compared exactly at the b+1
+    points x = 0..b left, which fix a polynomial of degree b.  Each chain
+    d^i x^b is built once and serves every h."""
+    out = [[] for _ in ratios]
+    for b in range(max_degree + 1):
+        chain = [sequence_from_function(lambda x: x ** b, 0, b * b + b)]
+        for _ in range(b):
+            chain.append(formal_derivative(chain[-1], b))
+        for h, verdicts in zip(ratios, out):
+            hv = h.value
+            series = [hv ** i / factorial(i) for i in range(b + 1)]
+            shifted = [sum(c * v for c, v in zip(series, col))
+                       for col in zip(*(term.values[:b + 1] for term in chain))]
+            verdicts.append(shifted == [(x + hv) ** b for x in range(b + 1)])
+    return out
+
+
 def verify_shift_decomposition(poly_degree: int, h: ScaleRatio) -> bool:
     """Check T_n u = (partial n-shift)(truncated partial n1-shift) u exactly.
 
     On a monomial n^a x1^b both sides carry the same partial n-shift
     (n+1)^a, so over all polynomials of degree <= poly_degree the
     decomposition reduces to exp(h d) x1^b == (x1 + h)^b for b <= poly_degree,
-    with d = formal_derivative truncated at b and the exponential series at
-    its b-th term.  x1^b is sampled on x1 = 0..b^2+b, each application of d
-    shortens the window by b, and both sides are compared at the b+1 points
-    x1 = 0..b that remain, which fix a polynomial of degree b.  Returns True
-    iff every comparison holds.
+    the checks of shift_verdicts.  Returns True iff every one holds.
     """
     if poly_degree < 0:
         raise DomainError("poly_degree must be non-negative")
-    hv = h.value
-    for b in range(poly_degree + 1):
-        term = sequence_from_function(lambda x: x ** b, 0, b * b + b)
-        shifted = list(term.values[:b + 1])
-        for i in range(1, b + 1):
-            term = formal_derivative(term, b)
-            c = hv ** i / factorial(i)
-            shifted = [s + c * v for s, v in zip(shifted, term.values)]
-        if shifted != [(x + hv) ** b for x in range(b + 1)]:
-            return False
-    return True
+    return all(shift_verdicts(poly_degree, [h])[0])

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .nls import EnvelopeEvolution, NlsCoefficients, _check_spectra_resolved, wavenumbers
-from .quad import CarrierWave, LatticeField, LpkdvParams, dispersion, max_residual
+from .quad import CarrierWave, LatticeField, LpkdvParams, max_residual
 
 REALNESS_RTOL = 1e-10
 RESIDUAL_MARGIN = 5   # plaquettes at each window edge left out of the residual
@@ -162,18 +162,6 @@ def compute_coefficients(params: LpkdvParams, kappa: float) -> ReductionCoeffici
         params=params, carrier=carrier, branch=branch, theta=theta, S=S,
         M1=m1, M1_tilde=m1_tilde, tau1=tau1, tau2=tau2, tau3=tau3, rho1=rho1, rho2=rho2,
     )
-
-
-def group_velocity(params: LpkdvParams, kappa: float) -> float:
-    """d omega / d kappa by Richardson-refined central differences (step 1e-6)."""
-    h = 1e-6
-    if not (h < kappa < math.pi - h):
-        raise DomainError("kappa must be interior to (0, pi)")
-
-    def central(hh):
-        return (dispersion(params, kappa + hh) - dispersion(params, kappa - hh)) / (2 * hh)
-
-    return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
 def _band(J: int, L: int) -> tuple:

@@ -20,8 +20,9 @@ from lpkdv import cli
 from lpkdv.cli import BOUNDS, DEFAULT_CONFIG
 from lpkdv.nls import Envelope, gaussian_envelope, nls_evolve, plane_envelope
 from lpkdv.quad import LpkdvParams
-from lpkdv.reduction import compute_coefficients, group_velocity, residual_scaling
+from lpkdv.reduction import compute_coefficients, residual_scaling
 from tests.conftest import REF_N_LIST, REF_WINDOW
+from tests.dispersion_oracle import group_velocity
 
 
 class Criterion:

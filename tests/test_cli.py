@@ -303,23 +303,25 @@ def test_commutators_across_domain(tmp_path, p, q, kappa):
 
 def test_commutators_wrong_h4_cubic_exit_1(tmp_path, monkeypatch):
     """An h4 whose cubic carries 2.9 rho2 in place of 3 rho2 fails its
-    commutator with the NLS: exit 1 with the report in the manifest."""
+    commutator with the NLS: exit 1 with the report in the manifest.  The
+    wrong h4 is still a phase symmetry, so its pair with h1 passes."""
     from lpkdv import nls
 
-    rhs = nls.symmetry_rhs
+    flow = nls._flow
 
-    def wrong_h4(env, c, which):
+    def wrong_h4(u, dxi, c, which):
         if which != "h4":
-            return rhs(env, c, which)
-        d1 = nls._spectral_derivative(env.values, env.dxi, 1)
-        d3 = nls._spectral_derivative(env.values, env.dxi, 3)
-        return c.rho1 * d3 + 2.9 * c.rho2 * np.abs(env.values) ** 2 * d1
+            return flow(u, dxi, c, which)
+        d1 = nls._spectral_derivative(u, dxi, 1)
+        d3 = nls._spectral_derivative(u, dxi, 3)
+        return c.rho1 * d3 + 2.9 * c.rho2 * np.abs(u) ** 2 * d1
 
-    monkeypatch.setattr(nls, "symmetry_rhs", wrong_h4)
+    monkeypatch.setattr(nls, "_flow", wrong_h4)
     out = tmp_path / "o"
     assert run("commutators", None, str(out), quiet=True) == 1
     rows = {tuple(row["pair"]): row for row in read(out / "manifest.json")["result"]["sweep"]}
     assert not rows[("nls", "h4")]["passed"] and rows[("nls", "h1")]["passed"]
+    assert rows[("h1", "h4")]["passed"]
 
 
 def test_commutators_commuting_control_exit_1(tmp_path, monkeypatch):
@@ -334,6 +336,19 @@ def test_commutators_commuting_control_exit_1(tmp_path, monkeypatch):
     rep = read(out / "manifest.json")["result"]
     assert all(row["passed"] for row in rep["sweep"])
     assert rep["negative_control"]["residual"] <= rep["negative_control"]["floor"]
+
+
+def test_commutators_aliased_cubic_exit_1(tmp_path):
+    """A width-0.1 envelope is resolved on the default grid (top-third energy
+    3.3e-14) but its cubic |u|^2 u is not (1.2e-5): exit 1 with a
+    PreconditionError record, not a failed contract."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"width": 0.1}}))
+    out = tmp_path / "o"
+    assert run("commutators", str(cfg), str(out), quiet=True) == 1
+    manifest = read(out / "manifest.json")
+    assert manifest["result"] is None
+    assert manifest["error"]["type"] == "PreconditionError"
 
 
 # non-finite numbers, which Python's json reads: (subcommand, config, key named)

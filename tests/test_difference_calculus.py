@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpkdv import difference_calculus
-from lpkdv.cli import run
+from lpkdv.cli import DEFAULT_CONFIG, cmd_selftest, run
 from lpkdv.difference_calculus import (
     ScaleRatio,
     Sequence1D,
@@ -233,16 +233,20 @@ class TestShiftDecomposition:
             verify_shift_decomposition(-1, ScaleRatio(1, 2))
 
 
-@pytest.fixture
-def scaled_formal_derivative(monkeypatch):
-    """formal_derivative off by a factor 11/10: a wrong ln(1+D)."""
-    exact = difference_calculus.formal_derivative
-
+def _scaled(exact):
+    """exact off by a factor 11/10: a wrong ln(1+D) when exact is formal_derivative."""
     def scaled(seq, ell):
         out = exact(seq, ell)
         return Sequence1D(tuple(Fraction(11, 10) * v for v in out.values), out.n_min)
 
-    monkeypatch.setattr(difference_calculus, "formal_derivative", scaled)
+    return scaled
+
+
+@pytest.fixture
+def scaled_formal_derivative(monkeypatch):
+    """formal_derivative off by a factor 11/10: a wrong ln(1+D)."""
+    monkeypatch.setattr(difference_calculus, "formal_derivative",
+                        _scaled(difference_calculus.formal_derivative))
 
 
 class TestShiftDecompositionCanFail:
@@ -260,3 +264,52 @@ class TestShiftDecompositionCanFail:
         failures = json.loads((out / "selftest_report.json").read_text())["failures"]
         assert any(f.startswith("formal derivative") for f in failures)
         assert any(f.startswith("shift decomposition") for f in failures)
+
+
+def _selftest_failures(tmp_path) -> list:
+    out = tmp_path / "o"
+    assert run("selftest", None, str(out), quiet=True) == 1
+    return json.loads((out / "selftest_report.json").read_text())["failures"]
+
+
+class TestSelftestCanFail:
+    """selftest's oracles are independent of the calculus they check, so a
+    fault in one operator shows as exactly that operator's failure lines."""
+
+    def test_cross_lattice_fault(self, monkeypatch, tmp_path):
+        exact = difference_calculus.cross_lattice_difference
+
+        def off(seq, h, j, ell):  # one value off by 1e-9 at h = 1/3, j = 2
+            out = exact(seq, h, j, ell)
+            if h != ScaleRatio(1, 3) or j != 2:
+                return out
+            values = list(out.values)
+            values[3] += Fraction(1, 10 ** 9)
+            return Sequence1D(tuple(values), out.n_min)
+
+        monkeypatch.setattr(difference_calculus, "cross_lattice_difference", off)
+        assert _selftest_failures(tmp_path) == [
+            f"cross-lattice d^2 on degree {deg}, h=1/3" for deg in range(6)]
+
+    def test_forward_difference_fault(self, monkeypatch, tmp_path):
+        exact = difference_calculus.forward_difference
+
+        def off(seq, j):  # the first value off by 1e-9
+            out = exact(seq, j)
+            return Sequence1D((out.values[0] + Fraction(1, 10 ** 9),) + out.values[1:],
+                              out.n_min)
+
+        monkeypatch.setattr(difference_calculus, "forward_difference", off)
+        assert _selftest_failures(tmp_path) == [
+            f"forward difference d^{j} on degree {deg}" for deg in range(6) for j in (1, 2, 3)]
+
+    def test_no_state_across_calls(self, monkeypatch):
+        """A clean call, one with a wrong formal derivative, a clean one: each
+        recomputes what it checks, so only the middle one fails."""
+        assert cmd_selftest(DEFAULT_CONFIG)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(difference_calculus, "formal_derivative",
+                          _scaled(difference_calculus.formal_derivative))
+            passed, report, _ = cmd_selftest(DEFAULT_CONFIG)
+            assert not passed and "shift decomposition degree 1, h=1/1" in report["failures"]
+        assert cmd_selftest(DEFAULT_CONFIG)[0]

@@ -11,6 +11,7 @@ from lpkdv.nls import (
     GUARD_BOUND,
     Envelope,
     NlsCoefficients,
+    _check_spectra_resolved,
     _derivative,
     _linear_phase,
     _linear_rate,
@@ -310,6 +311,14 @@ class TestCommutators:
     def test_unresolved_envelope_rejected(self):
         rng = np.random.default_rng(0)
         env = Envelope(0.0, 0.2, rng.standard_normal(64) + 0j)
+        with pytest.raises(PreconditionError, match="resolved"):
+            commutator_test(C_REF, env, "h1", "h2")
+
+    def test_aliased_cubic_rejected(self):
+        # |u|^2 u carries three times u's band: u passes the resolution rule
+        # here, its cubic does not
+        env = gaussian_envelope(1024, 0.0, 40.0, 1.0, 0.1, 12.0)
+        _check_spectra_resolved(np.fft.fft(env.values))
         with pytest.raises(PreconditionError, match="resolved"):
             commutator_test(C_REF, env, "h1", "h2")
 

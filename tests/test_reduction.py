@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from lpkdv.errors import DomainError, PreconditionError
-from lpkdv.nls import Envelope, _check_resolved, frozen_evolution, gaussian_envelope
+from lpkdv.nls import Envelope, _check_spectra_resolved, frozen_evolution, gaussian_envelope
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import (
     assemble_ansatz,
     compute_coefficients,
     fit_scaling_exponent,
-    group_velocity,
     residual_scaling,
 )
 from tests.conftest import REF_N_LIST, REF_WINDOW
+from tests.dispersion_oracle import group_velocity
 
 SQRT5 = math.sqrt(5.0)
 
@@ -140,8 +140,9 @@ def _grid_series(values, xi0, dxi, x, offsets, antiderivative):
     the antiderivative zero at xi0: the series of coef_k / (i k) less its
     value at xi0, plus coef_0 (x - xi0)."""
     values = np.asarray(values).reshape(len(values), -1)
-    _check_resolved(values)
-    coef = np.fft.fft(values, axis=0) / len(values)
+    spectra = np.fft.fft(values, axis=0)
+    _check_spectra_resolved(spectra.T)
+    coef = spectra / len(values)
     k = 2.0 * np.pi * np.fft.fftfreq(len(values), dxi)
     x = np.atleast_1d(x) - xi0
     ramp = 0.0
@@ -155,7 +156,7 @@ def _grid_series(values, xi0, dxi, x, offsets, antiderivative):
 def zeroth_harmonic(env, coeffs):
     """u1_0(xi) = Re(tau1) * (antiderivative of |u|^2, zero at xi0)."""
     amp2 = np.abs(env.values) ** 2
-    _check_resolved(amp2)
+    _check_spectra_resolved(np.fft.fft(amp2))
     return lambda xi: coeffs.tau1.real * _grid_series(amp2, env.xi0, env.dxi, xi, [0.0],
                                                       True)[:, 0].real
 

@@ -7,7 +7,7 @@ from scipy.linalg import eig
 from lpkdv import spectral
 from lpkdv.errors import (DomainError, NumericalError, PreconditionError,
                           SingularPotentialError)
-from lpkdv.nls import _check_resolved, gaussian_envelope
+from lpkdv.nls import _check_spectra_resolved, gaussian_envelope
 from lpkdv.quad import LatticeField, LpkdvParams
 from lpkdv.reduction import fourier_resample
 from lpkdv.spectral import (
@@ -255,7 +255,7 @@ class TestZsEigenvalues:
         env = gaussian_envelope(1024, 0.0, 40.0, amplitude=1.0, width=0.3, center=12.0)
         u = env.values[::4]
         with pytest.raises(PreconditionError, match="resolved"):
-            _check_resolved(u)
+            _check_spectra_resolved(np.fft.fft(u))
         x = env.xi0 + 4 * env.dxi * np.arange(len(u))
         vals = zs_eigenvalues(ZsProblem(x / ref_coeffs.M1, u, ref_coeffs.carrier.kappa, 1.5))
         assert len(vals) > 10
