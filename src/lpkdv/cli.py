@@ -44,6 +44,7 @@ DEFAULT_CONFIG = {
 # Every bound a subcommand's pass rule applies, read by that rule alone and
 # pinned by test_default_tolerances_pinned; no config can move one.
 BOUNDS = {
+    "lax_identity": 1e-12,             # coeffs: |rho2 M1^2 / (rho1 g^2) / -2 - 1|
     "linear_residual": 1e-12,          # dispersion: worst plane-wave residual
     "lattice_residual": 1e-10,         # simulate: worst residual / (1 + max|u|)
     "ansatz_exponent": 2.7,            # ansatz-residual: least fitted exponent
@@ -300,8 +301,28 @@ def cmd_selftest(cfg):
 
 
 def cmd_coeffs(cfg):
-    doc = _build_coeffs(cfg).to_json()
-    return True, doc, {"coefficients.json": doc}
+    """The coefficients, and the Lax-pair identity rho2 M1^2 / (rho1 g^2) = -2
+    there and at 100 seeded draws with pq of either sign."""
+    import numpy as np
+
+    from .quad import LpkdvParams
+    from .reduction import compute_coefficients, zs_potential
+
+    def ratio(co):  # g: the factor of the reduced ZS potential
+        g = zs_potential(1.0, co.params.p, co.carrier.kappa)
+        return co.rho2 * co.M1 ** 2 / (co.rho1 * g ** 2)
+
+    coeffs = _build_coeffs(cfg)
+    rng = np.random.default_rng(cfg["seed"])
+    samples = rng.uniform((0.1, 0.1, 0.1), (4.0, 4.0, math.pi - 0.2), (100, 3)).tolist()
+    draws = [ratio(compute_coefficients(LpkdvParams(p, (-1) ** i * q), kappa))
+             for i, (p, q, kappa) in enumerate(samples)]
+    at, worst = ratio(coeffs), max(draws, key=lambda r: abs(r / 2.0 + 1.0))
+    tol = BOUNDS["lax_identity"]
+    doc = dict(coeffs.to_json(), lax_identity={
+        "ratio": at, "worst_draw_ratio": worst, "draws": 100, "tolerance": tol})
+    passed = all(abs(r / 2.0 + 1.0) <= tol for r in (at, worst))
+    return passed, doc, {"coefficients.json": doc}
 
 
 def cmd_dispersion(cfg):

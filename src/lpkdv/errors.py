@@ -13,17 +13,6 @@ class PreconditionError(LpkdvError, ValueError):
     """A documented precondition of an operation is violated."""
 
 
-class InternalConsistencyError(LpkdvError):
-    """A quantity that must be real (or otherwise constrained) came out wrong.
-
-    Carries the offending imaginary/real ratio when applicable.
-    """
-
-    def __init__(self, message, ratio=None):
-        super().__init__(message)
-        self.ratio = ratio
-
-
 class SingularCornerError(LpkdvError, ZeroDivisionError):
     """Corner solve hit the singular manifold w ≈ mu; carries the lattice location."""
 

@@ -473,10 +473,10 @@ def _flow(u: np.ndarray, dxi: float, c: NlsCoefficients, which: str) -> np.ndarr
     raise DomainError(f"unknown flow id {which!r}; expected one of {FLOW_IDS}")
 
 
-def _check_spectra_resolved(spectra: np.ndarray) -> None:
+def _check_spectra_resolved(spectra: np.ndarray, profile: str = "envelope") -> None:
     """Refuse spectra (fft order along the last axis, one profile per row)
     whose top third of wavenumbers carries more than 1e-10 of a profile's
-    energy."""
+    energy; the message names the profile."""
     power = np.abs(np.atleast_2d(spectra)) ** 2
     total = np.sum(power, axis=1)
     k = np.abs(np.fft.fftfreq(power.shape[1]))
@@ -484,7 +484,7 @@ def _check_spectra_resolved(spectra: np.ndarray) -> None:
     fraction = float(np.max(top_third / np.where(total > 0.0, total, 1.0)))
     if fraction > 1e-10:
         raise PreconditionError(
-            f"envelope not spectrally resolved: top-third energy fraction "
+            f"{profile} not spectrally resolved: top-third energy fraction "
             f"{fraction:.3e} > 1e-10"
         )
 
@@ -504,8 +504,9 @@ def _commutators(env: Envelope, pairs) -> list:
     """commutator_test for each pair of flows, a flow being a (coefficients,
     flow id) pair; each flow is evaluated at env once."""
     u = env.values
-    # u and the cubic |u|^2 u, which carries three times u's band
-    _check_spectra_resolved(np.fft.fft([u, np.abs(u) ** 2 * u]))
+    # the cubic |u|^2 u carries three times u's band
+    _check_spectra_resolved(np.fft.fft(u))
+    _check_spectra_resolved(np.fft.fft(np.abs(u) ** 2 * u), "cubic |u|^2 u")
     base = {flow: symmetry_rhs(env, *flow) for flow in dict.fromkeys(sum(pairs, ()))}
 
     def derivative(a, b):  # K_a'[K_b] at u

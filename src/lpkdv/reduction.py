@@ -1,50 +1,51 @@
 """Multiscale reduction of the lpKdV to the NLS equation.
 
-Carries the full reduction data of the expansion around a carrier wave
-exp(i(kappa*n - omega*m)):
+Carries the reduction data of the expansion around a carrier wave
+exp(i(kappa*n - omega*m)), in real closed forms through
+band = zeta^2 + mu^2 - 2 zeta mu cos(kappa) = 4p^2 sin^2(kappa/2) + 4q^2 cos^2(kappa/2):
 
-  * the scale factors M1, M1_tilde fixing the slow characteristic
-    xi = (M1*n - branch*M1_tilde*m)/N and the slow time tau = m/N^2,
-  * the harmonic-reconstruction coefficients tau1 (zeroth harmonic source),
-    tau2 (second harmonic) and tau3 (stored only; its order is not
-    reconstructed here),
-  * the NLS coefficients rho1, rho2 of i u_tau = rho1 u_xixi + rho2 u|u|^2.
+  * M1 = sqrt(band) and M1_tilde = 4|pq|/M1, fixing the slow characteristic
+    xi = (M1*n - branch*M1_tilde*m)/N and the slow time tau = m/N^2; branch
+    = -sign(pq) is the sign of the group velocity -4pq/band,
+  * tau1 = -4 cos^2(kappa/2)/(p M1) (zeroth harmonic source),
+    tau2 = i/(2p tan(kappa/2)) (second harmonic) and tau3 = i sin(kappa)/p
+    (stored only; its order is not reconstructed here),
+  * rho1, rho2 of the NLS i u_tau = rho1 u_xixi + rho2 u|u|^2, as printed.
 
-The reduction fixes the slow variables only up to two scales and one sign:
-S = r*exp(i*theta) scales xi (M1, M1_tilde ~ r, rho1 ~ r^2, tau1 ~ 1/r) and
-tau = M2_tilde*m/N^2 scales tau (rho1, rho2 ~ 1/M2_tilde), both duplicating
-the envelope's own width and time span, while M1 > 0 forces the sign.  The
-gauge r = M2_tilde = 1 is the one kept.  The complex closed forms are
-evaluated verbatim; realness of M1 and M1_tilde is asserted rather than
-assumed (the phase theta of S is what enforces it).  The assembled lattice
-ansatz keeps the harmonics (k, alpha) in {(1,0), (1,+-1), (2,+-2)}:
+The paper states M1, M1_tilde and tau1 as complex forms in e^{i kappa} and a
+scale factor S of modulus r; the phase of S that makes M1 and M1_tilde real
+and positive reduces them to the forms above, on the whole domain p, q != 0,
+p != +-q, kappa in (0, pi) (tests/reduction_oracle.py keeps the complex
+forms).  r scales xi (M1, M1_tilde ~ r, rho1 ~ r^2, tau1 ~ 1/r) and M2_tilde
+in tau = M2_tilde*m/N^2 scales tau (rho1, rho2 ~ 1/M2_tilde), both
+duplicating the envelope's own width and time span: the gauge
+r = M2_tilde = 1 is the one kept.  With g = zs_potential(1, p, kappa),
+rho2/rho1 = -2 g^2/M1^2 < 0, so on the whole domain the NLS is the defocusing
+one whose Lax operator is the reduced Zakharov-Shabat problem of `spectral`.
+The assembled ansatz keeps the harmonics (k, alpha) in {(1,0), (1,+-1), (2,+-2)}:
 
     u = (1/N) [ u1_0(xi) + 2 Re(u1_1(xi,tau) e^{i theta}) ]
         + (1/N^2) 2 Re(tau2 u1_1^2 e^{2 i theta}),   theta = kappa*n - omega*m,
 
-with u1_0 the real antiderivative of Re(tau1)|u1_1|^2, zero at xi0.  The
-envelope enters as its Fourier series in xi, with the spectrum of the NLS
-dense output as coefficients (values at lattice points and the
-antiderivative), so it must be spectrally resolved.  With all these
-relations enforced and the envelope solving the NLS, the lpKdV residual of
-the assembled field is O(1/N^3); dropping the zeroth or second harmonic (or
-the characteristic) degrades it to O(1/N^2), which is what the scaling test
-measures.
+with u1_0 the real antiderivative of tau1 |u1_1|^2, zero at xi0.  The
+envelope enters as its Fourier series in xi, the spectrum of the NLS dense
+output as coefficients, so it must be spectrally resolved.  With the
+envelope solving the NLS, the lpKdV residual of the assembled field is
+O(1/N^3); dropping the zeroth or second harmonic (or the characteristic)
+degrades it to O(1/N^2), which is what the scaling test measures.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .nls import EnvelopeEvolution, NlsCoefficients, _check_spectra_resolved, wavenumbers
 from .quad import CarrierWave, LatticeField, LpkdvParams, max_residual
 
-REALNESS_RTOL = 1e-10
 RESIDUAL_MARGIN = 5   # plaquettes at each window edge left out of the residual
 _BLOCK_ROWS = 32  # lattice rows summed at once; bounds the assembly working set
 
@@ -56,11 +57,9 @@ class ReductionCoefficients:
     params: LpkdvParams
     carrier: CarrierWave
     branch: int
-    theta: float
-    S: complex
     M1: float
     M1_tilde: float
-    tau1: complex
+    tau1: float
     tau2: complex
     tau3: complex
     rho1: float
@@ -86,8 +85,7 @@ class ReductionCoefficients:
             "p": self.params.p, "q": self.params.q,
             "mu": self.params.mu, "zeta": self.params.zeta,
             "kappa": self.carrier.kappa, "omega": self.carrier.omega,
-            "branch": self.branch, "theta": self.theta,
-            "S": cplx(self.S),
+            "branch": self.branch,
             "M1": self.M1, "M1_tilde": self.M1_tilde,
             "tau1": cplx(self.tau1), "tau2": cplx(self.tau2), "tau3": cplx(self.tau3),
             "rho1": self.rho1, "rho2": self.rho2,
@@ -95,72 +93,31 @@ class ReductionCoefficients:
         }
 
 
-def _assert_real(z: complex, name: str) -> float:
-    scale = abs(z)
-    if scale > 0 and abs(z.imag) > REALNESS_RTOL * scale:
-        raise InternalConsistencyError(
-            f"{name} must be real: got {z} (Im/|.| = {abs(z.imag) / scale:.3e})",
-            ratio=abs(z.imag) / scale,
-        )
-    return z.real
+def zs_potential(u, p: float, kappa: float):
+    """The reduced Zakharov-Shabat potential g*u of u, g = (2/p) cos^2(kappa/2)."""
+    return (2.0 * u / p) * math.cos(kappa / 2.0) ** 2
 
 
 def compute_coefficients(params: LpkdvParams, kappa: float) -> ReductionCoefficients:
-    """Evaluate the full set of reduction coefficients at one parameter point.
-
-    branch is the correlated sign pair of the reduction (the choice between
-    the two slow characteristics), the one with M1 > 0.  The phase theta
-    starts from the principal arctan and is shifted by pi if needed so that
-    M1_tilde > 0; realness of M1 and M1_tilde is asserted to REALNESS_RTOL
-    relative.
-    """
-    if not (0.0 < kappa < math.pi):
-        raise DomainError(f"kappa must lie in (0, pi), got {kappa}")
-    mu, zeta = params.mu, params.zeta
+    """The reduction coefficients at one parameter point, by the closed forms
+    of the module docstring; branch picks the slow characteristic with M1 > 0.
+    kappa outside (0, pi), q = 0 (by the dispersion relation) and p = 0 are
+    refused."""
     carrier = CarrierWave.for_params(params, kappa)
-    E = cmath.exp(1j * kappa)
-
-    theta_denom = zeta * math.cos(kappa) - mu
-    if abs(theta_denom) < 1e-14 * (abs(zeta) + abs(mu)):
-        raise DomainError(
-            "theta undefined at this (p, q, kappa): zeta*cos(kappa) - mu ~ 0"
-        )
-    theta = -math.atan(zeta * math.sin(kappa) / theta_denom)
-
-    def m_values(th):
-        S = cmath.exp(1j * th)
-        m1_signless = S * (mu - zeta * E)          # M1 = -branch * this
-        m1t = S * E * (zeta ** 2 - mu ** 2) / (mu * E - zeta)
-        return S, m1_signless, m1t
-
-    S, m1_signless, m1t_c = m_values(theta)
-    _assert_real(m1_signless, "M1 (signless complex form)")
-    if _assert_real(m1t_c, "M1_tilde") < 0.0:
-        theta += math.pi
-        S, m1_signless, m1t_c = m_values(theta)
-    m1_signless_re = _assert_real(m1_signless, "M1 (signless complex form)")
-    m1_tilde = _assert_real(m1t_c, "M1_tilde")
-
-    branch = -1 if m1_signless_re > 0 else 1
-    m1 = -branch * m1_signless_re
-    if not (m1 > 0 and m1_tilde > 0):
-        raise DomainError(
-            f"degenerate reduction: M1 = {m1:.6g} and M1_tilde = {m1_tilde:.6g} "
-            f"must both be positive"
-        )
-
-    tau1 = branch * 2.0 * (1 + E) ** 2 / (S * E * (mu + zeta) * (mu - zeta * E))
-    tau2 = (1 + E) / ((1 - E) * (mu + zeta))
-    tau3 = 2j * math.sin(kappa) / (mu + zeta)
-
+    p, q, mu, zeta = params.p, params.q, params.mu, params.zeta
+    if p == 0:
+        raise DomainError("the reduction needs p != 0: tau1, tau2 and tau3 divide by p")
     band = zeta ** 2 + mu ** 2 - 2.0 * zeta * mu * math.cos(kappa)
+    m1 = math.sqrt(band)
     rho1 = -mu * zeta * (zeta ** 2 - mu ** 2) * math.sin(kappa) / band
     rho2 = (8.0 * zeta * mu * (zeta - mu) * (1 + math.cos(kappa)) ** 2 * math.sin(kappa)
             / ((mu + zeta) * band ** 2))
-
     return ReductionCoefficients(
-        params=params, carrier=carrier, branch=branch, theta=theta, S=S,
-        M1=m1, M1_tilde=m1_tilde, tau1=tau1, tau2=tau2, tau3=tau3, rho1=rho1, rho2=rho2,
+        params=params, carrier=carrier, branch=-1 if p * q > 0 else 1,
+        M1=m1, M1_tilde=4.0 * abs(p * q) / m1,
+        tau1=-2.0 * (1 + math.cos(kappa)) / (p * m1),  # 1 + cos = 2 cos^2(kappa/2)
+        tau2=1j / (2.0 * p * math.tan(kappa / 2.0)),
+        tau3=1j * math.sin(kappa) / p, rho1=rho1, rho2=rho2,
     )
 
 
@@ -249,8 +206,6 @@ class AnsatzField:
     coeffs: ReductionCoefficients
     evolution: EnvelopeEvolution
     field: LatticeField
-    include_zeroth: bool
-    include_second: bool
     modes: int
     modes_zeroth: int
 
@@ -320,15 +275,13 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         block = 2.0 * np.real(u1 * phase) / N
         if include_zeroth:
             amp2 = np.fft.fft(np.abs(np.fft.ifft(spectra, axis=1)) ** 2, axis=1)
-            _check_spectra_resolved(amp2)
-            block += coeffs.tau1.real * _zeroth_values(amp2, j0, basis0, x, offsets,
-                                                       xi0, dxi) / N
+            _check_spectra_resolved(amp2, "|u1_1|^2")
+            block += coeffs.tau1 * _zeroth_values(amp2, j0, basis0, x, offsets, xi0, dxi) / N
         if include_second:
             block += 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2
         out[:, rows] = block
     return AnsatzField(N=N, coeffs=coeffs, evolution=evolution,
-                       field=LatticeField(out), include_zeroth=include_zeroth,
-                       include_second=include_second, modes=len(j1), modes_zeroth=len(j0))
+                       field=LatticeField(out), modes=len(j1), modes_zeroth=len(j0))
 
 
 def fit_scaling_exponent(n_list, residuals) -> tuple:

@@ -41,7 +41,7 @@ from scipy.sparse.linalg import eigs
 
 from .errors import DomainError, NumericalError, PreconditionError, SingularPotentialError
 from .quad import LatticeField, LpkdvParams, check_denominators
-from .reduction import ReductionCoefficients, assemble_ansatz, fourier_resample
+from .reduction import ReductionCoefficients, assemble_ansatz, fourier_resample, zs_potential
 
 BAND_EDGE_TOL = 1e-8          # |eigen_mu| > 2 + this counts as discrete spectrum
 ISOSPECTRAL_RESIDUAL_TOL = 1e-9  # a field must solve the lpKdV this well for drift runs
@@ -272,7 +272,7 @@ def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.c
     L = len(x)
     h = float(x[1] - x[0])
     lam = 1.0 / (2.0 * math.sin(kappa / 2.0))
-    q = (2.0 * u / p) * math.cos(kappa / 2.0) ** 2
+    q = zs_potential(u, p, kappa)
     c1 = 1j / lam
     D = _derivative_matrix(L, h)
     walls, inner = np.array([0, L - 1]), np.arange(1, L - 1)

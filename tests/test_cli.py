@@ -57,6 +57,9 @@ class TestRun:
         assert abs(doc["rho1"] - (-1.2)) < 1e-9
         assert abs(doc["rho2"] - 16.0 / 75.0) < 1e-6
         assert abs(doc["tau2"]["im"] - 1.0 / 3.0) < 1e-9
+        assert doc["tau1"]["im"] == doc["tau2"]["re"] == 0.0
+        assert "theta" not in doc and "S" not in doc
+        assert doc["lax_identity"]["ratio"] == -2.0 and doc["lax_identity"]["draws"] == 100
 
     def test_selftest_passes(self, tmp_path):
         assert run("selftest", None, str(tmp_path / "o"), quiet=True) == 0
@@ -276,8 +279,11 @@ def test_unusable_out_dir_exit_2(tmp_path, capsys, out):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+# (1.5, 0.5, pi/3) and (2, 1, arccos(1/3)) lie on zeta cos(kappa) = mu, where
+# the phase of the complex forms' scale factor is undefined
 @pytest.mark.parametrize("p, q, kappa", [(2.0, 1.0, 1.0), (3.0, 0.7, 0.6),
-                                         (1.5, 0.5, 1.2)])
+                                         (1.5, 0.5, 1.2), (1.5, 0.5, math.pi / 3),
+                                         (2.0, 1.0, math.acos(1.0 / 3.0))])
 def test_ansatz_residual_across_domain(tmp_path, p, q, kappa):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": p, "q": q, "kappa": kappa}))
@@ -299,6 +305,42 @@ def test_commutators_across_domain(tmp_path, p, q, kappa):
     rep = read(out / "commutators.json")
     assert all(row["residual"] <= row["floor"] for row in rep["sweep"])
     assert rep["negative_control"]["residual"] > rep["negative_control"]["floor"]
+
+
+@pytest.mark.parametrize("doc, code, named", [
+    ({"kappa": math.pi / 3}, 0, None),
+    ({"p": 2.0, "q": 1.0, "kappa": math.acos(1.0 / 3.0)}, 0, None),
+    ({"p": 0.0}, 2, "p != 0"),
+    ({"q": 0.0}, 2, "q ~ 0"),
+])
+def test_coeffs_across_domain(tmp_path, capsys, doc, code, named):
+    """coeffs holds on the curve zeta cos(kappa) = mu too; p = 0 and q = 0
+    are config errors whose line names the parameter."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run("coeffs", str(cfg), str(tmp_path / "o"), quiet=True) == code
+    if named:
+        assert named in capsys.readouterr().err
+
+
+def test_coeffs_wrong_rho2_exit_1(tmp_path, monkeypatch):
+    """A rho2 off by 0.1% breaks rho2 M1^2 / (rho1 g^2) = -2 at every point:
+    coeffs exits 1 with its report in the manifest."""
+    import dataclasses
+
+    from lpkdv import reduction
+
+    compute = reduction.compute_coefficients
+
+    def wrong_rho2(params, kappa):
+        co = compute(params, kappa)
+        return dataclasses.replace(co, rho2=co.rho2 * 1.001)
+
+    monkeypatch.setattr(reduction, "compute_coefficients", wrong_rho2)
+    out = tmp_path / "o"
+    assert run("coeffs", None, str(out), quiet=True) == 1
+    block = read(out / "manifest.json")["result"]["lax_identity"]
+    assert abs(block["ratio"] / -2.0 - 1.0) > 9e-4
 
 
 def test_commutators_wrong_h4_cubic_exit_1(tmp_path, monkeypatch):
@@ -515,6 +557,7 @@ def test_non_finite_envelope_grid_named(tmp_path, capsys, name, words):
 # per entry of cli.BOUNDS: the subcommand whose pass rule reads it, and a
 # value no run can meet
 IMPOSSIBLE_BOUNDS = {
+    "lax_identity": ("coeffs", -1.0),
     "linear_residual": ("dispersion", -1.0),
     "lattice_residual": ("simulate", -1.0),
     "ansatz_exponent": ("ansatz-residual", 100.0),

@@ -316,10 +316,10 @@ class TestCommutators:
 
     def test_aliased_cubic_rejected(self):
         # |u|^2 u carries three times u's band: u passes the resolution rule
-        # here, its cubic does not
+        # here, its cubic does not, and the refusal names the cubic
         env = gaussian_envelope(1024, 0.0, 40.0, 1.0, 0.1, 12.0)
         _check_spectra_resolved(np.fft.fft(env.values))
-        with pytest.raises(PreconditionError, match="resolved"):
+        with pytest.raises(PreconditionError, match=r"^cubic \|u\|\^2 u not spectrally resolved"):
             commutator_test(C_REF, env, "h1", "h2")
 
     def test_derivative_is_exact(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lpkdv.errors import DomainError, PreconditionError
 from lpkdv.nls import Envelope, _check_spectra_resolved, frozen_evolution, gaussian_envelope
@@ -14,6 +16,7 @@ from lpkdv.reduction import (
 )
 from tests.conftest import REF_N_LIST, REF_WINDOW
 from tests.dispersion_oracle import group_velocity
+from tests.reduction_oracle import complex_forms
 
 SQRT5 = math.sqrt(5.0)
 
@@ -37,8 +40,7 @@ class TestCoefficientValues:
         assert abs(ref_coeffs.tau2 - 1j / 3.0) < 1e-9
 
     def test_tau1(self, ref_coeffs):
-        # -2(1+i)^2 / (S i (mu+zeta)(1-2i)) with S(1-2i) = sqrt 5 collapses
-        # to the real value -4/(3 sqrt 5)
+        # -4 cos^2(pi/4) / (p M1) = -4/(3 sqrt 5)
         assert abs(ref_coeffs.tau1 - (-4.0 / (3.0 * SQRT5))) < 1e-9
 
     def test_tau3(self, ref_coeffs):
@@ -62,10 +64,17 @@ class TestCoefficientValues:
         assert abs(co.rho2 - (-16.0 / 75.0)) < 1e-9
         assert co.rho1 * co.rho2 < 0
 
-    def test_theta_singularity(self):
-        # zeta cos(kappa) = mu at kappa = pi/3 for mu=1, zeta=2
-        with pytest.raises(DomainError, match="theta"):
-            compute_coefficients(LpkdvParams(1.5, 0.5), math.pi / 3)
+    def test_continuous_across_old_theta_curve(self):
+        # zeta cos(kappa) = mu at kappa = pi/3 for mu=1, zeta=2, where the
+        # phase of the complex forms' scale factor S is undefined
+        names = ("M1", "M1_tilde", "tau1", "tau2", "tau3", "rho1", "rho2")
+        at = compute_coefficients(LpkdvParams(1.5, 0.5), math.pi / 3)
+        for kappa in (math.pi / 3 - 1e-6, math.pi / 3 + 1e-6):
+            near = compute_coefficients(LpkdvParams(1.5, 0.5), kappa)
+            assert near.branch == at.branch
+            for name in names:
+                a, b = getattr(at, name), getattr(near, name)
+                assert abs(a - b) <= 1e-5 * abs(a), (name, a, b)
 
     def test_realness_over_random_draws(self):
         rng = np.random.default_rng(20)
@@ -73,11 +82,63 @@ class TestCoefficientValues:
             p = rng.uniform(0.6, 3.0)
             q = rng.uniform(0.05, p - 0.2)
             kappa = rng.uniform(0.15, math.pi - 0.25)
+            co = compute_coefficients(LpkdvParams(p, q), kappa)
+            assert co.M1 > 0 and co.M1_tilde > 0
+            assert co.tau1 == co.tau1.real and co.tau2.real == co.tau3.real == 0.0
+
+    @pytest.mark.parametrize("p, q, named", [(0.0, 0.5, "p != 0"), (1.5, 0.0, "q ~ 0")])
+    def test_zero_parameter_named(self, p, q, named):
+        with pytest.raises(DomainError, match=named):
+            compute_coefficients(LpkdvParams(p, q), math.pi / 2)
+
+    def test_matches_complex_forms(self):
+        """The closed forms against the paper's complex forms, evaluated
+        verbatim by the oracle, at draws away from the oracle's arctan curve
+        zeta cos(kappa) = mu and from where its forms lose digits to
+        cancellation (zeta^2 - mu^2 = 4pq at |p| << |q| or |q| << |p|, and
+        1 - e^{i kappa} at small kappa)."""
+        rng = np.random.default_rng(18)
+        checked = 0
+        while checked < 200:
+            p, q = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.1, 4.0, 2)
+            kappa = rng.uniform(0.01, math.pi - 0.01)
             params = LpkdvParams(p, q)
             if abs(params.zeta * math.cos(kappa) - params.mu) < 1e-3:
                 continue
-            co = compute_coefficients(params, kappa)
-            assert co.M1 > 0 and co.M1_tilde > 0  # realness asserted internally
+            co, ref = compute_coefficients(params, kappa), complex_forms(params, kappa)
+            assert co.branch == ref["branch"]
+            for name in ("M1", "M1_tilde", "tau1", "tau2", "tau3"):
+                assert abs(getattr(co, name) - ref[name]) <= 1e-12 * abs(ref[name]), name
+            checked += 1
+
+
+# both signs, magnitudes in [0.05, 4]: admissible values the group-velocity
+# oracle's finite differences resolve to its 1e-6
+NONZERO = st.builds(lambda sign, r: sign * r, st.sampled_from([-1.0, 1.0]),
+                    st.floats(0.05, 4.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=NONZERO, q=NONZERO,
+       kappa=st.floats(1e-9, math.pi - 1e-9, exclude_max=True))
+@example(p=1.5, q=0.5, kappa=math.pi / 3)         # zeta cos(kappa) = mu
+@example(p=2.0, q=1.0, kappa=math.acos(1.0 / 3.0))
+@example(p=-1.5, q=-0.5, kappa=math.pi / 3)
+@example(p=0.5, q=1.5, kappa=2.0 * math.pi / 3)
+def test_coefficients_over_domain(p, q, kappa):
+    """On the whole admissible domain (p, q != 0, p != +-q, kappa in
+    (0, pi - 1e-9)) the coefficients exist, and branch * M1_tilde / M1 is the
+    group velocity where the oracle's step fits inside (0, pi).  The
+    reduction is defocusing where the printed rho2 resolves its factor
+    (1 + cos(kappa))^2, which rounds to 0 within about 1e-8 of pi."""
+    assume(abs(p) != abs(q))
+    co = compute_coefficients(LpkdvParams(p, q), kappa)
+    assert co.M1 > 0 and co.M1_tilde > 0
+    if kappa < math.pi - 1e-6:
+        assert co.rho1 * co.rho2 < 0
+    if 1e-5 < kappa < math.pi - 1e-5:
+        gv = group_velocity(co.params, kappa)
+        assert abs(co.branch * co.M1_tilde / co.M1 - gv) < 1e-6 * max(1.0, abs(gv))
 
 
 class TestGroupVelocity:
@@ -98,18 +159,14 @@ class TestGroupVelocity:
 
     def test_consistency_with_scale_ratio(self):
         rng = np.random.default_rng(77)
-        checked = 0
-        while checked < 20:
+        for _ in range(20):
             p = rng.uniform(0.6, 3.0)
             q = rng.uniform(0.05, p - 0.2)
             kappa = rng.uniform(0.15, math.pi - 0.25)
             params = LpkdvParams(p, q)
-            if abs(params.zeta * math.cos(kappa) - params.mu) < 1e-2:
-                continue
             co = compute_coefficients(params, kappa)
             gv = group_velocity(params, kappa)
             assert abs(abs(gv) - co.M1_tilde / co.M1) < 1e-6 * max(1.0, abs(gv))
-            checked += 1
 
 
 class TestSlowCoordinates:
