@@ -9,7 +9,7 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in (
-    ("quad", "LatticeField LpkdvParams CarrierWave corner_solve dispersion evolve_ivp"),
+    ("quad", "LatticeField LpkdvParams CarrierWave dispersion evolve_ivp"),
     ("reduction", "ReductionCoefficients compute_coefficients"),
     ("nls", "Envelope NlsCoefficients nls_evolve"),
 ) for name in names.split()}

@@ -51,6 +51,7 @@ BOUNDS = {
     "mass_drift": 1e-8,                # nls-evolve: mass drift / max(1, tau_final)
     "spectrum_error": 1e-10,           # spectrum: closed-form and gauge errors
     "drift_shrink": 2.0,               # isospectral: least drift shrink factor
+    "isospectral_drift": 1e-10,        # isospectral: largest drift; the control exceeds it
     "cauchy_band": 0.25,               # zs-limit: partner ratio within 1 -+ band
     "control_exponent": 2.0,           # flow-check: the broken flow stays below
     "projection_error_factor": 3.0,    # flow-project: weighted error <= factor / N
@@ -430,6 +431,8 @@ def cmd_spectrum(cfg):
 
 
 def cmd_isospectral(cfg):
+    """Spectral drift across rows on the bump window and on one twice as wide;
+    the printed a_n on the small window is a control that must drift."""
     from .spectral import isospectral_drift
 
     b = cfg["boundary"]
@@ -440,13 +443,19 @@ def cmd_isospectral(cfg):
                                                           center=center)))
     rep_small = isospectral_drift(field_small, params, m_list)
     rep_big = isospectral_drift(field_big, params, m_list)
+    control = isospectral_drift(field_small, params, m_list, variant="printed")
     shrink = None
     if rep_small["max_drift"] and rep_big["max_drift"]:
         shrink = rep_small["max_drift"] / rep_big["max_drift"]
+    bound = BOUNDS["isospectral_drift"]
     report = {"small_window": rep_small, "large_window": rep_big,
-              "shrink_factor": shrink}
+              "shrink_factor": shrink, "drift_bound": bound,
+              "negative_control": {"variant": "printed", "max_drift": control["max_drift"],
+                                   "bound_count": control["bound_count"]}}
     ok = (rep_small["bound_count"][0] > 0 and shrink is not None
-          and shrink >= BOUNDS["drift_shrink"])
+          and shrink >= BOUNDS["drift_shrink"]
+          and max(rep_small["max_drift"], rep_big["max_drift"]) <= bound
+          and control["max_drift"] > bound)
     return ok, report, {"isospectral_report.json": report}
 
 

@@ -1,17 +1,19 @@
-"""Lattice-field import/export: CSV (n,m,re,im) and JSON-header + binary float64.
+"""Lattice-field import/export: CSV and JSON-header + binary float64.
 
-Both formats round-trip exactly at float64 precision, signed zeros and
-non-finite parts included.  The CSV file has the header `n,m,re,im` and one
-row per lattice point in row-major order, `\\r\\n` line ends, and `repr` of
-each part (the shortest decimal that reads back to the same double); the
-reader places rows by their (n, m) columns, so any row order loads.  A CSV
-field whose imaginary parts all compare equal to 0 loads as real.  The binary
-format stores raw little-endian (re, im) pairs after a one-line JSON header.
+Both formats round-trip exactly at float64 precision, kind, signed zeros and
+non-finite parts included.  The CSV file has the header `n,m,re` for a real
+field and `n,m,re,im` for a complex one, then one row per lattice point in
+row-major order, `\\r\\n` line ends, and `repr` of each part (the shortest
+decimal that reads back to the same double); the reader takes the kind from
+the header and places rows by their (n, m) columns, so any row order loads.
+The binary format stores raw little-endian (re, im) pairs after a one-line
+JSON header that names the kind.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -20,46 +22,52 @@ from .errors import DomainError
 from .quad import LatticeField
 
 _MAGIC = "lpkdv-field-v1"
-_CSV_HEADER = ["n", "m", "re", "im"]
+_CSV_HEADERS = {"real": ["n", "m", "re"], "complex": ["n", "m", "re", "im"]}
 _CSV_BLOCK_POINTS = 1 << 14   # points formatted per write, which bounds the text held
-_CSV_ROW = np.dtype([("n", np.int64), ("m", np.int64), ("re", np.float64), ("im", np.float64)])
+
+
+def _csv_lines(block: np.ndarray, start: int):
+    """The CSV lines of the lattice rows n = start.. held in block."""
+    if np.iscomplexobj(block):
+        return (f"{n},{m},{re!r},{im!r}\r\n"
+                for n, re_row, im_row in zip(itertools.count(start), block.real.tolist(),
+                                             block.imag.tolist())
+                for m, (re, im) in enumerate(zip(re_row, im_row)))
+    return (f"{n},{m},{re!r}\r\n"
+            for n, row in zip(itertools.count(start), block.tolist())
+            for m, re in enumerate(row))
 
 
 def save_field_csv(field: LatticeField, path) -> None:
-    vals = np.asarray(field.values, dtype=np.complex128)
     rows_per_block = max(1, _CSV_BLOCK_POINTS // field.m_size)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        fh.write(",".join(_CSV_HEADERS[field.kind]) + "\r\n")
         for start in range(0, field.n_size, rows_per_block):
-            block = vals[start:start + rows_per_block]
-            fh.write("".join(
-                f"{n},{m},{re!r},{im!r}\r\n"
-                for n, re_row, im_row in zip(range(start, field.n_size),
-                                             block.real.tolist(), block.imag.tolist())
-                for m, (re, im) in enumerate(zip(re_row, im_row))))
+            fh.write("".join(_csv_lines(field.values[start:start + rows_per_block], start)))
 
 
 def load_field_csv(path) -> LatticeField:
     with open(path) as fh:
         header = next(csv.reader([fh.readline()]), [])
-        if header != _CSV_HEADER:
+        kind = next((k for k, names in _CSV_HEADERS.items() if names == header), None)
+        if kind is None:
             raise DomainError(f"unexpected CSV header {header}")
+        row = np.dtype([(c, np.int64 if c in "nm" else np.float64) for c in header])
         body = fh.tell()
         if not fh.readline().strip():
             raise DomainError("empty field CSV")
         fh.seek(body)
         try:
-            rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+            rows = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
             raise DomainError(f"malformed field CSV row: {exc}") from None
     n, m = rows["n"], rows["m"]
     if n.min() < 0 or m.min() < 0:
         raise DomainError("negative lattice index in field CSV")
-    vals = np.zeros((n.max() + 1, m.max() + 1), dtype=np.complex128)
+    vals = np.zeros((n.max() + 1, m.max() + 1), dtype=complex if kind == "complex" else float)
     vals.real[n, m] = rows["re"]
-    vals.imag[n, m] = rows["im"]
-    if np.all(vals.imag == 0.0):
-        return LatticeField(vals.real)
+    if kind == "complex":
+        vals.imag[n, m] = rows["im"]
     return LatticeField(vals)
 
 

@@ -9,7 +9,7 @@ on a periodic xi-grid.  Spatial derivatives are spectral (well beyond the
 d(u_hat)/dtau = Lambda u_hat + FFT(-i rho2 |u|^2 u) with Lambda = i rho1 k^2,
 and time stepping is classical RK4 on the interaction-picture variable
 v_hat = exp(-Lambda (tau - tau0)) u_hat (integrating-factor RK4; Lawson,
-SIAM J. Numer. Anal. 4:372, 1967).  The linear part is propagated exactly
+SIAM J. Numer. Anal. 4:372, 1967).  The linear part is integrated exactly
 and the nonlinear part is evaluated on the grid, so the global error is
 O(dtau^4) with a constant set by the nonlinear term alone.  Each stage takes
 its phase factor exp(Lambda s) from its own time s and each step adds the
@@ -317,9 +317,7 @@ class EnvelopeEvolution:
     3.3e-11 at worst.  The Fourier series of u in xi has the
     coefficients u_hat / L, so the ansatz is evaluated from spectra_at
     without a round trip through the grid; values_at is its inverse FFT.
-    With propagate=False (frozen_evolution) snapshots[0] holds grid values,
-    returned at every tau.  steps and dtau are the integrator's step count
-    and step size.
+    steps and dtau are the integrator's step count and step size.
     """
 
     xi0: float
@@ -327,10 +325,9 @@ class EnvelopeEvolution:
     taus: np.ndarray
     snapshots: np.ndarray  # shape (S, L)
     coefficients: NlsCoefficients
-    nonlinear: np.ndarray | None = None  # shape (S, L) when propagate
-    steps: int = 0
-    dtau: float = 0.0
-    propagate: bool = True
+    nonlinear: np.ndarray  # shape (S, L)
+    steps: int
+    dtau: float
 
     @property
     def L(self) -> int:
@@ -371,16 +368,12 @@ class EnvelopeEvolution:
 
     def values_at(self, taus) -> np.ndarray:
         """The envelope on the grid at each of taus, shape (len(taus), L)."""
-        if not self.propagate:
-            return np.tile(self.snapshots[0], (len(self._locate(taus)[0]), 1))
         return np.fft.ifft(self.spectra_at(taus), axis=1)
 
     def spectra_at(self, taus) -> np.ndarray:
         """fft of the envelope at each of taus, shape (len(taus), L), built
         _EVAL_ROWS taus at a time."""
         t, n, lo = self._locate(taus)
-        if not self.propagate:
-            return np.tile(np.fft.fft(self.snapshots[0]), (len(t), 1))
         L, width, h = self.L, self._width, self.dtau
         rate = _linear_rate(L, self.dxi, self.coefficients)[:L // 2 + 1]
         j = np.arange(width)
@@ -418,12 +411,10 @@ class EnvelopeEvolution:
         first, stop = int(lo.min()), int(lo.max()) + self._width
         for a in range(first, stop, _BAND_CHUNK):
             chunk = slice(a, min(a + _BAND_CHUNK, stop))
-            mag = np.abs(self.snapshots[chunk] if self.propagate
-                         else np.fft.fft(self.snapshots[chunk], axis=1))
+            mag = np.abs(self.snapshots[chunk])
             floor = np.finfo(float).eps * mag.max(axis=1, keepdims=True)
             above = np.any(mag > floor, axis=0)
-            if self.nonlinear is not None:
-                above |= np.any(self.dtau * np.abs(self.nonlinear[chunk]) > floor, axis=0)
+            above |= np.any(self.dtau * np.abs(self.nonlinear[chunk]) > floor, axis=0)
             if np.any(above):
                 top = max(top, int(j[above].max()))
         return top
@@ -437,17 +428,6 @@ def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
     taus = env.tau + np.arange(n_steps + 1) * dt
     return EnvelopeEvolution(env.xi0, env.dxi, taus, spectra, c, nonlinear=nonlinear,
                              steps=n_steps, dtau=dt)
-
-
-def frozen_evolution(env: Envelope, c: NlsCoefficients) -> EnvelopeEvolution:
-    """Degenerate dense output that returns the initial profile at every tau.
-
-    Used as the negative control in the multiscale residual tests: the
-    envelope rides the characteristic but ignores the NLS flow.
-    """
-    big = 1e30
-    return EnvelopeEvolution(env.xi0, env.dxi, np.array([-big, big]),
-                             np.vstack([env.values, env.values]), c, propagate=False)
 
 
 def symmetry_rhs(env: Envelope, c: NlsCoefficients, which: str) -> np.ndarray:
@@ -515,14 +495,13 @@ def _commutators(env: Envelope, pairs) -> list:
     return [float(np.max(np.abs(derivative(a, b) - derivative(b, a)))) for a, b in pairs]
 
 
-def commutator_test(c: NlsCoefficients, env: Envelope, flow_a: str, flow_b: str,
-                    c_b: NlsCoefficients | None = None) -> float:
-    """Max-norm of the vector-field commutator K_a'[K_b] - K_b'[K_a] at env,
-    with K_b built from c_b (from c when None).  The Frechet derivatives are
-    exact up to round-off (see _derivative), so for true symmetries the
-    result stays below commutator_floor.  env and |u|^2 u must be resolved.
+def commutator_test(c: NlsCoefficients, env: Envelope, flow_a: str, flow_b: str) -> float:
+    """Max-norm of the vector-field commutator K_a'[K_b] - K_b'[K_a] at env.
+    The Frechet derivatives are exact up to round-off (see _derivative), so
+    for true symmetries the result stays below commutator_floor.  env and
+    |u|^2 u must be resolved.
     """
-    return _commutators(env, [((c, flow_a), (c if c_b is None else c_b, flow_b))])[0]
+    return _commutators(env, [((c, flow_a), (c, flow_b))])[0]
 
 
 def commutator_floor(env: Envelope, c: NlsCoefficients) -> float:

@@ -106,20 +106,6 @@ def max_residual(field: LatticeField, params: LpkdvParams, margin: int = 0) -> f
     return float(np.max(np.abs(r)))
 
 
-def corner_solve(params: LpkdvParams, u00, u10, u01):
-    """Solve the quad equation for u11 given the other three corners.
-
-    Singular when w = u10 - u01 approaches mu; below the relative threshold
-    this raises rather than returning a huge value.
-    """
-    w = u10 - u01
-    if abs(w - params.mu) < CORNER_SINGULARITY_RTOL * (1.0 + abs(params.mu)):
-        raise SingularCornerError(
-            f"singular corner: |w - mu| = {abs(w - params.mu):.3e} with w = {w}"
-        )
-    return u00 + params.zeta * w / (w - params.mu)
-
-
 def evolve_ivp(row0, col0, params: LpkdvParams) -> LatticeField:
     """Fill the window from first-row (m=0) and first-column (n=0) data.
 

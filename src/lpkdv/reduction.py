@@ -2,7 +2,8 @@
 
 Carries the reduction data of the expansion around a carrier wave
 exp(i(kappa*n - omega*m)), in real closed forms through
-band = zeta^2 + mu^2 - 2 zeta mu cos(kappa) = 4p^2 sin^2(kappa/2) + 4q^2 cos^2(kappa/2):
+band = zeta^2 + mu^2 - 2 zeta mu cos(kappa) = 4p^2 sin^2(kappa/2) + 4q^2 cos^2(kappa/2),
+evaluated as the latter sum of positive terms:
 
   * M1 = sqrt(band) and M1_tilde = 4|pq|/M1, fixing the slow characteristic
     xi = (M1*n - branch*M1_tilde*m)/N and the slow time tau = m/N^2; branch
@@ -10,7 +11,8 @@ band = zeta^2 + mu^2 - 2 zeta mu cos(kappa) = 4p^2 sin^2(kappa/2) + 4q^2 cos^2(k
   * tau1 = -4 cos^2(kappa/2)/(p M1) (zeroth harmonic source),
     tau2 = i/(2p tan(kappa/2)) (second harmonic) and tau3 = i sin(kappa)/p
     (stored only; its order is not reconstructed here),
-  * rho1, rho2 of the NLS i u_tau = rho1 u_xixi + rho2 u|u|^2, as printed.
+  * rho1, rho2 of the NLS i u_tau = rho1 u_xixi + rho2 u|u|^2, as printed but
+    with 1 + cos(kappa) as 2 cos^2(kappa/2), which stays accurate as kappa -> pi.
 
 The paper states M1, M1_tilde and tau1 as complex forms in e^{i kappa} and a
 scale factor S of modulus r; the phase of S that makes M1 and M1_tilde real
@@ -31,8 +33,9 @@ with u1_0 the real antiderivative of tau1 |u1_1|^2, zero at xi0.  The
 envelope enters as its Fourier series in xi, the spectrum of the NLS dense
 output as coefficients, so it must be spectrally resolved.  With the
 envelope solving the NLS, the lpKdV residual of the assembled field is
-O(1/N^3); dropping the zeroth or second harmonic (or the characteristic)
-degrades it to O(1/N^2), which is what the scaling test measures.
+O(1/N^3); dropping the zeroth or second harmonic (coefficients with tau1
+or tau2 zeroed, by dataclasses.replace) or the characteristic degrades it
+to O(1/N^2), which is what the scaling test measures.
 """
 
 from __future__ import annotations
@@ -107,15 +110,16 @@ def compute_coefficients(params: LpkdvParams, kappa: float) -> ReductionCoeffici
     p, q, mu, zeta = params.p, params.q, params.mu, params.zeta
     if p == 0:
         raise DomainError("the reduction needs p != 0: tau1, tau2 and tau3 divide by p")
-    band = zeta ** 2 + mu ** 2 - 2.0 * zeta * mu * math.cos(kappa)
+    c2, s2 = math.cos(kappa / 2.0) ** 2, math.sin(kappa / 2.0) ** 2
+    band = 4.0 * p ** 2 * s2 + 4.0 * q ** 2 * c2
     m1 = math.sqrt(band)
     rho1 = -mu * zeta * (zeta ** 2 - mu ** 2) * math.sin(kappa) / band
-    rho2 = (8.0 * zeta * mu * (zeta - mu) * (1 + math.cos(kappa)) ** 2 * math.sin(kappa)
+    rho2 = (8.0 * zeta * mu * (zeta - mu) * (2.0 * c2) ** 2 * math.sin(kappa)
             / ((mu + zeta) * band ** 2))
     return ReductionCoefficients(
         params=params, carrier=carrier, branch=-1 if p * q > 0 else 1,
         M1=m1, M1_tilde=4.0 * abs(p * q) / m1,
-        tau1=-2.0 * (1 + math.cos(kappa)) / (p * m1),  # 1 + cos = 2 cos^2(kappa/2)
+        tau1=-4.0 * c2 / (p * m1),
         tau2=1j / (2.0 * p * math.tan(kappa / 2.0)),
         tau3=1j * math.sin(kappa) / p, rho1=rho1, rho2=rho2,
     )
@@ -199,8 +203,7 @@ def _row_taus(evolution: EnvelopeEvolution, ms, N: int) -> np.ndarray:
 class AnsatzField:
     """Assembled multiscale ansatz on a lattice window, with its provenance.
     modes and modes_zeroth are the widths of the lattice-point Fourier
-    matrices the assembly evaluated u1_1 and the zeroth harmonic with (0
-    when the zeroth harmonic is left out)."""
+    matrices the assembly evaluated u1_1 and the zeroth harmonic with."""
 
     N: int
     coeffs: ReductionCoefficients
@@ -226,8 +229,7 @@ class AnsatzField:
 
 
 def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
-                    N: int, window: tuple, include_zeroth: bool = True,
-                    include_second: bool = True) -> AnsatzField:
+                    N: int, window: tuple) -> AnsatzField:
     """Build the real lattice field of the truncated multiscale expansion.
 
     window = (n_size, m_size).  Slow coordinates must stay inside the stored
@@ -258,7 +260,7 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     taus = _row_taus(evolution, ms, N)
     J = evolution.bandwidth(taus)
     lo, hi = _band(J, L)                                  # u1_1: j = -lo..hi
-    top = min(2 * J, L // 2) if include_zeroth else -1    # |u1_1|^2: j = 0..top
+    top = min(2 * J, L // 2)                              # |u1_1|^2: j = 0..top
     basis = _lattice_matrix(x, xi0, lo, max(hi, top), L, dxi)
     basis1, basis0 = basis[:, :lo + hi + 1], basis[:, lo:lo + top + 1]
     j1, j0 = np.arange(-lo, hi + 1), np.arange(top + 1)
@@ -272,14 +274,11 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         offsets = coeffs.xi(0, ms[rows], N)
         u1 = _series_values(spectra, j1, basis1, offsets, dxi)
         phase = np.outer(carrier_n, carrier_m[rows])
-        block = 2.0 * np.real(u1 * phase) / N
-        if include_zeroth:
-            amp2 = np.fft.fft(np.abs(np.fft.ifft(spectra, axis=1)) ** 2, axis=1)
-            _check_spectra_resolved(amp2, "|u1_1|^2")
-            block += coeffs.tau1 * _zeroth_values(amp2, j0, basis0, x, offsets, xi0, dxi) / N
-        if include_second:
-            block += 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2
-        out[:, rows] = block
+        amp2 = np.fft.fft(np.abs(np.fft.ifft(spectra, axis=1)) ** 2, axis=1)
+        _check_spectra_resolved(amp2, "|u1_1|^2")
+        out[:, rows] = (2.0 * np.real(u1 * phase) / N
+                        + coeffs.tau1 * _zeroth_values(amp2, j0, basis0, x, offsets, xi0, dxi) / N
+                        + 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2)
     return AnsatzField(N=N, coeffs=coeffs, evolution=evolution,
                        field=LatticeField(out), modes=len(j1), modes_zeroth=len(j0))
 
@@ -304,8 +303,7 @@ def fit_scaling_exponent(n_list, residuals) -> tuple:
 
 
 def residual_scaling(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
-                     N_list, window: tuple,
-                     include_zeroth: bool = True, include_second: bool = True) -> dict:
+                     N_list, window: tuple) -> dict:
     """lpKdV residual of the assembled ansatz versus N, with a log-log fit.
 
     Residual norm: max over interior plaquettes excluding RESIDUAL_MARGIN
@@ -320,9 +318,7 @@ def residual_scaling(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients
     residuals = []
     assembly = {"modes": [], "modes_zeroth": []}
     for N in N_list:
-        ans = assemble_ansatz(evolution, coeffs, N, window,
-                              include_zeroth=include_zeroth,
-                              include_second=include_second)
+        ans = assemble_ansatz(evolution, coeffs, N, window)
         residuals.append(max_residual(ans.field, coeffs.params, margin=RESIDUAL_MARGIN))
         assembly["modes"].append(ans.modes)
         assembly["modes_zeroth"].append(ans.modes_zeroth)

@@ -30,7 +30,6 @@ that survive 2x and 3x grid refinements of the potential's Fourier series.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -206,14 +205,6 @@ def isospectral_drift(lattice: LatticeField, params: LpkdvParams, m_list,
     if len(base) == 0:
         report["note"] = "no discrete spectrum"
     return report
-
-
-def third_harmonic(phi1: complex, u1: complex, kappa: float) -> complex:
-    """Third-harmonic eigenfunction coefficient reconstructed from the first."""
-    if kappa == 0.0 or abs(cmath.exp(1j * kappa) - 1.0) < 1e-14:
-        raise DomainError("kappa = 0: third-harmonic denominator vanishes")
-    E = cmath.exp(1j * kappa)
-    return (E ** 2 + E) / (1.0 - E) * u1 * phi1
 
 
 @dataclass(frozen=True)

@@ -150,8 +150,7 @@ def _block_envelope(ansatz: AnsatzField, which: str, shape: tuple) -> np.ndarray
     return ansatz.envelope_values(centers_n, centers_m)
 
 
-def harmonic_projection(ansatz: AnsatzField, which: str,
-                        flow1: np.ndarray | None = None) -> dict:
+def harmonic_projection(ansatz: AnsatzField, which: str, flow1: np.ndarray) -> dict:
     """Project a flow's RHS onto the first carrier harmonic and compare with
     the reduced flow.
 
@@ -163,15 +162,12 @@ def harmonic_projection(ansatz: AnsatzField, which: str,
     ratio to the reduced flow is not reported: at blocks whose envelope
     sample is near ENVELOPE_FLOOR it divides two round-off-sized numbers.
     An envelope below ENVELOPE_FLOOR at every block is a PreconditionError.
-    flow1, if given, is first_harmonic_blocks(ansatz, "flow1"), computed
-    once by a caller that projects both flows on the same ansatz.
+    flow1 is first_harmonic_blocks(ansatz, "flow1"), computed once by the
+    caller for both flows on the same ansatz.
     """
     params = ansatz.coeffs.params
     kappa = ansatz.coeffs.carrier.kappa
-    if which == "flow1" and flow1 is not None:
-        blocks = flow1
-    else:
-        blocks = first_harmonic_blocks(ansatz, which)
+    blocks = flow1 if which == "flow1" else first_harmonic_blocks(ansatz, which)
     env = _block_envelope(ansatz, which, blocks.shape)
     keep = np.abs(env) >= ENVELOPE_FLOOR
     if not np.any(keep):
@@ -188,12 +184,9 @@ def harmonic_projection(ansatz: AnsatzField, which: str,
         "weighted_rel_error": abs(coeff_est / coeff_theory - 1.0),
     }
     if which == "flow2":
-        blocks1 = first_harmonic_blocks(ansatz, "flow1") if flow1 is None else flow1
         # flow2's margin is wider; align the two block grids
-        nb = min(blocks.shape[0], blocks1.shape[0])
-        mb = min(blocks.shape[1], blocks1.shape[1])
-        b2, b1 = blocks[:nb, :mb], blocks1[:nb, :mb]
-        e = env[:nb, :mb]
+        nb, mb = np.minimum(blocks.shape, flow1.shape)
+        b2, b1, e = blocks[:nb, :mb], flow1[:nb, :mb], env[:nb, :mb]
         keep2 = (np.abs(e) >= ENVELOPE_FLOOR) & (np.abs(b1) > 0)
         ratio21 = b2[keep2] / b1[keep2]
         w2 = np.abs(e[keep2]) ** 2

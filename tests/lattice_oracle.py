@@ -5,7 +5,8 @@ for the package's initial-value sweep and field CSV writer.
 time through fancy indexing, checking each diagonal for singular corners
 before its solve and for non-finite values after it, so the first error it
 raises is the first in sweep order (smallest n + m, then smallest n).
-`save_field_csv_rows` writes one `csv.writer` row per lattice point.
+`save_field_csv_rows` writes one `csv.writer` row per lattice point: n, m
+and the real part, then the imaginary part for a complex field.
 """
 
 from __future__ import annotations
@@ -61,11 +62,13 @@ def evolve_ivp_diagonals(row0, col0, params: LpkdvParams) -> LatticeField:
 
 
 def save_field_csv_rows(field: LatticeField, path) -> None:
+    complex_field = field.kind == "complex"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "m", "re", "im"])
+        writer.writerow(["n", "m", "re", "im"] if complex_field else ["n", "m", "re"])
         vals = np.asarray(field.values, dtype=np.complex128)
         for n in range(field.n_size):
             for m in range(field.m_size):
                 z = vals[n, m]
-                writer.writerow([n, m, repr(float(z.real)), repr(float(z.imag))])
+                parts = [z.real, z.imag] if complex_field else [z.real]
+                writer.writerow([n, m] + [repr(float(x)) for x in parts])

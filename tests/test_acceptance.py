@@ -13,6 +13,7 @@ Runtime bounds are asserted against the wall clock of the criterion body.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,6 +61,7 @@ def test_default_tolerances_pinned():
         "mass_drift": 1e-8,
         "spectrum_error": 1e-10,
         "drift_shrink": 2.0,
+        "isospectral_drift": 1e-10,
         "cauchy_band": 0.25,
         "control_exponent": 2.0,
         "projection_error_factor": 3.0,
@@ -105,10 +107,11 @@ def test_criterion_4_multiscale_residual_scaling(ref_evolution, ref_coeffs):
     crit = Criterion(4, "multiscale residual scaling", 120.0)
     full = check("ansatz-residual")
     assert full["exponent"] >= BOUNDS["ansatz_exponent"], full
-    no_second = residual_scaling(ref_evolution, ref_coeffs, REF_N_LIST,
-                                 REF_WINDOW, include_second=False)
-    no_zeroth = residual_scaling(ref_evolution, ref_coeffs, REF_N_LIST,
-                                 REF_WINDOW, include_zeroth=False)
+    # the ablations: the second (tau2) or zeroth (tau1) harmonic zeroed
+    no_second = residual_scaling(ref_evolution, replace(ref_coeffs, tau2=0j), REF_N_LIST,
+                                 REF_WINDOW)
+    no_zeroth = residual_scaling(ref_evolution, replace(ref_coeffs, tau1=0.0), REF_N_LIST,
+                                 REF_WINDOW)
     assert full["exponent"] - no_second["exponent"] >= 0.7, no_second
     assert full["exponent"] - no_zeroth["exponent"] >= 0.7, no_zeroth
     crit.finish()
@@ -187,9 +190,13 @@ def test_criterion_9_spectral_checks():
     rep = check("spectrum", {"seed": 3})
     for key in ("periodic_error", "dirichlet_error", "gauge_error"):
         assert rep[key] <= BOUNDS["spectrum_error"], rep
-    # isospectral drift shrinks >= 2x with doubled window
+    # isospectral drift shrinks >= 2x with doubled window, stays below its
+    # bound on both windows, and the printed a_n drift above it
     rep = check("isospectral")
     assert rep["shrink_factor"] >= BOUNDS["drift_shrink"], rep
+    for window in ("small_window", "large_window"):
+        assert rep[window]["max_drift"] <= BOUNDS["isospectral_drift"], rep
+    assert rep["negative_control"]["max_drift"] > BOUNDS["isospectral_drift"], rep
     # slow-variable limit of the spectral problem
     rep = check("zs-limit")
     disc = rep["discrepancy"]

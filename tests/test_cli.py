@@ -312,15 +312,23 @@ def test_commutators_across_domain(tmp_path, p, q, kappa):
     ({"p": 2.0, "q": 1.0, "kappa": math.acos(1.0 / 3.0)}, 0, None),
     ({"p": 0.0}, 2, "p != 0"),
     ({"q": 0.0}, 2, "q ~ 0"),
+    ({"kappa": 3.14}, 0, None),
+    ({"kappa": math.pi - 1e-6}, 0, None),
+    ({"kappa": math.pi - 1e-9}, 0, None),
 ])
 def test_coeffs_across_domain(tmp_path, capsys, doc, code, named):
-    """coeffs holds on the curve zeta cos(kappa) = mu too; p = 0 and q = 0
-    are config errors whose line names the parameter."""
+    """coeffs holds on the curve zeta cos(kappa) = mu too, and up to the
+    dispersion relation's limit kappa = pi - 1e-9, where the reduction stays
+    defocusing (rho2 and tau1 keep their relative accuracy as
+    cos^2(kappa/2) -> 0); p = 0 and q = 0 are config errors whose line names
+    the parameter."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert run("coeffs", str(cfg), str(tmp_path / "o"), quiet=True) == code
     if named:
         assert named in capsys.readouterr().err
+    else:
+        assert read(tmp_path / "o" / "coefficients.json")["defocusing"] is True
 
 
 def test_coeffs_wrong_rho2_exit_1(tmp_path, monkeypatch):
@@ -364,6 +372,24 @@ def test_commutators_wrong_h4_cubic_exit_1(tmp_path, monkeypatch):
     rows = {tuple(row["pair"]): row for row in read(out / "manifest.json")["result"]["sweep"]}
     assert not rows[("nls", "h4")]["passed"] and rows[("nls", "h1")]["passed"]
     assert rows[("h1", "h4")]["passed"]
+
+
+def test_isospectral_conserved_control_exit_1(tmp_path, monkeypatch):
+    """A control that is isospectral shows nothing: with the printed variant
+    returning the corrected a_n, the run exits 1, although both true drifts
+    meet their bound and shrink."""
+    from lpkdv import spectral
+
+    row = spectral.coefficient_row
+    monkeypatch.setattr(spectral, "coefficient_row",
+                        lambda u, params, variant="corrected": row(u, params))
+    out = tmp_path / "o"
+    assert run("isospectral", None, str(out), quiet=True) == 1
+    rep = read(out / "manifest.json")["result"]
+    bound = rep["drift_bound"]
+    assert rep["negative_control"]["max_drift"] <= bound
+    assert max(rep[w]["max_drift"] for w in ("small_window", "large_window")) <= bound
+    assert rep["shrink_factor"] >= cli.BOUNDS["drift_shrink"]
 
 
 def test_commutators_commuting_control_exit_1(tmp_path, monkeypatch):
@@ -564,6 +590,7 @@ IMPOSSIBLE_BOUNDS = {
     "mass_drift": ("nls-evolve", -1.0),
     "spectrum_error": ("spectrum", -1.0),
     "drift_shrink": ("isospectral", 1e9),
+    "isospectral_drift": ("isospectral", -1.0),
     "cauchy_band": ("zs-limit", -1.0),
     "control_exponent": ("flow-check", -1e9),
     "projection_error_factor": ("flow-project", -1.0),

@@ -12,6 +12,7 @@ from lpkdv.nls import (
     Envelope,
     NlsCoefficients,
     _check_spectra_resolved,
+    _commutators,
     _derivative,
     _linear_phase,
     _linear_rate,
@@ -22,7 +23,6 @@ from lpkdv.nls import (
     commutator_test,
     envelope_from_json,
     envelope_to_json,
-    frozen_evolution,
     gaussian_envelope,
     nls_evolve,
     nls_evolve_dense,
@@ -34,6 +34,7 @@ from lpkdv.nls import (
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import compute_coefficients
 from tests.conftest import REF_N_LIST, REF_WINDOW
+from tests.frozen_oracle import frozen_evolution
 from tests.rk4_oracle import rhs_values, rk4_evolve, rk4_values
 
 C_REF = NlsCoefficients(-1.2, 16.0 / 75.0)
@@ -376,7 +377,9 @@ class TestCommutators:
         assert commutator_test(C_REF, env, "nls", "h4") <= floor
         assert bad > 1e3 * floor
         wrong = NlsCoefficients(C_REF.rho1, 2.0 / 3.0 * C_REF.rho2)
-        assert commutator_test(C_REF, env, "nls", "h4", wrong) == pytest.approx(bad, rel=1e-9)
+        # the same pair as commutator_sweep's control evaluates it
+        got = _commutators(env, [((C_REF, "nls"), (wrong, "h4"))])[0]
+        assert got == pytest.approx(bad, rel=1e-9)
 
 
 class TestEnvelopeIO:

@@ -15,7 +15,6 @@ from lpkdv.quad import (
     CarrierWave,
     LatticeField,
     LpkdvParams,
-    corner_solve,
     dispersion,
     evolve_ivp,
     linear_residual_max,
@@ -71,6 +70,12 @@ class TestQuadResidual:
     def test_out_of_window(self):
         # a 3x3 window holds the plaquettes (0..1) x (0..1) only
         assert residual_field(LatticeField(np.zeros((3, 3))), P15).shape == (2, 2)
+
+
+def corner_solve(params, u00, u10, u01):
+    """u11 of the quad equation from the other three corners, through
+    evolve_ivp on the 2x2 window."""
+    return evolve_ivp([u00, u10], [u00, u01], params).values[1, 1]
 
 
 class TestCornerSolve:
@@ -348,8 +353,10 @@ class TestFieldIO:
         vals = np.resize(special_values, (4, 6))
         both = np.empty(vals.shape, dtype=np.complex128)
         both.real, both.imag = vals, np.roll(vals, 1, axis=1)
+        # the last field is complex with imaginary parts 0 and -0.0 only
         for field in (LatticeField(vals), LatticeField(both),
-                      LatticeField(np.array([[complex(1.0, np.inf), complex(-0.0, 2.0)]]))):
+                      LatticeField(np.array([[complex(1.0, np.inf), complex(-0.0, 2.0)]])),
+                      LatticeField(np.array([[complex(1.0, 0.0), complex(-2.5, -0.0)]]))):
             save(field, tmp_path / "f")
             back = load(tmp_path / "f")
             assert back.kind == field.kind

@@ -21,10 +21,10 @@ from lpkdv.spectral import (
     isospectral_drift,
     nearest_partners,
     spectral_limit_check,
-    third_harmonic,
     zs_eigenvalues,
 )
 from tests.conftest import make_bump_solution
+from tests.frozen_oracle import frozen_evolution
 
 P15 = LpkdvParams(1.5, 0.5)
 
@@ -170,25 +170,6 @@ class TestIsospectral:
         f = plane_wave_field(1.1, dispersion(P15, 1.1), 60, 6, amplitude=a)
         with pytest.raises(PreconditionError, match="confined"):
             isospectral_drift(f, P15, [0, 2])
-
-
-class TestThirdHarmonic:
-    def test_zero_potential(self):
-        assert third_harmonic(1.0, 0.0, math.pi / 2) == 0.0
-
-    def test_reference_value(self):
-        # (e^{i pi} + e^{i pi/2})/(1 - e^{i pi/2}) = (-1+i)/(1-i) = -1
-        got = third_harmonic(1.0, 1.0, math.pi / 2)
-        assert abs(got - (-1.0)) < 1e-12
-
-    def test_linearity(self):
-        one = third_harmonic(0.7 + 0.1j, 0.5, 1.1)
-        two = third_harmonic(0.7 + 0.1j, 1.0, 1.1)
-        assert abs(two - 2 * one) < 1e-12
-
-    def test_kappa_zero_rejected(self):
-        with pytest.raises(DomainError):
-            third_harmonic(1.0, 1.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -406,8 +387,6 @@ class TestSpectralLimit:
         assert np.min(np.abs(est)) < 1e-9
 
     def test_zero_envelope(self, ref_coeffs):
-        from lpkdv.nls import frozen_evolution
-
         env = gaussian_envelope(256, 0.0, 40.0, 0.0, 1.0, 20.0)
         evo = frozen_evolution(env, ref_coeffs.nls_coefficients())
         rep = spectral_limit_check(evo, ref_coeffs, [8, 16])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lpkdv.errors import DomainError, PreconditionError, SingularFlowError
-from lpkdv.nls import frozen_evolution, gaussian_envelope
+from lpkdv.nls import gaussian_envelope
 from lpkdv.quad import LatticeField, LpkdvParams
 from lpkdv.reduction import assemble_ansatz
 from lpkdv.symmetries import (
@@ -13,6 +13,7 @@ from lpkdv.symmetries import (
     harmonic_projection,
     symmetry_residual_scaling,
 )
+from tests.frozen_oracle import frozen_evolution
 
 P = LpkdvParams(1.5, -0.5)
 
@@ -163,27 +164,19 @@ class TestHarmonicProjection:
         evo = frozen_evolution(env, ref_coeffs.nls_coefficients())
         ans = assemble_ansatz(evo, ref_coeffs, 16, (64, 16))
         with pytest.raises(PreconditionError, match="ENVELOPE_FLOOR"):
-            harmonic_projection(ans, "flow1")
+            harmonic_projection(ans, "flow1", first_harmonic_blocks(ans, "flow1"))
 
     def test_flow1_matches_reduced_coefficient(self, ref_evolution, ref_coeffs):
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
-        rep = harmonic_projection(ans, "flow1")
+        rep = harmonic_projection(ans, "flow1", first_harmonic_blocks(ans, "flow1"))
         assert rep["weighted_rel_error"] <= 3.0 / 32
 
     def test_flow2_constant_multiple(self, ref_evolution, ref_coeffs):
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
-        rep = harmonic_projection(ans, "flow2")
+        rep = harmonic_projection(ans, "flow2", first_harmonic_blocks(ans, "flow1"))
         f21 = rep["flow2_over_flow1"]
         assert f21["std_over_mean"] <= 0.05
         # reparametrization constant: (1 + cos(kappa)/2)/p^2, real
         p = ref_coeffs.params.p
         expect = (1.0 + np.cos(ref_coeffs.carrier.kappa) / 2.0) / p ** 2
         assert abs(complex(*f21["weighted_mean"]) - expect) < 0.05 * expect
-
-    def test_precomputed_flow1_blocks(self, ref_evolution, ref_coeffs):
-        # flow1's blocks computed once give both reports exactly as computed inside
-        ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
-        flow1 = first_harmonic_blocks(ans, "flow1")
-        for which in ("flow1", "flow2"):
-            assert (harmonic_projection(ans, which, flow1)
-                    == harmonic_projection(ans, which))
