@@ -20,7 +20,7 @@ stays at round-off level (4e-16 over unit tau at the default config).
 Steps are measured by the stiffness |rho1| k_max^2 + |rho2| max|u|^2
 (k_max = pi/dxi).  `stable_dtau` takes STEP_SAFETY of STEP_BOUND = 4 * 2.82
 (four times classic RK4's imaginary-axis bound) over it; that is the step of
-`nls-evolve`.  The dense runs behind the multiscale checks take
+`nls-evolve`.  The dense runs behind the multiscale checks take `dense_dtau`,
 DENSE_STEP_MULTIPLE = 4 times it (see EnvelopeEvolution), and the step guard
 that `nls_evolve` and `nls_evolve_dense` enforce, dtau * stiffness <=
 GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND, admits that step and
@@ -30,16 +30,17 @@ matches classic RK4 on the lattice rows of the oracle test to 5.5e-11 at
 worst over its four parameter points, while at 8 times stable_dtau one of
 them, (p, q, kappa) = (1.5, 0.5, 1.2), is off by 1.0e-9.  At the default
 config the mass drift over unit tau is 4e-16 at `stable_dtau`, 2.0e-15 at
-twice that step and 3.7e-14 at four times it.
+twice that step and 3.7e-14 at four times it.  A dense run whose store
+would pass MAX_SNAPSHOT_BYTES is refused before anything is allocated.
 
 The module also carries the first reduced symmetry flows of the hierarchy:
     h1: du/dlambda = i u                 (phase)
     h2: du/dlambda = du/dxi              (xi-translation)
     h3: du/dlambda = du/dtau             (same right-hand side as the NLS)
     h4: du/dlambda = rho1 d^3u/dxi^3 + 3 rho2 |u|^2 du/dxi
-and a vector-field commutator test for them.  On the grid every one of these
-flows is a real polynomial map of degree <= 3 in (Re u, Im u), so their
-Frechet derivatives are taken exactly, up to round-off (see _derivative).
+and the vector-field commutators of pairs of them.  On the grid each flow
+is a real polynomial map of degree <= 3 in (Re u, Im u), so their Frechet
+derivatives are taken exactly, up to round-off (see _derivative).
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ DENSE_STEP_MULTIPLE = 4       # the dense runs' step, in units of stable_dtau
 DENSE_MIN_STEPS = 3           # fewest steps of a dense run: 4 step ends carry N_hat's cubic
 GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND  # step guard: the largest dtau * stiffness
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
-_BAND_CHUNK = 64              # step ends per step of EnvelopeEvolution.bandwidth's scan
+# the most a dense run may store: u_hat and N_hat, L complex128 each, per step end
+MAX_SNAPSHOT_BYTES = 1 << 30
 # taus per block of EnvelopeEvolution.spectra_at: its largest temporary, the
 # (12, 5, L/2 + 1) stack of phi_0..phi_4, stays below the (32, L) array of
 # one assembly block (reduction._BLOCK_ROWS)
@@ -178,6 +180,14 @@ def _check_stability(env: Envelope, c: NlsCoefficients, dtau: float) -> None:
         )
 
 
+def dense_dtau(env: Envelope, c: NlsCoefficients, span: float) -> float:
+    """The dense runs' step: DENSE_STEP_MULTIPLE times stable_dtau, capped
+    at span / DENSE_MIN_STEPS for a positive span, so that the cubic through
+    N_hat has its 4 step ends."""
+    dtau = DENSE_STEP_MULTIPLE * stable_dtau(env, c)
+    return min(dtau, span / DENSE_MIN_STEPS) if span > 0 else dtau
+
+
 def step_plan(span: float, dtau: float) -> tuple[int, float]:
     """(steps, step taken): the fewest uniform steps of size <= dtau that
     cover span >= 0, and their size span/steps (0 and 0.0 for span 0)."""
@@ -221,20 +231,26 @@ def _nonlinear_ip(v_hat: np.ndarray, phase: np.ndarray, rho2: float) -> np.ndarr
 
 def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
                dense: bool) -> tuple:
-    """(steps, step size, spectra, nonlinear): uniform interaction-picture RK4
-    steps of size <= dtau from env.tau to tau_final.  With dense, spectra and
-    nonlinear hold u_hat = fft(u) and N_hat = FFT(-i rho2 |u|^2 u) at every
-    step end, shape (steps + 1, L), the initial one first; otherwise spectra
-    holds the final u_hat alone and nonlinear is None.  A step's k1 is
-    exp(-Lambda s) N_hat of its start, so only the last N_hat costs FFTs of
-    its own; 8 length-L FFTs per step."""
+    """(steps, step size, spectra, nonlinear, band): uniform interaction-picture
+    RK4 steps of size <= dtau from env.tau to tau_final.  With dense, spectra
+    and nonlinear hold u_hat = fft(u) and N_hat = FFT(-i rho2 |u|^2 u) at
+    every step end, shape (steps + 1, L), the initial one first, and band is
+    the largest _top_mode over them; otherwise spectra holds the final u_hat
+    alone, nonlinear is None and band 0.  A step's k1 is exp(-Lambda s) N_hat
+    of its start, so only the last N_hat costs FFTs of its own; 8 length-L
+    FFTs per step."""
     if tau_final < env.tau:
         raise DomainError("tau_final must be >= current tau")
     _check_stability(env, c, dtau)
     n_steps, dt = step_plan(tau_final - env.tau, dtau)
+    size = 2 * (n_steps + 1) * env.L * 16
+    if dense and size > MAX_SNAPSHOT_BYTES:  # refused before it is allocated
+        raise DomainError(f"the dense NLS run to tau = {tau_final:.4g} needs {n_steps} steps and "
+                          f"{size} bytes of snapshots, over the {MAX_SNAPSHOT_BYTES} allowed")
     rate = _linear_rate(env.L, env.dxi, c)
     spectra = np.empty((n_steps + 1 if dense else 1, env.L), dtype=np.complex128)
     nonlinear = np.empty_like(spectra) if dense else None
+    band = 0
     v_hat = np.fft.fft(env.values)
     phase = np.ones(env.L, dtype=np.complex128)  # exp(Lambda s) at the step's start
     for step in range(1, n_steps + 1):
@@ -244,6 +260,7 @@ def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
         n_hat = _nonlinear(u_hat, c.rho2)
         if dense:
             spectra[step - 1], nonlinear[step - 1] = u_hat, n_hat
+            band = max(band, _top_mode(u_hat, n_hat, dt))
         k1 = np.conj(phase) * n_hat
         k2 = _nonlinear_ip(v_hat + 0.5 * dt * k1, half, c.rho2)
         k3 = _nonlinear_ip(v_hat + 0.5 * dt * k2, half, c.rho2)
@@ -259,7 +276,17 @@ def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
     spectra[-1] = phase * v_hat
     if dense:
         nonlinear[-1] = _nonlinear(spectra[-1], c.rho2)
-    return n_steps, dt, spectra, nonlinear
+        band = max(band, _top_mode(spectra[-1], nonlinear[-1], dt))
+    return n_steps, dt, spectra, nonlinear, band
+
+
+def _top_mode(u_hat: np.ndarray, n_hat: np.ndarray, dt: float) -> int:
+    """The highest |j| at which |u_hat| or dt |N_hat| exceeds eps times the
+    largest |u_hat| (the propagator keeps |u_hat|); 0 for a zero envelope."""
+    mag = np.abs(u_hat)
+    floor = np.finfo(float).eps * mag.max()
+    j = np.flatnonzero((mag > floor) | (dt * np.abs(n_hat) > floor))
+    return int(np.minimum(j, len(u_hat) - j).max(initial=0))
 
 
 def nls_evolve(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float) -> Envelope:
@@ -317,7 +344,9 @@ class EnvelopeEvolution:
     3.3e-11 at worst.  The Fourier series of u in xi has the
     coefficients u_hat / L, so the ansatz is evaluated from spectra_at
     without a round trip through the grid; values_at is its inverse FFT.
-    steps and dtau are the integrator's step count and step size.
+    steps and dtau are the integrator's step count and step size; band, the
+    largest _top_mode over the stored step ends, bounds the modes spectra_at
+    carries above round-off.
     """
 
     xi0: float
@@ -328,6 +357,7 @@ class EnvelopeEvolution:
     nonlinear: np.ndarray  # shape (S, L)
     steps: int
     dtau: float
+    band: int
 
     @property
     def L(self) -> int:
@@ -396,38 +426,15 @@ class EnvelopeEvolution:
             out[rows] = block
         return out
 
-    def bandwidth(self, taus) -> int:
-        """The highest |j| at which, in a step end that spectra_at at any of
-        taus reads, |u_hat| or dtau |N_hat| exceeds eps times that step
-        end's largest |u_hat|; 0 for a zero envelope.  The propagator leaves
-        |u_hat| unchanged and the nonlinear part adds dtau-weighted N_hat,
-        so spectra_at at any of taus carries nothing above round-off
-        outside |j| <= bandwidth.  The scan takes _BAND_CHUNK step ends at
-        a time, so it makes no temporary of the snapshots' size."""
-        lo = self._locate(np.atleast_1d(taus))[2]
-        j = np.arange(self.L)
-        j = np.minimum(j, self.L - j)  # |j| in fftfreq order
-        top = 0
-        first, stop = int(lo.min()), int(lo.max()) + self._width
-        for a in range(first, stop, _BAND_CHUNK):
-            chunk = slice(a, min(a + _BAND_CHUNK, stop))
-            mag = np.abs(self.snapshots[chunk])
-            floor = np.finfo(float).eps * mag.max(axis=1, keepdims=True)
-            above = np.any(mag > floor, axis=0)
-            above |= np.any(self.dtau * np.abs(self.nonlinear[chunk]) > floor, axis=0)
-            if np.any(above):
-                top = max(top, int(j[above].max()))
-        return top
-
 
 def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
                      dtau: float) -> EnvelopeEvolution:
     """Evolve with steps of size <= dtau and keep u_hat and N_hat at every
     step end (see EnvelopeEvolution); 8 length-L FFTs per step."""
-    n_steps, dt, spectra, nonlinear = _integrate(env, c, tau_final, dtau, dense=True)
+    n_steps, dt, spectra, nonlinear, band = _integrate(env, c, tau_final, dtau, dense=True)
     taus = env.tau + np.arange(n_steps + 1) * dt
     return EnvelopeEvolution(env.xi0, env.dxi, taus, spectra, c, nonlinear=nonlinear,
-                             steps=n_steps, dtau=dt)
+                             steps=n_steps, dtau=dt, band=band)
 
 
 def symmetry_rhs(env: Envelope, c: NlsCoefficients, which: str) -> np.ndarray:
@@ -462,7 +469,7 @@ def _check_spectra_resolved(spectra: np.ndarray, profile: str = "envelope") -> N
     k = np.abs(np.fft.fftfreq(power.shape[1]))
     top_third = np.sum(power[:, k > 1.0 / 3.0], axis=1)
     fraction = float(np.max(top_third / np.where(total > 0.0, total, 1.0)))
-    if fraction > 1e-10:
+    if not fraction <= 1e-10:  # a NaN fraction is refused too
         raise PreconditionError(
             f"{profile} not spectrally resolved: top-third energy fraction "
             f"{fraction:.3e} > 1e-10"
@@ -481,12 +488,15 @@ def _derivative(field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _commutators(env: Envelope, pairs) -> list:
-    """commutator_test for each pair of flows, a flow being a (coefficients,
-    flow id) pair; each flow is evaluated at env once."""
+    """Max-norm of the commutator K_a'[K_b] - K_b'[K_a] at env for each pair
+    of flows (coefficients, flow id), each flow evaluated once; exact up to
+    round-off (see _derivative).  env and |u|^2 u must be resolved."""
     u = env.values
-    # the cubic |u|^2 u carries three times u's band
-    _check_spectra_resolved(np.fft.fft(u))
-    _check_spectra_resolved(np.fft.fft(np.abs(u) ** 2 * u), "cubic |u|^2 u")
+    # the cubic |u|^2 u carries three times u's band; an overflowing profile
+    # leaves a NaN energy fraction, which the check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_spectra_resolved(np.fft.fft(u))
+        _check_spectra_resolved(np.fft.fft(np.abs(u) ** 2 * u), "cubic |u|^2 u")
     base = {flow: symmetry_rhs(env, *flow) for flow in dict.fromkeys(sum(pairs, ()))}
 
     def derivative(a, b):  # K_a'[K_b] at u
@@ -495,17 +505,8 @@ def _commutators(env: Envelope, pairs) -> list:
     return [float(np.max(np.abs(derivative(a, b) - derivative(b, a)))) for a, b in pairs]
 
 
-def commutator_test(c: NlsCoefficients, env: Envelope, flow_a: str, flow_b: str) -> float:
-    """Max-norm of the vector-field commutator K_a'[K_b] - K_b'[K_a] at env.
-    The Frechet derivatives are exact up to round-off (see _derivative), so
-    for true symmetries the result stays below commutator_floor.  env and
-    |u|^2 u must be resolved.
-    """
-    return _commutators(env, [((c, flow_a), (c, flow_b))])[0]
-
-
 def commutator_floor(env: Envelope, c: NlsCoefficients) -> float:
-    """Round-off floor of commutator_test.
+    """Round-off floor of a commutator (see _commutators).
 
     The central differences divide machine-eps-level noise of the RHS
     evaluations by 2 * COMMUTATOR_STEP; the noise itself is amplified by the
@@ -519,14 +520,14 @@ def commutator_floor(env: Envelope, c: NlsCoefficients) -> float:
 
 
 def commutator_sweep(c: NlsCoefficients, env: Envelope) -> dict:
-    """commutator_test over COMMUTATOR_PAIRS, each passing when at most
+    """The commutators of COMMUTATOR_PAIRS, each passing when at most
     commutator_floor, and a negative control, [nls, h4] with h4 built from
     (rho1, 2 rho2), a wrong cubic: passed needs every pair to pass and the
     control to be above its own floor.  JSON-friendly report."""
-    floor = commutator_floor(env, c)
     wrong = NlsCoefficients(c.rho1, 2.0 * c.rho2)
     *residuals, bad = _commutators(env, [((c, a), (c, b)) for a, b in COMMUTATOR_PAIRS]
                                    + [((c, "nls"), (wrong, "h4"))])
+    floor = commutator_floor(env, c)  # after _commutators has refused an overflow
     table = [{"pair": [a, b], "residual": residual, "floor": floor,
               "passed": residual <= floor}
              for (a, b), residual in zip(COMMUTATOR_PAIRS, residuals)]
@@ -563,8 +564,9 @@ def _is_number(value) -> bool:
 
 def envelope_from_json(doc: dict) -> Envelope:
     """The envelope of an envelope_to_json document; DomainError for one that
-    lacks a key, has re or im other than equally long lists of numbers, or
-    xi0, dxi or tau other than a number."""
+    lacks a key, has re or im other than equally long lists of finite
+    numbers, or xi0, dxi or tau other than a number, tau finite (Envelope
+    refuses a non-finite xi0 or dxi by name)."""
     if not isinstance(doc, dict) or not {"re", "im", "xi0", "dxi"} <= set(doc):
         raise DomainError("an envelope JSON document needs re, im, xi0 and dxi")
     re, im = doc["re"], doc["im"]
@@ -575,4 +577,6 @@ def envelope_from_json(doc: dict) -> Envelope:
     if not all(_is_number(doc.get(key, 0.0)) for key in ("xi0", "dxi", "tau")):
         raise DomainError("an envelope JSON document needs numbers for xi0, dxi and tau")
     vals = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    if not (np.all(np.isfinite(vals)) and math.isfinite(doc.get("tau", 0.0))):
+        raise DomainError("an envelope JSON document needs finite re, im and tau")
     return Envelope(doc["xi0"], doc["dxi"], vals, doc.get("tau", 0.0))

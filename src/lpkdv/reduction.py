@@ -201,16 +201,13 @@ def _row_taus(evolution: EnvelopeEvolution, ms, N: int) -> np.ndarray:
 
 @dataclass
 class AnsatzField:
-    """Assembled multiscale ansatz on a lattice window, with its provenance.
-    modes and modes_zeroth are the widths of the lattice-point Fourier
-    matrices the assembly evaluated u1_1 and the zeroth harmonic with."""
+    """Assembled multiscale ansatz on a lattice window, with its provenance:
+    the envelope is evaluated over the modes |j| <= evolution.band."""
 
     N: int
     coeffs: ReductionCoefficients
     evolution: EnvelopeEvolution
     field: LatticeField
-    modes: int
-    modes_zeroth: int
 
     def envelope_values(self, n, m) -> np.ndarray:
         """u1_1 at the slow coordinates of the lattice points (n[i], m[j]),
@@ -220,7 +217,7 @@ class AnsatzField:
         taus = _row_taus(evolution, ms, self.N)
         spectra = evolution.spectra_at(taus)
         _check_spectra_resolved(spectra)
-        lo, hi = _band(evolution.bandwidth(taus), evolution.L)
+        lo, hi = _band(evolution.band, evolution.L)
         x = self.coeffs.xi(np.atleast_1d(n), 0, self.N)
         basis = _lattice_matrix(x, evolution.xi0, lo, hi, evolution.L, evolution.dxi)
         u1 = _series_values(spectra, np.arange(-lo, hi + 1), basis,
@@ -241,8 +238,8 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     envelope's spectrum (EnvelopeEvolution.spectra_at), and |u1_1|^2 from
     the FFT of its grid values, as a real series over j >= 0.  Every row
     shares one lattice-point matrix e^{i k (xi(n, 0) - xi0)},
-    k = 2 pi j / period, over j = -J..2J: J bounds the modes the stored step
-    ends carry above round-off (EnvelopeEvolution.bandwidth), u1_1 takes its
+    k = 2 pi j / period, over j = -J..2J: J = evolution.band bounds the modes
+    the stored step ends carry above round-off, u1_1 takes its
     columns |j| <= J and |u1_1|^2, whose band is twice as wide, its columns
     j = 0..2J.  A row's xi offset enters as the factor e^{i k xi(0, m)} on
     the coefficients, so a block of rows is one matrix product per series.
@@ -258,7 +255,7 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     ms = np.arange(m_size)
     x = coeffs.xi(ns, 0, N)
     taus = _row_taus(evolution, ms, N)
-    J = evolution.bandwidth(taus)
+    J = evolution.band
     lo, hi = _band(J, L)                                  # u1_1: j = -lo..hi
     top = min(2 * J, L // 2)                              # |u1_1|^2: j = 0..top
     basis = _lattice_matrix(x, xi0, lo, max(hi, top), L, dxi)
@@ -279,8 +276,7 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         out[:, rows] = (2.0 * np.real(u1 * phase) / N
                         + coeffs.tau1 * _zeroth_values(amp2, j0, basis0, x, offsets, xi0, dxi) / N
                         + 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2)
-    return AnsatzField(N=N, coeffs=coeffs, evolution=evolution,
-                       field=LatticeField(out), modes=len(j1), modes_zeroth=len(j0))
+    return AnsatzField(N=N, coeffs=coeffs, evolution=evolution, field=LatticeField(out))
 
 
 def fit_scaling_exponent(n_list, residuals) -> tuple:
@@ -309,22 +305,15 @@ def residual_scaling(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients
     Residual norm: max over interior plaquettes excluding RESIDUAL_MARGIN
     near the window edges (boundary points lack full ansatz accuracy).
     Report matches the documented JSON schema {"N", "residual", "exponent",
-    "fit_r2", "assembly"}; assembly holds the per-N lattice-point matrix
-    widths {"modes", "modes_zeroth"} of AnsatzField.
+    "fit_r2"}; every N is assembled over the one band of the evolution.
     """
     N_list = list(N_list)
     if len(N_list) < 3 or sorted(N_list) != N_list:
         raise DomainError("N_list must be ascending with at least 3 entries")
-    residuals = []
-    assembly = {"modes": [], "modes_zeroth": []}
-    for N in N_list:
-        ans = assemble_ansatz(evolution, coeffs, N, window)
-        residuals.append(max_residual(ans.field, coeffs.params, margin=RESIDUAL_MARGIN))
-        assembly["modes"].append(ans.modes)
-        assembly["modes_zeroth"].append(ans.modes_zeroth)
+    residuals = [max_residual(assemble_ansatz(evolution, coeffs, N, window).field,
+                              coeffs.params, margin=RESIDUAL_MARGIN) for N in N_list]
     if all(r == 0.0 for r in residuals):
         exponent, r2 = "exact", 1.0
     else:
         exponent, r2 = fit_scaling_exponent(N_list, residuals)
-    return {"N": N_list, "residual": residuals, "exponent": exponent, "fit_r2": r2,
-            "assembly": assembly}
+    return {"N": N_list, "residual": residuals, "exponent": exponent, "fit_r2": r2}

@@ -9,14 +9,15 @@ Both involve only n-shifts and vanish identically on constants.  A flow F is
 a symmetry of the quad equation when transporting an exact solution along F
 keeps it a solution; one classical RK4 step of size lam then leaves a
 residual O(lam^5) (the integrator's local error), which is what
-symmetry_residual_scaling fits.  "broken" is a deliberately wrong variant
-(flow1 with the (T - T^2) difference) kept as a negative control; its
-residual grows linearly in lam.
+symmetry_residual_scaling fits (the pass rule is flow-check's).  "broken" is
+a deliberately wrong variant (flow1 with the (T - T^2) difference) kept as a
+negative control; its residual grows linearly in lam.
 
 harmonic_projection demodulates a flow's right-hand side on a multiscale
 ansatz field against the carrier and compares the first-harmonic content
 with the leading reduced flow (i sin(kappa)/(2 p^2)) u1 / N; flow2 projects
-onto the same reduced flow up to a constant reparametrization factor.
+onto the same reduced flow up to a constant reparametrization factor.  Its
+blocks span one carrier period P = ceil(2 pi / kappa) in n and in m.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
     log-log exponent fit.
 
     For an exact symmetry the only residual is the integrator's O(lam^5)
-    local error, so the fitted exponent must reach >= 4; residuals at the
-    round-off floor are excluded from the fit (all-floor counts as pass).
+    local error, so the fitted exponent should reach 4; residuals at the
+    round-off floor are left out of the fit (all at the floor: None).
     """
     lambda_list = list(lambda_list)
     if len(lambda_list) < 3 or sorted(lambda_list) != lambda_list:
@@ -113,14 +114,9 @@ def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
     above = [(lam, r) for lam, r in zip(lambda_list, residuals) if r > floor]
     report = {"lambda": lambda_list, "residual": residuals, "floor": floor}
     if len(above) < 2:
-        report["exponent"] = None
-        report["note"] = "below measurement floor"
-        report["passed"] = True
-        return report
+        return dict(report, exponent=None, note="below measurement floor")
     lams, res = zip(*above)
-    exponent = fit_scaling_exponent(1.0 / np.asarray(lams), res)[0]  # lam plays 1/N
-    report["exponent"] = exponent
-    report["passed"] = bool(exponent >= 4.0)
+    report["exponent"] = fit_scaling_exponent(1.0 / np.asarray(lams), res)[0]  # lam plays 1/N
     return report
 
 
@@ -161,13 +157,18 @@ def harmonic_projection(ansatz: AnsatzField, which: str, flow1: np.ndarray) -> d
     symmetry up to a reparametrization of the group parameter.  The pointwise
     ratio to the reduced flow is not reported: at blocks whose envelope
     sample is near ENVELOPE_FLOOR it divides two round-off-sized numbers.
-    An envelope below ENVELOPE_FLOOR at every block is a PreconditionError.
-    flow1 is first_harmonic_blocks(ansatz, "flow1"), computed once by the
-    caller for both flows on the same ansatz.
+    An envelope below ENVELOPE_FLOOR at every block, or a window with no
+    whole block, is a PreconditionError.  flow1 is
+    first_harmonic_blocks(ansatz, "flow1"), computed once by the caller for
+    both flows on the same ansatz.
     """
     params = ansatz.coeffs.params
     kappa = ansatz.coeffs.carrier.kappa
     blocks = flow1 if which == "flow1" else first_harmonic_blocks(ansatz, which)
+    if blocks.size == 0:
+        raise PreconditionError("carrier period P = {} is longer than the {} x {} window: "
+                                "nothing to project".format(math.ceil(2 * math.pi / kappa),
+                                                            *ansatz.field.shape))
     env = _block_envelope(ansatz, which, blocks.shape)
     keep = np.abs(env) >= ENVELOPE_FLOOR
     if not np.any(keep):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpkdv.nls import DENSE_STEP_MULTIPLE, gaussian_envelope, nls_evolve_dense, stable_dtau
+from lpkdv.nls import dense_dtau, gaussian_envelope, nls_evolve_dense
 from lpkdv.quad import LpkdvParams, evolve_ivp
 from lpkdv.reduction import compute_coefficients
 
@@ -30,11 +30,11 @@ def ref_envelope():
 @pytest.fixture(scope="session")
 def ref_evolution(ref_coeffs, ref_envelope):
     """Envelope evolved far enough for the 512x192 window at N=16, at the
-    CLI's dense step (DENSE_STEP_MULTIPLE times stable_dtau)."""
+    CLI's dense step (nls.dense_dtau)."""
     c = ref_coeffs.nls_coefficients()
-    tau_needed = (REF_WINDOW[1] - 1) / min(REF_N_LIST) ** 2
-    return nls_evolve_dense(ref_envelope, c, tau_needed * 1.01,
-                            DENSE_STEP_MULTIPLE * stable_dtau(ref_envelope, c))
+    tau_final = (REF_WINDOW[1] - 1) / min(REF_N_LIST) ** 2 * 1.01
+    return nls_evolve_dense(ref_envelope, c, tau_final,
+                            dense_dtau(ref_envelope, c, tau_final - ref_envelope.tau))
 
 
 def make_bump_solution(n_size=200, m_size=11, amplitude=0.5, width=10.0,

@@ -26,17 +26,14 @@ class FrozenEvolution(EnvelopeEvolution):
     def spectra_at(self, taus) -> np.ndarray:
         return np.tile(np.fft.fft(self.snapshots[0]), (len(self._locate(taus)[0]), 1))
 
-    def bandwidth(self, taus) -> int:
-        """The highest |j| at which |u_hat| exceeds eps times its largest."""
-        self._locate(np.atleast_1d(taus))
-        mag = np.abs(np.fft.fft(self.snapshots[0]))
-        above = mag > np.finfo(float).eps * mag.max()
-        j = np.arange(self.L)
-        return int(np.minimum(j, self.L - j)[above].max(initial=0))
-
 
 def frozen_evolution(env: Envelope, c: NlsCoefficients) -> EnvelopeEvolution:
+    """band is the highest |j| at which |u_hat| exceeds eps times its
+    largest, the dense run's rule with no nonlinear term."""
     big = 1e30
+    mag = np.abs(np.fft.fft(env.values))
+    j = np.flatnonzero(mag > np.finfo(float).eps * mag.max())
+    band = int(np.minimum(j, env.L - j).max(initial=0))
     return FrozenEvolution(env.xi0, env.dxi, np.array([-big, big]),
                            np.vstack([env.values, env.values]), c,
-                           nonlinear=None, steps=0, dtau=0.0)
+                           nonlinear=None, steps=0, dtau=0.0, band=band)

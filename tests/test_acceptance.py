@@ -63,6 +63,7 @@ def test_default_tolerances_pinned():
         "drift_shrink": 2.0,
         "isospectral_drift": 1e-10,
         "cauchy_band": 0.25,
+        "flow_exponent": 4.0,
         "control_exponent": 2.0,
         "projection_error_factor": 3.0,
         "halving_band": (0.2, 0.8),

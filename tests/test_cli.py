@@ -89,15 +89,15 @@ class TestRun:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_assembly_counters(self, tmp_path):
-        # one (modes, modes_zeroth) pair per assembled N, in the order assembled
-        for sub, name, n_count in (("ansatz-residual", "ansatz_residual.json", 3),
-                                   ("flow-project", "flow_projection.json", 2)):
+        # one band per dense run, in its nls block, and no per-N assembly
+        # block: every N is assembled over the modes |j| <= band
+        for sub, name in (("ansatz-residual", "ansatz_residual.json"),
+                          ("flow-project", "flow_projection.json")):
             assert run(sub, None, str(tmp_path / sub), quiet=True) == 0
-            block = read(tmp_path / sub / name)["assembly"]
-            assert set(block) == {"modes", "modes_zeroth"}
-            assert len(block["modes"]) == len(block["modes_zeroth"]) == n_count
-            assert all(m % 2 == 1 and z % 2 == 1 for m, z in
-                       zip(block["modes"], block["modes_zeroth"]))
+            rep = read(tmp_path / sub / name)
+            assert "assembly" not in rep
+            assert set(rep["nls"]) == {"steps", "dtau", "snapshots", "band"}
+            assert rep["nls"]["band"] == 86
 
     def test_zs_limit_eigensolve_counters(self, tmp_path):
         # k is sized from one probe on the base grid and from the previous
@@ -568,6 +568,91 @@ def test_flow_project_zero_envelope_exit_1(tmp_path, capsys):
     assert "ENVELOPE_FLOOR" in manifest["error"]["message"]
 
 
+@pytest.mark.parametrize("subcommand", ["commutators", "nls-evolve"])
+def test_non_finite_envelope_values_exit_2(tmp_path, capsys, subcommand):
+    """A NaN in an envelope file's values is refused as it is read: exit 2
+    with a config error line, where commutators ran on it and exited 1
+    with no error record, and the dense runs blamed a NaN step."""
+    doc = dict(ENVELOPE, re=[0.0] * 10 + [math.nan] + [0.0] * 53, im=[0.0] * 64)
+    (tmp_path / "env.json").write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"type": "file", "path": str(tmp_path / "env.json")}}))
+    assert run(subcommand, str(cfg), str(tmp_path / "o"), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite re, im and tau" in err
+
+
+def test_overflowing_envelope_commutators_exit_1(tmp_path, capsys):
+    """A finite envelope of 1e200 overflows |u|^2 u: the resolution check
+    refuses the NaN it leaves (exit 1, PreconditionError record) before the
+    round-off floor squares the amplitude."""
+    doc = dict(ENVELOPE, re=[1e200] * 64, im=[0.0] * 64)
+    (tmp_path / "env.json").write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"type": "file", "path": str(tmp_path / "env.json")}}))
+    out = tmp_path / "o"
+    assert run("commutators", str(cfg), str(out), quiet=True) == 1
+    assert capsys.readouterr().err.startswith("error: PreconditionError: cubic |u|^2 u")
+    manifest = read(out / "manifest.json")
+    assert manifest["result"] is None and manifest["error"]["type"] == "PreconditionError"
+
+
+def test_flow_project_window_shorter_than_carrier_period_exit_1(tmp_path, capsys):
+    """At kappa = 0.01 the carrier period P = ceil(2 pi / kappa) = 629 sites
+    is longer than the 384 x 384 window, so no block is whole: exit 1 with
+    a PreconditionError record naming P, not a ValueError traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa": 0.01}))
+    out = tmp_path / "o"
+    assert run("flow-project", str(cfg), str(out), quiet=True) == 1
+    assert capsys.readouterr().err.startswith("error: PreconditionError")
+    manifest = read(out / "manifest.json")
+    assert manifest["result"] is None and manifest["error"]["type"] == "PreconditionError"
+    assert "P = 629 is longer than the 384 x 384 window" in manifest["error"]["message"]
+
+
+def test_dense_run_over_budget_exit_2(tmp_path, capsys):
+    """N_list = [2] asks flow-project for rows up to tau = 383 * 1.01 (N = 1) at
+    the dense step: 73941 steps, whose 73942 step ends of two 1024-point
+    spectra take 2422931456 bytes, over nls.MAX_SNAPSHOT_BYTES.  The run is
+    refused before the store is allocated: exit 2, one config error line
+    naming the steps and bytes."""
+    import tracemalloc
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N_list": [2]}))
+    tracemalloc.start()
+    try:
+        assert run("flow-project", str(cfg), str(tmp_path / "o"), quiet=True) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "73941 steps and 2422931456 bytes" in err
+    assert peak < 64 << 20
+
+
+def test_flow_check_floor_exponent_passes(tmp_path, monkeypatch):
+    """flow-check's rule, not the scaling, decides: flows whose residuals all
+    sit at the floor (exponent None) pass, the control still decides."""
+    from lpkdv import symmetries
+
+    scaling = symmetries.symmetry_residual_scaling
+
+    def at_floor(solution, params, which, lambdas):
+        rep = scaling(solution, params, which, lambdas)
+        if which == "broken":
+            return rep
+        return dict(rep, exponent=None, note="below measurement floor")
+
+    monkeypatch.setattr(symmetries, "symmetry_residual_scaling", at_floor)
+    assert run("flow-check", None, str(tmp_path), quiet=True) == 0
+    rep = read(tmp_path / "flow_check.json")
+    assert rep["flow1"]["passed"] is rep["flow2"]["passed"] is True
+    assert rep["negative_control"]["passed"] is False
+
+
 @pytest.mark.parametrize("name, words", [("nan_dxi", "grid spacing dxi = nan"),
                                          ("inf_xi0", "grid origin xi0 = inf")])
 def test_non_finite_envelope_grid_named(tmp_path, capsys, name, words):
@@ -592,6 +677,7 @@ IMPOSSIBLE_BOUNDS = {
     "drift_shrink": ("isospectral", 1e9),
     "isospectral_drift": ("isospectral", -1.0),
     "cauchy_band": ("zs-limit", -1.0),
+    "flow_exponent": ("flow-check", 1e9),
     "control_exponent": ("flow-check", -1e9),
     "projection_error_factor": ("flow-project", -1.0),
     "halving_band": ("flow-project", (1.0, 0.0)),

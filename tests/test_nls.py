@@ -9,6 +9,7 @@ from lpkdv.nls import (
     COMMUTATOR_STEP,
     DENSE_STEP_MULTIPLE,
     GUARD_BOUND,
+    MAX_SNAPSHOT_BYTES,
     Envelope,
     NlsCoefficients,
     _check_spectra_resolved,
@@ -20,7 +21,7 @@ from lpkdv.nls import (
     _spectral_derivative,
     commutator_floor,
     commutator_sweep,
-    commutator_test,
+    dense_dtau,
     envelope_from_json,
     envelope_to_json,
     gaussian_envelope,
@@ -201,6 +202,30 @@ class TestDenseOutput:
                            rtol=0, atol=1e-13)
         assert np.array_equal(u, nls_evolve(env, C_REF, 0.3, 0.02).values)
 
+    def test_dense_step(self):
+        """dense_dtau is DENSE_STEP_MULTIPLE times stable_dtau, capped so
+        that a short span still takes DENSE_MIN_STEPS = 3 steps."""
+        env = make_env(L=128)
+        full = DENSE_STEP_MULTIPLE * stable_dtau(env, C_REF)
+        assert dense_dtau(env, C_REF, 10.0) == full
+        assert dense_dtau(env, C_REF, full) == full / 3
+        assert dense_dtau(env, C_REF, 0.0) == full
+
+    def test_snapshot_budget(self, monkeypatch):
+        """A dense run whose two spectra per step end pass MAX_SNAPSHOT_BYTES
+        is refused, naming its steps and bytes; one that fits exactly runs."""
+        import lpkdv.nls as nls
+
+        env = make_env(L=128)
+        size = 2 * 11 * 128 * 16  # 10 steps: 11 step ends of u_hat and N_hat
+        assert MAX_SNAPSHOT_BYTES == 1 << 30
+        monkeypatch.setattr(nls, "MAX_SNAPSHOT_BYTES", size)
+        assert nls_evolve_dense(env, C_REF, 0.1, 0.01).steps == 10
+        monkeypatch.setattr(nls, "MAX_SNAPSHOT_BYTES", size - 1)
+        with pytest.raises(DomainError, match=f"needs 10 steps and {size} bytes"):
+            nls_evolve_dense(env, C_REF, 0.1, 0.01)
+        assert nls_evolve(env, C_REF, 0.1, 0.01).tau == 0.1  # no store, no budget
+
     @pytest.mark.parametrize("steps, bound", [(0, 0.0), (1, 1e-8), (2, 1e-12), (3, 1e-12)])
     def test_few_steps(self, steps, bound):
         """With fewer than four step ends the polynomial through N_hat takes
@@ -266,8 +291,9 @@ def test_dense_output_matches_rk4_oracle(p, q, kappa, ref_evolution, ref_envelop
         evo, rows = ref_evolution, REF_WINDOW[1]
     else:
         rows = ORACLE_ROWS_OFF_REFERENCE + 1
-        evo = nls_evolve_dense(ref_envelope, c, (rows - 1) / n_min ** 2 * 1.01,
-                               DENSE_STEP_MULTIPLE * stable_dtau(ref_envelope, c))
+        tau_final = (rows - 1) / n_min ** 2 * 1.01
+        evo = nls_evolve_dense(ref_envelope, c, tau_final,
+                               dense_dtau(ref_envelope, c, tau_final - ref_envelope.tau))
     taus = coeffs.tau(np.arange(rows), n_min)
     oracle = rk4_values(ref_envelope, c, taus, stable_dtau(ref_envelope, c) / 4)
     assert np.max(np.abs(evo.values_at(taus) - oracle)) <= 1e-9
@@ -303,17 +329,17 @@ class TestSymmetryRhs:
 class TestCommutators:
     def test_linear_pair_at_round_off(self):
         env = make_env()
-        assert commutator_test(C_REF, env, "h1", "h2") <= 1e-8
+        assert _commutators(env, [((C_REF, "h1"), (C_REF, "h2"))])[0] <= 1e-8
 
     def test_gauge_invariance_pair(self):
         env = make_env()
-        assert commutator_test(C_REF, env, "nls", "h1") <= 1e-8
+        assert _commutators(env, [((C_REF, "nls"), (C_REF, "h1"))])[0] <= 1e-8
 
     def test_unresolved_envelope_rejected(self):
         rng = np.random.default_rng(0)
         env = Envelope(0.0, 0.2, rng.standard_normal(64) + 0j)
         with pytest.raises(PreconditionError, match="resolved"):
-            commutator_test(C_REF, env, "h1", "h2")
+            _commutators(env, [((C_REF, "h1"), (C_REF, "h2"))])[0]
 
     def test_aliased_cubic_rejected(self):
         # |u|^2 u carries three times u's band: u passes the resolution rule
@@ -321,7 +347,7 @@ class TestCommutators:
         env = gaussian_envelope(1024, 0.0, 40.0, 1.0, 0.1, 12.0)
         _check_spectra_resolved(np.fft.fft(env.values))
         with pytest.raises(PreconditionError, match=r"^cubic \|u\|\^2 u not spectrally resolved"):
-            commutator_test(C_REF, env, "h1", "h2")
+            _commutators(env, [((C_REF, "h1"), (C_REF, "h2"))])[0]
 
     def test_derivative_is_exact(self):
         """The Frechet derivative of the NLS field, K'[v] = -i rho1 v_xixi
@@ -354,7 +380,7 @@ class TestCommutators:
     def test_floor_estimate_bounds_linear_pair(self):
         env = make_env()
         floor = commutator_floor(env, C_REF)
-        got = commutator_test(C_REF, env, "h1", "h2")
+        got = _commutators(env, [((C_REF, "h1"), (C_REF, "h2"))])[0]
         assert got <= floor
 
     def test_wrong_h4_coefficient_detected(self):
@@ -374,7 +400,7 @@ class TestCommutators:
         bad = float(np.max(np.abs(_derivative(k_nls, u, k_bad(u))
                                   - _derivative(k_bad, u, k_nls(u)))))
         floor = commutator_floor(env, C_REF)
-        assert commutator_test(C_REF, env, "nls", "h4") <= floor
+        assert _commutators(env, [((C_REF, "nls"), (C_REF, "h4"))])[0] <= floor
         assert bad > 1e3 * floor
         wrong = NlsCoefficients(C_REF.rho1, 2.0 / 3.0 * C_REF.rho2)
         # the same pair as commutator_sweep's control evaluates it

@@ -366,12 +366,19 @@ class TestSpectralAssembly:
         ref = _grid_assemble(ref_evolution, coeffs, N, REF_WINDOW)
         assert np.max(np.abs(ans.field.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_matrix_widths(self, ref_evolution, ref_coeffs):
-        # u1_1 takes j = -J..J; |u1_1|^2, real with twice the band, j = 0..2J
-        J = ref_evolution.bandwidth(np.arange(40) / 16 ** 2)
-        assert 0 < 4 * J < ref_evolution.L
-        ans = assemble_ansatz(ref_evolution, ref_coeffs, 16, (64, 40))
-        assert (ans.modes, ans.modes_zeroth) == (2 * J + 1, 2 * J + 1)
+    def test_matrix_widths(self, ref_evolution):
+        # u1_1 takes j = -J..J and |u1_1|^2, real with twice the band,
+        # j = 0..2J, so 4J must stay inside the grid; J is the highest |j|
+        # at which a stored step end carries |u_hat| or dtau |N_hat| above
+        # eps times its largest |u_hat|, over every step end
+        evo = ref_evolution
+        J = evo.band
+        assert 0 < 4 * J < evo.L
+        mag = np.abs(evo.snapshots)
+        floor = np.finfo(float).eps * mag.max(axis=1, keepdims=True)
+        above = np.any((mag > floor) | (evo.dtau * np.abs(evo.nonlinear) > floor), axis=0)
+        j = np.flatnonzero(above)
+        assert J == np.minimum(j, evo.L - j).max()
 
 
 class TestResolutionGuard:
@@ -428,7 +435,7 @@ def test_nls_coefficients_kill_first_harmonic_secularity(ref_coeffs, ref_envelop
     term the NLS is meant to cancel: evolving the envelope with perturbed
     (rho1, rho2) revives it in proportion to the perturbation, pinning the
     coefficient values independently of their closed forms."""
-    from lpkdv.nls import DENSE_STEP_MULTIPLE, NlsCoefficients, nls_evolve_dense, stable_dtau
+    from lpkdv.nls import NlsCoefficients, dense_dtau, nls_evolve_dense
     from lpkdv.quad import residual_field
 
     co = ref_coeffs
@@ -439,7 +446,7 @@ def test_nls_coefficients_kill_first_harmonic_secularity(ref_coeffs, ref_envelop
 
     def first_harmonic_residual(c):
         evo = nls_evolve_dense(ref_envelope, c, tau_needed,
-                               DENSE_STEP_MULTIPLE * stable_dtau(ref_envelope, c))
+                               dense_dtau(ref_envelope, c, tau_needed - ref_envelope.tau))
         ans = assemble_ansatz(evo, co, N, window)
         r = residual_field(ans.field, params)[8:-8, 8:-8]
         ns = np.arange(8, 8 + r.shape[0])
@@ -459,14 +466,14 @@ def test_nls_coefficients_kill_first_harmonic_secularity(ref_coeffs, ref_envelop
 def test_plus_branch_residual_scaling():
     """The 1/N^3 residual order holds on the other branch too (pq < 0,
     branch = +1): validates the correlated sign wiring end to end."""
-    from lpkdv.nls import DENSE_STEP_MULTIPLE, gaussian_envelope, nls_evolve_dense, stable_dtau
+    from lpkdv.nls import dense_dtau, gaussian_envelope, nls_evolve_dense
 
     co = compute_coefficients(LpkdvParams(1.5, -0.5), math.pi / 2)
     env = gaussian_envelope(1024, 0.0, 40.0, 1.0, 1.25, 12.0)
     c = co.nls_coefficients()
     window = (320, 96)
     tau_needed = (window[1] - 1) / 16 ** 2 * 1.01
-    evo = nls_evolve_dense(env, c, tau_needed, DENSE_STEP_MULTIPLE * stable_dtau(env, c))
+    evo = nls_evolve_dense(env, c, tau_needed, dense_dtau(env, c, tau_needed - env.tau))
     rep = residual_scaling(evo, co, [16, 32, 64], window)
     assert rep["exponent"] >= 2.7, rep
 
