@@ -18,7 +18,14 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
+from functools import reduce
 
+import numpy as np
+import scipy
+
+from . import __version__, fieldio, nls, quad, reduction, symmetries
+from . import difference_calculus as dc
 from .errors import DomainError, LpkdvError
 
 
@@ -91,11 +98,13 @@ _ENVELOPE_TYPE_KEYS = {"gaussian": {}, "plane": {"k": 0}, "file": {"path": ""}}
 def _fits(value, default) -> bool:
     """A JSON integer for an integer default, a finite number for a float
     default, a finite number or null for a null default, a list of what fits
-    the default's first entry for a list, else the default's JSON type."""
+    the default's first entry for a list, else the default's JSON type.  A
+    finite number is one a float holds: no NaN, no infinity and no integer
+    beyond the float range."""
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
     number = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
+              and abs(value) <= sys.float_info.max)
     if isinstance(default, int):
         return number and isinstance(value, int)
     if isinstance(default, float) or default is None:
@@ -114,8 +123,6 @@ def _check_schema(doc: dict, schema: dict, where: str = "") -> None:
 
 
 def validate_config(cfg: dict) -> None:
-    from .nls import MIN_GRID
-
     env = cfg["envelope"]
     extra = _ENVELOPE_TYPE_KEYS.get(env.get("type")) if isinstance(env, dict) else None
     if extra is None or not set(extra) <= set(env):
@@ -130,8 +137,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("N_list must be ascending positive integers, the last >= 2")
     if min(cfg["boundary"]["n_size"], cfg["boundary"]["m_size"]) < 2:
         raise ConfigError("boundary.n_size and boundary.m_size must be integers >= 2")
-    if cfg["nls"]["L"] < MIN_GRID:
-        raise ConfigError(f"nls.L must be >= {MIN_GRID}")
+    if cfg["nls"]["L"] < nls.MIN_GRID:
+        raise ConfigError(f"nls.L must be >= {nls.MIN_GRID}")
     if min(cfg[k]["width"] for k in ("envelope", "boundary")) <= 0:
         raise ConfigError("envelope and boundary widths must be positive")
     if cfg["boundary"]["p"] == 0:
@@ -163,38 +170,31 @@ def write_scaling_csv(path, header, rows) -> None:
 
 
 def _build_coeffs(cfg):
-    from .quad import LpkdvParams
-    from .reduction import compute_coefficients
-
-    return compute_coefficients(LpkdvParams(cfg["p"], cfg["q"]), cfg["kappa"])
+    return reduction.compute_coefficients(quad.LpkdvParams(cfg["p"], cfg["q"]), cfg["kappa"])
 
 
 def _build_envelope(cfg):
-    from .nls import envelope_from_json, gaussian_envelope, plane_envelope
-
     env_cfg = cfg["envelope"]
     L = cfg["nls"]["L"]
     period = float(cfg["nls"]["period"])
     kind = env_cfg["type"]
     if kind == "gaussian":
-        return gaussian_envelope(L, 0.0, period, env_cfg["amplitude"],
-                                 env_cfg["width"], env_cfg["center"])
+        return nls.gaussian_envelope(L, 0.0, period, env_cfg["amplitude"],
+                                     env_cfg["width"], env_cfg["center"])
     if kind == "plane":
-        return plane_envelope(L, 0.0, period, env_cfg["amplitude"], env_cfg["k"])
+        return nls.plane_envelope(L, 0.0, period, env_cfg["amplitude"], env_cfg["k"])
     with open(env_cfg["path"]) as fh:
-        return envelope_from_json(json.load(fh))
+        return nls.envelope_from_json(json.load(fh))
 
 
 def _evolve_dense(cfg, coeffs, rows, n_min):
     """The envelope's dense run (see nls.dense_dtau) far enough for lattice
     rows 0..rows-1 at N = n_min, with a 1% margin; nls refuses a run over
-    its snapshot budget."""
-    from .nls import dense_dtau, nls_evolve_dense
-
+    its step budget."""
     env = _build_envelope(cfg)
     tau_final = coeffs.tau(rows - 1, n_min) * 1.01
     c = coeffs.nls_coefficients()
-    return nls_evolve_dense(env, c, tau_final, dense_dtau(env, c, tau_final - env.tau))
+    return nls.nls_evolve_dense(env, c, tau_final, nls.dense_dtau(env, c, tau_final - env.tau))
 
 
 def _nls_block(evolution) -> dict:
@@ -206,12 +206,8 @@ def _nls_block(evolution) -> dict:
 
 def _bump_solution(cfg):
     """Exact lpKdV solution for lattice-side tests, with its own parameters."""
-    import numpy as np
-
-    from .quad import LpkdvParams, evolve_ivp
-
     b = cfg["boundary"]
-    params = LpkdvParams(b["p"], b["q"])
+    params = quad.LpkdvParams(b["p"], b["q"])
     n_size, m_size = b["n_size"], b["m_size"]
     n = np.arange(n_size)
     if b["kind"] == "bump":
@@ -223,7 +219,7 @@ def _bump_solution(cfg):
         row0 = b["amplitude"] * rng.standard_normal(n_size)
         col0 = b["amplitude"] * rng.standard_normal(m_size)
         col0[0] = row0[0]
-    return evolve_ivp(row0, col0, params), params
+    return quad.evolve_ivp(row0, col0, params), params
 
 
 # --- subcommands -------------------------------------------------------------
@@ -233,11 +229,6 @@ def _bump_solution(cfg):
 
 
 def cmd_selftest(cfg):
-    from fractions import Fraction
-    from functools import reduce
-
-    from . import difference_calculus as dc
-
     def poly(coeffs, x):  # Horner's rule, exact over Fractions
         return reduce(lambda acc, c: acc * x + c, reversed(coeffs), Fraction(0))
 
@@ -286,19 +277,14 @@ def cmd_selftest(cfg):
 def cmd_coeffs(cfg):
     """The coefficients, and the Lax-pair identity rho2 M1^2 / (rho1 g^2) = -2
     there and at 100 seeded draws with pq of either sign."""
-    import numpy as np
-
-    from .quad import LpkdvParams
-    from .reduction import compute_coefficients, zs_potential
-
     def ratio(co):  # g: the factor of the reduced ZS potential
-        g = zs_potential(1.0, co.params.p, co.carrier.kappa)
+        g = reduction.zs_potential(1.0, co.params.p, co.carrier.kappa)
         return co.rho2 * co.M1 ** 2 / (co.rho1 * g ** 2)
 
     coeffs = _build_coeffs(cfg)
     rng = np.random.default_rng(cfg["seed"])
     samples = rng.uniform((0.1, 0.1, 0.1), (4.0, 4.0, math.pi - 0.2), (100, 3)).tolist()
-    draws = [ratio(compute_coefficients(LpkdvParams(p, (-1) ** i * q), kappa))
+    draws = [ratio(reduction.compute_coefficients(quad.LpkdvParams(p, (-1) ** i * q), kappa))
              for i, (p, q, kappa) in enumerate(samples)]
     at, worst = ratio(coeffs), max(draws, key=lambda r: abs(r / 2.0 + 1.0))
     tol = BOUNDS["lax_identity"]
@@ -309,10 +295,6 @@ def cmd_coeffs(cfg):
 
 
 def cmd_dispersion(cfg):
-    import numpy as np
-
-    from .quad import LpkdvParams, dispersion, linear_residual_max
-
     tol = BOUNDS["linear_residual"]
     rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
@@ -321,22 +303,18 @@ def cmd_dispersion(cfg):
         p = rng.uniform(0.5, 3.0)
         q = rng.uniform(0.05, p - 0.2)
         kappa = rng.uniform(0.1, math.pi - 0.2)
-        params = LpkdvParams(p, q)
-        r = linear_residual_max(params, kappa)
+        params = quad.LpkdvParams(p, q)
+        r = quad.linear_residual_max(params, kappa)
         worst = max(worst, r)
         draws.append({"p": p, "q": q, "kappa": kappa,
-                      "omega": dispersion(params, kappa), "residual": r})
+                      "omega": quad.dispersion(params, kappa), "residual": r})
     report = {"max_linear_residual": worst, "tolerance": tol, "draws": draws[:5]}
     return worst <= tol, report, {"dispersion_report.json": report}
 
 
 def cmd_simulate(cfg):
-    import numpy as np
-
-    from .quad import max_residual
-
     field, params = _bump_solution(cfg)
-    res = max_residual(field, params)
+    res = quad.max_residual(field, params)
     bound = BOUNDS["lattice_residual"] * (1.0 + float(np.max(np.abs(field.values))))
     report = {"max_residual": res, "bound": bound,
               "shape": list(field.shape), "kind": field.kind}
@@ -345,13 +323,11 @@ def cmd_simulate(cfg):
 
 
 def cmd_ansatz_residual(cfg):
-    from .reduction import residual_scaling
-
     coeffs = _build_coeffs(cfg)
     window = (512, 192)
     n_list = list(cfg["N_list"])
     evolution = _evolve_dense(cfg, coeffs, window[1], min(n_list))
-    report = dict(residual_scaling(evolution, coeffs, n_list, window),
+    report = dict(reduction.residual_scaling(evolution, coeffs, n_list, window),
                   nls=_nls_block(evolution))
     ok = report["exponent"] == "exact" or \
         report["exponent"] >= BOUNDS["ansatz_exponent"]
@@ -360,33 +336,28 @@ def cmd_ansatz_residual(cfg):
 
 
 def cmd_nls_evolve(cfg):
-    from .nls import envelope_to_json, nls_evolve, stable_dtau, step_plan
-
     coeffs = _build_coeffs(cfg)
     env = _build_envelope(cfg)
     c = coeffs.nls_coefficients()
-    dtau = stable_dtau(env, c)
+    dtau = nls.stable_dtau(env, c)
     tau_final = 1.0 if cfg["nls"]["tau_final"] is None else cfg["nls"]["tau_final"]
-    out = nls_evolve(env, c, tau_final, dtau)
+    out = nls.nls_evolve(env, c, tau_final, dtau)
     drift = abs(out.mass() - env.mass()) / env.mass() if env.mass() > 0 else 0.0
     tol = BOUNDS["mass_drift"] * max(1.0, tau_final)
-    steps, dtau_taken = step_plan(tau_final - env.tau, dtau)
+    steps, dtau_taken = nls.step_plan(tau_final - env.tau, dtau)
     report = {"tau_final": tau_final, "dtau": dtau_taken, "steps": steps,
               "mass_drift": drift, "tolerance": tol}
-    return drift <= tol, report, {"envelope.csv": out, "envelope.json": envelope_to_json(out),
+    return drift <= tol, report, {"envelope.csv": out, "envelope.json": nls.envelope_to_json(out),
                                   "nls_report.json": report}
 
 
 def cmd_commutators(cfg):
-    from .nls import commutator_sweep
-
-    report = commutator_sweep(_build_coeffs(cfg).nls_coefficients(), _build_envelope(cfg))
+    report = nls.commutator_sweep(_build_coeffs(cfg).nls_coefficients(), _build_envelope(cfg))
     return report["passed"], report, {"commutators.json": report}
 
 
 def cmd_spectrum(cfg):
-    import numpy as np
-
+    # spectral loads scipy.linalg and scipy.sparse, which the other subcommands skip
     from .spectral import SpectralProblem, eigenvalues
 
     L = 64
@@ -415,7 +386,7 @@ def cmd_spectrum(cfg):
 def cmd_isospectral(cfg):
     """Spectral drift across rows on the bump window and on one twice as wide;
     the printed a_n on the small window is a control that must drift."""
-    from .spectral import isospectral_drift
+    from .spectral import isospectral_drift  # deferred: see cmd_spectrum
 
     b = cfg["boundary"]
     m_list = list(range(b["m_size"]))
@@ -442,7 +413,7 @@ def cmd_isospectral(cfg):
 
 
 def cmd_zs_limit(cfg):
-    from .spectral import nearest_partners, spectral_limit_check
+    from .spectral import nearest_partners, spectral_limit_check  # deferred: see cmd_spectrum
 
     coeffs = _build_coeffs(cfg)
     n_list = list(cfg["N_list"])
@@ -462,11 +433,9 @@ def cmd_zs_limit(cfg):
 
 
 def cmd_flow_check(cfg):
-    from .symmetries import symmetry_residual_scaling
-
     solution, params = _bump_solution(cfg)
     lambdas = [0.125, 0.25, 0.5]
-    report = {key: symmetry_residual_scaling(solution, params, which, lambdas)
+    report = {key: symmetries.symmetry_residual_scaling(solution, params, which, lambdas)
               for key, which in (("flow1", "flow1"), ("flow2", "flow2"),
                                  ("negative_control", "broken"))}
     files = {"flow_check.json": report}
@@ -482,9 +451,6 @@ def cmd_flow_check(cfg):
 
 
 def cmd_flow_project(cfg):
-    from .reduction import assemble_ansatz
-    from .symmetries import first_harmonic_blocks, harmonic_projection
-
     coeffs = _build_coeffs(cfg)
     n_list = cfg["N_list"]
     N = n_list[-1]
@@ -493,13 +459,13 @@ def cmd_flow_project(cfg):
     report = {"nls": _nls_block(evolution)}
     errs = {}
     for n in (N // 2, N):
-        ans = assemble_ansatz(evolution, coeffs, n, window)
-        flow1 = first_harmonic_blocks(ans, "flow1")
-        rep1 = harmonic_projection(ans, "flow1", flow1)
+        ans = reduction.assemble_ansatz(evolution, coeffs, n, window)
+        flow1 = symmetries.first_harmonic_blocks(ans, "flow1")
+        rep1 = symmetries.harmonic_projection(ans, "flow1", flow1)
         errs[n] = rep1["weighted_rel_error"]
         report[f"flow1_N{n}"] = rep1
         if n == N:
-            report[f"flow2_N{n}"] = harmonic_projection(ans, "flow2", flow1)
+            report[f"flow2_N{n}"] = symmetries.harmonic_projection(ans, "flow2", flow1)
     halving = errs[N] / errs[N // 2] if errs[N // 2] > 0 else 0.0
     report["error_halving_factor"] = halving
     low, high = BOUNDS["halving_band"]
@@ -546,8 +512,6 @@ def run(subcommand: str, config_path=None, out_dir=None, quiet=False) -> int:
     error = None
     try:
         passed, report, files = COMMANDS[subcommand](cfg)
-        from . import fieldio, nls
-
         for name in list(files):
             path, content = os.path.join(out_dir, name), files.pop(name)
             if isinstance(content, dict):
@@ -571,17 +535,13 @@ def run(subcommand: str, config_path=None, out_dir=None, quiet=False) -> int:
         error = {"type": type(exc).__name__, "message": str(exc), **vars(exc)}
         print(f"error: {error['type']}: {exc}", file=sys.stderr)
     wall = time.time() - t0
-    from . import __version__
-    import numpy
-    import scipy
-
     manifest = {
         "subcommand": subcommand,
         "config": cfg,
         "passed": bool(passed),
         "result": report,
         "error": error,
-        "versions": {"lpkdv": __version__, "numpy": numpy.__version__,
+        "versions": {"lpkdv": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
     }
@@ -602,13 +562,8 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", default=None, help="JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP threads (set before numpy loads)")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     return run(args.subcommand, args.config, args.out, args.quiet)
 
 

@@ -30,8 +30,9 @@ matches classic RK4 on the lattice rows of the oracle test to 5.5e-11 at
 worst over its four parameter points, while at 8 times stable_dtau one of
 them, (p, q, kappa) = (1.5, 0.5, 1.2), is off by 1.0e-9.  At the default
 config the mass drift over unit tau is 4e-16 at `stable_dtau`, 2.0e-15 at
-twice that step and 3.7e-14 at four times it.  A dense run whose store
-would pass MAX_SNAPSHOT_BYTES is refused before anything is allocated.
+twice that step and 3.7e-14 at four times it.  A run whose (steps + 1) * L
+would pass MAX_STEP_POINTS is refused before anything is allocated or
+stepped, dense or not.
 
 The module also carries the first reduced symmetry flows of the hierarchy:
     h1: du/dlambda = i u                 (phase)
@@ -46,6 +47,7 @@ derivatives are taken exactly, up to round-off (see _derivative).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +60,10 @@ DENSE_STEP_MULTIPLE = 4       # the dense runs' step, in units of stable_dtau
 DENSE_MIN_STEPS = 3           # fewest steps of a dense run: 4 step ends carry N_hat's cubic
 GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND  # step guard: the largest dtau * stiffness
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
-# the most a dense run may store: u_hat and N_hat, L complex128 each, per step end
-MAX_SNAPSHOT_BYTES = 1 << 30
+# the most (steps + 1) * L of any run: about 13 s of stepping at L = 1024 on a
+# 2-core host, and 1 GiB for a dense run, which stores u_hat and N_hat, L
+# complex128 each (32 bytes per point), at every step end
+MAX_STEP_POINTS = 1 << 25
 # taus per block of EnvelopeEvolution.spectra_at: its largest temporary, the
 # (12, 5, L/2 + 1) stack of phi_0..phi_4, stays below the (32, L) array of
 # one assembly block (reduction._BLOCK_ROWS)
@@ -243,10 +247,11 @@ def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
         raise DomainError("tau_final must be >= current tau")
     _check_stability(env, c, dtau)
     n_steps, dt = step_plan(tau_final - env.tau, dtau)
-    size = 2 * (n_steps + 1) * env.L * 16
-    if dense and size > MAX_SNAPSHOT_BYTES:  # refused before it is allocated
-        raise DomainError(f"the dense NLS run to tau = {tau_final:.4g} needs {n_steps} steps and "
-                          f"{size} bytes of snapshots, over the {MAX_SNAPSHOT_BYTES} allowed")
+    points = (n_steps + 1) * env.L
+    if points > MAX_STEP_POINTS:  # refused before it is allocated or stepped
+        raise DomainError(f"the NLS run to tau = {tau_final:.4g} needs {n_steps} steps of "
+                          f"{env.L} points, {points} step points, over the "
+                          f"{MAX_STEP_POINTS} allowed")
     rate = _linear_rate(env.L, env.dxi, c)
     spectra = np.empty((n_steps + 1 if dense else 1, env.L), dtype=np.complex128)
     nonlinear = np.empty_like(spectra) if dense else None
@@ -566,7 +571,8 @@ def envelope_from_json(doc: dict) -> Envelope:
     """The envelope of an envelope_to_json document; DomainError for one that
     lacks a key, has re or im other than equally long lists of finite
     numbers, or xi0, dxi or tau other than a number, tau finite (Envelope
-    refuses a non-finite xi0 or dxi by name)."""
+    refuses a non-finite xi0 or dxi by name).  A finite number is one a float
+    holds: no NaN, no infinity and no integer beyond the float range."""
     if not isinstance(doc, dict) or not {"re", "im", "xi0", "dxi"} <= set(doc):
         raise DomainError("an envelope JSON document needs re, im, xi0 and dxi")
     re, im = doc["re"], doc["im"]
@@ -576,7 +582,7 @@ def envelope_from_json(doc: dict) -> Envelope:
                           "numbers of equal length")
     if not all(_is_number(doc.get(key, 0.0)) for key in ("xi0", "dxi", "tau")):
         raise DomainError("an envelope JSON document needs numbers for xi0, dxi and tau")
-    vals = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    if not (np.all(np.isfinite(vals)) and math.isfinite(doc.get("tau", 0.0))):
+    if not all(abs(v) <= sys.float_info.max for v in re + im + [doc.get("tau", 0.0)]):
         raise DomainError("an envelope JSON document needs finite re, im and tau")
+    vals = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     return Envelope(doc["xi0"], doc["dxi"], vals, doc.get("tau", 0.0))

@@ -613,10 +613,10 @@ def test_flow_project_window_shorter_than_carrier_period_exit_1(tmp_path, capsys
 
 def test_dense_run_over_budget_exit_2(tmp_path, capsys):
     """N_list = [2] asks flow-project for rows up to tau = 383 * 1.01 (N = 1) at
-    the dense step: 73941 steps, whose 73942 step ends of two 1024-point
-    spectra take 2422931456 bytes, over nls.MAX_SNAPSHOT_BYTES.  The run is
-    refused before the store is allocated: exit 2, one config error line
-    naming the steps and bytes."""
+    the dense step: 73941 steps, whose 73942 step ends of 1024 points make
+    75716608 step points, over nls.MAX_STEP_POINTS (1 GiB of stored spectra).
+    The run is refused before the store is allocated: exit 2, one config
+    error line naming the steps and points."""
     import tracemalloc
 
     cfg = tmp_path / "cfg.json"
@@ -629,8 +629,51 @@ def test_dense_run_over_budget_exit_2(tmp_path, capsys):
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
-    assert "73941 steps and 2422931456 bytes" in err
+    assert "73941 steps of 1024 points, 75716608 step points" in err
     assert peak < 64 << 20
+
+
+def test_nls_evolve_over_budget_exit_2(tmp_path, capsys, monkeypatch):
+    """nls.period = 1.0 shrinks the grid spacing 40 times, so nls-evolve's
+    stable step asks for 1223290 steps to tau = 1, over nls.MAX_STEP_POINTS
+    at L = 1024.  The end-point run has the dense run's budget: exit 2 with
+    one config error line, before a single step is taken."""
+    from lpkdv import nls
+
+    def refuse(*args):
+        raise AssertionError("the over-budget run stepped")
+
+    monkeypatch.setattr(nls, "_nonlinear", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nls": {"period": 1.0}}))
+    assert run("nls-evolve", str(cfg), str(tmp_path / "o"), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "1223290 steps of 1024 points" in err
+
+
+def test_config_integer_beyond_float_range_exit_2(tmp_path, capsys):
+    """A JSON integer a float cannot hold (10**400) is not a finite number:
+    the schema check refuses it on one line naming the key, where
+    math.isfinite raised OverflowError out of the run."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 10 ** 400}))
+    assert run("coeffs", str(cfg), str(tmp_path / "o"), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: p = ") and err.count("\n") == 1
+
+
+def test_envelope_integer_beyond_float_range_exit_2(tmp_path, capsys):
+    """An envelope file with 10**400 in re is refused as it is read, like a
+    NaN there, where the float conversion raised OverflowError out of the run."""
+    doc = dict(ENVELOPE, re=[0.0] * 10 + [10 ** 400] + [0.0] * 53, im=[0.0] * 64)
+    (tmp_path / "env.json").write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"type": "file", "path": str(tmp_path / "env.json")}}))
+    assert run("nls-evolve", str(cfg), str(tmp_path / "o"), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "finite re, im and tau" in err
 
 
 def test_flow_check_floor_exponent_passes(tmp_path, monkeypatch):
@@ -742,12 +785,13 @@ def test_zs_limit_solver_failure_exit_1(tmp_path, capsys, monkeypatch):
     assert manifest["error"]["diagnostics"]["size"] == 510
 
 
-def test_cli_import_defers_numpy():
-    """--threads can only act if numpy is not loaded before main() runs."""
+def test_cli_import_skips_scipy_linalg_and_sparse():
+    """Only the spectral subcommands need scipy.linalg and scipy.sparse, about
+    0.35 s to import: the CLI defers the spectral module to them."""
     import lpkdv
 
-    code = ("import sys, lpkdv.cli; assert 'numpy' not in sys.modules; "
-            "from lpkdv import LatticeField; assert 'numpy' in sys.modules")
+    code = ("import sys, lpkdv.cli; loaded = [m for m in ('scipy.linalg', 'scipy.sparse') "
+            "if m in sys.modules]; assert not loaded, f'{loaded} loaded'")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 

@@ -9,7 +9,7 @@ from lpkdv.nls import (
     COMMUTATOR_STEP,
     DENSE_STEP_MULTIPLE,
     GUARD_BOUND,
-    MAX_SNAPSHOT_BYTES,
+    MAX_STEP_POINTS,
     Envelope,
     NlsCoefficients,
     _check_spectra_resolved,
@@ -212,19 +212,21 @@ class TestDenseOutput:
         assert dense_dtau(env, C_REF, 0.0) == full
 
     def test_snapshot_budget(self, monkeypatch):
-        """A dense run whose two spectra per step end pass MAX_SNAPSHOT_BYTES
-        is refused, naming its steps and bytes; one that fits exactly runs."""
+        """A run whose (steps + 1) * L passes MAX_STEP_POINTS is refused,
+        naming its steps and points; one that fits exactly runs.  The budget
+        holds for the end-point run as for the dense one."""
         import lpkdv.nls as nls
 
         env = make_env(L=128)
-        size = 2 * 11 * 128 * 16  # 10 steps: 11 step ends of u_hat and N_hat
-        assert MAX_SNAPSHOT_BYTES == 1 << 30
-        monkeypatch.setattr(nls, "MAX_SNAPSHOT_BYTES", size)
+        points = 11 * 128  # 10 steps: 11 step ends of 128 points
+        assert MAX_STEP_POINTS == 1 << 25
+        monkeypatch.setattr(nls, "MAX_STEP_POINTS", points)
         assert nls_evolve_dense(env, C_REF, 0.1, 0.01).steps == 10
-        monkeypatch.setattr(nls, "MAX_SNAPSHOT_BYTES", size - 1)
-        with pytest.raises(DomainError, match=f"needs 10 steps and {size} bytes"):
-            nls_evolve_dense(env, C_REF, 0.1, 0.01)
-        assert nls_evolve(env, C_REF, 0.1, 0.01).tau == 0.1  # no store, no budget
+        assert nls_evolve(env, C_REF, 0.1, 0.01).tau == 0.1
+        monkeypatch.setattr(nls, "MAX_STEP_POINTS", points - 1)
+        for evolve in (nls_evolve_dense, nls_evolve):
+            with pytest.raises(DomainError, match=f"needs 10 steps of 128 points, {points}"):
+                evolve(env, C_REF, 0.1, 0.01)
 
     @pytest.mark.parametrize("steps, bound", [(0, 0.0), (1, 1e-8), (2, 1e-12), (3, 1e-12)])
     def test_few_steps(self, steps, bound):
