@@ -187,11 +187,10 @@ def _build_envelope(cfg):
         return nls.envelope_from_json(json.load(fh))
 
 
-def _evolve_dense(cfg, coeffs, rows, n_min):
+def _evolve_dense(env, coeffs, rows, n_min):
     """The envelope's dense run (see nls.dense_dtau) far enough for lattice
     rows 0..rows-1 at N = n_min, with a 1% margin; nls refuses a run over
     its step budget."""
-    env = _build_envelope(cfg)
     tau_final = coeffs.tau(rows - 1, n_min) * 1.01
     c = coeffs.nls_coefficients()
     return nls.nls_evolve_dense(env, c, tau_final, nls.dense_dtau(env, c, tau_final - env.tau))
@@ -326,7 +325,7 @@ def cmd_ansatz_residual(cfg):
     coeffs = _build_coeffs(cfg)
     window = (512, 192)
     n_list = list(cfg["N_list"])
-    evolution = _evolve_dense(cfg, coeffs, window[1], min(n_list))
+    evolution = _evolve_dense(_build_envelope(cfg), coeffs, window[1], min(n_list))
     report = dict(reduction.residual_scaling(evolution, coeffs, n_list, window),
                   nls=_nls_block(evolution))
     ok = report["exponent"] == "exact" or \
@@ -418,8 +417,9 @@ def cmd_zs_limit(cfg):
     coeffs = _build_coeffs(cfg)
     n_list = list(cfg["N_list"])
     # the check assembles rows m = 0 and 1 of the ansatz at every N
-    evolution = _evolve_dense(cfg, coeffs, 2, min(n_list))
-    report = dict(spectral_limit_check(evolution, coeffs, n_list),
+    env = _build_envelope(cfg)
+    evolution = _evolve_dense(env, coeffs, 2, min(n_list))
+    report = dict(spectral_limit_check(evolution, coeffs, n_list, env),
                   nls=_nls_block(evolution))
     disc = [d for d in report["discrepancy"] if d is not None]
     ok = len(disc) == len(n_list) and disc[-1] <= disc[0]
@@ -455,7 +455,7 @@ def cmd_flow_project(cfg):
     n_list = cfg["N_list"]
     N = n_list[-1]
     window = (384, 384)
-    evolution = _evolve_dense(cfg, coeffs, window[1], N // 2)
+    evolution = _evolve_dense(_build_envelope(cfg), coeffs, window[1], N // 2)
     report = {"nls": _nls_block(evolution)}
     errs = {}
     for n in (N // 2, N):

@@ -179,12 +179,14 @@ def _zeroth_values(amp2: np.ndarray, j: np.ndarray, basis: np.ndarray, x, offset
 def fourier_resample(values: np.ndarray, xi0: float, dxi: float, x) -> np.ndarray:
     """Periodic grid data values (at xi0 + dxi*i) at the points x, through
     their Fourier series over all the grid's modes j = -L//2..(L-1)//2 (an
-    even grid's Nyquist mode at -L/2, where the fft places it)."""
+    even grid's Nyquist mode at -L/2, where the fft places it); of real data
+    the real part, as if that mode were split evenly between -L/2 and L/2."""
     L = len(values)
     lo, hi = _band(L, L)
     basis = _lattice_matrix(x, xi0, lo, hi, L, dxi)
-    return _series_values(np.fft.fft(values)[None], np.arange(-lo, hi + 1), basis,
-                          [0.0], dxi)[:, 0]
+    out = _series_values(np.fft.fft(values)[None], np.arange(-lo, hi + 1), basis,
+                         [0.0], dxi)[:, 0]
+    return out.real.copy() if np.isrealobj(values) else out
 
 
 def _row_taus(evolution: EnvelopeEvolution, ms, N: int) -> np.ndarray:

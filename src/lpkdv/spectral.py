@@ -23,9 +23,10 @@ of the reduced Zakharov-Shabat-type system
 s = xi / M1.  zs_eigenvalues discretizes that coupled system for (phi,
 conj(phi)) with the mixed boundary condition Re(phi) = 0 at both ends (the
 image of lattice Dirichlet walls), one-sided second-order derivative rows at
-the ends, fourth-order central stencils inside, as a sparse matrix; it
-finds the eigenvalues in a disc by ARPACK shift-invert and keeps only those
-that survive 2x and 3x grid refinements of the potential's Fourier series.
+the ends, fourth-order central stencils inside, as a sparse matrix M; it
+finds the eigenvalues in a disc by ARPACK shift-invert on -i M, a real
+matrix for a real potential, and keeps only those that survive 2x and 3x
+grid refinements of the potential's Fourier series.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ EDGE_TOL = 1e-6               # potential deviation allowed within 5 columns of 
 LIMIT_BRACKET = 10.0          # |N (eigen_mu - 2cos(kappa/2))| and |mu1| compared
 ZS_DECAY_TOL = 1e-6           # |potential| allowed at both ends of a ZS interval
 ZS_STABILITY_TOL = 1e-3       # refinement-movement threshold for kept eigenvalues
-ZS_SHIFT = 0.1j               # shift-invert centre of the reduced eigen-solves
+ZS_SHIFT = 0.1j               # shift-invert centre (in mu1) of the reduced eigen-solves
 ZS_START_K = 40               # k of the first probe on the base grid
 # an eigenvalue nearer the shift than this times the disc radius means the
 # shift hit it: shift-invert then loses about radius/distance x round-off
@@ -297,16 +298,23 @@ def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, ks: list) -> np.ndarray:
     k * reach / (farthest distance) + 2 values reach the disc's edge.  Once
     2k reaches the matrix size the whole spectrum is wanted and is taken
     from a dense solve.
+
+    The solves run on B = -i M about -i ZS_SHIFT = ZS_SHIFT.imag (the shift
+    is imaginary), each eigenvalue w giving mu1 = i w, at the same distance
+    from the shift.  Every entry of M carries i/lam, so B, and with it the
+    ARPACK and dense solves, is real for a real potential.
     """
-    M = _zs_matrix(np.asarray(x, float), np.asarray(u, complex), kappa, p)
-    n = M.shape[0]
-    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    B = -1j * _zs_matrix(np.asarray(x, float), u, kappa, p)
+    if not np.any(B.data.imag):
+        B = sparse.csc_matrix((B.data.real.copy(), B.indices, B.indptr), shape=B.shape)
+    n = B.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(n).astype(B.dtype)
     reach = radius + abs(ZS_SHIFT)
     k = ks.pop()
     while 2 * k < n:
         ks.append(k)
         try:
-            w = eigs(M, k=k, sigma=ZS_SHIFT, v0=v0, return_eigenvectors=False)
+            w = 1j * eigs(B, k=k, sigma=ZS_SHIFT.imag, v0=v0, return_eigenvectors=False)
         except RuntimeError as exc:  # ARPACK non-convergence, or a singular LU
             raise NumericalError(f"shift-invert solve of the {n}x{n} ZS matrix failed: "
                                  f"{exc}", diagnostics={"size": n, "k": k}) from exc
@@ -319,7 +327,7 @@ def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, ks: list) -> np.ndarray:
             return w
         k = max(k + 1, math.ceil(k * reach / dist.max()) + 2)
     ks.append("dense")
-    return eig(M.toarray(), right=False)
+    return 1j * eig(B.toarray(), right=False)
 
 
 def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
@@ -337,7 +345,8 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
     moves by ZS_STABILITY_TOL or more fails the refinement test.
 
     Each solve is sparse ARPACK shift-invert about ZS_SHIFT (see
-    _zs_disc_eigenvalues), which lies off the real axis: mu1 = 0 is an exact
+    _zs_disc_eigenvalues; real arithmetic for a real potential, whose refined
+    ones are real too), which lies off the real axis: mu1 = 0 is an exact
     eigenvalue of the ZS matrix, so a zero shift would factor a singular
     matrix.  A shift that hits an eigenvalue raises NumericalError, as does
     ARPACK non-convergence.  The start vector is fixed (normal draws from
@@ -363,6 +372,7 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
     x, u = zs.xi_grid, zs.potential
     if not np.any(u):
         return np.zeros(0, dtype=complex)
+    u = u if np.any(u.imag) else u.real  # keeps the refined potentials real
     eigensolve = [] if eigensolve is None else eigensolve
     ks = [ZS_START_K]
     w = _zs_disc_eigenvalues(x, u, zs.kappa, zs.p, radius, ks)
@@ -392,9 +402,13 @@ def band_edge_estimates(lattice: LatticeField, params: LpkdvParams, m: int,
     return np.sort(N * (w[sel] - ref))
 
 
-def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list) -> dict:
+def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list, envelope) -> dict:
     """Compare rescaled lattice band-reference deviations with the reduced
     problem's spectrum, per N.
+
+    envelope is the nls.Envelope the evolution started from: the reduced
+    problem is posed on its grid values, so that a real envelope gives a
+    real potential (an FFT round trip would add round-off imaginary parts).
 
     For each N a single-row ansatz field is assembled over one envelope
     period (lattice row length ~ period*N/M1, chosen = 3 mod 4 so both
@@ -410,10 +424,9 @@ def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list) -> di
     kappa = coeffs.carrier.kappa
     period = evolution.period
     # reduced problem on the stretched slow variable (downsample for speed)
-    env0 = evolution.value_at(evolution.tau_min)
-    stride = max(1, evolution.L // 256)
-    xs = (evolution.xi0 + evolution.dxi * np.arange(evolution.L))[::stride]
-    zs = ZsProblem(xs / coeffs.M1, env0[::stride], kappa, coeffs.params.p)
+    stride = max(1, envelope.L // 256)
+    zs = ZsProblem(envelope.xi_grid[::stride] / coeffs.M1, envelope.values[::stride],
+                   kappa, coeffs.params.p)
     eigensolve = []
     zs_window = zs_eigenvalues(zs, eigensolve=eigensolve)
 

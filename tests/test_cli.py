@@ -549,9 +549,10 @@ def test_dense_run_keeps_the_cubic():
     keeps its 145 steps of DENSE_STEP_MULTIPLE times stable_dtau."""
     cfg = load_config(None)
     coeffs = cli._build_coeffs(cfg)
-    evolution = cli._evolve_dense(cfg, coeffs, 2, 16)
+    env = cli._build_envelope(cfg)
+    evolution = cli._evolve_dense(env, coeffs, 2, 16)
     assert evolution.steps >= 3 and len(evolution.taus) == evolution.steps + 1
-    assert cli._evolve_dense(cfg, coeffs, 192, 16).steps == 145
+    assert cli._evolve_dense(env, coeffs, 192, 16).steps == 145
 
 
 def test_flow_project_zero_envelope_exit_1(tmp_path, capsys):

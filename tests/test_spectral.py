@@ -196,6 +196,17 @@ class TestZsEigenvalues:
         got = fourier_resample(closed_form(x), xi0, dxi, x_fine)
         assert np.max(np.abs(got - closed_form(x_fine))) <= 1e-12
 
+    @pytest.mark.parametrize("L", [256, 255])
+    def test_refined_real_potential_stays_real(self, L):
+        # the Fourier series of real data is real, so the refined solves of
+        # a real potential stay in real arithmetic
+        xi0, dxi = -3.0, 40.0 / L
+        u = np.exp(-((xi0 + dxi * np.arange(L) - 12.0) / 1.25) ** 2 / 2)
+        x_fine = np.linspace(xi0, xi0 + dxi * (L - 1), 2 * (L - 1) + 1)
+        got = fourier_resample(u, xi0, dxi, x_fine)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, fourier_resample(u.astype(complex), xi0, dxi, x_fine).real)
+
     def test_zero_potential_empty(self, ref_coeffs):
         x = np.linspace(0.0, 40.0, 128) / ref_coeffs.M1
         zs = ZsProblem(x, np.zeros(128, dtype=complex),
@@ -302,6 +313,21 @@ def _dense_kept(zs, monkeypatch):
         return zs_eigenvalues(zs, radius=10.0)
 
 
+def _phase_shifted(zs, phase):
+    x = zs.xi_grid
+    return ZsProblem(x, zs.potential * np.exp(1j * phase * x), zs.kappa, zs.p)
+
+
+def _spy(monkeypatch, name, seen):
+    """Record the name and matrix dtype of every call of spectral.<name>."""
+    solver = getattr(spectral, name)
+
+    def spy(A, *args, **kwargs):
+        seen.append((name, A.dtype))
+        return solver(A, *args, **kwargs)
+    monkeypatch.setattr(spectral, name, spy)
+
+
 @pytest.fixture(scope="module")
 def zs_small(ref_coeffs):
     # 80 points on a 20-unit interval: the disc |mu1| <= 10 holds 70 of the
@@ -336,8 +362,30 @@ class TestSparseZs:
         assert len(sparse_kept) == len(dense_kept) > 0
         assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
 
+    def test_dense_oracle_complex_potential(self, zs_small, monkeypatch):
+        # a genuinely complex potential keeps the complex solves
+        zs = _phase_shifted(zs_small, 0.7)
+        sparse_kept = zs_eigenvalues(zs, radius=10.0)
+        dense_kept = _dense_kept(zs, monkeypatch)
+        assert len(sparse_kept) == len(dense_kept) > 0
+        assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
+
+    @pytest.mark.parametrize("phase, dtype", [(0.0, np.float64), (0.7, np.complex128)])
+    def test_arithmetic_follows_potential(self, zs_small, phase, dtype, monkeypatch):
+        # a real potential reaches ARPACK and the dense solve as a real
+        # matrix on every grid, a complex one as a complex matrix; a probe
+        # of 79 values takes the dense solve on the base grid
+        monkeypatch.setattr(spectral, "ZS_START_K", 79)
+        seen = []
+        for name in ("eigs", "eig"):
+            _spy(monkeypatch, name, seen)
+        zs_eigenvalues(_phase_shifted(zs_small, phase), radius=10.0)
+        assert [name for name, _ in seen] == ["eig", "eigs", "eigs"]
+        assert all(t == dtype for _, t in seen)
+
     def test_dense_oracle_evolved_envelope(self, ref_evolution, ref_coeffs, monkeypatch):
-        # the tau_min snapshot as spectral_limit_check poses it
+        # the tau_min snapshot, whose FFT round trip leaves round-off
+        # imaginary parts: a near-real potential on the complex path
         evo = ref_evolution
         stride = evo.L // 256
         xs = (evo.xi0 + evo.dxi * np.arange(evo.L))[::stride]
@@ -389,6 +437,19 @@ class TestSpectralLimit:
     def test_zero_envelope(self, ref_coeffs):
         env = gaussian_envelope(256, 0.0, 40.0, 0.0, 1.0, 20.0)
         evo = frozen_evolution(env, ref_coeffs.nls_coefficients())
-        rep = spectral_limit_check(evo, ref_coeffs, [8, 16])
+        rep = spectral_limit_check(evo, ref_coeffs, [8, 16], env)
         assert all(d is None for d in rep["discrepancy"])
         assert len(rep["zs_eigenvalues"]) == 0
+
+    def test_gaussian_run_poses_real_potential(self, ref_evolution, ref_envelope, ref_coeffs,
+                                               monkeypatch):
+        # the reduced problem takes the envelope's own grid values, not the
+        # evolution's first step end, whose FFT round trip leaves round-off
+        # imaginary parts: a Gaussian run is solved in real arithmetic
+        posed = []
+        monkeypatch.setattr(spectral, "zs_eigenvalues",
+                            lambda zs, eigensolve: posed.append(zs) or np.zeros(0, dtype=complex))
+        spectral_limit_check(ref_evolution, ref_coeffs, [16, 32], ref_envelope)
+        (zs,) = posed
+        assert not np.any(zs.potential.imag)
+        assert np.array_equal(zs.potential, ref_envelope.values[::4])
