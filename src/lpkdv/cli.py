@@ -187,15 +187,6 @@ def _build_envelope(cfg):
         return nls.envelope_from_json(json.load(fh))
 
 
-def _evolve_dense(env, coeffs, rows, n_min):
-    """The envelope's dense run (see nls.dense_dtau) far enough for lattice
-    rows 0..rows-1 at N = n_min, with a 1% margin; nls refuses a run over
-    its step budget."""
-    tau_final = coeffs.tau(rows - 1, n_min) * 1.01
-    c = coeffs.nls_coefficients()
-    return nls.nls_evolve_dense(env, c, tau_final, nls.dense_dtau(env, c, tau_final - env.tau))
-
-
 def _nls_block(evolution) -> dict:
     """The NLS run behind a report: steps, the step size taken, the number
     of stored step ends and the band of modes they carry above round-off."""
@@ -325,7 +316,7 @@ def cmd_ansatz_residual(cfg):
     coeffs = _build_coeffs(cfg)
     window = (512, 192)
     n_list = list(cfg["N_list"])
-    evolution = _evolve_dense(_build_envelope(cfg), coeffs, window[1], min(n_list))
+    evolution = reduction.evolve_rows(_build_envelope(cfg), coeffs, window[1], min(n_list))
     report = dict(reduction.residual_scaling(evolution, coeffs, n_list, window),
                   nls=_nls_block(evolution))
     ok = report["exponent"] == "exact" or \
@@ -414,13 +405,8 @@ def cmd_isospectral(cfg):
 def cmd_zs_limit(cfg):
     from .spectral import nearest_partners, spectral_limit_check  # deferred: see cmd_spectrum
 
-    coeffs = _build_coeffs(cfg)
     n_list = list(cfg["N_list"])
-    # the check assembles rows m = 0 and 1 of the ansatz at every N
-    env = _build_envelope(cfg)
-    evolution = _evolve_dense(env, coeffs, 2, min(n_list))
-    report = dict(spectral_limit_check(evolution, coeffs, n_list, env),
-                  nls=_nls_block(evolution))
+    report = spectral_limit_check(_build_envelope(cfg), _build_coeffs(cfg), n_list)
     disc = [d for d in report["discrepancy"] if d is not None]
     ok = len(disc) == len(n_list) and disc[-1] <= disc[0]
     band = BOUNDS["cauchy_band"]
@@ -455,7 +441,7 @@ def cmd_flow_project(cfg):
     n_list = cfg["N_list"]
     N = n_list[-1]
     window = (384, 384)
-    evolution = _evolve_dense(_build_envelope(cfg), coeffs, window[1], N // 2)
+    evolution = reduction.evolve_rows(_build_envelope(cfg), coeffs, window[1], N // 2)
     report = {"nls": _nls_block(evolution)}
     errs = {}
     for n in (N // 2, N):

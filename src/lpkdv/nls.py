@@ -398,9 +398,6 @@ class EnvelopeEvolution:
         """Nodes of the cubic through N_hat (fewer when fewer are stored)."""
         return min(len(self.taus), 4)
 
-    def value_at(self, tau: float) -> np.ndarray:
-        return self.values_at([tau])[0]
-
     def values_at(self, taus) -> np.ndarray:
         """The envelope on the grid at each of taus, shape (len(taus), L)."""
         return np.fft.ifft(self.spectra_at(taus), axis=1)

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nls
 from .errors import DomainError
 from .nls import EnvelopeEvolution, NlsCoefficients, _check_spectra_resolved, wavenumbers
 from .quad import CarrierWave, LatticeField, LpkdvParams, max_residual
@@ -74,7 +75,7 @@ class ReductionCoefficients:
 
     @staticmethod
     def tau(m, N):
-        """The slow time tau = m/N^2."""
+        """The slow time tau = m/N^2 of lattice row m, counted from row 0's."""
         return np.asarray(m) / N ** 2
 
     def nls_coefficients(self) -> NlsCoefficients:
@@ -189,9 +190,21 @@ def fourier_resample(values: np.ndarray, xi0: float, dxi: float, x) -> np.ndarra
     return out.real.copy() if np.isrealobj(values) else out
 
 
+def evolve_rows(env: nls.Envelope, coeffs: ReductionCoefficients, rows: int,
+                n_min: int) -> EnvelopeEvolution:
+    """The envelope's dense run (see nls.dense_dtau) far enough for lattice
+    rows 0..rows-1 at N = n_min, counted from env.tau (row m sits at slow
+    time env.tau + m/N^2), with a 1% margin; one row is a run of no steps.
+    nls refuses a run over its step budget."""
+    tau_final = env.tau + coeffs.tau(rows - 1, n_min) * 1.01
+    c = coeffs.nls_coefficients()
+    return nls.nls_evolve_dense(env, c, tau_final, nls.dense_dtau(env, c, tau_final - env.tau))
+
+
 def _row_taus(evolution: EnvelopeEvolution, ms, N: int) -> np.ndarray:
-    """Slow times of lattice rows ms, which must lie in the evolution's range."""
-    taus = ReductionCoefficients.tau(ms, N)
+    """Slow times of lattice rows ms, counted from the evolution's first
+    stored time (row 0 sits at tau_min); they must lie in its range."""
+    taus = evolution.tau_min + ReductionCoefficients.tau(ms, N)
     bad = np.flatnonzero((taus < evolution.tau_min - 1e-12) | (taus > evolution.tau_max + 1e-12))
     if len(bad):
         raise DomainError(
@@ -231,10 +244,11 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
                     N: int, window: tuple) -> AnsatzField:
     """Build the real lattice field of the truncated multiscale expansion.
 
-    window = (n_size, m_size).  Slow coordinates must stay inside the stored
-    tau range of the evolution (xi wraps periodically); violations raise with
-    the offending (n, m).  The envelope and |u1_1|^2 must be spectrally
-    resolved (PreconditionError otherwise).
+    window = (n_size, m_size), n_size >= 2 and m_size >= 1; row m sits at
+    slow time evolution.tau_min + m/N^2.  Slow coordinates must stay inside
+    the stored tau range of the evolution (xi wraps periodically); violations
+    raise with the offending (n, m).  The envelope and |u1_1|^2 must be
+    spectrally resolved (PreconditionError otherwise).
 
     u1_1 is evaluated as the Fourier series whose coefficients are the
     envelope's spectrum (EnvelopeEvolution.spectra_at), and |u1_1|^2 from
@@ -247,8 +261,8 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     the coefficients, so a block of rows is one matrix product per series.
     """
     n_size, m_size = window
-    if n_size < 2 or m_size < 2:
-        raise DomainError("window must be at least 2x2")
+    if n_size < 2 or m_size < 1:
+        raise DomainError("window must be at least 2x1")
     if N < 1:
         raise DomainError("N must be a positive integer")
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega

@@ -23,9 +23,9 @@ of the reduced Zakharov-Shabat-type system
 s = xi / M1.  zs_eigenvalues discretizes that coupled system for (phi,
 conj(phi)) with the mixed boundary condition Re(phi) = 0 at both ends (the
 image of lattice Dirichlet walls), one-sided second-order derivative rows at
-the ends, fourth-order central stencils inside, as a sparse matrix M; it
-finds the eigenvalues in a disc by ARPACK shift-invert on -i M, a real
-matrix for a real potential, and keeps only those that survive 2x and 3x
+the ends, fourth-order central stencils inside, as the sparse matrix B = -i M
+(M psi = mu1 psi), real for a real potential; it finds the eigenvalues in a
+disc by ARPACK shift-invert on B and keeps only those that survive 2x and 3x
 grid refinements of the potential's Fourier series.
 """
 
@@ -41,7 +41,8 @@ from scipy.sparse.linalg import eigs
 
 from .errors import DomainError, NumericalError, PreconditionError, SingularPotentialError
 from .quad import LatticeField, LpkdvParams, check_denominators
-from .reduction import ReductionCoefficients, assemble_ansatz, fourier_resample, zs_potential
+from .reduction import (ReductionCoefficients, assemble_ansatz, evolve_rows, fourier_resample,
+                        zs_potential)
 
 BAND_EDGE_TOL = 1e-8          # |eigen_mu| > 2 + this counts as discrete spectrum
 ISOSPECTRAL_RESIDUAL_TOL = 1e-9  # a field must solve the lpKdV this well for drift runs
@@ -255,7 +256,8 @@ def _derivative_matrix(L: int, h: float) -> sparse.coo_matrix:
 
 
 def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.csc_matrix:
-    """Eigenproblem matrix for mu1 with the mixed walls Re(phi)=0 eliminated.
+    """B = -i M, M psi = mu1 psi with the mixed walls Re(phi)=0 eliminated:
+    every entry of M carries i/lam, of B 1/lam, so B is real for a real u.
 
     Unknowns: psi1 at all L nodes, psi2 at interior nodes (psi2 = conj(phi),
     stored at index L-1+j); the wall condition psi2 = -psi1 at both ends is
@@ -265,16 +267,17 @@ def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.c
     h = float(x[1] - x[0])
     lam = 1.0 / (2.0 * math.sin(kappa / 2.0))
     q = zs_potential(u, p, kappa)
-    c1 = 1j / lam
+    c1 = 1.0 / lam
     D = _derivative_matrix(L, h)
     walls, inner = np.array([0, L - 1]), np.arange(1, L - 1)
-    # psi2 rows (interior nodes): mu1 psi2 = -c1 (D psi2 + conj(q) psi1)
+    # psi2 rows (interior nodes): mu1 psi2 = -(i/lam) (D psi2 + conj(q) psi1)
     sel = (D.row >= 1) & (D.row <= L - 2)
     r2, k2, d2 = D.row[sel], D.col[sel], D.data[sel]
     at_wall = (k2 == 0) | (k2 == L - 1)
     rows = [D.row, walls, inner, L - 1 + r2, L - 1 + inner]
     cols = [D.col, walls, L - 1 + inner, np.where(at_wall, k2, L - 1 + k2), inner]
-    vals = [c1 * D.data,                           # psi1 rows: mu1 psi1 = c1 (D psi1 + q psi2)
+    # psi1 rows: mu1 psi1 = (i/lam) (D psi1 + q psi2)
+    vals = [c1 * D.data,
             -c1 * q[walls],                        # psi2 at wall = -psi1
             c1 * q[inner],
             np.where(at_wall, c1 * d2, -c1 * d2),  # psi2[wall] = -psi1[wall]
@@ -284,13 +287,12 @@ def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.c
                               (np.concatenate(rows), np.concatenate(cols))), shape=(size, size))
 
 
-def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, ks: list) -> np.ndarray:
-    """Eigenvalues of the ZS matrix nearest ZS_SHIFT, among them every one
-    with |mu1| <= radius.
-
-    ks holds one entry, the k of the first ARPACK shift-invert call; on
-    return it lists the k of every call made, in order, then "dense" if the
+def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, k: int) -> tuple:
+    """(w, ks): eigenvalues mu1 of the ZS problem nearest ZS_SHIFT, among
+    them every one with |mu1| <= radius, and the k of every ARPACK
+    shift-invert call made, in order, the first one k, then "dense" if the
     dense solve ran.
+
     A call is enough once the farthest value returned lies outside
     |mu1 - shift| <= radius + |shift|, a disc that contains |mu1| <= radius.
     Otherwise k is sized from that call: the box-mode ladder is nearly
@@ -299,18 +301,16 @@ def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, ks: list) -> np.ndarray:
     2k reaches the matrix size the whole spectrum is wanted and is taken
     from a dense solve.
 
-    The solves run on B = -i M about -i ZS_SHIFT = ZS_SHIFT.imag (the shift
-    is imaginary), each eigenvalue w giving mu1 = i w, at the same distance
-    from the shift.  Every entry of M carries i/lam, so B, and with it the
-    ARPACK and dense solves, is real for a real potential.
+    The solves run on B = -i M (_zs_matrix) about -i ZS_SHIFT = ZS_SHIFT.imag
+    (the shift is imaginary), each eigenvalue w giving mu1 = i w, at the same
+    distance from the shift.  B is real for a real potential, and the ARPACK
+    and dense solves run in real arithmetic with it.
     """
-    B = -1j * _zs_matrix(np.asarray(x, float), u, kappa, p)
-    if not np.any(B.data.imag):
-        B = sparse.csc_matrix((B.data.real.copy(), B.indices, B.indptr), shape=B.shape)
+    B = _zs_matrix(np.asarray(x, float), u, kappa, p)
     n = B.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n).astype(B.dtype)
     reach = radius + abs(ZS_SHIFT)
-    k = ks.pop()
+    ks = []
     while 2 * k < n:
         ks.append(k)
         try:
@@ -324,10 +324,10 @@ def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, ks: list) -> np.ndarray:
                                  f"matrix (distance {dist.min():.1e})",
                                  diagnostics={"size": n, "gap": float(dist.min())})
         if dist.max() > reach:
-            return w
+            return w, ks
         k = max(k + 1, math.ceil(k * reach / dist.max()) + 2)
     ks.append("dense")
-    return 1j * eig(B.toarray(), right=False)
+    return 1j * eig(B.toarray(), right=False), ks
 
 
 def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
@@ -374,8 +374,7 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
         return np.zeros(0, dtype=complex)
     u = u if np.any(u.imag) else u.real  # keeps the refined potentials real
     eigensolve = [] if eigensolve is None else eigensolve
-    ks = [ZS_START_K]
-    w = _zs_disc_eigenvalues(x, u, zs.kappa, zs.p, radius, ks)
+    w, ks = _zs_disc_eigenvalues(x, u, zs.kappa, zs.p, radius, ZS_START_K)
     kept = w[np.abs(w) <= radius]
     eigensolve.append({"size": 2 * len(x) - 2, "k": ks, "kept": len(kept)})
     for factor in (2, 3):
@@ -383,9 +382,9 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
             break
         x_fine = np.linspace(x[0], x[-1], factor * (len(x) - 1) + 1)
         r = float(np.max(np.abs(kept))) + ZS_STABILITY_TOL
-        ks = [int(np.sum(np.abs(w - ZS_SHIFT) <= r + abs(ZS_SHIFT))) + 2]
+        k = int(np.sum(np.abs(w - ZS_SHIFT) <= r + abs(ZS_SHIFT))) + 2
         u_fine = fourier_resample(u, x[0], x[1] - x[0], x_fine)
-        w = _zs_disc_eigenvalues(x_fine, u_fine, zs.kappa, zs.p, r, ks)
+        w, ks = _zs_disc_eigenvalues(x_fine, u_fine, zs.kappa, zs.p, r, k)
         kept = kept[np.abs(nearest_partners(w, kept) - kept) < ZS_STABILITY_TOL]
         eigensolve.append({"size": 2 * len(x_fine) - 2, "k": ks, "kept": len(kept)})
     return np.sort_complex(kept)
@@ -402,33 +401,32 @@ def band_edge_estimates(lattice: LatticeField, params: LpkdvParams, m: int,
     return np.sort(N * (w[sel] - ref))
 
 
-def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list, envelope) -> dict:
+def spectral_limit_check(envelope, coeffs: ReductionCoefficients, N_list) -> dict:
     """Compare rescaled lattice band-reference deviations with the reduced
-    problem's spectrum, per N.
+    problem's spectrum, per N, at the envelope's own slow time.
 
-    envelope is the nls.Envelope the evolution started from: the reduced
-    problem is posed on its grid values, so that a real envelope gives a
-    real potential (an FFT round trip would add round-off imaginary parts).
-
-    For each N a single-row ansatz field is assembled over one envelope
-    period (lattice row length ~ period*N/M1, chosen = 3 mod 4 so both
-    Dirichlet walls impose the same reduced condition Re(phi) = 0), and the
-    reduced problem is posed on the stretched grid s = xi/M1 so its mu1
-    eigenvalues are directly comparable.  Reported discrepancy per N is the
-    mean distance from each lattice estimate to the nearest stable reduced
+    The reduced problem is posed on the grid values of the envelope (an
+    nls.Envelope), so that a real envelope gives a real potential.  For each
+    N a single-row ansatz field, row 0 at envelope.tau, is assembled over
+    one envelope period from the zero-step run of reduction.evolve_rows
+    (lattice row length ~ period*N/M1, chosen = 3 mod 4 so both Dirichlet
+    walls impose the same reduced condition Re(phi) = 0), and the reduced
+    problem is posed on the stretched grid s = xi/M1 so its mu1 eigenvalues
+    are directly comparable.  Reported discrepancy per N is the mean
+    distance from each lattice estimate to the nearest stable reduced
     eigenvalue; the expected trend is non-increasing in N.
     """
     N_list = list(N_list)
     if sorted(N_list) != N_list or len(N_list) < 2:
         raise DomainError("N_list must be ascending with at least 2 entries")
     kappa = coeffs.carrier.kappa
-    period = evolution.period
     # reduced problem on the stretched slow variable (downsample for speed)
     stride = max(1, envelope.L // 256)
     zs = ZsProblem(envelope.xi_grid[::stride] / coeffs.M1, envelope.values[::stride],
                    kappa, coeffs.params.p)
     eigensolve = []
     zs_window = zs_eigenvalues(zs, eigensolve=eigensolve)
+    row = evolve_rows(envelope, coeffs, 1, N_list[0])
 
     out = {"N": N_list, "estimates": [], "discrepancy": [], "notes": [],
            "zs_eigenvalues": [[z.real, z.imag] for z in zs_window],
@@ -436,9 +434,9 @@ def spectral_limit_check(evolution, coeffs: ReductionCoefficients, N_list, envel
     for N in N_list:
         # eigenproblem size (= row length - 3, the a_n stencil cost) chosen
         # = 3 mod 4 so both Dirichlet walls impose the same reduced condition
-        size = int(round(period * N / coeffs.M1))
+        size = int(round(envelope.period * N / coeffs.M1))
         size -= (size - 3) % 4
-        ans = assemble_ansatz(evolution, coeffs, N, (size + 3, 2))
+        ans = assemble_ansatz(row, coeffs, N, (size + 3, 1))
         est = band_edge_estimates(ans.field, coeffs.params, 0, kappa, N)
         out["estimates"].append([float(v) for v in est])
         if len(est) == 0:

@@ -543,16 +543,18 @@ def test_config_leaves_pinned():
 
 
 def test_dense_run_keeps_the_cubic():
-    """zs-limit's dense run (rows 0 and 1 at N = 16) spans less than one
-    dense step, yet takes DENSE_MIN_STEPS = 3 steps, so that the cubic
-    through N_hat has its 4 step ends; ansatz-residual's run (192 rows)
-    keeps its 145 steps of DENSE_STEP_MULTIPLE times stable_dtau."""
+    """A dense run for rows 0 and 1 at N = 16 spans less than one dense
+    step, yet takes DENSE_MIN_STEPS = 3 steps, so that the cubic through
+    N_hat has its 4 step ends; ansatz-residual's run (192 rows) keeps its
+    145 steps of DENSE_STEP_MULTIPLE times stable_dtau."""
+    from lpkdv import reduction
+
     cfg = load_config(None)
     coeffs = cli._build_coeffs(cfg)
     env = cli._build_envelope(cfg)
-    evolution = cli._evolve_dense(env, coeffs, 2, 16)
+    evolution = reduction.evolve_rows(env, coeffs, 2, 16)
     assert evolution.steps >= 3 and len(evolution.taus) == evolution.steps + 1
-    assert cli._evolve_dense(env, coeffs, 192, 16).steps == 145
+    assert reduction.evolve_rows(env, coeffs, 192, 16).steps == 145
 
 
 def test_flow_project_zero_envelope_exit_1(tmp_path, capsys):
@@ -743,8 +745,7 @@ def test_tolerance_is_read(tmp_path, monkeypatch, key):
 
 
 @pytest.mark.parametrize("subcommand, name", [("ansatz-residual", "ansatz_residual.json"),
-                                               ("flow-project", "flow_projection.json"),
-                                               ("zs-limit", "zs_limit_report.json")])
+                                               ("flow-project", "flow_projection.json")])
 def test_dense_steps_follow_the_step_passed(tmp_path, monkeypatch, subcommand, name):
     """A dense subcommand's nls block is step_plan(span, dtau) of the dtau it
     passes to nls_evolve_dense, positionally, with one snapshot per step
@@ -764,6 +765,64 @@ def test_dense_steps_follow_the_step_passed(tmp_path, monkeypatch, subcommand, n
     (span, dtau), = calls
     assert (block["steps"], block["dtau"]) == nls.step_plan(span, dtau)
     assert block["snapshots"] == block["steps"] + 1
+
+
+def test_zs_limit_runs_no_nls(tmp_path, monkeypatch):
+    """zs-limit reads only row 0 of the ansatz, at the envelope's own slow
+    time: its one dense NLS call spans 0, and its report has no nls block."""
+    from lpkdv import nls
+
+    spans = []
+    evolve = nls.nls_evolve_dense
+
+    def spy(env, c, tau_final, dtau):
+        spans.append(tau_final - env.tau)
+        return evolve(env, c, tau_final, dtau)
+
+    monkeypatch.setattr(nls, "nls_evolve_dense", spy)
+    assert run("zs-limit", None, str(tmp_path), quiet=True) == 0
+    assert spans == [0.0]
+    assert "nls" not in read(tmp_path / "zs_limit_report.json")
+
+
+@pytest.fixture(scope="module")
+def evolved_envelope_config(tmp_path_factory):
+    """A config whose file envelope is nls-evolve's own envelope.json, at
+    tau = 1."""
+    root = tmp_path_factory.mktemp("evolved")
+    assert run("nls-evolve", None, str(root / "nls"), quiet=True) == 0
+    assert read(root / "nls" / "envelope.json")["tau"] == 1.0
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"type": "file",
+                                            "path": str(root / "nls" / "envelope.json")}}))
+    return cfg
+
+
+@pytest.mark.parametrize("subcommand, name, key, low, high", [
+    ("ansatz-residual", "ansatz_residual.json", "exponent", 2.9, 3.1),
+    ("flow-project", "flow_projection.json", "error_halving_factor", 0.23, 0.26)])
+def test_evolved_envelope_passes(evolved_envelope_config, tmp_path, subcommand, name, key,
+                                 low, high):
+    """Lattice rows count slow time from the envelope's own tau: an envelope
+    that nls-evolve wrote at tau = 1 passes ansatz-residual and flow-project,
+    whose runs start there."""
+    out = tmp_path / "o"
+    assert run(subcommand, str(evolved_envelope_config), str(out), quiet=True) == 0
+    rep = read(out / name)
+    assert low <= rep[key] <= high
+    assert rep["nls"]["steps"] > 0
+
+
+def test_evolved_envelope_zs_limit_precondition(evolved_envelope_config, tmp_path, capsys):
+    """The envelope nls-evolve wrote at tau = 1 has dispersed to the ends of
+    its period, above ZS_DECAY_TOL there: zs-limit exits 1 with a
+    PreconditionError record, not 2 with a config error."""
+    out = tmp_path / "o"
+    assert run("zs-limit", str(evolved_envelope_config), str(out), quiet=True) == 1
+    assert capsys.readouterr().err.startswith("error: PreconditionError")
+    manifest = read(out / "manifest.json")
+    assert manifest["error"]["type"] == "PreconditionError"
+    assert "decay" in manifest["error"]["message"]
 
 
 def test_zs_limit_solver_failure_exit_1(tmp_path, capsys, monkeypatch):

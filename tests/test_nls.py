@@ -168,19 +168,19 @@ class TestDenseOutput:
         evo = nls_evolve_dense(env, C_REF, 0.4, DENSE_STEP_MULTIPLE * 1e-3)
         mid = 0.2137
         direct = nls_evolve(env, C_REF, mid, 1e-3)
-        assert np.max(np.abs(evo.value_at(mid) - direct.values)) < 1e-9
+        assert np.max(np.abs(evo.values_at([mid])[0] - direct.values)) < 1e-9
 
     def test_out_of_range(self):
         env = make_env(L=128)
         evo = nls_evolve_dense(env, C_REF, 0.1, 1e-3)
         with pytest.raises(DomainError, match="outside"):
-            evo.value_at(0.2)
+            evo.values_at([0.2])[0]
 
     def test_frozen_returns_initial(self):
         env = make_env(L=128)
         fro = frozen_evolution(env, C_REF)
-        assert np.array_equal(fro.value_at(0.0), env.values)
-        assert np.allclose(fro.value_at(123.4), env.values)
+        assert np.array_equal(fro.values_at([0.0])[0], env.values)
+        assert np.allclose(fro.values_at([123.4])[0], env.values)
 
     def test_step_ends_return_stored_spectra(self, ref_evolution):
         """At s = 0 the dense output is the stored u_hat bit for bit, at the
@@ -237,7 +237,7 @@ class TestDenseOutput:
         evo = nls_evolve_dense(env, C_REF, 0.01 * steps, 0.01)
         direct = nls_evolve(env, C_REF, 0.005 * steps, 1e-3)
         assert evo.steps == steps
-        assert np.max(np.abs(evo.value_at(0.005 * steps) - direct.values)) <= bound
+        assert np.max(np.abs(evo.values_at([0.005 * steps])[0] - direct.values)) <= bound
 
 
 # z on both sides of _phi's switch at |z| = 0.5; the evaluation's z = Lambda s

@@ -12,6 +12,7 @@ from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import (
     assemble_ansatz,
     compute_coefficients,
+    evolve_rows,
     fit_scaling_exponent,
     residual_scaling,
 )
@@ -281,6 +282,25 @@ class TestAssemble:
     def test_assembled_field_is_real(self, ref_evolution, ref_coeffs):
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (64, 32))
         assert ans.field.kind == "real"
+
+    def test_window_sizes(self, ref_evolution, ref_coeffs):
+        # a single row is a window; no row, or a single column, is not
+        ans = assemble_ansatz(ref_evolution, ref_coeffs, 16, (32, 1))
+        assert ans.field.shape == (32, 1)
+        for window in ((32, 0), (1, 8)):
+            with pytest.raises(DomainError, match="2x1"):
+                assemble_ansatz(ref_evolution, ref_coeffs, 16, window)
+
+    def test_rows_count_from_the_first_stored_time(self, ref_coeffs, ref_envelope):
+        # the same envelope started at tau = 1 assembles the same field as at
+        # tau = 0: row m sits at tau_min + m/N^2, and the NLS is autonomous
+        fields = []
+        for tau in (0.0, 1.0):
+            env = Envelope(ref_envelope.xi0, ref_envelope.dxi, ref_envelope.values, tau)
+            evo = evolve_rows(env, ref_coeffs, 24, 16)
+            assert evo.tau_min == tau
+            fields.append(assemble_ansatz(evo, ref_coeffs, 16, (64, 24)).field.values)
+        assert np.max(np.abs(fields[1] - fields[0])) <= 1e-12 * np.max(np.abs(fields[0]))
 
     def test_amplitude_halves_with_doubled_N(self, ref_evolution, ref_coeffs):
         # window wide enough that both N cover the full envelope bump

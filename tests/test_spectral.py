@@ -24,7 +24,6 @@ from lpkdv.spectral import (
     zs_eigenvalues,
 )
 from tests.conftest import make_bump_solution
-from tests.frozen_oracle import frozen_evolution
 
 P15 = LpkdvParams(1.5, 0.5)
 
@@ -305,11 +304,13 @@ def _loop_zs_matrix(x, u, kappa, p):
 
 
 def _dense_kept(zs, monkeypatch):
-    """Kept set with every grid solved by dense eig of the same matrices."""
+    """Kept set with every grid solved by dense eig of the same matrices
+    B = -i M, each eigenvalue w giving mu1 = i w."""
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "_zs_disc_eigenvalues",
                    lambda x, u, kappa, p, radius, k:
-                   eig(spectral._zs_matrix(x, u, kappa, p).toarray(), right=False))
+                   (1j * eig(spectral._zs_matrix(x, u, kappa, p).toarray(), right=False),
+                    ["dense"]))
         return zs_eigenvalues(zs, radius=10.0)
 
 
@@ -350,8 +351,9 @@ class TestSparseZs:
         D, M = _loop_zs_matrix(x, u, zs_gaussian.kappa, zs_gaussian.p)
         h = float(x[1] - x[0])
         assert np.array_equal(spectral._derivative_matrix(len(x), h).toarray(), D)
+        # _zs_matrix builds B = -i M
         assert np.array_equal(
-            spectral._zs_matrix(x, u, zs_gaussian.kappa, zs_gaussian.p).toarray(), M)
+            spectral._zs_matrix(x, u, zs_gaussian.kappa, zs_gaussian.p).toarray(), -1j * M)
 
     @pytest.mark.parametrize("amplitude", [1e-2, -1e-2, 1e-4, -1e-4])
     def test_dense_oracle_gaussian(self, zs_gaussian, amplitude, monkeypatch):
@@ -389,7 +391,7 @@ class TestSparseZs:
         evo = ref_evolution
         stride = evo.L // 256
         xs = (evo.xi0 + evo.dxi * np.arange(evo.L))[::stride]
-        zs = ZsProblem(xs / ref_coeffs.M1, evo.value_at(evo.tau_min)[::stride],
+        zs = ZsProblem(xs / ref_coeffs.M1, evo.values_at([evo.tau_min])[0][::stride],
                        ref_coeffs.carrier.kappa, ref_coeffs.params.p)
         sparse_kept = zs_eigenvalues(zs, radius=10.0)
         dense_kept = _dense_kept(zs, monkeypatch)
@@ -436,20 +438,36 @@ class TestSpectralLimit:
 
     def test_zero_envelope(self, ref_coeffs):
         env = gaussian_envelope(256, 0.0, 40.0, 0.0, 1.0, 20.0)
-        evo = frozen_evolution(env, ref_coeffs.nls_coefficients())
-        rep = spectral_limit_check(evo, ref_coeffs, [8, 16], env)
+        rep = spectral_limit_check(env, ref_coeffs, [8, 16])
         assert all(d is None for d in rep["discrepancy"])
         assert len(rep["zs_eigenvalues"]) == 0
 
-    def test_gaussian_run_poses_real_potential(self, ref_evolution, ref_envelope, ref_coeffs,
-                                               monkeypatch):
-        # the reduced problem takes the envelope's own grid values, not the
-        # evolution's first step end, whose FFT round trip leaves round-off
+    def test_gaussian_run_poses_real_potential(self, ref_envelope, ref_coeffs, monkeypatch):
+        # the reduced problem takes the envelope's own grid values, not a
+        # step end of an NLS run, whose FFT round trip leaves round-off
         # imaginary parts: a Gaussian run is solved in real arithmetic
         posed = []
         monkeypatch.setattr(spectral, "zs_eigenvalues",
                             lambda zs, eigensolve: posed.append(zs) or np.zeros(0, dtype=complex))
-        spectral_limit_check(ref_evolution, ref_coeffs, [16, 32], ref_envelope)
+        spectral_limit_check(ref_envelope, ref_coeffs, [16, 32])
         (zs,) = posed
         assert not np.any(zs.potential.imag)
         assert np.array_equal(zs.potential, ref_envelope.values[::4])
+
+    def test_single_row_matches_row_0(self, ref_evolution, ref_envelope, ref_coeffs,
+                                      monkeypatch):
+        # the lattice row comes from a zero-step run of the envelope, and its
+        # estimates are row 0 of a two-row window over a longer run
+        from lpkdv.reduction import assemble_ansatz
+
+        monkeypatch.setattr(spectral, "zs_eigenvalues",
+                            lambda zs, eigensolve: np.zeros(0, dtype=complex))
+        rep = spectral_limit_check(ref_envelope, ref_coeffs, [16, 32, 64])
+        for N, est in zip(rep["N"], rep["estimates"]):
+            size = int(round(ref_evolution.period * N / ref_coeffs.M1))
+            size -= (size - 3) % 4
+            two = assemble_ansatz(ref_evolution, ref_coeffs, N, (size + 3, 2))
+            ref = band_edge_estimates(two.field, ref_coeffs.params, 0,
+                                      ref_coeffs.carrier.kappa, N)
+            assert len(est) == len(ref) > 10
+            assert np.max(np.abs(np.array(est) - ref)) <= 1e-12 * np.max(np.abs(ref))
