@@ -348,7 +348,7 @@ class EnvelopeEvolution:
     match classic RK4 to 9.1e-12, and the oracle test's other points to
     3.3e-11 at worst.  The Fourier series of u in xi has the
     coefficients u_hat / L, so the ansatz is evaluated from spectra_at
-    without a round trip through the grid; values_at is its inverse FFT.
+    without a round trip through the grid.
     steps and dtau are the integrator's step count and step size; band, the
     largest _top_mode over the stored step ends, bounds the modes spectra_at
     carries above round-off.
@@ -367,10 +367,6 @@ class EnvelopeEvolution:
     @property
     def L(self) -> int:
         return self.snapshots.shape[1]
-
-    @property
-    def period(self) -> float:
-        return self.L * self.dxi
 
     @property
     def tau_min(self) -> float:
@@ -397,10 +393,6 @@ class EnvelopeEvolution:
     def _width(self) -> int:
         """Nodes of the cubic through N_hat (fewer when fewer are stored)."""
         return min(len(self.taus), 4)
-
-    def values_at(self, taus) -> np.ndarray:
-        """The envelope on the grid at each of taus, shape (len(taus), L)."""
-        return np.fft.ifft(self.spectra_at(taus), axis=1)
 
     def spectra_at(self, taus) -> np.ndarray:
         """fft of the envelope at each of taus, shape (len(taus), L), built

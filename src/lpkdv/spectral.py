@@ -57,26 +57,6 @@ ZS_START_K = 40               # k of the first probe on the base grid
 ZS_SHIFT_GAP = 1e-6
 
 
-@dataclass(frozen=True)
-class SpectralProblem:
-    """Coefficients a_n over a contiguous index range, plus boundary treatment."""
-
-    a: np.ndarray
-    boundary: str  # "dirichlet" | "periodic"
-
-    def __post_init__(self):
-        a = np.asarray(self.a)
-        if a.ndim != 1 or len(a) < 1:
-            raise DomainError("SpectralProblem needs a 1D coefficient array")
-        if self.boundary not in ("dirichlet", "periodic"):
-            raise DomainError(f"unknown boundary {self.boundary!r}")
-        object.__setattr__(self, "a", a)
-
-    @property
-    def size(self) -> int:
-        return len(self.a)
-
-
 def coefficient_row(u_row: np.ndarray, params: LpkdvParams,
                     variant: str = "corrected") -> np.ndarray:
     """a_n from one field row; needs u at n-1 .. n+2, so len(out) = len(row) - 3.
@@ -102,54 +82,58 @@ def coefficient_row(u_row: np.ndarray, params: LpkdvParams,
 
 
 def build_spectral_problem(lattice: LatticeField, params: LpkdvParams, m: int,
-                           variant: str = "corrected") -> SpectralProblem:
-    """a_n from row m of the field between Dirichlet walls; the stencil eats
-    one column on the left and two on the right."""
+                           variant: str = "corrected") -> np.ndarray:
+    """a_n from row m of the field, for the problem between Dirichlet walls;
+    the stencil eats one column on the left and two on the right."""
     if not (0 <= m < lattice.m_size):
         raise DomainError(f"row m = {m} outside window")
     row = lattice.values[:, m]
     if np.iscomplexobj(row) and np.max(np.abs(row.imag)) == 0.0:
         row = row.real
-    return SpectralProblem(coefficient_row(row, params, variant), "dirichlet")
+    return coefficient_row(row, params, variant)
 
 
-def _operator_matrix(sp: SpectralProblem) -> np.ndarray:
-    L = sp.size
-    M = np.zeros((L, L), dtype=complex if np.iscomplexobj(sp.a) else float)
+def _operator_matrix(a: np.ndarray, periodic: bool) -> np.ndarray:
+    L = len(a)
+    M = np.zeros((L, L), dtype=complex if np.iscomplexobj(a) else float)
     idx = np.arange(L - 1)
     M[idx + 1, idx] = 1.0
-    M[idx, idx + 1] = sp.a[:-1]
-    if sp.boundary == "periodic":
+    M[idx, idx + 1] = a[:-1]
+    if periodic:
         M[0, L - 1] = 1.0
-        M[L - 1, 0] = sp.a[-1]
+        M[L - 1, 0] = a[-1]
     return M
 
 
-def eigenvalues(sp: SpectralProblem, dense: bool = False) -> np.ndarray:
-    """All eigenvalues of phi[n-1] + a_n phi[n+1] = eigen_mu phi[n], sorted by
-    real part.
+def eigenvalues(a: np.ndarray, periodic: bool = False, dense: bool = False) -> np.ndarray:
+    """All eigenvalues of phi[n-1] + a_n phi[n+1] = eigen_mu phi[n] over the
+    coefficients a (1D, at least 8 of them) between Dirichlet walls, or on a
+    ring if periodic, sorted by real part.
 
     For Dirichlet walls and positive a_n the operator is gauge-equivalent to a
     symmetric tridiagonal one with off-diagonals sqrt(a_n) (diagonal
     similarity d[n+1]/d[n] = a_n^(-1/2)), solved with a symmetric solver;
     anything else goes to a dense general solver.
     """
-    if sp.size < 8:
-        raise DomainError(f"problem size {sp.size} < 8")
-    real_positive = (not np.iscomplexobj(sp.a)) and bool(np.all(sp.a > 0))
+    a = np.asarray(a)
+    if a.ndim != 1 or a.size < 8:
+        raise DomainError(f"eigenvalues need a 1D coefficient array of size >= 8, "
+                          f"got shape {a.shape}")
+    real_positive = (not np.iscomplexobj(a)) and bool(np.all(a > 0))
     try:
-        if sp.boundary == "dirichlet" and real_positive and not dense:
-            w = eigh_tridiagonal(np.zeros(sp.size), np.sqrt(sp.a[:-1]), eigvals_only=True)
+        if not periodic and real_positive and not dense:
+            w = eigh_tridiagonal(np.zeros(a.size), np.sqrt(a[:-1]), eigvals_only=True)
             return np.sort(w.astype(complex))
-        w = eig(_operator_matrix(sp), right=False)
+        w = eig(_operator_matrix(a, periodic), right=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     return w[np.argsort(w.real)]
 
 
-def bound_states(sp: SpectralProblem) -> np.ndarray:
-    """Eigenvalues outside the free band [-2, 2] (discrete spectrum)."""
-    w = eigenvalues(sp)
+def bound_states(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues outside the free band [-2, 2] (discrete spectrum) between
+    Dirichlet walls."""
+    w = eigenvalues(a)
     return w[np.abs(w) > 2.0 + BAND_EDGE_TOL]
 
 
@@ -233,13 +217,6 @@ class ZsProblem:
         object.__setattr__(self, "xi_grid", x)
         object.__setattr__(self, "potential", u)
 
-    def check_decay(self):
-        edge = max(abs(self.potential[0]), abs(self.potential[-1]))
-        if edge >= ZS_DECAY_TOL:
-            raise PreconditionError(
-                f"potential must decay at both ends: |u| = {edge:.3e}"
-            )
-
 
 def _derivative_matrix(L: int, h: float) -> sparse.coo_matrix:
     """d/ds with one-sided 2nd-order end rows, 2nd-order next to them, and
@@ -287,11 +264,11 @@ def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.c
                               (np.concatenate(rows), np.concatenate(cols))), shape=(size, size))
 
 
-def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, k: int) -> tuple:
-    """(w, ks): eigenvalues mu1 of the ZS problem nearest ZS_SHIFT, among
-    them every one with |mu1| <= radius, and the k of every ARPACK
-    shift-invert call made, in order, the first one k, then "dense" if the
-    dense solve ran.
+def _zs_disc_eigenvalues(B: sparse.csc_matrix, radius: float, k: int) -> tuple:
+    """(w, ks): eigenvalues mu1 of the ZS matrix B = -i M (_zs_matrix)
+    nearest ZS_SHIFT, among them every one with |mu1| <= radius, and the k
+    of every ARPACK shift-invert call made, in order, the first one k, then
+    "dense" if the dense solve ran.
 
     A call is enough once the farthest value returned lies outside
     |mu1 - shift| <= radius + |shift|, a disc that contains |mu1| <= radius.
@@ -301,12 +278,11 @@ def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, k: int) -> tuple:
     2k reaches the matrix size the whole spectrum is wanted and is taken
     from a dense solve.
 
-    The solves run on B = -i M (_zs_matrix) about -i ZS_SHIFT = ZS_SHIFT.imag
-    (the shift is imaginary), each eigenvalue w giving mu1 = i w, at the same
-    distance from the shift.  B is real for a real potential, and the ARPACK
-    and dense solves run in real arithmetic with it.
+    The solves run on B about -i ZS_SHIFT = ZS_SHIFT.imag (the shift is
+    imaginary), each eigenvalue w giving mu1 = i w, at the same distance from
+    the shift.  B is real for a real potential, and the ARPACK and dense
+    solves run in real arithmetic with it.
     """
-    B = _zs_matrix(np.asarray(x, float), u, kappa, p)
     n = B.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n).astype(B.dtype)
     reach = radius + abs(ZS_SHIFT)
@@ -330,10 +306,9 @@ def _zs_disc_eigenvalues(x, u, kappa, p, radius: float, k: int) -> tuple:
     return 1j * eig(B.toarray(), right=False), ks
 
 
-def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
-                   eigensolve: list | None = None) -> np.ndarray:
-    """Refinement-stable eigenvalues mu1 with |mu1| <= radius of the reduced
-    spectral problem.
+def zs_eigenvalues(zs: ZsProblem, eigensolve: list | None = None) -> np.ndarray:
+    """Refinement-stable eigenvalues mu1 with |mu1| <= LIMIT_BRACKET of the
+    reduced spectral problem.
 
     The problem is solved on the given grid and on 2x- and 3x-refined grids;
     eigenvalues are kept iff they move less than ZS_STABILITY_TOL under both
@@ -351,7 +326,7 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
     matrix.  A shift that hits an eigenvalue raises NumericalError, as does
     ARPACK non-convergence.  The start vector is fixed (normal draws from
     seed 0), so results repeat bit for bit.  The base grid is solved on the
-    disc |mu1| <= radius with a first probe of ZS_START_K values, the
+    disc |mu1| <= LIMIT_BRACKET with a first probe of ZS_START_K values, the
     refined ones only on |mu1| <= max|kept| + ZS_STABILITY_TOL, each asking
     first for 2 more values than the previous grid returned inside that
     disc: refinement moves the ladder only slightly, so one call usually
@@ -368,25 +343,28 @@ def zs_eigenvalues(zs: ZsProblem, radius: float = LIMIT_BRACKET,
     ZS_STABILITY_TOL, so whether it survives the refinements would depend on
     round-off, not on the problem.
     """
-    zs.check_decay()
     x, u = zs.xi_grid, zs.potential
+    edge = max(abs(u[0]), abs(u[-1]))
+    if edge >= ZS_DECAY_TOL:
+        raise PreconditionError(f"potential must decay at both ends: |u| = {edge:.3e}")
     if not np.any(u):
         return np.zeros(0, dtype=complex)
     u = u if np.any(u.imag) else u.real  # keeps the refined potentials real
     eigensolve = [] if eigensolve is None else eigensolve
-    w, ks = _zs_disc_eigenvalues(x, u, zs.kappa, zs.p, radius, ZS_START_K)
-    kept = w[np.abs(w) <= radius]
-    eigensolve.append({"size": 2 * len(x) - 2, "k": ks, "kept": len(kept)})
+    B = _zs_matrix(x, u, zs.kappa, zs.p)
+    w, ks = _zs_disc_eigenvalues(B, LIMIT_BRACKET, ZS_START_K)
+    kept = w[np.abs(w) <= LIMIT_BRACKET]
+    eigensolve.append({"size": B.shape[0], "k": ks, "kept": len(kept)})
     for factor in (2, 3):
         if len(kept) == 0:
             break
         x_fine = np.linspace(x[0], x[-1], factor * (len(x) - 1) + 1)
         r = float(np.max(np.abs(kept))) + ZS_STABILITY_TOL
         k = int(np.sum(np.abs(w - ZS_SHIFT) <= r + abs(ZS_SHIFT))) + 2
-        u_fine = fourier_resample(u, x[0], x[1] - x[0], x_fine)
-        w, ks = _zs_disc_eigenvalues(x_fine, u_fine, zs.kappa, zs.p, r, k)
+        B = _zs_matrix(x_fine, fourier_resample(u, x[0], x[1] - x[0], x_fine), zs.kappa, zs.p)
+        w, ks = _zs_disc_eigenvalues(B, r, k)
         kept = kept[np.abs(nearest_partners(w, kept) - kept) < ZS_STABILITY_TOL]
-        eigensolve.append({"size": 2 * len(x_fine) - 2, "k": ks, "kept": len(kept)})
+        eigensolve.append({"size": B.shape[0], "k": ks, "kept": len(kept)})
     return np.sort_complex(kept)
 
 
@@ -394,8 +372,7 @@ def band_edge_estimates(lattice: LatticeField, params: LpkdvParams, m: int,
                         kappa: float, N: int) -> np.ndarray:
     """Rescaled deviations N*(eigen_mu - 2cos(kappa/2)) of eigenvalues within
     LIMIT_BRACKET/N of the band reference."""
-    sp = build_spectral_problem(lattice, params, m)
-    w = eigenvalues(sp).real
+    w = eigenvalues(build_spectral_problem(lattice, params, m)).real
     ref = 2.0 * math.cos(kappa / 2.0)
     sel = np.abs(w - ref) <= LIMIT_BRACKET / N
     return np.sort(N * (w[sel] - ref))

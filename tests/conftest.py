@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lpkdv.nls import dense_dtau, gaussian_envelope, nls_evolve_dense
+from lpkdv.nls import gaussian_envelope
 from lpkdv.quad import LpkdvParams, evolve_ivp
-from lpkdv.reduction import compute_coefficients
+from lpkdv.reduction import compute_coefficients, evolve_rows
 
 # reference parameter point used throughout: p=1.5, q=0.5, kappa=pi/2
 REF_WINDOW = (512, 192)
@@ -29,12 +29,9 @@ def ref_envelope():
 
 @pytest.fixture(scope="session")
 def ref_evolution(ref_coeffs, ref_envelope):
-    """Envelope evolved far enough for the 512x192 window at N=16, at the
-    CLI's dense step (nls.dense_dtau)."""
-    c = ref_coeffs.nls_coefficients()
-    tau_final = (REF_WINDOW[1] - 1) / min(REF_N_LIST) ** 2 * 1.01
-    return nls_evolve_dense(ref_envelope, c, tau_final,
-                            dense_dtau(ref_envelope, c, tau_final - ref_envelope.tau))
+    """Envelope evolved far enough for the 512x192 window at N=16, as the
+    CLI's dense runs are (reduction.evolve_rows)."""
+    return evolve_rows(ref_envelope, ref_coeffs, REF_WINDOW[1], min(REF_N_LIST))
 
 
 def make_bump_solution(n_size=200, m_size=11, amplitude=0.5, width=10.0,

@@ -17,11 +17,8 @@ from lpkdv.nls import Envelope, EnvelopeEvolution, NlsCoefficients
 
 @dataclass(frozen=True)
 class FrozenEvolution(EnvelopeEvolution):
-    """snapshots[0] holds the grid values, returned at every tau of the
-    (effectively unbounded) stored range."""
-
-    def values_at(self, taus) -> np.ndarray:
-        return np.tile(self.snapshots[0], (len(self._locate(taus)[0]), 1))
+    """snapshots[0] holds the grid values, whose spectrum is returned at
+    every tau of the (effectively unbounded) stored range."""
 
     def spectra_at(self, taus) -> np.ndarray:
         return np.tile(np.fft.fft(self.snapshots[0]), (len(self._locate(taus)[0]), 1))

@@ -164,15 +164,6 @@ class TestEnvelopeConfigs:
         }))
         assert run("nls-evolve", str(cfg), str(tmp_path / "o"), quiet=True) == 0
 
-    def test_zero_tau_final_takes_no_step(self, tmp_path):
-        # a null tau_final means the default 1.0; 0 is taken as given
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nls": {"L": 128, "period": 40.0, "tau_final": 0.0}}))
-        out = tmp_path / "o"
-        assert run("nls-evolve", str(cfg), str(out), quiet=True) == 0
-        rep = read(out / "nls_report.json")
-        assert rep["steps"] == 0 and rep["tau_final"] == 0.0
-
     def test_random_boundary_simulate(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -478,6 +469,7 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     *[(subcommand, doc, 2) for subcommand, doc, _ in NON_FINITE],
     ("nls-evolve", {"envelope": {"amplitude": 1e200}}, 2),
     ("ansatz-residual", {"envelope": {"amplitude": 1e200}}, 2),
+    ("nls-evolve", {"nls": {"tau_final": 0.0}}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
@@ -486,7 +478,8 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     unknown keys; an envelope of width 0.05 on the default grid is refused as
     unresolved (top-third energy 1.5e-4); an amplitude
     whose square overflows has a stable step of 0, which the step guard
-    refuses.  "$TMP" in a config stands for the test's directory, which
+    refuses; a tau_final at the envelope's own tau (0) asks for a mass drift
+    over no step, which cannot fail.  "$TMP" in a config stands for the test's directory, which
     holds an empty JSON object as empty.json and malformed envelope
     documents: re and im of unequal length (ragged.json), a text dxi
     (text_dxi.json), a text re (text_re.json), a NaN dxi (nan_dxi.json) and
@@ -811,6 +804,19 @@ def test_evolved_envelope_passes(evolved_envelope_config, tmp_path, subcommand, 
     rep = read(out / name)
     assert low <= rep[key] <= high
     assert rep["nls"]["steps"] > 0
+
+
+def test_evolved_envelope_nls_evolve_steps(evolved_envelope_config, tmp_path):
+    """A null nls.tau_final runs one unit of slow time from the envelope's own
+    tau, and the drift tolerance scales with that span: nls-evolve fed its
+    own envelope.json (tau = 1) steps to tau = 2 and passes."""
+    out = tmp_path / "o"
+    assert run("nls-evolve", str(evolved_envelope_config), str(out), quiet=True) == 0
+    rep = read(out / "nls_report.json")
+    assert rep["steps"] > 0 and rep["tau_final"] == 2.0
+    assert rep["tolerance"] == cli.BOUNDS["mass_drift"]
+    assert rep["mass_drift"] <= rep["tolerance"]
+    assert read(out / "envelope.json")["tau"] == 2.0
 
 
 def test_evolved_envelope_zs_limit_precondition(evolved_envelope_config, tmp_path, capsys):

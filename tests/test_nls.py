@@ -33,7 +33,7 @@ from lpkdv.nls import (
     symmetry_rhs,
 )
 from lpkdv.quad import LpkdvParams
-from lpkdv.reduction import compute_coefficients
+from lpkdv.reduction import compute_coefficients, evolve_rows
 from tests.conftest import REF_N_LIST, REF_WINDOW
 from tests.frozen_oracle import frozen_evolution
 from tests.rk4_oracle import rhs_values, rk4_evolve, rk4_values
@@ -168,19 +168,19 @@ class TestDenseOutput:
         evo = nls_evolve_dense(env, C_REF, 0.4, DENSE_STEP_MULTIPLE * 1e-3)
         mid = 0.2137
         direct = nls_evolve(env, C_REF, mid, 1e-3)
-        assert np.max(np.abs(evo.values_at([mid])[0] - direct.values)) < 1e-9
+        assert np.max(np.abs(np.fft.ifft(evo.spectra_at([mid]), axis=1)[0] - direct.values)) < 1e-9
 
     def test_out_of_range(self):
         env = make_env(L=128)
         evo = nls_evolve_dense(env, C_REF, 0.1, 1e-3)
         with pytest.raises(DomainError, match="outside"):
-            evo.values_at([0.2])[0]
+            evo.spectra_at([0.2])
 
     def test_frozen_returns_initial(self):
         env = make_env(L=128)
         fro = frozen_evolution(env, C_REF)
-        assert np.array_equal(fro.values_at([0.0])[0], env.values)
-        assert np.allclose(fro.values_at([123.4])[0], env.values)
+        assert np.array_equal(fro.spectra_at([0.0])[0], np.fft.fft(env.values))
+        assert np.allclose(np.fft.ifft(fro.spectra_at([123.4]), axis=1)[0], env.values)
 
     def test_step_ends_return_stored_spectra(self, ref_evolution):
         """At s = 0 the dense output is the stored u_hat bit for bit, at the
@@ -237,7 +237,7 @@ class TestDenseOutput:
         evo = nls_evolve_dense(env, C_REF, 0.01 * steps, 0.01)
         direct = nls_evolve(env, C_REF, 0.005 * steps, 1e-3)
         assert evo.steps == steps
-        assert np.max(np.abs(evo.values_at([0.005 * steps])[0] - direct.values)) <= bound
+        assert np.max(np.abs(np.fft.ifft(evo.spectra_at([0.005 * steps]), axis=1)[0] - direct.values)) <= bound
 
 
 # z on both sides of _phi's switch at |z| = 0.5; the evaluation's z = Lambda s
@@ -293,12 +293,10 @@ def test_dense_output_matches_rk4_oracle(p, q, kappa, ref_evolution, ref_envelop
         evo, rows = ref_evolution, REF_WINDOW[1]
     else:
         rows = ORACLE_ROWS_OFF_REFERENCE + 1
-        tau_final = (rows - 1) / n_min ** 2 * 1.01
-        evo = nls_evolve_dense(ref_envelope, c, tau_final,
-                               dense_dtau(ref_envelope, c, tau_final - ref_envelope.tau))
+        evo = evolve_rows(ref_envelope, coeffs, rows, n_min)
     taus = coeffs.tau(np.arange(rows), n_min)
     oracle = rk4_values(ref_envelope, c, taus, stable_dtau(ref_envelope, c) / 4)
-    assert np.max(np.abs(evo.values_at(taus) - oracle)) <= 1e-9
+    assert np.max(np.abs(np.fft.ifft(evo.spectra_at(taus), axis=1) - oracle)) <= 1e-9
 
 
 class TestSymmetryRhs:

@@ -350,11 +350,11 @@ class TestAssemble:
 
 
 def _grid_assemble(evolution, coeffs, N, window):
-    """The field assembled through grid values, 32 rows at a time: values_at,
-    then _grid_series (resolution check and sum over all the fft's modes) at
-    the lattice points, the zeroth harmonic likewise from |values|^2, and one
-    exp per lattice point for the carrier phase, at xi = (M1 n - branch
-    M1_tilde m)/N and tau = m/N^2 written out.  The reference for the
+    """The field assembled through grid values, 32 rows at a time: the
+    inverse fft of spectra_at, then _grid_series (resolution check and sum
+    over all the fft's modes) at the lattice points, the zeroth harmonic
+    likewise from |values|^2, and one exp per lattice point for the carrier
+    phase, at xi = (M1 n - branch M1_tilde m)/N and tau = m/N^2 written out.  The reference for the
     spectral evaluation in assemble_ansatz, sharing none of its code."""
     n_size, m_size = window
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
@@ -364,7 +364,7 @@ def _grid_assemble(evolution, coeffs, N, window):
     for start in range(0, m_size, 32):
         ms = np.arange(start, min(start + 32, m_size))
         offsets = -coeffs.branch * coeffs.M1_tilde * ms / N
-        values = evolution.values_at(ms / N ** 2).T
+        values = np.fft.ifft(evolution.spectra_at(ms / N ** 2), axis=1).T
         u1 = _grid_series(values, evolution.xi0, evolution.dxi, x, offsets, False)
         phase = np.exp(1j * (kappa * ns[:, None] - omega * ms[None, :]))
         u0 = _grid_series(np.abs(values) ** 2, evolution.xi0, evolution.dxi, x, offsets, True)

@@ -11,7 +11,6 @@ from lpkdv.nls import _check_spectra_resolved, gaussian_envelope
 from lpkdv.quad import LatticeField, LpkdvParams
 from lpkdv.reduction import fourier_resample
 from lpkdv.spectral import (
-    SpectralProblem,
     ZsProblem,
     band_edge_estimates,
     bound_states,
@@ -70,38 +69,39 @@ class TestCoefficientRow:
 class TestEigenvalues:
     def test_free_periodic_closed_form(self):
         L = 64
-        w = np.sort(eigenvalues(SpectralProblem(np.ones(L), "periodic")).real)
+        w = np.sort(eigenvalues(np.ones(L), periodic=True).real)
         exact = np.sort(2 * np.cos(2 * np.pi * np.arange(L) / L))
         assert np.max(np.abs(w - exact)) < 1e-10
 
     def test_free_dirichlet_closed_form(self):
         L = 64
-        w = np.sort(eigenvalues(SpectralProblem(np.ones(L), "dirichlet")).real)
+        w = np.sort(eigenvalues(np.ones(L)).real)
         exact = np.sort(2 * np.cos(np.pi * np.arange(1, L + 1) / (L + 1)))
         assert np.max(np.abs(w - exact)) < 1e-10
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(8)
         a = 1.0 + 0.5 * rng.random(48)
-        prob = SpectralProblem(a, "dirichlet")
-        sym = np.sort(eigenvalues(prob).real)
-        dense = np.sort(eigenvalues(prob, dense=True).real)
+        sym = np.sort(eigenvalues(a).real)
+        dense = np.sort(eigenvalues(a, dense=True).real)
         assert np.max(np.abs(sym - dense)) < 1e-10
 
     def test_free_spectrum_inside_band(self):
-        w = eigenvalues(SpectralProblem(np.ones(64), "periodic"))
+        w = eigenvalues(np.ones(64), periodic=True)
         assert np.all(np.abs(w) <= 2.0 + 1e-12)
-        assert len(bound_states(SpectralProblem(np.ones(64), "periodic"))) == 0
+        assert len(bound_states(np.ones(64))) == 0
 
     def test_size_minimum(self):
         with pytest.raises(DomainError):
-            eigenvalues(SpectralProblem(np.ones(5), "dirichlet"))
+            eigenvalues(np.ones(5))
+        with pytest.raises(DomainError):
+            eigenvalues(np.ones((8, 8)))
 
     def test_build_from_field_row(self, bump_solution):
         field, params = bump_solution
-        sp = build_spectral_problem(field, params, 0)
-        assert sp.size == field.n_size - 3
-        assert np.array_equal(sp.a, coefficient_row(field.values[:, 0], params))
+        a = build_spectral_problem(field, params, 0)
+        assert a.size == field.n_size - 3
+        assert np.array_equal(a, coefficient_row(field.values[:, 0], params))
 
 
 class TestIsospectral:
@@ -213,13 +213,13 @@ class TestZsEigenvalues:
         assert len(zs_eigenvalues(zs)) == 0
 
     def test_gaussian_ladder(self, zs_gaussian):
-        vals = zs_eigenvalues(zs_gaussian, radius=10.0)
+        vals = zs_eigenvalues(zs_gaussian)
         assert len(vals) > 10
         assert np.max(np.abs(vals.imag)) < 1e-2
 
     def test_conjugation_symmetry(self, zs_gaussian):
         # spectrum closed under mu1 -> -conj(mu1)
-        vals = zs_eigenvalues(zs_gaussian, radius=10.0)
+        vals = zs_eigenvalues(zs_gaussian)
         win = vals[np.abs(vals) < 5]
         defect = max(np.min(np.abs(win - (-np.conj(v)))) for v in win)
         assert defect < 1e-8
@@ -232,8 +232,8 @@ class TestZsEigenvalues:
         # the mode count
         flipped = ZsProblem(zs_gaussian.xi_grid, -zs_gaussian.potential,
                             ref_coeffs.carrier.kappa, 1.5)
-        a = zs_eigenvalues(zs_gaussian, radius=10.0)
-        b = zs_eigenvalues(flipped, radius=10.0)
+        a = zs_eigenvalues(zs_gaussian)
+        b = zs_eigenvalues(flipped)
         a, b = a[np.abs(a) < 3], b[np.abs(b) < 3]
         assert len(a) == len(b) and len(a) > 10
         defect = max(np.min(np.abs(b - (-np.conj(v)))) for v in b)
@@ -308,10 +308,8 @@ def _dense_kept(zs, monkeypatch):
     B = -i M, each eigenvalue w giving mu1 = i w."""
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "_zs_disc_eigenvalues",
-                   lambda x, u, kappa, p, radius, k:
-                   (1j * eig(spectral._zs_matrix(x, u, kappa, p).toarray(), right=False),
-                    ["dense"]))
-        return zs_eigenvalues(zs, radius=10.0)
+                   lambda B, radius, k: (1j * eig(B.toarray(), right=False), ["dense"]))
+        return zs_eigenvalues(zs)
 
 
 def _phase_shifted(zs, phase):
@@ -359,7 +357,7 @@ class TestSparseZs:
     def test_dense_oracle_gaussian(self, zs_gaussian, amplitude, monkeypatch):
         zs = ZsProblem(zs_gaussian.xi_grid, amplitude * zs_gaussian.potential,
                        zs_gaussian.kappa, zs_gaussian.p)
-        sparse_kept = zs_eigenvalues(zs, radius=10.0)
+        sparse_kept = zs_eigenvalues(zs)
         dense_kept = _dense_kept(zs, monkeypatch)
         assert len(sparse_kept) == len(dense_kept) > 0
         assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
@@ -367,7 +365,7 @@ class TestSparseZs:
     def test_dense_oracle_complex_potential(self, zs_small, monkeypatch):
         # a genuinely complex potential keeps the complex solves
         zs = _phase_shifted(zs_small, 0.7)
-        sparse_kept = zs_eigenvalues(zs, radius=10.0)
+        sparse_kept = zs_eigenvalues(zs)
         dense_kept = _dense_kept(zs, monkeypatch)
         assert len(sparse_kept) == len(dense_kept) > 0
         assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
@@ -381,7 +379,7 @@ class TestSparseZs:
         seen = []
         for name in ("eigs", "eig"):
             _spy(monkeypatch, name, seen)
-        zs_eigenvalues(_phase_shifted(zs_small, phase), radius=10.0)
+        zs_eigenvalues(_phase_shifted(zs_small, phase))
         assert [name for name, _ in seen] == ["eig", "eigs", "eigs"]
         assert all(t == dtype for _, t in seen)
 
@@ -391,9 +389,10 @@ class TestSparseZs:
         evo = ref_evolution
         stride = evo.L // 256
         xs = (evo.xi0 + evo.dxi * np.arange(evo.L))[::stride]
-        zs = ZsProblem(xs / ref_coeffs.M1, evo.values_at([evo.tau_min])[0][::stride],
+        u = np.fft.ifft(evo.spectra_at([evo.tau_min]), axis=1)[0]
+        zs = ZsProblem(xs / ref_coeffs.M1, u[::stride],
                        ref_coeffs.carrier.kappa, ref_coeffs.params.p)
-        sparse_kept = zs_eigenvalues(zs, radius=10.0)
+        sparse_kept = zs_eigenvalues(zs)
         dense_kept = _dense_kept(zs, monkeypatch)
         assert len(sparse_kept) == len(dense_kept) > 10
         assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
@@ -405,26 +404,18 @@ class TestSparseZs:
         # probe; 79 is half the base matrix size and takes the dense solve
         monkeypatch.setattr(spectral, "ZS_START_K", start_k)
         record = []
-        kept = zs_eigenvalues(zs_small, radius=10.0, eigensolve=record)
+        kept = zs_eigenvalues(zs_small, eigensolve=record)
         base = record[0]
         assert base["size"] == 158
         assert base["k"][0] == ("dense" if start_k == 79 else start_k)
         assert len(kept) == len(zs_small_dense) > 0
         assert np.max(np.abs(kept - zs_small_dense)) <= 1e-9
 
-    def test_radius_bounds_result(self, zs_gaussian):
-        wide = zs_eigenvalues(zs_gaussian, radius=10.0)
-        narrow = zs_eigenvalues(zs_gaussian, radius=2.0)
-        inside = wide[np.abs(wide) <= 2.0]
-        assert np.max(np.abs(narrow)) <= 2.0
-        assert len(narrow) == len(inside) > 0
-        assert np.max(np.abs(narrow - inside)) <= 1e-12
-
     def test_shift_on_eigenvalue_rejected(self, zs_gaussian, monkeypatch):
         # mu1 = 0 is an exact eigenvalue of the ZS matrix
         monkeypatch.setattr(spectral, "ZS_SHIFT", 0.0)
         with pytest.raises(NumericalError, match="hits an eigenvalue"):
-            zs_eigenvalues(zs_gaussian, radius=10.0)
+            zs_eigenvalues(zs_gaussian)
 
 
 class TestSpectralLimit:
@@ -464,7 +455,7 @@ class TestSpectralLimit:
                             lambda zs, eigensolve: np.zeros(0, dtype=complex))
         rep = spectral_limit_check(ref_envelope, ref_coeffs, [16, 32, 64])
         for N, est in zip(rep["N"], rep["estimates"]):
-            size = int(round(ref_evolution.period * N / ref_coeffs.M1))
+            size = int(round(ref_envelope.period * N / ref_coeffs.M1))
             size -= (size - 3) % 4
             two = assemble_ansatz(ref_evolution, ref_coeffs, N, (size + 3, 2))
             ref = band_edge_estimates(two.field, ref_coeffs.params, 0,
