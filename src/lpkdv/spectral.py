@@ -81,12 +81,16 @@ def coefficient_row(u_row: np.ndarray, params: LpkdvParams,
     return 4 * p ** 2 / (first * second)
 
 
+def _check_row(lattice: LatticeField, m: int) -> None:
+    if not (0 <= m < lattice.m_size):
+        raise DomainError(f"row m = {m} outside window")
+
+
 def build_spectral_problem(lattice: LatticeField, params: LpkdvParams, m: int,
                            variant: str = "corrected") -> np.ndarray:
     """a_n from row m of the field, for the problem between Dirichlet walls;
     the stencil eats one column on the left and two on the right."""
-    if not (0 <= m < lattice.m_size):
-        raise DomainError(f"row m = {m} outside window")
+    _check_row(lattice, m)
     row = lattice.values[:, m]
     if np.iscomplexobj(row) and np.max(np.abs(row.imag)) == 0.0:
         row = row.real
@@ -105,23 +109,30 @@ def _operator_matrix(a: np.ndarray, periodic: bool) -> np.ndarray:
     return M
 
 
+def _coefficients(a) -> tuple:
+    """(a as an array, whether it is real and positive), refusing an array
+    that is not 1D or has fewer than 8 entries.  Real positive a_n between
+    Dirichlet walls gauge to a symmetric tridiagonal operator with
+    off-diagonals sqrt(a_n) (diagonal similarity d[n+1]/d[n] = a_n^(-1/2))."""
+    a = np.asarray(a)
+    if a.ndim != 1 or a.size < 8:
+        raise DomainError(f"eigenvalues need a 1D coefficient array of size >= 8, "
+                          f"got shape {a.shape}")
+    return a, (not np.iscomplexobj(a)) and bool(np.all(a > 0))
+
+
 def eigenvalues(a: np.ndarray, periodic: bool = False, dense: bool = False) -> np.ndarray:
     """All eigenvalues of phi[n-1] + a_n phi[n+1] = eigen_mu phi[n] over the
     coefficients a (1D, at least 8 of them) between Dirichlet walls, or on a
     ring if periodic, sorted by real part.
 
-    For Dirichlet walls and positive a_n the operator is gauge-equivalent to a
-    symmetric tridiagonal one with off-diagonals sqrt(a_n) (diagonal
-    similarity d[n+1]/d[n] = a_n^(-1/2)), solved with a symmetric solver;
-    anything else goes to a dense general solver.
+    For Dirichlet walls and positive a_n the gauged symmetric tridiagonal
+    operator (_coefficients) is solved with a symmetric solver; anything
+    else goes to a dense general solver.
     """
-    a = np.asarray(a)
-    if a.ndim != 1 or a.size < 8:
-        raise DomainError(f"eigenvalues need a 1D coefficient array of size >= 8, "
-                          f"got shape {a.shape}")
-    real_positive = (not np.iscomplexobj(a)) and bool(np.all(a > 0))
+    a, symmetric = _coefficients(a)
     try:
-        if not periodic and real_positive and not dense:
+        if not periodic and symmetric and not dense:
             w = eigh_tridiagonal(np.zeros(a.size), np.sqrt(a[:-1]), eigvals_only=True)
             return np.sort(w.astype(complex))
         w = eig(_operator_matrix(a, periodic), right=False)
@@ -132,9 +143,29 @@ def eigenvalues(a: np.ndarray, periodic: bool = False, dense: bool = False) -> n
 
 def bound_states(a: np.ndarray) -> np.ndarray:
     """Eigenvalues outside the free band [-2, 2] (discrete spectrum) between
-    Dirichlet walls."""
-    w = eigenvalues(a)
-    return w[np.abs(w) > 2.0 + BAND_EDGE_TOL]
+    Dirichlet walls, sorted: those with |eigen_mu| > 2 + BAND_EDGE_TOL.
+
+    For positive a_n only those are solved for: bisection with Sturm counts
+    (LAPACK stebz) on the gauged symmetric tridiagonal operator over
+    (-R, -(2 + BAND_EDGE_TOL)] and (2 + BAND_EDGE_TOL, R], with R = 2 max
+    sqrt(a_n) + 3 beyond the Gershgorin bound and the band edge, costs O(n k)
+    for k bound states instead of the O(n^2) of the full spectrum.  Complex
+    or non-positive a_n take the full dense solve of eigenvalues.
+    """
+    a, symmetric = _coefficients(a)
+    edge = 2.0 + BAND_EDGE_TOL
+    if not symmetric:
+        w = eigenvalues(a)
+        return w[np.abs(w) > edge]
+    off = np.sqrt(a[:-1])
+    reach = 2.0 * float(np.max(off)) + 3.0
+    try:
+        w = np.concatenate([eigh_tridiagonal(np.zeros(a.size), off, eigvals_only=True,
+                                             select="v", select_range=interval)
+                            for interval in ((-reach, -edge), (edge, reach))])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+    return w[np.abs(w) > edge].astype(complex)  # stebz sorts each interval
 
 
 def nearest_partners(pool, values) -> np.ndarray:
@@ -150,7 +181,8 @@ def isospectral_drift(lattice: LatticeField, params: LpkdvParams, m_list,
                       variant: str = "corrected") -> dict:
     """Drift of the discrete spectrum (the eigenvalues outside [-2, 2]) across
     rows of an lpKdV solution: per row, the largest distance from a row-0
-    eigenvalue to its nearest partner.
+    eigenvalue to its nearest partner.  Every m must be a row of the window
+    (DomainError, checked before any row is read).
 
     Preconditions: the field solves the equation to ISOSPECTRAL_RESIDUAL_TOL,
     and each row's potential deviation from its edge values stays below
@@ -162,6 +194,8 @@ def isospectral_drift(lattice: LatticeField, params: LpkdvParams, m_list,
     m_list = list(m_list)
     if len(m_list) < 2:
         raise DomainError("m_list needs at least 2 rows")
+    for m in m_list:
+        _check_row(lattice, m)
     res = max_residual(lattice, params)
     if res > ISOSPECTRAL_RESIDUAL_TOL:
         raise PreconditionError(f"field residual {res:.3e} exceeds "

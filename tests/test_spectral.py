@@ -95,6 +95,8 @@ class TestEigenvalues:
         with pytest.raises(DomainError):
             eigenvalues(np.ones(5))
         with pytest.raises(DomainError):
+            bound_states(np.ones(5))
+        with pytest.raises(DomainError):
             eigenvalues(np.ones((8, 8)))
 
     def test_build_from_field_row(self, bump_solution):
@@ -102,6 +104,60 @@ class TestEigenvalues:
         a = build_spectral_problem(field, params, 0)
         assert a.size == field.n_size - 3
         assert np.array_equal(a, coefficient_row(field.values[:, 0], params))
+
+
+def _band_filter(a):
+    w = eigenvalues(a)
+    return w[np.abs(w) > 2.0 + spectral.BAND_EDGE_TOL]
+
+
+@pytest.fixture(scope="module")
+def isospectral_windows():
+    """The two bump windows of the isospectral subcommand's default config,
+    with their lattice parameters."""
+    small, params = make_bump_solution(n_size=200, center=100)
+    return (small, make_bump_solution(n_size=400, center=100)[0]), params
+
+
+class TestBoundStates:
+    """bound_states solves only the eigenvalues outside the band (bisection
+    for positive a_n); it must agree with filtering the full spectrum."""
+
+    @staticmethod
+    def assert_matches_full_filter(a):
+        got, want = bound_states(a), np.sort_complex(_band_filter(a))
+        assert len(got) == len(want)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+        return got
+
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    @pytest.mark.parametrize("m", [0, 5, 10])
+    def test_isospectral_rows(self, isospectral_windows, m, variant):
+        fields, params = isospectral_windows
+        for field in fields:
+            a = build_spectral_problem(field, params, m, variant)
+            assert len(self.assert_matches_full_filter(a)) >= 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_positive_coefficients(self, seed):
+        a = 0.5 + 2.0 * np.random.default_rng(seed).random(120)
+        assert len(self.assert_matches_full_filter(a)) >= 10
+
+    def test_free_operator_has_none(self):
+        got = self.assert_matches_full_filter(np.ones(64))
+        assert got.shape == (0,) and got.dtype == complex
+
+    def test_full_solve_only_off_the_gauge(self, monkeypatch):
+        calls = []
+        full = spectral.eigenvalues
+        monkeypatch.setattr(spectral, "eigenvalues", lambda a: calls.append(a) or full(a))
+        a = np.ones(40)
+        a[20:30] = 3.0
+        self.assert_matches_full_filter(a)
+        assert calls == []
+        a[7] = -0.5
+        assert len(self.assert_matches_full_filter(a)) >= 2
+        assert len(calls) == 1
 
 
 class TestIsospectral:
@@ -131,6 +187,12 @@ class TestIsospectral:
         good = isospectral_drift(field, params, list(range(5)))
         bad = isospectral_drift(field, params, list(range(5)), variant="printed")
         assert bad["max_drift"] > 1e3 * good["max_drift"]
+
+    @pytest.mark.parametrize("m", [11, -1])
+    def test_row_outside_window(self, bump_solution, m):
+        field, params = bump_solution
+        with pytest.raises(DomainError, match=f"row m = {m} outside window"):
+            isospectral_drift(field, params, [0, m])
 
     def test_residual_precondition(self):
         rng = np.random.default_rng(1)
