@@ -49,12 +49,14 @@ DEFAULT_CONFIG = {
 }
 
 # Every bound a subcommand's pass rule applies, read by that rule alone and
-# pinned by test_default_tolerances_pinned; no config can move one.  The one
-# exception is the commutators' floor, a round-off estimate that
-# nls.commutator_floor computes from the envelope.
+# pinned by test_default_tolerances_pinned; no config can move one.  The
+# exceptions are the commutators' floor, a round-off estimate that
+# nls.commutator_floor computes from the envelope, and the error estimate of
+# quad.dispersion_derivatives, which dispersion adds to its bound.
 BOUNDS = {
     "lax_identity": 1e-12,             # coeffs: |rho2 M1^2 / (rho1 g^2) / -2 - 1|
     "linear_residual": 1e-12,          # dispersion: worst plane-wave residual
+    "dispersion_derivatives": 1e-6,    # dispersion: rho1, omega' M1 against differences of omega
     "lattice_residual": 1e-10,         # simulate: worst residual / (1 + max|u|)
     "ansatz_exponent": 2.7,            # ansatz-residual: least fitted exponent
     "mass_drift": 1e-8,                # nls-evolve: mass drift / max(1, span)
@@ -189,9 +191,11 @@ def _build_envelope(cfg):
 
 def _nls_block(evolution) -> dict:
     """The NLS run behind a report: steps, the step size taken, the number
-    of stored step ends and the band of modes they carry above round-off."""
+    of stored step ends, the band of modes they carry above round-off and
+    the points of each working grid tried."""
     return {"steps": evolution.steps, "dtau": evolution.dtau,
-            "snapshots": len(evolution.taus), "band": evolution.band}
+            "snapshots": len(evolution.taus), "band": evolution.band,
+            "grids": list(evolution.grids)}
 
 
 def _bump_solution(cfg):
@@ -284,7 +288,26 @@ def cmd_coeffs(cfg):
     return passed, doc, {"coefficients.json": doc}
 
 
+def _against_differences(coeffs) -> dict:
+    """rho1 = -omega'' M1^2 / 2 and omega' M1 = branch M1_tilde at the config
+    point, omega's derivatives by quad.dispersion_derivatives: for each the
+    closed form, the value from the differences, their relative error and
+    the differences' own error estimate on the same scale."""
+    d1, d2, e1, e2 = quad.dispersion_derivatives(coeffs.params, coeffs.carrier.kappa)
+    out = {}
+    for key, closed, scale, value, error in (
+            ("rho1", coeffs.rho1, -coeffs.M1 ** 2 / 2.0, d2, e2),
+            ("velocity", coeffs.branch * coeffs.M1_tilde, coeffs.M1, d1, e1)):
+        out[key] = {"closed": closed, "differences": scale * value,
+                    "rel_error": abs(scale * value - closed) / abs(closed),
+                    "estimate": abs(scale) * error / abs(closed)}
+    return out
+
+
 def cmd_dispersion(cfg):
+    """The plane-wave residual of the dispersion relation at 100 seeded draws,
+    and the reduction's rho1 and group velocity against its derivatives at
+    the config point (within the bound plus the differences' estimate)."""
     tol = BOUNDS["linear_residual"]
     rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
@@ -298,8 +321,13 @@ def cmd_dispersion(cfg):
         worst = max(worst, r)
         draws.append({"p": p, "q": q, "kappa": kappa,
                       "omega": quad.dispersion(params, kappa), "residual": r})
-    report = {"max_linear_residual": worst, "tolerance": tol, "draws": draws[:5]}
-    return worst <= tol, report, {"dispersion_report.json": report}
+    checks = _against_differences(_build_coeffs(cfg))
+    bound = BOUNDS["dispersion_derivatives"]
+    report = {"max_linear_residual": worst, "tolerance": tol, "draws": draws[:5],
+              "derivatives": dict(checks, tolerance=bound)}
+    passed = worst <= tol and all(row["rel_error"] <= bound + row["estimate"]
+                                  for row in checks.values())
+    return passed, report, {"dispersion_report.json": report}
 
 
 def cmd_simulate(cfg):
@@ -334,12 +362,13 @@ def cmd_nls_evolve(cfg):
     if tau_final <= env.tau:  # a drift over no step cannot fail
         raise ConfigError(f"nls.tau_final = {tau_final!r} must be > the envelope's tau "
                           f"= {env.tau!r}")
-    out = nls.nls_evolve(env, c, tau_final, dtau)
+    grids = []
+    out = nls.nls_evolve(env, c, tau_final, dtau, grids)
     drift = abs(out.mass() - env.mass()) / env.mass() if env.mass() > 0 else 0.0
     tol = BOUNDS["mass_drift"] * max(1.0, tau_final - env.tau)
     steps, dtau_taken = nls.step_plan(tau_final - env.tau, dtau)
     report = {"tau_final": tau_final, "dtau": dtau_taken, "steps": steps,
-              "mass_drift": drift, "tolerance": tol}
+              "mass_drift": drift, "tolerance": tol, "grids": grids}
     return drift <= tol, report, {"envelope.csv": out, "envelope.json": nls.envelope_to_json(out),
                                   "nls_report.json": report}
 

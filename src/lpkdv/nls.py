@@ -34,6 +34,19 @@ twice that step and 3.7e-14 at four times it.  A run whose (steps + 1) * L
 would pass MAX_STEP_POINTS is refused before anything is allocated or
 stepped, dense or not.
 
+A run steps on a working grid of L' = L / 2^k points with the envelope's
+period (`_working_grid`): the smallest with 4 J_u < L', J_u the band of the
+initial spectrum (the highest |j| above round-off, see _top_mode), so that
+the cubic term stays alias-free on the band's modes (Orszag, J. Atmos.
+Sci. 28:1074, 1971); 256 of 1024 points at the default config.  The initial
+spectrum is cut to L' (`resize_spectra`; the scale 2^k is exact).  The step
+plan stays on the envelope's own grid: dtau, the step guard and the step
+budget read its L and k_max, so a run takes the same steps whatever grid it
+steps on.  The run measures its band as it goes (every step end of a dense
+run, every 25th step and the end otherwise); once the band reaches L'/2, or
+the values turn non-finite, it stops and runs again on 2 L'.  A run on L
+itself is never stopped.  `nls_evolve` pads its end spectrum back to L.
+
 The module also carries the first reduced symmetry flows of the hierarchy:
     h1: du/dlambda = i u                 (phase)
     h2: du/dlambda = du/dxi              (xi-translation)
@@ -60,13 +73,14 @@ DENSE_STEP_MULTIPLE = 4       # the dense runs' step, in units of stable_dtau
 DENSE_MIN_STEPS = 3           # fewest steps of a dense run: 4 step ends carry N_hat's cubic
 GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND  # step guard: the largest dtau * stiffness
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
-# the most (steps + 1) * L of any run: about 13 s of stepping at L = 1024 on a
-# 2-core host, and 1 GiB for a dense run, which stores u_hat and N_hat, L
-# complex128 each (32 bytes per point), at every step end
+# the most (steps + 1) * L of any run, L the envelope's own grid: about 13 s
+# of stepping at L = 1024 on a 2-core host, and 1 GiB for a dense run on a
+# working grid of L' = L points, which stores u_hat and N_hat, L' complex128
+# each (32 bytes per point), at every step end (2^-k of that for L' = L/2^k)
 MAX_STEP_POINTS = 1 << 25
 # taus per block of EnvelopeEvolution.spectra_at: its largest temporary, the
-# (12, 5, L/2 + 1) stack of phi_0..phi_4, stays below the (32, L) array of
-# one assembly block (reduction._BLOCK_ROWS)
+# (12, 5, L'/2 + 1) stack of phi_0..phi_4 on the working grid of L' points,
+# stays below the (32, L') spectra of one assembly block (reduction._BLOCK_ROWS)
 _EVAL_ROWS = 12
 _PHI_TERMS = 14               # series terms of _phi below |z| = 0.5 (tail < 1e-17)
 COMMUTATOR_STEP = 1e-2        # the step of _derivative's central differences
@@ -233,16 +247,43 @@ def _nonlinear_ip(v_hat: np.ndarray, phase: np.ndarray, rho2: float) -> np.ndarr
     return np.conj(phase) * _nonlinear(phase * v_hat, rho2)
 
 
+def _working_grid(L: int, band: int) -> int:
+    """The points of the grid a run starts on: the smallest L / 2^k, k >= 0,
+    with 4 band < L / 2^k and at least MIN_GRID points."""
+    size = L
+    while size % 2 == 0 and size // 2 > 4 * band and size // 2 >= MIN_GRID:
+        size //= 2
+    return size
+
+
+def resize_spectra(spectra: np.ndarray, size: int) -> np.ndarray:
+    """Spectra (fft order along the last axis) of L points as those of size
+    points over the same period: the modes both grids hold are kept (the
+    smaller grid's Nyquist mode at -size/2, where the fft places it), the
+    others are dropped or zero, and the scale is size / L, exact for the
+    powers of two used here.  The same array for size = L."""
+    L = spectra.shape[-1]
+    if size == L:
+        return spectra
+    m = min(L, size)
+    out = np.zeros(spectra.shape[:-1] + (size,), dtype=np.complex128)
+    out[..., :(m + 1) // 2] = spectra[..., :(m + 1) // 2]
+    out[..., size - m // 2:] = spectra[..., L - m // 2:]
+    out *= size / L
+    return out
+
+
 def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
-               dense: bool) -> tuple:
-    """(steps, step size, spectra, nonlinear, band): uniform interaction-picture
-    RK4 steps of size <= dtau from env.tau to tau_final.  With dense, spectra
-    and nonlinear hold u_hat = fft(u) and N_hat = FFT(-i rho2 |u|^2 u) at
-    every step end, shape (steps + 1, L), the initial one first, and band is
-    the largest _top_mode over them; otherwise spectra holds the final u_hat
-    alone, nonlinear is None and band 0.  A step's k1 is exp(-Lambda s) N_hat
-    of its start, so only the last N_hat costs FFTs of its own; 8 length-L
-    FFTs per step."""
+               dense: bool, grids: list) -> tuple:
+    """(steps, step size, spectra, nonlinear, band): uniform interaction-
+    picture RK4 steps of size <= dtau from env.tau to tau_final on the
+    working grid (see the module docstring); grids receives the points of
+    each grid tried, and spectra and nonlinear live on the last.  With dense,
+    spectra and nonlinear hold u_hat = fft(u) and N_hat = FFT(-i rho2 |u|^2 u)
+    at every step end, shape (steps + 1, L'), the initial one first, and band
+    is the largest _top_mode over them; otherwise spectra holds the final
+    u_hat alone, nonlinear is None and band is the largest _top_mode at every
+    25th step and the end."""
     if tau_final < env.tau:
         raise DomainError("tau_final must be >= current tau")
     _check_stability(env, c, dtau)
@@ -252,55 +293,85 @@ def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
         raise DomainError(f"the NLS run to tau = {tau_final:.4g} needs {n_steps} steps of "
                           f"{env.L} points, {points} step points, over the "
                           f"{MAX_STEP_POINTS} allowed")
-    rate = _linear_rate(env.L, env.dxi, c)
-    spectra = np.empty((n_steps + 1 if dense else 1, env.L), dtype=np.complex128)
+    u_hat = np.fft.fft(env.values)
+    grids.append(_working_grid(env.L, _top_mode(u_hat)))
+    while True:
+        size = grids[-1]
+        rate = _linear_rate(size, env.dxi * (env.L // size), c)
+        stop = size // 2 if size < env.L else math.inf
+        run = _steps(resize_spectra(u_hat, size), rate, n_steps, dt, c.rho2, dense, stop,
+                     env.tau)
+        if run is not None:
+            return (n_steps, dt, *run)
+        grids.append(2 * size)
+
+
+def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: float,
+           dense: bool, stop, tau0: float):
+    """_integrate's step loop on one grid from u_hat = v_hat at tau0:
+    (spectra, nonlinear, band), or None once band reaches stop or the values
+    turn non-finite with a finite stop.  A step's k1 is exp(-Lambda s) N_hat
+    of its start, so only the last N_hat costs FFTs of its own; 8 FFTs per
+    step."""
+    spectra = np.empty((n_steps + 1 if dense else 1, len(v_hat)), dtype=np.complex128)
     nonlinear = np.empty_like(spectra) if dense else None
     band = 0
-    v_hat = np.fft.fft(env.values)
-    phase = np.ones(env.L, dtype=np.complex128)  # exp(Lambda s) at the step's start
+    phase = np.ones(len(v_hat), dtype=np.complex128)  # exp(Lambda s) at the step's start
     for step in range(1, n_steps + 1):
         half = _linear_phase(rate, (step - 0.5) * dt)
         end = _linear_phase(rate, step * dt)
         u_hat = phase * v_hat
-        n_hat = _nonlinear(u_hat, c.rho2)
+        n_hat = _nonlinear(u_hat, rho2)
         if dense:
             spectra[step - 1], nonlinear[step - 1] = u_hat, n_hat
+        if dense or step % 25 == 1:  # the state of every finiteness check below
             band = max(band, _top_mode(u_hat, n_hat, dt))
+            if band >= stop:
+                return None
         k1 = np.conj(phase) * n_hat
-        k2 = _nonlinear_ip(v_hat + 0.5 * dt * k1, half, c.rho2)
-        k3 = _nonlinear_ip(v_hat + 0.5 * dt * k2, half, c.rho2)
-        k4 = _nonlinear_ip(v_hat + dt * k3, end, c.rho2)
+        k2 = _nonlinear_ip(v_hat + 0.5 * dt * k1, half, rho2)
+        k3 = _nonlinear_ip(v_hat + 0.5 * dt * k2, half, rho2)
+        k4 = _nonlinear_ip(v_hat + dt * k3, end, rho2)
         v_hat = v_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         phase = end
         if (step % 25 == 0 or step == n_steps) and not np.all(np.isfinite(v_hat)):
+            if stop < math.inf:
+                return None
             raise NumericalError(
                 "NLS evolution diverged",
-                diagnostics={"step": step, "tau": env.tau + step * dt,
+                diagnostics={"step": step, "tau": tau0 + step * dt,
                              "max_abs": float(np.nanmax(np.abs(np.fft.ifft(phase * v_hat))))},
             )
     spectra[-1] = phase * v_hat
+    n_hat = _nonlinear(spectra[-1], rho2)
     if dense:
-        nonlinear[-1] = _nonlinear(spectra[-1], c.rho2)
-        band = max(band, _top_mode(spectra[-1], nonlinear[-1], dt))
-    return n_steps, dt, spectra, nonlinear, band
+        nonlinear[-1] = n_hat
+    band = max(band, _top_mode(spectra[-1], n_hat, dt))
+    return None if band >= stop else (spectra, nonlinear, band)
 
 
-def _top_mode(u_hat: np.ndarray, n_hat: np.ndarray, dt: float) -> int:
+def _top_mode(u_hat: np.ndarray, n_hat: np.ndarray = None, dt: float = 0.0) -> int:
     """The highest |j| at which |u_hat| or dt |N_hat| exceeds eps times the
     largest |u_hat| (the propagator keeps |u_hat|); 0 for a zero envelope."""
     mag = np.abs(u_hat)
     floor = np.finfo(float).eps * mag.max()
-    j = np.flatnonzero((mag > floor) | (dt * np.abs(n_hat) > floor))
+    above = mag > floor
+    if n_hat is not None:
+        above |= dt * np.abs(n_hat) > floor
+    j = np.flatnonzero(above)
     return int(np.minimum(j, len(u_hat) - j).max(initial=0))
 
 
-def nls_evolve(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float) -> Envelope:
+def nls_evolve(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
+               grids: list = None) -> Envelope:
     """Advance to tau_final with uniform interaction-picture RK4 steps of size <= dtau.
 
-    Global error is O(dtau^4); only the end point is kept.
+    Global error is O(dtau^4); only the end point is kept, on env's grid.
+    A list passed as grids receives the points of each working grid tried.
     """
-    spectra = _integrate(env, c, tau_final, dtau, dense=False)[2]
-    return Envelope(env.xi0, env.dxi, np.fft.ifft(spectra[-1]), tau_final)
+    spectra = _integrate(env, c, tau_final, dtau, False, [] if grids is None else grids)[2]
+    return Envelope(env.xi0, env.dxi, np.fft.ifft(resize_spectra(spectra[-1], env.L)),
+                    tau_final)
 
 
 def _phi(z: np.ndarray, count: int) -> np.ndarray:
@@ -351,7 +422,9 @@ class EnvelopeEvolution:
     without a round trip through the grid.
     steps and dtau are the integrator's step count and step size; band, the
     largest _top_mode over the stored step ends, bounds the modes spectra_at
-    carries above round-off.
+    carries above round-off.  The spectra live on the run's working grid of
+    L points and spacing dxi; envelope_L is the envelope's own grid, L times
+    a power of two, and grids the points of each working grid tried.
     """
 
     xi0: float
@@ -363,6 +436,8 @@ class EnvelopeEvolution:
     steps: int
     dtau: float
     band: int
+    envelope_L: int
+    grids: tuple
 
     @property
     def L(self) -> int:
@@ -424,11 +499,13 @@ class EnvelopeEvolution:
 def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
                      dtau: float) -> EnvelopeEvolution:
     """Evolve with steps of size <= dtau and keep u_hat and N_hat at every
-    step end (see EnvelopeEvolution); 8 length-L FFTs per step."""
-    n_steps, dt, spectra, nonlinear, band = _integrate(env, c, tau_final, dtau, dense=True)
+    step end on the working grid (see EnvelopeEvolution); 8 FFTs per step."""
+    grids = []
+    n_steps, dt, spectra, nonlinear, band = _integrate(env, c, tau_final, dtau, True, grids)
     taus = env.tau + np.arange(n_steps + 1) * dt
-    return EnvelopeEvolution(env.xi0, env.dxi, taus, spectra, c, nonlinear=nonlinear,
-                             steps=n_steps, dtau=dt, band=band)
+    return EnvelopeEvolution(env.xi0, env.dxi * (env.L // grids[-1]), taus, spectra, c,
+                             nonlinear=nonlinear, steps=n_steps, dtau=dt, band=band,
+                             envelope_L=env.L, grids=tuple(grids))
 
 
 def symmetry_rhs(env: Envelope, c: NlsCoefficients, which: str) -> np.ndarray:

@@ -199,6 +199,28 @@ def dispersion(params: LpkdvParams, kappa: float) -> float:
     return -2.0 * math.atan(ratio * math.tan(kappa / 2.0))
 
 
+# 7-point central differences of the first and second derivative, error O(h^6)
+_FIRST_DIFFERENCE = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+_SECOND_DIFFERENCE = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+
+
+def dispersion_derivatives(params: LpkdvParams, kappa: float) -> tuple:
+    """(omega', omega'', e1, e2): the first two derivatives of `dispersion`
+    at kappa by 7-point central differences of step
+    h = min(2e-3, kappa/4, (pi - kappa)/4), and a bound on each one's error:
+    its change from step h to h/2 (the truncation) plus the round-off of
+    4 eps in each value of omega and of its node, summed over the weights."""
+    def differences(h):
+        f = np.array([dispersion(params, kappa + i * h) for i in range(-3, 4)])
+        return f @ _FIRST_DIFFERENCE / h, f @ _SECOND_DIFFERENCE / h ** 2, f
+
+    h = min(2e-3, kappa / 4.0, (math.pi - kappa) / 4.0)
+    (d1, d2, f), (half1, half2, _) = differences(h), differences(h / 2.0)
+    noise = 4.0 * np.finfo(float).eps * (np.max(np.abs(f)) + abs(d1) * (kappa + 3.0 * h))
+    return (d1, d2, abs(d1 - half1) + noise * np.sum(np.abs(_FIRST_DIFFERENCE)) / h,
+            abs(d2 - half2) + noise * np.sum(np.abs(_SECOND_DIFFERENCE)) / h ** 2)
+
+
 @dataclass(frozen=True)
 class CarrierWave:
     """Carrier (kappa, omega) with omega pinned to the dispersion relation."""

@@ -251,14 +251,17 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     spectrally resolved (PreconditionError otherwise).
 
     u1_1 is evaluated as the Fourier series whose coefficients are the
-    envelope's spectrum (EnvelopeEvolution.spectra_at), and |u1_1|^2 from
-    the FFT of its grid values, as a real series over j >= 0.  Every row
-    shares one lattice-point matrix e^{i k (xi(n, 0) - xi0)},
-    k = 2 pi j / period, over j = -J..2J: J = evolution.band bounds the modes
-    the stored step ends carry above round-off, u1_1 takes its
-    columns |j| <= J and |u1_1|^2, whose band is twice as wide, its columns
-    j = 0..2J.  A row's xi offset enters as the factor e^{i k xi(0, m)} on
-    the coefficients, so a block of rows is one matrix product per series.
+    envelope's spectrum (EnvelopeEvolution.spectra_at, on the run's working
+    grid of L' points), and |u1_1|^2 from the FFT of its grid values on twice
+    that grid, or on the envelope's own grid if that is smaller, as a real
+    series over j >= 0.  Every row shares one lattice-point matrix
+    e^{i k (xi(n, 0) - xi0)}, k = 2 pi j / period, over j = -J..2J:
+    J = evolution.band bounds the modes the stored step ends carry above
+    round-off, u1_1 takes its columns |j| <= J and |u1_1|^2, whose band is
+    twice as wide, its columns j = 0..2J (alias-free on 2L' points, as a run
+    on L' < L keeps J < L'/2).  A row's xi offset enters as the factor
+    e^{i k xi(0, m)} on the coefficients, so a block of rows is one matrix
+    product per series.
     """
     n_size, m_size = window
     if n_size < 2 or m_size < 1:
@@ -272,8 +275,9 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     x = coeffs.xi(ns, 0, N)
     taus = _row_taus(evolution, ms, N)
     J = evolution.band
+    square = min(2 * L, evolution.envelope_L)             # |u1_1|^2's grid
     lo, hi = _band(J, L)                                  # u1_1: j = -lo..hi
-    top = min(2 * J, L // 2)                              # |u1_1|^2: j = 0..top
+    top = min(2 * J, square // 2)                         # |u1_1|^2: j = 0..top
     basis = _lattice_matrix(x, xi0, lo, max(hi, top), L, dxi)
     basis1, basis0 = basis[:, :lo + hi + 1], basis[:, lo:lo + top + 1]
     j1, j0 = np.arange(-lo, hi + 1), np.arange(top + 1)
@@ -287,10 +291,11 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         offsets = coeffs.xi(0, ms[rows], N)
         u1 = _series_values(spectra, j1, basis1, offsets, dxi)
         phase = np.outer(carrier_n, carrier_m[rows])
-        amp2 = np.fft.fft(np.abs(np.fft.ifft(spectra, axis=1)) ** 2, axis=1)
+        values = np.fft.ifft(nls.resize_spectra(spectra, square), axis=1)
+        amp2 = np.fft.fft(np.abs(values) ** 2, axis=1)
         _check_spectra_resolved(amp2, "|u1_1|^2")
-        out[:, rows] = (2.0 * np.real(u1 * phase) / N
-                        + coeffs.tau1 * _zeroth_values(amp2, j0, basis0, x, offsets, xi0, dxi) / N
+        zeroth = _zeroth_values(amp2, j0, basis0, x, offsets, xi0, dxi / (square // L))
+        out[:, rows] = (2.0 * np.real(u1 * phase) / N + coeffs.tau1 * zeroth / N
                         + 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2)
     return AnsatzField(N=N, coeffs=coeffs, evolution=evolution, field=LatticeField(out))
 

@@ -33,4 +33,5 @@ def frozen_evolution(env: Envelope, c: NlsCoefficients) -> EnvelopeEvolution:
     band = int(np.minimum(j, env.L - j).max(initial=0))
     return FrozenEvolution(env.xi0, env.dxi, np.array([-big, big]),
                            np.vstack([env.values, env.values]), c,
-                           nonlinear=None, steps=0, dtau=0.0, band=band)
+                           nonlinear=None, steps=0, dtau=0.0, band=band,
+                           envelope_L=env.L, grids=(env.L,))

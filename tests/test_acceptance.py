@@ -56,6 +56,7 @@ def test_default_tolerances_pinned():
     assert BOUNDS == {
         "lax_identity": 1e-12,
         "linear_residual": 1e-12,
+        "dispersion_derivatives": 1e-6,
         "lattice_residual": 1e-10,
         "ansatz_exponent": 2.7,
         "mass_drift": 1e-8,

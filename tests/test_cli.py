@@ -90,14 +90,16 @@ class TestRun:
 
     def test_assembly_counters(self, tmp_path):
         # one band per dense run, in its nls block, and no per-N assembly
-        # block: every N is assembled over the modes |j| <= band
+        # block: every N is assembled over the modes |j| <= band; the run
+        # steps on a 256-point working grid with no rerun
         for sub, name in (("ansatz-residual", "ansatz_residual.json"),
                           ("flow-project", "flow_projection.json")):
             assert run(sub, None, str(tmp_path / sub), quiet=True) == 0
             rep = read(tmp_path / sub / name)
             assert "assembly" not in rep
-            assert set(rep["nls"]) == {"steps", "dtau", "snapshots", "band"}
+            assert set(rep["nls"]) == {"steps", "dtau", "snapshots", "band", "grids"}
             assert rep["nls"]["band"] == 86
+            assert rep["nls"]["grids"] == [256]
 
     def test_zs_limit_eigensolve_counters(self, tmp_path):
         # k is sized from one probe on the base grid and from the previous
@@ -340,6 +342,58 @@ def test_coeffs_wrong_rho2_exit_1(tmp_path, monkeypatch):
     assert run("coeffs", None, str(out), quiet=True) == 1
     block = read(out / "manifest.json")["result"]["lax_identity"]
     assert abs(block["ratio"] / -2.0 - 1.0) > 9e-4
+
+
+def test_dispersion_derivatives_at_config_point(tmp_path):
+    """dispersion checks rho1 = -omega'' M1^2 / 2 and omega' M1 = branch
+    M1_tilde against 7-point differences of the dispersion relation at the
+    config point, on both branches: 1.2 and 1.341641 at (1.5, -0.5, pi/2)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": -0.5}))
+    assert run("dispersion", str(cfg), str(tmp_path / "o"), quiet=True) == 0
+    block = read(tmp_path / "o" / "dispersion_report.json")["derivatives"]
+    assert block["tolerance"] == cli.BOUNDS["dispersion_derivatives"]
+    assert abs(block["rho1"]["differences"] - 1.2) <= 1e-8
+    assert abs(block["velocity"]["differences"] - 1.341641) <= 1e-6
+    for row in (block["rho1"], block["velocity"]):
+        assert row["rel_error"] <= 1e-8 and row["estimate"] <= 1e-7
+
+
+@pytest.mark.parametrize("doc, code", [
+    ({"kappa": 1e-6}, 0), ({"kappa": 3.14}, 0), ({"kappa": math.pi - 1e-6}, 0),
+    ({"p": 1.0, "q": 0.01, "kappa": 0.01}, 0), ({"kappa": math.pi - 1e-9}, 2)])
+def test_dispersion_derivatives_across_domain(tmp_path, capsys, doc, code):
+    """Near kappa = 0 or pi and at extreme |p/q| the differences' error
+    estimate grows with their error, so the check holds; within 4e-9 of pi
+    the stencil would cross the dispersion relation's limit pi - 1e-9, a
+    config error that names it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run("dispersion", str(cfg), str(tmp_path / "o"), quiet=True) == code
+    if code == 2:
+        assert "too close to pi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, factor", [("rho1", 1.1), ("M1_tilde", 1.01)])
+def test_dispersion_wrong_coefficient_exit_1(tmp_path, monkeypatch, field, factor):
+    """A rho1 off by 10% or an M1_tilde off by 1% breaks its relation to the
+    dispersion relation's derivatives: dispersion exits 1."""
+    import dataclasses
+
+    from lpkdv import reduction
+
+    compute = reduction.compute_coefficients
+
+    def wrong(params, kappa):
+        co = compute(params, kappa)
+        return dataclasses.replace(co, **{field: getattr(co, field) * factor})
+
+    monkeypatch.setattr(reduction, "compute_coefficients", wrong)
+    out = tmp_path / "o"
+    assert run("dispersion", None, str(out), quiet=True) == 1
+    block = read(out / "manifest.json")["result"]["derivatives"]
+    key = "rho1" if field == "rho1" else "velocity"
+    assert block[key]["rel_error"] > 100 * (block["tolerance"] + block[key]["estimate"])
 
 
 def test_commutators_wrong_h4_cubic_exit_1(tmp_path, monkeypatch):
@@ -709,6 +763,7 @@ def test_non_finite_envelope_grid_named(tmp_path, capsys, name, words):
 IMPOSSIBLE_BOUNDS = {
     "lax_identity": ("coeffs", -1.0),
     "linear_residual": ("dispersion", -1.0),
+    "dispersion_derivatives": ("dispersion", -1.0),
     "lattice_residual": ("simulate", -1.0),
     "ansatz_exponent": ("ansatz-residual", 100.0),
     "mass_drift": ("nls-evolve", -1.0),

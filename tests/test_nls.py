@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lpkdv.errors import DomainError, PreconditionError
+from lpkdv.errors import DomainError, NumericalError, PreconditionError
 from lpkdv.nls import (
     COMMUTATOR_STEP,
     DENSE_STEP_MULTIPLE,
@@ -28,6 +28,7 @@ from lpkdv.nls import (
     nls_evolve,
     nls_evolve_dense,
     plane_envelope,
+    resize_spectra,
     save_envelope_csv,
     stable_dtau,
     symmetry_rhs,
@@ -285,7 +286,8 @@ def test_dense_output_matches_rk4_oracle(p, q, kappa, ref_evolution, ref_envelop
     classic RK4 at a quarter of stable_dtau on the lattice rows tau = m / N^2
     of the reference window (N = 16): the reference evolution at the default
     point, the same envelope evolved with each other point's NLS
-    coefficients."""
+    coefficients.  The dense output lives on the run's working grid, whose
+    points are every (envelope L / working L)-th point of the oracle's."""
     coeffs = compute_coefficients(LpkdvParams(p, q), kappa)
     c = coeffs.nls_coefficients()
     n_min = min(REF_N_LIST)
@@ -296,7 +298,10 @@ def test_dense_output_matches_rk4_oracle(p, q, kappa, ref_evolution, ref_envelop
         evo = evolve_rows(ref_envelope, coeffs, rows, n_min)
     taus = coeffs.tau(np.arange(rows), n_min)
     oracle = rk4_values(ref_envelope, c, taus, stable_dtau(ref_envelope, c) / 4)
-    assert np.max(np.abs(np.fft.ifft(evo.spectra_at(taus), axis=1) - oracle)) <= 1e-9
+    stride = ref_envelope.L // evo.L
+    assert evo.L < ref_envelope.L
+    got = np.fft.ifft(evo.spectra_at(taus), axis=1)
+    assert np.max(np.abs(got - oracle[:, ::stride])) <= 1e-9
 
 
 class TestSymmetryRhs:
@@ -421,3 +426,98 @@ class TestEnvelopeIO:
         save_envelope_csv(env, path)
         header = path.read_text().splitlines()[0]
         assert header == "xi,re,im"
+
+
+def _on_envelope_grid(monkeypatch):
+    """Make every run step on the envelope's own grid (the grid choice
+    patched for the test only)."""
+    import lpkdv.nls as nls
+
+    monkeypatch.setattr(nls, "_working_grid", lambda L, band: L)
+
+
+def _assert_same_dense_output(work, full, L):
+    """Equal step plans and bands, and dense output within 1e-14 of max|u|
+    at 7 taus, the working grid's padded to the envelope's L points."""
+    assert (work.band, work.steps, work.dtau) == (full.band, full.steps, full.dtau)
+    assert full.L == L and full.grids == (L,)
+    taus = np.linspace(full.tau_min, full.tau_max, 7)
+    want = np.fft.ifft(full.spectra_at(taus), axis=1)
+    got = np.fft.ifft(resize_spectra(work.spectra_at(taus), L), axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _nls_evolve_envelope(tmp_path):
+    from lpkdv.cli import run
+
+    assert run("nls-evolve", None, str(tmp_path), quiet=True) == 0
+    env = envelope_from_json(json.loads((tmp_path / "envelope.json").read_text()))
+    assert env.tau == 1.0
+    return env
+
+
+@pytest.mark.parametrize("p, q, kappa, envelope", [
+    (1.5, 0.5, math.pi / 2, "gaussian"), (2.0, 1.0, 1.0, "gaussian"),
+    (3.0, 0.7, 0.6, "gaussian"), (1.5, 0.5, 1.2, "gaussian"),
+    (1.5, 0.5, math.pi / 2, "plane"), (1.5, 0.5, math.pi / 2, "nls-evolve")])
+def test_working_grid_matches_envelope_grid(p, q, kappa, envelope, ref_envelope, tmp_path,
+                                            monkeypatch):
+    """A dense run on the working grid (256 of 1024 points for the Gaussian,
+    16 for the plane wave k = 3) gives the dense output of the same run on
+    the envelope's own grid: at the oracle test's four points, and on a plane
+    envelope and on the envelope.json of nls-evolve (tau = 1) at the default
+    point."""
+    coeffs = compute_coefficients(LpkdvParams(p, q), kappa)
+    rows = REF_WINDOW[1] if (p, q, kappa, envelope) == (1.5, 0.5, math.pi / 2, "gaussian") \
+        else ORACLE_ROWS_OFF_REFERENCE + 1
+    env = {"gaussian": lambda: ref_envelope,
+           "plane": lambda: plane_envelope(1024, 0.0, 40.0, 0.8, 3),
+           "nls-evolve": lambda: _nls_evolve_envelope(tmp_path)}[envelope]()
+    work = evolve_rows(env, coeffs, rows, min(REF_N_LIST))
+    # nls-evolve's envelope at tau = 1 starts with band 79: 4 * 79 >= 256
+    assert work.grids == ({"plane": 16, "nls-evolve": 512}.get(envelope, 256),)
+    _on_envelope_grid(monkeypatch)
+    _assert_same_dense_output(work, evolve_rows(env, coeffs, rows, min(REF_N_LIST)), env.L)
+
+
+def test_band_at_nyquist_reruns_on_twice_the_grid(ref_coeffs, monkeypatch):
+    """An amplitude-4 Gaussian starts with band 43 (256 points) and grows it
+    to 131 over ansatz-residual's span: the run stops at band 128 and runs
+    again on 512 points, and matches the run on the envelope's grid; the
+    end-point run reruns too, and its end values match."""
+    env = gaussian_envelope(1024, 0.0, 40.0, 4.0, 1.25, 12.0)
+    c = ref_coeffs.nls_coefficients()
+    work = evolve_rows(env, ref_coeffs, REF_WINDOW[1], min(REF_N_LIST))
+    assert work.grids == (256, 512) and work.band == 131
+    grids = []  # the dense run's steps, as an end-point run
+    end = nls_evolve(env, c, work.tau_max, work.dtau * 1.001, grids)
+    assert grids == [256, 512]
+    _on_envelope_grid(monkeypatch)
+    _assert_same_dense_output(work, evolve_rows(env, ref_coeffs, REF_WINDOW[1],
+                                                min(REF_N_LIST)), env.L)
+    want = nls_evolve(env, c, work.tau_max, work.dtau * 1.001).values
+    assert np.max(np.abs(end.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_wide_band_stays_on_envelope_grid(ref_coeffs):
+    """A width-0.3 Gaussian starts with band 180 (308 over ansatz-residual's
+    span): 4 * 180 >= 512, so it steps on the envelope's 1024 points."""
+    env = gaussian_envelope(1024, 0.0, 40.0, 1.0, 0.3, 12.0)
+    evo = evolve_rows(env, ref_coeffs, REF_WINDOW[1], min(REF_N_LIST))
+    assert evo.band == 308 and evo.grids == (1024,) and evo.L == 1024
+    grids = []
+    nls_evolve(env, ref_coeffs.nls_coefficients(), 0.01, 1e-3, grids)
+    assert grids == [1024]
+
+
+@pytest.mark.filterwarnings("ignore:All-NaN slice")  # the record's max_abs is NaN
+def test_divergence_reruns_up_to_envelope_grid():
+    """An amplitude whose cube overflows turns the values non-finite on
+    every grid: the run goes up to the envelope's own grid, where the
+    divergence is raised."""
+    env = gaussian_envelope(1024, 0.0, 40.0, 1e150, 1.25, 12.0)
+    dtau = stable_dtau(env, C_REF)
+    grids = []
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="diverged"):
+        nls_evolve(env, C_REF, 30 * dtau, dtau, grids)
+    assert grids == [256, 512, 1024]

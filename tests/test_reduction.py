@@ -388,12 +388,15 @@ class TestSpectralAssembly:
 
     def test_matrix_widths(self, ref_evolution):
         # u1_1 takes j = -J..J and |u1_1|^2, real with twice the band,
-        # j = 0..2J, so 4J must stay inside the grid; J is the highest |j|
-        # at which a stored step end carries |u_hat| or dtau |N_hat| above
-        # eps times its largest |u_hat|, over every step end
+        # j = 0..2J, so 4J must stay inside the grid |u1_1|^2 is formed on
+        # (twice the working grid, within the envelope's), and J below the
+        # working grid's Nyquist mode; J is the highest |j| at which a stored
+        # step end carries |u_hat| or dtau |N_hat| above eps times its
+        # largest |u_hat|, over every step end
         evo = ref_evolution
         J = evo.band
-        assert 0 < 4 * J < evo.L
+        assert 0 < 4 * J < min(2 * evo.L, evo.envelope_L)
+        assert J < evo.L / 2
         mag = np.abs(evo.snapshots)
         floor = np.finfo(float).eps * mag.max(axis=1, keepdims=True)
         above = np.any((mag > floor) | (evo.dtau * np.abs(evo.nonlinear) > floor), axis=0)
