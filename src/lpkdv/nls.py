@@ -16,6 +16,11 @@ its phase factor exp(Lambda s) from its own time s and each step adds the
 increment dt/6 (k1 + 2 k2 + 2 k3 + k4) to v_hat, so the round-off in
 |exp(Lambda s)| does not compound from step to step: the relative mass drift
 stays at round-off level (4e-16 over unit tau at the default config).
+The step loop (`_steps`) computes every stage into arrays allocated once
+per run, with out= on both FFTs and on every ufunc, in the textbook step's
+order of operations, so it gives the textbook step's results bit for bit
+without its temporaries: on the 256-point working grid of the default
+config a step costs numpy's per-call overhead more than arithmetic.
 
 Steps are measured by the stiffness |rho1| k_max^2 + |rho2| max|u|^2
 (k_max = pi/dxi).  `stable_dtau` takes STEP_SAFETY of STEP_BOUND = 4 * 2.82
@@ -220,13 +225,16 @@ def _linear_rate(L: int, dxi: float, c: NlsCoefficients) -> np.ndarray:
     return c.rho1 * _fft_wavenumbers(L, dxi) ** 2
 
 
-def _linear_phase(rate: np.ndarray, s) -> np.ndarray:
-    """exp(1j * outer(s, rate)), shape (L,) for a scalar s, with one exp per
-    |k|: rate = rho1 k^2 is exactly even in fftfreq order (the wavenumber at
-    L - j is minus the one at j), so the upper half of every row is the
-    lower half mirrored, bit for bit."""
+def _linear_phase(rate: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """exp(1j * s * rate) written into out, with one exp per |k|: rate =
+    rho1 k^2 is exactly even in fftfreq order (the wavenumber at L - j is
+    minus the one at j), so the upper half is the lower half mirrored, bit
+    for bit."""
     L = rate.shape[-1]
-    return _mirror(np.exp(1j * np.multiply.outer(s, rate[:L // 2 + 1])), L)
+    half = out[:L // 2 + 1]
+    np.exp(np.multiply(rate[:L // 2 + 1], 1j * s, out=half), out=half)
+    out[L // 2 + 1:] = half[(L - 1) // 2:0:-1]
+    return out
 
 
 def _mirror(half: np.ndarray, L: int) -> np.ndarray:
@@ -235,16 +243,19 @@ def _mirror(half: np.ndarray, L: int) -> np.ndarray:
     return np.concatenate([half, half[..., (L - 1) // 2:0:-1]], axis=-1)
 
 
-def _nonlinear(u_hat: np.ndarray, rho2: float) -> np.ndarray:
-    """FFT(-i rho2 |u|^2 u) for u = IFFT(u_hat)."""
-    u = np.fft.ifft(u_hat)
-    return np.fft.fft(-1j * rho2 * (u.real ** 2 + u.imag ** 2) * u)
-
-
-def _nonlinear_ip(v_hat: np.ndarray, phase: np.ndarray, rho2: float) -> np.ndarray:
-    """d(v_hat)/dtau = exp(-Lambda s) FFT(-i rho2 |u|^2 u), u = IFFT(exp(Lambda s) v_hat),
-    with phase = exp(Lambda s) (unimodular, so its conjugate is its inverse)."""
-    return np.conj(phase) * _nonlinear(phase * v_hat, rho2)
+def _nonlinear(u_hat: np.ndarray, rho2: float, out: np.ndarray = None,
+               work: tuple = None) -> np.ndarray:
+    """FFT(-i rho2 |u|^2 u) for u = IFFT(u_hat), written into out when given
+    (out may be u_hat).  work is (u, re2, im2), a complex and two real
+    arrays of u_hat's shape that take u and the squares of its parts; the
+    step loop passes its own, so that a call allocates nothing."""
+    u, re2, im2 = work if work is not None else (
+        np.empty_like(u_hat), np.empty(u_hat.shape), np.empty(u_hat.shape))
+    np.fft.ifft(u_hat, out=u)
+    np.multiply(u.real, u.real, out=re2)
+    np.multiply(u.imag, u.imag, out=im2)
+    out = np.multiply(-1j * rho2, np.add(re2, im2, out=re2), out=out)
+    return np.fft.fft(np.multiply(out, u, out=out), out=out)
 
 
 def _working_grid(L: int, band: int) -> int:
@@ -312,41 +323,55 @@ def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: f
     (spectra, nonlinear, band), or None once band reaches stop or the values
     turn non-finite with a finite stop.  A step's k1 is exp(-Lambda s) N_hat
     of its start, so only the last N_hat costs FFTs of its own; 8 FFTs per
-    step."""
-    spectra = np.empty((n_steps + 1 if dense else 1, len(v_hat)), dtype=np.complex128)
+    step.  Stages go into arrays allocated once per run, in the textbook
+    order: k_(i+1) = conj(p) N(p (v_hat + c k_i)), p = exp(Lambda s) at the
+    stage's time, then v_hat += (dt/6) (((k1 + 2 k2) + 2 k3) + k4)."""
+    L = len(v_hat)
+    spectra = np.empty((n_steps + 1 if dense else 1, L), dtype=np.complex128)
     nonlinear = np.empty_like(spectra) if dense else None
+    v_hat = v_hat.copy()  # stepped in place
+    phase, half, end, conj, k, acc, tmp, u_hat, n_hat, u = np.empty((10, L), dtype=complex)
+    work = (u, *np.empty((2, L)))
+    phase[:] = 1.0  # exp(Lambda s) at the step's start
+
+    def stage(k_prev, c, p, p_conj):  # k = conj(p) N(p (v_hat + c k_prev))
+        np.add(v_hat, np.multiply(k_prev, c, out=tmp), out=tmp)
+        _nonlinear(np.multiply(p, tmp, out=tmp), rho2, tmp, work)
+        np.multiply(p_conj, tmp, out=k)
+
     band = 0
-    phase = np.ones(len(v_hat), dtype=np.complex128)  # exp(Lambda s) at the step's start
     for step in range(1, n_steps + 1):
-        half = _linear_phase(rate, (step - 0.5) * dt)
-        end = _linear_phase(rate, step * dt)
-        u_hat = phase * v_hat
-        n_hat = _nonlinear(u_hat, rho2)
-        if dense:
-            spectra[step - 1], nonlinear[step - 1] = u_hat, n_hat
+        _linear_phase(rate, (step - 0.5) * dt, half)
+        _linear_phase(rate, step * dt, end)
+        u_now = np.multiply(phase, v_hat, out=spectra[step - 1] if dense else u_hat)
+        n_now = _nonlinear(u_now, rho2, nonlinear[step - 1] if dense else n_hat, work)
         if dense or step % 25 == 1:  # the state of every finiteness check below
-            band = max(band, _top_mode(u_hat, n_hat, dt))
+            band = max(band, _top_mode(u_now, n_now, dt))
             if band >= stop:
                 return None
-        k1 = np.conj(phase) * n_hat
-        k2 = _nonlinear_ip(v_hat + 0.5 * dt * k1, half, rho2)
-        k3 = _nonlinear_ip(v_hat + 0.5 * dt * k2, half, rho2)
-        k4 = _nonlinear_ip(v_hat + dt * k3, end, rho2)
-        v_hat = v_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        phase = end
+        np.multiply(np.conjugate(phase, out=acc), n_now, out=acc)  # acc = k1
+        np.conjugate(half, out=conj)
+        stage(acc, 0.5 * dt, half, conj)                            # k = k2
+        np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
+        stage(k, 0.5 * dt, half, conj)                              # k = k3
+        np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
+        stage(k, dt, end, np.conjugate(end, out=conj))              # k = k4
+        np.add(acc, k, out=acc)
+        np.add(v_hat, np.multiply(acc, dt / 6.0, out=acc), out=v_hat)
+        phase, end = end, phase
         if (step % 25 == 0 or step == n_steps) and not np.all(np.isfinite(v_hat)):
             if stop < math.inf:
                 return None
+            mag = np.abs(np.fft.ifft(phase * v_hat))
+            finite = mag[np.isfinite(mag)]
             raise NumericalError(
                 "NLS evolution diverged",
                 diagnostics={"step": step, "tau": tau0 + step * dt,
-                             "max_abs": float(np.nanmax(np.abs(np.fft.ifft(phase * v_hat))))},
+                             "max_abs": float(finite.max()) if finite.size else math.inf},
             )
-    spectra[-1] = phase * v_hat
-    n_hat = _nonlinear(spectra[-1], rho2)
-    if dense:
-        nonlinear[-1] = n_hat
-    band = max(band, _top_mode(spectra[-1], n_hat, dt))
+    np.multiply(phase, v_hat, out=spectra[-1])
+    n_now = _nonlinear(spectra[-1], rho2, nonlinear[-1] if dense else n_hat, work)
+    band = max(band, _top_mode(spectra[-1], n_now, dt))
     return None if band >= stop else (spectra, nonlinear, band)
 
 

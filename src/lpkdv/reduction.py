@@ -134,28 +134,45 @@ def _band(J: int, L: int) -> tuple:
 
 def _lattice_matrix(x, xi0: float, lo: int, hi: int, L: int, dxi: float) -> np.ndarray:
     """The lattice-point Fourier matrix E[i, c] = e^{i k_c (x[i] - xi0)} for
-    k_c = 2 pi j_c / period, j_c = -lo..hi: one exp per |j|, the column of
-    j < 0 being the conjugate of that of -j."""
-    arg = np.outer(np.atleast_1d(x) - xi0, wavenumbers(np.arange(max(lo, hi) + 1), L, dxi))
-    pos = np.exp(1j * arg)
-    return np.concatenate([np.conj(pos[:, lo:0:-1]), pos[:, :hi + 1]], axis=1)
+    k_c = 2 pi j_c / period, j_c = -lo..hi, built by doubling: column 0 is 1
+    and the columns j = 2^a..2^(a+1) - 1 are the columns j - 2^a times the
+    column of 2^a, the one exp of each round, so the columns j = 0..top
+    (top = max(lo, hi)) cost ceil(log2(top + 1)) exps of len(x); the column
+    of j < 0 is the conjugate of that of -j.  Column j is the product of the
+    exps of its set bits: it carries their roundings of k x, together that
+    of k_j x, and one rounding per product, at most about
+    eps (|k_j x| + 2 log2(top + 1)), the size of the direct exp's own
+    rounding of its argument k_j x."""
+    dx = np.atleast_1d(x) - xi0
+    top = max(lo, hi)
+    table = np.empty((len(dx), lo + top + 1), dtype=np.complex128)
+    pos = table[:, lo:]  # j = 0..top
+    pos[:, 0] = 1.0
+    width = 1
+    while width <= top:
+        count = min(width, top + 1 - width)
+        column = np.exp(1j * (dx * wavenumbers(width, L, dxi)))
+        np.multiply(pos[:, :count], column[:, None], out=pos[:, width:width + count])
+        width *= 2
+    np.conj(pos[:, lo:0:-1], out=table[:, :lo])
+    return table[:, :lo + hi + 1]
 
 
-def _series_values(spectra: np.ndarray, j: np.ndarray, basis: np.ndarray, offsets,
+def _series_values(spectra: np.ndarray, lo: int, hi: int, basis: np.ndarray, offsets,
                    dxi: float) -> np.ndarray:
     """Grid data given by their ffts (one profile per row, fft order along
     the row) as Fourier series over the integer wavenumbers j = -lo..hi,
     profile c evaluated at x[i] + offsets[c], shape (len(x), profiles):
     basis is _lattice_matrix(x, xi0, lo, hi, L, dxi), and a profile's offset
-    enters as the factor e^{i k offsets[c]} on its coefficients, so all of
-    them are one matrix product (Trefethen, Spectral Methods in MATLAB,
-    SIAM 2000)."""
+    enters as the factor e^{i k offsets[c]} on its coefficients, the
+    transposed lattice matrix of the offsets, so all of them are one matrix
+    product (Trefethen, Spectral Methods in MATLAB, SIAM 2000)."""
     L = spectra.shape[1]
-    shift = np.exp(1j * np.outer(wavenumbers(j, L, dxi), offsets))
-    return basis @ (spectra[:, j % L].T / L * shift)
+    shift = _lattice_matrix(offsets, 0.0, lo, hi, L, dxi).T
+    return basis @ (spectra[:, np.arange(-lo, hi + 1) % L].T / L * shift)
 
 
-def _zeroth_values(amp2: np.ndarray, j: np.ndarray, basis: np.ndarray, x, offsets,
+def _zeroth_values(amp2: np.ndarray, top: int, basis: np.ndarray, x, offsets,
                    xi0: float, dxi: float) -> np.ndarray:
     """The antiderivative, zero at xi0, of real grid data given by their ffts
     amp2, at the points of _series_values for j = 0..top: every mode but
@@ -165,15 +182,15 @@ def _zeroth_values(amp2: np.ndarray, j: np.ndarray, basis: np.ndarray, x, offset
     xi0 in every column: the lpKdV is invariant under a global shift
     u -> u + c, not a per-row one."""
     L = amp2.shape[1]
-    k = wavenumbers(j, L, dxi)
-    coef = amp2[:, j % L].T / L
+    j = np.arange(top + 1)
+    coef = amp2[:, j].T / L
     coef[1:] *= 2.0
-    if 2 * j[-1] == L:
+    if 2 * top == L:
         coef[-1] /= 2.0
     anti = np.empty_like(coef)
-    anti[1:] = coef[1:] / (1j * k[1:, None])
+    anti[1:] = coef[1:] / (1j * wavenumbers(j[1:], L, dxi)[:, None])
     anti[0] = -anti[1:].sum(axis=0)
-    periodic = basis @ (anti * np.exp(1j * np.outer(k, offsets)))
+    periodic = basis @ (anti * _lattice_matrix(offsets, 0.0, 0, top, L, dxi).T)
     return (periodic + np.add.outer(np.atleast_1d(x) - xi0, offsets) * coef[0]).real
 
 
@@ -185,8 +202,7 @@ def fourier_resample(values: np.ndarray, xi0: float, dxi: float, x) -> np.ndarra
     L = len(values)
     lo, hi = _band(L, L)
     basis = _lattice_matrix(x, xi0, lo, hi, L, dxi)
-    out = _series_values(np.fft.fft(values)[None], np.arange(-lo, hi + 1), basis,
-                         [0.0], dxi)[:, 0]
+    out = _series_values(np.fft.fft(values)[None], lo, hi, basis, [0.0], dxi)[:, 0]
     return out.real.copy() if np.isrealobj(values) else out
 
 
@@ -235,8 +251,8 @@ class AnsatzField:
         lo, hi = _band(evolution.band, evolution.L)
         x = self.coeffs.xi(np.atleast_1d(n), 0, self.N)
         basis = _lattice_matrix(x, evolution.xi0, lo, hi, evolution.L, evolution.dxi)
-        u1 = _series_values(spectra, np.arange(-lo, hi + 1), basis,
-                            self.coeffs.xi(0, ms, self.N), evolution.dxi)
+        u1 = _series_values(spectra, lo, hi, basis, self.coeffs.xi(0, ms, self.N),
+                            evolution.dxi)
         return u1[:, 0] if np.ndim(m) == 0 else u1
 
 
@@ -280,7 +296,6 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     top = min(2 * J, square // 2)                         # |u1_1|^2: j = 0..top
     basis = _lattice_matrix(x, xi0, lo, max(hi, top), L, dxi)
     basis1, basis0 = basis[:, :lo + hi + 1], basis[:, lo:lo + top + 1]
-    j1, j0 = np.arange(-lo, hi + 1), np.arange(top + 1)
     carrier_n = np.exp(1j * kappa * ns)
     carrier_m = np.exp(-1j * omega * ms)
     out = np.empty((n_size, m_size), dtype=np.float64)
@@ -289,12 +304,12 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         spectra = evolution.spectra_at(taus[rows])
         _check_spectra_resolved(spectra)
         offsets = coeffs.xi(0, ms[rows], N)
-        u1 = _series_values(spectra, j1, basis1, offsets, dxi)
+        u1 = _series_values(spectra, lo, hi, basis1, offsets, dxi)
         phase = np.outer(carrier_n, carrier_m[rows])
         values = np.fft.ifft(nls.resize_spectra(spectra, square), axis=1)
         amp2 = np.fft.fft(np.abs(values) ** 2, axis=1)
         _check_spectra_resolved(amp2, "|u1_1|^2")
-        zeroth = _zeroth_values(amp2, j0, basis0, x, offsets, xi0, dxi / (square // L))
+        zeroth = _zeroth_values(amp2, top, basis0, x, offsets, xi0, dxi / (square // L))
         out[:, rows] = (2.0 * np.real(u1 * phase) / N + coeffs.tau1 * zeroth / N
                         + 2.0 * np.real(coeffs.tau2 * u1 ** 2 * phase ** 2) / N ** 2)
     return AnsatzField(N=N, coeffs=coeffs, evolution=evolution, field=LatticeField(out))

@@ -126,7 +126,9 @@ def _block_reduce(arr: np.ndarray, P: int) -> np.ndarray:
 
 
 def first_harmonic_blocks(ansatz: AnsatzField, which: str) -> np.ndarray:
-    """Demodulated flow RHS averaged over carrier-period blocks."""
+    """Demodulated flow RHS averaged over carrier-period blocks; the carrier
+    e^{-i(kappa n - omega m)} is the outer product of e^{-i kappa n} and
+    e^{i omega m}, one exp per row and per column."""
     coeffs = ansatz.coeffs
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
     rhs = flow_rhs(ansatz.field, coeffs.params, which).values
@@ -134,7 +136,7 @@ def first_harmonic_blocks(ansatz: AnsatzField, which: str) -> np.ndarray:
     inner = rhs[s:-s, :]
     n_idx = s + np.arange(inner.shape[0])
     m_idx = np.arange(inner.shape[1])
-    demod = inner * np.exp(-1j * (kappa * n_idx[:, None] - omega * m_idx[None, :]))
+    demod = inner * np.outer(np.exp(-1j * kappa * n_idx), np.exp(1j * omega * m_idx))
     return _block_reduce(demod, math.ceil(2 * math.pi / kappa))
 
 

@@ -908,11 +908,14 @@ def test_zs_limit_solver_failure_exit_1(tmp_path, capsys, monkeypatch):
 
 def test_cli_import_skips_scipy_linalg_and_sparse():
     """Only the spectral subcommands need scipy.linalg and scipy.sparse, about
-    0.35 s to import: the CLI defers the spectral module to them."""
+    0.35 s to import: the CLI defers the spectral module to them.  No
+    subcommand needs scipy.fft, whose import (about 0.36 s once, with
+    scipy._lib._array_api and numpy.f2py) would land on every NLS
+    subcommand's start-up."""
     import lpkdv
 
-    code = ("import sys, lpkdv.cli; loaded = [m for m in ('scipy.linalg', 'scipy.sparse') "
-            "if m in sys.modules]; assert not loaded, f'{loaded} loaded'")
+    code = ("import sys, lpkdv.cli; loaded = [m for m in ('scipy.linalg', 'scipy.sparse', "
+            "'scipy.fft') if m in sys.modules]; assert not loaded, f'{loaded} loaded'")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 

@@ -19,6 +19,7 @@ from lpkdv.nls import (
     _linear_rate,
     _phi,
     _spectral_derivative,
+    _steps,
     commutator_floor,
     commutator_sweep,
     dense_dtau,
@@ -266,12 +267,64 @@ def test_phi_matches_augmented_expm(z):
 
 @pytest.mark.parametrize("L", [64, 65])
 def test_linear_phase_bit_identical(L):
-    """One exp per |k| gives exp(1j * outer(s, rate)) bit for bit, for even
-    and odd grids, and the step loop's 1-D form for a scalar s."""
+    """One exp per |k| gives exp(1j * s * rate) bit for bit, for even and
+    odd grids, written into the array given."""
     rate = _linear_rate(L, 40.0 / L, C_REF)
-    s = np.linspace(0.0, 0.37, 9)
-    assert np.array_equal(_linear_phase(rate, s), np.exp(1j * np.outer(s, rate)))
-    assert np.array_equal(_linear_phase(rate, 0.0123), np.exp(1j * rate * 0.0123))
+    out = np.empty(L, dtype=complex)
+    for s in np.linspace(0.0, 0.37, 9):
+        assert _linear_phase(rate, s, out) is out
+        assert np.array_equal(out, np.exp(1j * np.outer(s, rate))[0])
+        assert np.array_equal(out, np.exp(1j * rate * s))
+
+
+def _textbook_steps(u_hat, rate, n_steps, dt, rho2):
+    """Interaction-picture RK4 as written in textbooks, with its temporaries:
+    u_hat and N_hat at every step end."""
+    def field(v, s):  # (exp(-Lambda s) N_hat, u_hat, N_hat) at u_hat = exp(Lambda s) v
+        p = np.exp(1j * (s * rate))
+        u = np.fft.ifft(p * v)
+        n_hat = np.fft.fft(-1j * rho2 * (u.real ** 2 + u.imag ** 2) * u)
+        return np.conj(p) * n_hat, p * v, n_hat
+
+    v, spectra, nonlinear = u_hat, [], []
+    for step in range(1, n_steps + 2):
+        k1, start, n_hat = field(v, (step - 1) * dt)
+        spectra.append(start)
+        nonlinear.append(n_hat)
+        if step > n_steps:
+            break
+        k2 = field(v + 0.5 * dt * k1, (step - 0.5) * dt)[0]
+        k3 = field(v + 0.5 * dt * k2, (step - 0.5) * dt)[0]
+        k4 = field(v + dt * k3, step * dt)[0]
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.array(spectra), np.array(nonlinear)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("p, q, kappa", [(1.5, 0.5, math.pi / 2), (3.0, 0.7, 0.6)])
+def test_steps_match_textbook_bit_for_bit(p, q, kappa, dense):
+    """The buffered step loop against the textbook step: 50 steps, the same
+    bits at every stored step end."""
+    c = compute_coefficients(LpkdvParams(p, q), kappa).nls_coefficients()
+    env = gaussian_envelope(256, 0.0, 40.0, 1.0, 1.25, 12.0)
+    u_hat = np.fft.fft(env.values)
+    start = u_hat.copy()
+    dt = dense_dtau(env, c, 1.0)
+    rate = _linear_rate(env.L, env.dxi, c)
+    spectra, nonlinear, _ = _steps(u_hat, rate, 50, dt, c.rho2, dense, math.inf, 0.0)
+    want, want_n = _textbook_steps(u_hat, rate, 50, dt, c.rho2)
+    assert np.array_equal(u_hat, start)  # the input is not stepped in place
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    if dense:
+        assert spectra.shape == nonlinear.shape == (51, env.L)
+        assert np.array_equal(bits(spectra), bits(want))
+        assert np.array_equal(bits(nonlinear), bits(want_n))
+    else:
+        assert spectra.shape == (1, env.L) and nonlinear is None
+        assert np.array_equal(bits(spectra[0]), bits(want[-1]))
 
 
 # the off-reference points of the oracle test are compared on rows m <= 48
@@ -510,14 +563,15 @@ def test_wide_band_stays_on_envelope_grid(ref_coeffs):
     assert grids == [1024]
 
 
-@pytest.mark.filterwarnings("ignore:All-NaN slice")  # the record's max_abs is NaN
 def test_divergence_reruns_up_to_envelope_grid():
     """An amplitude whose cube overflows turns the values non-finite on
     every grid: the run goes up to the envelope's own grid, where the
-    divergence is raised."""
+    divergence is raised.  No value is finite then, so the record's max_abs
+    is inf, without a warning."""
     env = gaussian_envelope(1024, 0.0, 40.0, 1e150, 1.25, 12.0)
     dtau = stable_dtau(env, C_REF)
     grids = []
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="diverged"):
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="diverged") as info:
         nls_evolve(env, C_REF, 30 * dtau, dtau, grids)
     assert grids == [256, 512, 1024]
+    assert info.value.diagnostics["max_abs"] == math.inf

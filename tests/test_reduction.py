@@ -7,9 +7,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lpkdv.errors import DomainError, PreconditionError
-from lpkdv.nls import Envelope, _check_spectra_resolved, gaussian_envelope
+from lpkdv.nls import Envelope, _check_spectra_resolved, gaussian_envelope, wavenumbers
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import (
+    _band,
+    _lattice_matrix,
     assemble_ansatz,
     compute_coefficients,
     evolve_rows,
@@ -402,6 +404,30 @@ class TestSpectralAssembly:
         above = np.any((mag > floor) | (evo.dtau * np.abs(evo.nonlinear) > floor), axis=0)
         j = np.flatnonzero(above)
         assert J == np.minimum(j, evo.L - j).max()
+
+
+class TestLatticeMatrix:
+    """The doubled table against the direct exp of every entry: both round
+    k x, up to about 1.9e3 rad at N = 16, so they may differ by a few
+    eps (1 + max|k x|); the bound is pinned at 8 of those (1.3 measured)."""
+
+    @pytest.mark.parametrize("N", [16, 64, 128])
+    @pytest.mark.parametrize("n_size", [512, 384])
+    @pytest.mark.parametrize("L, lo, hi", [
+        (256, 86, 86),          # envelope_values at the reference band J = 86
+        (256, 86, 172),         # the assembly's table: j = -J..2J, even top
+        (256, 43, 131),         # odd top
+        (256, *_band(256, 256)),  # fourier_resample: every mode of an even grid
+        (255, *_band(255, 255)),  # and of an odd one (2J + 1 >= L)
+    ])
+    def test_matches_direct_table(self, ref_coeffs, N, n_size, L, lo, hi):
+        dxi, xi0 = 40.0 / L, 0.3
+        x = ref_coeffs.xi(np.arange(n_size), 0, N)
+        arg = np.outer(x - xi0, wavenumbers(np.arange(-lo, hi + 1), L, dxi))
+        got = _lattice_matrix(x, xi0, lo, hi, L, dxi)
+        assert got.shape == arg.shape
+        bound = 8 * np.finfo(float).eps * (1.0 + np.max(np.abs(arg)))
+        assert np.max(np.abs(got - np.exp(1j * arg))) <= bound
 
 
 class TestResolutionGuard:

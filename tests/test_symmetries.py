@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,22 @@ class TestHarmonicProjection:
         p = ref_coeffs.params.p
         expect = (1.0 + np.cos(ref_coeffs.carrier.kappa) / 2.0) / p ** 2
         assert abs(complex(*f21["weighted_mean"]) - expect) < 0.05 * expect
+
+    @pytest.mark.parametrize("which", ["flow1", "flow2"])
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_blocks_match_direct_demodulation(self, ref_evolution, ref_coeffs, which, N):
+        """The separable carrier, e^{-i kappa n} e^{i omega m}, against the
+        exp of every entry e^{-i (kappa n - omega m)}, on flow-project's
+        384 x 384 window."""
+        ans = assemble_ansatz(ref_evolution, ref_coeffs, N, (384, 384))
+        kappa, omega = ref_coeffs.carrier.kappa, ref_coeffs.carrier.omega
+        s, P = FLOW_STENCIL[which], math.ceil(2 * math.pi / kappa)
+        inner = flow_rhs(ans.field, ref_coeffs.params, which).values[s:-s]
+        n = s + np.arange(inner.shape[0])[:, None]
+        m = np.arange(inner.shape[1])[None, :]
+        demod = inner * np.exp(-1j * (kappa * n - omega * m))
+        nb, mb = inner.shape[0] // P, inner.shape[1] // P
+        want = demod[:nb * P, :mb * P].reshape(nb, P, mb, P).mean(axis=(1, 3))
+        got = first_harmonic_blocks(ans, which)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
