@@ -93,6 +93,16 @@ def _differences(values, lo: int, hi: int):
             yield i, vals
 
 
+def _difference_sum(seq: Sequence1D, lo: int, hi: int, coefficient) -> Sequence1D:
+    """sum_{i=lo..hi} coefficient(i) D^i seq on the window of D^hi (all zero
+    for lo > hi)."""
+    acc = [Fraction(0)] * (len(seq) - hi)
+    for i, vals in _differences(seq.values, lo, hi):
+        c = coefficient(i)
+        acc = [a + c * v for a, v in zip(acc, vals)]
+    return Sequence1D(tuple(acc), seq.n_min)
+
+
 def forward_difference(seq: Sequence1D, j: int) -> Sequence1D:
     """Apply the forward difference D^j; the window shrinks by j on the right."""
     if j < 0:
@@ -115,13 +125,7 @@ def formal_derivative(seq: Sequence1D, ell: int) -> Sequence1D:
         raise DomainError("truncation order must be non-negative")
     if len(seq) <= ell:
         raise DomainError(f"window length {len(seq)} too short for truncation order {ell}")
-    out_len = len(seq) - ell
-    acc = [Fraction(0)] * out_len
-    for i, vals in _differences(seq.values, 1, ell):
-        c = Fraction((-1) ** (i - 1), i)
-        for k in range(out_len):
-            acc[k] += c * vals[k]
-    return Sequence1D(tuple(acc), seq.n_min)
+    return _difference_sum(seq, 1, ell, lambda i: Fraction((-1) ** (i - 1), i))
 
 
 @dataclass(frozen=True)
@@ -159,20 +163,10 @@ def stirling_tables(max_order: int) -> StirlingTable:
     first = [[1]]
     second = [[1]]
     for n in range(2, max_order + 1):
-        prev = first[-1]
-        row = []
-        for k in range(1, n + 1):
-            left = prev[k - 2] if k >= 2 else 0
-            right = prev[k - 1] if k <= n - 1 else 0
-            row.append(left - (n - 1) * right)
-        first.append(row)
-        prev = second[-1]
-        row = []
-        for j in range(1, n + 1):
-            left = prev[j - 2] if j >= 2 else 0
-            right = prev[j - 1] if j <= n - 1 else 0
-            row.append(left + j * right)
-        second.append(row)
+        prev = [0, *first[-1], 0]  # s(n-1, k) for k = 0..n
+        first.append([prev[k - 1] - (n - 1) * prev[k] for k in range(1, n + 1)])
+        prev = [0, *second[-1], 0]  # S(n-1, j) for j = 0..n
+        second.append([prev[j - 1] + j * prev[j] for j in range(1, n + 1)])
     return StirlingTable(
         max_order,
         tuple(tuple(r) for r in first),
@@ -206,15 +200,9 @@ def cross_lattice_difference(u_slow: Sequence1D, h: ScaleRatio, j: int, ell: int
         raise DomainError(
             f"slowness order {ell} exceeds available window (length {len(u_slow)})"
         )
-    out_len = len(u_slow) - ell
-    acc = [Fraction(0)] * out_len
-    if ell >= j:
-        tables = stirling_tables(ell)
-        for i, vals in _differences(u_slow.values, j, ell):
-            c = Fraction(factorial(j), factorial(i)) * p_coefficient(i, j, h, tables)
-            for k in range(out_len):
-                acc[k] += c * vals[k]
-    return Sequence1D(tuple(acc), u_slow.n_min)
+    tables = stirling_tables(ell) if ell >= j else None
+    return _difference_sum(u_slow, j, ell, lambda i: Fraction(factorial(j), factorial(i))
+                           * p_coefficient(i, j, h, tables))
 
 
 def shift_verdicts(max_degree: int, ratios) -> list:

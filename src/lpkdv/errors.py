@@ -13,28 +13,27 @@ class PreconditionError(LpkdvError, ValueError):
     """A documented precondition of an operation is violated."""
 
 
-class SingularCornerError(LpkdvError, ZeroDivisionError):
+class _SingularError(LpkdvError, ZeroDivisionError):
+    """A denominator fell below threshold; carries its lattice location."""
+
+    def __init__(self, message, location=None):
+        super().__init__(message)
+        self.location = location
+
+
+class SingularCornerError(_SingularError):
     """Corner solve hit the singular manifold w ≈ mu; carries the lattice location."""
 
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
 
-
-class SingularPotentialError(LpkdvError, ZeroDivisionError):
+class SingularPotentialError(_SingularError):
     """A spectral-problem denominator fell below threshold; carries the location."""
 
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
 
-
-class SingularFlowError(LpkdvError, ZeroDivisionError):
+class SingularFlowError(_SingularError):
     """A symmetry-flow denominator fell below threshold; carries location and stage."""
 
     def __init__(self, message, location=None, stage=None):
-        super().__init__(message)
-        self.location = location
+        super().__init__(message, location)
         self.stage = stage
 
 

@@ -169,14 +169,10 @@ def _fft_wavenumbers(L: int, dxi: float) -> np.ndarray:
 
 
 def _spectral_derivative(values: np.ndarray, dxi: float, order: int) -> np.ndarray:
-    k = _fft_wavenumbers(len(values), dxi)
-    if order % 2 == 1:
+    sym = (1j * _fft_wavenumbers(len(values), dxi)) ** order
+    if order % 2 == 1 and len(values) % 2 == 0:
         # zero the Nyquist mode for odd derivatives (it has no well-defined sign)
-        sym = (1j * k) ** order
-        if len(values) % 2 == 0:
-            sym[len(values) // 2] = 0.0
-    else:
-        sym = (1j * k) ** order
+        sym[len(values) // 2] = 0.0
     return np.fft.ifft(np.fft.fft(values) * sym)
 
 

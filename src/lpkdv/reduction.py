@@ -194,18 +194,6 @@ def _zeroth_values(amp2: np.ndarray, top: int, basis: np.ndarray, x, offsets,
     return (periodic + np.add.outer(np.atleast_1d(x) - xi0, offsets) * coef[0]).real
 
 
-def fourier_resample(values: np.ndarray, xi0: float, dxi: float, x) -> np.ndarray:
-    """Periodic grid data values (at xi0 + dxi*i) at the points x, through
-    their Fourier series over all the grid's modes j = -L//2..(L-1)//2 (an
-    even grid's Nyquist mode at -L/2, where the fft places it); of real data
-    the real part, as if that mode were split evenly between -L/2 and L/2."""
-    L = len(values)
-    lo, hi = _band(L, L)
-    basis = _lattice_matrix(x, xi0, lo, hi, L, dxi)
-    out = _series_values(np.fft.fft(values)[None], lo, hi, basis, [0.0], dxi)[:, 0]
-    return out.real.copy() if np.isrealobj(values) else out
-
-
 def evolve_rows(env: nls.Envelope, coeffs: ReductionCoefficients, rows: int,
                 n_min: int) -> EnvelopeEvolution:
     """The envelope's dense run (see nls.dense_dtau) far enough for lattice

@@ -26,7 +26,8 @@ image of lattice Dirichlet walls), one-sided second-order derivative rows at
 the ends, fourth-order central stencils inside, as the sparse matrix B = -i M
 (M psi = mu1 psi), real for a real potential; it finds the eigenvalues in a
 disc by ARPACK shift-invert on B and keeps only those that survive 2x and 3x
-grid refinements of the potential's Fourier series.
+grid refinements, the refined potential being the potential's spectrum
+zero-padded to 2x or 3x the modes (its Fourier series on the finer grid).
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from scipy.linalg import eig, eigh_tridiagonal
 from scipy.sparse.linalg import eigs
 
 from .errors import DomainError, NumericalError, PreconditionError, SingularPotentialError
+from .nls import resize_spectra
 from .quad import LatticeField, LpkdvParams, check_denominators
-from .reduction import (ReductionCoefficients, assemble_ansatz, evolve_rows, fourier_resample,
-                        zs_potential)
+from .reduction import ReductionCoefficients, assemble_ansatz, evolve_rows, zs_potential
 
 BAND_EDGE_TOL = 1e-8          # |eigen_mu| > 2 + this counts as discrete spectrum
 ISOSPECTRAL_RESIDUAL_TOL = 1e-9  # a field must solve the lpKdV this well for drift runs
@@ -340,14 +341,24 @@ def _zs_disc_eigenvalues(B: sparse.csc_matrix, radius: float, k: int) -> tuple:
     return 1j * eig(B.toarray(), right=False), ks
 
 
+def _refined_potential(u: np.ndarray, factor: int) -> np.ndarray:
+    """u on the grid factor times finer over the same span: the first
+    factor (L - 1) + 1 points of the inverse fft of its spectrum zero-padded
+    to factor L modes (nls.resize_spectra); of a real u the real part."""
+    L = len(u)
+    fine = np.fft.ifft(resize_spectra(np.fft.fft(u), factor * L))[:factor * (L - 1) + 1]
+    return fine.real if np.isrealobj(u) else fine
+
+
 def zs_eigenvalues(zs: ZsProblem, eigensolve: list | None = None) -> np.ndarray:
     """Refinement-stable eigenvalues mu1 with |mu1| <= LIMIT_BRACKET of the
     reduced spectral problem.
 
     The problem is solved on the given grid and on 2x- and 3x-refined grids;
     eigenvalues are kept iff they move less than ZS_STABILITY_TOL under both
-    refinements.  The refined potential is the Fourier series of the given
-    one, taken as periodic over the grid: it decays below ZS_DECAY_TOL at
+    refinements.  The refined potential is the given one's spectrum
+    zero-padded to 2x or 3x the modes (_refined_potential), its Fourier
+    series over the grid taken as periodic.  It decays below ZS_DECAY_TOL at
     both ends, so the periodic extension is smooth to that level and the
     interpolation is spectrally accurate.  A potential the grid resolves
     only coarsely is not refused: an eigenvalue its interpolation error
@@ -395,7 +406,7 @@ def zs_eigenvalues(zs: ZsProblem, eigensolve: list | None = None) -> np.ndarray:
         x_fine = np.linspace(x[0], x[-1], factor * (len(x) - 1) + 1)
         r = float(np.max(np.abs(kept))) + ZS_STABILITY_TOL
         k = int(np.sum(np.abs(w - ZS_SHIFT) <= r + abs(ZS_SHIFT))) + 2
-        B = _zs_matrix(x_fine, fourier_resample(u, x[0], x[1] - x[0], x_fine), zs.kappa, zs.p)
+        B = _zs_matrix(x_fine, _refined_potential(u, factor), zs.kappa, zs.p)
         w, ks = _zs_disc_eigenvalues(B, r, k)
         kept = kept[np.abs(nearest_partners(w, kept) - kept) < ZS_STABILITY_TOL]
         eigensolve.append({"size": B.shape[0], "k": ks, "kept": len(kept)})

@@ -252,6 +252,31 @@ def test_computation_error_leaves_no_artifacts(tmp_path, monkeypatch):
     assert read(tmp_path / "manifest.json")["error"]["type"] == "NumericalError"
 
 
+@pytest.mark.parametrize("name, fields", [
+    ("SingularCornerError", {"location": (3, 4)}),
+    ("SingularPotentialError", {"location": 7}),
+    ("SingularFlowError", {"location": (3, 4), "stage": 2}),
+])
+def test_singular_error_record(tmp_path, monkeypatch, name, fields):
+    """A Singular*Error's attributes are its location (the flow error's its
+    stage as well) and no more: the manifest records them beside the type
+    and the message."""
+    from lpkdv import errors, symmetries
+
+    error = getattr(errors, name)
+    assert vars(error("singular")) == dict.fromkeys(fields)
+    exc = error("singular", **fields)
+    assert vars(exc) == fields
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(symmetries, "symmetry_residual_scaling", fail)
+    assert run("flow-check", None, str(tmp_path), quiet=True) == 1
+    record = read(tmp_path / "manifest.json")["error"]
+    assert record == {"type": name, "message": "singular", **json.loads(json.dumps(fields))}
+
+
 def test_spectrum_csv_cells_are_numbers(tmp_path):
     """spectrum.csv holds index,re,im and plain decimals: every cell parses
     as a number."""

@@ -417,7 +417,7 @@ class TestLatticeMatrix:
         (256, 86, 86),          # envelope_values at the reference band J = 86
         (256, 86, 172),         # the assembly's table: j = -J..2J, even top
         (256, 43, 131),         # odd top
-        (256, *_band(256, 256)),  # fourier_resample: every mode of an even grid
+        (256, *_band(256, 256)),  # every mode of an even grid
         (255, *_band(255, 255)),  # and of an odd one (2J + 1 >= L)
     ])
     def test_matches_direct_table(self, ref_coeffs, N, n_size, L, lo, hi):

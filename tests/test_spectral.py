@@ -9,7 +9,6 @@ from lpkdv.errors import (DomainError, NumericalError, PreconditionError,
                           SingularPotentialError)
 from lpkdv.nls import _check_spectra_resolved, gaussian_envelope
 from lpkdv.quad import LatticeField, LpkdvParams
-from lpkdv.reduction import fourier_resample
 from lpkdv.spectral import (
     ZsProblem,
     band_edge_estimates,
@@ -254,7 +253,8 @@ class TestZsEigenvalues:
         def closed_form(s):
             return np.exp(-((s - 12.0) / 1.25) ** 2 / 2 + 3j * s)
 
-        got = fourier_resample(closed_form(x), xi0, dxi, x_fine)
+        got = spectral._refined_potential(closed_form(x), factor)
+        assert got.shape == x_fine.shape
         assert np.max(np.abs(got - closed_form(x_fine))) <= 1e-12
 
     @pytest.mark.parametrize("L", [256, 255])
@@ -263,10 +263,9 @@ class TestZsEigenvalues:
         # a real potential stay in real arithmetic
         xi0, dxi = -3.0, 40.0 / L
         u = np.exp(-((xi0 + dxi * np.arange(L) - 12.0) / 1.25) ** 2 / 2)
-        x_fine = np.linspace(xi0, xi0 + dxi * (L - 1), 2 * (L - 1) + 1)
-        got = fourier_resample(u, xi0, dxi, x_fine)
+        got = spectral._refined_potential(u, 2)
         assert got.dtype == np.float64
-        assert np.array_equal(got, fourier_resample(u.astype(complex), xi0, dxi, x_fine).real)
+        assert np.array_equal(got, spectral._refined_potential(u.astype(complex), 2).real)
 
     def test_zero_potential_empty(self, ref_coeffs):
         x = np.linspace(0.0, 40.0, 128) / ref_coeffs.M1
