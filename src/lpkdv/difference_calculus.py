@@ -94,8 +94,7 @@ def _differences(values, lo: int, hi: int):
 
 
 def _difference_sum(seq: Sequence1D, lo: int, hi: int, coefficient) -> Sequence1D:
-    """sum_{i=lo..hi} coefficient(i) D^i seq on the window of D^hi (all zero
-    for lo > hi)."""
+    """sum_{i=lo..hi} coefficient(i) D^i seq, on the window of D^hi."""
     acc = [Fraction(0)] * (len(seq) - hi)
     for i, vals in _differences(seq.values, lo, hi):
         c = coefficient(i)

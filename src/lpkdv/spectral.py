@@ -26,8 +26,7 @@ image of lattice Dirichlet walls), one-sided second-order derivative rows at
 the ends, fourth-order central stencils inside, as the sparse matrix B = -i M
 (M psi = mu1 psi), real for a real potential; it finds the eigenvalues in a
 disc by ARPACK shift-invert on B and keeps only those that survive 2x and 3x
-grid refinements, the refined potential being the potential's spectrum
-zero-padded to 2x or 3x the modes (its Fourier series on the finer grid).
+grid refinements of the potential, its spectrum zero-padded.
 """
 
 from __future__ import annotations
@@ -190,6 +189,9 @@ def isospectral_drift(lattice: LatticeField, params: LpkdvParams, m_list,
     EDGE_TOL within 5 columns of either edge (otherwise the window
     truncation, not the evolution, dominates the drift).
     """
+    # looked up at call time, so a wrapper set on quad.max_residual (the
+    # traced run's quad.residual span) sees this call; a module-level import
+    # would bind the unwrapped function
     from .quad import max_residual
 
     m_list = list(m_list)

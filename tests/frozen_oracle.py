@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lpkdv.nls import Envelope, EnvelopeEvolution, NlsCoefficients
+from lpkdv.nls import Envelope, EnvelopeEvolution, NlsCoefficients, _top_mode
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,10 @@ class FrozenEvolution(EnvelopeEvolution):
 
 
 def frozen_evolution(env: Envelope, c: NlsCoefficients) -> EnvelopeEvolution:
-    """band is the highest |j| at which |u_hat| exceeds eps times its
-    largest, the dense run's rule with no nonlinear term."""
+    """band is nls._top_mode of the initial spectrum, the dense run's rule
+    with no nonlinear term."""
     big = 1e30
-    mag = np.abs(np.fft.fft(env.values))
-    j = np.flatnonzero(mag > np.finfo(float).eps * mag.max())
-    band = int(np.minimum(j, env.L - j).max(initial=0))
+    band = _top_mode(np.fft.fft(env.values))
     return FrozenEvolution(env.xi0, env.dxi, np.array([-big, big]),
                            np.vstack([env.values, env.values]), c,
                            nonlinear=None, steps=0, dtau=0.0, band=band,

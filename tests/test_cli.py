@@ -98,7 +98,7 @@ class TestRun:
             rep = read(tmp_path / sub / name)
             assert "assembly" not in rep
             assert set(rep["nls"]) == {"steps", "dtau", "snapshots", "band", "grids"}
-            assert rep["nls"]["band"] == 86
+            assert rep["nls"]["band"] == 84
             assert rep["nls"]["grids"] == [256]
 
     def test_zs_limit_eigensolve_counters(self, tmp_path):

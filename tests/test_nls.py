@@ -527,21 +527,21 @@ def test_working_grid_matches_envelope_grid(p, q, kappa, envelope, ref_envelope,
            "plane": lambda: plane_envelope(1024, 0.0, 40.0, 0.8, 3),
            "nls-evolve": lambda: _nls_evolve_envelope(tmp_path)}[envelope]()
     work = evolve_rows(env, coeffs, rows, min(REF_N_LIST))
-    # nls-evolve's envelope at tau = 1 starts with band 79: 4 * 79 >= 256
+    # nls-evolve's envelope at tau = 1 starts with band 77: 4 * 77 >= 256
     assert work.grids == ({"plane": 16, "nls-evolve": 512}.get(envelope, 256),)
     _on_envelope_grid(monkeypatch)
     _assert_same_dense_output(work, evolve_rows(env, coeffs, rows, min(REF_N_LIST)), env.L)
 
 
 def test_band_at_nyquist_reruns_on_twice_the_grid(ref_coeffs, monkeypatch):
-    """An amplitude-4 Gaussian starts with band 43 (256 points) and grows it
-    to 131 over ansatz-residual's span: the run stops at band 128 and runs
+    """An amplitude-4 Gaussian starts with band 42 (256 points) and grows it
+    to 128 over ansatz-residual's span: the run stops at band 128 and runs
     again on 512 points, and matches the run on the envelope's grid; the
     end-point run reruns too, and its end values match."""
     env = gaussian_envelope(1024, 0.0, 40.0, 4.0, 1.25, 12.0)
     c = ref_coeffs.nls_coefficients()
     work = evolve_rows(env, ref_coeffs, REF_WINDOW[1], min(REF_N_LIST))
-    assert work.grids == (256, 512) and work.band == 131
+    assert work.grids == (256, 512) and work.band == 128
     grids = []  # the dense run's steps, as an end-point run
     end = nls_evolve(env, c, work.tau_max, work.dtau * 1.001, grids)
     assert grids == [256, 512]
@@ -553,14 +553,28 @@ def test_band_at_nyquist_reruns_on_twice_the_grid(ref_coeffs, monkeypatch):
 
 
 def test_wide_band_stays_on_envelope_grid(ref_coeffs):
-    """A width-0.3 Gaussian starts with band 180 (308 over ansatz-residual's
-    span): 4 * 180 >= 512, so it steps on the envelope's 1024 points."""
+    """A width-0.3 Gaussian starts with band 178 (303 over ansatz-residual's
+    span): 4 * 178 >= 512, so it steps on the envelope's 1024 points."""
     env = gaussian_envelope(1024, 0.0, 40.0, 1.0, 0.3, 12.0)
     evo = evolve_rows(env, ref_coeffs, REF_WINDOW[1], min(REF_N_LIST))
-    assert evo.band == 308 and evo.grids == (1024,) and evo.L == 1024
+    assert evo.band == 303 and evo.grids == (1024,) and evo.L == 1024
     grids = []
     nls_evolve(env, ref_coeffs.nls_coefficients(), 0.01, 1e-3, grids)
     assert grids == [1024]
+
+
+def test_mixed_radix_grid_reads_the_same_band(ref_coeffs):
+    """On 1536 = 3 * 2^9 points the fft's round-off in the default Gaussian's
+    spectrum reaches 1.1 eps of its largest mode, above an eps floor and
+    under the 2 eps one: the run reads the band of the 1024-point run and
+    steps on 192 points, not on all 1536."""
+    def run(L):
+        env = gaussian_envelope(L, 0.0, 40.0, 1.0, 1.25, 12.0)
+        return evolve_rows(env, ref_coeffs, REF_WINDOW[1], min(REF_N_LIST))
+
+    evo = run(1536)
+    assert evo.grids == (192,)
+    assert evo.band == run(1024).band
 
 
 def test_divergence_reruns_up_to_envelope_grid():

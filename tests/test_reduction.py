@@ -393,14 +393,14 @@ class TestSpectralAssembly:
         # j = 0..2J, so 4J must stay inside the grid |u1_1|^2 is formed on
         # (twice the working grid, within the envelope's), and J below the
         # working grid's Nyquist mode; J is the highest |j| at which a stored
-        # step end carries |u_hat| or dtau |N_hat| above eps times its
+        # step end carries |u_hat| or dtau |N_hat| above 2 eps times its
         # largest |u_hat|, over every step end
         evo = ref_evolution
         J = evo.band
         assert 0 < 4 * J < min(2 * evo.L, evo.envelope_L)
         assert J < evo.L / 2
         mag = np.abs(evo.snapshots)
-        floor = np.finfo(float).eps * mag.max(axis=1, keepdims=True)
+        floor = 2.0 * np.finfo(float).eps * mag.max(axis=1, keepdims=True)
         above = np.any((mag > floor) | (evo.dtau * np.abs(evo.nonlinear) > floor), axis=0)
         j = np.flatnonzero(above)
         assert J == np.minimum(j, evo.L - j).max()
@@ -414,7 +414,7 @@ class TestLatticeMatrix:
     @pytest.mark.parametrize("N", [16, 64, 128])
     @pytest.mark.parametrize("n_size", [512, 384])
     @pytest.mark.parametrize("L, lo, hi", [
-        (256, 86, 86),          # envelope_values at the reference band J = 86
+        (256, 86, 86),          # envelope_values at a band J = 86
         (256, 86, 172),         # the assembly's table: j = -J..2J, even top
         (256, 43, 131),         # odd top
         (256, *_band(256, 256)),  # every mode of an even grid
