@@ -258,8 +258,8 @@ def test_computation_error_leaves_no_artifacts(tmp_path, monkeypatch):
     ("SingularFlowError", {"location": (3, 4), "stage": 2}),
 ])
 def test_singular_error_record(tmp_path, monkeypatch, name, fields):
-    """A Singular*Error's attributes are its location (the flow error's its
-    stage as well) and no more: the manifest records them beside the type
+    """A Singular*Error's attributes are its location, and the flow error's
+    its stage too, and no more: the manifest records them beside the type
     and the message."""
     from lpkdv import errors, symmetries
 

@@ -568,13 +568,13 @@ def test_mixed_radix_grid_reads_the_same_band(ref_coeffs):
     spectrum reaches 1.1 eps of its largest mode, above an eps floor and
     under the 2 eps one: the run reads the band of the 1024-point run and
     steps on 192 points, not on all 1536."""
-    def run(L):
+    def evolve(L):
         env = gaussian_envelope(L, 0.0, 40.0, 1.0, 1.25, 12.0)
         return evolve_rows(env, ref_coeffs, REF_WINDOW[1], min(REF_N_LIST))
 
-    evo = run(1536)
+    evo = evolve(1536)
     assert evo.grids == (192,)
-    assert evo.band == run(1024).band
+    assert evo.band == evolve(1024).band
 
 
 def test_divergence_reruns_up_to_envelope_grid():
