@@ -98,15 +98,13 @@ _ENVELOPE_TYPE_KEYS = {"gaussian": {}, "plane": {"k": 0}, "file": {"path": ""}}
 
 
 def _fits(value, default) -> bool:
-    """A JSON integer for an integer default, a finite number for a float
-    default, a finite number or null for a null default, a list of what fits
-    the default's first entry for a list, else the default's JSON type.  A
-    finite number is one a float holds: no NaN, no infinity and no integer
-    beyond the float range."""
+    """A JSON integer for an integer default, a finite number
+    (nls.finite_number) for a float default, a finite number or null for a
+    null default, a list of what fits the default's first entry for a list,
+    else the default's JSON type."""
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    number = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and abs(value) <= sys.float_info.max)
+    number = nls.finite_number(value)
     if isinstance(default, int):
         return number and isinstance(value, int)
     if isinstance(default, float) or default is None:
@@ -199,10 +197,17 @@ def _nls_block(evolution) -> dict:
 
 
 def _bump_solution(cfg):
-    """Exact lpKdV solution for lattice-side tests, with its own parameters."""
+    """Exact lpKdV solution for lattice-side tests, with its own parameters.
+    A window whose sweep store, evolve_ivp's skewed (n_size + m_size - 1) x
+    m_size array, would pass nls.MAX_STEP_POINTS is refused before anything
+    is allocated."""
     b = cfg["boundary"]
     params = quad.LpkdvParams(b["p"], b["q"])
     n_size, m_size = b["n_size"], b["m_size"]
+    points = (n_size + m_size - 1) * m_size
+    if points > nls.MAX_STEP_POINTS:
+        raise DomainError(f"the {n_size} x {m_size} lattice window needs {points} sweep "
+                          f"points, over the {nls.MAX_STEP_POINTS} allowed")
     n = np.arange(n_size)
     if b["kind"] == "bump":
         center = b["center"] if b["center"] is not None else n_size // 2

@@ -49,15 +49,6 @@ class Sequence1D:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def n_max(self) -> int:
-        return self.n_min + len(self.values) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not (self.n_min <= n <= self.n_max):
-            raise IndexError(f"lattice index {n} outside window [{self.n_min}, {self.n_max}]")
-        return self.values[n - self.n_min]
-
 
 def sequence_from_function(f, n_min: int, n_max: int) -> Sequence1D:
     """Sample f at integer points n_min..n_max (inclusive); f must return exact values."""

@@ -55,7 +55,7 @@ itself is never stopped.  `nls_evolve` pads its end spectrum back to L.
 The module also carries the first reduced symmetry flows of the hierarchy:
     h1: du/dlambda = i u                 (phase)
     h2: du/dlambda = du/dxi              (xi-translation)
-    h3: du/dlambda = du/dtau             (same right-hand side as the NLS)
+    h3: du/dlambda = du/dtau             (the NLS itself, flow id "nls")
     h4: du/dlambda = rho1 d^3u/dxi^3 + 3 rho2 |u|^2 du/dxi
 and the vector-field commutators of pairs of them.  On the grid each flow
 is a real polynomial map of degree <= 3 in (Re u, Im u), so their Frechet
@@ -81,16 +81,14 @@ MIN_GRID = 16                 # fewest grid points the reduced flows accept
 # the most (steps + 1) * L of any run, L the envelope's own grid: about 13 s
 # of stepping at L = 1024 on a 2-core host, and 1 GiB for a dense run on a
 # working grid of L' = L points, which stores u_hat and N_hat, L' complex128
-# each (32 bytes per point), at every step end (2^-k of that for L' = L/2^k)
+# each (32 bytes per point), at every step end (2^-k of that for L' = L/2^k);
+# also the most entries of a lattice array the CLI sizes from its config
+# (cli._bump_solution's sweep store, reduction.assemble_ansatz's matrices)
 MAX_STEP_POINTS = 1 << 25
-# taus per block of EnvelopeEvolution.spectra_at: its largest temporary, the
-# (12, 5, L'/2 + 1) stack of phi_0..phi_4 on the working grid of L' points,
-# stays below the (32, L') spectra of one assembly block (reduction._BLOCK_ROWS)
-_EVAL_ROWS = 12
 _PHI_TERMS = 14               # series terms of _phi below |z| = 0.5 (tail < 1e-17)
 COMMUTATOR_STEP = 1e-2        # the step of _derivative's central differences
-FLOW_IDS = ("nls", "h1", "h2", "h3", "h4")
-# flow pairs of commutator_sweep: every pair of nls, h1, h2, h4 (h3 is the nls)
+FLOW_IDS = ("nls", "h1", "h2", "h4")
+# flow pairs of commutator_sweep: every pair of FLOW_IDS
 COMMUTATOR_PAIRS = (("nls", "h1"), ("nls", "h2"), ("nls", "h4"),
                     ("h1", "h2"), ("h1", "h4"), ("h2", "h4"))
 
@@ -103,6 +101,13 @@ class NlsCoefficients:
     def __post_init__(self):
         if self.rho1 == 0.0:
             raise DomainError("NLS coefficient rho1 must be nonzero")
+
+
+def finite_number(value) -> bool:
+    """An int or a float, not a bool, that a float holds: no NaN, no
+    infinity and no integer beyond the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,9 @@ class Envelope:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim != 1 or len(vals) < 2:
             raise DomainError("Envelope needs a 1D grid with at least 2 points")
-        if not (math.isfinite(self.dxi) and self.dxi > 0):
+        if not (finite_number(self.dxi) and self.dxi > 0):
             raise DomainError(f"grid spacing dxi = {self.dxi} must be positive and finite")
-        if not math.isfinite(self.xi0):
+        if not finite_number(self.xi0):
             raise DomainError(f"grid origin xi0 = {self.xi0} must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -191,6 +196,12 @@ def stable_dtau(env: Envelope, c: NlsCoefficients) -> float:
 
 def _check_stability(env: Envelope, c: NlsCoefficients, dtau: float) -> None:
     rot = _stiffness(env, c)
+    if not math.isfinite(rot):  # stable_dtau is 0: name the overflow, not the step
+        raise DomainError(
+            f"the stiffness |rho1|*kmax^2 + |rho2|*max|u|^2 overflows at max|u| = "
+            f"{float(np.max(np.abs(env.values))):.3e}, kmax = {math.pi / env.dxi:.3e}: "
+            "no step is within the step stability bound"
+        )
     if not 0.0 < dtau * rot <= GUARD_BOUND:
         raise DomainError(
             f"dtau = {dtau:.3e} is not positive within the step stability bound "
@@ -493,8 +504,9 @@ class EnvelopeEvolution:
         return min(len(self.taus), 4)
 
     def spectra_at(self, taus) -> np.ndarray:
-        """fft of the envelope at each of taus, shape (len(taus), L), built
-        _EVAL_ROWS taus at a time."""
+        """fft of the envelope at each of taus, shape (len(taus), L); its
+        largest temporary is the (len(taus), 5, L/2 + 1) stack of
+        phi_0..phi_4, so callers pass a block of taus at a time."""
         t, n, lo = self._locate(taus)
         L, width, h = self.L, self._width, self.dtau
         rate = _linear_rate(L, self.dxi, self.coefficients)[:L // 2 + 1]
@@ -504,18 +516,14 @@ class EnvelopeEvolution:
         # nodes counted in steps from taus[n]; its term integrates to
         # j! s^(j+1) h^(-j) phi_(j+1), so node i's weight is mix[:, i] @ phi
         inv = np.linalg.inv((j - j[:, None])[:, :, None] ** j).transpose(0, 2, 1)
-        out = np.empty((len(t), L), dtype=np.complex128)
-        for a in range(0, len(t), _EVAL_ROWS):
-            rows = slice(a, a + _EVAL_ROWS)
-            s = t[rows] - self.taus[n[rows]]
-            scale = factorial * s[:, None] ** (j + 1) / h ** j
-            mix = inv[n[rows] - lo[rows]] * scale[:, None, :]
-            phis = _phi(1j * np.multiply.outer(s, rate), width)
-            weights = (mix @ phis[:, 1:].view(float)).view(complex)
-            block = _mirror(phis[:, 0], L) * self.snapshots[n[rows]]
-            for i in range(width):
-                block += _mirror(weights[:, i], L) * self.nonlinear[lo[rows] + i]
-            out[rows] = block
+        s = t - self.taus[n]
+        scale = factorial * s[:, None] ** (j + 1) / h ** j
+        mix = inv[n - lo] * scale[:, None, :]
+        phis = _phi(1j * np.multiply.outer(s, rate), width)
+        weights = (mix @ phis[:, 1:].view(float)).view(complex)
+        out = _mirror(phis[:, 0], L) * self.snapshots[n]
+        for i in range(width):
+            out += _mirror(weights[:, i], L) * self.nonlinear[lo + i]
         return out
 
 
@@ -544,7 +552,7 @@ def _flow(u: np.ndarray, dxi: float, c: NlsCoefficients, which: str) -> np.ndarr
         return 1j * u
     if which == "h2":
         return _spectral_derivative(u, dxi, 1)
-    if which in ("h3", "nls"):  # the field _integrate steps: Lambda u_hat + N_hat
+    if which == "nls":  # h3, the field _integrate steps: Lambda u_hat + N_hat
         u_hat = np.fft.fft(u)
         return np.fft.ifft(1j * _linear_rate(len(u), dxi, c) * u_hat + _nonlinear(u_hat, c.rho2))
     if which == "h4":
@@ -652,26 +660,17 @@ def envelope_to_json(env: Envelope) -> dict:
     }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def envelope_from_json(doc: dict) -> Envelope:
     """The envelope of an envelope_to_json document; DomainError for one that
     lacks a key, has re or im other than equally long lists of finite
-    numbers, or xi0, dxi or tau other than a number, tau finite (Envelope
-    refuses a non-finite xi0 or dxi by name).  A finite number is one a float
-    holds: no NaN, no infinity and no integer beyond the float range."""
+    numbers, or a tau other than a finite number (Envelope refuses xi0 and
+    dxi by name); finite_number is the rule for all five."""
     if not isinstance(doc, dict) or not {"re", "im", "xi0", "dxi"} <= set(doc):
         raise DomainError("an envelope JSON document needs re, im, xi0 and dxi")
-    re, im = doc["re"], doc["im"]
+    re, im, tau = doc["re"], doc["im"], doc.get("tau", 0.0)
     if not (isinstance(re, list) and isinstance(im, list) and len(re) == len(im)
-            and all(map(_is_number, re + im))):
-        raise DomainError("an envelope JSON document needs re and im as lists of "
-                          "numbers of equal length")
-    if not all(_is_number(doc.get(key, 0.0)) for key in ("xi0", "dxi", "tau")):
-        raise DomainError("an envelope JSON document needs numbers for xi0, dxi and tau")
-    if not all(abs(v) <= sys.float_info.max for v in re + im + [doc.get("tau", 0.0)]):
-        raise DomainError("an envelope JSON document needs finite re, im and tau")
+            and all(map(finite_number, re + im + [tau]))):
+        raise DomainError("an envelope JSON document needs finite re, im and tau, re and "
+                          "im as lists of numbers of equal length")
     vals = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    return Envelope(doc["xi0"], doc["dxi"], vals, doc.get("tau", 0.0))
+    return Envelope(doc["xi0"], doc["dxi"], vals, tau)

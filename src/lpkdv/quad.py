@@ -233,12 +233,11 @@ class CarrierWave:
         return cls(kappa=kappa, omega=dispersion(params, kappa))
 
 
-def plane_wave_field(kappa: float, omega: float, n_size: int, m_size: int,
-                     amplitude=1.0) -> LatticeField:
-    """Sample amplitude * exp(i(kappa*n - omega*m)) on the window."""
+def plane_wave_field(kappa: float, omega: float, n_size: int, m_size: int) -> LatticeField:
+    """Sample exp(i(kappa*n - omega*m)) on the window."""
     n = np.arange(n_size)[:, None]
     m = np.arange(m_size)[None, :]
-    return LatticeField(amplitude * np.exp(1j * (kappa * n - omega * m)))
+    return LatticeField(np.exp(1j * (kappa * n - omega * m)))
 
 
 def linear_residual_max(params: LpkdvParams, kappa: float) -> float:

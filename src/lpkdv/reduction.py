@@ -252,7 +252,9 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     slow time evolution.tau_min + m/N^2.  Slow coordinates must stay inside
     the stored tau range of the evolution (xi wraps periodically); violations
     raise with the offending (n, m).  The envelope and |u1_1|^2 must be
-    spectrally resolved (PreconditionError otherwise).
+    spectrally resolved (PreconditionError otherwise).  A window whose
+    lattice-point matrix or field would pass nls.MAX_STEP_POINTS entries is
+    refused before either is allocated (DomainError).
 
     u1_1 is evaluated as the Fourier series whose coefficients are the
     envelope's spectrum (EnvelopeEvolution.spectra_at, on the run's working
@@ -274,14 +276,19 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         raise DomainError("N must be a positive integer")
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
     xi0, dxi, L = evolution.xi0, evolution.dxi, evolution.L
-    ns = np.arange(n_size)
-    ms = np.arange(m_size)
-    x = coeffs.xi(ns, 0, N)
-    taus = _row_taus(evolution, ms, N)
     J = evolution.band
     square = min(2 * L, evolution.envelope_L)             # |u1_1|^2's grid
     lo, hi = _band(J, L)                                  # u1_1: j = -lo..hi
     top = min(2 * J, square // 2)                         # |u1_1|^2: j = 0..top
+    width = lo + max(lo, hi, top) + 1                     # _lattice_matrix's columns
+    if n_size * max(width, m_size) > nls.MAX_STEP_POINTS:
+        raise DomainError(f"the {n_size} x {m_size} ansatz window with {width} modes needs "
+                          f"{n_size * max(width, m_size)} points, over the "
+                          f"{nls.MAX_STEP_POINTS} allowed")
+    ns = np.arange(n_size)
+    ms = np.arange(m_size)
+    x = coeffs.xi(ns, 0, N)
+    taus = _row_taus(evolution, ms, N)
     basis = _lattice_matrix(x, xi0, lo, max(hi, top), L, dxi)
     basis1, basis0 = basis[:, :lo + hi + 1], basis[:, lo:lo + top + 1]
     carrier_n = np.exp(1j * kappa * ns)

@@ -91,10 +91,7 @@ def build_spectral_problem(lattice: LatticeField, params: LpkdvParams, m: int,
     """a_n from row m of the field, for the problem between Dirichlet walls;
     the stencil eats one column on the left and two on the right."""
     _check_row(lattice, m)
-    row = lattice.values[:, m]
-    if np.iscomplexobj(row) and np.max(np.abs(row.imag)) == 0.0:
-        row = row.real
-    return coefficient_row(row, params, variant)
+    return coefficient_row(lattice.values[:, m], params, variant)
 
 
 def _operator_matrix(a: np.ndarray, periodic: bool) -> np.ndarray:

@@ -120,35 +120,30 @@ def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
     return report
 
 
-def _block_reduce(arr: np.ndarray, P: int) -> np.ndarray:
-    nb, mb = arr.shape[0] // P, arr.shape[1] // P
-    return arr[:nb * P, :mb * P].reshape(nb, P, mb, P).mean(axis=(1, 3))
-
-
-def first_harmonic_blocks(ansatz: AnsatzField, which: str) -> np.ndarray:
-    """Demodulated flow RHS averaged over carrier-period blocks; the carrier
-    e^{-i(kappa n - omega m)} is the outer product of e^{-i kappa n} and
-    e^{i omega m}, one exp per row and per column."""
+def first_harmonic_blocks(ansatz: AnsatzField, which: str) -> tuple:
+    """(blocks, u1): the demodulated flow RHS averaged over the whole blocks
+    of P x P sites, P = ceil(2 pi / kappa), that start at the flow's first
+    row FLOW_STENCIL[which] and at column 0, and the envelope u1 at their
+    centres.  The carrier e^{-i(kappa n - omega m)} is the outer product of
+    e^{-i kappa n} and e^{i omega m}, one exp per row and per column.  A
+    window with no whole block is a PreconditionError."""
     coeffs = ansatz.coeffs
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
     rhs = flow_rhs(ansatz.field, coeffs.params, which).values
-    s = FLOW_STENCIL[which]
-    inner = rhs[s:-s, :]
-    n_idx = s + np.arange(inner.shape[0])
-    m_idx = np.arange(inner.shape[1])
-    demod = inner * np.outer(np.exp(-1j * kappa * n_idx), np.exp(1j * omega * m_idx))
-    return _block_reduce(demod, math.ceil(2 * math.pi / kappa))
+    s, P = FLOW_STENCIL[which], math.ceil(2 * math.pi / kappa)
+    nb, mb = (rhs.shape[0] - 2 * s) // P, rhs.shape[1] // P
+    if nb * mb == 0:
+        raise PreconditionError("carrier period P = {} is longer than the {} x {} window: "
+                                "nothing to project".format(P, *ansatz.field.shape))
+    n_idx, m_idx = s + np.arange(nb * P), np.arange(mb * P)
+    demod = rhs[s:s + nb * P, :mb * P] * np.outer(np.exp(-1j * kappa * n_idx),
+                                                 np.exp(1j * omega * m_idx))
+    centres = (np.arange(max(nb, mb)) + 0.5) * P - 0.5
+    return (demod.reshape(nb, P, mb, P).mean(axis=(1, 3)),
+            ansatz.envelope_values(s + centres[:nb], centres[:mb]))
 
 
-def _block_envelope(ansatz: AnsatzField, which: str, shape: tuple) -> np.ndarray:
-    """The envelope sampled at the centers of first_harmonic_blocks' blocks."""
-    P = math.ceil(2 * math.pi / ansatz.coeffs.carrier.kappa)
-    centers_n = FLOW_STENCIL[which] + (np.arange(shape[0]) + 0.5) * P - 0.5
-    centers_m = (np.arange(shape[1]) + 0.5) * P - 0.5
-    return ansatz.envelope_values(centers_n, centers_m)
-
-
-def harmonic_projection(ansatz: AnsatzField, which: str, flow1: np.ndarray) -> dict:
+def harmonic_projection(ansatz: AnsatzField, which: str, flow1: tuple) -> dict:
     """Project a flow's RHS onto the first carrier harmonic and compare with
     the reduced flow.
 
@@ -159,19 +154,13 @@ def harmonic_projection(ansatz: AnsatzField, which: str, flow1: np.ndarray) -> d
     symmetry up to a reparametrization of the group parameter.  The pointwise
     ratio to the reduced flow is not reported: at blocks whose envelope
     sample is near ENVELOPE_FLOOR it divides two round-off-sized numbers.
-    An envelope below ENVELOPE_FLOOR at every block, or a window with no
-    whole block, is a PreconditionError.  flow1 is
-    first_harmonic_blocks(ansatz, "flow1"), computed once by the caller for
-    both flows on the same ansatz.
+    An envelope below ENVELOPE_FLOOR at every block is a PreconditionError.
+    flow1 is the (blocks, u1) pair of first_harmonic_blocks(ansatz,
+    "flow1"), computed once by the caller for both flows on the same ansatz.
     """
     params = ansatz.coeffs.params
     kappa = ansatz.coeffs.carrier.kappa
-    blocks = flow1 if which == "flow1" else first_harmonic_blocks(ansatz, which)
-    if blocks.size == 0:
-        raise PreconditionError("carrier period P = {} is longer than the {} x {} window: "
-                                "nothing to project".format(math.ceil(2 * math.pi / kappa),
-                                                            *ansatz.field.shape))
-    env = _block_envelope(ansatz, which, blocks.shape)
+    blocks, env = flow1 if which == "flow1" else first_harmonic_blocks(ansatz, which)
     keep = np.abs(env) >= ENVELOPE_FLOOR
     if not np.any(keep):
         raise PreconditionError(
@@ -188,8 +177,8 @@ def harmonic_projection(ansatz: AnsatzField, which: str, flow1: np.ndarray) -> d
     }
     if which == "flow2":
         # flow2's margin is wider; align the two block grids
-        nb, mb = np.minimum(blocks.shape, flow1.shape)
-        b2, b1, e = blocks[:nb, :mb], flow1[:nb, :mb], env[:nb, :mb]
+        nb, mb = np.minimum(blocks.shape, flow1[0].shape)
+        b2, b1, e = blocks[:nb, :mb], flow1[0][:nb, :mb], env[:nb, :mb]
         keep2 = (np.abs(e) >= ENVELOPE_FLOOR) & (np.abs(b1) > 0)
         ratio21 = b2[keep2] / b1[keep2]
         w2 = np.abs(e[keep2]) ** 2

@@ -556,8 +556,8 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     keys r, M2_tilde, branch, nls.dtau, window and the commutators block are
     unknown keys; an envelope of width 0.05 on the default grid is refused as
     unresolved (top-third energy 1.5e-4); an amplitude
-    whose square overflows has a stable step of 0, which the step guard
-    refuses; a tau_final at the envelope's own tau (0) asks for a mass drift
+    whose square overflows leaves no stable step, which the step guard
+    refuses (test_hostile_config_exit_2 reads its words); a tau_final at the envelope's own tau (0) asks for a mass drift
     over no step, which cannot fail.  "$TMP" in a config stands for the test's directory, which
     holds an empty JSON object as empty.json and malformed envelope
     documents: re and im of unequal length (ragged.json), a text dxi
@@ -749,6 +749,46 @@ def test_envelope_integer_beyond_float_range_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "finite re, im and tau" in err
+
+
+# configs that end in a traceback unless refused by name: an envelope file
+# whose grid is an integer beyond the float range, lattice windows and ansatz
+# windows past nls.MAX_STEP_POINTS (14.6 TiB for the 10^6 x 10^6 sweep, a
+# 7155418 x 1025 lattice-point matrix at nls.period = 1e6, sizes numpy
+# cannot allocate at all) and an amplitude whose square overflows the
+# stiffness; each with the words of its config error line
+HOSTILE = [
+    pytest.param("nls-evolve", {"xi0": 10 ** 400}, "grid origin xi0 = 1000", id="file-xi0"),
+    pytest.param("nls-evolve", {"dxi": 10 ** 400}, "grid spacing dxi = 1000", id="file-dxi"),
+    pytest.param("simulate", {"boundary": {"n_size": 10 ** 6, "m_size": 10 ** 6}},
+                 "the 1000000 x 1000000 lattice window needs 1999999000000 sweep points",
+                 id="simulate-window"),
+    pytest.param("simulate", {"boundary": {"n_size": 10 ** 30}},
+                 f"the {10 ** 30} x 11 lattice window", id="simulate-n_size"),
+    pytest.param("zs-limit", {"nls": {"period": 1e6}}, "ansatz window with 1025 modes",
+                 id="zs-limit-period"),
+    pytest.param("zs-limit", {"N_list": [16, 32, 10 ** 30]}, "ansatz window with",
+                 id="zs-limit-N"),
+    *[pytest.param(subcommand, {"envelope": {"amplitude": 1e200}},
+                   "overflows at max|u| = 1.000e+200", id=f"{subcommand}-amplitude")
+      for subcommand in ("ansatz-residual", "flow-project", "nls-evolve")],
+]
+
+
+@pytest.mark.parametrize("subcommand, doc, words", HOSTILE)
+def test_hostile_config_exit_2(tmp_path, capsys, subcommand, doc, words):
+    """Each config exits 2 with one config error line carrying the words,
+    before anything is allocated or stepped.  A doc without a known config
+    key changes ENVELOPE, which the run reads as a file envelope."""
+    if not set(doc) <= set(DEFAULT_CONFIG):
+        (tmp_path / "env.json").write_text(json.dumps(dict(ENVELOPE, **doc)))
+        doc = {"envelope": {"type": "file", "path": str(tmp_path / "env.json")}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(subcommand, str(cfg), str(tmp_path / "o"), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert words in err
 
 
 def test_flow_check_floor_exponent_passes(tmp_path, monkeypatch):

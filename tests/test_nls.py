@@ -25,6 +25,7 @@ from lpkdv.nls import (
     dense_dtau,
     envelope_from_json,
     envelope_to_json,
+    finite_number,
     gaussian_envelope,
     nls_evolve,
     nls_evolve_dense,
@@ -45,6 +46,16 @@ C_REF = NlsCoefficients(-1.2, 16.0 / 75.0)
 
 def make_env(L=256, period=40.0, amplitude=0.7, width=2.5, center=20.0):
     return gaussian_envelope(L, 0.0, period, amplitude, width, center)
+
+
+@pytest.mark.parametrize("value, finite", [
+    (0, True), (-2.5, True), (1.7976931348623157e308, True), (True, False),
+    (math.nan, False), (-math.inf, False), (10 ** 400, False), ("1", False), (None, False),
+], ids=["0", "-2.5", "float-max", "True", "nan", "-inf", "10**400", "text", "None"])
+def test_finite_number(value, finite):
+    """The one finite-number rule of the config, the envelope file and
+    Envelope: an int or a float, not a bool, that a float holds."""
+    assert finite_number(value) is finite
 
 
 class TestRhs:
@@ -374,9 +385,14 @@ class TestSymmetryRhs:
         assert np.max(np.abs(symmetry_rhs(env, C_REF, "h4"))) < 1e-12
 
     def test_h3_is_nls_rhs(self):
+        """h3, du/dlambda = du/dtau, is the flow id "nls": its field is the
+        time derivative of an NLS run, to O(h) in a step of h."""
         env = make_env(L=128)
-        assert np.array_equal(symmetry_rhs(env, C_REF, "h3"),
-                              symmetry_rhs(env, C_REF, "nls"))
+        rhs = symmetry_rhs(env, C_REF, "nls")
+        err = [np.max(np.abs((nls_evolve(env, C_REF, h, h).values - env.values) / h - rhs))
+               for h in (1e-3, 5e-4)]
+        assert err[0] <= 1e-2 * np.max(np.abs(rhs))
+        assert 1.8 <= err[0] / err[1] <= 2.2
 
     def test_unknown_flow(self):
         env = make_env(L=64, width=4.0)

@@ -142,7 +142,7 @@ class TestEvolveIvp:
         # the sampled linear wave solves the equation up to its quadratic term
         a = 1e-8
         kappa = 1.1
-        f = plane_wave_field(kappa, dispersion(P15, kappa), 12, 12, amplitude=a)
+        f = LatticeField(a * plane_wave_field(kappa, dispersion(P15, kappa), 12, 12).values)
         r = residual_field(f, P15)
         assert np.max(np.abs(r)) <= 10 * a ** 2
 

@@ -227,7 +227,7 @@ class TestIsospectral:
         from lpkdv.quad import dispersion, plane_wave_field
 
         a = 1e-5
-        f = plane_wave_field(1.1, dispersion(P15, 1.1), 60, 6, amplitude=a)
+        f = LatticeField(a * plane_wave_field(1.1, dispersion(P15, 1.1), 60, 6).values)
         with pytest.raises(PreconditionError, match="confined"):
             isospectral_drift(f, P15, [0, 2])
 
