@@ -281,10 +281,10 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     lo, hi = _band(J, L)                                  # u1_1: j = -lo..hi
     top = min(2 * J, square // 2)                         # |u1_1|^2: j = 0..top
     width = lo + max(lo, hi, top) + 1                     # _lattice_matrix's columns
-    if n_size * max(width, m_size) > nls.MAX_STEP_POINTS:
+    points = n_size * max(width, m_size)
+    if points > nls.MAX_STEP_POINTS:
         raise DomainError(f"the {n_size} x {m_size} ansatz window with {width} modes needs "
-                          f"{n_size * max(width, m_size)} points, over the "
-                          f"{nls.MAX_STEP_POINTS} allowed")
+                          f"{points} points, over the {nls.MAX_STEP_POINTS} allowed")
     ns = np.arange(n_size)
     ms = np.arange(m_size)
     x = coeffs.xi(ns, 0, N)
