@@ -16,11 +16,12 @@ its phase factor exp(Lambda s) from its own time s and each step adds the
 increment dt/6 (k1 + 2 k2 + 2 k3 + k4) to v_hat, so the round-off in
 |exp(Lambda s)| does not compound from step to step: the relative mass drift
 stays at round-off level (4e-16 over unit tau at the default config).
-The step loop (`_steps`) computes every stage into arrays allocated once
-per run, with out= on both FFTs and on every ufunc, in the textbook step's
-order of operations, so it gives the textbook step's results bit for bit
-without its temporaries: on the 256-point working grid of the default
-config a step costs numpy's per-call overhead more than arithmetic.
+One function (`_rk4_step`) takes that step for the run (`_steps`) and for
+its dense output (EnvelopeEvolution, on a stack of rows), with out= on both
+FFTs and on every ufunc, in the textbook step's order of operations: the
+textbook step's results bit for bit without its temporaries.  On the
+default config's 256-point working grid a step costs numpy's per-call
+overhead more than arithmetic.
 
 Steps are measured by the stiffness |rho1| k_max^2 + |rho2| max|u|^2
 (k_max = pi/dxi).  `stable_dtau` takes STEP_SAFETY of STEP_BOUND = 4 * 2.82
@@ -31,9 +32,9 @@ that `nls_evolve` and `nls_evolve_dense` enforce, dtau * stiffness <=
 GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND, admits that step and
 little more.  The linear part sets no stability limit here; the guard is an
 accuracy limit.  At its edge (4/0.9 times stable_dtau) the dense output
-matches classic RK4 on the lattice rows of the oracle test to 5.5e-11 at
-worst over its four parameter points, while at 8 times stable_dtau one of
-them, (p, q, kappa) = (1.5, 0.5, 1.2), is off by 1.0e-9.  At the default
+matches classic RK4 on the lattice rows of the oracle test to 3.6e-11 at
+worst over its four parameter points, and at 8 times stable_dtau to
+3.6e-10, at (p, q, kappa) = (1.5, 0.5, 1.2) in both.  At the default
 config the mass drift over unit tau is 4e-16 at `stable_dtau`, 2.0e-15 at
 twice that step and 3.7e-14 at four times it.  A run whose (steps + 1) * L
 would pass MAX_STEP_POINTS is refused before anything is allocated or
@@ -75,7 +76,6 @@ from .errors import DomainError, NumericalError, PreconditionError
 STEP_BOUND = 4.0 * 2.82       # stable_dtau's bound: 4x classic RK4's imaginary-axis bound
 STEP_SAFETY = 0.9             # stable_dtau's fraction of STEP_BOUND
 DENSE_STEP_MULTIPLE = 4       # the dense runs' step, in units of stable_dtau
-DENSE_MIN_STEPS = 3           # fewest steps of a dense run: 4 step ends carry N_hat's cubic
 GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND  # step guard: the largest dtau * stiffness
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
 # the most (steps + 1) * L of any run, L the envelope's own grid: about 13 s
@@ -85,7 +85,6 @@ MIN_GRID = 16                 # fewest grid points the reduced flows accept
 # also the most entries of a lattice array the CLI sizes from its config
 # (cli._bump_solution's sweep store, reduction.assemble_ansatz's matrices)
 MAX_STEP_POINTS = 1 << 25
-_PHI_TERMS = 14               # series terms of _phi below |z| = 0.5 (tail < 1e-17)
 COMMUTATOR_STEP = 1e-2        # the step of _derivative's central differences
 FLOW_IDS = ("nls", "h1", "h2", "h4")
 # flow pairs of commutator_sweep: every pair of FLOW_IDS
@@ -210,12 +209,9 @@ def _check_stability(env: Envelope, c: NlsCoefficients, dtau: float) -> None:
         )
 
 
-def dense_dtau(env: Envelope, c: NlsCoefficients, span: float) -> float:
-    """The dense runs' step: DENSE_STEP_MULTIPLE times stable_dtau, capped
-    at span / DENSE_MIN_STEPS for a positive span, so that the cubic through
-    N_hat has its 4 step ends."""
-    dtau = DENSE_STEP_MULTIPLE * stable_dtau(env, c)
-    return min(dtau, span / DENSE_MIN_STEPS) if span > 0 else dtau
+def dense_dtau(env: Envelope, c: NlsCoefficients) -> float:
+    """The dense runs' step: DENSE_STEP_MULTIPLE times stable_dtau."""
+    return DENSE_STEP_MULTIPLE * stable_dtau(env, c)
 
 
 def step_plan(span: float, dtau: float) -> tuple[int, float]:
@@ -232,22 +228,17 @@ def _linear_rate(L: int, dxi: float, c: NlsCoefficients) -> np.ndarray:
     return c.rho1 * _fft_wavenumbers(L, dxi) ** 2
 
 
-def _linear_phase(rate: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
-    """exp(1j * s * rate) written into out, with one exp per |k|: rate =
-    rho1 k^2 is exactly even in fftfreq order (the wavenumber at L - j is
-    minus the one at j), so the upper half is the lower half mirrored, bit
-    for bit."""
+def _linear_phase(rate: np.ndarray, s, out: np.ndarray) -> np.ndarray:
+    """exp(1j * s * rate) written into out, one row per s (a float for one
+    row, a column for a stack of rows along the last axis), with one exp per
+    |k|: rate = rho1 k^2 is exactly even in fftfreq order (the wavenumber at
+    L - j is minus the one at j), so the upper half is the lower half
+    mirrored, bit for bit."""
     L = rate.shape[-1]
-    half = out[:L // 2 + 1]
+    half = out[..., :L // 2 + 1]
     np.exp(np.multiply(rate[:L // 2 + 1], 1j * s, out=half), out=half)
-    out[L // 2 + 1:] = half[(L - 1) // 2:0:-1]
+    out[..., L // 2 + 1:] = half[..., (L - 1) // 2:0:-1]
     return out
-
-
-def _mirror(half: np.ndarray, L: int) -> np.ndarray:
-    """The full fftfreq-order rows of a function of k^2 given on the modes
-    j = 0..L//2 (the wavenumber at L - j is minus the one at j)."""
-    return np.concatenate([half, half[..., (L - 1) // 2:0:-1]], axis=-1)
 
 
 def _nonlinear(u_hat: np.ndarray, rho2: float, out: np.ndarray = None,
@@ -324,47 +315,63 @@ def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
         grids.append(2 * size)
 
 
-def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: float,
-           dense: bool, stop, tau0: float):
-    """_integrate's step loop on one grid from u_hat = v_hat at tau0:
-    (spectra, nonlinear, band), or None once band reaches stop or the values
-    turn non-finite with a finite stop.  A step's k1 is exp(-Lambda s) N_hat
-    of its start, so only the last N_hat costs FFTs of its own; 8 FFTs per
-    step.  Stages go into arrays allocated once per run, in the textbook
-    order: k_(i+1) = conj(p) N(p (v_hat + c k_i)), p = exp(Lambda s) at the
-    stage's time, then v_hat += (dt/6) (((k1 + 2 k2) + 2 k3) + k4)."""
-    L = len(v_hat)
-    spectra = np.empty((n_steps + 1 if dense else 1, L), dtype=np.complex128)
-    nonlinear = np.empty_like(spectra) if dense else None
-    v_hat = v_hat.copy()  # stepped in place
-    phase, half, end, conj, k, acc, tmp, u_hat, n_hat, u = np.empty((10, L), dtype=complex)
-    work = (u, *np.empty((2, L)))
-    phase[:] = 1.0  # exp(Lambda s) at the step's start
+def _scratch(shape: tuple) -> tuple:
+    """The work arrays of _rk4_step for rows of the given shape."""
+    conj, k, tmp, u = np.empty((4,) + shape, dtype=complex)
+    return conj, k, tmp, (u, *np.empty((2,) + shape))
+
+
+def _rk4_step(v_hat: np.ndarray, acc: np.ndarray, half: np.ndarray, end: np.ndarray,
+              dt, rho2: float, scratch: tuple) -> None:
+    """One interaction-picture RK4 step of size dt on v_hat, in place, in the
+    textbook order: k_(i+1) = conj(p) N(p (v_hat + c k_i)), p = half or end,
+    exp(Lambda s) at the stage's time from v_hat's origin, then
+    v_hat += (dt/6) (((k1 + 2 k2) + 2 k3) + k4), acc holding k1 on entry.
+    One row, or rows stacked along the first axis with dt a column; 6 FFTs."""
+    conj, k, tmp, work = scratch
 
     def stage(k_prev, c, p, p_conj):  # k = conj(p) N(p (v_hat + c k_prev))
         np.add(v_hat, np.multiply(k_prev, c, out=tmp), out=tmp)
         _nonlinear(np.multiply(p, tmp, out=tmp), rho2, tmp, work)
         np.multiply(p_conj, tmp, out=k)
 
+    np.conjugate(half, out=conj)
+    stage(acc, 0.5 * dt, half, conj)                            # k = k2
+    np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
+    stage(k, 0.5 * dt, half, conj)                              # k = k3
+    np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
+    stage(k, dt, end, np.conjugate(end, out=conj))              # k = k4
+    np.add(acc, k, out=acc)
+    np.add(v_hat, np.multiply(acc, dt / 6.0, out=acc), out=v_hat)
+
+
+def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: float,
+           dense: bool, stop, tau0: float):
+    """_integrate's step loop on one grid from u_hat = v_hat at tau0:
+    (spectra, nonlinear, band), or None once band reaches stop or the values
+    turn non-finite with a finite stop.  A step's k1 is exp(-Lambda s) N_hat
+    of its start, so only the last N_hat costs FFTs of its own; 8 FFTs per
+    step, on arrays allocated once per run."""
+    L = len(v_hat)
+    spectra = np.empty((n_steps + 1 if dense else 1, L), dtype=np.complex128)
+    nonlinear = np.empty_like(spectra) if dense else None
+    v_hat = v_hat.copy()  # stepped in place
+    phase, half, end, acc, u_hat, n_hat = np.empty((6, L), dtype=complex)
+    scratch = _scratch((L,))  # its last entry is _nonlinear's work arrays
+    phase[:] = 1.0  # exp(Lambda s) at the step's start
+
     band = 0
     for step in range(1, n_steps + 1):
         _linear_phase(rate, (step - 0.5) * dt, half)
         _linear_phase(rate, step * dt, end)
         u_now = np.multiply(phase, v_hat, out=spectra[step - 1] if dense else u_hat)
-        n_now = _nonlinear(u_now, rho2, nonlinear[step - 1] if dense else n_hat, work)
+        n_now = _nonlinear(u_now, rho2, nonlinear[step - 1] if dense else n_hat, scratch[-1])
         if dense or step % 25 == 1:  # the state of every finiteness check below
             band = max(band, _top_mode(u_now, n_now, dt))
             if band >= stop:
                 return None
         np.multiply(np.conjugate(phase, out=acc), n_now, out=acc)  # acc = k1
-        np.conjugate(half, out=conj)
-        stage(acc, 0.5 * dt, half, conj)                            # k = k2
-        np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
-        stage(k, 0.5 * dt, half, conj)                              # k = k3
-        np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
-        stage(k, dt, end, np.conjugate(end, out=conj))              # k = k4
-        np.add(acc, k, out=acc)
-        np.add(v_hat, np.multiply(acc, dt / 6.0, out=acc), out=v_hat)
+        _rk4_step(v_hat, acc, half, end, dt, rho2, scratch)
         phase, end = end, phase
         if (step % 25 == 0 or step == n_steps) and not np.all(np.isfinite(v_hat)):
             if stop < math.inf:
@@ -377,7 +384,7 @@ def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: f
                              "max_abs": float(finite.max()) if finite.size else math.inf},
             )
     np.multiply(phase, v_hat, out=spectra[-1])
-    n_now = _nonlinear(spectra[-1], rho2, nonlinear[-1] if dense else n_hat, work)
+    n_now = _nonlinear(spectra[-1], rho2, nonlinear[-1] if dense else n_hat, scratch[-1])
     band = max(band, _top_mode(spectra[-1], n_now, dt))
     return None if band >= stop else (spectra, nonlinear, band)
 
@@ -408,50 +415,18 @@ def nls_evolve(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
                     tau_final)
 
 
-def _phi(z: np.ndarray, count: int) -> np.ndarray:
-    """phi_0(z), ..., phi_count(z) for z of shape (..., M), as shape
-    (..., count + 1, M): the exponential-integrator functions
-    phi_k(z) = sum_m z^m / (m + k)! (Hochbruck & Ostermann, Acta Numerica
-    19:209, 2010), phi_0 = exp.  Where |z| >= 0.5 by the recurrence
-    phi_(k+1) = (phi_k - 1/k!) / z; below that, where the recurrence cancels,
-    phi_count by _PHI_TERMS terms of its series and the others by
-    phi_k = z phi_(k+1) + 1/k!."""
-    small = np.abs(z) < 0.5
-    inverse = 1.0 / np.where(small, 1.0, z)
-    phis = np.empty(z.shape[:-1] + (count + 1,) + z.shape[-1:], dtype=np.complex128)
-    phis[..., 0, :] = np.exp(z)
-    for k in range(count):
-        np.multiply(phis[..., k, :] - 1.0 / math.factorial(k), inverse,
-                    out=phis[..., k + 1, :])
-    if np.any(small):
-        zs = z[small]
-        acc = np.full(zs.shape, 1.0 / math.factorial(_PHI_TERMS - 1 + count), dtype=complex)
-        for m in range(_PHI_TERMS - 2, -1, -1):
-            acc = acc * zs + 1.0 / math.factorial(m + count)
-        for k in range(count, 0, -1):
-            phis[..., k, :][small] = acc
-            acc = zs * acc + 1.0 / math.factorial(k - 1)
-    return phis
-
-
 @dataclass(frozen=True)
 class EnvelopeEvolution:
     """Dense output of an NLS run: spectra on the solver's step grid.
 
     snapshots[j] is u_hat = fft(u) at taus[j] and nonlinear[j] the
-    nonlinear term N_hat = FFT(-i rho2 |u|^2 u) there, so that
-    d(u_hat)/dtau = Lambda u_hat + N_hat with Lambda = i rho1 k^2.  Inside the
-    step from taus[n], spectra_at integrates that equation exactly with N_hat
-    replaced by the cubic P through the stored N_hat at taus[n-1..n+2]
-    (shifted inward at the ends of the range): with s = tau - taus[n], h the
-    step and P(taus[n] + sigma) = sum_j a_j (sigma / h)^j,
-        u_hat(tau) = exp(Lambda s) u_hat_n
-                     + sum_j a_j j! s^(j+1) h^(-j) phi_(j+1)(Lambda s)
-    (exponential dense output; see _phi).  The linear rotation is exact, so
-    the cubic carries only the slowly varying nonlinear term: at
-    DENSE_STEP_MULTIPLE times stable_dtau the rows of the reference window
-    match classic RK4 to 9.1e-12, and the oracle test's other points to
-    3.3e-11 at worst.  The Fourier series of u in xi has the
+    nonlinear term N_hat = FFT(-i rho2 |u|^2 u) there.  Inside the step from
+    taus[n], spectra_at takes the run's own step (_rk4_step) of size
+    s = tau - taus[n] from u_hat_n, its k1 the stored N_hat_n: 6 FFTs per
+    tau, and the error of one RK4 step of size s <= dtau added to the run's
+    at taus[n].  At DENSE_STEP_MULTIPLE times stable_dtau the rows of the
+    reference window match classic RK4 to 9.1e-12, and the oracle test's
+    other points to 2.3e-11 at worst.  The Fourier series of u in xi has the
     coefficients u_hat / L, so the ansatz is evaluated from spectra_at
     without a round trip through the grid.
     steps and dtau are the integrator's step count and step size; band, the
@@ -486,8 +461,8 @@ class EnvelopeEvolution:
         return float(self.taus[-1])
 
     def _locate(self, taus) -> tuple:
-        """(t, n, lo): taus checked against the stored range, the snapshot
-        each one's step starts from and the first node of its cubic."""
+        """(n, s) for taus checked against the stored range: the step end
+        n each one's step starts from and s = tau - taus[n], as a column."""
         t = np.asarray(taus, dtype=float)
         grid = self.taus
         bad = np.flatnonzero((t < grid[0] - 1e-12) | (t > grid[-1] + 1e-12))
@@ -496,35 +471,20 @@ class EnvelopeEvolution:
                 f"tau = {t[bad[0]]} outside stored range [{grid[0]}, {grid[-1]}]"
             )
         n = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 1)
-        return t, n, np.clip(n - 1, 0, len(grid) - self._width)
-
-    @property
-    def _width(self) -> int:
-        """Nodes of the cubic through N_hat (fewer when fewer are stored)."""
-        return min(len(self.taus), 4)
+        return n, (t - grid[n])[:, None]
 
     def spectra_at(self, taus) -> np.ndarray:
-        """fft of the envelope at each of taus, shape (len(taus), L); its
-        largest temporary is the (len(taus), 5, L/2 + 1) stack of
-        phi_0..phi_4, so callers pass a block of taus at a time."""
-        t, n, lo = self._locate(taus)
-        L, width, h = self.L, self._width, self.dtau
-        rate = _linear_rate(L, self.dxi, self.coefficients)[:L // 2 + 1]
-        j = np.arange(width)
-        factorial = np.cumprod(np.maximum(j, 1))
-        # the cubic's a_j is sum_i inv[n - lo, i, j] N_hat at node i, the
-        # nodes counted in steps from taus[n]; its term integrates to
-        # j! s^(j+1) h^(-j) phi_(j+1), so node i's weight is mix[:, i] @ phi
-        inv = np.linalg.inv((j - j[:, None])[:, :, None] ** j).transpose(0, 2, 1)
-        s = t - self.taus[n]
-        scale = factorial * s[:, None] ** (j + 1) / h ** j
-        mix = inv[n - lo] * scale[:, None, :]
-        phis = _phi(1j * np.multiply.outer(s, rate), width)
-        weights = (mix @ phis[:, 1:].view(float)).view(complex)
-        out = _mirror(phis[:, 0], L) * self.snapshots[n]
-        for i in range(width):
-            out += _mirror(weights[:, i], L) * self.nonlinear[lo + i]
-        return out
+        """fft of the envelope at each of taus, shape (len(taus), L), all
+        rows in one batched step; its temporaries are a few arrays of that
+        shape, so callers pass a block of taus at a time."""
+        n, s = self._locate(taus)
+        rate = _linear_rate(self.L, self.dxi, self.coefficients)
+        half, end = np.empty((2, len(n), self.L), dtype=complex)
+        _linear_phase(rate, 0.5 * s, half)
+        _linear_phase(rate, s, end)
+        out, acc = self.snapshots[n], self.nonlinear[n]  # copies, changed in place
+        _rk4_step(out, acc, half, end, s, self.coefficients.rho2, _scratch(out.shape))
+        return np.multiply(end, out, out=out)
 
 
 def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,

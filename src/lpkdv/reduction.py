@@ -202,7 +202,7 @@ def evolve_rows(env: nls.Envelope, coeffs: ReductionCoefficients, rows: int,
     nls refuses a run over its step budget."""
     tau_final = env.tau + coeffs.tau(rows - 1, n_min) * 1.01
     c = coeffs.nls_coefficients()
-    return nls.nls_evolve_dense(env, c, tau_final, nls.dense_dtau(env, c, tau_final - env.tau))
+    return nls.nls_evolve_dense(env, c, tau_final, nls.dense_dtau(env, c))
 
 
 def _row_taus(evolution: EnvelopeEvolution, ms, N: int) -> np.ndarray:

@@ -118,18 +118,18 @@ def _coefficients(a) -> tuple:
     return a, (not np.iscomplexobj(a)) and bool(np.all(a > 0))
 
 
-def eigenvalues(a: np.ndarray, periodic: bool = False, dense: bool = False) -> np.ndarray:
+def eigenvalues(a: np.ndarray, periodic: bool = False) -> np.ndarray:
     """All eigenvalues of phi[n-1] + a_n phi[n+1] = eigen_mu phi[n] over the
     coefficients a (1D, at least 8 of them) between Dirichlet walls, or on a
     ring if periodic, sorted by real part.
 
     For Dirichlet walls and positive a_n the gauged symmetric tridiagonal
     operator (_coefficients) is solved with a symmetric solver; anything
-    else goes to a dense general solver.
+    else, complex a_n included, goes to a dense general solver.
     """
     a, symmetric = _coefficients(a)
     try:
-        if not periodic and symmetric and not dense:
+        if not periodic and symmetric:
             w = eigh_tridiagonal(np.zeros(a.size), np.sqrt(a[:-1]), eigvals_only=True)
             return np.sort(w.astype(complex))
         w = eig(_operator_matrix(a, periodic), right=False)
@@ -445,36 +445,30 @@ def spectral_limit_check(envelope, coeffs: ReductionCoefficients, N_list) -> dic
     stride = max(1, envelope.L // 256)
     zs = ZsProblem(envelope.xi_grid[::stride] / coeffs.M1, envelope.values[::stride],
                    kappa, coeffs.params.p)
-    eigensolve = []
-    zs_window = zs_eigenvalues(zs, eigensolve=eigensolve)
     row = evolve_rows(envelope, coeffs, 1, N_list[0])
-
-    out = {"N": N_list, "estimates": [], "discrepancy": [], "notes": [],
-           "zs_eigenvalues": [[z.real, z.imag] for z in zs_window],
-           "eigensolve": eigensolve}
+    estimates = []  # every lattice row is sized and assembled before the ZS solve
     for N in N_list:
         # eigenproblem size (= row length - 3, the a_n stencil cost) chosen
         # = 3 mod 4 so both Dirichlet walls impose the same reduced condition
         size = int(round(envelope.period * N / coeffs.M1))
         size -= (size - 3) % 4
         ans = assemble_ansatz(row, coeffs, N, (size + 3, 1))
-        est = band_edge_estimates(ans.field, coeffs.params, 0, kappa, N)
-        out["estimates"].append([float(v) for v in est])
+        estimates.append(band_edge_estimates(ans.field, coeffs.params, 0, kappa, N))
+    eigensolve = []
+    zs_window = zs_eigenvalues(zs, eigensolve=eigensolve)
+
+    def compare(est) -> tuple:  # (discrepancy, note)
         if len(est) == 0:
-            out["discrepancy"].append(None)
-            out["notes"].append("no near-band-reference eigenvalue")
-            continue
+            return None, "no near-band-reference eigenvalue"
         if len(zs_window) == 0:
-            out["discrepancy"].append(None)
-            out["notes"].append("no stable reduced eigenvalues")
-            continue
+            return None, "no stable reduced eigenvalues"
         # compare only inside the range the reduced solver resolved
         resolved = est[np.abs(est) <= float(np.max(np.abs(zs_window))) * 1.001]
         if len(resolved) == 0:
-            out["discrepancy"].append(None)
-            out["notes"].append("no estimate inside the resolved range")
-            continue
-        d = np.abs(nearest_partners(zs_window, resolved) - resolved)
-        out["discrepancy"].append(float(np.mean(d)))
-        out["notes"].append("")
-    return out
+            return None, "no estimate inside the resolved range"
+        return float(np.mean(np.abs(nearest_partners(zs_window, resolved) - resolved))), ""
+
+    discrepancy, notes = zip(*map(compare, estimates))
+    return {"N": N_list, "estimates": [[float(v) for v in est] for est in estimates],
+            "discrepancy": list(discrepancy), "notes": list(notes),
+            "zs_eigenvalues": [[z.real, z.imag] for z in zs_window], "eigensolve": eigensolve}

@@ -21,7 +21,8 @@ class FrozenEvolution(EnvelopeEvolution):
     every tau of the (effectively unbounded) stored range."""
 
     def spectra_at(self, taus) -> np.ndarray:
-        return np.tile(np.fft.fft(self.snapshots[0]), (len(self._locate(taus)[0]), 1))
+        n, _ = self._locate(taus)
+        return np.tile(np.fft.fft(self.snapshots[0]), (len(n), 1))
 
 
 def frozen_evolution(env: Envelope, c: NlsCoefficients) -> EnvelopeEvolution:

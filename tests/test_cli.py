@@ -614,19 +614,14 @@ def test_config_leaves_pinned():
     ])
 
 
-def test_dense_run_keeps_the_cubic():
-    """A dense run for rows 0 and 1 at N = 16 spans less than one dense
-    step, yet takes DENSE_MIN_STEPS = 3 steps, so that the cubic through
-    N_hat has its 4 step ends; ansatz-residual's run (192 rows) keeps its
-    145 steps of DENSE_STEP_MULTIPLE times stable_dtau."""
+def test_ansatz_residual_run_keeps_145_steps():
+    """ansatz-residual's dense run (192 rows at N = 16) keeps its 145 steps
+    of DENSE_STEP_MULTIPLE times stable_dtau."""
     from lpkdv import reduction
 
     cfg = load_config(None)
-    coeffs = cli._build_coeffs(cfg)
     env = cli._build_envelope(cfg)
-    evolution = reduction.evolve_rows(env, coeffs, 2, 16)
-    assert evolution.steps >= 3 and len(evolution.taus) == evolution.steps + 1
-    assert reduction.evolve_rows(env, coeffs, 192, 16).steps == 145
+    assert reduction.evolve_rows(env, cli._build_coeffs(cfg), 192, 16).steps == 145
 
 
 def test_flow_project_zero_envelope_exit_1(tmp_path, capsys):
@@ -789,6 +784,24 @@ def test_hostile_config_exit_2(tmp_path, capsys, subcommand, doc, words):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert words in err
+
+
+@pytest.mark.parametrize("where", ["config", "envelope"])
+def test_integer_past_int_limit_exit_2(tmp_path, capsys, where):
+    """A JSON integer of more digits than int() converts (4300 by default),
+    in the config or in a file envelope, exits 2 with one config error line
+    naming the file, not a ValueError traceback."""
+    text = '{"p": 1' + "0" * 5000 + "}"
+    path = tmp_path / f"{where}.json"
+    path.write_text(text)
+    if where == "envelope":
+        (tmp_path / "config.json").write_text(
+            json.dumps({"envelope": {"type": "file", "path": str(path)}}))
+    assert run("nls-evolve", str(tmp_path / "config.json"), str(tmp_path / "o"),
+               quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:") and err.count("\n") == 1
+    assert "4300" in err
 
 
 def test_flow_check_floor_exponent_passes(tmp_path, monkeypatch):

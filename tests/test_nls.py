@@ -8,7 +8,6 @@ from lpkdv.errors import DomainError, NumericalError, PreconditionError
 from lpkdv.nls import (
     COMMUTATOR_STEP,
     DENSE_STEP_MULTIPLE,
-    GUARD_BOUND,
     MAX_STEP_POINTS,
     Envelope,
     NlsCoefficients,
@@ -17,7 +16,8 @@ from lpkdv.nls import (
     _derivative,
     _linear_phase,
     _linear_rate,
-    _phi,
+    _rk4_step,
+    _scratch,
     _spectral_derivative,
     _steps,
     commutator_floor,
@@ -203,6 +203,26 @@ class TestDenseOutput:
         got = evo.spectra_at(evo.taus[ends])
         assert got.view(np.uint64).tobytes() == evo.snapshots[ends].view(np.uint64).tobytes()
 
+    def test_mid_step_is_one_step_of_the_run(self, ref_evolution):
+        """Mid-step, for several rows at once, spectra_at is one call of the
+        run's step (_rk4_step) of size s = tau - taus[n] from snapshots[n],
+        its k1 nonlinear[n], taken row by row."""
+        evo = ref_evolution
+        ns = np.array([0, 1, evo.steps // 2, evo.steps - 1])
+        fractions = np.array([0.5, 0.25, 0.9, 0.61])
+        taus = evo.taus[ns] + fractions * evo.dtau
+        got = evo.spectra_at(taus)
+        rate = _linear_rate(evo.L, evo.dxi, evo.coefficients)
+        for row, n in enumerate(ns):
+            s = taus[row] - evo.taus[n]
+            half = _linear_phase(rate, 0.5 * s, np.empty(evo.L, dtype=complex))
+            end = _linear_phase(rate, s, np.empty(evo.L, dtype=complex))
+            v_hat = evo.snapshots[n].copy()
+            _rk4_step(v_hat, evo.nonlinear[n].copy(), half, end, s,
+                      evo.coefficients.rho2, _scratch((evo.L,)))
+            want = end * v_hat
+            assert np.max(np.abs(got[row] - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_stores_spectrum_and_nonlinear_term(self):
         """snapshots hold fft(u) and nonlinear FFT(-i rho2 |u|^2 u) at each
         step end; the last step end matches nls_evolve to the end time."""
@@ -216,13 +236,9 @@ class TestDenseOutput:
         assert np.array_equal(u, nls_evolve(env, C_REF, 0.3, 0.02).values)
 
     def test_dense_step(self):
-        """dense_dtau is DENSE_STEP_MULTIPLE times stable_dtau, capped so
-        that a short span still takes DENSE_MIN_STEPS = 3 steps."""
+        """dense_dtau is DENSE_STEP_MULTIPLE times stable_dtau."""
         env = make_env(L=128)
-        full = DENSE_STEP_MULTIPLE * stable_dtau(env, C_REF)
-        assert dense_dtau(env, C_REF, 10.0) == full
-        assert dense_dtau(env, C_REF, full) == full / 3
-        assert dense_dtau(env, C_REF, 0.0) == full
+        assert dense_dtau(env, C_REF) == DENSE_STEP_MULTIPLE * stable_dtau(env, C_REF)
 
     def test_snapshot_budget(self, monkeypatch):
         """A run whose (steps + 1) * L passes MAX_STEP_POINTS is refused,
@@ -243,9 +259,9 @@ class TestDenseOutput:
 
     @pytest.mark.parametrize("steps, bound", [(0, 0.0), (1, 1e-8), (2, 1e-12), (3, 1e-12)])
     def test_few_steps(self, steps, bound):
-        """With fewer than four step ends the polynomial through N_hat takes
-        the ones there are (one step: a line, O(dtau^2) at mid-step); no
-        step at all returns the initial profile."""
+        """A run of one to three steps answers mid-run as a long one does,
+        by a step of the run's own method from the step end below; no step
+        at all returns the initial profile."""
         env = make_env(L=128)
         evo = nls_evolve_dense(env, C_REF, 0.01 * steps, 0.01)
         direct = nls_evolve(env, C_REF, 0.005 * steps, 1e-3)
@@ -253,39 +269,21 @@ class TestDenseOutput:
         assert np.max(np.abs(np.fft.ifft(evo.spectra_at([0.005 * steps]), axis=1)[0] - direct.values)) <= bound
 
 
-# z on both sides of _phi's switch at |z| = 0.5; the evaluation's z = Lambda s
-# is imaginary with |z| <= |rho1| k_max^2 dtau <= GUARD_BOUND; general complex z
-PHI_POINTS = [0.0, 1e-9j, 0.1j, -0.3j, 0.4999j, 0.5j, -0.5001j, 0.7j, 2.0j, -9.0j,
-               25.0j, -GUARD_BOUND * 1j, 0.3 - 0.2j, -0.45 + 0.1j, 1.5 + 2.0j, -3.0 - 0.4j]
-
-
-@pytest.mark.parametrize("z", PHI_POINTS)
-def test_phi_matches_augmented_expm(z):
-    """phi_k(z) is the top-right entry of exp of the (k+1)x(k+1) matrix with z
-    in the corner and ones on the superdiagonal (Sidje, ACM TOMS 24:130,
-    1998).  Just above the switch the recurrence divides by |z| = 0.5 four
-    times, which costs phi_4 about 100 ulp (1.9e-14 relative)."""
-    from scipy.linalg import expm
-
-    got = _phi(np.array([z]), 4)[:, 0]
-    assert got[0] == np.exp(z)
-    for k in range(1, 5):
-        aug = np.diag(np.ones(k, dtype=complex), 1)
-        aug[0, 0] = z
-        want = expm(aug)[0, k]
-        assert abs(got[k] - want) <= 1e-13 * abs(want), (k, got[k], want)
-
-
 @pytest.mark.parametrize("L", [64, 65])
 def test_linear_phase_bit_identical(L):
     """One exp per |k| gives exp(1j * s * rate) bit for bit, for even and
-    odd grids, written into the array given."""
+    odd grids, written into the array given: one row per float s, or a
+    stack of rows for a column of s."""
     rate = _linear_rate(L, 40.0 / L, C_REF)
     out = np.empty(L, dtype=complex)
-    for s in np.linspace(0.0, 0.37, 9):
+    ss = np.linspace(0.0, 0.37, 9)
+    for s in ss:
         assert _linear_phase(rate, s, out) is out
         assert np.array_equal(out, np.exp(1j * np.outer(s, rate))[0])
         assert np.array_equal(out, np.exp(1j * rate * s))
+    rows = np.empty((len(ss), L), dtype=complex)
+    assert _linear_phase(rate, ss[:, None], rows) is rows
+    assert np.array_equal(rows, np.exp(1j * np.outer(ss, rate)))
 
 
 def _textbook_steps(u_hat, rate, n_steps, dt, rho2):
@@ -320,7 +318,7 @@ def test_steps_match_textbook_bit_for_bit(p, q, kappa, dense):
     env = gaussian_envelope(256, 0.0, 40.0, 1.0, 1.25, 12.0)
     u_hat = np.fft.fft(env.values)
     start = u_hat.copy()
-    dt = dense_dtau(env, c, 1.0)
+    dt = dense_dtau(env, c)
     rate = _linear_rate(env.L, env.dxi, c)
     spectra, nonlinear, _ = _steps(u_hat, rate, 50, dt, c.rho2, dense, math.inf, 0.0)
     want, want_n = _textbook_steps(u_hat, rate, 50, dt, c.rho2)
@@ -346,7 +344,7 @@ ORACLE_ROWS_OFF_REFERENCE = 48
 @pytest.mark.parametrize("p, q, kappa", [(1.5, 0.5, math.pi / 2), (2.0, 1.0, 1.0),
                                          (3.0, 0.7, 0.6), (1.5, 0.5, 1.2)])
 def test_dense_output_matches_rk4_oracle(p, q, kappa, ref_evolution, ref_envelope):
-    """The exponential dense output at the CLI's dense step agrees with
+    """The dense output at the CLI's dense step agrees with
     classic RK4 at a quarter of stable_dtau on the lattice rows tau = m / N^2
     of the reference window (N = 16): the reference evolution at the default
     point, the same envelope evolved with each other point's NLS
