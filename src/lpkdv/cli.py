@@ -203,16 +203,15 @@ def _nls_block(evolution) -> dict:
 
 def _bump_solution(cfg):
     """Exact lpKdV solution for lattice-side tests, with its own parameters.
-    A window whose sweep store, evolve_ivp's skewed (n_size + m_size - 1) x
-    m_size array, would pass nls.MAX_STEP_POINTS is refused before anything
-    is allocated."""
+    A window of more than nls.MAX_STEP_POINTS points, the n_size x m_size
+    array evolve_ivp fills, is refused before anything is allocated."""
     b = cfg["boundary"]
     params = quad.LpkdvParams(b["p"], b["q"])
     n_size, m_size = b["n_size"], b["m_size"]
-    points = (n_size + m_size - 1) * m_size
+    points = n_size * m_size
     if points > nls.MAX_STEP_POINTS:
-        raise DomainError(f"the {n_size} x {m_size} lattice window needs {points} sweep "
-                          f"points, over the {nls.MAX_STEP_POINTS} allowed")
+        raise DomainError(f"the {n_size} x {m_size} lattice window has {points} points, "
+                          f"over the {nls.MAX_STEP_POINTS} allowed")
     n = np.arange(n_size)
     if b["kind"] == "bump":
         center = b["center"] if b["center"] is not None else n_size // 2

@@ -79,11 +79,11 @@ DENSE_STEP_MULTIPLE = 4       # the dense runs' step, in units of stable_dtau
 GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND  # step guard: the largest dtau * stiffness
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
 # the most (steps + 1) * L of any run, L the envelope's own grid: about 13 s
-# of stepping at L = 1024 on a 2-core host, and 1 GiB for a dense run on a
-# working grid of L' = L points, which stores u_hat and N_hat, L' complex128
-# each (32 bytes per point), at every step end (2^-k of that for L' = L/2^k);
-# also the most entries of a lattice array the CLI sizes from its config
-# (cli._bump_solution's sweep store, reduction.assemble_ansatz's matrices)
+# of stepping at L = 1024 on a 2-core host, and 512 MiB for a dense run on a
+# working grid of L' = L points, which stores u_hat, L' complex128 (16 bytes
+# per point), at every step end (2^-k of that for L' = L/2^k); also the most
+# entries of a lattice array the CLI sizes from its config (cli._bump_solution's
+# window, reduction.assemble_ansatz's matrices)
 MAX_STEP_POINTS = 1 << 25
 COMMUTATOR_STEP = 1e-2        # the step of _derivative's central differences
 FLOW_IDS = ("nls", "h1", "h2", "h4")
@@ -284,15 +284,14 @@ def resize_spectra(spectra: np.ndarray, size: int) -> np.ndarray:
 
 def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
                dense: bool, grids: list) -> tuple:
-    """(steps, step size, spectra, nonlinear, band): uniform interaction-
-    picture RK4 steps of size <= dtau from env.tau to tau_final on the
-    working grid (see the module docstring); grids receives the points of
-    each grid tried, and spectra and nonlinear live on the last.  With dense,
-    spectra and nonlinear hold u_hat = fft(u) and N_hat = FFT(-i rho2 |u|^2 u)
-    at every step end, shape (steps + 1, L'), the initial one first, and band
-    is the largest _top_mode over them; otherwise spectra holds the final
-    u_hat alone, nonlinear is None and band is the largest _top_mode at every
-    25th step and the end."""
+    """(steps, step size, spectra, band): uniform interaction-picture RK4
+    steps of size <= dtau from env.tau to tau_final on the working grid (see
+    the module docstring); grids receives the points of each grid tried, and
+    spectra lives on the last.  With dense, spectra holds u_hat = fft(u) at
+    every step end, shape (steps + 1, L'), the initial one first, and band is
+    the largest _top_mode over the step ends; otherwise spectra holds the
+    final u_hat alone and band is the largest _top_mode at every 25th step
+    and the end."""
     if tau_final < env.tau:
         raise DomainError("tau_final must be >= current tau")
     _check_stability(env, c, dtau)
@@ -348,13 +347,13 @@ def _rk4_step(v_hat: np.ndarray, acc: np.ndarray, half: np.ndarray, end: np.ndar
 def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: float,
            dense: bool, stop, tau0: float):
     """_integrate's step loop on one grid from u_hat = v_hat at tau0:
-    (spectra, nonlinear, band), or None once band reaches stop or the values
-    turn non-finite with a finite stop.  A step's k1 is exp(-Lambda s) N_hat
-    of its start, so only the last N_hat costs FFTs of its own; 8 FFTs per
-    step, on arrays allocated once per run."""
+    (spectra, band), or None once band reaches stop or the values turn
+    non-finite with a finite stop.  A step's k1 is exp(-Lambda s) N_hat of
+    its start, N_hat = FFT(-i rho2 |u|^2 u) in one scratch row, so only the
+    last N_hat costs FFTs of its own; 8 FFTs per step, on arrays allocated
+    once per run."""
     L = len(v_hat)
     spectra = np.empty((n_steps + 1 if dense else 1, L), dtype=np.complex128)
-    nonlinear = np.empty_like(spectra) if dense else None
     v_hat = v_hat.copy()  # stepped in place
     phase, half, end, acc, u_hat, n_hat = np.empty((6, L), dtype=complex)
     scratch = _scratch((L,))  # its last entry is _nonlinear's work arrays
@@ -365,7 +364,7 @@ def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: f
         _linear_phase(rate, (step - 0.5) * dt, half)
         _linear_phase(rate, step * dt, end)
         u_now = np.multiply(phase, v_hat, out=spectra[step - 1] if dense else u_hat)
-        n_now = _nonlinear(u_now, rho2, nonlinear[step - 1] if dense else n_hat, scratch[-1])
+        n_now = _nonlinear(u_now, rho2, n_hat, scratch[-1])
         if dense or step % 25 == 1:  # the state of every finiteness check below
             band = max(band, _top_mode(u_now, n_now, dt))
             if band >= stop:
@@ -384,9 +383,9 @@ def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: f
                              "max_abs": float(finite.max()) if finite.size else math.inf},
             )
     np.multiply(phase, v_hat, out=spectra[-1])
-    n_now = _nonlinear(spectra[-1], rho2, nonlinear[-1] if dense else n_hat, scratch[-1])
+    n_now = _nonlinear(spectra[-1], rho2, n_hat, scratch[-1])
     band = max(band, _top_mode(spectra[-1], n_now, dt))
-    return None if band >= stop else (spectra, nonlinear, band)
+    return None if band >= stop else (spectra, band)
 
 
 def _top_mode(u_hat: np.ndarray, n_hat: np.ndarray = None, dt: float = 0.0) -> int:
@@ -419,11 +418,11 @@ def nls_evolve(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
 class EnvelopeEvolution:
     """Dense output of an NLS run: spectra on the solver's step grid.
 
-    snapshots[j] is u_hat = fft(u) at taus[j] and nonlinear[j] the
-    nonlinear term N_hat = FFT(-i rho2 |u|^2 u) there.  Inside the step from
+    snapshots[j] is u_hat = fft(u) at taus[j].  Inside the step from
     taus[n], spectra_at takes the run's own step (_rk4_step) of size
-    s = tau - taus[n] from u_hat_n, its k1 the stored N_hat_n: 6 FFTs per
-    tau, and the error of one RK4 step of size s <= dtau added to the run's
+    s = tau - taus[n] from u_hat_n, its k1 the nonlinear term
+    N_hat_n = FFT(-i rho2 |u|^2 u) recomputed from u_hat_n: 8 FFTs per tau,
+    and the error of one RK4 step of size s <= dtau added to the run's
     at taus[n].  At DENSE_STEP_MULTIPLE times stable_dtau the rows of the
     reference window match classic RK4 to 9.1e-12, and the oracle test's
     other points to 2.3e-11 at worst.  The Fourier series of u in xi has the
@@ -441,7 +440,6 @@ class EnvelopeEvolution:
     taus: np.ndarray
     snapshots: np.ndarray  # shape (S, L)
     coefficients: NlsCoefficients
-    nonlinear: np.ndarray  # shape (S, L)
     steps: int
     dtau: float
     band: int
@@ -482,21 +480,22 @@ class EnvelopeEvolution:
         half, end = np.empty((2, len(n), self.L), dtype=complex)
         _linear_phase(rate, 0.5 * s, half)
         _linear_phase(rate, s, end)
-        out, acc = self.snapshots[n], self.nonlinear[n]  # copies, changed in place
-        _rk4_step(out, acc, half, end, s, self.coefficients.rho2, _scratch(out.shape))
+        out = self.snapshots[n]  # a copy, stepped in place
+        scratch, rho2 = _scratch(out.shape), self.coefficients.rho2
+        _rk4_step(out, _nonlinear(out, rho2, work=scratch[-1]), half, end, s, rho2, scratch)
         return np.multiply(end, out, out=out)
 
 
 def nls_evolve_dense(env: Envelope, c: NlsCoefficients, tau_final: float,
                      dtau: float) -> EnvelopeEvolution:
-    """Evolve with steps of size <= dtau and keep u_hat and N_hat at every
-    step end on the working grid (see EnvelopeEvolution); 8 FFTs per step."""
+    """Evolve with steps of size <= dtau and keep u_hat at every step end on
+    the working grid (see EnvelopeEvolution); 8 FFTs per step."""
     grids = []
-    n_steps, dt, spectra, nonlinear, band = _integrate(env, c, tau_final, dtau, True, grids)
+    n_steps, dt, spectra, band = _integrate(env, c, tau_final, dtau, True, grids)
     taus = env.tau + np.arange(n_steps + 1) * dt
     return EnvelopeEvolution(env.xi0, env.dxi * (env.L // grids[-1]), taus, spectra, c,
-                             nonlinear=nonlinear, steps=n_steps, dtau=dt, band=band,
-                             envelope_L=env.L, grids=tuple(grids))
+                             steps=n_steps, dtau=dt, band=band, envelope_L=env.L,
+                             grids=tuple(grids))
 
 
 def symmetry_rhs(env: Envelope, c: NlsCoefficients, which: str) -> np.ndarray:

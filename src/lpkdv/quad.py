@@ -7,12 +7,13 @@ with mu = p - q, zeta = p + q.  The equation is solvable for any corner of a
 plaquette given the other three; the initial-value solver fills a rectangular
 window from data on the first row and first column, sweeping anti-diagonals
 n + m = d.  Points on one anti-diagonal are independent, so each is one
-vectorized step, and the window is stored skewed, s[d, m] = u[d - m, m], so
-that an anti-diagonal is one contiguous row slice.  The singular-corner and
-non-finite checks run once over the filled window, after the sweep, with
-floating-point warnings off during it; they report the first fault in sweep
-order (smallest n + m, then smallest n), the fault the sweep would meet first
-were it checked diagonal by diagonal.
+vectorized step, written into the window in place: point (n, m) is entry
+n * m_size + m of the flat array, so an anti-diagonal is one slice of stride
+m_size - 1.  The singular-corner and non-finite checks run once over the
+filled window, after the sweep, with floating-point warnings off during it;
+they report the first fault in sweep order (smallest n + m, then smallest
+n), the fault the sweep would meet first were it checked diagonal by
+diagonal.
 """
 
 from __future__ import annotations
@@ -126,18 +127,19 @@ def evolve_ivp(row0, col0, params: LpkdvParams) -> LatticeField:
     complex_data = np.iscomplexobj(row0) or np.iscomplexobj(col0)
     dtype = np.complex128 if complex_data else np.float64
     nn, mm = len(row0), len(col0)
-    # skewed storage s[d, j] = u[d - j, j]: anti-diagonal d is row d, j ascending
-    s = np.zeros((nn + mm - 1, mm), dtype=dtype)
-    s[:nn, 0] = row0
-    s[np.arange(mm), np.arange(mm)] = col0
-    mu, zeta = params.mu, params.zeta
+    u = np.zeros((nn, mm), dtype=dtype)
+    u[:, 0], u[0, :] = row0, col0
+    flat, mu, zeta = u.reshape(-1), params.mu, params.zeta
+    # seen from the flat index of its corner (n - 1, m - 1), point (n, m) lies
+    # mm + 1 entries on, and its neighbours (n, m - 1) and (n - 1, m) mm and 1
+    corner, here, left, below = flat, flat[mm + 1:], flat[mm:], flat[1:]
     with np.errstate(all="ignore"):
         for d in range(2, nn + mm - 1):
-            lo, hi = max(1, d - nn + 1), min(mm - 1, d - 1) + 1
-            w = s[d - 1, lo - 1:hi - 1] - s[d - 1, lo:hi]
-            s[d, lo:hi] = s[d - 2, lo - 1:hi - 1] + zeta * w / (w - mu)
-        u = np.lib.stride_tricks.as_strided(
-            s, shape=(nn, mm), strides=(s.strides[0], s.strides[0] + s.strides[1])).copy()
+            # anti-diagonal d, n ascending, as one slice of stride mm - 1
+            lo, hi = max(1, d - nn + 1), min(mm - 1, d - 1)
+            diagonal = slice((d - hi - 1) * mm + hi - 1, (d - lo - 1) * mm + lo, mm - 1)
+            w = left[diagonal] - below[diagonal]
+            here[diagonal] = corner[diagonal] + zeta * w / (w - mu)
         _check_sweep(u, mu)
     return LatticeField(u)
 

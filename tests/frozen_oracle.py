@@ -32,5 +32,5 @@ def frozen_evolution(env: Envelope, c: NlsCoefficients) -> EnvelopeEvolution:
     band = _top_mode(np.fft.fft(env.values))
     return FrozenEvolution(env.xi0, env.dxi, np.array([-big, big]),
                            np.vstack([env.values, env.values]), c,
-                           nonlinear=None, steps=0, dtau=0.0, band=band,
-                           envelope_L=env.L, grids=(env.L,))
+                           steps=0, dtau=0.0, band=band, envelope_L=env.L,
+                           grids=(env.L,))

@@ -684,7 +684,7 @@ def test_flow_project_window_shorter_than_carrier_period_exit_1(tmp_path, capsys
 def test_dense_run_over_budget_exit_2(tmp_path, capsys):
     """N_list = [2] asks flow-project for rows up to tau = 383 * 1.01 (N = 1) at
     the dense step: 73941 steps, whose 73942 step ends of 1024 points make
-    75716608 step points, over nls.MAX_STEP_POINTS (1 GiB of stored spectra).
+    75716608 step points, over nls.MAX_STEP_POINTS (512 MiB of stored spectra).
     The run is refused before the store is allocated: exit 2, one config
     error line naming the steps and points."""
     import tracemalloc
@@ -748,7 +748,7 @@ def test_envelope_integer_beyond_float_range_exit_2(tmp_path, capsys):
 
 # configs that end in a traceback unless refused by name: an envelope file
 # whose grid is an integer beyond the float range, lattice windows and ansatz
-# windows past nls.MAX_STEP_POINTS (14.6 TiB for the 10^6 x 10^6 sweep, a
+# windows past nls.MAX_STEP_POINTS (7.3 TiB for the 10^6 x 10^6 window, a
 # 7155418 x 1025 lattice-point matrix at nls.period = 1e6, sizes numpy
 # cannot allocate at all) and an amplitude whose square overflows the
 # stiffness; each with the words of its config error line
@@ -756,7 +756,7 @@ HOSTILE = [
     pytest.param("nls-evolve", {"xi0": 10 ** 400}, "grid origin xi0 = 1000", id="file-xi0"),
     pytest.param("nls-evolve", {"dxi": 10 ** 400}, "grid spacing dxi = 1000", id="file-dxi"),
     pytest.param("simulate", {"boundary": {"n_size": 10 ** 6, "m_size": 10 ** 6}},
-                 "the 1000000 x 1000000 lattice window needs 1999999000000 sweep points",
+                 "the 1000000 x 1000000 lattice window has 1000000000000 points",
                  id="simulate-window"),
     pytest.param("simulate", {"boundary": {"n_size": 10 ** 30}},
                  f"the {10 ** 30} x 11 lattice window", id="simulate-n_size"),

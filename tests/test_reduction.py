@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lpkdv.errors import DomainError, PreconditionError
-from lpkdv.nls import Envelope, _check_spectra_resolved, gaussian_envelope, wavenumbers
+from lpkdv.nls import (Envelope, _check_spectra_resolved, _nonlinear, gaussian_envelope,
+                       wavenumbers)
 from lpkdv.quad import LpkdvParams
 from lpkdv.reduction import (
     _band,
@@ -401,7 +402,8 @@ class TestSpectralAssembly:
         assert J < evo.L / 2
         mag = np.abs(evo.snapshots)
         floor = 2.0 * np.finfo(float).eps * mag.max(axis=1, keepdims=True)
-        above = np.any((mag > floor) | (evo.dtau * np.abs(evo.nonlinear) > floor), axis=0)
+        n_hat = _nonlinear(evo.snapshots, evo.coefficients.rho2)
+        above = np.any((mag > floor) | (evo.dtau * np.abs(n_hat) > floor), axis=0)
         j = np.flatnonzero(above)
         assert J == np.minimum(j, evo.L - j).max()
 
