@@ -83,11 +83,11 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def _read_json(path):
-    """The JSON at path; ConfigError where json refuses it (4300+ digit ints too)."""
+    """The JSON at path; ConfigError where json refuses it (4300+ digit ints, deep nesting)."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -158,13 +158,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"invalid parameters: {exc}") from exc
 
 
-def _json_bytes(doc) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n").encode()
-
-
 def write_json(path, doc) -> None:
     with open(path, "wb") as fh:
-        fh.write(_json_bytes(doc))
+        fh.write((json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n").encode())
 
 
 def write_scaling_csv(path, header, rows) -> None:
@@ -203,15 +199,12 @@ def _nls_block(evolution) -> dict:
 
 def _bump_solution(cfg):
     """Exact lpKdV solution for lattice-side tests, with its own parameters.
-    A window of more than nls.MAX_STEP_POINTS points, the n_size x m_size
-    array evolve_ivp fills, is refused before anything is allocated."""
+    The n_size x m_size window evolve_ivp fills is held to nls.check_budget
+    before anything is allocated."""
     b = cfg["boundary"]
     params = quad.LpkdvParams(b["p"], b["q"])
     n_size, m_size = b["n_size"], b["m_size"]
-    points = n_size * m_size
-    if points > nls.MAX_STEP_POINTS:
-        raise DomainError(f"the {n_size} x {m_size} lattice window has {points} points, "
-                          f"over the {nls.MAX_STEP_POINTS} allowed")
+    nls.check_budget(n_size * m_size, f"the {n_size} x {m_size} lattice window")
     n = np.arange(n_size)
     if b["kind"] == "bump":
         center = b["center"] if b["center"] is not None else n_size // 2
@@ -521,20 +514,15 @@ def run(subcommand: str, config_path=None, out_dir=None, quiet=False) -> int:
     rows) pair as CSV, an Envelope or a LatticeField (binary under a .bin
     name) through its module's saver; then the manifest and the timings, the
     only files left when the computation raises.  Returns the exit code."""
-    if subcommand not in COMMANDS:
-        print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
-        return 2
     out_dir = out_dir or f"lpkdv-run-{subcommand}"
+    error = None
     try:
+        if subcommand not in COMMANDS:
+            raise ConfigError(f"unknown subcommand {subcommand!r}")
         cfg = load_config(config_path)
         validate_config(cfg)
         os.makedirs(out_dir, exist_ok=True)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    t0 = time.time()
-    error = None
-    try:
+        t0 = time.time()
         passed, report, files = COMMANDS[subcommand](cfg)
         for name in list(files):
             path, content = os.path.join(out_dir, name), files.pop(name)

@@ -68,6 +68,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -78,18 +79,15 @@ STEP_SAFETY = 0.9             # stable_dtau's fraction of STEP_BOUND
 DENSE_STEP_MULTIPLE = 4       # the dense runs' step, in units of stable_dtau
 GUARD_BOUND = DENSE_STEP_MULTIPLE * STEP_BOUND  # step guard: the largest dtau * stiffness
 MIN_GRID = 16                 # fewest grid points the reduced flows accept
-# the most (steps + 1) * L of any run, L the envelope's own grid: about 13 s
-# of stepping at L = 1024 on a 2-core host, and 512 MiB for a dense run on a
-# working grid of L' = L points, which stores u_hat, L' complex128 (16 bytes
-# per point), at every step end (2^-k of that for L' = L/2^k); also the most
-# entries of a lattice array the CLI sizes from its config (cli._bump_solution's
-# window, reduction.assemble_ansatz's matrices)
+# the most entries of an array sized from outside input (check_budget): for
+# a run's (steps + 1) * L, L the envelope's own grid, about 13 s of stepping
+# at L = 1024 on a 2-core host, and 512 MiB for a dense run on a working grid
+# of L' = L points, which stores u_hat, L' complex128 (16 bytes per point),
+# at every step end (2^-k of that for L' = L/2^k)
 MAX_STEP_POINTS = 1 << 25
 COMMUTATOR_STEP = 1e-2        # the step of _derivative's central differences
 FLOW_IDS = ("nls", "h1", "h2", "h4")
-# flow pairs of commutator_sweep: every pair of FLOW_IDS
-COMMUTATOR_PAIRS = (("nls", "h1"), ("nls", "h2"), ("nls", "h4"),
-                    ("h1", "h2"), ("h1", "h4"), ("h2", "h4"))
+COMMUTATOR_PAIRS = tuple(combinations(FLOW_IDS, 2))  # the pairs of commutator_sweep
 
 
 @dataclass(frozen=True)
@@ -100,6 +98,13 @@ class NlsCoefficients:
     def __post_init__(self):
         if self.rho1 == 0.0:
             raise DomainError("NLS coefficient rho1 must be nonzero")
+
+
+def check_budget(points: int, what: str) -> None:
+    """Refuse, before it is allocated, an array sized from outside input
+    (an NLS run, a lattice window, an ansatz) of over MAX_STEP_POINTS entries."""
+    if points > MAX_STEP_POINTS:
+        raise DomainError(f"{what} has {points} points, over the {MAX_STEP_POINTS} allowed")
 
 
 def finite_number(value) -> bool:
@@ -148,7 +153,8 @@ def gaussian_envelope(L: int, xi0: float, period: float, amplitude: float,
                       width: float, center: float) -> Envelope:
     dxi = period / L
     xi = xi0 + dxi * np.arange(L)
-    vals = amplitude * np.exp(-((xi - center) ** 2) / (2.0 * width ** 2))
+    with np.errstate(over="ignore"):  # a width whose square overflows leaves a constant
+        vals = amplitude * np.exp(-((xi - center) ** 2) / (2.0 * np.float64(width) ** 2))
     return Envelope(xi0, dxi, vals.astype(np.complex128))
 
 
@@ -182,10 +188,10 @@ def _spectral_derivative(values: np.ndarray, dxi: float, order: int) -> np.ndarr
 
 def _stiffness(env: Envelope, c: NlsCoefficients) -> float:
     """|rho1| k_max^2 + |rho2| max|u|^2, the step guard's denominator."""
-    kmax = math.pi / env.dxi
-    with np.errstate(over="ignore"):  # an overflowing amplitude is infinitely stiff
-        peak = float(np.max(np.abs(env.values)) ** 2)
-    return abs(c.rho1) * kmax ** 2 + abs(c.rho2) * peak
+    kmax = np.float64(math.pi / env.dxi)  # its powers overflow to inf, not OverflowError
+    with np.errstate(over="ignore"):  # an overflowing amplitude or grid is infinitely stiff
+        peak = np.max(np.abs(env.values)) ** 2
+        return float(abs(c.rho1) * kmax ** 2 + abs(c.rho2) * peak)
 
 
 def stable_dtau(env: Envelope, c: NlsCoefficients) -> float:
@@ -196,17 +202,13 @@ def stable_dtau(env: Envelope, c: NlsCoefficients) -> float:
 def _check_stability(env: Envelope, c: NlsCoefficients, dtau: float) -> None:
     rot = _stiffness(env, c)
     if not math.isfinite(rot):  # stable_dtau is 0: name the overflow, not the step
-        raise DomainError(
-            f"the stiffness |rho1|*kmax^2 + |rho2|*max|u|^2 overflows at max|u| = "
-            f"{float(np.max(np.abs(env.values))):.3e}, kmax = {math.pi / env.dxi:.3e}: "
-            "no step is within the step stability bound"
-        )
+        raise DomainError(f"the stiffness |rho1|*kmax^2 + |rho2|*max|u|^2 overflows at "
+                          f"max|u| = {float(np.max(np.abs(env.values))):.3e}, kmax = "
+                          f"{math.pi / env.dxi:.3e}: no step is within the step stability bound")
     if not 0.0 < dtau * rot <= GUARD_BOUND:
-        raise DomainError(
-            f"dtau = {dtau:.3e} is not positive within the step stability bound "
-            f"dtau*(|rho1|*kmax^2 + |rho2|*max|u|^2) <= {GUARD_BOUND:.4g} "
-            f"(bound here: {GUARD_BOUND / rot:.3e})"
-        )
+        raise DomainError(f"dtau = {dtau:.3e} is not positive within the step stability bound "
+                          f"dtau*(|rho1|*kmax^2 + |rho2|*max|u|^2) <= {GUARD_BOUND:.4g} "
+                          f"(bound here: {GUARD_BOUND / rot:.3e})")
 
 
 def dense_dtau(env: Envelope, c: NlsCoefficients) -> float:
@@ -296,11 +298,8 @@ def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
         raise DomainError("tau_final must be >= current tau")
     _check_stability(env, c, dtau)
     n_steps, dt = step_plan(tau_final - env.tau, dtau)
-    points = (n_steps + 1) * env.L
-    if points > MAX_STEP_POINTS:  # refused before it is allocated or stepped
-        raise DomainError(f"the NLS run to tau = {tau_final:.4g} needs {n_steps} steps of "
-                          f"{env.L} points, {points} step points, over the "
-                          f"{MAX_STEP_POINTS} allowed")
+    check_budget((n_steps + 1) * env.L, f"the NLS run to tau = {tau_final:.4g} in "
+                 f"{n_steps} steps of {env.L} points")
     u_hat = np.fft.fft(env.values)
     grids.append(_working_grid(env.L, _top_mode(u_hat)))
     while True:
@@ -553,17 +552,18 @@ def _commutators(env: Envelope, pairs) -> list:
     of flows (coefficients, flow id), each flow evaluated once; exact up to
     round-off (see _derivative).  env and |u|^2 u must be resolved."""
     u = env.values
-    # the cubic |u|^2 u carries three times u's band; an overflowing profile
-    # leaves a NaN energy fraction, which the check refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        _check_spectra_resolved(np.fft.fft(u))
-        _check_spectra_resolved(np.fft.fft(np.abs(u) ** 2 * u), "cubic |u|^2 u")
-    base = {flow: symmetry_rhs(env, *flow) for flow in dict.fromkeys(sum(pairs, ()))}
 
     def derivative(a, b):  # K_a'[K_b] at u
         return _derivative(lambda vals: _flow(vals, env.dxi, *a), u, base[b])
 
-    return [float(np.max(np.abs(derivative(a, b) - derivative(b, a)))) for a, b in pairs]
+    # the cubic |u|^2 u carries three times u's band; an overflowing profile
+    # leaves a NaN energy fraction, which the check refuses, and overflowing
+    # symbols k^2, k^3 leave the residuals that commutator_floor refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_spectra_resolved(np.fft.fft(u))
+        _check_spectra_resolved(np.fft.fft(np.abs(u) ** 2 * u), "cubic |u|^2 u")
+        base = {flow: symmetry_rhs(env, *flow) for flow in dict.fromkeys(sum(pairs, ()))}
+        return [float(np.max(np.abs(derivative(a, b) - derivative(b, a)))) for a, b in pairs]
 
 
 def commutator_floor(env: Envelope, c: NlsCoefficients) -> float:
@@ -573,11 +573,15 @@ def commutator_floor(env: Envelope, c: NlsCoefficients) -> float:
     evaluations by 2 * COMMUTATOR_STEP; the noise itself is amplified by the
     largest spectral symbol in play (k_max^3 from the third derivative).
     """
-    kmax = math.pi / env.dxi
-    umax = float(np.max(np.abs(env.values)))
-    scale = (1.0 + abs(c.rho1) * kmax ** 3
-             + 3.0 * abs(c.rho2) * kmax * umax ** 2) * max(umax, 1.0)
-    return float(64.0 * np.finfo(float).eps * scale / (2.0 * COMMUTATOR_STEP))
+    kmax = np.float64(math.pi / env.dxi)  # as in _stiffness
+    umax = np.max(np.abs(env.values))
+    with np.errstate(over="ignore"):
+        scale = (1.0 + abs(c.rho1) * kmax ** 3
+                 + 3.0 * abs(c.rho2) * kmax * umax ** 2) * max(umax, 1.0)
+    floor = float(64.0 * np.finfo(float).eps * scale / (2.0 * COMMUTATOR_STEP))
+    if not math.isfinite(floor):  # an infinite floor would pass any residual
+        raise DomainError(f"the commutator floor overflows at kmax = {kmax:.3e}")
+    return floor
 
 
 def commutator_sweep(c: NlsCoefficients, env: Envelope) -> dict:
@@ -588,7 +592,7 @@ def commutator_sweep(c: NlsCoefficients, env: Envelope) -> dict:
     wrong = NlsCoefficients(c.rho1, 2.0 * c.rho2)
     *residuals, bad = _commutators(env, [((c, a), (c, b)) for a, b in COMMUTATOR_PAIRS]
                                    + [((c, "nls"), (wrong, "h4"))])
-    floor = commutator_floor(env, c)  # after _commutators has refused an overflow
+    floor = commutator_floor(env, c)  # after _commutators, which names an overflowing cubic
     table = [{"pair": [a, b], "residual": residual, "floor": floor,
               "passed": residual <= floor}
              for (a, b), residual in zip(COMMUTATOR_PAIRS, residuals)]

@@ -104,26 +104,28 @@ def zs_potential(u, p: float, kappa: float):
 
 def compute_coefficients(params: LpkdvParams, kappa: float) -> ReductionCoefficients:
     """The reduction coefficients at one parameter point, by the closed forms
-    of the module docstring; branch picks the slow characteristic with M1 > 0.
-    kappa outside (0, pi), q = 0 (by the dispersion relation) and p = 0 are
-    refused."""
+    of the module docstring (rho1, rho2 through zeta^2 - mu^2 = 4pq, zeta - mu
+    = 2q, mu + zeta = 2p); branch picks the slow characteristic with M1 > 0.
+    kappa outside (0, pi), q = 0 (by the dispersion relation), and p = 0 or a
+    coefficient or g^2 (zs_potential's factor) 0 or not finite are refused."""
     carrier = CarrierWave.for_params(params, kappa)
     p, q, mu, zeta = params.p, params.q, params.mu, params.zeta
-    if p == 0:
-        raise DomainError("the reduction needs p != 0: tau1, tau2 and tau3 divide by p")
     c2, s2 = math.cos(kappa / 2.0) ** 2, math.sin(kappa / 2.0) ** 2
-    band = 4.0 * p ** 2 * s2 + 4.0 * q ** 2 * c2
-    m1 = math.sqrt(band)
-    rho1 = -mu * zeta * (zeta ** 2 - mu ** 2) * math.sin(kappa) / band
-    rho2 = (8.0 * zeta * mu * (zeta - mu) * (2.0 * c2) ** 2 * math.sin(kappa)
-            / ((mu + zeta) * band ** 2))
-    return ReductionCoefficients(
-        params=params, carrier=carrier, branch=-1 if p * q > 0 else 1,
-        M1=m1, M1_tilde=4.0 * abs(p * q) / m1,
-        tau1=-4.0 * c2 / (p * m1),
-        tau2=1j / (2.0 * p * math.tan(kappa / 2.0)),
-        tau3=1j * math.sin(kappa) / p, rho1=rho1, rho2=rho2,
-    )
+    try:  # Python floats raise on some overflows and divisions by 0, not on others
+        band = 4.0 * p ** 2 * s2 + 4.0 * q ** 2 * c2
+        m1 = math.sqrt(band)
+        # M1, M1_tilde, tau1, tau2, tau3, rho1 and rho2, then g^2
+        forms = (m1, 4.0 * abs(p * q) / m1, -4.0 * c2 / (p * m1),
+                 1j / (2.0 * p * math.tan(kappa / 2.0)), 1j * math.sin(kappa) / p,
+                 -mu * zeta * (4.0 * p * q) * math.sin(kappa) / band,
+                 8.0 * zeta * mu * (2.0 * q) * (2.0 * c2) ** 2 * math.sin(kappa)
+                 / ((2.0 * p) * band ** 2), zs_potential(1.0, p, kappa) ** 2)
+    except ArithmeticError:  # p = 0 among them: tau1, tau2 and tau3 divide by p
+        forms = (0.0,)
+    if not all(0.0 < abs(v) < math.inf for v in forms):
+        raise DomainError(f"the reduction needs p != 0 and each coefficient and g^2 finite "
+                          f"and nonzero; not so at p = {p!r}, q = {q!r}, kappa = {kappa!r}")
+    return ReductionCoefficients(params, carrier, -1 if p * q > 0 else 1, *forms[:-1])
 
 
 def _band(J: int, L: int) -> tuple:
@@ -254,7 +256,7 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     raise with the offending (n, m).  The envelope and |u1_1|^2 must be
     spectrally resolved (PreconditionError otherwise).  A window whose
     lattice-point matrix or field would pass nls.MAX_STEP_POINTS entries is
-    refused before either is allocated (DomainError).
+    refused before either is allocated (nls.check_budget).
 
     u1_1 is evaluated as the Fourier series whose coefficients are the
     envelope's spectrum (EnvelopeEvolution.spectra_at, on the run's working
@@ -281,10 +283,8 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
     lo, hi = _band(J, L)                                  # u1_1: j = -lo..hi
     top = min(2 * J, square // 2)                         # |u1_1|^2: j = 0..top
     width = lo + max(lo, hi, top) + 1                     # _lattice_matrix's columns
-    points = n_size * max(width, m_size)
-    if points > nls.MAX_STEP_POINTS:
-        raise DomainError(f"the {n_size} x {m_size} ansatz window with {width} modes needs "
-                          f"{points} points, over the {nls.MAX_STEP_POINTS} allowed")
+    nls.check_budget(n_size * max(width, m_size),
+                     f"the {n_size} x {m_size} ansatz window with {width} modes")
     ns = np.arange(n_size)
     ms = np.arange(m_size)
     x = coeffs.xi(ns, 0, N)

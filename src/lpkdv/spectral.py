@@ -78,7 +78,8 @@ def coefficient_row(u_row: np.ndarray, params: LpkdvParams,
     else:
         raise DomainError(f"unknown variant {variant!r}")
     check_denominators(p, (first, second), SingularPotentialError, "a_n bracket", 1)
-    return 4 * p ** 2 / (first * second)
+    with np.errstate(all="ignore"):  # _coefficients refuses a non-finite a_n
+        return 4 * np.float64(p) ** 2 / (first * second)
 
 
 def _check_row(lattice: LatticeField, m: int) -> None:
@@ -108,13 +109,17 @@ def _operator_matrix(a: np.ndarray, periodic: bool) -> np.ndarray:
 
 def _coefficients(a) -> tuple:
     """(a as an array, whether it is real and positive), refusing an array
-    that is not 1D or has fewer than 8 entries.  Real positive a_n between
-    Dirichlet walls gauge to a symmetric tridiagonal operator with
-    off-diagonals sqrt(a_n) (diagonal similarity d[n+1]/d[n] = a_n^(-1/2))."""
+    that is not 1D or has fewer than 8 entries, or a non-finite a_n by its n
+    (NumericalError).  Real positive a_n between Dirichlet walls gauge to a
+    symmetric tridiagonal operator with off-diagonals sqrt(a_n) (diagonal
+    similarity d[n+1]/d[n] = a_n^(-1/2))."""
     a = np.asarray(a)
     if a.ndim != 1 or a.size < 8:
         raise DomainError(f"eigenvalues need a 1D coefficient array of size >= 8, "
                           f"got shape {a.shape}")
+    n = int(np.argmin(np.isfinite(a)))  # the first non-finite a_n, if any
+    if not np.isfinite(a[n]):
+        raise NumericalError(f"a_n = {a[n]} at n = {n} is not finite", {"n": n})
     return a, (not np.iscomplexobj(a)) and bool(np.all(a > 0))
 
 

@@ -37,8 +37,16 @@ EXTRA_MARGIN = 2              # columns excluded beyond the RK4 stencil erosion
 ENVELOPE_FLOOR = 1e-8         # blocks with a smaller envelope are not projected
 
 
+def _stencil(which: str) -> int:
+    """FLOW_STENCIL[which]: the one lookup of a flow id, refusing an unknown one."""
+    if which not in FLOW_STENCIL:
+        raise DomainError(f"unknown flow {which!r}; expected one of {tuple(FLOW_STENCIL)}")
+    return FLOW_STENCIL[which]
+
+
 def _flow_values(u: np.ndarray, params: LpkdvParams, which: str, stage=None) -> np.ndarray:
     """RHS on the maximal valid interior; the margin columns are NaN."""
+    _stencil(which)
     p = params.p
     out = np.full_like(u, np.nan)
     fail = {"error": SingularFlowError, "what": "flow denominator", "stage": stage}
@@ -52,20 +60,16 @@ def _flow_values(u: np.ndarray, params: LpkdvParams, which: str, stage=None) -> 
         C = 2 * p + u[:-4, :] - u[2:-2, :]
         check_denominators(p, (A, B, C), origin=2, **fail)
         out[2:-2, :] = (1.0 / A ** 2) * (1.0 / B + 1.0 / C) - 1.0 / (4 * p ** 3)
-    elif which == "broken":
+    else:  # "broken"
         A = 2 * p + u[1:-1, :] - u[2:, :]
         check_denominators(p, (A,), origin=0, **fail)
         out[:-2, :] = 1.0 / A - 1.0 / (2 * p)
-    else:
-        raise DomainError(f"unknown flow {which!r}")
     return out
 
 
 def flow_rhs(field: LatticeField, params: LpkdvParams, which: str) -> LatticeField:
     """Flow right-hand side; boundary margin (stencil width) is NaN-marked."""
-    s = FLOW_STENCIL.get(which)
-    if s is None:
-        raise DomainError(f"unknown flow {which!r}")
+    s = _stencil(which)
     if field.n_size < 2 * s + 1:
         raise DomainError(f"field too narrow for {which} (needs n_size > {2 * s})")
     return LatticeField(_flow_values(field.values, params, which))
@@ -98,15 +102,15 @@ def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
     lambda_list = list(lambda_list)
     if len(lambda_list) < 3 or sorted(lambda_list) != lambda_list:
         raise DomainError("lambda_list must be ascending with at least 3 values")
+    margin = 4 * _stencil(which) + EXTRA_MARGIN
+    if 2 * margin >= solution.n_size - 1:
+        raise DomainError(f"window too narrow for flow margin {margin}")
     base = max_residual(solution, params)
     if base > SOLUTION_TOL:
         raise PreconditionError(
             f"input residual {base:.3e} exceeds {SOLUTION_TOL:.0e}; not a solution"
         )
     floor = RESIDUAL_FLOOR_RTOL * (1.0 + float(np.max(np.abs(solution.values))))
-    margin = 4 * FLOW_STENCIL[which] + EXTRA_MARGIN
-    if 2 * margin >= solution.n_size - 1:
-        raise DomainError(f"window too narrow for flow margin {margin}")
     residuals = []
     for lam in lambda_list:
         r = residual_field(flow_step(solution, params, which, lam), params)
@@ -130,7 +134,7 @@ def first_harmonic_blocks(ansatz: AnsatzField, which: str) -> tuple:
     coeffs = ansatz.coeffs
     kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
     rhs = flow_rhs(ansatz.field, coeffs.params, which).values
-    s, P = FLOW_STENCIL[which], math.ceil(2 * math.pi / kappa)
+    s, P = _stencil(which), math.ceil(2 * math.pi / kappa)
     nb, mb = (rhs.shape[0] - 2 * s) // P, rhs.shape[1] // P
     if nb * mb == 0:
         raise PreconditionError("carrier period P = {} is longer than the {} x {} window: "

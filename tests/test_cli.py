@@ -549,6 +549,7 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     ("nls-evolve", {"envelope": {"amplitude": 1e200}}, 2),
     ("ansatz-residual", {"envelope": {"amplitude": 1e200}}, 2),
     ("nls-evolve", {"nls": {"tau_final": 0.0}}, 2),
+    ("no-such-subcommand", {}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
@@ -558,7 +559,8 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     unresolved (top-third energy 1.5e-4); an amplitude
     whose square overflows leaves no stable step, which the step guard
     refuses (test_hostile_config_exit_2 reads its words); a tau_final at the envelope's own tau (0) asks for a mass drift
-    over no step, which cannot fail.  "$TMP" in a config stands for the test's directory, which
+    over no step, which cannot fail; an unknown subcommand is a config error
+    too.  "$TMP" in a config stands for the test's directory, which
     holds an empty JSON object as empty.json and malformed envelope
     documents: re and im of unequal length (ragged.json), a text dxi
     (text_dxi.json), a text re (text_re.json), a NaN dxi (nan_dxi.json) and
@@ -699,7 +701,7 @@ def test_dense_run_over_budget_exit_2(tmp_path, capsys):
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
-    assert "73941 steps of 1024 points, 75716608 step points" in err
+    assert "73941 steps of 1024 points has 75716608 points" in err
     assert peak < 64 << 20
 
 
@@ -750,8 +752,13 @@ def test_envelope_integer_beyond_float_range_exit_2(tmp_path, capsys):
 # whose grid is an integer beyond the float range, lattice windows and ansatz
 # windows past nls.MAX_STEP_POINTS (7.3 TiB for the 10^6 x 10^6 window, a
 # 7155418 x 1025 lattice-point matrix at nls.period = 1e6, sizes numpy
-# cannot allocate at all) and an amplitude whose square overflows the
-# stiffness; each with the words of its config error line
+# cannot allocate at all), an amplitude whose square overflows the
+# stiffness, (p, q) at which a reduction coefficient or g^2 over- or
+# underflows (mu + zeta rounding to 0 at p = 1e-300, band or band^2
+# underflowing at 1e-150 and 1e-200, band^2 overflowing at 1e150) and a grid
+# so fine (nls.period = 1e-300) that kmax^2 or kmax^3 overflows; each with
+# the words of its config error line
+EXTREME_PQ = [(1e-300, 0.5), (1e-150, 3e-150), (1e-200, 3e-200), (1e150, 3e149)]
 HOSTILE = [
     pytest.param("nls-evolve", {"xi0": 10 ** 400}, "grid origin xi0 = 1000", id="file-xi0"),
     pytest.param("nls-evolve", {"dxi": 10 ** 400}, "grid spacing dxi = 1000", id="file-dxi"),
@@ -767,6 +774,14 @@ HOSTILE = [
     *[pytest.param(subcommand, {"envelope": {"amplitude": 1e200}},
                    "overflows at max|u| = 1.000e+200", id=f"{subcommand}-amplitude")
       for subcommand in ("ansatz-residual", "flow-project", "nls-evolve")],
+    *[pytest.param(subcommand, {"p": p, "q": q}, f"not so at p = {p!r}, q = {q!r}",
+                   id=f"{subcommand}-p{p:g}-q{q:g}")
+      for p, q in EXTREME_PQ for subcommand in ("coeffs", "nls-evolve", "flow-check")],
+    *[pytest.param(subcommand, {"nls": {"period": 1e-300}},
+                   "stiffness |rho1|*kmax^2 + |rho2|*max|u|^2 overflows", id=f"{subcommand}-dxi")
+      for subcommand in ("ansatz-residual", "nls-evolve", "zs-limit", "flow-project")],
+    pytest.param("commutators", {"nls": {"period": 1e-300}},
+                 "commutator floor overflows at kmax = 3.217e+303", id="commutators-dxi"),
 ]
 
 
@@ -786,6 +801,23 @@ def test_hostile_config_exit_2(tmp_path, capsys, subcommand, doc, words):
     assert words in err
 
 
+def test_underflowing_boundary_p_isospectral_exit_1(tmp_path, capsys):
+    """At boundary.p = 1e-300 both 4 p^2 and every a_n bracket product
+    underflow to 0, so a_n is 0/0: the eigen-solve's gate refuses the NaN
+    (exit 1, a NumericalError record naming n), where scipy raised
+    ValueError out of the run."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"boundary": {"p": 1e-300}}))
+    out = tmp_path / "o"
+    assert run("isospectral", str(cfg), str(out), quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericalError: a_n = nan at n = ") and err.count("\n") == 1
+    manifest = read(out / "manifest.json")
+    assert manifest["passed"] is False and manifest["result"] is None
+    assert manifest["error"]["type"] == "NumericalError"
+    assert set(manifest["error"]["diagnostics"]) == {"n"}
+
+
 @pytest.mark.parametrize("where", ["config", "envelope"])
 def test_integer_past_int_limit_exit_2(tmp_path, capsys, where):
     """A JSON integer of more digits than int() converts (4300 by default),
@@ -802,6 +834,23 @@ def test_integer_past_int_limit_exit_2(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}:") and err.count("\n") == 1
     assert "4300" in err
+
+
+@pytest.mark.parametrize("where", ["config", "envelope"])
+def test_json_nested_past_recursion_limit_exit_2(tmp_path, capsys, where):
+    """A JSON document nested deeper than the interpreter's recursion limit,
+    as the config or as a file envelope, exits 2 with one config error line
+    naming the file, not a RecursionError traceback."""
+    path = tmp_path / f"{where}.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    if where == "envelope":
+        (tmp_path / "config.json").write_text(
+            json.dumps({"envelope": {"type": "file", "path": str(path)}}))
+    assert run("nls-evolve", str(tmp_path / "config.json"), str(tmp_path / "o"),
+               quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:") and err.count("\n") == 1
+    assert "recursion" in err
 
 
 def test_flow_check_floor_exponent_passes(tmp_path, monkeypatch):

@@ -253,7 +253,8 @@ class TestDenseOutput:
         assert nls_evolve(env, C_REF, 0.1, 0.01).tau == 0.1
         monkeypatch.setattr(nls, "MAX_STEP_POINTS", points - 1)
         for evolve in (nls_evolve_dense, nls_evolve):
-            with pytest.raises(DomainError, match=f"needs 10 steps of 128 points, {points}"):
+            with pytest.raises(DomainError,
+                               match=f"in 10 steps of 128 points has {points} points"):
                 evolve(env, C_REF, 0.1, 0.01)
 
     def test_dense_run_keeps_one_store(self, ref_envelope, ref_coeffs):

@@ -104,6 +104,28 @@ class TestEigenvalues:
         assert a.size == field.n_size - 3
         assert np.array_equal(a, coefficient_row(field.values[:, 0], params))
 
+    @pytest.mark.parametrize("solve", [eigenvalues, bound_states,
+                                       lambda a: eigenvalues(a, periodic=True)],
+                             ids=["eigenvalues", "bound_states", "periodic"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_coefficient_named(self, solve, bad):
+        """A NaN or infinite a_n is a NumericalError naming the first such n,
+        where the solvers raised scipy's ValueError (infs or NaNs) or, for
+        bisection, returned whatever stebz made of it."""
+        a = np.ones(16, dtype=type(bad))
+        a[11] = a[13] = bad
+        with pytest.raises(NumericalError, match="at n = 11 is not finite") as info:
+            solve(a)
+        assert info.value.diagnostics == {"n": 11}
+
+    def test_underflowing_brackets_give_non_finite_coefficients(self):
+        """At p = 1e-300 both 4 p^2 and the bracket product underflow to 0,
+        so a_n is 0/0: NaN, refused by the solvers, with no warning."""
+        a = coefficient_row(np.zeros(20), LpkdvParams(1e-300, -0.5))
+        assert np.isnan(a).any()
+        with pytest.raises(NumericalError, match="is not finite"):
+            bound_states(a)
+
 
 def _band_filter(a):
     w = eigenvalues(a)

@@ -69,6 +69,14 @@ class TestFlowRhs:
         with pytest.raises(DomainError):
             flow_rhs(LatticeField(np.zeros((8, 3))), P, "flow7")
 
+    @pytest.mark.parametrize("call", [flow_rhs, lambda f, p, w: flow_step(f, p, w, 0.1)],
+                             ids=["flow_rhs", "flow_step"])
+    def test_unknown_flow_one_message(self, call):
+        """flow_rhs and flow_step refuse an unknown id with the same message."""
+        with pytest.raises(DomainError, match=r"unknown flow 'h3'; expected one of "
+                                              r"\('flow1', 'flow2', 'broken'\)"):
+            call(LatticeField(np.zeros((16, 3))), P, "h3")
+
 
 class TestFlowStep:
     def test_constant_unchanged(self):
@@ -158,6 +166,21 @@ class TestResidualScaling:
         field, params = bump_solution
         with pytest.raises(DomainError):
             symmetry_residual_scaling(field, params, "flow1", [0.5, 0.25, 0.125])
+
+    def test_unknown_flow_refused_before_any_residual(self, bump_solution, monkeypatch):
+        """An unknown flow id is a DomainError naming it, raised before the
+        input's residual scan, where the stencil lookup after that scan
+        raised KeyError."""
+        import lpkdv.symmetries as symmetries
+
+        def scanned(*args, **kwargs):
+            raise AssertionError("a residual was computed")
+
+        monkeypatch.setattr(symmetries, "max_residual", scanned)
+        monkeypatch.setattr(symmetries, "residual_field", scanned)
+        field, params = bump_solution
+        with pytest.raises(DomainError, match="unknown flow 'bogus'"):
+            symmetry_residual_scaling(field, params, "bogus", [0.125, 0.25, 0.5])
 
 
 class TestHarmonicProjection:
