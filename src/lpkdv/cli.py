@@ -208,7 +208,8 @@ def _bump_solution(cfg):
     n = np.arange(n_size)
     if b["kind"] == "bump":
         center = b["center"] if b["center"] is not None else n_size // 2
-        row0 = b["amplitude"] * np.exp(-((n - center) / b["width"]) ** 2)
+        with np.errstate(over="ignore"):  # a width whose square overflows: exp(-inf) = 0
+            row0 = b["amplitude"] * np.exp(-((n - center) / b["width"]) ** 2)
         col0 = np.full(m_size, row0[0])
     else:  # "random"; validate_config admits no other kind
         rng = np.random.default_rng(cfg["seed"])

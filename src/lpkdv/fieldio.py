@@ -28,14 +28,14 @@ _CSV_BLOCK_POINTS = 1 << 14   # points formatted per write, which bounds the tex
 
 def _csv_lines(block: np.ndarray, start: int):
     """The CSV lines of the lattice rows n = start.. held in block."""
+    cols = [f",{m}," for m in range(block.shape[1])]  # each line: str(n) + ",m," + reprs
+    heads = map(str, itertools.count(start))
     if np.iscomplexobj(block):
-        return (f"{n},{m},{re!r},{im!r}\r\n"
-                for n, re_row, im_row in zip(itertools.count(start), block.real.tolist(),
-                                             block.imag.tolist())
-                for m, (re, im) in enumerate(zip(re_row, im_row)))
-    return (f"{n},{m},{re!r}\r\n"
-            for n, row in zip(itertools.count(start), block.tolist())
-            for m, re in enumerate(row))
+        return (head + col + repr(re) + "," + repr(im) + "\r\n"
+                for head, re_row, im_row in zip(heads, block.real.tolist(), block.imag.tolist())
+                for col, re, im in zip(cols, re_row, im_row))
+    return (head + col + repr(re) + "\r\n"
+            for head, row in zip(heads, block.tolist()) for col, re in zip(cols, row))
 
 
 def save_field_csv(field: LatticeField, path) -> None:

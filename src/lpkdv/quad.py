@@ -10,10 +10,10 @@ n + m = d.  Points on one anti-diagonal are independent, so each is one
 vectorized step, written into the window in place: point (n, m) is entry
 n * m_size + m of the flat array, so an anti-diagonal is one slice of stride
 m_size - 1.  The singular-corner and non-finite checks run once over the
-filled window, after the sweep, with floating-point warnings off during it;
-they report the first fault in sweep order (smallest n + m, then smallest
-n), the fault the sweep would meet first were it checked diagonal by
-diagonal.
+filled window, after the sweep, in row blocks of a fixed point count, with
+floating-point warnings off during it; they report the first fault in sweep
+order (smallest n + m, then smallest n), the fault the sweep would meet
+first were it checked diagonal by diagonal.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import DomainError, NumericalError, SingularCornerError
 
 CORNER_SINGULARITY_RTOL = 1e-12
 DENOMINATOR_RTOL = 1e-10      # spectral brackets and flow denominators, relative to |p|
+_CHECK_BLOCK_POINTS = 1 << 14  # points of the filled window checked at once
 
 
 @dataclass(frozen=True)
@@ -144,14 +145,17 @@ def evolve_ivp(row0, col0, params: LpkdvParams) -> LatticeField:
     return LatticeField(u)
 
 
-def _first_in_sweep(mask):
-    """(n, m) of the first True interior point of `mask` (over u[1:, 1:]) in
-    sweep order, or None."""
-    n, m = np.nonzero(mask)
-    if n.size == 0:
-        return None
-    k = int(np.argmin((n + m) * mask.shape[0] + n))
-    return int(n[k]) + 1, int(m[k]) + 1
+def _first_in_sweep(u, mask_of):
+    """(n, m) of the first interior point of u in sweep order at which
+    mask_of(u[a:e + 1])[n - a - 1, m - 1] is True, or None; rows a..e hold
+    about _CHECK_BLOCK_POINTS points."""
+    rows, last, found = max(1, _CHECK_BLOCK_POINTS // u.shape[1]), u.shape[0] - 1, []
+    for a in range(0, last, rows):
+        n, m = np.nonzero(mask_of(u[a:min(a + rows, last) + 1]))
+        if n.size:
+            k = int(np.argmin((n + m) * u.shape[0] + n))
+            found.append((a + int(n[k]) + 1, int(m[k]) + 1))
+    return min(found, key=lambda nm: (sum(nm), nm[0]), default=None)
 
 
 def _check_sweep(u, mu):
@@ -159,8 +163,8 @@ def _check_sweep(u, mu):
     window u, in sweep order.  Points past the first fault hold whatever the
     sweep computed from it; only the earliest fault is reported."""
     thresh = CORNER_SINGULARITY_RTOL * (1.0 + abs(mu))
-    singular = _first_in_sweep(np.abs(u[1:, :-1] - u[:-1, 1:] - mu) < thresh)
-    non_finite = _first_in_sweep(~np.isfinite(u[1:, 1:]))
+    singular = _first_in_sweep(u, lambda b: np.abs(b[1:, :-1] - b[:-1, 1:] - mu) < thresh)
+    non_finite = _first_in_sweep(u, lambda b: ~np.isfinite(b[1:, 1:]))
     if singular and (not non_finite or sum(singular) <= sum(non_finite)):
         raise SingularCornerError(f"singular corner at (n,m) = ({singular[0]},{singular[1]})",
                                   location=singular)

@@ -44,27 +44,63 @@ def _stencil(which: str) -> int:
     return FLOW_STENCIL[which]
 
 
-def _flow_values(u: np.ndarray, params: LpkdvParams, which: str, stage=None) -> np.ndarray:
-    """RHS on the maximal valid interior; the margin columns are NaN."""
-    _stencil(which)
-    p = params.p
-    out = np.full_like(u, np.nan)
+def _flow_values(u: np.ndarray, params: LpkdvParams, which: str, out: np.ndarray,
+                 work: np.ndarray, stage=None) -> np.ndarray:
+    """The RHS on the maximal valid interior, written into `out`; NaN in its
+    margin rows.  flow2 keeps D[n] = 2p + u[n-1] - u[n+1] in work[0], reads
+    A, B and C there as D[n], D[n+1] and D[n-1], and sums 1/B + 1/C in work[1]."""
+    s, p = _stencil(which), params.p
     fail = {"error": SingularFlowError, "what": "flow denominator", "stage": stage}
-    if which == "flow1":
-        A = 2 * p + u[:-2, :] - u[2:, :]
-        check_denominators(p, (A,), origin=1, **fail)
-        out[1:-1, :] = 1.0 / A - 1.0 / (2 * p)
-    elif which == "flow2":
-        A = 2 * p + u[1:-3, :] - u[3:-1, :]
-        B = 2 * p + u[2:-2, :] - u[4:, :]
-        C = 2 * p + u[:-4, :] - u[2:-2, :]
+    rows = slice(0, -2) if which == "broken" else slice(s, -s)
+    D = work[0, 1:-1] if which == "flow2" else out[rows]
+    np.subtract(np.add(2 * p, u[1:-1] if which == "broken" else u[:-2], out=D), u[2:], out=D)
+    out[:rows.start] = out[rows.stop:] = np.nan
+    if which != "flow2":
+        check_denominators(p, (D,), origin=rows.start, **fail)
+        np.subtract(np.divide(1.0, D, out=D), 1.0 / (2 * p), out=D)
+        return out
+    A, B, C = work[0, 2:-2], work[0, 3:-1], work[0, 1:-3]
+    try:
+        check_denominators(p, (D,), origin=1, **fail)
+    except SingularFlowError:  # D's rows are A's, B's and C's: fail as their check does
         check_denominators(p, (A, B, C), origin=2, **fail)
-        out[2:-2, :] = (1.0 / A ** 2) * (1.0 / B + 1.0 / C) - 1.0 / (4 * p ** 3)
-    else:  # "broken"
-        A = 2 * p + u[1:-1, :] - u[2:, :]
-        check_denominators(p, (A,), origin=0, **fail)
-        out[:-2, :] = 1.0 / A - 1.0 / (2 * p)
+    # no rounded complex product writes over its own operand: numpy rounds a
+    # one-element product in place otherwise than one into a fresh array
+    inv_a2 = np.divide(1.0, np.square(A, out=out[rows]), out=out[rows])
+    with np.errstate(divide="ignore"):  # under 5 rows D has rows that A, B and C lack
+        np.divide(1.0, D, out=D)
+    total = np.add(B, C, out=work[1, rows])
+    np.subtract(np.multiply(inv_a2, total, out=A), 1.0 / (4 * p ** 3), out=out[rows])
     return out
+
+
+def _first_stage(u: np.ndarray, params: LpkdvParams, which: str) -> np.ndarray:
+    """_rk4's buffers in one allocation, k1 (the flow at u) in the first."""
+    bufs = np.empty((4 + 2 * (which == "flow2"),) + u.shape, u.dtype)
+    with np.errstate(invalid="ignore"):
+        _flow_values(u, params, which, bufs[0], bufs[4:], stage=1)
+    return bufs
+
+
+def _rk4(u: np.ndarray, params: LpkdvParams, which: str, dlambda: float,
+         bufs: np.ndarray) -> np.ndarray:
+    """The textbook RK4 step from k1 = bufs[0], its sum ((k1 + 2 k2) + 2 k3)
+    + k4 rolled into acc; returns bufs[2], the new u with NaN set to 0."""
+    k1, k, state, acc, work = *bufs[:4], bufs[4:]
+    with np.errstate(invalid="ignore"):
+        np.add(u, np.multiply(0.5 * dlambda, k1, out=state), out=state)
+        _flow_values(state, params, which, k, work, stage=2)
+        np.add(u, np.multiply(0.5 * dlambda, k, out=state), out=state)
+    np.add(k1, np.multiply(2.0, k, out=k), out=acc)
+    with np.errstate(invalid="ignore"):
+        _flow_values(state, params, which, k, work, stage=3)
+        np.add(u, np.multiply(dlambda, k, out=state), out=state)
+    np.add(acc, np.multiply(2.0, k, out=k), out=acc)
+    with np.errstate(invalid="ignore"):
+        _flow_values(state, params, which, k, work, stage=4)
+    np.add(acc, k, out=acc)
+    np.add(u, np.multiply(dlambda / 6.0, acc, out=state), out=state)
+    return np.nan_to_num(state, copy=False, nan=0.0)
 
 
 def flow_rhs(field: LatticeField, params: LpkdvParams, which: str) -> LatticeField:
@@ -72,7 +108,8 @@ def flow_rhs(field: LatticeField, params: LpkdvParams, which: str) -> LatticeFie
     s = _stencil(which)
     if field.n_size < 2 * s + 1:
         raise DomainError(f"field too narrow for {which} (needs n_size > {2 * s})")
-    return LatticeField(_flow_values(field.values, params, which))
+    bufs = np.empty((1 + 2 * (which == "flow2"),) + field.shape, field.values.dtype)
+    return LatticeField(_flow_values(field.values, params, which, bufs[0], bufs[1:]))
 
 
 def flow_step(field: LatticeField, params: LpkdvParams, which: str,
@@ -80,14 +117,8 @@ def flow_step(field: LatticeField, params: LpkdvParams, which: str,
     """One classical RK4 step.  Each stage invalidates one more stencil width
     FLOW_STENCIL[which] of rows on each n-side, so 4 widths per side come out
     as 0."""
-    u = field.values.astype(np.complex128 if field.kind == "complex" else np.float64)
-    with np.errstate(invalid="ignore"):
-        k1 = _flow_values(u, params, which, stage=1)
-        k2 = _flow_values(u + 0.5 * dlambda * k1, params, which, stage=2)
-        k3 = _flow_values(u + 0.5 * dlambda * k2, params, which, stage=3)
-        k4 = _flow_values(u + dlambda * k3, params, which, stage=4)
-    new = u + (dlambda / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return LatticeField(np.nan_to_num(new, nan=0.0))
+    u = field.values
+    return LatticeField(_rk4(u, params, which, dlambda, _first_stage(u, params, which)))
 
 
 def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
@@ -111,10 +142,10 @@ def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
             f"input residual {base:.3e} exceeds {SOLUTION_TOL:.0e}; not a solution"
         )
     floor = RESIDUAL_FLOOR_RTOL * (1.0 + float(np.max(np.abs(solution.values))))
-    residuals = []
+    bufs, residuals = _first_stage(solution.values, params, which), []  # k1: one per sweep
     for lam in lambda_list:
-        r = residual_field(flow_step(solution, params, which, lam), params)
-        residuals.append(float(np.max(np.abs(r[margin:-margin, :]))))
+        step = LatticeField(_rk4(solution.values, params, which, lam, bufs))
+        residuals.append(float(np.max(np.abs(residual_field(step, params)[margin:-margin, :]))))
     above = [(lam, r) for lam, r in zip(lambda_list, residuals) if r > floor]
     report = {"lambda": lambda_list, "residual": residuals, "floor": floor}
     if len(above) < 2:

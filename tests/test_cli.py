@@ -801,6 +801,21 @@ def test_hostile_config_exit_2(tmp_path, capsys, subcommand, doc, words):
     assert words in err
 
 
+@pytest.mark.parametrize("subcommand, code", [("simulate", 0), ("flow-check", 0),
+                                              ("isospectral", 1)])
+def test_boundary_width_whose_square_overflows(tmp_path, capsys, subcommand, code):
+    """At boundary.width = 1e-300 the bump's ((n - center) / width)^2
+    overflows to inf off the centre, and exp(-inf) = 0 leaves a one-point
+    bump: each run ends by its contract (isospectral's drift exceeds its
+    bound) with nothing on stderr, where the overflow's RuntimeWarning, an
+    error under this suite's filter, ended it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"boundary": {"width": 1e-300}}))
+    assert run(subcommand, str(cfg), str(tmp_path / "o"), quiet=True) == code
+    assert capsys.readouterr().err == ""
+    assert read(tmp_path / "o" / "manifest.json")["error"] is None
+
+
 def test_underflowing_boundary_p_isospectral_exit_1(tmp_path, capsys):
     """At boundary.p = 1e-300 both 4 p^2 and every a_n bracket product
     underflow to 0, so a_n is 0/0: the eigen-solve's gate refuses the NaN

@@ -11,6 +11,7 @@ from lpkdv.fieldio import (
     save_field_binary,
     save_field_csv,
 )
+from lpkdv import quad
 from lpkdv.quad import (
     CarrierWave,
     LatticeField,
@@ -140,9 +141,10 @@ class TestEvolveIvp:
             evolve_ivp(np.array([1.0, 0.0]), np.array([0.0, 0.0]), P15)
 
     def test_sweep_fills_its_window_in_place(self):
-        """The 4000 x 24 bump window peaks under 3.5 windows in tracemalloc
-        (3.0 measured: the window, the checks' temporaries and the field's
-        copy), where a store of the sweep's own beside the window reads 4."""
+        """The 4000 x 24 bump window peaks under 2.2 windows in tracemalloc
+        (2.09 measured: the window and the field's copy, the checks' blocks
+        beside the window), where checks over the whole window read 3 and a
+        store of the sweep's own beside the window 4."""
         import tracemalloc
 
         tracemalloc.start()
@@ -151,7 +153,7 @@ class TestEvolveIvp:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * field.values.nbytes
+        assert peak < 2.2 * field.values.nbytes
 
     def test_small_plane_wave_residual_quadratic(self):
         # the sampled linear wave solves the equation up to its quadratic term
@@ -234,27 +236,57 @@ class TestEvolveIvpOracle:
         """Boundaries seeded with singular corners (a first-row or first-column
         entry set so that w = mu at its neighbour) and non-finite values: the
         same exception, message and location as the oracle's, or none."""
-        rng = np.random.default_rng(17)
-        outcomes = []
-        for trial in range(80):
-            shape = (int(rng.integers(3, 12)), int(rng.integers(3, 12)))
-            row0, col0 = _boundary(shape, kind, seed=trial)
-            u = evolve_ivp_diagonals(row0, col0, PSTABLE).values
-            for _ in range(int(rng.integers(1, 4))):
-                k = int(rng.integers(2, min(shape)))
-                choice = rng.integers(4)
-                if choice == 0:
-                    col0[k] = u[1, k - 1] - PSTABLE.mu     # singular at (1, k)
-                elif choice == 1:
-                    row0[k] = u[k - 1, 1] + PSTABLE.mu     # singular at (k, 1)
-                else:
-                    (row0, col0)[choice - 2][k] = (np.inf, -np.inf, np.nan)[trial % 3]
-            with np.errstate(all="ignore"):
-                got = _raised(evolve_ivp, row0, col0, PSTABLE)
-                ref = _raised(evolve_ivp_diagonals, row0, col0, PSTABLE)
-            assert got == ref
-            outcomes.append(None if ref is None else ref[0])
-        assert {SingularCornerError, NumericalError} <= set(outcomes)
+        _first_errors_match_oracle(kind)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_first_error_matches_oracle_over_blocks(self, kind, monkeypatch):
+        """The same with the check's blocks cut to 3 points, so that a
+        window's faults fall in different blocks."""
+        monkeypatch.setattr(quad, "_CHECK_BLOCK_POINTS", 3)
+        _first_errors_match_oracle(kind)
+
+    @pytest.mark.parametrize("fault", ["non-finite", "singular"])
+    def test_later_block_fault_first_in_sweep_order(self, fault):
+        """Two faults in different blocks of the check, 4 rows to a block:
+        (1, m_size - 10) in the first block and (6, 1) in the second; the
+        second comes first in sweep order (n + m = 7) and is the one raised,
+        as the oracle raises it."""
+        mm = quad._CHECK_BLOCK_POINTS // 4
+        row0, col0 = _boundary((12, mm), "real")
+        u = evolve_ivp_diagonals(row0, col0, PSTABLE).values
+        if fault == "non-finite":
+            row0[6], col0[mm - 10] = np.inf, np.nan
+        else:  # w = mu at (6, 1) and at (1, mm - 10)
+            row0[6], col0[mm - 10] = u[5, 1] + PSTABLE.mu, u[1, mm - 11] - PSTABLE.mu
+        with np.errstate(all="ignore"):
+            got = _raised(evolve_ivp, row0, col0, PSTABLE)
+            want = _raised(evolve_ivp_diagonals, row0, col0, PSTABLE)
+        assert got == want and "(n,m) = (6,1)" in want[1]
+
+
+def _first_errors_match_oracle(kind):
+    """Seeded boundaries over 80 small windows: evolve_ivp raises what the oracle does."""
+    rng = np.random.default_rng(17)
+    outcomes = []
+    for trial in range(80):
+        shape = (int(rng.integers(3, 12)), int(rng.integers(3, 12)))
+        row0, col0 = _boundary(shape, kind, seed=trial)
+        u = evolve_ivp_diagonals(row0, col0, PSTABLE).values
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(2, min(shape)))
+            choice = rng.integers(4)
+            if choice == 0:
+                col0[k] = u[1, k - 1] - PSTABLE.mu     # singular at (1, k)
+            elif choice == 1:
+                row0[k] = u[k - 1, 1] + PSTABLE.mu     # singular at (k, 1)
+            else:
+                (row0, col0)[choice - 2][k] = (np.inf, -np.inf, np.nan)[trial % 3]
+        with np.errstate(all="ignore"):
+            got = _raised(evolve_ivp, row0, col0, PSTABLE)
+            ref = _raised(evolve_ivp_diagonals, row0, col0, PSTABLE)
+        assert got == ref
+        outcomes.append(None if ref is None else ref[0])
+    assert {SingularCornerError, NumericalError} <= set(outcomes)
 
 
 class TestDispersion:
@@ -353,6 +385,22 @@ class TestFieldIO:
         save_field_csv(field, tmp_path / "new.csv")
         save_field_csv_rows(field, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("m_size", [1, 24])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_csv_lines_match_per_point_fstring(self, special_values, kind, m_size):
+        """Each line built from the row's str(n), the column's ",m," and the
+        parts' repr equals the per-point f-string f"{n},{m},{re!r}[,{im!r}]"."""
+        from lpkdv.fieldio import _csv_lines
+
+        block = np.resize(special_values, (5, m_size))
+        if kind == "complex":
+            block = block.astype(np.complex128)
+            block.imag = np.resize(np.roll(special_values, 5), (5, m_size))
+        want = "".join(f"{n},{m},{z.real!r}" + (f",{z.imag!r}" if kind == "complex" else "")
+                       + "\r\n" for n, row in enumerate(block.tolist(), start=37)
+                       for m, z in enumerate(map(complex, row)))
+        assert "".join(_csv_lines(block, 37)) == want
 
     def test_csv_bytes_match_oracle_over_many_blocks(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -5,7 +5,7 @@ import pytest
 
 from lpkdv.errors import DomainError, PreconditionError, SingularFlowError
 from lpkdv.nls import gaussian_envelope
-from lpkdv.quad import LatticeField, LpkdvParams
+from lpkdv.quad import LatticeField, LpkdvParams, evolve_ivp
 from lpkdv.reduction import assemble_ansatz
 from lpkdv.symmetries import (
     FLOW_STENCIL,
@@ -15,6 +15,8 @@ from lpkdv.symmetries import (
     harmonic_projection,
     symmetry_residual_scaling,
 )
+from tests import flow_oracle
+from tests.conftest import make_bump_solution
 from tests.frozen_oracle import frozen_evolution
 
 P = LpkdvParams(1.5, -0.5)
@@ -224,3 +226,101 @@ class TestHarmonicProjection:
         got, _ = first_harmonic_blocks(ans, which)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _complex_bump_solution(n_size, m_size):
+    """An exact complex lpKdV solution: a bump times a carrier on the first row."""
+    n = np.arange(n_size)
+    row0 = 0.5 * np.exp(-((n - n_size // 2) / 10.0) ** 2 + 0.3j * n)
+    return evolve_ivp(row0, np.full(m_size, row0[0]), P), P
+
+
+def _record(call, *args):
+    try:
+        call(*args)
+    except SingularFlowError as exc:
+        return str(exc), exc.location, exc.stage
+    return None
+
+
+class TestFlowOracle:
+    """The flow kernels against the textbook versions in tests/flow_oracle.py."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("which", ["flow1", "flow2", "broken"])
+    def test_rhs_and_step_bit_identical(self, which, kind):
+        rng = np.random.default_rng(41)
+        for shape in [(2 * FLOW_STENCIL[which] + 1, 3), (2 * FLOW_STENCIL[which] + 1, 1),
+                      (40, 7)]:
+            u = 0.3 * rng.standard_normal(shape)
+            f = LatticeField(u + 0.3j * rng.standard_normal(shape) if kind == "complex" else u)
+            got, want = flow_rhs(f, P, which).values, flow_oracle.flow_values(f.values, P, which)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for lam in (0.125, -0.3, 0.5):
+                got, want = flow_step(f, P, which, lam), flow_oracle.flow_step(f, P, which, lam)
+                assert got.kind == want.kind == kind
+                assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("which", ["flow1", "flow2", "broken"])
+    @pytest.mark.parametrize("shape", [(200, 11), (4000, 24)])
+    def test_sweep_residuals_bit_identical(self, which, kind, shape):
+        field, params = (make_bump_solution(*shape) if kind == "real"
+                         else _complex_bump_solution(*shape))
+        assert field.kind == kind
+        lambdas = [0.125, 0.25, 0.5]
+        got = symmetry_residual_scaling(field, params, which, lambdas)["residual"]
+        assert got == flow_oracle.residual_scaling(field, params, which, lambdas)
+
+    # flow2's denominator rows on a 5-row window: D[1] is C's alone, D[2] A's
+    # and D[3] B's; each (n, m) below makes D[n, m] = 2p + u[n-1] - u[n+1] = 0
+    @pytest.mark.parametrize("zeros", [[(2, 1)], [(3, 2)], [(1, 0)], [(1, 0), (2, 1)]],
+                             ids=["A", "B", "C", "C-first-row-major"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_flow2_fault_records(self, zeros, kind):
+        u = np.zeros((5, 3), dtype=complex if kind == "complex" else float)
+        for n, m in zeros:
+            u[n - 1, m], u[n + 1, m] = -P.p, P.p
+        f = LatticeField(u)
+        for got, want in [(lambda: flow_rhs(f, P, "flow2"),
+                           lambda: LatticeField(flow_oracle.flow_values(u, P, "flow2"))),
+                          (lambda: flow_step(f, P, "flow2", 0.1),
+                           lambda: flow_oracle.flow_step(f, P, "flow2", 0.1))]:
+            record = _record(want)
+            assert record is not None and _record(got) == record
+
+    @pytest.mark.parametrize("n_size", [3, 4])
+    def test_flow2_step_under_five_rows(self, n_size):
+        """Below 5 rows no flow2 value exists and A, B and C are empty: a zero
+        denominator D[1] is no fault, the step gives the textbook's zeros and
+        no warning (an error under this suite's filter)."""
+        u = np.zeros((n_size, 3))
+        u[0, 1], u[2, 1] = -P.p, P.p    # D[1, 1] = 0
+        got = flow_step(LatticeField(u), P, "flow2", 0.1)
+        assert got.values.tobytes() == flow_oracle.flow_step(LatticeField(u), P, "flow2",
+                                                             0.1).values.tobytes()
+
+    def test_flow2_fault_records_name_the_row_major_first_of_a(self):
+        """Two faults where C's comes first in row-major order: A is checked
+        first, so its fault is the one reported, here as by the oracle."""
+        u = np.zeros((5, 3))
+        u[0, 0], u[2, 0] = -P.p, P.p    # D[1, 0] = 0: C's, reported at n = 2
+        u[1, 1], u[3, 1] = -P.p, P.p    # D[2, 1] = 0: A's
+        assert _record(flow_rhs, LatticeField(u), P, "flow2") == (
+            "flow denominator below 1.5e-10 at n = 2, m = 1", (2, 1), None)
+
+    @pytest.mark.parametrize("which, parent_peak", [("flow1", 9.1), ("flow2", 13.0),
+                                                    ("broken", 9.1)])
+    def test_sweep_peak_at_most_the_textbook_one(self, which, parent_peak):
+        """One sweep of the 4000 x 24 bump window peaks, in tracemalloc, at no
+        more windows than the textbook step's (measured 9.1, 13.0 and 9.1)."""
+        import tracemalloc
+
+        field, params = make_bump_solution(n_size=4000, m_size=24)
+        tracemalloc.start()
+        try:
+            symmetry_residual_scaling(field, params, which, [0.125, 0.25, 0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < parent_peak * field.values.nbytes
