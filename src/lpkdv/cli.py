@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 import scipy
 
-from . import __version__, fieldio, nls, quad, reduction, symmetries
+from . import __version__, fieldio, nls, quad, reduction, spectral, symmetries
 from . import difference_calculus as dc
 from .errors import DomainError, LpkdvError
 
@@ -382,20 +382,17 @@ def cmd_commutators(cfg):
 
 
 def cmd_spectrum(cfg):
-    # spectral loads scipy.linalg and scipy.sparse, which the other subcommands skip
-    from .spectral import eigenvalues
-
     L = 64
-    w_per = np.sort(eigenvalues(np.ones(L), periodic=True).real)
+    w_per = np.sort(spectral.eigenvalues(np.ones(L), periodic=True).real)
     exact_per = np.sort(2 * np.cos(2 * np.pi * np.arange(L) / L))
     err_per = float(np.max(np.abs(w_per - exact_per)))
-    w_dir = np.sort(eigenvalues(np.ones(L)).real)
+    w_dir = np.sort(spectral.eigenvalues(np.ones(L)).real)
     exact_dir = np.sort(2 * np.cos(np.pi * np.arange(1, L + 1) / (L + 1)))
     err_dir = float(np.max(np.abs(w_dir - exact_dir)))
     rng = np.random.default_rng(cfg["seed"])
     a = 1.0 + 0.3 * rng.random(L)
-    w_sym = np.sort(eigenvalues(a).real)
-    w_dense = np.sort(eigenvalues(a.astype(complex)).real)  # the dense general solver
+    w_sym = np.sort(spectral.eigenvalues(a).real)
+    w_dense = np.sort(spectral.eigenvalues(a.astype(complex)).real)  # the dense general solver
     err_gauge = float(np.max(np.abs(w_sym - w_dense)))
     tol = BOUNDS["spectrum_error"]
     report = {"periodic_error": err_per, "dirichlet_error": err_dir,
@@ -408,17 +405,15 @@ def cmd_spectrum(cfg):
 def cmd_isospectral(cfg):
     """Spectral drift across rows on the bump window and on one twice as wide;
     the printed a_n on the small window is a control that must drift."""
-    from .spectral import isospectral_drift  # deferred: see cmd_spectrum
-
     b = cfg["boundary"]
     m_list = list(range(b["m_size"]))
     field_small, params = _bump_solution(cfg)
     center = b["center"] if b["center"] is not None else b["n_size"] // 2
     field_big, _ = _bump_solution(dict(cfg, boundary=dict(b, n_size=2 * b["n_size"],
                                                           center=center)))
-    rep_small = isospectral_drift(field_small, params, m_list)
-    rep_big = isospectral_drift(field_big, params, m_list)
-    control = isospectral_drift(field_small, params, m_list, variant="printed")
+    rep_small = spectral.isospectral_drift(field_small, params, m_list)
+    rep_big = spectral.isospectral_drift(field_big, params, m_list)
+    control = spectral.isospectral_drift(field_small, params, m_list, variant="printed")
     shrink = None
     if rep_small["max_drift"] and rep_big["max_drift"]:
         shrink = rep_small["max_drift"] / rep_big["max_drift"]
@@ -435,16 +430,14 @@ def cmd_isospectral(cfg):
 
 
 def cmd_zs_limit(cfg):
-    from .spectral import nearest_partners, spectral_limit_check  # deferred: see cmd_spectrum
-
     n_list = list(cfg["N_list"])
-    report = spectral_limit_check(_build_envelope(cfg), _build_coeffs(cfg), n_list)
+    report = spectral.spectral_limit_check(_build_envelope(cfg), _build_coeffs(cfg), n_list)
     disc = [d for d in report["discrepancy"] if d is not None]
     ok = len(disc) == len(n_list) and disc[-1] <= disc[0]
     band = BOUNDS["cauchy_band"]
     if ok and len(n_list) >= 3:
         e_mid = sorted(report["estimates"][-2], key=abs)[1:4]  # skip the near-zero rung
-        partners = nearest_partners(report["estimates"][-1], e_mid)
+        partners = spectral.nearest_partners(report["estimates"][-1], e_mid)
         ok = all(1 - band <= partner / v <= 1 + band
                  for v, partner in zip(e_mid, partners) if v != 0)
     return ok, report, {"zs_limit_report.json": report}

@@ -152,9 +152,13 @@ class Envelope:
 def gaussian_envelope(L: int, xi0: float, period: float, amplitude: float,
                       width: float, center: float) -> Envelope:
     dxi = period / L
-    xi = xi0 + dxi * np.arange(L)
-    with np.errstate(over="ignore"):  # a width whose square overflows leaves a constant
-        vals = amplitude * np.exp(-((xi - center) ** 2) / (2.0 * np.float64(width) ** 2))
+    d = xi0 + dxi * np.arange(L) - center  # xi - center
+    # a width whose square overflows leaves a constant, one whose square
+    # underflows a spike (-d^2/0 = -inf off the centre); where both squares
+    # under- or overflow, d^2 / (2 width^2) is NaN and (d / width)^2 / 2 holds
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = -(d ** 2) / (2.0 * np.float64(width) ** 2)
+        vals = amplitude * np.exp(np.where(np.isnan(z), -0.5 * (d / width) ** 2, z))
     return Envelope(xi0, dxi, vals.astype(np.complex128))
 
 

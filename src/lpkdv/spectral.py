@@ -35,10 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eig, eigh_tridiagonal
-from scipy.sparse.linalg import eigs
 
+# scipy.linalg and scipy.sparse are imported in the functions that call their
+# solvers: about 0.2 s of imports that only a process that solves should pay
 from .errors import DomainError, NumericalError, PreconditionError, SingularPotentialError
 from .nls import resize_spectra
 from .quad import LatticeField, LpkdvParams, check_denominators
@@ -132,6 +131,8 @@ def eigenvalues(a: np.ndarray, periodic: bool = False) -> np.ndarray:
     operator (_coefficients) is solved with a symmetric solver; anything
     else, complex a_n included, goes to a dense general solver.
     """
+    from scipy.linalg import eig, eigh_tridiagonal
+
     a, symmetric = _coefficients(a)
     try:
         if not periodic and symmetric:
@@ -154,6 +155,8 @@ def bound_states(a: np.ndarray) -> np.ndarray:
     for k bound states instead of the O(n^2) of the full spectrum.  Complex
     or non-positive a_n take the full dense solve of eigenvalues.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     a, symmetric = _coefficients(a)
     edge = 2.0 + BAND_EDGE_TOL
     if not symmetric:
@@ -257,9 +260,11 @@ class ZsProblem:
         object.__setattr__(self, "potential", u)
 
 
-def _derivative_matrix(L: int, h: float) -> sparse.coo_matrix:
+def _derivative_matrix(L: int, h: float):
     """d/ds with one-sided 2nd-order end rows, 2nd-order next to them, and
-    4th-order central stencils in the interior."""
+    4th-order central stencils in the interior, as a scipy.sparse coo_matrix."""
+    from scipy import sparse
+
     j = np.arange(2, L - 2)
     rows = [np.array([0, 0, 0, 1, 1, L - 2, L - 2, L - 1, L - 1, L - 1]),
             j, j, j, j]
@@ -271,7 +276,7 @@ def _derivative_matrix(L: int, h: float) -> sparse.coo_matrix:
                               (np.concatenate(rows), np.concatenate(cols))), shape=(L, L))
 
 
-def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.csc_matrix:
+def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float):
     """B = -i M, M psi = mu1 psi with the mixed walls Re(phi)=0 eliminated:
     every entry of M carries i/lam, of B 1/lam, so B is real for a real u.
 
@@ -279,6 +284,8 @@ def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.c
     stored at index L-1+j); the wall condition psi2 = -psi1 at both ends is
     substituted into the stencils.
     """
+    from scipy import sparse
+
     L = len(x)
     h = float(x[1] - x[0])
     lam = 1.0 / (2.0 * math.sin(kappa / 2.0))
@@ -303,7 +310,7 @@ def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float) -> sparse.c
                               (np.concatenate(rows), np.concatenate(cols))), shape=(size, size))
 
 
-def _zs_disc_eigenvalues(B: sparse.csc_matrix, radius: float, k: int) -> tuple:
+def _zs_disc_eigenvalues(B, radius: float, k: int) -> tuple:
     """(w, ks): eigenvalues mu1 of the ZS matrix B = -i M (_zs_matrix)
     nearest ZS_SHIFT, among them every one with |mu1| <= radius, and the k
     of every ARPACK shift-invert call made, in order, the first one k, then
@@ -322,6 +329,9 @@ def _zs_disc_eigenvalues(B: sparse.csc_matrix, radius: float, k: int) -> tuple:
     the shift.  B is real for a real potential, and the ARPACK and dense
     solves run in real arithmetic with it.
     """
+    from scipy.linalg import eig
+    from scipy.sparse.linalg import eigs
+
     n = B.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n).astype(B.dtype)
     reach = radius + abs(ZS_SHIFT)
@@ -341,8 +351,7 @@ def _zs_disc_eigenvalues(B: sparse.csc_matrix, radius: float, k: int) -> tuple:
         if dist.max() > reach:
             return w, ks
         k = max(k + 1, math.ceil(k * reach / dist.max()) + 2)
-    ks.append("dense")
-    return 1j * eig(B.toarray(), right=False), ks
+    return 1j * eig(B.toarray(), right=False), ks + ["dense"]
 
 
 def _refined_potential(u: np.ndarray, factor: int) -> np.ndarray:

@@ -816,6 +816,27 @@ def test_boundary_width_whose_square_overflows(tmp_path, capsys, subcommand, cod
     assert read(tmp_path / "o" / "manifest.json")["error"] is None
 
 
+@pytest.mark.parametrize("subcommand, center, code", [
+    ("nls-evolve", 12.0, 0), ("ansatz-residual", 12.0, 0),
+    ("nls-evolve", 0.0, 0), ("ansatz-residual", 0.0, 1)])
+def test_envelope_width_whose_square_underflows(tmp_path, capsys, subcommand, center, code):
+    """At envelope.width = 1e-300 the Gaussian's 2 width^2 underflows to 0:
+    off the centre -d^2/0 = -inf leaves 0, and a centre on a grid point
+    (xi0 = 0.0) keeps the amplitude, the Gaussian's limit, where 0/0 gave NaN
+    (and a run refused for a stiffness overflowing at max|u| = nan).  Each
+    run ends by its contract (the one-point spike is not resolved for the
+    ansatz), with no RuntimeWarning, an error under this suite's filter."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"envelope": {"width": 1e-300, "center": center}}))
+    assert run(subcommand, str(cfg), str(tmp_path / "o"), quiet=True) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: PreconditionError: envelope not spectrally resolved")
+        assert err.count("\n") == 1
+
+
 def test_underflowing_boundary_p_isospectral_exit_1(tmp_path, capsys):
     """At boundary.p = 1e-300 both 4 p^2 and every a_n bracket product
     underflow to 0, so a_n is 0/0: the eigen-solve's gate refuses the NaN
@@ -1031,14 +1052,14 @@ def test_evolved_envelope_zs_limit_precondition(evolved_envelope_config, tmp_pat
 def test_zs_limit_solver_failure_exit_1(tmp_path, capsys, monkeypatch):
     """ARPACK non-convergence in the reduced eigen-solve is a numerical
     failure: exit 1 with a NumericalError record in the manifest."""
+    import scipy.sparse.linalg
     from scipy.sparse.linalg import ArpackNoConvergence
-
-    from lpkdv import spectral
 
     def fail(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", [], [])
 
-    monkeypatch.setattr(spectral, "eigs", fail)
+    # the spectral module imports eigs when it solves, so it finds this one
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail)
     out = tmp_path / "o"
     assert run("zs-limit", None, str(out), quiet=True) == 1
     assert capsys.readouterr().err.startswith("error: NumericalError")
@@ -1049,15 +1070,34 @@ def test_zs_limit_solver_failure_exit_1(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_skips_scipy_linalg_and_sparse():
-    """Only the spectral subcommands need scipy.linalg and scipy.sparse, about
-    0.35 s to import: the CLI defers the spectral module to them.  No
-    subcommand needs scipy.fft, whose import (about 0.36 s once, with
-    scipy._lib._array_api and numpy.f2py) would land on every NLS
+    """Only the spectral subcommands need scipy.linalg and scipy.sparse, whose
+    first import (with scipy._lib._util, array_api_compat and numpy.f2py,
+    numpy.testing, numpy.ma and numpy.random) takes about 0.2 s: the spectral
+    module imports them in the functions that call the solvers.  No
+    subcommand needs scipy.fft, whose import would land on every NLS
     subcommand's start-up."""
     import lpkdv
 
     code = ("import sys, lpkdv.cli; loaded = [m for m in ('scipy.linalg', 'scipy.sparse', "
             "'scipy.fft') if m in sys.modules]; assert not loaded, f'{loaded} loaded'")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_module_imports_defer_scipy_solvers(tmp_path):
+    """Importing every module loads neither scipy.linalg nor scipy.sparse (nor
+    scipy.fft or scipy.interpolate); the first solve imports them, so a
+    `spectrum` run in the same interpreter exits 0 with scipy.linalg loaded."""
+    import lpkdv
+
+    code = ("import sys\n"
+            "from lpkdv import (cli, difference_calculus, errors, fieldio, nls, quad,\n"
+            "                   reduction, spectral, symmetries)\n"
+            "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy.fft', 'scipy.interpolate')\n"
+            "loaded = [m for m in heavy if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} loaded'\n"
+            f"assert cli.run('spectrum', None, {str(tmp_path / 'o')!r}, quiet=True) == 0\n"
+            "assert 'scipy.linalg' in sys.modules, 'scipy.linalg not loaded'\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 

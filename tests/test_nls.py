@@ -618,3 +618,22 @@ def test_divergence_reruns_up_to_envelope_grid():
         nls_evolve(env, C_REF, 30 * dtau, dtau, grids)
     assert grids == [256, 512, 1024]
     assert info.value.diagnostics["max_abs"] == math.inf
+
+
+@pytest.mark.parametrize("width, center, expected", [
+    (1e-300, 0.0, [1.5, 0.0, 0.0, 0.0, 0.0]),  # 2 width^2 underflows: a spike on the centre
+    (1e-300, 1e-200, [0.0] * 5),               # d^2 underflows too: 0/0, yet |d/width| >= 1e100
+    (1e300, 1e200, [1.5] * 5),                 # both squares overflow: inf/inf, d/width ~ 1e-100
+    (1e300, 0.0, [1.5] * 5)])                  # width^2 alone overflows: a constant
+def test_gaussian_envelope_past_the_range_of_width_squared(width, center, expected):
+    """Where d^2 / (2 width^2) is 0/0 or inf/inf the Gaussian takes its value
+    from (d / width)^2, never NaN and without a RuntimeWarning."""
+    env = gaussian_envelope(5, 0.0, 5.0, 1.5, width, center)
+    assert np.array_equal(env.values, np.array(expected, dtype=complex))
+
+
+def test_gaussian_envelope_default_bits():
+    """The default envelope is the textbook formula, bit for bit."""
+    xi = 40.0 / 1024 * np.arange(1024)
+    textbook = 1.0 * np.exp(-((xi - 12.0) ** 2) / (2.0 * 1.25 ** 2))
+    assert np.array_equal(gaussian_envelope(1024, 0.0, 40.0, 1.0, 1.25, 12.0).values, textbook)

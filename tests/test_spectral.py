@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from scipy.linalg import eig
 
 from lpkdv import spectral
@@ -400,14 +402,15 @@ def _phase_shifted(zs, phase):
     return ZsProblem(x, zs.potential * np.exp(1j * phase * x), zs.kappa, zs.p)
 
 
-def _spy(monkeypatch, name, seen):
-    """Record the name and matrix dtype of every call of spectral.<name>."""
-    solver = getattr(spectral, name)
+def _spy(monkeypatch, owner, name, seen):
+    """Record the name and matrix dtype of every call of owner.<name>; the
+    spectral module imports its solvers when it calls them, so it sees the spy."""
+    solver = getattr(owner, name)
 
     def spy(A, *args, **kwargs):
         seen.append((name, A.dtype))
         return solver(A, *args, **kwargs)
-    monkeypatch.setattr(spectral, name, spy)
+    monkeypatch.setattr(owner, name, spy)
 
 
 @pytest.fixture(scope="module")
@@ -460,8 +463,8 @@ class TestSparseZs:
         # of 79 values takes the dense solve on the base grid
         monkeypatch.setattr(spectral, "ZS_START_K", 79)
         seen = []
-        for name in ("eigs", "eig"):
-            _spy(monkeypatch, name, seen)
+        for owner, name in ((scipy.sparse.linalg, "eigs"), (scipy.linalg, "eig")):
+            _spy(monkeypatch, owner, name, seen)
         zs_eigenvalues(_phase_shifted(zs_small, phase))
         assert [name for name, _ in seen] == ["eig", "eigs", "eigs"]
         assert all(t == dtype for _, t in seen)
