@@ -49,14 +49,13 @@ DEFAULT_CONFIG = {
 }
 
 # Every bound a subcommand's pass rule applies, read by that rule alone and
-# pinned by test_default_tolerances_pinned; no config can move one.  The
-# exceptions are the commutators' floor, a round-off estimate that
-# nls.commutator_floor computes from the envelope, and the error estimate of
-# quad.dispersion_derivatives, which dispersion adds to its bound.
+# pinned by test_default_tolerances_pinned; no config can move one.  The one
+# exception is the commutators' floor, a round-off estimate that
+# nls.commutator_floor computes from the envelope.
 BOUNDS = {
     "lax_identity": 1e-12,             # coeffs: |rho2 M1^2 / (rho1 g^2) / -2 - 1|
     "linear_residual": 1e-12,          # dispersion: worst plane-wave residual
-    "dispersion_derivatives": 1e-6,    # dispersion: rho1, omega' M1 against differences of omega
+    "dispersion_derivatives": 1e-12,   # dispersion: rho1, omega' M1 against omega's derivatives
     "lattice_residual": 1e-10,         # simulate: worst residual / (1 + max|u|)
     "ansatz_exponent": 2.7,            # ansatz-residual: least fitted exponent
     "mass_drift": 1e-8,                # nls-evolve: mass drift / max(1, span)
@@ -291,26 +290,24 @@ def cmd_coeffs(cfg):
     return passed, doc, {"coefficients.json": doc}
 
 
-def _against_differences(coeffs) -> dict:
+def _against_lattice(coeffs) -> dict:
     """rho1 = -omega'' M1^2 / 2 and omega' M1 = branch M1_tilde at the config
-    point, omega's derivatives by quad.dispersion_derivatives: for each the
-    closed form, the value from the differences, their relative error and
-    the differences' own error estimate on the same scale."""
-    d1, d2, e1, e2 = quad.dispersion_derivatives(coeffs.params, coeffs.carrier.kappa)
+    point, omega's derivatives the lattice dispersion relation's own
+    (quad.dispersion_derivatives): for each the closed form, the value from
+    the lattice and their relative error."""
+    d1, d2 = quad.dispersion_derivatives(coeffs.params, coeffs.carrier.kappa)
     out = {}
-    for key, closed, scale, value, error in (
-            ("rho1", coeffs.rho1, -coeffs.M1 ** 2 / 2.0, d2, e2),
-            ("velocity", coeffs.branch * coeffs.M1_tilde, coeffs.M1, d1, e1)):
-        out[key] = {"closed": closed, "differences": scale * value,
-                    "rel_error": abs(scale * value - closed) / abs(closed),
-                    "estimate": abs(scale) * error / abs(closed)}
+    for key, closed, lattice in (("rho1", coeffs.rho1, -d2 * coeffs.M1 ** 2 / 2.0),
+                                 ("velocity", coeffs.branch * coeffs.M1_tilde, d1 * coeffs.M1)):
+        out[key] = {"closed": closed, "lattice": lattice,
+                    "rel_error": abs(lattice - closed) / abs(closed)}
     return out
 
 
 def cmd_dispersion(cfg):
     """The plane-wave residual of the dispersion relation at 100 seeded draws,
     and the reduction's rho1 and group velocity against its derivatives at
-    the config point (within the bound plus the differences' estimate)."""
+    the config point."""
     tol = BOUNDS["linear_residual"]
     rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
@@ -324,12 +321,11 @@ def cmd_dispersion(cfg):
         worst = max(worst, r)
         draws.append({"p": p, "q": q, "kappa": kappa,
                       "omega": quad.dispersion(params, kappa), "residual": r})
-    checks = _against_differences(_build_coeffs(cfg))
+    checks = _against_lattice(_build_coeffs(cfg))
     bound = BOUNDS["dispersion_derivatives"]
     report = {"max_linear_residual": worst, "tolerance": tol, "draws": draws[:5],
               "derivatives": dict(checks, tolerance=bound)}
-    passed = worst <= tol and all(row["rel_error"] <= bound + row["estimate"]
-                                  for row in checks.values())
+    passed = worst <= tol and all(row["rel_error"] <= bound for row in checks.values())
     return passed, report, {"dispersion_report.json": report}
 
 

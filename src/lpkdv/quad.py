@@ -188,12 +188,9 @@ def check_denominators(p: float, arrays, error, what: str, origin: int, **fields
                         location=loc[0] if len(loc) == 1 else tuple(loc), **fields)
 
 
-def dispersion(params: LpkdvParams, kappa: float) -> float:
-    """Dispersion relation omega(kappa) of the linearized lpKdV.
-
-    omega = -2*arctan(((zeta+mu)/(zeta-mu)) * tan(kappa/2)); the linear part
-    of the lattice equation vanishes identically on exp(i(kappa*n - omega*m)).
-    """
+def _ratio_and_tangent(params: LpkdvParams, kappa: float) -> tuple:
+    """(r, t) = ((zeta+mu)/(zeta-mu), tan(kappa/2)), the factors of the
+    dispersion relation; kappa outside (0, pi - 1e-9] and q ~ 0 are refused."""
     if not (0.0 < kappa < math.pi):
         raise DomainError(f"kappa must lie in (0, pi), got {kappa}")
     if kappa > math.pi - 1e-9:
@@ -201,30 +198,30 @@ def dispersion(params: LpkdvParams, kappa: float) -> float:
     denom = params.zeta - params.mu  # = 2q
     if abs(denom) < 1e-14 * (abs(params.zeta) + abs(params.mu)):
         raise DomainError("dispersion undefined: zeta - mu ~ 0 (q ~ 0)")
-    ratio = (params.zeta + params.mu) / denom
-    return -2.0 * math.atan(ratio * math.tan(kappa / 2.0))
+    return (params.zeta + params.mu) / denom, math.tan(kappa / 2.0)
 
 
-# 7-point central differences of the first and second derivative, error O(h^6)
-_FIRST_DIFFERENCE = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_SECOND_DIFFERENCE = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+def dispersion(params: LpkdvParams, kappa: float) -> float:
+    """Dispersion relation omega(kappa) of the linearized lpKdV.
+
+    omega = -2*arctan(((zeta+mu)/(zeta-mu)) * tan(kappa/2)); the linear part
+    of the lattice equation vanishes identically on exp(i(kappa*n - omega*m)).
+    """
+    ratio, t = _ratio_and_tangent(params, kappa)
+    return -2.0 * math.atan(ratio * t)
 
 
 def dispersion_derivatives(params: LpkdvParams, kappa: float) -> tuple:
-    """(omega', omega'', e1, e2): the first two derivatives of `dispersion`
-    at kappa by 7-point central differences of step
-    h = min(2e-3, kappa/4, (pi - kappa)/4), and a bound on each one's error:
-    its change from step h to h/2 (the truncation) plus the round-off of
-    4 eps in each value of omega and of its node, summed over the weights."""
-    def differences(h):
-        f = np.array([dispersion(params, kappa + i * h) for i in range(-3, 4)])
-        return f @ _FIRST_DIFFERENCE / h, f @ _SECOND_DIFFERENCE / h ** 2, f
-
-    h = min(2e-3, kappa / 4.0, (math.pi - kappa) / 4.0)
-    (d1, d2, f), (half1, half2, _) = differences(h), differences(h / 2.0)
-    noise = 4.0 * np.finfo(float).eps * (np.max(np.abs(f)) + abs(d1) * (kappa + 3.0 * h))
-    return (d1, d2, abs(d1 - half1) + noise * np.sum(np.abs(_FIRST_DIFFERENCE)) / h,
-            abs(d2 - half2) + noise * np.sum(np.abs(_SECOND_DIFFERENCE)) / h ** 2)
+    """(omega', omega''), the exact derivatives of `dispersion` = -2 atan(r t):
+    omega' = -r (1 + t^2) / (1 + r^2 t^2) and omega'' = omega' (1 - r^2) t /
+    (1 + r^2 t^2), 1 - r^2 = -4 zeta mu / (zeta - mu)^2.  Unlike the equal
+    sin(omega) / sin(kappa) and omega' (cos(omega) - cos(kappa)) / sin(kappa),
+    they lose no digit as kappa -> 0 or pi."""
+    ratio, t = _ratio_and_tangent(params, kappa)
+    zeta, mu = params.zeta, params.mu
+    spread = 1.0 + (ratio * t) ** 2
+    first = -ratio * (1.0 + t * t) / spread
+    return first, first * (-4.0 * zeta * mu / (zeta - mu) ** 2) * t / spread
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Group velocity by finite differences of the lpKdV dispersion relation: the
-test oracle for the scale ratio M1_tilde / M1 of the reduction, which the
-package computes in closed form.
+test oracle for the scale ratio M1_tilde / M1 of the reduction and for
+`quad.dispersion_derivatives`, which the package computes in closed form.
 """
 
 from __future__ import annotations

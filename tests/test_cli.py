@@ -371,38 +371,53 @@ def test_coeffs_wrong_rho2_exit_1(tmp_path, monkeypatch):
 
 def test_dispersion_derivatives_at_config_point(tmp_path):
     """dispersion checks rho1 = -omega'' M1^2 / 2 and omega' M1 = branch
-    M1_tilde against 7-point differences of the dispersion relation at the
-    config point, on both branches: 1.2 and 1.341641 at (1.5, -0.5, pi/2)."""
+    M1_tilde against the exact derivatives of the lattice dispersion relation
+    at the config point: 1.2 and 1.341641 at (1.5, -0.5, pi/2)."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": -0.5}))
     assert run("dispersion", str(cfg), str(tmp_path / "o"), quiet=True) == 0
     block = read(tmp_path / "o" / "dispersion_report.json")["derivatives"]
     assert block["tolerance"] == cli.BOUNDS["dispersion_derivatives"]
-    assert abs(block["rho1"]["differences"] - 1.2) <= 1e-8
-    assert abs(block["velocity"]["differences"] - 1.341641) <= 1e-6
+    assert abs(block["rho1"]["lattice"] - 1.2) <= 1e-12
+    assert abs(block["velocity"]["lattice"] - 1.341641) <= 1e-6
     for row in (block["rho1"], block["velocity"]):
-        assert row["rel_error"] <= 1e-8 and row["estimate"] <= 1e-7
+        assert set(row) == {"closed", "lattice", "rel_error"} and row["rel_error"] <= 1e-12
 
 
 @pytest.mark.parametrize("doc, code", [
     ({"kappa": 1e-6}, 0), ({"kappa": 3.14}, 0), ({"kappa": math.pi - 1e-6}, 0),
-    ({"p": 1.0, "q": 0.01, "kappa": 0.01}, 0), ({"kappa": math.pi - 1e-9}, 2)])
+    ({"p": 1.0, "q": 0.01, "kappa": 0.01}, 0), ({"kappa": math.pi - 1e-9}, 0),
+    ({"kappa": 1e-300}, 0), ({"kappa": 1e-8}, 0),
+    ({"kappa": math.pi / 2}, 0), ({"p": 2.0, "q": 1.0, "kappa": 1.0}, 0),
+    ({"kappa": 1.2}, 0), ({"p": 3.0, "q": 0.7, "kappa": 0.6}, 0),
+    ({"q": -0.5, "kappa": 2.0}, 0), ({"p": 0.8, "q": 2.5, "kappa": 3.0}, 0),
+    ({"p": -1.0, "q": -2.0, "kappa": 0.3}, 0)])
 def test_dispersion_derivatives_across_domain(tmp_path, capsys, doc, code):
-    """Near kappa = 0 or pi and at extreme |p/q| the differences' error
-    estimate grows with their error, so the check holds; within 4e-9 of pi
-    the stencil would cross the dispersion relation's limit pi - 1e-9, a
-    config error that names it."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    assert run("dispersion", str(cfg), str(tmp_path / "o"), quiet=True) == code
-    if code == 2:
-        assert "too close to pi" in capsys.readouterr().err
+    """The exact derivatives keep every digit near kappa = 0 and pi (up to
+    the dispersion relation's limit pi - 1e-9) and at extreme |p/q|: on both
+    branches the true coefficients meet the fixed bound, with nothing on
+    stderr."""
+    for sign in (1, -1):
+        cfg = tmp_path / f"cfg{sign}.json"
+        q = sign * doc.get("q", cli.DEFAULT_CONFIG["q"])
+        cfg.write_text(json.dumps(dict(doc, q=q)))
+        assert run("dispersion", str(cfg), str(tmp_path / f"o{sign}"), quiet=True) == code
+        assert capsys.readouterr().err == ""
+        block = read(tmp_path / f"o{sign}" / "dispersion_report.json")["derivatives"]
+        assert block["rho1"]["rel_error"] <= 1e-12 and block["velocity"]["rel_error"] <= 1e-12
 
 
-@pytest.mark.parametrize("field, factor", [("rho1", 1.1), ("M1_tilde", 1.01)])
-def test_dispersion_wrong_coefficient_exit_1(tmp_path, monkeypatch, field, factor):
-    """A rho1 off by 10% or an M1_tilde off by 1% breaks its relation to the
-    dispersion relation's derivatives: dispersion exits 1."""
+@pytest.mark.parametrize("field, factor, doc", [
+    pytest.param("rho1", 1.1, {}, id="rho1-1.1"),
+    pytest.param("M1_tilde", 1.01, {}, id="M1_tilde-1.01"),
+    *[pytest.param(field, 1.0 + 1e-9, {"q": q, "kappa": kappa},
+                   id=f"{field}-1e-9-q{q}-kappa{kappa:.6g}")
+      for field in ("rho1", "M1_tilde") for q in (0.5, -0.5)
+      for kappa in (1e-8, math.pi / 2, math.pi - 1e-6)]])
+def test_dispersion_wrong_coefficient_exit_1(tmp_path, monkeypatch, field, factor, doc):
+    """A rho1 or an M1_tilde off by as little as 1e-9 breaks its relation to
+    the dispersion relation's derivatives, near kappa = 0 and pi too and on
+    both branches: dispersion exits 1."""
     import dataclasses
 
     from lpkdv import reduction
@@ -414,11 +429,13 @@ def test_dispersion_wrong_coefficient_exit_1(tmp_path, monkeypatch, field, facto
         return dataclasses.replace(co, **{field: getattr(co, field) * factor})
 
     monkeypatch.setattr(reduction, "compute_coefficients", wrong)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
     out = tmp_path / "o"
-    assert run("dispersion", None, str(out), quiet=True) == 1
+    assert run("dispersion", str(cfg), str(out), quiet=True) == 1
     block = read(out / "manifest.json")["result"]["derivatives"]
     key = "rho1" if field == "rho1" else "velocity"
-    assert block[key]["rel_error"] > 100 * (block["tolerance"] + block[key]["estimate"])
+    assert block[key]["rel_error"] > 100 * block["tolerance"]
 
 
 def test_commutators_wrong_h4_cubic_exit_1(tmp_path, monkeypatch):
@@ -1069,25 +1086,17 @@ def test_zs_limit_solver_failure_exit_1(tmp_path, capsys, monkeypatch):
     assert manifest["error"]["diagnostics"]["size"] == 510
 
 
-def test_cli_import_skips_scipy_linalg_and_sparse():
-    """Only the spectral subcommands need scipy.linalg and scipy.sparse, whose
-    first import (with scipy._lib._util, array_api_compat and numpy.f2py,
-    numpy.testing, numpy.ma and numpy.random) takes about 0.2 s: the spectral
-    module imports them in the functions that call the solvers.  No
-    subcommand needs scipy.fft, whose import would land on every NLS
-    subcommand's start-up."""
-    import lpkdv
-
-    code = ("import sys, lpkdv.cli; loaded = [m for m in ('scipy.linalg', 'scipy.sparse', "
-            "'scipy.fft') if m in sys.modules]; assert not loaded, f'{loaded} loaded'")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
-
-
 def test_module_imports_defer_scipy_solvers(tmp_path):
     """Importing every module loads neither scipy.linalg nor scipy.sparse (nor
     scipy.fft or scipy.interpolate); the first solve imports them, so a
-    `spectrum` run in the same interpreter exits 0 with scipy.linalg loaded."""
+    `spectrum` run in the same interpreter exits 0 with scipy.linalg loaded.
+    Only the spectral subcommands need scipy.linalg and scipy.sparse, whose
+    first import (with scipy._lib._util, array_api_compat and numpy.f2py,
+    numpy.testing, numpy.ma and numpy.random) takes about 0.2 s.  numpy.fft
+    is the package's FFT: at these lengths scipy.fft saves a few
+    microseconds per transform but costs about 0.1 s to import, on every NLS
+    subcommand's start-up.  The reduced eigen-solve refines its potential by
+    Fourier series, not by a spline, so nothing needs scipy.interpolate."""
     import lpkdv
 
     code = ("import sys\n"
@@ -1108,25 +1117,3 @@ def test_public_names_resolve():
 
     for name in lpkdv.__all__:
         getattr(lpkdv, name)
-
-
-def test_spectral_import_skips_interpolate():
-    """The reduced eigen-solve refines its potential by Fourier series, not
-    by a spline: importing the spectral module loads no scipy.interpolate."""
-    import lpkdv
-
-    code = ("import sys, lpkdv.spectral; "
-            "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate loaded'")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
-
-
-def test_import_skips_scipy_fft():
-    """numpy.fft is the package's FFT: at these lengths scipy.fft saves a few
-    microseconds per transform but costs about 0.1 s to import."""
-    import lpkdv
-
-    code = ("import sys, lpkdv.cli, lpkdv.nls, lpkdv.reduction, lpkdv.spectral, "
-            "lpkdv.symmetries; assert 'scipy.fft' not in sys.modules, 'scipy.fft loaded'")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lpkdv.__file__)))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

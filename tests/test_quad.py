@@ -24,6 +24,7 @@ from lpkdv.quad import (
     residual_field,
 )
 from tests.conftest import make_bump_solution
+from tests.dispersion_oracle import group_velocity
 from tests.lattice_oracle import evolve_ivp_diagonals, save_field_csv_rows
 
 P15 = LpkdvParams(1.5, 0.5)  # mu = 1, zeta = 2
@@ -315,6 +316,20 @@ class TestDispersion:
     def test_carrier_wave_pins_omega(self):
         cw = CarrierWave.for_params(P15, 1.0)
         assert cw.omega == dispersion(P15, 1.0)
+
+    @pytest.mark.parametrize("p, q, kappa", [
+        (1.5, 0.5, math.pi / 2), (2.0, 1.0, 1.0), (1.5, 0.5, 1.2), (3.0, 0.7, 0.6),
+        (1.5, -0.5, 2.0), (0.8, 2.5, 3.0), (-1.0, -2.0, 0.3)])
+    def test_derivatives_match_differences_of_omega(self, p, q, kappa):
+        """The exact omega' and omega'' agree with differences of omega itself:
+        omega' with the oracle's refined differences, omega'' with a central
+        difference (step 1e-3) of that oracle."""
+        params = LpkdvParams(p, q)
+        d1, d2 = quad.dispersion_derivatives(params, kappa)
+        assert abs(d1 - group_velocity(params, kappa)) <= 1e-7 * abs(d1)
+        h = 1e-3
+        diff2 = (group_velocity(params, kappa + h) - group_velocity(params, kappa - h)) / (2 * h)
+        assert abs(d2 - diff2) <= 1e-5 * abs(d2)
 
 
 class TestLatticeField:
