@@ -106,7 +106,6 @@ def load_field_binary(path) -> LatticeField:
     if len(raw) != 16 * n_size * m_size:
         raise DomainError(f"binary field body has {len(raw)} bytes, "
                           f"{n_size} x {m_size} complex values need {16 * n_size * m_size}")
+    # a read-only view of raw: the field takes an owned copy of its part
     vals = np.frombuffer(raw, dtype="<c16").reshape(n_size, m_size)
-    if kind == "real":
-        return LatticeField(vals.real)
-    return LatticeField(vals)
+    return LatticeField((vals.real if kind == "real" else vals).copy())

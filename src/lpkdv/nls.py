@@ -386,7 +386,8 @@ def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: f
                              "max_abs": float(finite.max()) if finite.size else math.inf},
             )
     np.multiply(phase, v_hat, out=spectra[-1])
-    n_now = _nonlinear(spectra[-1], rho2, n_hat, scratch[-1])
+    # dt N_hat is 0 in a zero-step run, where N_hat could overflow: it is skipped
+    n_now = _nonlinear(spectra[-1], rho2, n_hat, scratch[-1]) if dt else None
     band = max(band, _top_mode(spectra[-1], n_now, dt))
     return None if band >= stop else (spectra, band)
 
@@ -485,7 +486,8 @@ class EnvelopeEvolution:
         _linear_phase(rate, s, end)
         out = self.snapshots[n]  # a copy, stepped in place
         scratch, rho2 = _scratch(out.shape), self.coefficients.rho2
-        _rk4_step(out, _nonlinear(out, rho2, work=scratch[-1]), half, end, s, rho2, scratch)
+        with np.errstate(over="ignore", invalid="ignore"):  # callers refuse a non-finite row
+            _rk4_step(out, _nonlinear(out, rho2, work=scratch[-1]), half, end, s, rho2, scratch)
         return np.multiply(end, out, out=out)
 
 

@@ -18,6 +18,7 @@ first were it checked diagonal by diagonal.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -56,17 +57,16 @@ class LatticeField:
     """Function on a rectangular (n, m) index window, stored dense row-major.
 
     kind is 'real' or 'complex' and tracks the dtype; a real field has exactly
-    zero imaginary part by construction.
+    zero imaginary part by construction.  A float64 or complex128 array is held
+    as given, not copied: hand over an owned array, not a view of a larger one.
     """
 
     def __init__(self, values):
         arr = np.asarray(values)
         if arr.ndim != 2:
             raise DomainError(f"LatticeField needs a 2D array, got shape {arr.shape}")
-        if np.iscomplexobj(arr):
-            self.values = arr.astype(np.complex128)
-        else:
-            self.values = arr.astype(np.float64)
+        self.values = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64,
+                                 copy=False)
 
     @property
     def kind(self) -> str:
@@ -236,17 +236,10 @@ class CarrierWave:
         return cls(kappa=kappa, omega=dispersion(params, kappa))
 
 
-def plane_wave_field(kappa: float, omega: float, n_size: int, m_size: int) -> LatticeField:
-    """Sample exp(i(kappa*n - omega*m)) on the window."""
-    n = np.arange(n_size)[:, None]
-    m = np.arange(m_size)[None, :]
-    return LatticeField(np.exp(1j * (kappa * n - omega * m)))
-
-
 def linear_residual_max(params: LpkdvParams, kappa: float) -> float:
-    """Max modulus of the linear lpKdV part applied to the exact plane wave
-    on an 8x8 window."""
-    f = plane_wave_field(kappa, dispersion(params, kappa), 8, 8)
-    u = f.values
-    lin = params.mu * (u[1:, 1:] - u[:-1, :-1]) + params.zeta * (u[1:, :-1] - u[:-1, 1:])
-    return float(np.max(np.abs(lin)))
+    """|mu (e^(i(kappa - omega)) - 1) + zeta (e^(i kappa) - e^(-i omega))|, omega
+    = dispersion(params, kappa): the linear lpKdV part on every plaquette of
+    the plane wave exp(i(kappa n - omega m)) is the wave times this symbol."""
+    omega = dispersion(params, kappa)
+    return abs(params.mu * (cmath.exp(1j * (kappa - omega)) - 1.0)
+               + params.zeta * (cmath.exp(1j * kappa) - cmath.exp(-1j * omega)))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nls
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .nls import EnvelopeEvolution, NlsCoefficients, _check_spectra_resolved, wavenumbers
 from .quad import CarrierWave, LatticeField, LpkdvParams, max_residual
 
@@ -341,8 +341,12 @@ def residual_scaling(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients
     N_list = list(N_list)
     if len(N_list) < 3 or sorted(N_list) != N_list:
         raise DomainError("N_list must be ascending with at least 3 entries")
-    residuals = [max_residual(assemble_ansatz(evolution, coeffs, N, window).field,
-                              coeffs.params, margin=RESIDUAL_MARGIN) for N in N_list]
+    with np.errstate(all="ignore"):  # the first residual that is not finite is refused
+        residuals = [max_residual(assemble_ansatz(evolution, coeffs, N, window).field,
+                                  coeffs.params, margin=RESIDUAL_MARGIN) for N in N_list]
+    for N, r in zip(N_list, residuals):
+        if not math.isfinite(r):
+            raise NumericalError(f"ansatz residual {r} at N = {N} is not finite", {"N": N})
     if all(r == 0.0 for r in residuals):
         exponent, r2 = "exact", 1.0
     else:

@@ -19,27 +19,27 @@ of the reduced Zakharov-Shabat-type system
     d(phi)/ds + (2 u1 / p) cos^2(kappa/2) conj(phi)
         = -(i mu1 / (2 sin(kappa/2))) phi
 
-(together with its complex conjugate), posed on the stretched slow variable
-s = xi / M1.  zs_eigenvalues discretizes that coupled system for (phi,
-conj(phi)) with the mixed boundary condition Re(phi) = 0 at both ends (the
-image of lattice Dirichlet walls), one-sided second-order derivative rows at
-the ends, fourth-order central stencils inside, as the sparse matrix B = -i M
-(M psi = mu1 psi), real for a real potential; it finds the eigenvalues in a
-disc by ARPACK shift-invert on B and keeps only those that survive 2x and 3x
-grid refinements of the potential, its spectrum zero-padded.
+(with its complex conjugate) on the stretched slow variable s = xi / M1, u1
+an nls.Envelope on that grid.  zs_eigenvalues discretizes that coupled
+system for (phi, conj(phi)) with the mixed boundary condition Re(phi) = 0 at
+both ends (the image of lattice Dirichlet walls), one-sided second-order
+derivative rows at the ends, fourth-order central stencils inside, as the
+sparse matrix B = -i M (M psi = mu1 psi), real for a real potential; it
+finds the eigenvalues in a disc by ARPACK shift-invert on B and keeps only
+those that survive 2x and 3x refinements of the grid, the potential's
+spectrum zero-padded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # scipy.linalg and scipy.sparse are imported in the functions that call their
 # solvers: about 0.2 s of imports that only a process that solves should pay
 from .errors import DomainError, NumericalError, PreconditionError, SingularPotentialError
-from .nls import resize_spectra
+from .nls import Envelope, resize_spectra
 from .quad import LatticeField, LpkdvParams, check_denominators
 from .reduction import ReductionCoefficients, assemble_ansatz, evolve_rows, zs_potential
 
@@ -235,31 +235,6 @@ def isospectral_drift(lattice: LatticeField, params: LpkdvParams, m_list,
     return report
 
 
-@dataclass(frozen=True)
-class ZsProblem:
-    """Reduced (Zakharov-Shabat-type) problem on a finite open interval.
-
-    xi_grid must be uniform; the potential has to decay below ZS_DECAY_TOL
-    at both ends for eigenvalue runs.
-    """
-
-    xi_grid: np.ndarray
-    potential: np.ndarray
-    kappa: float
-    p: float
-
-    def __post_init__(self):
-        x = np.asarray(self.xi_grid, dtype=float)
-        u = np.asarray(self.potential, dtype=complex)
-        if x.ndim != 1 or len(x) < 16 or u.shape != x.shape:
-            raise DomainError("ZsProblem needs matching 1D grids, length >= 16")
-        steps = np.diff(x)
-        if not np.allclose(steps, steps[0], rtol=1e-10, atol=0.0):
-            raise DomainError("ZsProblem grid must be uniform")
-        object.__setattr__(self, "xi_grid", x)
-        object.__setattr__(self, "potential", u)
-
-
 def _derivative_matrix(L: int, h: float):
     """d/ds with one-sided 2nd-order end rows, 2nd-order next to them, and
     4th-order central stencils in the interior, as a scipy.sparse coo_matrix."""
@@ -276,7 +251,7 @@ def _derivative_matrix(L: int, h: float):
                               (np.concatenate(rows), np.concatenate(cols))), shape=(L, L))
 
 
-def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float):
+def _zs_matrix(h: float, u: np.ndarray, kappa: float, p: float):
     """B = -i M, M psi = mu1 psi with the mixed walls Re(phi)=0 eliminated:
     every entry of M carries i/lam, of B 1/lam, so B is real for a real u.
 
@@ -286,8 +261,7 @@ def _zs_matrix(x: np.ndarray, u: np.ndarray, kappa: float, p: float):
     """
     from scipy import sparse
 
-    L = len(x)
-    h = float(x[1] - x[0])
+    L = len(u)
     lam = 1.0 / (2.0 * math.sin(kappa / 2.0))
     q = zs_potential(u, p, kappa)
     c1 = 1.0 / lam
@@ -363,9 +337,10 @@ def _refined_potential(u: np.ndarray, factor: int) -> np.ndarray:
     return fine.real if np.isrealobj(u) else fine
 
 
-def zs_eigenvalues(zs: ZsProblem, eigensolve: list | None = None) -> np.ndarray:
+def zs_eigenvalues(zs: Envelope, kappa: float, p: float,
+                   eigensolve: list | None = None) -> np.ndarray:
     """Refinement-stable eigenvalues mu1 with |mu1| <= LIMIT_BRACKET of the
-    reduced spectral problem.
+    reduced problem at (kappa, p) on zs, the potential on >= 16 points of s.
 
     The problem is solved on the given grid and on 2x- and 3x-refined grids;
     eigenvalues are kept iff they move less than ZS_STABILITY_TOL under both
@@ -401,7 +376,9 @@ def zs_eigenvalues(zs: ZsProblem, eigensolve: list | None = None) -> np.ndarray:
     ZS_STABILITY_TOL, so whether it survives the refinements would depend on
     round-off, not on the problem.
     """
-    x, u = zs.xi_grid, zs.potential
+    u = zs.values
+    if len(u) < 16:
+        raise DomainError(f"the reduced problem needs at least 16 grid points, got {len(u)}")
     edge = max(abs(u[0]), abs(u[-1]))
     if edge >= ZS_DECAY_TOL:
         raise PreconditionError(f"potential must decay at both ends: |u| = {edge:.3e}")
@@ -409,17 +386,16 @@ def zs_eigenvalues(zs: ZsProblem, eigensolve: list | None = None) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     u = u if np.any(u.imag) else u.real  # keeps the refined potentials real
     eigensolve = [] if eigensolve is None else eigensolve
-    B = _zs_matrix(x, u, zs.kappa, zs.p)
+    B = _zs_matrix(zs.dxi, u, kappa, p)
     w, ks = _zs_disc_eigenvalues(B, LIMIT_BRACKET, ZS_START_K)
     kept = w[np.abs(w) <= LIMIT_BRACKET]
     eigensolve.append({"size": B.shape[0], "k": ks, "kept": len(kept)})
     for factor in (2, 3):
         if len(kept) == 0:
             break
-        x_fine = np.linspace(x[0], x[-1], factor * (len(x) - 1) + 1)
         r = float(np.max(np.abs(kept))) + ZS_STABILITY_TOL
         k = int(np.sum(np.abs(w - ZS_SHIFT) <= r + abs(ZS_SHIFT))) + 2
-        B = _zs_matrix(x_fine, _refined_potential(u, factor), zs.kappa, zs.p)
+        B = _zs_matrix(zs.dxi / factor, _refined_potential(u, factor), kappa, p)
         w, ks = _zs_disc_eigenvalues(B, r, k)
         kept = kept[np.abs(nearest_partners(w, kept) - kept) < ZS_STABILITY_TOL]
         eigensolve.append({"size": B.shape[0], "k": ks, "kept": len(kept)})
@@ -457,8 +433,8 @@ def spectral_limit_check(envelope, coeffs: ReductionCoefficients, N_list) -> dic
     kappa = coeffs.carrier.kappa
     # reduced problem on the stretched slow variable (downsample for speed)
     stride = max(1, envelope.L // 256)
-    zs = ZsProblem(envelope.xi_grid[::stride] / coeffs.M1, envelope.values[::stride],
-                   kappa, coeffs.params.p)
+    zs = Envelope(envelope.xi0 / coeffs.M1, envelope.dxi * stride / coeffs.M1,
+                  envelope.values[::stride])
     row = evolve_rows(envelope, coeffs, 1, N_list[0])
     estimates = []  # every lattice row is sized and assembled before the ZS solve
     for N in N_list:
@@ -469,7 +445,7 @@ def spectral_limit_check(envelope, coeffs: ReductionCoefficients, N_list) -> dic
         ans = assemble_ansatz(row, coeffs, N, (size + 3, 1))
         estimates.append(band_edge_estimates(ans.field, coeffs.params, 0, kappa, N))
     eigensolve = []
-    zs_window = zs_eigenvalues(zs, eigensolve=eigensolve)
+    zs_window = zs_eigenvalues(zs, kappa, coeffs.params.p, eigensolve=eigensolve)
 
     def compare(est) -> tuple:  # (discrepancy, note)
         if len(est) == 0:

@@ -108,8 +108,9 @@ def flow_rhs(field: LatticeField, params: LpkdvParams, which: str) -> LatticeFie
     s = _stencil(which)
     if field.n_size < 2 * s + 1:
         raise DomainError(f"field too narrow for {which} (needs n_size > {2 * s})")
-    bufs = np.empty((1 + 2 * (which == "flow2"),) + field.shape, field.values.dtype)
-    return LatticeField(_flow_values(field.values, params, which, bufs[0], bufs[1:]))
+    out = np.empty(field.shape, field.values.dtype)
+    work = np.empty((2 * (which == "flow2"),) + field.shape, field.values.dtype)
+    return LatticeField(_flow_values(field.values, params, which, out, work))
 
 
 def flow_step(field: LatticeField, params: LpkdvParams, which: str,
@@ -117,8 +118,8 @@ def flow_step(field: LatticeField, params: LpkdvParams, which: str,
     """One classical RK4 step.  Each stage invalidates one more stencil width
     FLOW_STENCIL[which] of rows on each n-side, so 4 widths per side come out
     as 0."""
-    u = field.values
-    return LatticeField(_rk4(u, params, which, dlambda, _first_stage(u, params, which)))
+    u = field.values  # the step is a view of _rk4's buffers: the field takes a copy
+    return LatticeField(_rk4(u, params, which, dlambda, _first_stage(u, params, which)).copy())
 
 
 def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lpkdv import cli
+from lpkdv import cli, quad
 from lpkdv.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -438,6 +438,23 @@ def test_dispersion_wrong_coefficient_exit_1(tmp_path, monkeypatch, field, facto
     assert block[key]["rel_error"] > 100 * block["tolerance"]
 
 
+def test_dispersion_wrong_omega_exit_1(tmp_path, monkeypatch):
+    """An omega off the lattice dispersion relation by 1e-9 relative leaves
+    the plane wave a linear residual of 1e-9 to 1e-7 over the draws, beyond
+    the 1e-12 bound: dispersion exits 1 on max_linear_residual while its
+    derivative rows, which do not read omega, still pass."""
+    omega = quad.dispersion
+    monkeypatch.setattr(quad, "dispersion",
+                        lambda params, kappa: omega(params, kappa) * (1.0 + 1e-9))
+    out = tmp_path / "o"
+    assert run("dispersion", None, str(out), quiet=True) == 1
+    report = read(out / "manifest.json")["result"]
+    assert 1e-10 < report["max_linear_residual"] < 1e-7
+    assert report["max_linear_residual"] > report["tolerance"] == cli.BOUNDS["linear_residual"]
+    block = report["derivatives"]
+    assert all(block[key]["rel_error"] <= block["tolerance"] for key in ("rho1", "velocity"))
+
+
 def test_commutators_wrong_h4_cubic_exit_1(tmp_path, monkeypatch):
     """An h4 whose cubic carries 2.9 rho2 in place of 3 rho2 fails its
     commutator with the NLS: exit 1 with the report in the manifest.  The
@@ -816,6 +833,25 @@ def test_hostile_config_exit_2(tmp_path, capsys, subcommand, doc, words):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert words in err
+
+
+@pytest.mark.parametrize("subcommand, doc, record", [
+    ("ansatz-residual", {"kappa": 1e-300},
+     {"type": "NumericalError", "message": "ansatz residual inf at N = 16 is not finite",
+      "diagnostics": {"N": 16}}),
+    ("zs-limit", {"envelope": {"amplitude": 1e150}},
+     {"type": "PreconditionError", "message": "envelope not spectrally resolved: "
+                                              "top-third energy fraction nan > 1e-10"})])
+def test_overflowing_run_one_error_line(tmp_path, capsys, subcommand, doc, record):
+    """At kappa = 1e-300 the ansatz residual overflows at every N, and an
+    amplitude of 1e150 overflows the zero-step run's |u|^2 u: each run exits
+    1 with its error record and one error line on stderr, where the
+    overflow's RuntimeWarning, an error under this suite's filter, ended it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(subcommand, str(cfg), str(tmp_path / "o"), quiet=True) == 1
+    assert capsys.readouterr().err == f"error: {record['type']}: {record['message']}\n"
+    assert read(tmp_path / "o" / "manifest.json")["error"] == record
 
 
 @pytest.mark.parametrize("subcommand, code", [("simulate", 0), ("flow-check", 0),

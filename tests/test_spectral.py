@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,9 @@ from scipy.linalg import eig
 from lpkdv import spectral
 from lpkdv.errors import (DomainError, NumericalError, PreconditionError,
                           SingularPotentialError)
-from lpkdv.nls import _check_spectra_resolved, gaussian_envelope
+from lpkdv.nls import Envelope, _check_spectra_resolved, gaussian_envelope
 from lpkdv.quad import LatticeField, LpkdvParams
 from lpkdv.spectral import (
-    ZsProblem,
     band_edge_estimates,
     bound_states,
     build_spectral_problem,
@@ -26,6 +26,7 @@ from lpkdv.spectral import (
 from tests.conftest import make_bump_solution
 
 P15 = LpkdvParams(1.5, 0.5)
+ZS_AT = (math.pi / 2, 1.5)  # (kappa, p) of the reduced problems below: ref_coeffs' carrier
 
 
 class TestCoefficientRow:
@@ -248,10 +249,11 @@ class TestIsospectral:
     def test_confinement_precondition(self):
         # a tiny plane wave solves the equation to O(a^2) but oscillates all
         # the way to the window edges
-        from lpkdv.quad import dispersion, plane_wave_field
+        from lpkdv.quad import dispersion
 
         a = 1e-5
-        f = LatticeField(a * plane_wave_field(1.1, dispersion(P15, 1.1), 60, 6).values)
+        n, m = np.arange(60)[:, None], np.arange(6)[None, :]
+        f = LatticeField(a * np.exp(1j * (1.1 * n - dispersion(P15, 1.1) * m)))
         with pytest.raises(PreconditionError, match="confined"):
             isospectral_drift(f, P15, [0, 2])
 
@@ -259,8 +261,7 @@ class TestIsospectral:
 @pytest.fixture(scope="module")
 def zs_gaussian(ref_coeffs):
     x = np.linspace(0.0, 40.0, 200)
-    u = np.exp(-((x - 12.0) / 1.25) ** 2 / 2).astype(complex)
-    return ZsProblem(x / ref_coeffs.M1, u, ref_coeffs.carrier.kappa, 1.5)
+    return Envelope(0.0, x[1] / ref_coeffs.M1, np.exp(-((x - 12.0) / 1.25) ** 2 / 2))
 
 
 class TestZsEigenvalues:
@@ -292,19 +293,17 @@ class TestZsEigenvalues:
         assert np.array_equal(got, spectral._refined_potential(u.astype(complex), 2).real)
 
     def test_zero_potential_empty(self, ref_coeffs):
-        x = np.linspace(0.0, 40.0, 128) / ref_coeffs.M1
-        zs = ZsProblem(x, np.zeros(128, dtype=complex),
-                       ref_coeffs.carrier.kappa, 1.5)
-        assert len(zs_eigenvalues(zs)) == 0
+        zs = Envelope(0.0, 40.0 / 127 / ref_coeffs.M1, np.zeros(128))
+        assert len(zs_eigenvalues(zs, *ZS_AT)) == 0
 
     def test_gaussian_ladder(self, zs_gaussian):
-        vals = zs_eigenvalues(zs_gaussian)
+        vals = zs_eigenvalues(zs_gaussian, *ZS_AT)
         assert len(vals) > 10
         assert np.max(np.abs(vals.imag)) < 1e-2
 
     def test_conjugation_symmetry(self, zs_gaussian):
         # spectrum closed under mu1 -> -conj(mu1)
-        vals = zs_eigenvalues(zs_gaussian)
+        vals = zs_eigenvalues(zs_gaussian, *ZS_AT)
         win = vals[np.abs(vals) < 5]
         defect = max(np.min(np.abs(win - (-np.conj(v)))) for v in win)
         assert defect < 1e-8
@@ -315,10 +314,9 @@ class TestZsEigenvalues:
         # sends it to Im(phi) = 0), so the boxed ladders interleave instead
         # of coinciding; what survives is the mu1 -> -conj(mu1) closure and
         # the mode count
-        flipped = ZsProblem(zs_gaussian.xi_grid, -zs_gaussian.potential,
-                            ref_coeffs.carrier.kappa, 1.5)
-        a = zs_eigenvalues(zs_gaussian)
-        b = zs_eigenvalues(flipped)
+        flipped = dataclasses.replace(zs_gaussian, values=-zs_gaussian.values)
+        a = zs_eigenvalues(zs_gaussian, *ZS_AT)
+        b = zs_eigenvalues(flipped, *ZS_AT)
         a, b = a[np.abs(a) < 3], b[np.abs(b) < 3]
         assert len(a) == len(b) and len(a) > 10
         defect = max(np.min(np.abs(b - (-np.conj(v)))) for v in b)
@@ -332,31 +330,29 @@ class TestZsEigenvalues:
         u = env.values[::4]
         with pytest.raises(PreconditionError, match="resolved"):
             _check_spectra_resolved(np.fft.fft(u))
-        x = env.xi0 + 4 * env.dxi * np.arange(len(u))
-        vals = zs_eigenvalues(ZsProblem(x / ref_coeffs.M1, u, ref_coeffs.carrier.kappa, 1.5))
+        zs = Envelope(env.xi0 / ref_coeffs.M1, 4 * env.dxi / ref_coeffs.M1, u)
+        vals = zs_eigenvalues(zs, *ZS_AT)
         assert len(vals) > 10
         defect = max(np.min(np.abs(vals - (-np.conj(v)))) for v in vals)
         assert defect < 1e-8
 
-    def test_decay_precondition(self, ref_coeffs):
-        x = np.linspace(0.0, 10.0, 64)
-        zs = ZsProblem(x, np.full(64, 0.5, dtype=complex),
-                       ref_coeffs.carrier.kappa, 1.5)
+    def test_decay_precondition(self):
+        zs = Envelope(0.0, 10.0 / 63, np.full(64, 0.5))
         with pytest.raises(PreconditionError, match="decay"):
-            zs_eigenvalues(zs)
+            zs_eigenvalues(zs, *ZS_AT)
 
-    def test_nonuniform_grid_rejected(self, ref_coeffs):
-        x = np.concatenate([np.linspace(0, 1, 20), np.linspace(1.1, 3, 20)])
-        with pytest.raises(DomainError, match="uniform"):
-            ZsProblem(x, np.zeros(40, dtype=complex),
-                      ref_coeffs.carrier.kappa, 1.5)
+    def test_short_grid_rejected(self):
+        # 16 grid points are the least the stencils take; a zero potential
+        # on them has no well-posed spectrum, so the result is empty
+        assert len(zs_eigenvalues(Envelope(0.0, 0.1, np.zeros(16)), *ZS_AT)) == 0
+        with pytest.raises(DomainError, match="at least 16 grid points, got 15"):
+            zs_eigenvalues(Envelope(0.0, 0.1, np.zeros(15)), *ZS_AT)
 
 
-def _loop_zs_matrix(x, u, kappa, p):
+def _loop_zs_matrix(h, u, kappa, p):
     """The ZS matrix built entry by entry on dense arrays: the reference for
     the vectorized sparse build."""
-    L = len(x)
-    h = float(x[1] - x[0])
+    L = len(u)
     D = np.zeros((L, L))
     D[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
     D[1, :3] = np.array([-1.0, 0.0, 1.0]) / (2 * h)
@@ -394,12 +390,11 @@ def _dense_kept(zs, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "_zs_disc_eigenvalues",
                    lambda B, radius, k: (1j * eig(B.toarray(), right=False), ["dense"]))
-        return zs_eigenvalues(zs)
+        return zs_eigenvalues(zs, *ZS_AT)
 
 
 def _phase_shifted(zs, phase):
-    x = zs.xi_grid
-    return ZsProblem(x, zs.potential * np.exp(1j * phase * x), zs.kappa, zs.p)
+    return dataclasses.replace(zs, values=zs.values * np.exp(1j * phase * zs.xi_grid))
 
 
 def _spy(monkeypatch, owner, name, seen):
@@ -418,8 +413,7 @@ def zs_small(ref_coeffs):
     # 80 points on a 20-unit interval: the disc |mu1| <= 10 holds 70 of the
     # 158 base-grid eigenvalues, so a probe below 79 = 158/2 runs ARPACK
     x = np.linspace(0.0, 20.0, 80)
-    u = np.exp(-((x - 10.0) / 1.25) ** 2 / 2).astype(complex)
-    return ZsProblem(x / ref_coeffs.M1, u, ref_coeffs.carrier.kappa, 1.5)
+    return Envelope(0.0, x[1] / ref_coeffs.M1, np.exp(-((x - 10.0) / 1.25) ** 2 / 2))
 
 
 @pytest.fixture(scope="module")
@@ -430,20 +424,17 @@ def zs_small_dense(zs_small):
 class TestSparseZs:
     @pytest.mark.parametrize("phase", [0.0, 0.7])
     def test_matrix_matches_loop_build(self, zs_gaussian, phase):
-        x = zs_gaussian.xi_grid
-        u = zs_gaussian.potential * np.exp(1j * phase * x)
-        D, M = _loop_zs_matrix(x, u, zs_gaussian.kappa, zs_gaussian.p)
-        h = float(x[1] - x[0])
-        assert np.array_equal(spectral._derivative_matrix(len(x), h).toarray(), D)
+        h = zs_gaussian.dxi
+        u = _phase_shifted(zs_gaussian, phase).values
+        D, M = _loop_zs_matrix(h, u, *ZS_AT)
+        assert np.array_equal(spectral._derivative_matrix(len(u), h).toarray(), D)
         # _zs_matrix builds B = -i M
-        assert np.array_equal(
-            spectral._zs_matrix(x, u, zs_gaussian.kappa, zs_gaussian.p).toarray(), -1j * M)
+        assert np.array_equal(spectral._zs_matrix(h, u, *ZS_AT).toarray(), -1j * M)
 
     @pytest.mark.parametrize("amplitude", [1e-2, -1e-2, 1e-4, -1e-4])
     def test_dense_oracle_gaussian(self, zs_gaussian, amplitude, monkeypatch):
-        zs = ZsProblem(zs_gaussian.xi_grid, amplitude * zs_gaussian.potential,
-                       zs_gaussian.kappa, zs_gaussian.p)
-        sparse_kept = zs_eigenvalues(zs)
+        zs = dataclasses.replace(zs_gaussian, values=amplitude * zs_gaussian.values)
+        sparse_kept = zs_eigenvalues(zs, *ZS_AT)
         dense_kept = _dense_kept(zs, monkeypatch)
         assert len(sparse_kept) == len(dense_kept) > 0
         assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
@@ -451,7 +442,7 @@ class TestSparseZs:
     def test_dense_oracle_complex_potential(self, zs_small, monkeypatch):
         # a genuinely complex potential keeps the complex solves
         zs = _phase_shifted(zs_small, 0.7)
-        sparse_kept = zs_eigenvalues(zs)
+        sparse_kept = zs_eigenvalues(zs, *ZS_AT)
         dense_kept = _dense_kept(zs, monkeypatch)
         assert len(sparse_kept) == len(dense_kept) > 0
         assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
@@ -465,7 +456,7 @@ class TestSparseZs:
         seen = []
         for owner, name in ((scipy.sparse.linalg, "eigs"), (scipy.linalg, "eig")):
             _spy(monkeypatch, owner, name, seen)
-        zs_eigenvalues(_phase_shifted(zs_small, phase))
+        zs_eigenvalues(_phase_shifted(zs_small, phase), *ZS_AT)
         assert [name for name, _ in seen] == ["eig", "eigs", "eigs"]
         assert all(t == dtype for _, t in seen)
 
@@ -474,11 +465,9 @@ class TestSparseZs:
         # imaginary parts: a near-real potential on the complex path
         evo = ref_evolution
         stride = evo.L // 256
-        xs = (evo.xi0 + evo.dxi * np.arange(evo.L))[::stride]
         u = np.fft.ifft(evo.spectra_at([evo.tau_min]), axis=1)[0]
-        zs = ZsProblem(xs / ref_coeffs.M1, u[::stride],
-                       ref_coeffs.carrier.kappa, ref_coeffs.params.p)
-        sparse_kept = zs_eigenvalues(zs)
+        zs = Envelope(evo.xi0 / ref_coeffs.M1, evo.dxi * stride / ref_coeffs.M1, u[::stride])
+        sparse_kept = zs_eigenvalues(zs, *ZS_AT)
         dense_kept = _dense_kept(zs, monkeypatch)
         assert len(sparse_kept) == len(dense_kept) > 10
         assert np.max(np.abs(sparse_kept - dense_kept)) <= 1e-9
@@ -490,7 +479,7 @@ class TestSparseZs:
         # probe; 79 is half the base matrix size and takes the dense solve
         monkeypatch.setattr(spectral, "ZS_START_K", start_k)
         record = []
-        kept = zs_eigenvalues(zs_small, eigensolve=record)
+        kept = zs_eigenvalues(zs_small, *ZS_AT, eigensolve=record)
         base = record[0]
         assert base["size"] == 158
         assert base["k"][0] == ("dense" if start_k == 79 else start_k)
@@ -501,7 +490,7 @@ class TestSparseZs:
         # mu1 = 0 is an exact eigenvalue of the ZS matrix
         monkeypatch.setattr(spectral, "ZS_SHIFT", 0.0)
         with pytest.raises(NumericalError, match="hits an eigenvalue"):
-            zs_eigenvalues(zs_gaussian)
+            zs_eigenvalues(zs_gaussian, *ZS_AT)
 
 
 class TestSpectralLimit:
@@ -525,11 +514,14 @@ class TestSpectralLimit:
         # imaginary parts: a Gaussian run is solved in real arithmetic
         posed = []
         monkeypatch.setattr(spectral, "zs_eigenvalues",
-                            lambda zs, eigensolve: posed.append(zs) or np.zeros(0, dtype=complex))
+                            lambda zs, kappa, p, eigensolve:
+                            posed.append((zs, kappa, p)) or np.zeros(0, dtype=complex))
         spectral_limit_check(ref_envelope, ref_coeffs, [16, 32])
-        (zs,) = posed
-        assert not np.any(zs.potential.imag)
-        assert np.array_equal(zs.potential, ref_envelope.values[::4])
+        ((zs, kappa, p),) = posed
+        assert (kappa, p) == (ref_coeffs.carrier.kappa, ref_coeffs.params.p) == ZS_AT
+        assert not np.any(zs.values.imag)
+        assert np.array_equal(zs.values, ref_envelope.values[::4])
+        assert zs.dxi == 4 * ref_envelope.dxi / ref_coeffs.M1
 
     def test_single_row_matches_row_0(self, ref_evolution, ref_envelope, ref_coeffs,
                                       monkeypatch):
@@ -538,7 +530,7 @@ class TestSpectralLimit:
         from lpkdv.reduction import assemble_ansatz
 
         monkeypatch.setattr(spectral, "zs_eigenvalues",
-                            lambda zs, eigensolve: np.zeros(0, dtype=complex))
+                            lambda zs, kappa, p, eigensolve: np.zeros(0, dtype=complex))
         rep = spectral_limit_check(ref_envelope, ref_coeffs, [16, 32, 64])
         for N, est in zip(rep["N"], rep["estimates"]):
             size = int(round(ref_envelope.period * N / ref_coeffs.M1))
