@@ -274,7 +274,7 @@ def cmd_coeffs(cfg):
     """The coefficients, and the Lax-pair identity rho2 M1^2 / (rho1 g^2) = -2
     there and at 100 seeded draws with pq of either sign."""
     def ratio(co):  # g: the factor of the reduced ZS potential
-        g = reduction.zs_potential(1.0, co.params.p, co.carrier.kappa)
+        g = reduction.zs_potential(1.0, co.params.p, co.kappa)
         return co.rho2 * co.M1 ** 2 / (co.rho1 * g ** 2)
 
     coeffs = _build_coeffs(cfg)
@@ -295,7 +295,7 @@ def _against_lattice(coeffs) -> dict:
     point, omega's derivatives the lattice dispersion relation's own
     (quad.dispersion_derivatives): for each the closed form, the value from
     the lattice and their relative error."""
-    d1, d2 = quad.dispersion_derivatives(coeffs.params, coeffs.carrier.kappa)
+    d1, d2 = quad.dispersion_derivatives(coeffs.params, coeffs.kappa)
     out = {}
     for key, closed, lattice in (("rho1", coeffs.rho1, -d2 * coeffs.M1 ** 2 / 2.0),
                                  ("velocity", coeffs.branch * coeffs.M1_tilde, d1 * coeffs.M1)):

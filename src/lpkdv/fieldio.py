@@ -5,9 +5,9 @@ non-finite parts included.  The CSV file has the header `n,m,re` for a real
 field and `n,m,re,im` for a complex one, then one row per lattice point in
 row-major order, `\\r\\n` line ends, and `repr` of each part (the shortest
 decimal that reads back to the same double); the reader takes the kind from
-the header and places rows by their (n, m) columns, so any row order loads.
-The binary format stores raw little-endian (re, im) pairs after a one-line
-JSON header that names the kind.
+the header and places rows by their (n, m) columns, so any row order loads,
+and refuses a file that misses or repeats a point.  The binary format stores
+raw little-endian (re, im) pairs after a one-line JSON header of the kind.
 """
 
 from __future__ import annotations
@@ -64,7 +64,10 @@ def load_field_csv(path) -> LatticeField:
     n, m = rows["n"], rows["m"]
     if n.min() < 0 or m.min() < 0:
         raise DomainError("negative lattice index in field CSV")
-    vals = np.zeros((n.max() + 1, m.max() + 1), dtype=complex if kind == "complex" else float)
+    n_size, m_size = int(n.max()) + 1, int(m.max()) + 1
+    if len(rows) != n_size * m_size or np.any(np.bincount(n * m_size + m) != 1):
+        raise DomainError(f"field CSV needs each (n, m) of its {n_size} x {m_size} window once")
+    vals = np.empty((n_size, m_size), dtype=complex if kind == "complex" else float)
     vals.real[n, m] = rows["re"]
     if kind == "complex":
         vals.imag[n, m] = rows["im"]

@@ -48,10 +48,10 @@ Sci. 28:1074, 1971); 256 of 1024 points at the default config.  The initial
 spectrum is cut to L' (`resize_spectra`; the scale 2^k is exact).  The step
 plan stays on the envelope's own grid: dtau, the step guard and the step
 budget read its L and k_max, so a run takes the same steps whatever grid it
-steps on.  The run measures its band as it goes (every step end of a dense
-run, every 25th step and the end otherwise); once the band reaches L'/2, or
-the values turn non-finite, it stops and runs again on 2 L'.  A run on L
-itself is never stopped.  `nls_evolve` pads its end spectrum back to L.
+steps on.  The run checks its band once per checked step end (_steps): at
+L'/2 it runs again on 2 L', and on L a non-finite step end (band inf) ends
+it in one NumericalError, its record all a diverging run reports.
+`nls_evolve` pads its end spectrum back to L.
 
 The module also carries the first reduced symmetry flows of the hierarchy:
     h1: du/dlambda = i u                 (phase)
@@ -349,56 +349,54 @@ def _rk4_step(v_hat: np.ndarray, acc: np.ndarray, half: np.ndarray, end: np.ndar
 
 def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: float,
            dense: bool, stop, tau0: float):
-    """_integrate's step loop on one grid from u_hat = v_hat at tau0:
-    (spectra, band), or None once band reaches stop or the values turn
-    non-finite with a finite stop.  A step's k1 is exp(-Lambda s) N_hat of
-    its start, N_hat = FFT(-i rho2 |u|^2 u) in one scratch row, so only the
-    last N_hat costs FFTs of its own; 8 FFTs per step, on arrays allocated
-    once per run."""
+    """_integrate's step loop on one grid from u_hat = v_hat at tau0: (spectra,
+    band), or None once band reaches a finite stop.  The state after `step`
+    steps is checked once (every step of a dense run, 0, 25, 50, ... and the
+    last otherwise): band takes its _top_mode, inf where it is not finite,
+    which raises NumericalError at stop = inf (the envelope's own grid).  k1
+    is exp(-Lambda s) N_hat of the step's start, N_hat = FFT(-i rho2 |u|^2 u)
+    in one scratch row; 8 FFTs per step, on arrays allocated once per run."""
     L = len(v_hat)
     spectra = np.empty((n_steps + 1 if dense else 1, L), dtype=np.complex128)
     v_hat = v_hat.copy()  # stepped in place
-    phase, half, end, acc, u_hat, n_hat = np.empty((6, L), dtype=complex)
+    phase, half, end, acc, n_hat = np.empty((5, L), dtype=complex)
     scratch = _scratch((L,))  # its last entry is _nonlinear's work arrays
-    phase[:] = 1.0  # exp(Lambda s) at the step's start
+    phase[:] = 1.0  # exp(Lambda s) at the state's time
 
     band = 0
-    for step in range(1, n_steps + 1):
-        _linear_phase(rate, (step - 0.5) * dt, half)
-        _linear_phase(rate, step * dt, end)
-        u_now = np.multiply(phase, v_hat, out=spectra[step - 1] if dense else u_hat)
-        n_now = _nonlinear(u_now, rho2, n_hat, scratch[-1])
-        if dense or step % 25 == 1:  # the state of every finiteness check below
-            band = max(band, _top_mode(u_now, n_now, dt))
-            if band >= stop:
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends in one record
+        for step in range(n_steps + 1):
+            if step:
+                _linear_phase(rate, (step - 0.5) * dt, half)
+                _linear_phase(rate, step * dt, end)
+                np.multiply(np.conjugate(phase, out=acc), n_now, out=acc)  # acc = k1
+                _rk4_step(v_hat, acc, half, end, dt, rho2, scratch)
+                phase, end = end, phase
+            u_now = np.multiply(phase, v_hat, out=spectra[step if dense else 0])
+            # a zero-step run needs no N_hat (dt N_hat is 0): it is skipped
+            n_now = _nonlinear(u_now, rho2, n_hat, scratch[-1]) if dt else None
+            if dense or step % 25 == 0 or step == n_steps:
+                band = max(band, _top_mode(u_now, n_now, dt))
+            if band >= stop < math.inf:  # run again on 2 L'
                 return None
-        np.multiply(np.conjugate(phase, out=acc), n_now, out=acc)  # acc = k1
-        _rk4_step(v_hat, acc, half, end, dt, rho2, scratch)
-        phase, end = end, phase
-        if (step % 25 == 0 or step == n_steps) and not np.all(np.isfinite(v_hat)):
-            if stop < math.inf:
-                return None
-            mag = np.abs(np.fft.ifft(phase * v_hat))
-            finite = mag[np.isfinite(mag)]
-            raise NumericalError(
-                "NLS evolution diverged",
-                diagnostics={"step": step, "tau": tau0 + step * dt,
-                             "max_abs": float(finite.max()) if finite.size else math.inf},
-            )
-    np.multiply(phase, v_hat, out=spectra[-1])
-    # dt N_hat is 0 in a zero-step run, where N_hat could overflow: it is skipped
-    n_now = _nonlinear(spectra[-1], rho2, n_hat, scratch[-1]) if dt else None
-    band = max(band, _top_mode(spectra[-1], n_now, dt))
-    return None if band >= stop else (spectra, band)
+            if band >= stop:  # inf: a non-finite state on the envelope's own grid
+                mag = np.abs(np.fft.ifft(u_now))
+                finite = mag[np.isfinite(mag)]
+                raise NumericalError("NLS evolution diverged", diagnostics={
+                    "step": step, "tau": tau0 + step * dt,
+                    "max_abs": float(finite.max()) if finite.size else math.inf})
+    return spectra, band
 
 
-def _top_mode(u_hat: np.ndarray, n_hat: np.ndarray = None, dt: float = 0.0) -> int:
+def _top_mode(u_hat: np.ndarray, n_hat: np.ndarray = None, dt: float = 0.0):
     """The highest |j| at which |u_hat| or dt |N_hat| exceeds 2 eps times
     the largest |u_hat| (the propagator keeps |u_hat|), above the fft's
     round-off (1.1 eps for the default Gaussian on 1536 points); 0 for a
-    zero envelope."""
+    zero envelope, inf for a u_hat that is not finite (nor then the floor)."""
     mag = np.abs(u_hat)
     floor = 2.0 * np.finfo(float).eps * mag.max()
+    if not math.isfinite(floor):
+        return math.inf
     above = mag > floor
     if n_hat is not None:
         above |= dt * np.abs(n_hat) > floor

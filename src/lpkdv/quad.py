@@ -224,18 +224,6 @@ def dispersion_derivatives(params: LpkdvParams, kappa: float) -> tuple:
     return first, first * (-4.0 * zeta * mu / (zeta - mu) ** 2) * t / spread
 
 
-@dataclass(frozen=True)
-class CarrierWave:
-    """Carrier (kappa, omega) with omega pinned to the dispersion relation."""
-
-    kappa: float
-    omega: float
-
-    @classmethod
-    def for_params(cls, params: LpkdvParams, kappa: float) -> "CarrierWave":
-        return cls(kappa=kappa, omega=dispersion(params, kappa))
-
-
 def linear_residual_max(params: LpkdvParams, kappa: float) -> float:
     """|mu (e^(i(kappa - omega)) - 1) + zeta (e^(i kappa) - e^(-i omega))|, omega
     = dispersion(params, kappa): the linear lpKdV part on every plaquette of

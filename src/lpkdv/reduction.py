@@ -45,10 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nls
+from . import nls, quad
 from .errors import DomainError, NumericalError
 from .nls import EnvelopeEvolution, NlsCoefficients, _check_spectra_resolved, wavenumbers
-from .quad import CarrierWave, LatticeField, LpkdvParams, max_residual
+from .quad import LatticeField, LpkdvParams, max_residual
 
 RESIDUAL_MARGIN = 5   # plaquettes at each window edge left out of the residual
 _BLOCK_ROWS = 32  # lattice rows summed at once; bounds the assembly working set
@@ -59,7 +59,8 @@ class ReductionCoefficients:
     """Everything the reduction produces for one (p, q, kappa)."""
 
     params: LpkdvParams
-    carrier: CarrierWave
+    kappa: float
+    omega: float  # quad.dispersion(params, kappa)
     branch: int
     M1: float
     M1_tilde: float
@@ -88,7 +89,7 @@ class ReductionCoefficients:
         return {
             "p": self.params.p, "q": self.params.q,
             "mu": self.params.mu, "zeta": self.params.zeta,
-            "kappa": self.carrier.kappa, "omega": self.carrier.omega,
+            "kappa": self.kappa, "omega": self.omega,
             "branch": self.branch,
             "M1": self.M1, "M1_tilde": self.M1_tilde,
             "tau1": cplx(self.tau1), "tau2": cplx(self.tau2), "tau3": cplx(self.tau3),
@@ -108,7 +109,7 @@ def compute_coefficients(params: LpkdvParams, kappa: float) -> ReductionCoeffici
     = 2q, mu + zeta = 2p); branch picks the slow characteristic with M1 > 0.
     kappa outside (0, pi), q = 0 (by the dispersion relation), and p = 0 or a
     coefficient or g^2 (zs_potential's factor) 0 or not finite are refused."""
-    carrier = CarrierWave.for_params(params, kappa)
+    omega = quad.dispersion(params, kappa)
     p, q, mu, zeta = params.p, params.q, params.mu, params.zeta
     c2, s2 = math.cos(kappa / 2.0) ** 2, math.sin(kappa / 2.0) ** 2
     try:  # Python floats raise on some overflows and divisions by 0, not on others
@@ -125,7 +126,7 @@ def compute_coefficients(params: LpkdvParams, kappa: float) -> ReductionCoeffici
     if not all(0.0 < abs(v) < math.inf for v in forms):
         raise DomainError(f"the reduction needs p != 0 and each coefficient and g^2 finite "
                           f"and nonzero; not so at p = {p!r}, q = {q!r}, kappa = {kappa!r}")
-    return ReductionCoefficients(params, carrier, -1 if p * q > 0 else 1, *forms[:-1])
+    return ReductionCoefficients(params, kappa, omega, -1 if p * q > 0 else 1, *forms[:-1])
 
 
 def _band(J: int, L: int) -> tuple:
@@ -276,7 +277,7 @@ def assemble_ansatz(evolution: EnvelopeEvolution, coeffs: ReductionCoefficients,
         raise DomainError("window must be at least 2x1")
     if N < 1:
         raise DomainError("N must be a positive integer")
-    kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
+    kappa, omega = coeffs.kappa, coeffs.omega
     xi0, dxi, L = evolution.xi0, evolution.dxi, evolution.L
     J = evolution.band
     square = min(2 * L, evolution.envelope_L)             # |u1_1|^2's grid

@@ -430,7 +430,7 @@ def spectral_limit_check(envelope, coeffs: ReductionCoefficients, N_list) -> dic
     N_list = list(N_list)
     if sorted(N_list) != N_list or len(N_list) < 2:
         raise DomainError("N_list must be ascending with at least 2 entries")
-    kappa = coeffs.carrier.kappa
+    kappa = coeffs.kappa
     # reduced problem on the stretched slow variable (downsample for speed)
     stride = max(1, envelope.L // 256)
     zs = Envelope(envelope.xi0 / coeffs.M1, envelope.dxi * stride / coeffs.M1,

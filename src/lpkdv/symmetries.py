@@ -164,7 +164,7 @@ def first_harmonic_blocks(ansatz: AnsatzField, which: str) -> tuple:
     e^{-i kappa n} and e^{i omega m}, one exp per row and per column.  A
     window with no whole block is a PreconditionError."""
     coeffs = ansatz.coeffs
-    kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
+    kappa, omega = coeffs.kappa, coeffs.omega
     rhs = flow_rhs(ansatz.field, coeffs.params, which).values
     s, P = _stencil(which), math.ceil(2 * math.pi / kappa)
     nb, mb = (rhs.shape[0] - 2 * s) // P, rhs.shape[1] // P
@@ -195,7 +195,7 @@ def harmonic_projection(ansatz: AnsatzField, which: str, flow1: tuple) -> dict:
     "flow1"), computed once by the caller for both flows on the same ansatz.
     """
     params = ansatz.coeffs.params
-    kappa = ansatz.coeffs.carrier.kappa
+    kappa = ansatz.coeffs.kappa
     blocks, env = flow1 if which == "flow1" else first_harmonic_blocks(ansatz, which)
     keep = np.abs(env) >= ENVELOPE_FLOOR
     if not np.any(keep):

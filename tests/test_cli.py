@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
@@ -835,18 +836,31 @@ def test_hostile_config_exit_2(tmp_path, capsys, subcommand, doc, words):
     assert words in err
 
 
+def diverged(step):
+    """The error record of an NLS run found non-finite at step end `step`."""
+    return {"type": "NumericalError", "message": "NLS evolution diverged",
+            "diagnostics": {"step": step, "tau": ANY, "max_abs": ANY}}
+
+
 @pytest.mark.parametrize("subcommand, doc, record", [
     ("ansatz-residual", {"kappa": 1e-300},
      {"type": "NumericalError", "message": "ansatz residual inf at N = 16 is not finite",
       "diagnostics": {"N": 16}}),
     ("zs-limit", {"envelope": {"amplitude": 1e150}},
      {"type": "PreconditionError", "message": "envelope not spectrally resolved: "
-                                              "top-third energy fraction nan > 1e-10"})])
+                                              "top-third energy fraction nan > 1e-10"}),
+    ("ansatz-residual", {"envelope": {"amplitude": 50.0}}, diverged(2)),
+    ("flow-project", {"envelope": {"amplitude": 50.0}}, diverged(2)),
+    ("ansatz-residual", {"p": 0.01}, diverged(2)),
+    ("flow-project", {"p": 0.01}, diverged(2)),
+    ("nls-evolve", {"p": 0.01}, diverged(25))])
 def test_overflowing_run_one_error_line(tmp_path, capsys, subcommand, doc, record):
     """At kappa = 1e-300 the ansatz residual overflows at every N, and an
     amplitude of 1e150 overflows the zero-step run's |u|^2 u: each run exits
     1 with its error record and one error line on stderr, where the
-    overflow's RuntimeWarning, an error under this suite's filter, ended it."""
+    overflow's RuntimeWarning, an error under this suite's filter, ended it.
+    At amplitude 50 or p = 0.01 the NLS run diverges: a dense run names its
+    first non-finite step end (2), nls-evolve the first it checks (25)."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert run(subcommand, str(cfg), str(tmp_path / "o"), quiet=True) == 1

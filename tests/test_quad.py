@@ -13,7 +13,6 @@ from lpkdv.fieldio import (
 )
 from lpkdv import quad
 from lpkdv.quad import (
-    CarrierWave,
     LatticeField,
     LpkdvParams,
     dispersion,
@@ -22,11 +21,15 @@ from lpkdv.quad import (
     max_residual,
     residual_field,
 )
+from lpkdv.reduction import compute_coefficients
 from tests.conftest import make_bump_solution
 from tests.dispersion_oracle import group_velocity
 from tests.lattice_oracle import evolve_ivp_diagonals, save_field_csv_rows
 
 P15 = LpkdvParams(1.5, 0.5)  # mu = 1, zeta = 2
+# (p, q, kappa) over both branches (pq of either sign) and kappa from 0.3 to 3
+CARRIER_POINTS = [(1.5, 0.5, math.pi / 2), (2.0, 1.0, 1.0), (1.5, 0.5, 1.2), (3.0, 0.7, 0.6),
+                  (1.5, -0.5, 2.0), (0.8, 2.5, 3.0), (-1.0, -2.0, 0.3)]
 
 BINARY_HEADER = {"magic": "lpkdv-field-v1", "n_size": 2, "m_size": 3, "kind": "real"}
 
@@ -326,13 +329,13 @@ class TestDispersion:
         lin = P15.mu * (u[1:, 1:] - u[:-1, :-1]) + P15.zeta * (u[1:, :-1] - u[:-1, 1:])
         assert np.allclose(np.abs(lin), linear_residual_max(P15, kappa), rtol=0.0, atol=1e-14)
 
-    def test_carrier_wave_pins_omega(self):
-        cw = CarrierWave.for_params(P15, 1.0)
-        assert cw.omega == dispersion(P15, 1.0)
+    @pytest.mark.parametrize("p, q, kappa", CARRIER_POINTS)
+    def test_coefficients_pin_omega(self, p, q, kappa):
+        """The reduction record's omega is the dispersion relation's, bit for bit."""
+        params = LpkdvParams(p, q)
+        assert compute_coefficients(params, kappa).omega == dispersion(params, kappa)
 
-    @pytest.mark.parametrize("p, q, kappa", [
-        (1.5, 0.5, math.pi / 2), (2.0, 1.0, 1.0), (1.5, 0.5, 1.2), (3.0, 0.7, 0.6),
-        (1.5, -0.5, 2.0), (0.8, 2.5, 3.0), (-1.0, -2.0, 0.3)])
+    @pytest.mark.parametrize("p, q, kappa", CARRIER_POINTS)
     def test_derivatives_match_differences_of_omega(self, p, q, kappa):
         """The exact omega' and omega'' agree with differences of omega itself:
         omega' with the oracle's refined differences, omega'' with a central
@@ -465,6 +468,8 @@ class TestFieldIO:
         "", "n,m,re,im\r\n", "n,m,re,im\r\n\r\n", "n,m,re,im\r\n0,0,1.0,0.0\r\n0,1,x,0.0\r\n",
         "n,m,re,im\r\n0,0,1.0\r\n", "n,m,re,im\r\n0,0.5,1.0,0.0\r\n",
         "n,m,re,im\r\n0,-1,1.0,0.0\r\n",
+        "n,m,re\r\n0,0,1.0\r\n0,1,1.0\r\n1,0,1.0\r\n",             # (1, 1) missing
+        "n,m,re\r\n0,0,1.0\r\n0,1,1.0\r\n0,1,2.0\r\n1,1,1.0\r\n",  # (0, 1) for (1, 0)
     ])
     def test_csv_malformed_rejected(self, tmp_path, text):
         path = tmp_path / "bad.csv"

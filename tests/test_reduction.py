@@ -360,7 +360,7 @@ def _grid_assemble(evolution, coeffs, N, window):
     phase, at xi = (M1 n - branch M1_tilde m)/N and tau = m/N^2 written out.  The reference for the
     spectral evaluation in assemble_ansatz, sharing none of its code."""
     n_size, m_size = window
-    kappa, omega = coeffs.carrier.kappa, coeffs.carrier.omega
+    kappa, omega = coeffs.kappa, coeffs.omega
     ns = np.arange(n_size)
     x = (coeffs.M1 * ns) / N
     out = np.empty((n_size, m_size))
@@ -493,7 +493,7 @@ def test_nls_coefficients_kill_first_harmonic_secularity(ref_coeffs, ref_envelop
     params = co.params
     N, window = 32, (384, 160)
     tau_needed = (window[1] - 1) / N ** 2 * 1.01
-    kappa, omega = co.carrier.kappa, co.carrier.omega
+    kappa, omega = co.kappa, co.omega
 
     def first_harmonic_residual(c):
         evo = nls_evolve_dense(ref_envelope, c, tau_needed, dense_dtau(ref_envelope, c))

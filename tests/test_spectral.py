@@ -234,7 +234,7 @@ class TestIsospectral:
         from lpkdv.reduction import assemble_ansatz
 
         params = ref_coeffs.params
-        kappa = ref_coeffs.carrier.kappa
+        kappa = ref_coeffs.kappa
         drifts = {}
         for N in (16, 32):
             size = int(round(40.0 * N / ref_coeffs.M1))
@@ -518,7 +518,7 @@ class TestSpectralLimit:
                             posed.append((zs, kappa, p)) or np.zeros(0, dtype=complex))
         spectral_limit_check(ref_envelope, ref_coeffs, [16, 32])
         ((zs, kappa, p),) = posed
-        assert (kappa, p) == (ref_coeffs.carrier.kappa, ref_coeffs.params.p) == ZS_AT
+        assert (kappa, p) == (ref_coeffs.kappa, ref_coeffs.params.p) == ZS_AT
         assert not np.any(zs.values.imag)
         assert np.array_equal(zs.values, ref_envelope.values[::4])
         assert zs.dxi == 4 * ref_envelope.dxi / ref_coeffs.M1
@@ -537,6 +537,6 @@ class TestSpectralLimit:
             size -= (size - 3) % 4
             two = assemble_ansatz(ref_evolution, ref_coeffs, N, (size + 3, 2))
             ref = band_edge_estimates(two.field, ref_coeffs.params, 0,
-                                      ref_coeffs.carrier.kappa, N)
+                                      ref_coeffs.kappa, N)
             assert len(est) == len(ref) > 10
             assert np.max(np.abs(np.array(est) - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -205,7 +205,7 @@ class TestHarmonicProjection:
         assert f21["std_over_mean"] <= 0.05
         # reparametrization constant: (1 + cos(kappa)/2)/p^2, real
         p = ref_coeffs.params.p
-        expect = (1.0 + np.cos(ref_coeffs.carrier.kappa) / 2.0) / p ** 2
+        expect = (1.0 + np.cos(ref_coeffs.kappa) / 2.0) / p ** 2
         assert abs(complex(*f21["weighted_mean"]) - expect) < 0.05 * expect
 
     @pytest.mark.parametrize("which", ["flow1", "flow2"])
@@ -215,7 +215,7 @@ class TestHarmonicProjection:
         exp of every entry e^{-i (kappa n - omega m)}, on flow-project's
         384 x 384 window."""
         ans = assemble_ansatz(ref_evolution, ref_coeffs, N, (384, 384))
-        kappa, omega = ref_coeffs.carrier.kappa, ref_coeffs.carrier.omega
+        kappa, omega = ref_coeffs.kappa, ref_coeffs.omega
         s, P = FLOW_STENCIL[which], math.ceil(2 * math.pi / kappa)
         inner = flow_rhs(ans.field, ref_coeffs.params, which).values[s:-s]
         n = s + np.arange(inner.shape[0])[:, None]
