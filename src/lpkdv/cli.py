@@ -148,6 +148,10 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("envelope and boundary widths must be positive")
     if cfg["boundary"]["p"] == 0:
         raise ConfigError("boundary.p must be nonzero: the lattice flows divide by p")
+    p, q = cfg["boundary"]["p"], cfg["boundary"]["q"]
+    if q != 0 and (q > 0) == (p > 0):  # by the signs: |p +- q| may round equal
+        raise ConfigError(f"boundary.q = {q!r} has the sign of boundary.p = {p!r}: |zeta| = "
+                          "|p + q| > |mu| = |p - q|, and the sweep amplifies round-off")
     if cfg["boundary"]["kind"] not in _BOUNDARY_KINDS:
         raise ConfigError(f"boundary.kind must be one of {', '.join(_BOUNDARY_KINDS)}; "
                           f"got {cfg['boundary']['kind']!r}")
@@ -270,6 +274,14 @@ def cmd_selftest(cfg):
     return len(failures) == 0, report, {"selftest_report.json": report}
 
 
+def _draws(cfg):
+    """coeffs' and dispersion's 100 seeded (params, kappa): p and |q| in [0.1, 4],
+    q's sign alternating (pq of either sign), kappa in [0.1, pi - 0.2]."""
+    rng = np.random.default_rng(cfg["seed"])
+    samples = rng.uniform((0.1, 0.1, 0.1), (4.0, 4.0, math.pi - 0.2), (100, 3)).tolist()
+    return [(quad.LpkdvParams(p, (-1) ** i * q), kappa) for i, (p, q, kappa) in enumerate(samples)]
+
+
 def cmd_coeffs(cfg):
     """The coefficients, and the Lax-pair identity rho2 M1^2 / (rho1 g^2) = -2
     there and at 100 seeded draws with pq of either sign."""
@@ -278,10 +290,7 @@ def cmd_coeffs(cfg):
         return co.rho2 * co.M1 ** 2 / (co.rho1 * g ** 2)
 
     coeffs = _build_coeffs(cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    samples = rng.uniform((0.1, 0.1, 0.1), (4.0, 4.0, math.pi - 0.2), (100, 3)).tolist()
-    draws = [ratio(reduction.compute_coefficients(quad.LpkdvParams(p, (-1) ** i * q), kappa))
-             for i, (p, q, kappa) in enumerate(samples)]
+    draws = [ratio(reduction.compute_coefficients(params, kappa)) for params, kappa in _draws(cfg)]
     at, worst = ratio(coeffs), max(draws, key=lambda r: abs(r / 2.0 + 1.0))
     tol = BOUNDS["lax_identity"]
     doc = dict(coeffs.to_json(), lax_identity={
@@ -305,22 +314,15 @@ def _against_lattice(coeffs) -> dict:
 
 
 def cmd_dispersion(cfg):
-    """The plane-wave residual of the dispersion relation at 100 seeded draws,
-    and the reduction's rho1 and group velocity against its derivatives at
-    the config point."""
+    """The plane-wave residual of the dispersion relation at coeffs' 100
+    seeded draws (_draws), pq of either sign, and the reduction's rho1 and
+    group velocity against its derivatives at the config point."""
     tol = BOUNDS["linear_residual"]
-    rng = np.random.default_rng(cfg["seed"])
-    worst = 0.0
-    draws = []
-    for _ in range(100):
-        p = rng.uniform(0.5, 3.0)
-        q = rng.uniform(0.05, p - 0.2)
-        kappa = rng.uniform(0.1, math.pi - 0.2)
-        params = quad.LpkdvParams(p, q)
-        r = quad.linear_residual_max(params, kappa)
-        worst = max(worst, r)
-        draws.append({"p": p, "q": q, "kappa": kappa,
-                      "omega": quad.dispersion(params, kappa), "residual": r})
+    draws = [{"p": params.p, "q": params.q, "kappa": kappa,
+              "omega": quad.dispersion(params, kappa),
+              "residual": quad.linear_residual_max(params, kappa)}
+             for params, kappa in _draws(cfg)]
+    worst = max(row["residual"] for row in draws)
     checks = _against_lattice(_build_coeffs(cfg))
     bound = BOUNDS["dispersion_derivatives"]
     report = {"max_linear_residual": worst, "tolerance": tol, "draws": draws[:5],
@@ -464,15 +466,11 @@ def cmd_flow_project(cfg):
     window = (384, 384)
     evolution = reduction.evolve_rows(_build_envelope(cfg), coeffs, window[1], N // 2)
     report = {"nls": _nls_block(evolution)}
-    errs = {}
-    for n in (N // 2, N):
-        ans = reduction.assemble_ansatz(evolution, coeffs, n, window)
-        flow1 = symmetries.first_harmonic_blocks(ans, "flow1")
-        rep1 = symmetries.harmonic_projection(ans, "flow1", flow1)
-        errs[n] = rep1["weighted_rel_error"]
-        report[f"flow1_N{n}"] = rep1
-        if n == N:
-            report[f"flow2_N{n}"] = symmetries.harmonic_projection(ans, "flow2", flow1)
+    for n, flows in ((N // 2, ("flow1",)), (N, ("flow1", "flow2"))):
+        reps = symmetries.harmonic_projection(
+            reduction.assemble_ansatz(evolution, coeffs, n, window), flows)
+        report.update((f"{which}_N{n}", rep) for which, rep in reps.items())
+    errs = {n: report[f"flow1_N{n}"]["weighted_rel_error"] for n in (N // 2, N)}
     halving = errs[N] / errs[N // 2] if errs[N // 2] > 0 else 0.0
     report["error_halving_factor"] = halving
     low, high = BOUNDS["halving_band"]

@@ -81,14 +81,12 @@ def save_field_binary(field: LatticeField, path) -> None:
         "m_size": field.m_size,
         "kind": field.kind,
     }
-    vals = np.asarray(field.values, dtype=np.complex128)
-    pairs = np.empty((field.n_size, field.m_size, 2), dtype="<f8")
-    pairs[..., 0] = vals.real
-    pairs[..., 1] = vals.imag
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
         fh.write(b"\n")
-        fh.write(pairs.tobytes())
+        # little-endian complex128 is the (re, im) float64 pairs: a real
+        # field is widened once, a complex one written from its own buffer
+        fh.write(memoryview(np.ascontiguousarray(field.values, dtype="<c16")))
 
 
 def load_field_binary(path) -> LatticeField:

@@ -9,11 +9,10 @@ window from data on the first row and first column, sweeping anti-diagonals
 n + m = d.  Points on one anti-diagonal are independent, so each is one
 vectorized step, written into the window in place: point (n, m) is entry
 n * m_size + m of the flat array, so an anti-diagonal is one slice of stride
-m_size - 1.  The singular-corner and non-finite checks run once over the
-filled window, after the sweep, in row blocks of a fixed point count, with
-floating-point warnings off during it; they report the first fault in sweep
-order (smallest n + m, then smallest n), the fault the sweep would meet
-first were it checked diagonal by diagonal.
+m_size - 1.  One pass over the filled window after the sweep, in row blocks
+and with floating-point warnings off, reports the first singular corner or
+non-finite value in sweep order (smallest n + m, a singular corner first on
+a tie, then smallest n), the fault a diagonal-by-diagonal check would meet.
 """
 
 from __future__ import annotations
@@ -145,32 +144,29 @@ def evolve_ivp(row0, col0, params: LpkdvParams) -> LatticeField:
     return LatticeField(u)
 
 
-def _first_in_sweep(u, mask_of):
-    """(n, m) of the first interior point of u in sweep order at which
-    mask_of(u[a:e + 1])[n - a - 1, m - 1] is True, or None; rows a..e hold
-    about _CHECK_BLOCK_POINTS points."""
-    rows, last, found = max(1, _CHECK_BLOCK_POINTS // u.shape[1]), u.shape[0] - 1, []
-    for a in range(0, last, rows):
-        n, m = np.nonzero(mask_of(u[a:min(a + rows, last) + 1]))
-        if n.size:
-            k = int(np.argmin((n + m) * u.shape[0] + n))
-            found.append((a + int(n[k]) + 1, int(m[k]) + 1))
-    return min(found, key=lambda nm: (sum(nm), nm[0]), default=None)
-
-
 def _check_sweep(u, mu):
     """Raise at the first singular corner or non-finite value of the filled
-    window u, in sweep order.  Points past the first fault hold whatever the
-    sweep computed from it; only the earliest fault is reported."""
+    window u in sweep order, the least key (n + m, kind, n), kind 0 for a
+    singular corner and 1 for a non-finite value, from one pass over row
+    blocks of about _CHECK_BLOCK_POINTS points.  Points past the first fault
+    hold whatever the sweep computed from it."""
     thresh = CORNER_SINGULARITY_RTOL * (1.0 + abs(mu))
-    singular = _first_in_sweep(u, lambda b: np.abs(b[1:, :-1] - b[:-1, 1:] - mu) < thresh)
-    non_finite = _first_in_sweep(u, lambda b: ~np.isfinite(b[1:, 1:]))
-    if singular and (not non_finite or sum(singular) <= sum(non_finite)):
-        raise SingularCornerError(f"singular corner at (n,m) = ({singular[0]},{singular[1]})",
-                                  location=singular)
-    if non_finite:
-        raise NumericalError(f"non-finite value at (n,m) = ({non_finite[0]},{non_finite[1]})",
-                             diagnostics={"location": non_finite})
+    nn, mm = u.shape
+    rows, faults = max(1, _CHECK_BLOCK_POINTS // mm), []
+    for a in range(0, nn - 1, rows):
+        b = u[a:min(a + rows, nn - 1) + 1]
+        for kind, mask in enumerate((np.abs(b[1:, :-1] - b[:-1, 1:] - mu) < thresh,
+                                     ~np.isfinite(b[1:, 1:]))):
+            n, m = np.nonzero(mask)
+            if n.size:
+                k = int(np.argmin((n + m) * nn + n))
+                faults.append((a + int(n[k] + m[k]) + 2, kind, a + int(n[k]) + 1))
+    if faults:
+        d, kind, n = min(faults)
+        where = f"at (n,m) = ({n},{d - n})"
+        if kind:
+            raise NumericalError("non-finite value " + where, diagnostics={"location": (n, d - n)})
+        raise SingularCornerError("singular corner " + where, location=(n, d - n))
 
 
 def check_denominators(p: float, arrays, error, what: str, origin: int, **fields):

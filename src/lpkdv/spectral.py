@@ -208,18 +208,16 @@ def isospectral_drift(lattice: LatticeField, params: LpkdvParams, m_list,
     if res > ISOSPECTRAL_RESIDUAL_TOL:
         raise PreconditionError(f"field residual {res:.3e} exceeds "
                                 f"{ISOSPECTRAL_RESIDUAL_TOL:.0e}; not a solution")
-    vals = lattice.values
-    for m in m_list:
-        row = np.abs(vals[:, m] - vals[0, m]), np.abs(vals[:, m] - vals[-1, m])
-        left = float(np.max(row[0][:5]))
-        right = float(np.max(row[1][-5:]))
-        if max(left, right) > EDGE_TOL:
-            raise PreconditionError(
-                f"row {m}: potential not confined to interior "
-                f"(edge deviation {max(left, right):.3e} > {EDGE_TOL:.0e})"
-            )
-    spectra = [np.sort_complex(bound_states(build_spectral_problem(lattice, params, m, variant)))
-               for m in m_list]
+    rows = lattice.values[:, m_list]
+    left = np.max(np.abs(rows[:5] - rows[0]), axis=0)
+    right = np.max(np.abs(rows[-5:] - rows[-1]), axis=0)
+    edge = np.where(right > left, right, left)  # max(left, right) per row, NaN as max() has it
+    for m, dev in zip(m_list, edge):
+        if dev > EDGE_TOL:
+            raise PreconditionError(f"row {m}: potential not confined to interior "
+                                    f"(edge deviation {dev:.3e} > {EDGE_TOL:.0e})")
+    spectra = [np.sort_complex(bound_states(coefficient_row(row, params, variant)))
+               for row in rows.T]
     base = spectra[0]
     drifts = [float(np.max(np.abs(nearest_partners(s, base) - base), initial=0.0))
               for s in spectra[1:]]

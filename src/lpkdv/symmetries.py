@@ -179,9 +179,10 @@ def first_harmonic_blocks(ansatz: AnsatzField, which: str) -> tuple:
             ansatz.envelope_values(s + centres[:nb], centres[:mb]))
 
 
-def harmonic_projection(ansatz: AnsatzField, which: str, flow1: tuple) -> dict:
-    """Project a flow's RHS onto the first carrier harmonic and compare with
-    the reduced flow.
+def harmonic_projection(ansatz: AnsatzField, flows) -> dict:
+    """{flow: report} for each of `flows` ("flow1", or "flow1" and "flow2"):
+    the flow's RHS projected onto the first carrier harmonic (its
+    first_harmonic_blocks, computed once) against the reduced flow.
 
     Reports (a) the relative error of the projection's amplitude-weighted
     coefficient against (i sin(kappa)/(2 p^2)) u1 / N, and, for flow2, (b)
@@ -190,39 +191,35 @@ def harmonic_projection(ansatz: AnsatzField, which: str, flow1: tuple) -> dict:
     symmetry up to a reparametrization of the group parameter.  The pointwise
     ratio to the reduced flow is not reported: at blocks whose envelope
     sample is near ENVELOPE_FLOOR it divides two round-off-sized numbers.
-    An envelope below ENVELOPE_FLOOR at every block is a PreconditionError.
-    flow1 is the (blocks, u1) pair of first_harmonic_blocks(ansatz,
-    "flow1"), computed once by the caller for both flows on the same ansatz.
+    An envelope below ENVELOPE_FLOOR at every block is a PreconditionError;
+    "flow2" without "flow1" is a DomainError.
     """
-    params = ansatz.coeffs.params
-    kappa = ansatz.coeffs.kappa
-    blocks, env = flow1 if which == "flow1" else first_harmonic_blocks(ansatz, which)
-    keep = np.abs(env) >= ENVELOPE_FLOOR
-    if not np.any(keep):
-        raise PreconditionError(
-            f"envelope below ENVELOPE_FLOOR = {ENVELOPE_FLOOR:.0e} at every block of "
-            f"{which}: nothing to project"
-        )
-    coeff_theory = 1j * math.sin(kappa) / (2 * params.p ** 2) / ansatz.N
-    coeff_est = np.sum(blocks[keep] * np.conj(env[keep])) / np.sum(np.abs(env[keep]) ** 2)
-    report = {
-        "flow": which,
-        "N": ansatz.N,
-        "n_points": int(np.sum(keep)),
-        "weighted_rel_error": abs(coeff_est / coeff_theory - 1.0),
-    }
-    if which == "flow2":
-        # flow2's margin is wider; align the two block grids
-        nb, mb = np.minimum(blocks.shape, flow1[0].shape)
-        b2, b1, e = blocks[:nb, :mb], flow1[0][:nb, :mb], env[:nb, :mb]
-        keep2 = (np.abs(e) >= ENVELOPE_FLOOR) & (np.abs(b1) > 0)
-        ratio21 = b2[keep2] / b1[keep2]
-        w2 = np.abs(e[keep2]) ** 2
-        mean21 = np.sum(w2 * ratio21) / np.sum(w2)
-        var21 = np.sum(w2 * np.abs(ratio21 - mean21) ** 2) / np.sum(w2)
-        report["flow2_over_flow1"] = {
-            "weighted_mean": [mean21.real, mean21.imag],
-            "weighted_std": float(math.sqrt(var21)),
-            "std_over_mean": float(math.sqrt(var21) / abs(mean21)),
-        }
-    return report
+    if "flow2" in flows and "flow1" not in flows:
+        raise DomainError("the flow2 projection is compared with flow1's: ask for both")
+    coeffs = ansatz.coeffs
+    coeff_theory = 1j * math.sin(coeffs.kappa) / (2 * coeffs.params.p ** 2) / ansatz.N
+    blocks, reports = {}, {}
+    for which in sorted(set(flows)):  # flow1 before flow2
+        blocks[which], env = first_harmonic_blocks(ansatz, which)
+        keep, b = np.abs(env) >= ENVELOPE_FLOOR, blocks[which]
+        if not np.any(keep):
+            raise PreconditionError(f"envelope below ENVELOPE_FLOOR = {ENVELOPE_FLOOR:.0e} at "
+                                    f"every block of {which}: nothing to project")
+        coeff_est = np.sum(b[keep] * np.conj(env[keep])) / np.sum(np.abs(env[keep]) ** 2)
+        reports[which] = {"flow": which, "N": ansatz.N, "n_points": int(np.sum(keep)),
+                          "weighted_rel_error": abs(coeff_est / coeff_theory - 1.0)}
+        if which == "flow2":
+            # flow2's margin is wider; align the two block grids
+            nb, mb = np.minimum(b.shape, blocks["flow1"].shape)
+            b2, b1, e = b[:nb, :mb], blocks["flow1"][:nb, :mb], env[:nb, :mb]
+            keep2 = (np.abs(e) >= ENVELOPE_FLOOR) & (np.abs(b1) > 0)
+            ratio21 = b2[keep2] / b1[keep2]
+            w2 = np.abs(e[keep2]) ** 2
+            mean21 = np.sum(w2 * ratio21) / np.sum(w2)
+            var21 = np.sum(w2 * np.abs(ratio21 - mean21) ** 2) / np.sum(w2)
+            reports[which]["flow2_over_flow1"] = {
+                "weighted_mean": [mean21.real, mean21.imag],
+                "weighted_std": float(math.sqrt(var21)),
+                "std_over_mean": float(math.sqrt(var21) / abs(mean21)),
+            }
+    return reports

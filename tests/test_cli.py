@@ -82,7 +82,10 @@ class TestRun:
 
     def test_reproducible_reports(self, tmp_path):
         for sub, names in (("spectrum", ("spectrum_report.json", "spectrum.csv")),
-                           ("zs-limit", ("zs_limit_report.json",))):
+                           ("zs-limit", ("zs_limit_report.json",)),
+                           ("simulate", ("field.csv", "field.bin", "simulate_report.json")),
+                           ("dispersion", ("dispersion_report.json",)),
+                           ("flow-project", ("flow_projection.json",))):
             out1, out2 = tmp_path / sub / "a", tmp_path / sub / "b"
             assert run(sub, None, str(out1), quiet=True) == 0
             assert run(sub, None, str(out2), quiet=True) == 0
@@ -439,6 +442,32 @@ def test_dispersion_wrong_coefficient_exit_1(tmp_path, monkeypatch, field, facto
     assert block[key]["rel_error"] > 100 * block["tolerance"]
 
 
+def test_coeffs_and_dispersion_share_draws(monkeypatch):
+    """cli._draws gives q both signs, and coeffs and dispersion evaluate the
+    same (p, q, kappa) points for one seed."""
+    from lpkdv import reduction
+
+    cfg = cli._merge(DEFAULT_CONFIG, {"seed": 7})
+    points = [(params.p, params.q, kappa) for params, kappa in cli._draws(cfg)]
+    assert len(points) == 100 and {math.copysign(1.0, q) for _, q, _ in points} == {1.0, -1.0}
+    seen = {"coeffs": [], "dispersion": []}
+    compute, residual = reduction.compute_coefficients, quad.linear_residual_max
+
+    def spy(into, fn):
+        def call(params, kappa):
+            into.append((params.p, params.q, kappa))
+            return fn(params, kappa)
+        return call
+
+    monkeypatch.setattr(reduction, "compute_coefficients", spy(seen["coeffs"], compute))
+    monkeypatch.setattr(quad, "linear_residual_max", spy(seen["dispersion"], residual))
+    for name in seen:
+        assert cli.COMMANDS[name](cfg)[0]
+    # coeffs evaluates the config point first; dispersion's own call of
+    # compute_coefficients at the config point comes last
+    assert seen["dispersion"] == points and seen["coeffs"][1:101] == points
+
+
 def test_dispersion_wrong_omega_exit_1(tmp_path, monkeypatch):
     """An omega off the lattice dispersion relation by 1e-9 relative leaves
     the plane wave a linear residual of 1e-9 to 1e-7 over the draws, beyond
@@ -585,6 +614,10 @@ ENVELOPE_FILES = {"ragged": {"im": [0.0, 0.0]}, "text_dxi": {"dxi": "a"},
     ("ansatz-residual", {"envelope": {"amplitude": 1e200}}, 2),
     ("nls-evolve", {"nls": {"tau_final": 0.0}}, 2),
     ("no-such-subcommand", {}, 2),
+    ("simulate", {"boundary": {"q": 0.5}}, 2),
+    ("isospectral", {"boundary": {"q": 0.5}}, 2),
+    ("flow-check", {"boundary": {"q": 0.5}}, 2),
+    ("flow-check", {"boundary": {"p": -1.5, "q": -0.5}}, 2),
 ])
 def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     """Config mistakes exit 2 with one 'config error:' line; an error raised
@@ -595,7 +628,8 @@ def test_failure_exit_codes(tmp_path, capsys, subcommand, doc, code):
     whose square overflows leaves no stable step, which the step guard
     refuses (test_hostile_config_exit_2 reads its words); a tau_final at the envelope's own tau (0) asks for a mass drift
     over no step, which cannot fail; an unknown subcommand is a config error
-    too.  "$TMP" in a config stands for the test's directory, which
+    too, as is a boundary q of p's sign (|zeta| > |mu|, under which the
+    sweep amplifies round-off).  "$TMP" in a config stands for the test's directory, which
     holds an empty JSON object as empty.json and malformed envelope
     documents: re and im of unequal length (ragged.json), a text dxi
     (text_dxi.json), a text re (text_re.json), a NaN dxi (nan_dxi.json) and

@@ -250,23 +250,31 @@ class TestEvolveIvpOracle:
         monkeypatch.setattr(quad, "_CHECK_BLOCK_POINTS", 3)
         _first_errors_match_oracle(kind)
 
-    @pytest.mark.parametrize("fault", ["non-finite", "singular"])
+    @pytest.mark.parametrize("fault", ["non-finite", "singular", "tie"])
     def test_later_block_fault_first_in_sweep_order(self, fault):
         """Two faults in different blocks of the check, 4 rows to a block:
         (1, m_size - 10) in the first block and (6, 1) in the second; the
         second comes first in sweep order (n + m = 7) and is the one raised,
-        as the oracle raises it."""
+        as the oracle raises it.  In the tie, one anti-diagonal (n + m = 6)
+        holds a non-finite value at (1, 5) in the first block and a singular
+        corner at (5, 1) in the second: the singular corner is raised."""
         mm = quad._CHECK_BLOCK_POINTS // 4
         row0, col0 = _boundary((12, mm), "real")
         u = evolve_ivp_diagonals(row0, col0, PSTABLE).values
         if fault == "non-finite":
             row0[6], col0[mm - 10] = np.inf, np.nan
-        else:  # w = mu at (6, 1) and at (1, mm - 10)
+        elif fault == "singular":  # w = mu at (6, 1) and at (1, mm - 10)
             row0[6], col0[mm - 10] = u[5, 1] + PSTABLE.mu, u[1, mm - 11] - PSTABLE.mu
+        else:
+            col0[5], row0[5] = np.inf, u[4, 1] + PSTABLE.mu
         with np.errstate(all="ignore"):
             got = _raised(evolve_ivp, row0, col0, PSTABLE)
             want = _raised(evolve_ivp_diagonals, row0, col0, PSTABLE)
-        assert got == want and "(n,m) = (6,1)" in want[1]
+        assert got == want
+        if fault == "tie":
+            assert want[0] is SingularCornerError and "(n,m) = (5,1)" in want[1]
+        else:
+            assert "(n,m) = (6,1)" in want[1]
 
 
 def _first_errors_match_oracle(kind):

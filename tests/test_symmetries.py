@@ -191,17 +191,19 @@ class TestHarmonicProjection:
         evo = frozen_evolution(env, ref_coeffs.nls_coefficients())
         ans = assemble_ansatz(evo, ref_coeffs, 16, (64, 16))
         with pytest.raises(PreconditionError, match="ENVELOPE_FLOOR"):
-            harmonic_projection(ans, "flow1", first_harmonic_blocks(ans, "flow1"))
+            harmonic_projection(ans, ("flow1",))
 
     def test_flow1_matches_reduced_coefficient(self, ref_evolution, ref_coeffs):
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
-        rep = harmonic_projection(ans, "flow1", first_harmonic_blocks(ans, "flow1"))
+        rep = harmonic_projection(ans, ("flow1",))["flow1"]
         assert rep["weighted_rel_error"] <= 3.0 / 32
 
     def test_flow2_constant_multiple(self, ref_evolution, ref_coeffs):
         ans = assemble_ansatz(ref_evolution, ref_coeffs, 32, (256, 64))
-        rep = harmonic_projection(ans, "flow2", first_harmonic_blocks(ans, "flow1"))
+        rep = harmonic_projection(ans, ("flow1", "flow2"))["flow2"]
         f21 = rep["flow2_over_flow1"]
+        with pytest.raises(DomainError, match="flow2 projection"):
+            harmonic_projection(ans, ("flow2",))
         assert f21["std_over_mean"] <= 0.05
         # reparametrization constant: (1 + cos(kappa)/2)/p^2, real
         p = ref_coeffs.params.p
