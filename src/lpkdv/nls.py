@@ -16,12 +16,14 @@ its phase factor exp(Lambda s) from its own time s and each step adds the
 increment dt/6 (k1 + 2 k2 + 2 k3 + k4) to v_hat, so the round-off in
 |exp(Lambda s)| does not compound from step to step: the relative mass drift
 stays at round-off level (4e-16 over unit tau at the default config).
-One function (`_rk4_step`) takes that step for the run (`_steps`) and for
-its dense output (EnvelopeEvolution, on a stack of rows), with out= on both
-FFTs and on every ufunc, in the textbook step's order of operations: the
-textbook step's results bit for bit without its temporaries.  On the
-default config's 256-point working grid a step costs numpy's per-call
-overhead more than arithmetic.
+`rk4_step` is the package's one RK4 step: it takes that step for the run
+(`_steps`) and for its dense output (EnvelopeEvolution, on a stack of rows)
+on the interaction-picture field of `_picture`, and the lattice flows' step
+in `symmetries`.  It has out= on every ufunc, as the field has on both
+FFTs, in the textbook step's order of operations: the textbook step's
+results bit for bit without its temporaries.  On the default config's
+256-point working grid a step costs numpy's per-call overhead more than
+arithmetic.
 
 Steps are measured by the stiffness |rho1| k_max^2 + |rho2| max|u|^2
 (k_max = pi/dxi).  `stable_dtau` takes STEP_SAFETY of STEP_BOUND = 4 * 2.82
@@ -317,34 +319,45 @@ def _integrate(env: Envelope, c: NlsCoefficients, tau_final: float, dtau: float,
         grids.append(2 * size)
 
 
-def _scratch(shape: tuple) -> tuple:
-    """The work arrays of _rk4_step for rows of the given shape."""
-    conj, k, tmp, u = np.empty((4,) + shape, dtype=complex)
-    return conj, k, tmp, (u, *np.empty((2,) + shape))
-
-
-def _rk4_step(v_hat: np.ndarray, acc: np.ndarray, half: np.ndarray, end: np.ndarray,
-              dt, rho2: float, scratch: tuple) -> None:
-    """One interaction-picture RK4 step of size dt on v_hat, in place, in the
-    textbook order: k_(i+1) = conj(p) N(p (v_hat + c k_i)), p = half or end,
-    exp(Lambda s) at the stage's time from v_hat's origin, then
-    v_hat += (dt/6) (((k1 + 2 k2) + 2 k3) + k4), acc holding k1 on entry.
-    One row, or rows stacked along the first axis with dt a column; 6 FFTs."""
-    conj, k, tmp, work = scratch
-
-    def stage(k_prev, c, p, p_conj):  # k = conj(p) N(p (v_hat + c k_prev))
-        np.add(v_hat, np.multiply(k_prev, c, out=tmp), out=tmp)
-        _nonlinear(np.multiply(p, tmp, out=tmp), rho2, tmp, work)
-        np.multiply(p_conj, tmp, out=k)
-
-    np.conjugate(half, out=conj)
-    stage(acc, 0.5 * dt, half, conj)                            # k = k2
-    np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
-    stage(k, 0.5 * dt, half, conj)                              # k = k3
-    np.add(acc, np.multiply(k, 2.0, out=tmp), out=acc)
-    stage(k, dt, end, np.conjugate(end, out=conj))              # k = k4
+def rk4_step(y: np.ndarray, k1: np.ndarray, dt, field, work: tuple,
+             out: np.ndarray) -> np.ndarray:
+    """The package's one classical RK4 step: out = y + (dt/6) (((k1 + 2 k2) +
+    2 k3) + k4), the textbook order of operations, with field(state, i, k)
+    writing k_i at state = y + c k_(i-1) into k for stages i = 2, 3, 4 (c =
+    dt/2, dt/2, dt); field may write over state.  work is (state, k, acc),
+    arrays of y's shape that the caller owns (acc may be k1, which the step
+    then writes over), and out may be y or state.  dt is a scalar, or a
+    column for rows stacked along the first axis."""
+    state, k, acc = work
+    np.add(y, np.multiply(k1, 0.5 * dt, out=state), out=state)
+    field(state, 2, k)
+    np.add(y, np.multiply(k, 0.5 * dt, out=state), out=state)
+    np.add(k1, np.multiply(k, 2.0, out=k), out=acc)
+    field(state, 3, k)
+    np.add(y, np.multiply(k, dt, out=state), out=state)
+    np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+    field(state, 4, k)
     np.add(acc, k, out=acc)
-    np.add(v_hat, np.multiply(acc, dt / 6.0, out=acc), out=v_hat)
+    return np.add(y, np.multiply(acc, dt / 6.0, out=acc), out=out)
+
+
+def _picture(rho2: float, shape: tuple) -> tuple:
+    """(field, half, end, k1, work, nl), allocated at once for rows of the
+    given shape: rk4_step's field in the interaction picture, k = conj(p)
+    N(p state) with p = half at stages 2 and 3 and end at stage 4 (exp(Lambda
+    s) at the stage's time), its work and _nonlinear's (nl); the caller fills
+    half, end and k1, which is also rk4_step's acc."""
+    half, end, k1, state, k, conj, u = np.empty((7,) + shape, dtype=complex)
+    nl = (u, *np.empty((2,) + shape))
+
+    def field(state, i, k):
+        p = end if i == 4 else half
+        if i != 3:  # stage 3 reuses stage 2's conj(half)
+            np.conjugate(p, out=conj)
+        _nonlinear(np.multiply(p, state, out=state), rho2, state, nl)
+        np.multiply(conj, state, out=k)
+
+    return field, half, end, k1, (state, k, k1), nl
 
 
 def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: float,
@@ -355,26 +368,24 @@ def _steps(v_hat: np.ndarray, rate: np.ndarray, n_steps: int, dt: float, rho2: f
     last otherwise): band takes its _top_mode, inf where it is not finite,
     which raises NumericalError at stop = inf (the envelope's own grid).  k1
     is exp(-Lambda s) N_hat of the step's start, N_hat = FFT(-i rho2 |u|^2 u)
-    in one scratch row; 8 FFTs per step, on arrays allocated once per run."""
+    in k1's row; 8 FFTs per step, on arrays allocated once per run."""
     L = len(v_hat)
     spectra = np.empty((n_steps + 1 if dense else 1, L), dtype=np.complex128)
     v_hat = v_hat.copy()  # stepped in place
-    phase, half, end, acc, n_hat = np.empty((5, L), dtype=complex)
-    scratch = _scratch((L,))  # its last entry is _nonlinear's work arrays
-    phase[:] = 1.0  # exp(Lambda s) at the state's time
+    field, half, end, k1, work, nl = _picture(rho2, (L,))
+    end[:] = 1.0  # exp(Lambda s) at the state's time
 
     band = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends in one record
         for step in range(n_steps + 1):
-            if step:
+            if step:  # k1 = exp(-Lambda s) N_hat, half holding conj(end) until refilled
+                np.multiply(np.conjugate(end, out=half), n_now, out=k1)
                 _linear_phase(rate, (step - 0.5) * dt, half)
                 _linear_phase(rate, step * dt, end)
-                np.multiply(np.conjugate(phase, out=acc), n_now, out=acc)  # acc = k1
-                _rk4_step(v_hat, acc, half, end, dt, rho2, scratch)
-                phase, end = end, phase
-            u_now = np.multiply(phase, v_hat, out=spectra[step if dense else 0])
+                rk4_step(v_hat, k1, dt, field, work, v_hat)
+            u_now = np.multiply(end, v_hat, out=spectra[step if dense else 0])
             # a zero-step run needs no N_hat (dt N_hat is 0): it is skipped
-            n_now = _nonlinear(u_now, rho2, n_hat, scratch[-1]) if dt else None
+            n_now = _nonlinear(u_now, rho2, k1, nl) if dt else None
             if dense or step % 25 == 0 or step == n_steps:
                 band = max(band, _top_mode(u_now, n_now, dt))
             if band >= stop < math.inf:  # run again on 2 L'
@@ -421,8 +432,8 @@ class EnvelopeEvolution:
     """Dense output of an NLS run: spectra on the solver's step grid.
 
     snapshots[j] is u_hat = fft(u) at taus[j].  Inside the step from
-    taus[n], spectra_at takes the run's own step (_rk4_step) of size
-    s = tau - taus[n] from u_hat_n, its k1 the nonlinear term
+    taus[n], spectra_at takes the run's own step, rk4_step on _picture's
+    field, of size s = tau - taus[n] from u_hat_n, its k1 the nonlinear term
     N_hat_n = FFT(-i rho2 |u|^2 u) recomputed from u_hat_n: 8 FFTs per tau,
     and the error of one RK4 step of size s <= dtau added to the run's
     at taus[n].  At DENSE_STEP_MULTIPLE times stable_dtau the rows of the
@@ -478,14 +489,13 @@ class EnvelopeEvolution:
         rows in one batched step; its temporaries are a few arrays of that
         shape, so callers pass a block of taus at a time."""
         n, s = self._locate(taus)
-        rate = _linear_rate(self.L, self.dxi, self.coefficients)
-        half, end = np.empty((2, len(n), self.L), dtype=complex)
+        rate, rho2 = _linear_rate(self.L, self.dxi, self.coefficients), self.coefficients.rho2
+        out = self.snapshots[n]  # a copy, stepped in place
+        field, half, end, k1, work, nl = _picture(rho2, out.shape)
         _linear_phase(rate, 0.5 * s, half)
         _linear_phase(rate, s, end)
-        out = self.snapshots[n]  # a copy, stepped in place
-        scratch, rho2 = _scratch(out.shape), self.coefficients.rho2
         with np.errstate(over="ignore", invalid="ignore"):  # callers refuse a non-finite row
-            _rk4_step(out, _nonlinear(out, rho2, work=scratch[-1]), half, end, s, rho2, scratch)
+            rk4_step(out, _nonlinear(out, rho2, k1, nl), s, field, work, out)
         return np.multiply(end, out, out=out)
 
 
@@ -608,13 +618,10 @@ def commutator_sweep(c: NlsCoefficients, env: Envelope) -> dict:
 
 
 def save_envelope_csv(env: Envelope, path) -> None:
-    import csv as _csv
-
+    """A header, then xi, Re u and Im u in repr at each grid point, "\r\n" line ends."""
+    rows = zip(env.xi_grid.tolist(), env.values.real.tolist(), env.values.imag.tolist())
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["xi", "re", "im"])
-        for xi, z in zip(env.xi_grid, env.values):
-            w.writerow([repr(float(xi)), repr(float(z.real)), repr(float(z.imag))])
+        fh.write("xi,re,im\r\n" + "".join("%r,%r,%r\r\n" % row for row in rows))
 
 
 def envelope_to_json(env: Envelope) -> dict:

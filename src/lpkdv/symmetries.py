@@ -7,11 +7,12 @@ flow2:  du/dlam = (1/(2p + u[n-1] - u[n+1])^2)
 
 Both involve only n-shifts and vanish identically on constants.  A flow F is
 a symmetry of the quad equation when transporting an exact solution along F
-keeps it a solution; one classical RK4 step of size lam then leaves a
-residual O(lam^5) (the integrator's local error), which is what
-symmetry_residual_scaling fits (the pass rule is flow-check's).  "broken" is
-a deliberately wrong variant (flow1 with the (T - T^2) difference) kept as a
-negative control; its residual grows linearly in lam.
+keeps it a solution; one classical RK4 step of size lam (nls.rk4_step, the
+package's one RK4 step) then leaves a residual O(lam^5) (the integrator's
+local error), which is what symmetry_residual_scaling fits (the pass rule
+is flow-check's).  "broken" is a deliberately wrong variant (flow1 with the
+(T - T^2) difference) kept as a negative control; its residual grows
+linearly in lam.
 
 harmonic_projection demodulates a flow's right-hand side on a multiscale
 ansatz field against the carrier and compares the first-harmonic content
@@ -27,6 +28,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SingularFlowError
+from .nls import rk4_step
 from .quad import LatticeField, LpkdvParams, check_denominators, max_residual, residual_field
 from .reduction import AnsatzField, fit_scaling_exponent
 
@@ -74,33 +76,23 @@ def _flow_values(u: np.ndarray, params: LpkdvParams, which: str, out: np.ndarray
     return out
 
 
-def _first_stage(u: np.ndarray, params: LpkdvParams, which: str) -> np.ndarray:
-    """_rk4's buffers in one allocation, k1 (the flow at u) in the first."""
+def _rk4(u: np.ndarray, params: LpkdvParams, which: str):
+    """The flow's RK4 steps from u: a function of dlambda that takes nls.rk4_step
+    from k1, the flow at u computed here once, and returns the new u with NaN
+    set to 0, a view of the buffers allocated here once."""
     bufs = np.empty((4 + 2 * (which == "flow2"),) + u.shape, u.dtype)
-    with np.errstate(invalid="ignore"):
-        _flow_values(u, params, which, bufs[0], bufs[4:], stage=1)
-    return bufs
 
+    def field(state, i, k):
+        _flow_values(state, params, which, k, bufs[4:], stage=i)
 
-def _rk4(u: np.ndarray, params: LpkdvParams, which: str, dlambda: float,
-         bufs: np.ndarray) -> np.ndarray:
-    """The textbook RK4 step from k1 = bufs[0], its sum ((k1 + 2 k2) + 2 k3)
-    + k4 rolled into acc; returns bufs[2], the new u with NaN set to 0."""
-    k1, k, state, acc, work = *bufs[:4], bufs[4:]
+    def step(dlambda):
+        with np.errstate(invalid="ignore"):
+            rk4_step(u, bufs[0], dlambda, field, bufs[1:4], bufs[1])
+        return np.nan_to_num(bufs[1], copy=False, nan=0.0)
+
     with np.errstate(invalid="ignore"):
-        np.add(u, np.multiply(0.5 * dlambda, k1, out=state), out=state)
-        _flow_values(state, params, which, k, work, stage=2)
-        np.add(u, np.multiply(0.5 * dlambda, k, out=state), out=state)
-    np.add(k1, np.multiply(2.0, k, out=k), out=acc)
-    with np.errstate(invalid="ignore"):
-        _flow_values(state, params, which, k, work, stage=3)
-        np.add(u, np.multiply(dlambda, k, out=state), out=state)
-    np.add(acc, np.multiply(2.0, k, out=k), out=acc)
-    with np.errstate(invalid="ignore"):
-        _flow_values(state, params, which, k, work, stage=4)
-    np.add(acc, k, out=acc)
-    np.add(u, np.multiply(dlambda / 6.0, acc, out=state), out=state)
-    return np.nan_to_num(state, copy=False, nan=0.0)
+        field(u, 1, bufs[0])
+    return step
 
 
 def flow_rhs(field: LatticeField, params: LpkdvParams, which: str) -> LatticeField:
@@ -115,17 +107,17 @@ def flow_rhs(field: LatticeField, params: LpkdvParams, which: str) -> LatticeFie
 
 def flow_step(field: LatticeField, params: LpkdvParams, which: str,
               dlambda: float) -> LatticeField:
-    """One classical RK4 step.  Each stage invalidates one more stencil width
-    FLOW_STENCIL[which] of rows on each n-side, so 4 widths per side come out
-    as 0."""
-    u = field.values  # the step is a view of _rk4's buffers: the field takes a copy
-    return LatticeField(_rk4(u, params, which, dlambda, _first_stage(u, params, which)).copy())
+    """One classical RK4 step (nls.rk4_step).  Each stage invalidates one
+    more stencil width FLOW_STENCIL[which] of rows on each n-side, so 4
+    widths per side come out as 0."""
+    # the step is a view of _rk4's buffers: the field takes a copy
+    return LatticeField(_rk4(field.values, params, which)(dlambda).copy())
 
 
 def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
                               which: str, lambda_list) -> dict:
-    """Quad-equation residual after ONE RK4 step of each lambda, with the
-    log-log exponent fit.
+    """Quad-equation residual after ONE RK4 step (nls.rk4_step, all from one
+    k1) of each lambda, with the log-log exponent fit.
 
     For an exact symmetry the only residual is the integrator's O(lam^5)
     local error, so the fitted exponent should reach 4; residuals at the
@@ -143,9 +135,9 @@ def symmetry_residual_scaling(solution: LatticeField, params: LpkdvParams,
             f"input residual {base:.3e} exceeds {SOLUTION_TOL:.0e}; not a solution"
         )
     floor = RESIDUAL_FLOOR_RTOL * (1.0 + float(np.max(np.abs(solution.values))))
-    bufs, residuals = _first_stage(solution.values, params, which), []  # k1: one per sweep
+    rk4, residuals = _rk4(solution.values, params, which), []  # k1: one per sweep
     for lam in lambda_list:
-        step = LatticeField(_rk4(solution.values, params, which, lam, bufs))
+        step = LatticeField(rk4(lam))
         residuals.append(float(np.max(np.abs(residual_field(step, params)[margin:-margin, :]))))
     above = [(lam, r) for lam, r in zip(lambda_list, residuals) if r > floor]
     report = {"lambda": lambda_list, "residual": residuals, "floor": floor}

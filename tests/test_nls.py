@@ -17,8 +17,7 @@ from lpkdv.nls import (
     _linear_phase,
     _linear_rate,
     _nonlinear,
-    _rk4_step,
-    _scratch,
+    _picture,
     _spectral_derivative,
     _steps,
     commutator_floor,
@@ -32,6 +31,7 @@ from lpkdv.nls import (
     nls_evolve_dense,
     plane_envelope,
     resize_spectra,
+    rk4_step,
     save_envelope_csv,
     stable_dtau,
     symmetry_rhs,
@@ -206,23 +206,24 @@ class TestDenseOutput:
 
     def test_mid_step_is_one_step_of_the_run(self, ref_evolution):
         """Mid-step, for several rows at once, spectra_at is one call of the
-        run's step (_rk4_step) of size s = tau - taus[n] from snapshots[n],
-        its k1 the nonlinear term of snapshots[n], taken row by row."""
+        run's step (rk4_step on the interaction-picture field) of size
+        s = tau - taus[n] from snapshots[n], its k1 the nonlinear term of
+        snapshots[n], taken row by row: the same bits."""
         evo = ref_evolution
         ns = np.array([0, 1, evo.steps // 2, evo.steps - 1])
         fractions = np.array([0.5, 0.25, 0.9, 0.61])
         taus = evo.taus[ns] + fractions * evo.dtau
         got = evo.spectra_at(taus)
-        rate = _linear_rate(evo.L, evo.dxi, evo.coefficients)
+        rate, rho2 = _linear_rate(evo.L, evo.dxi, evo.coefficients), evo.coefficients.rho2
         for row, n in enumerate(ns):
             s = taus[row] - evo.taus[n]
-            half = _linear_phase(rate, 0.5 * s, np.empty(evo.L, dtype=complex))
-            end = _linear_phase(rate, s, np.empty(evo.L, dtype=complex))
+            field, half, end, _, work, _ = _picture(rho2, (evo.L,))
+            _linear_phase(rate, 0.5 * s, half)
+            _linear_phase(rate, s, end)
             v_hat = evo.snapshots[n].copy()
-            _rk4_step(v_hat, _nonlinear(v_hat, evo.coefficients.rho2), half, end, s,
-                      evo.coefficients.rho2, _scratch((evo.L,)))
+            rk4_step(v_hat, _nonlinear(v_hat, rho2), s, field, work, v_hat)
             want = end * v_hat
-            assert np.max(np.abs(got[row] - want)) <= 1e-13 * np.max(np.abs(want))
+            assert got[row].view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
     def test_stores_spectrum_and_nonlinear_term(self):
         """snapshots hold fft(u) at each step end; the last step end matches
@@ -503,11 +504,19 @@ class TestEnvelopeIO:
         assert back.dxi == env.dxi and back.xi0 == env.xi0
 
     def test_csv_columns(self, tmp_path):
-        env = make_env(L=32, width=6.0)
+        """The whole file: a header, then xi, re and im in repr, "\r\n" line
+        ends; -0.0, nan and +-inf parts written as repr writes them."""
+        values = make_env(L=32, width=6.0).values
+        values[:4] = [complex(-0.0, math.nan), complex(math.inf, -math.inf),
+                      complex(math.nan, -0.0), complex(-math.inf, 1e-300)]
+        env = Envelope(-3.0, 0.1, values)
         path = tmp_path / "env.csv"
         save_envelope_csv(env, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "xi,re,im"
+        want = "xi,re,im\r\n" + "".join(
+            f"{float(xi)!r},{float(z.real)!r},{float(z.imag)!r}\r\n"
+            for xi, z in zip(env.xi_grid, env.values))
+        assert "-0.0," in want and ",nan," in want and ",-inf\r\n" in want
+        assert path.read_bytes() == want.encode()
 
 
 def _on_envelope_grid(monkeypatch):

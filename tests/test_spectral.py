@@ -431,6 +431,7 @@ class TestSparseZs:
         # _zs_matrix builds B = -i M
         assert np.array_equal(spectral._zs_matrix(h, u, *ZS_AT).toarray(), -1j * M)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("amplitude", [1e-2, -1e-2, 1e-4, -1e-4])
     def test_dense_oracle_gaussian(self, zs_gaussian, amplitude, monkeypatch):
         zs = dataclasses.replace(zs_gaussian, values=amplitude * zs_gaussian.values)
@@ -460,6 +461,7 @@ class TestSparseZs:
         assert [name for name, _ in seen] == ["eig", "eigs", "eigs"]
         assert all(t == dtype for _, t in seen)
 
+    @pytest.mark.slow
     def test_dense_oracle_evolved_envelope(self, ref_evolution, ref_coeffs, monkeypatch):
         # the tau_min snapshot, whose FFT round trip leaves round-off
         # imaginary parts: a near-real potential on the complex path
